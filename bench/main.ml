@@ -256,7 +256,7 @@ let machine_micro ~cores =
   | Some w ->
     let machine = Lockiller.Sim.Config.machine ~cores () in
     let options =
-      { Runner.default_options with machine; oracle = false; scale = 0.25 }
+      { Runner.default_options with machine; scale = 0.25 }
     in
     let once () =
       Perf.reset_totals ();
@@ -291,7 +291,6 @@ let race_micro ~race_check =
       {
         Runner.default_options with
         machine;
-        oracle = false;
         scale = 0.25;
         pdes_domains = 4;
         race_check;
@@ -329,7 +328,6 @@ let profile_micro ~profiled =
     let options =
       {
         Runner.default_options with
-        oracle = false;
         scale = 0.25;
         on_runtime =
           (fun rt ->
@@ -365,9 +363,7 @@ let swpath_micro () =
   match Lockiller.Stamp.Suite.find "micro-counter" with
   | None -> assert false
   | Some w ->
-    let options =
-      { Runner.default_options with oracle = false; scale = 0.25 }
-    in
+    let options = { Runner.default_options with scale = 0.25 } in
     let once () =
       Perf.reset_totals ();
       ignore

@@ -1320,14 +1320,6 @@ let replay_cmd =
       & opt (pos_int_conv "--threads") 8
       & info [ "threads"; "t" ] ~doc:"Stream cores serving the arrivals.")
   in
-  let oracle_t =
-    Arg.(
-      value & flag
-      & info [ "oracle" ]
-          ~doc:"Re-enable the serializability oracle. Off by default in \
-                replay: its log grows with trace length, defeating \
-                bounded-memory streaming.")
-  in
   let jobs_t =
     Arg.(
       value
@@ -1335,7 +1327,7 @@ let replay_cmd =
       & info [ "jobs"; "j" ]
           ~doc:"Worker domains when replaying multiple systems.")
   in
-  let action trace systems body threads oracle jobs stats format seed cache
+  let action trace systems body threads jobs stats format seed cache
       cores pdes_domains race_check telemetry_file sample_interval =
     let module Runtime = Lockiller.Mechanisms.Runtime in
     let module Stats = Lockiller.Engine.Stats in
@@ -1392,7 +1384,6 @@ let replay_cmd =
                       {
                         Runner.default_options with
                         seed;
-                        oracle;
                         pdes_domains;
                         race_check;
                         machine = Config.machine ~cache ~cores ();
@@ -1460,8 +1451,8 @@ let replay_cmd =
   let term =
     Term.(
       ret
-        (const action $ trace_arg $ systems_t $ body_t $ threads_t $ oracle_t
-       $ jobs_t $ stats_t $ format_t $ seed_t $ cache_t $ cores_t
+        (const action $ trace_arg $ systems_t $ body_t $ threads_t $ jobs_t
+       $ stats_t $ format_t $ seed_t $ cache_t $ cores_t
        $ pdes_domains_t $ race_check_t $ telemetry_file_t
        $ sample_interval_t))
   in

@@ -2,11 +2,13 @@
 
     Every committed critical section (an HTM transaction, an HTMLock
     TL/STL lock transaction, or a plain critical section under the
-    lock) records its operation log: reads with the value observed,
-    writes with the value stored. [verify] replays the records in
-    completion order against a model store; every observed read must
-    equal the model's value at that point (reads-after-own-writes see
-    the section's own effects).
+    lock) reports its operation log: reads with the value observed,
+    writes with the value stored. The oracle replays each section
+    against a model store the moment it commits; every observed read
+    must equal the model's value at that point (reads-after-own-writes
+    see the section's own effects). The log is then dropped, so memory
+    is O(addresses touched + in-flight sections), whatever the run
+    length.
 
     Completion order is a valid serialization order for this system:
     plain sections are totally ordered by the lock and exclude
@@ -14,7 +16,12 @@
     atomic at commit; TL/STL sections only ever read data that no
     concurrent transaction can overwrite (rejects) — so any read they
     performed is consistent with serialising at their end. A
-    verification failure therefore means isolation was broken. *)
+    verification failure therefore means isolation was broken.
+
+    Checking online needs sections to commit in (end_time, recording
+    order) order. The runtime stamps [end_time] with the simulated
+    clock, which never goes backwards, so this holds by construction;
+    {!commit} enforces it. *)
 
 type op =
   | R of int * int  (** address, value observed *)
@@ -26,10 +33,12 @@ type op =
     read set validated), so completion order remains valid. *)
 type kind = Htm_commit | Tl_commit | Stl_commit | Sw_commit | Plain_section
 
+(** A committed section, materialised only as the culprit of a
+    violation. *)
 type record = {
   core : Lk_coherence.Types.core_id;
   end_time : int;  (** Simulated cycle of the serialization point. *)
-  seq : int;  (** Tie-break: recording order. *)
+  seq : int;  (** Tie-break: commit order. *)
   kind : kind;
   ops : op list;  (** Program order. *)
 }
@@ -42,8 +51,24 @@ type violation = {
 
 type t
 
-val create : ?initial:(int * int) list -> unit -> t
-(** [initial] seeds the model store (addresses default to 0). *)
+val create : ?initial:(int * int) list -> cores:int -> unit -> t
+(** One pending log per core id in [0, cores). [initial] seeds the
+    model store (addresses default to 0). *)
+
+(** {2 The pending section of one core} *)
+
+val read : t -> core:Lk_coherence.Types.core_id -> addr:int -> value:int -> unit
+val write : t -> core:Lk_coherence.Types.core_id -> addr:int -> value:int -> unit
+
+val discard : t -> core:Lk_coherence.Types.core_id -> unit
+(** Drop the pending log (abort, or a new section begins). *)
+
+val commit :
+  t -> core:Lk_coherence.Types.core_id -> end_time:int -> kind:kind -> unit
+(** Replay the pending log against the model store, remember the first
+    violation, and clear the log. Raises [Invalid_argument
+    "Oracle.commit: end_time ..."] if [end_time] is below that of the
+    previous commit. *)
 
 val record :
   t ->
@@ -52,14 +77,18 @@ val record :
   kind:kind ->
   ops:op list ->
   unit
+(** A whole section at once: [discard], the [ops], then [commit]. *)
 
-val records : t -> record list
-(** In recording order. *)
+(** {2 Results} *)
 
 val size : t -> int
+(** Sections committed. *)
+
+val count : t -> kind -> int
+(** Sections committed with that kind. *)
 
 val verify : t -> (unit, violation) result
-(** Replay in (end_time, seq) order. *)
+(** The first violation seen, in commit order. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val kind_label : kind -> string

@@ -102,10 +102,8 @@ type t = {
      mid-wait subtract the elapsed portion too. *)
   attempt_stall : int array;
   stall_since : int array;
-  (* Per-core operation log of the current critical section (reversed),
-     and whether the core is inside a plain (lock-protected,
-     non-transactional) section that should be logged. *)
-  op_logs : Oracle.op list array;
+  (* Whether the core is inside a plain (lock-protected,
+     non-transactional) section whose accesses the oracle logs. *)
   plain_section : bool array;
   (* TL2-style software fallback path (hybrid-TM comparators): per-core
      read/write sets, the striped lock table, and the live population
@@ -255,7 +253,7 @@ let lock_held t =
 (* --- Serializability oracle ------------------------------------------- *)
 
 let enable_oracle t =
-  let o = Oracle.create () in
+  let o = Oracle.create ~cores:(Array.length t.ctxs) () in
   t.oracle <- Some o;
   o
 
@@ -289,34 +287,33 @@ let emit t core kind ~arg =
   | None -> ()
   | Some l -> Ledger.emit l ~core kind ~arg
 
-let log_op t core op =
-  match t.oracle with
-  | None -> ()
-  | Some _ ->
-    let logged =
-      t.plain_section.(core) || Txstate.in_critical t.ctxs.(core)
-    in
-    let on_lock_line =
-      match (op : Oracle.op) with
-      | Oracle.R (a, _) | Oracle.W (a, _) ->
-        Addr.line_of_byte a = t.lock_line
-    in
-    if logged && not on_lock_line then
-      t.op_logs.(core) <- op :: t.op_logs.(core)
+(* The oracle sees every access inside a critical section except those
+   to the fallback lock's own line. *)
+let logged t core addr =
+  (t.plain_section.(core) || Txstate.in_critical t.ctxs.(core))
+  && Addr.line_of_byte addr <> t.lock_line
 
-let clear_log t core = t.op_logs.(core) <- []
+let log_read t core addr value =
+  match t.oracle with
+  | Some o when logged t core addr -> Oracle.read o ~core ~addr ~value
+  | Some _ | None -> ()
+
+let log_write t core addr value =
+  match t.oracle with
+  | Some o when logged t core addr -> Oracle.write o ~core ~addr ~value
+  | Some _ | None -> ()
+
+let discard_log t core =
+  match t.oracle with Some o -> Oracle.discard o ~core | None -> ()
 
 let record_section t core kind =
   match t.oracle with
   | None -> ()
-  | Some o ->
-    Oracle.record o ~core ~end_time:(Sim.now t.sim) ~kind
-      ~ops:(List.rev t.op_logs.(core));
-    clear_log t core
+  | Some o -> Oracle.commit o ~core ~end_time:(Sim.now t.sim) ~kind
 
 let plain_section_begin t core =
   t.plain_section.(core) <- true;
-  clear_log t core
+  discard_log t core
 
 let plain_section_end t core =
   record_section t core Oracle.Plain_section;
@@ -500,7 +497,7 @@ let abort_core ?(aggressor = -1) t core reason =
      attempt clock resets only after it. *)
   ignore (Store.discard t.store ~core);
   attempt_clock_reset t core;
-  clear_log t core;
+  discard_log t core;
   Txstate.abort c reason;
   ignore (Protocol.abort_flush t.proto core);
   (* Transactions parked on us must not wait for a commit that will
@@ -751,7 +748,6 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
       attempt_start = Array.make cores (-1);
       attempt_stall = Array.make cores 0;
       stall_since = Array.make cores (-1);
-      op_logs = Array.make cores [];
       plain_section = Array.make cores false;
       sw = Sw_path.create ~cores;
       sw_now = 0;
@@ -845,7 +841,7 @@ let xbegin t core ~k =
   if c.Txstate.attempt = 0 then
     c.Txstate.static_priority <-
       (Hashtbl.hash (core, c.Txstate.tx_seq) land 0xFFFF) + 1;
-  clear_log t core;
+  discard_log t core;
   let cs = t.per_core.(core) in
   cs.starts <- cs.starts + 1;
   let epoch = c.Txstate.epoch in
@@ -983,7 +979,7 @@ let hlbegin t core ~k =
           c.Txstate.mode <- Txstate.Tl;
           c.Txstate.pending_abort <- None;
           Txstate.reset_attempt c;
-          clear_log t core;
+          discard_log t core;
           if t.section_start.(core) < 0 then
             t.section_start.(core) <- Sim.now t.sim;
           attempt_clock_start t core;
@@ -1004,7 +1000,7 @@ let hlbegin t core ~k =
         c.Txstate.mode <- Txstate.Tl;
         c.Txstate.pending_abort <- None;
         Txstate.reset_attempt c;
-        clear_log t core;
+        discard_log t core;
         if t.section_start.(core) < 0 then
           t.section_start.(core) <- Sim.now t.sim;
         attempt_clock_start t core;
@@ -1117,7 +1113,7 @@ let sw_abort ?(aggressor = -1) t core reason ~k =
     ~arg:(Ledger.pack_abort ~reason:(Reason.index reason) ~who:aggressor ~age);
   ignore (Store.discard t.store ~core);
   attempt_clock_reset t core;
-  clear_log t core;
+  discard_log t core;
   t.sw_now <- t.sw_now - 1;
   Txstate.abort c reason;
   sw_gate_leave t core ~k
@@ -1131,7 +1127,7 @@ let swbegin t core ~k =
   c.Txstate.pending_abort <- None;
   Txstate.reset_attempt c;
   Sw_path.reset t.sw core;
-  clear_log t core;
+  discard_log t core;
   if t.section_start.(core) < 0 then t.section_start.(core) <- Sim.now t.sim
   else if t.last_abort.(core) >= 0 then begin
     Stats.record t.d_retry_gap (Sim.now t.sim - t.last_abort.(core));
@@ -1196,7 +1192,7 @@ let sw_read t core ~addr ~k =
             progress_tick t core;
             let v = Store.read t.store ~core ~speculative:true addr in
             Sw_path.note_read t.sw ~core ~slot ~version;
-            log_op t core (Oracle.R (addr, v));
+            log_read t core addr v;
             k (Ok v)))
 
 let sw_write t core ~addr ~value ~k =
@@ -1206,7 +1202,7 @@ let sw_write t core ~addr ~value ~k =
   progress_tick t core;
   Store.write t.store ~core ~speculative:true addr value;
   Sw_path.note_write t.sw ~core ~slot:(Sw_path.slot_of_line (Addr.line_of_byte addr));
-  log_op t core (Oracle.W (addr, value));
+  log_write t core addr value;
   Sim.schedule_tile t.sim ~tile:core ~delay:1 (fun () -> k (Ok 0))
 
 let sw_fetch_add t core ~addr ~delta ~k =
@@ -1216,7 +1212,7 @@ let sw_fetch_add t core ~addr ~delta ~k =
       Store.write t.store ~core ~speculative:true addr (v + delta);
       Sw_path.note_write t.sw ~core
         ~slot:(Sw_path.slot_of_line (Addr.line_of_byte addr));
-      log_op t core (Oracle.W (addr, v + delta));
+      log_write t core addr (v + delta);
       k (Ok v))
 
 let sw_commit t core ~k =
@@ -1398,7 +1394,7 @@ let read t core ~addr ~k =
             let v =
               Store.read t.store ~core ~speculative:(speculative t core) addr
             in
-            log_op t core (Oracle.R (addr, v));
+            log_read t core addr v;
             k (Ok v)))
 
 let write t core ~addr ~value ~k =
@@ -1417,7 +1413,7 @@ let write t core ~addr ~value ~k =
             progress_tick t core;
             Store.write t.store ~core ~speculative:(speculative t core) addr
               value;
-            log_op t core (Oracle.W (addr, value));
+            log_write t core addr value;
             k (Ok 0)))
 
 let fetch_add t core ~addr ~delta ~k =
@@ -1437,8 +1433,8 @@ let fetch_add t core ~addr ~delta ~k =
             let speculative = speculative t core in
             let v = Store.read t.store ~core ~speculative addr in
             Store.write t.store ~core ~speculative addr (v + delta);
-            log_op t core (Oracle.R (addr, v));
-            log_op t core (Oracle.W (addr, v + delta));
+            log_read t core addr v;
+            log_write t core addr (v + delta);
             k (Ok v)))
 
 let add_insts t core n =

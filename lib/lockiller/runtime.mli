@@ -183,9 +183,13 @@ val note_lock_commit : t -> Lk_coherence.Types.core_id -> unit
 (* -- Serializability oracle ------------------------------------------- *)
 
 val enable_oracle : t -> Lk_htm.Oracle.t
-(** Start recording every committed critical section's operation log.
-    [Lk_htm.Oracle.verify] on the returned handle checks that the run
-    was serializable. Recording costs O(operations). *)
+(** Start checking serializability: every access inside a critical
+    section (except to the fallback lock's line) goes to the oracle's
+    pending log for its core, an abort or a new section discards it,
+    and a commit replays it at once. [Lk_htm.Oracle.verify] on the
+    returned handle reports the first violation. Costs O(operations)
+    time and O(addresses touched) memory; until called, each access
+    pays one [None] test. [Lk_sim.Runner] enables it on every run. *)
 
 val oracle : t -> Lk_htm.Oracle.t option
 

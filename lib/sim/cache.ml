@@ -75,7 +75,6 @@ let fingerprint ~schema ~(options : Runner.options) ~sysconf ~workload
       Printf.sprintf "seed=%d" options.Runner.seed;
       Printf.sprintf "scale=%.17g" options.Runner.scale;
       "machine=" ^ Config.fingerprint options.Runner.machine;
-      Printf.sprintf "oracle=%b" options.Runner.oracle;
       (match options.Runner.placement with
       | Runner.Compact -> "placement=compact"
       | Runner.Spread -> "placement=spread");

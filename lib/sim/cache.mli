@@ -4,7 +4,7 @@
     a result can be reused across processes: the cache key is an MD5
     digest of a canonical description of everything that affects the
     outcome — schema tag, seed, scale, machine fingerprint
-    ({!Config.fingerprint}), placement, cycle limit, oracle flag,
+    ({!Config.fingerprint}), placement, cycle limit,
     system composition, every workload-profile field, and the thread
     count. Entries are the {!Runner.result_to_json} encoding, one file
     per entry under [dir/v<schema>/<digest>.json].

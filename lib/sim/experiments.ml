@@ -1400,11 +1400,6 @@ let wasted_profiled ctx ~sysconf ~source ~threads =
       seed = ctx.seed;
       scale = ctx.scale;
       machine = Config.machine ~cores:ctx.cores ();
-      oracle =
-        (* The oracle stores every committed section, which defeats
-           bounded-memory replay (see Runner.replay); closed-loop runs
-           keep it. *)
-        (match source with Workload_source.Replay _ -> false | _ -> true);
       on_runtime =
         (fun rt ->
           let l = Lk_lockiller.Runtime.enable_ledger ~capacity:1024 rt in

@@ -3,11 +3,11 @@
 
     Each run verifies its own correctness twice over: the committed
     values of the workload's hot records must equal the increments the
-    generated program performs (conservation), and — unless [oracle] is
-    disabled — the serializability oracle replays every committed
-    critical section in completion order and checks each observed read
-    ({!Lk_htm.Oracle}). These checks run on every simulation, not only
-    in the test suite. *)
+    generated program performs (conservation), and the serializability
+    oracle replays each critical section against a model store as it
+    commits and checks every observed read ({!Lk_htm.Oracle}), in
+    memory bounded by the addresses touched. These checks run on every
+    simulation, not only in the test suite. *)
 
 (** Where the participating threads sit on the fabric. The paper pins
     thread [i] to core [i] ([Compact]); [Spread] distributes them
@@ -86,8 +86,7 @@ type result = {
   network_messages : int;
   network_flits : int;
   oracle_sections : int;
-      (** Critical sections checked by the serializability oracle (0
-          when disabled). *)
+      (** Critical sections checked by the serializability oracle. *)
   avg_attempts_per_commit : float;
       (** Mean HTM attempts a committed transaction needed (1.0 =
           everything committed first try); 0 when nothing committed
@@ -125,7 +124,6 @@ type options = {
   machine : Config.t;
       (** The simulated machine (Table I by default); build variants
           with {!Config.machine}. *)
-  oracle : bool;  (** Run the serializability oracle. *)
   on_runtime : Lk_lockiller.Runtime.t -> unit;
       (** Called with the freshly built runtime before any core starts
           — use it to enable tracing or keep a handle for post-run
@@ -181,7 +179,7 @@ type options = {
     [{ Runner.default_options with seed = 7 }]. *)
 
 val default_options : options
-(** Seed 1, scale 1.0, the paper's 32-core machine, oracle enabled,
+(** Seed 1, scale 1.0, the paper's 32-core machine,
     no [on_runtime] hook, [Compact] placement, a 2^30-cycle guard, the
     wheel event queue, one PDES domain, checking off. *)
 
@@ -234,10 +232,9 @@ val replay :
     percentiles, peak backlog and the per-phase completion mix;
     [options.scale] is ignored (the trace dictates offered load).
 
-    The serializability oracle ([options.oracle]) stores every
-    committed section, which defeats the bounded-memory property on
-    long traces — disable it for capacity-planning replays (the CLI's
-    [replay] does by default). Raises [Failure] on a malformed or
+    The serializability oracle checks each section as it commits and
+    keeps only the model store, so it preserves that bound. Raises
+    [Failure] on a malformed or
     non-monotone trace (the feeder's position-tagged error), and on the
     same conservation/serializability/invariant violations as {!run}
     (hot-counter increments are tallied during body synthesis, so

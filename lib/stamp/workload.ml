@@ -141,8 +141,7 @@ let generate p ~threads ~seed ~scale =
 let hot_addresses p =
   List.init p.hot_lines (fun i -> addr_of_line (hot_line i))
 
-let expected_hot_increments p ~threads ~seed ~scale =
-  let program = generate p ~threads ~seed ~scale in
+let hot_increments p program =
   let counts = Hashtbl.create 64 in
   List.iter (fun a -> Hashtbl.replace counts a 0) (hot_addresses p);
   Array.iter

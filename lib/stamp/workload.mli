@@ -70,10 +70,9 @@ val hot_addresses : profile -> int list
     run must equal the number of committed [Incr]s (conservation
     checks). *)
 
-val expected_hot_increments :
-  profile -> threads:int -> seed:int -> scale:float -> (int * int) list
-(** [(addr, total increments)] pairs the generated program performs on
-    hot records — what the committed store must show after any
-    correct run. *)
+val hot_increments : profile -> Lk_cpu.Program.t -> (int * int) list
+(** [(addr, total increments)] pairs, sorted by address, that [program]
+    (generated from [profile]) performs on the hot records — what the
+    committed store must show after any correct run. *)
 
 val pp : Format.formatter -> profile -> unit

@@ -195,7 +195,7 @@ let test_expected_increments_match_program () =
   List.iter
     (fun p ->
       let program = gen p in
-      let expected = Workload.expected_hot_increments p ~threads:4 ~seed:1 ~scale:1.0 in
+      let expected = Workload.hot_increments p program in
       (* recount from the program *)
       let counts = Hashtbl.create 64 in
       Array.iter
@@ -214,7 +214,12 @@ let test_expected_increments_match_program () =
             (Printf.sprintf "%s: increments at %#x" p.Workload.name a)
             n
             (Option.value ~default:0 (Hashtbl.find_opt counts a)))
-        expected)
+        expected;
+      check_bool
+        (p.Workload.name ^ ": one entry per hot address, sorted")
+        true
+        (List.map fst expected
+        = List.sort_uniq compare (Workload.hot_addresses p)))
     Suite.all
 
 let test_hot_addresses_cover_increment_targets () =

@@ -214,8 +214,7 @@ let test_gen_validate () =
 
 let quick_machine = Config.machine ~cores:4 ~cache:Config.Small ()
 
-let replay_options =
-  { Runner.default_options with Runner.machine = quick_machine; oracle = false }
+let replay_options = { Runner.default_options with Runner.machine = quick_machine }
 
 let lockiller = Option.get (Sysconf.find "LockillerTM")
 let vacation = Option.get (Suite.find "vacation")
