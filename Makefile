@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 SHELL := /bin/bash
 
-.PHONY: all build test bench perfcheck doc lint check telemetry replay-smoke pdes-smoke race-smoke hytm-smoke profile-smoke ci clean
+.PHONY: all build test bench perfcheck doc lint check telemetry replay-smoke hytm-smoke profile-smoke ci clean
 
 all: build
 
@@ -87,51 +87,6 @@ replay-smoke:
 	rm -rf _build/replay-smoke
 	@echo "replay smoke: OK"
 
-# PDES smoke: the same closed-loop run on a 256-core mesh executed
-# twice, single-queue and split across four conservative PDES domains.
-# Both results must validate, and the two must be byte-identical: the
-# domain split is an engine-internal execution detail that may never
-# leak into the result JSON (--pdes-domains is a Runner option, not
-# part of the configuration or its cache key).
-pdes-smoke:
-	rm -rf _build/pdes-smoke && mkdir -p _build/pdes-smoke
-	dune exec bin/lockiller_sim.exe -- run -s LockillerTM -w vacation \
-	  -t 16 --cores 256 --scale 0.1 --pdes-domains 1 --format json \
-	  > _build/pdes-smoke/d1.json
-	dune exec bin/lockiller_sim.exe -- run -s LockillerTM -w vacation \
-	  -t 16 --cores 256 --scale 0.1 --pdes-domains 4 --format json \
-	  > _build/pdes-smoke/d4.json
-	dune exec test/json_check.exe -- --result < _build/pdes-smoke/d1.json
-	dune exec test/json_check.exe -- --result < _build/pdes-smoke/d4.json
-	cmp _build/pdes-smoke/d1.json _build/pdes-smoke/d4.json
-	rm -rf _build/pdes-smoke
-	@echo "pdes smoke: OK"
-
-# Race-detector smoke: a 256-core run with the partition-ownership
-# detector armed must finish with zero violations (--race-check fails
-# the run otherwise) and stay byte-identical across domain counts —
-# the detector is purely observational. The diagnostic "pdes" member
-# legitimately differs between the two runs (different domain counts),
-# so it is stripped before the comparison; everything else must match
-# to the byte.
-race-smoke:
-	rm -rf _build/race-smoke && mkdir -p _build/race-smoke
-	dune exec bin/lockiller_sim.exe -- run -s LockillerTM -w vacation \
-	  -t 16 --cores 256 --scale 0.1 --pdes-domains 1 --race-check \
-	  --format json > _build/race-smoke/d1.json
-	dune exec bin/lockiller_sim.exe -- run -s LockillerTM -w vacation \
-	  -t 16 --cores 256 --scale 0.1 --pdes-domains 4 --race-check \
-	  --format json > _build/race-smoke/d4.json
-	dune exec test/json_check.exe -- --result < _build/race-smoke/d1.json
-	dune exec test/json_check.exe -- --result < _build/race-smoke/d4.json
-	dune exec test/json_check.exe -- --strip pdes \
-	  < _build/race-smoke/d1.json > _build/race-smoke/d1.stripped.json
-	dune exec test/json_check.exe -- --strip pdes \
-	  < _build/race-smoke/d4.json > _build/race-smoke/d4.stripped.json
-	cmp _build/race-smoke/d1.stripped.json _build/race-smoke/d4.stripped.json
-	rm -rf _build/race-smoke
-	@echo "race smoke: OK"
-
 # Hybrid-TM smoke: the HyTM instrumentation-cost sweep (docs/HYBRID.md)
 # on a tiny configuration, validated by the JSON checker, then rerun
 # with a different worker count — the two outputs must be
@@ -153,8 +108,7 @@ hytm-smoke:
 
 # Causal-profiler smoke: the profile subcommand end to end — text
 # report, JSON validated by the checker, then the same profiled run
-# re-executed on the heap event queue and with the simulation split
-# over four PDES domains: all three JSON documents must be
+# re-executed on the heap event queue: the two JSON documents must be
 # byte-identical, because the profiler folds the deterministic ledger
 # stream and never observes engine-internal execution details.
 profile-smoke:
@@ -170,10 +124,6 @@ profile-smoke:
 	  -t 8 --cores 8 --scale 0.2 --format json --queue-backend heap \
 	  > _build/profile-smoke/heap.json
 	cmp _build/profile-smoke/wheel.json _build/profile-smoke/heap.json
-	dune exec bin/lockiller_sim.exe -- profile -s LockillerTM -w intruder \
-	  -t 8 --cores 8 --scale 0.2 --format json --pdes-domains 4 \
-	  2> /dev/null > _build/profile-smoke/d4.json
-	cmp _build/profile-smoke/wheel.json _build/profile-smoke/d4.json
 	rm -rf _build/profile-smoke
 	@echo "profile smoke: OK"
 
@@ -209,8 +159,6 @@ ci:
 	rm -rf _build/ci-cache
 	$(MAKE) telemetry
 	$(MAKE) replay-smoke
-	$(MAKE) pdes-smoke
-	$(MAKE) race-smoke
 	$(MAKE) hytm-smoke
 	$(MAKE) profile-smoke
 	$(MAKE) perfcheck

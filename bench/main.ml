@@ -23,7 +23,6 @@ module Report = Lockiller.Sim.Report
 module Rng = Lockiller.Engine.Rng
 module Event_queue = Lockiller.Engine.Event_queue
 module Sim = Lockiller.Engine.Sim
-module Pdes = Lockiller.Engine.Pdes
 module Topology = Lockiller.Mesh.Topology
 module Network = Lockiller.Mesh.Network
 module L1 = Lockiller.Coherence.L1_cache
@@ -198,57 +197,10 @@ let trace_micro ~ops =
   ignore (read_pass ());
   read_pass ()
 
-(* The parallel executor on a partition-confined workload: [domains]
-   partitions of self-rescheduling chains (1 in 64 events hops to the
-   next partition with a delay >= the lookahead, as the conservative
-   contract requires). Events/sec here is *aggregate* across domains;
-   wall-clock speedup over d1 needs real cores — the "cpus" field in
-   the JSON records what parallelism was physically available, and on
-   a single-CPU host the curve is flat by construction. *)
-let pdes_micro ~domains ~ops =
-  let lookahead = 16 in
-  let once () =
-    let p = Pdes.create ~domains ~lookahead () in
-    let per = ops / domains in
-    (* Per-partition state, indexed by partition id: each slot is only
-       ever touched by the domain that owns the partition. *)
-    let remaining = Array.make domains per in
-    let sts =
-      Array.init domains (fun i -> ref (0x51AFE2149F123BCD + (i * 7919)))
-    in
-    let rec tick port =
-      let me = Pdes.id port in
-      if remaining.(me) > 0 then begin
-        remaining.(me) <- remaining.(me) - 1;
-        let d = lookahead + lcg_next sts.(me) in
-        if domains > 1 && remaining.(me) land 63 = 0 then
-          Pdes.post port ~dst:((me + 1) mod domains) ~delay:d tick
-        else Pdes.schedule port ~delay:d tick
-      end
-    in
-    for i = 0 to domains - 1 do
-      let port = Pdes.port p i in
-      for _ = 1 to 256 do
-        Pdes.schedule port ~delay:(lcg_next sts.(i)) tick
-      done
-    done;
-    let probe = Perf.start () in
-    Pdes.run p;
-    let cycles = ref 0 in
-    for i = 0 to domains - 1 do
-      let n = Pdes.now (Pdes.port p i) in
-      if n > !cycles then cycles := n
-    done;
-    Perf.stop probe ~events:(Pdes.total_events p) ~cycles:!cycles
-  in
-  (* First run warms code and minor heap; report the second. *)
-  ignore (once ());
-  once ()
-
 (* Closed-loop machine throughput as the mesh grows: the same 16
    threads and offered work on a 32-core and a 256-core machine, so
    the only variable is the fabric — more directory shards, longer NoC
-   distances, a larger partitioned event set. The events/sec ratio is
+   distances, a larger event set. The events/sec ratio is
    the kernel's large-mesh scaling figure (docs/SCALING.md). *)
 let machine_micro ~cores =
   match Lockiller.Stamp.Suite.find "ssca2" with
@@ -257,44 +209,6 @@ let machine_micro ~cores =
     let machine = Lockiller.Sim.Config.machine ~cores () in
     let options =
       { Runner.default_options with machine; scale = 0.25 }
-    in
-    let once () =
-      Perf.reset_totals ();
-      ignore
-        (Runner.run ~options ~sysconf:Sysconf.lockiller ~workload:w
-           ~threads:16 ());
-      let t = Perf.totals () in
-      {
-        Perf.wall_seconds = t.Perf.total_wall_seconds;
-        minor_words = t.Perf.total_minor_words;
-        events = t.Perf.total_events;
-        cycles = t.Perf.total_cycles;
-      }
-    in
-    ignore (once ());
-    once ()
-
-(* The partition-ownership race detector priced on the big mesh: the
-   same closed-loop 256-core run as [machine_micro], split over 4
-   event-queue partitions, detector off and on. A witness hook is one
-   flag test when the detector is off and an ownership compare when
-   on, so the two samples must stay inside the perfcheck band — the
-   "detector_on_speedup" ratio is the gate on the detector's overhead
-   (docs/CHECKING.md). The on-sample also re-asserts zero violations:
-   --race-check fails the run on any finding. *)
-let race_micro ~race_check =
-  match Lockiller.Stamp.Suite.find "ssca2" with
-  | None -> assert false
-  | Some w ->
-    let machine = Lockiller.Sim.Config.machine ~cores:256 () in
-    let options =
-      {
-        Runner.default_options with
-        machine;
-        scale = 0.25;
-        pdes_domains = 4;
-        race_check;
-      }
     in
     let once () =
       Perf.reset_totals ();
@@ -396,17 +310,11 @@ let run_perf_micro ~scale ~format =
   let sw = measure sim_micro Event_queue.Wheel in
   let sh = measure sim_micro Event_queue.Heap in
   let tr = trace_micro ~ops in
-  let p1 = pdes_micro ~domains:1 ~ops in
-  let p2 = pdes_micro ~domains:2 ~ops in
-  let p4 = pdes_micro ~domains:4 ~ops in
   let m32 = machine_micro ~cores:32 in
   let m256 = machine_micro ~cores:256 in
-  let roff = race_micro ~race_check:false in
-  let ron = race_micro ~race_check:true in
   let poff = profile_micro ~profiled:false in
   let pon = profile_micro ~profiled:true in
   let sp = swpath_micro () in
-  let cpus = Domain.recommended_domain_count () in
   let speedup w h =
     let h = Perf.events_per_sec h in
     if h <= 0.0 then 0.0 else Perf.events_per_sec w /. h
@@ -429,16 +337,6 @@ let run_perf_micro ~scale ~format =
           ("queue", section qw qh);
           ("sim", section sw sh);
           ("trace", Json.Obj [ ("read", Perf.json_of_sample tr) ]);
-          ( "pdes",
-            Json.Obj
-              [
-                ("cpus", Json.Int cpus);
-                ("lookahead", Json.Int 16);
-                ("d1", Perf.json_of_sample p1);
-                ("d2", Perf.json_of_sample p2);
-                ("d4", Perf.json_of_sample p4);
-                ("parallel_speedup", Json.Float (speedup p4 p1));
-              ] );
           ( "mesh",
             Json.Obj
               [
@@ -446,14 +344,6 @@ let run_perf_micro ~scale ~format =
                 ("cores32", Perf.json_of_sample m32);
                 ("cores256", Perf.json_of_sample m256);
                 ("large_mesh_speedup", Json.Float (speedup m256 m32));
-              ] );
-          ( "race",
-            Json.Obj
-              [
-                ("threads", Json.Int 16);
-                ("off", Perf.json_of_sample roff);
-                ("on", Perf.json_of_sample ron);
-                ("detector_on_speedup", Json.Float (speedup ron roff));
               ] );
           ( "profile",
             Json.Obj
@@ -494,22 +384,10 @@ let run_perf_micro ~scale ~format =
       (Perf.minor_words_per_event tr);
     List.iter
       (fun (label, s) ->
-        Printf.printf "%-8s %-8s %14.0f %16.2f\n" "pdes" label
-          (Perf.events_per_sec s)
-          (Perf.minor_words_per_event s))
-      [ ("d1", p1); ("d2", p2); ("d4", p4) ];
-    List.iter
-      (fun (label, s) ->
         Printf.printf "%-8s %-8s %14.0f %16.2f\n" "mesh" label
           (Perf.events_per_sec s)
           (Perf.minor_words_per_event s))
       [ ("32", m32); ("256", m256) ];
-    List.iter
-      (fun (label, s) ->
-        Printf.printf "%-8s %-8s %14.0f %16.2f\n" "race" label
-          (Perf.events_per_sec s)
-          (Perf.minor_words_per_event s))
-      [ ("off", roff); ("on", ron) ];
     List.iter
       (fun (label, s) ->
         Printf.printf "%-8s %-8s %14.0f %16.2f\n" "profile" label
@@ -521,11 +399,8 @@ let run_perf_micro ~scale ~format =
       (Perf.minor_words_per_event sp);
     Printf.printf "\nqueue wheel speedup over heap: %.2fx\n" (speedup qw qh);
     Printf.printf "sim   wheel speedup over heap: %.2fx\n" (speedup sw sh);
-    Printf.printf "pdes  4-domain aggregate over 1: %.2fx (%d cpus)\n" (speedup p4 p1)
-      cpus;
-    Printf.printf "mesh  256-core over 32-core:     %.2fx\n" (speedup m256 m32);
-    Printf.printf "race  detector on over off:      %.2fx\n\n%!"
-      (speedup ron roff)
+    Printf.printf "mesh  256-core over 32-core:     %.2fx\n\n%!"
+      (speedup m256 m32)
 
 (* --- Traced reference run ----------------------------------------------- *)
 

@@ -69,30 +69,6 @@ let cores_t =
         ~doc:"Machine size in tiles, 1 to 1024; the mesh takes the \
               nearest-square shape (32 -> 4x8, 256 -> 16x16).")
 
-let pdes_domains_t =
-  Arg.(
-    value
-    & opt (pos_int_conv "--pdes-domains") 1
-    & info [ "pdes-domains" ] ~docv:"N"
-        ~doc:"Split the event kernel into $(docv) PDES partitions (at \
-              most --cores). Results are byte-identical for any value; \
-              partition/window statistics go to stderr.")
-
-let race_check_t =
-  Arg.(
-    value & flag
-    & info [ "race-check" ]
-        ~doc:"Arm the partition-ownership race detector: every \
-              registered region's witness hook verifies the mutating \
-              event runs in the owning tile's partition, and \
-              unannotated cross-partition hops below the lookahead are \
-              flagged. Purely observational — results stay \
-              byte-identical with the detector on or off, and like \
-              --check the flag is excluded from cache keys. Any \
-              violation fails the run; with --format json a diagnostic \
-              'pdes' member (partition/window statistics) is appended \
-              to the result. See docs/CHECKING.md.")
-
 let format_t =
   Arg.(
     value
@@ -326,22 +302,19 @@ let run_cmd =
       & info [ "threads"; "t" ] ~doc:"Thread count (2..cores).")
   in
   let action system workload threads stats format seed scale cache cores
-      pdes_domains trace_events breakdown trace_capacity check race_check
-      telemetry_file sample_interval =
+      trace_events breakdown trace_capacity check telemetry_file
+      sample_interval =
     let module Runtime = Lockiller.Mechanisms.Runtime in
     let module Stats = Lockiller.Engine.Stats in
-    let module Esim = Lockiller.Engine.Sim in
     let handle = ref None in
     let tele = ref None in
     match
-      ( Cli.pdes_domains ~cores pdes_domains,
-        Lockiller.Mechanisms.Sysconf.find system,
+      ( Lockiller.Mechanisms.Sysconf.find system,
         Lockiller.Stamp.Suite.find workload )
     with
-    | Error msg, _, _ -> `Error (false, msg)
-    | Ok _, None, _ -> `Error (false, "unknown system " ^ system)
-    | Ok _, _, None -> `Error (false, "unknown workload " ^ workload)
-    | Ok pdes_domains, Some sysconf, Some profile -> (
+    | None, _ -> `Error (false, "unknown system " ^ system)
+    | _, None -> `Error (false, "unknown workload " ^ workload)
+    | Some sysconf, Some profile -> (
       match
         Runner.run
           ~options:
@@ -350,8 +323,6 @@ let run_cmd =
               seed;
               scale;
               check;
-              race_check;
-              pdes_domains;
               machine = Config.machine ~cache ~cores ();
               on_runtime =
                 (fun rt ->
@@ -379,36 +350,6 @@ let run_cmd =
               );
             ]
         in
-        (* With --race-check, partition/window statistics ride along as
-           an extra "pdes" member of the result object. The decoder
-           ignores unknown members, so the schema version is unchanged,
-           and the member never enters json_of_result itself — cached
-           results and cache keys are unaffected. json_check --strip
-           pdes removes it for byte-identity comparisons across domain
-           counts. *)
-        let with_pdes doc =
-          match (race_check, doc, !handle) with
-          | true, Json.Obj fields, Some rt ->
-            let s =
-              Esim.pdes_stats
-                (Lockiller.Coherence.Protocol.sim (Runtime.protocol rt))
-            in
-            Json.Obj
-              (fields
-              @ [
-                  ( "pdes",
-                    Json.Obj
-                      [
-                        ("domains", Json.Int s.Esim.domains);
-                        ("lookahead", Json.Int s.Esim.lookahead);
-                        ("windows", Json.Int s.Esim.windows);
-                        ("cross_events", Json.Int s.Esim.cross_events);
-                        ("short_hops", Json.Int s.Esim.short_hops);
-                        ("race_violations", Json.Int s.Esim.race_violations);
-                      ] );
-                ])
-          | _ -> doc
-        in
         (match format with
         | `Text ->
           print_result r;
@@ -422,14 +363,14 @@ let run_cmd =
             if stats then
               Json.Obj
                 [
-                  ("result", with_pdes (Runner.json_of_result r));
+                  ("result", Runner.json_of_result r);
                   ( "stats",
                     Json.Obj
                       (List.map
                          (fun (name, g) -> (name, json_of_group g))
                          (stat_groups ())) );
                 ]
-            else with_pdes (Runner.json_of_result r)
+            else Runner.json_of_result r
           in
           print_endline (Json.to_string doc));
         emit_telemetry ~telemetry_file !tele;
@@ -443,9 +384,9 @@ let run_cmd =
     Term.(
       ret
         (const action $ system $ workload $ threads $ stats_t $ format_t
-       $ seed_t $ scale_t $ cache_t $ cores_t $ pdes_domains_t
-       $ trace_events_t $ abort_breakdown_t $ trace_capacity_t $ check_t
-       $ race_check_t $ telemetry_file_t $ sample_interval_t))
+       $ seed_t $ scale_t $ cache_t $ cores_t $ trace_events_t
+       $ abort_breakdown_t $ trace_capacity_t $ check_t $ telemetry_file_t
+       $ sample_interval_t))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one system/workload/thread combination")
@@ -459,8 +400,8 @@ let run_cmd =
    critical-path summary. The tap sees every record as it is emitted,
    so the ring capacity is irrelevant to the totals — a small ring
    keeps memory flat. Output is byte-identical across event-queue
-   backends and --pdes-domains values (the ledger is), which the
-   --queue-backend knob exists to demonstrate. *)
+   backends (the ledger is), which the --queue-backend knob exists to
+   demonstrate. *)
 let profile_cmd =
   let module Runtime = Lockiller.Mechanisms.Runtime in
   let module Profile = Lockiller.Sim.Profile in
@@ -498,17 +439,12 @@ let profile_cmd =
                 for differential testing (make profile-smoke).")
   in
   let action system workload threads format seed scale cache cores
-      pdes_domains queue_backend =
+      queue_backend =
     let profiler = ref None in
-    match
-      ( Cli.pdes_domains ~cores pdes_domains,
-        Sysconf.find system,
-        Suite.find workload )
-    with
-    | Error msg, _, _ -> `Error (false, msg)
-    | Ok _, None, _ -> `Error (false, "unknown system " ^ system)
-    | Ok _, _, None -> `Error (false, "unknown workload " ^ workload)
-    | Ok pdes_domains, Some sysconf, Some wl -> (
+    match (Sysconf.find system, Suite.find workload) with
+    | None, _ -> `Error (false, "unknown system " ^ system)
+    | _, None -> `Error (false, "unknown workload " ^ workload)
+    | Some sysconf, Some wl -> (
       match
         Runner.run
           ~options:
@@ -516,7 +452,6 @@ let profile_cmd =
               Runner.default_options with
               seed;
               scale;
-              pdes_domains;
               queue_backend;
               machine = Config.machine ~cache ~cores ();
               on_runtime =
@@ -558,7 +493,7 @@ let profile_cmd =
     Term.(
       ret
         (const action $ system $ workload $ threads $ format_t $ seed_t
-       $ scale_t $ cache_t $ cores_t $ pdes_domains_t $ backend_t))
+       $ scale_t $ cache_t $ cores_t $ backend_t))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -706,41 +641,7 @@ let check_cmd =
                   s.Check.Scenario.name
                   (if default_caught then " (explorer missed it)"
                    else " (sanitizer missed it)"))
-            mutations;
-          (* Race-class faults exercise the partition-ownership
-             detector: each must be caught by the explorer on the
-             sequenced kernel (with a replay-verified shrunk schedule)
-             AND on the true-parallel kernel running real domains. *)
-          Printf.printf "race-detector self-test:\n%!";
-          (match Check.Race.parallel_clean () with
-          | Ok () ->
-            Printf.printf
-              "  partition-confined model clean on 2 domains\n%!"
-          | Error msg ->
-            incr failures;
-            Printf.printf "  partition-confined model FAILED: %s\n%!" msg);
-          List.iter
-            (fun (fault, (s : Check.Scenario.t)) ->
-              let label = Types.fault_label fault in
-              (match
-                 Check.Race.sequenced ~max_schedules ~inject:fault s
-               with
-              | Ok report ->
-                Printf.printf "  %-21s caught sequenced: %s\n%!" label
-                  (Format.asprintf "%a" Check.Race.pp_report report)
-              | Error msg ->
-                incr failures;
-                Printf.printf "  %-21s NOT caught sequenced: %s\n%!" label
-                  msg);
-              match Check.Race.parallel ~inject:fault with
-              | Ok () ->
-                Printf.printf "  %-21s caught on parallel domains\n%!"
-                  label
-              | Error msg ->
-                incr failures;
-                Printf.printf "  %-21s NOT caught parallel: %s\n%!" label
-                  msg)
-            Check.Race.mutations
+            mutations
         end;
         if !failures = 0 then begin
           Printf.printf "check: OK (%d scenarios)\n" (List.length scenarios);
@@ -1328,7 +1229,7 @@ let replay_cmd =
           ~doc:"Worker domains when replaying multiple systems.")
   in
   let action trace systems body threads jobs stats format seed cache
-      cores pdes_domains race_check telemetry_file sample_interval =
+      cores telemetry_file sample_interval =
     let module Runtime = Lockiller.Mechanisms.Runtime in
     let module Stats = Lockiller.Engine.Stats in
     let unknown =
@@ -1336,9 +1237,6 @@ let replay_cmd =
         (fun s -> Lockiller.Mechanisms.Sysconf.find s = None)
         systems
     in
-    match Cli.pdes_domains ~cores pdes_domains with
-    | Error msg -> `Error (false, msg)
-    | Ok pdes_domains ->
     if unknown <> [] then
       `Error (false, "unknown system " ^ String.concat ", " unknown)
     else if trace = "-" && List.length systems > 1 then
@@ -1384,8 +1282,6 @@ let replay_cmd =
                       {
                         Runner.default_options with
                         seed;
-                        pdes_domains;
-                        race_check;
                         machine = Config.machine ~cache ~cores ();
                         telemetry =
                           telemetry_option ~telemetry_file ~sample_interval
@@ -1453,8 +1349,7 @@ let replay_cmd =
       ret
         (const action $ trace_arg $ systems_t $ body_t $ threads_t $ jobs_t
        $ stats_t $ format_t $ seed_t $ cache_t $ cores_t
-       $ pdes_domains_t $ race_check_t $ telemetry_file_t
-       $ sample_interval_t))
+       $ telemetry_file_t $ sample_interval_t))
   in
   Cmd.v
     (Cmd.info "replay"
@@ -1587,8 +1482,8 @@ let compare_cmd =
        results is the most common reason a compare refuses to run, and
        the named error below should say which file is stale. *)
     (* Saved documents can carry diagnostic riders whose rings
-       overflowed (telemetry exports embedded by tooling, the
-       --race-check "pdes" block, profile dumps): any "dropped" member
+       overflowed (telemetry exports embedded by tooling, profile
+       dumps): any "dropped" member
        with a positive count means the file's totals are lower bounds,
        which must not pass silently into a delta table. *)
     let warn_dropped file doc =

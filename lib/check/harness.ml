@@ -124,22 +124,7 @@ let run ?(check_states = true) ?(cycle_limit = default_cycle_limit)
     ?inject_bug ~choose (scenario : Scenario.t) =
   let threads = Array.length scenario.Scenario.program in
   let topo = Topology.create ~rows:1 ~cols:threads in
-  (* Partitioned scenarios run on the sequenced multi-queue kernel with
-     the block tile map and the ownership race detector armed — the
-     same configuration `--pdes-domains` uses, scaled down to a model
-     the explorer can enumerate. *)
-  let domains =
-    match scenario.Scenario.domains with
-    | None -> 1
-    | Some d when d < 1 -> 1
-    | Some d -> Int.min d threads
-  in
-  let sim = Sim.create ~domains () in
-  if domains > 1 then begin
-    let part = Lk_engine.Partition.create ~items:threads ~domains in
-    Sim.set_tile_map sim (Lk_engine.Partition.of_item part);
-    Sim.set_race_check sim true
-  end;
+  let sim = Sim.create () in
   let net = Network.create topo in
   let cfg =
     {
@@ -177,32 +162,13 @@ let run ?(check_states = true) ?(cycle_limit = default_cycle_limit)
          fps := fp :: !fps;
          incr ndec;
          c));
-  let race_violation () =
-    if Sim.race_count sim = 0 then None
-    else
-      match Sim.race_violations sim with
-      | [] -> None
-      | v :: _ ->
-        Some
-          {
-            Invariant.invariant = "race";
-            detail = Format.asprintf "%a" Sim.pp_race_violation v;
-          }
-  in
-  if check_states || domains > 1 then
+  if check_states then
     Sim.set_observer sim
       (Some
          (fun () ->
-           (* Race findings first: the offending event just ran, so the
-              decision trace in hand is the shortest prefix that
-              provokes it — exactly what the explorer wants to shrink. *)
-           (match race_violation () with
-           | Some v -> raise (Violation_found v)
-           | None -> ());
-           if check_states then
-             match Invariant.check_state rt with
-             | None -> ()
-             | Some v -> raise (Violation_found v)));
+           match Invariant.check_state rt with
+           | None -> ()
+           | Some v -> raise (Violation_found v)));
   Ledger.set_sink ledger
     (Some
        (fun ~time:_ ~core ~kind ~arg ->
@@ -239,10 +205,6 @@ let run ?(check_states = true) ?(cycle_limit = default_cycle_limit)
   in
   let status =
     match Sim.run ~limit:cycle_limit sim with
-    | () when race_violation () <> None -> (
-      match race_violation () with
-      | Some v -> Violated v
-      | None -> assert false)
     | () ->
       if !finished < threads then
         Livelocked

@@ -10,7 +10,6 @@ type t = {
   costs : Runtime.costs;
   expected : (int * int) list;
   shards : int option;
-  domains : int option;
 }
 
 (* Byte addresses used by scenario bodies. The fallback/CGL lock lives
@@ -48,7 +47,6 @@ let read_forward =
     costs;
     expected = [ (a0, 1) ];
     shards = None;
-    domains = None;
   }
 
 let incr_incr =
@@ -61,7 +59,6 @@ let incr_incr =
     costs;
     expected = [ (a0, 4) ];
     shards = None;
-    domains = None;
   }
 
 let two_lines =
@@ -78,7 +75,6 @@ let two_lines =
     costs;
     expected = [ (a0, 2); (a1, 2) ];
     shards = None;
-    domains = None;
   }
 
 let park_wake =
@@ -92,7 +88,6 @@ let park_wake =
     costs;
     expected = [ (a0, 4) ];
     shards = None;
-    domains = None;
   }
 
 let commit_race =
@@ -106,7 +101,6 @@ let commit_race =
     costs = slow_commit;
     expected = [ (a0, 6) ];
     shards = None;
-    domains = None;
   }
 
 let fallback_lock =
@@ -123,7 +117,6 @@ let fallback_lock =
     costs;
     expected = [ (a0, 3) ];
     shards = None;
-    domains = None;
   }
 
 let cgl =
@@ -137,7 +130,6 @@ let cgl =
     costs;
     expected = [ (a0, 4) ];
     shards = None;
-    domains = None;
   }
 
 let htmlock =
@@ -154,7 +146,6 @@ let htmlock =
     costs;
     expected = [ (a0, 3); (a1, 1) ];
     shards = None;
-    domains = None;
   }
 
 let trio =
@@ -172,7 +163,6 @@ let trio =
     costs;
     expected = [ (a0, 6) ];
     shards = None;
-    domains = None;
   }
 
 let sharded_trio =
@@ -190,7 +180,6 @@ let sharded_trio =
     costs;
     expected = [ (a0, 3); (a1, 3) ];
     shards = Some 2;
-    domains = None;
   }
 
 let hybrid =
@@ -208,33 +197,6 @@ let hybrid =
     costs;
     expected = [ (a0, 3) ];
     shards = None;
-    domains = None;
-  }
-
-(* Partitioned twins for the race detector: the same programs split
-   across two partitions of the sequenced multi-queue kernel, detector
-   on. [partitioned] sends every miss from core 1 across the partition
-   boundary to the home directory (tile 0) — the path the injected
-   cross-partition-write mutation corrupts; [partitioned-wake] parks a
-   loser in the other partition, so the winner's commit-time wake-up
-   must cross with a full NoC latency — the hop the injected short-hop
-   mutation undercuts. *)
-let partitioned =
-  {
-    read_forward with
-    name = "partitioned";
-    descr = "read-forward split across two partitions: every miss \
-             crosses to the home shard under the race detector";
-    domains = Some 2;
-  }
-
-let partitioned_wake =
-  {
-    park_wake with
-    name = "partitioned-wake";
-    descr = "park-wake split across two partitions: the commit's \
-             wake-up crosses the boundary under the race detector";
-    domains = Some 2;
   }
 
 let all =
@@ -250,8 +212,6 @@ let all =
     trio;
     sharded_trio;
     hybrid;
-    partitioned;
-    partitioned_wake;
   ]
 
 let find name =

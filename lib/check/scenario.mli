@@ -28,13 +28,6 @@ type t = {
           shard per tile, the historical machine). [Some n] with
           [n < cores] exercises the hierarchical multi-bank directory:
           several tiles share each LLC slice and request FIFO. *)
-  domains : int option;
-      (** Partition count for the sequenced multi-queue kernel ([None]
-          = 1, the single-queue kernel). With [Some n > 1] the harness
-          installs the block tile map and switches on
-          {!Lk_engine.Sim}'s partition-ownership race detector —
-          violations surface as ["race"] invariant failures, so the
-          explorer can shrink a schedule that provokes one. *)
 }
 
 val read_forward : t
@@ -61,16 +54,6 @@ val hybrid : t
     TL2-style software path while the second core races it with HTM
     increments of the same line — exercising the software-mode gate,
     the global version clock and the HW/SW conflict rules. *)
-
-val partitioned : t
-(** {!read_forward} split across two partitions: every miss from
-    core 1 crosses to the home directory on tile 0, the path the
-    injected cross-partition-write mutation corrupts. *)
-
-val partitioned_wake : t
-(** {!park_wake} split across two partitions: the winner's commit-time
-    wake-up crosses the boundary with a full NoC latency, the hop the
-    injected short-hop mutation undercuts. *)
 
 val all : t list
 (** Every scenario, in a stable order ([make check] runs these). *)

@@ -56,16 +56,8 @@ type t = {
      are served FIFO when the current request completes. One
      int-specialised table per shard, keyed on the line number — this
      is touched twice per L1 miss, and keeping the tables per shard
-     both shrinks each one and confines the structure a partitioned
-     executor would have to own per domain. *)
+     shrinks each one. *)
   busy : request Queue.t Lk_engine.Int_table.t array;
-  (* Ownership tags for the partition race detector: one region per
-     directory shard (busy table + LLC bank + directory state, owned by
-     the shard's home tile) and one per private L1 (owned by its core's
-     tile). Registered unconditionally — the witness calls are a single
-     branch while the detector is off. *)
-  shard_regions : Sim.region array;
-  l1_regions : Sim.region array;
   mutable ledger : Lk_engine.Ledger.t option;
   (* Deliberately broken variant for the checker-of-the-checker
      mutation tests; [None] in every real run. *)
@@ -123,16 +115,6 @@ let create ~sim ~network cfg =
       (let capacity = Int.max 16 (256 / shards) in
        Array.init shards (fun _ ->
            Lk_engine.Int_table.create ~capacity ~dummy:(Queue.create ()) ()));
-    shard_regions =
-      Array.init shards (fun s ->
-          Sim.register_region sim
-            ~name:("dir-shard[" ^ string_of_int s ^ "]")
-            ~tile:(Shard.home_tile plan s));
-    l1_regions =
-      Array.init cfg.cores (fun c ->
-          Sim.register_region sim
-            ~name:("l1[" ^ string_of_int c ^ "]")
-            ~tile:c);
     ledger = None;
     inject = None;
     stats;
@@ -339,8 +321,7 @@ let finish t req outcome ~latency =
   (* Unblock message closing the directory transaction (traffic only). *)
   bg_ctrl t ~src:req.core ~dst:home;
   (* The completion runs at the requester's tile. *)
-  Sim.schedule_tile t.sim ~tile:req.core ~delay:latency (fun () ->
-      req.k outcome)
+  Sim.schedule t.sim ~delay:latency (fun () -> req.k outcome)
 
 (* --- The decision procedure, running at the home bank. --------------
    Returns the request outcome and its completion latency relative to
@@ -578,9 +559,6 @@ let process t req =
     lat
 
 let rec release t line =
-  (* Home-tile events own the shard's busy table, LLC bank and
-     directory state; the witness holds them to that. *)
-  Sim.witness t.sim t.shard_regions.(shard_of t line);
   let busy = t.busy.(shard_of t line) in
   match Lk_engine.Int_table.find_opt busy line with
   | None -> failwith "Protocol.release: line not busy"
@@ -589,20 +567,17 @@ let rec release t line =
     else begin
       let req = Queue.pop q in
       let lat = process t req in
-      Sim.schedule_tile t.sim ~tile:(home_of t line) ~delay:lat (fun () ->
-          release t line)
+      Sim.schedule t.sim ~delay:lat (fun () -> release t line)
     end
 
 let arrive t req =
-  Sim.witness t.sim t.shard_regions.(shard_of t req.line);
   let busy = t.busy.(shard_of t req.line) in
   match Lk_engine.Int_table.find_opt busy req.line with
   | Some q -> Queue.push req q
   | None ->
     Lk_engine.Int_table.replace busy req.line (Queue.create ());
     let lat = process t req in
-    Sim.schedule_tile t.sim ~tile:(home_of t req.line) ~delay:lat (fun () ->
-        release t req.line)
+    Sim.schedule t.sim ~delay:lat (fun () -> release t req.line)
 
 let access t ~core ~line ~what ~epoch ~k =
   if core < 0 || core >= t.cfg.cores then
@@ -612,9 +587,6 @@ let access t ~core ~line ~what ~epoch ~k =
   let l1c = t.l1s.(core) in
   match L1_cache.lookup l1c line with
   | Some v when (not write) || v.state = L1_cache.M || v.state = L1_cache.E ->
-    (* Hit path: runs in the requesting core's own event and mutates
-       only its private L1. *)
-    Sim.witness t.sim t.l1_regions.(core);
     Stats.incr t.s_l1_hits;
     L1_cache.touch l1c line;
     let party = t.client.Client.party_of core in
@@ -630,23 +602,13 @@ let access t ~core ~line ~what ~epoch ~k =
       L1_cache.set_state l1c line L1_cache.M
     end;
     if in_tx_mode party then L1_cache.mark_tx l1c line ~write;
-    Sim.schedule_tile t.sim ~tile:core ~delay:t.cfg.l1_hit_latency (fun () ->
-        k Types.Granted)
+    Sim.schedule t.sim ~delay:t.cfg.l1_hit_latency (fun () -> k Types.Granted)
   | Some _ | None ->
     Stats.incr t.s_l1_misses;
     let home = home_of t line in
     let lat = t.cfg.l1_hit_latency + ctrl t ~src:core ~dst:home in
     let req = { core; line; what; epoch; k } in
-    (match t.inject with
-    | Some Types.Cross_partition_write ->
-      (* Injected race: deliver the miss with a bare [schedule] — the
-         home-directory mutation then executes in the requester's
-         partition, which the ownership witness in [arrive] must
-         catch. (time, seq) are unchanged, so the sequenced run is
-         otherwise identical. *)
-      Sim.schedule t.sim ~delay:lat (fun () -> arrive t req) (* lint-ok *)
-    | Some _ | None ->
-      Sim.schedule_tile t.sim ~tile:home ~delay:lat (fun () -> arrive t req))
+    Sim.schedule t.sim ~delay:lat (fun () -> arrive t req)
 
 let flush_core t core =
   let l1c = t.l1s.(core) in

@@ -17,15 +17,11 @@ type injected_fault =
   | Swmr_violation
   | Lost_wakeup
   | Dirty_commit
-  | Cross_partition_write
-  | Short_hop_schedule
 
 let fault_label = function
   | Swmr_violation -> "swmr-violation"
   | Lost_wakeup -> "lost-wakeup"
   | Dirty_commit -> "dirty-commit"
-  | Cross_partition_write -> "cross-partition-write"
-  | Short_hop_schedule -> "short-hop-schedule"
 
 let pp_access ppf a =
   Format.pp_print_string ppf

@@ -56,27 +56,12 @@ type outcome =
       wake table — a parked core that nobody will ever wake.
     - [Dirty_commit]: [xend] skips the epoch check that turns a
       committed-but-killed transaction into an abort — a killed
-      transaction publishes its speculative writes.
-    - [Cross_partition_write]: the protocol delivers a miss to the home
-      directory with a bare [Sim.schedule] instead of
-      [Sim.schedule_tile] — the request executes in the requester's
-      partition and mutates the home tile's directory state from
-      there, the exact bug the partition-ownership race detector
-      exists to catch.
-    - [Short_hop_schedule]: a commit's wakeup is sent with zero delay
-      instead of the NoC latency — a cross-partition event below the
-      lookahead, violating the conservative-PDES window contract. *)
-type injected_fault =
-  | Swmr_violation
-  | Lost_wakeup
-  | Dirty_commit
-  | Cross_partition_write
-  | Short_hop_schedule
+      transaction publishes its speculative writes. *)
+type injected_fault = Swmr_violation | Lost_wakeup | Dirty_commit
 
 val fault_label : injected_fault -> string
 (** Stable CLI/report label: ["swmr-violation"], ["lost-wakeup"],
-    ["dirty-commit"], ["cross-partition-write"],
-    ["short-hop-schedule"]. *)
+    ["dirty-commit"]. *)
 
 val pp_access : Format.formatter -> access -> unit
 val pp_mode : Format.formatter -> mode -> unit

@@ -87,7 +87,7 @@ let compute t n cat k =
   if n <= 0 then k ()
   else begin
     Runtime.add_insts t.rt t.core n;
-    Sim.schedule_tile t.sim ~tile:t.core ~delay:n (fun () ->
+    Sim.schedule t.sim ~delay:n (fun () ->
         account t cat n;
         k ())
   end
@@ -109,7 +109,7 @@ let exec_ops t ~epoch ops k =
         match (op : Program.op) with
         | Program.Compute n ->
           Runtime.add_insts t.rt t.core n;
-          Sim.schedule_tile t.sim ~tile:t.core ~delay:(max n 0) (fun () ->
+          Sim.schedule t.sim ~delay:(max n 0) (fun () ->
               if dead () then k `Aborted else go rest)
         | Program.Read addr ->
           Runtime.read t.rt t.core ~addr ~k:(function
@@ -131,7 +131,7 @@ let exec_ops t ~epoch ops k =
           Runtime.fault t.rt t.core ~k:(function
             | `Died -> k `Aborted
             | `Survived cost ->
-              Sim.schedule_tile t.sim ~tile:t.core ~delay:cost (fun () ->
+              Sim.schedule t.sim ~delay:cost (fun () ->
                   if dead () then k `Aborted else go rest))
       end
   in
@@ -159,7 +159,7 @@ let wait_lock_free t k =
     if Runtime.lock_held t.rt then begin
       pause := Policy.backoff_delay retry ~attempt:!attempt;
       incr attempt;
-      Sim.schedule_tile t.sim ~tile:t.core ~delay:!pause on_pause
+      Sim.schedule t.sim ~delay:!pause on_pause
     end
     else k ()
   and on_pause () =
@@ -183,7 +183,7 @@ let rollback_pause t ~attempt k =
     costs.Runtime.abort_penalty + fault_extra
     + Policy.backoff_delay retry ~attempt
   in
-  Sim.schedule_tile t.sim ~tile:t.core ~delay:pause (fun () ->
+  Sim.schedule t.sim ~delay:pause (fun () ->
       account t Accounting.Rollback pause;
       k ())
 
@@ -351,9 +351,6 @@ let rec run t = function
     t.finish_time <- now t;
     t.on_done ()
   | tx :: rest ->
-    (* The thread loop mutates this core's progress state; declare it
-       to the partition-ownership race detector. *)
-    Runtime.witness_core t.rt t.core;
     t.remaining <- tx :: rest;
     compute t tx.Program.pre_compute Accounting.Non_tran (fun () ->
         critical t tx (fun () ->
@@ -381,7 +378,6 @@ let rec pump t s =
     end
   end
   else begin
-    Runtime.witness_core t.rt t.core;
     s.busy <- true;
     let p = Queue.pop s.q in
     let started = now t in

@@ -49,12 +49,7 @@ let wheel_mask = wheel_size - 1
 type 'a t = {
   kind : backend;
   nil : 'a entry;  (* per-queue sentinel: empty slot / list end *)
-  (* Insertion counter. Usually private to the queue, but the PDES
-     split hands the same ref to every partition queue so that
-     (time, seq) stays a *global* total order: merging N queues by
-     (time, seq) then reproduces exactly the order a single shared
-     queue would have popped. *)
-  seq_src : int ref;
+  mutable next_seq : int;  (* insertion counter: the same-time tie-break *)
   mutable count : int;  (* total live entries, both regions *)
   (* Heap backend, and the wheel's far-overflow region. Orders entries
      by (time, seq); vacated slots are overwritten with [nil] so popped
@@ -74,13 +69,13 @@ type 'a t = {
   mutable free : 'a entry;
 }
 
-let create ?(backend = Wheel) ?seq () =
+let create ?(backend = Wheel) () =
   let nil = make_entry min_int (-1) (absent ()) in
   let wheel = backend = Wheel in
   {
     kind = backend;
     nil;
-    seq_src = (match seq with Some r -> r | None -> ref 0);
+    next_seq = 0;
     count = 0;
     harr = [||];
     hsize = 0;
@@ -235,8 +230,8 @@ let advance q =
 (* --- queue API ------------------------------------------------------- *)
 
 let add q ~time payload =
-  let seq = !(q.seq_src) in
-  q.seq_src := seq + 1;
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
   q.count <- q.count + 1;
   match q.kind with
   | Heap -> heap_push q (alloc q ~time ~seq payload)
@@ -263,21 +258,6 @@ let next_time q =
       if q.near_count = 0 then rebase q;
       advance q;
       q.cur
-
-(* Sequence number of the earliest pending event — the tie-break key
-   the PDES merge needs alongside [next_time] when several partition
-   queues agree on the earliest cycle. Positions the wheel exactly like
-   [next_time] (rebase + advance are idempotent once positioned), so
-   calling it right after [next_time] costs O(1). *)
-let min_seq q =
-  if q.count = 0 then max_int
-  else
-    match q.kind with
-    | Heap -> q.harr.(0).seq
-    | Wheel ->
-      if q.near_count = 0 then rebase q;
-      advance q;
-      (q.slots_head.(q.cur land wheel_mask)).seq
 
 (* Allocation-free pop: the payload is returned bare (no tuple, no
    [Some] — those cost 5 minor words per event in the kernel loop). *)
@@ -338,46 +318,6 @@ let runnable q =
         if (!e).next == !e then continue := false else e := (!e).next
       done;
       !n
-
-(* Sequence number of the k-th member (0-based, insertion order) of the
-   runnable set — the cross-queue rank key the partitioned kernel needs
-   to drive a chooser over several queues at once: each queue's runnable
-   set is internally seq-ordered, so merging the per-queue heads by this
-   value enumerates the global runnable set in insertion order. Same
-   checker-only O(k*n) cost profile as [pop_payload_nth]. *)
-let runnable_seq q k =
-  if q.count = 0 then invalid_arg "Event_queue.runnable_seq: empty queue";
-  if k < 0 then invalid_arg "Event_queue.runnable_seq: negative index";
-  match q.kind with
-  | Heap ->
-    let tmin = q.harr.(0).time in
-    let last = ref (-1) in
-    for _ = 0 to k do
-      let best = ref (-1) in
-      for i = 0 to q.hsize - 1 do
-        let e = q.harr.(i) in
-        if
-          e.time = tmin && e.seq > !last
-          && (!best = -1 || e.seq < q.harr.(!best).seq)
-        then best := i
-      done;
-      if !best = -1 then
-        invalid_arg "Event_queue.runnable_seq: index out of range";
-      last := q.harr.(!best).seq
-    done;
-    !last
-  | Wheel ->
-    if q.near_count = 0 then rebase q;
-    advance q;
-    let e = ref q.slots_head.(q.cur land wheel_mask) in
-    if !e == q.nil then invalid_arg "Event_queue.runnable_seq: index out of range";
-    (try
-       for _ = 1 to k do
-         if (!e).next == !e then raise Exit;
-         e := (!e).next
-       done
-     with Exit -> invalid_arg "Event_queue.runnable_seq: index out of range");
-    (!e).seq
 
 (* Remove the entry at arbitrary heap index [i]: swap with the last
    slot, then restore the heap property in whichever direction the

@@ -18,12 +18,8 @@ type backend = Heap | Wheel
 
 type 'a t
 
-val create : ?backend:backend -> ?seq:int ref -> unit -> 'a t
-(** Defaults to [Wheel]. [seq] supplies a shared insertion counter:
-    queues created with the same ref draw sequence numbers from one
-    global stream, so (time, seq) remains a total order {e across}
-    queues — the property the PDES partition merge relies on. Omitted,
-    the queue gets a private counter (the classic behaviour). *)
+val create : ?backend:backend -> unit -> 'a t
+(** Defaults to [Wheel]. *)
 
 val backend : 'a t -> backend
 
@@ -64,13 +60,6 @@ val pop_payload : 'a t -> 'a
     payload bare; read its time with {!next_time} first. Never
     allocates. Raises [Invalid_argument] on an empty queue. *)
 
-val min_seq : 'a t -> int
-(** Sequence number of the earliest pending event ([max_int] when
-    empty) — the cross-queue tie-break for merging several queues that
-    share a [seq] counter: among queues agreeing on {!next_time}, the
-    one with the smallest [min_seq] holds the globally next event.
-    Never allocates. *)
-
 (** {2 Schedule exploration}
 
     The model explorer and schedule fuzzer in [lockiller.check] treat
@@ -90,13 +79,5 @@ val pop_payload_nth : 'a t -> int -> 'a
     [pop_payload_nth q 0] is exactly {!pop_payload}. Raises
     [Invalid_argument] when [k] is out of range or the queue is
     empty. *)
-
-val runnable_seq : 'a t -> int -> int
-(** [runnable_seq q k] is the sequence number of the [k]-th (0-based,
-    insertion order) event of the runnable set, without removing it.
-    With a shared [seq] counter this ranks runnable events {e across}
-    partition queues, which is how the partitioned kernel presents one
-    merged runnable set to a chooser. Raises [Invalid_argument] when
-    [k] is out of range or the queue is empty. *)
 
 val clear : 'a t -> unit

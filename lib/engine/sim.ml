@@ -1,298 +1,48 @@
-(* The kernel runs in one of two shapes:
-
-   - [domains = 1] (default): the classic single shared event queue.
-     This path is unchanged and allocation-free.
-
-   - [domains > 1]: the conservative-PDES split. Every partition owns
-     its own queue, but all queues draw sequence numbers from one
-     shared counter, so (time, seq) is still a *global* total order.
-     The sequenced executor below merges the queues by that order —
-     which reproduces, pop for pop, exactly what the single shared
-     queue would have done. Results are therefore byte-identical for
-     any domain count; what the split buys is the accounting (window /
-     cross-partition traffic counters) and the event placement that a
-     true multi-domain executor ({!Pdes}) needs. Machine-model events
-     close over shared protocol state, so they are run sequenced; the
-     parallel executor is for partition-confined models. *)
-
-type pdes_stats = {
-  domains : int;
-  lookahead : int;
-  windows : int;
-  cross_events : int;
-  short_hops : int;
-  race_violations : int;
-}
-
-(* --- partition-ownership race detector -------------------------------- *)
-
-(* Every mutable state region of the model registers the tile that owns
-   it; with the detector on, a mutation witnessed from an event running
-   in another tile's partition is a [Foreign_write] — the write a true
-   multi-domain executor would make from the wrong thread. A
-   cross-partition schedule below the lookahead that is not explicitly
-   annotated [~urgent] is a [Short_hop]: a delivery the conservative
-   window protocol cannot honour. *)
-
-type region = int
-
-type race_kind = Foreign_write | Short_hop
-
-type race_violation = {
-  kind : race_kind;
-  time : int;  (* simulated cycle of the offending event *)
-  event : int;  (* global event index (the kernel's fire count) *)
-  region : string;
-  tile : int;
-  owner_part : int;
-  exec_part : int;
-  owner_window : int;
-  exec_window : int;
-}
-
-type race_state = {
-  (* Per-partition logical clock: the window index in which each
-     partition last executed an event. Advanced by the kernel at every
-     fire, so a violation report can show whether the two partitions
-     were barrier-separated (different windows) or racing inside one. *)
-  vc : int array;
-  mutable violations : race_violation list;  (* newest first *)
-  mutable count : int;
-}
+(* The kernel: one shared event queue, drained in (time, seq) order. *)
 
 type t = {
-  queues : (unit -> unit) Event_queue.t array;
-  queue : (unit -> unit) Event_queue.t;  (* == queues.(0): fast path *)
-  domains : int;
-  lookahead : int;
-  (* Item (tile) -> partition map; identity-to-0 until installed. *)
-  mutable tile_map : int -> int;
-  (* Partition of the event currently executing; schedules without an
-     explicit tile inherit it, so an event chain stays put. *)
-  mutable cur_part : int;
-  (* True while an event body runs. Setup code (seeding cores before
-     {!run}) and quiescent hooks execute outside any event, where
-     [cur_part] is stale — the detector must not charge them to
-     partition 0. *)
-  mutable in_event : bool;
+  queue : (unit -> unit) Event_queue.t;
   mutable clock : int;
   mutable events : int;
-  mutable window_end : int;
-  mutable windows : int;
-  mutable cross_events : int;
-  mutable short_hops : int;
   mutable quiescent_hooks : (unit -> unit) list;
   (* Schedule-exploration hooks (lockiller.check). Both default to
      [None]; the hot path pays exactly one immediate-vs-block branch per
      event for each, same as the ledger pattern elsewhere. *)
   mutable chooser : (int -> int) option;
   mutable observer : (unit -> unit) option;
-  (* Ownership registry: region id -> owning tile / diagnostic name.
-     Registration is init-time only; the arrays grow amortised. *)
-  mutable region_tiles : int array;
-  mutable region_names : string array;
-  mutable regions : int;
-  (* Race detector state, [None] when off — witnessing then costs one
-     branch, same discipline as the chooser/observer hooks above. *)
-  mutable race : race_state option;
 }
 
 exception Stalled of string
 
-let create ?backend ?(domains = 1) ?(lookahead = 1) () =
-  if domains < 1 then invalid_arg "Sim.create: domains must be positive";
-  if lookahead < 1 then invalid_arg "Sim.create: lookahead must be positive";
-  let seq = ref 0 in
-  let queues =
-    Array.init domains (fun _ -> Event_queue.create ?backend ~seq ())
-  in
+let create ?backend () =
   {
-    queues;
-    queue = queues.(0);
-    domains;
-    lookahead;
-    tile_map = (fun _ -> 0);
-    cur_part = 0;
-    in_event = false;
+    queue = Event_queue.create ?backend ();
     clock = 0;
     events = 0;
-    window_end = min_int;
-    windows = 0;
-    cross_events = 0;
-    short_hops = 0;
     quiescent_hooks = [];
     chooser = None;
     observer = None;
-    region_tiles = [||];
-    region_names = [||];
-    regions = 0;
-    race = None;
   }
 
 let now t = t.clock
 let events t = t.events
 let backend t = Event_queue.backend t.queue
-let domains t = t.domains
-
-let pdes_stats t =
-  {
-    domains = t.domains;
-    lookahead = t.lookahead;
-    windows = t.windows;
-    cross_events = t.cross_events;
-    short_hops = t.short_hops;
-    race_violations = (match t.race with None -> 0 | Some st -> st.count);
-  }
-
-(* Allocation-free projections of [pdes_stats] for the telemetry
-   sampler, which reads them every interval and must not box a
-   record. *)
-let pdes_windows t = t.windows
-let pdes_cross_events t = t.cross_events
-let pdes_short_hops t = t.short_hops
-
-let set_tile_map t f = t.tile_map <- f
-
-(* --- race detector API ------------------------------------------------- *)
-
-let register_region t ~name ~tile =
-  if tile < 0 then invalid_arg "Sim.register_region: negative tile";
-  let id = t.regions in
-  let cap = Array.length t.region_tiles in
-  if id = cap then begin
-    let ncap = if cap = 0 then 16 else 2 * cap in
-    let tiles = Array.make ncap 0 in
-    let names = Array.make ncap "" in
-    Array.blit t.region_tiles 0 tiles 0 cap;
-    Array.blit t.region_names 0 names 0 cap;
-    t.region_tiles <- tiles;
-    t.region_names <- names
-  end;
-  t.region_tiles.(id) <- tile;
-  t.region_names.(id) <- name;
-  t.regions <- id + 1;
-  id
-
-let region_count t = t.regions
-
-let set_race_check t on =
-  if on then begin
-    match t.race with
-    | Some _ -> ()
-    | None ->
-      t.race <-
-        Some { vc = Array.make t.domains 0; violations = []; count = 0 }
-  end
-  else t.race <- None
-
-let race_check t = match t.race with None -> false | Some _ -> true
-
-let race_count t = match t.race with None -> 0 | Some st -> st.count
-
-let race_violations t =
-  match t.race with None -> [] | Some st -> List.rev st.violations
-
-let pp_race_violation ppf v =
-  Format.fprintf ppf
-    "%s at cycle %d (event %d): region %s (tile %d, partition %d) %s from \
-     partition %d [owner last in window %d, offender in window %d]"
-    (match v.kind with
-    | Foreign_write -> "foreign write"
-    | Short_hop -> "short hop")
-    v.time v.event v.region v.tile v.owner_part
-    (match v.kind with
-    | Foreign_write -> "mutated"
-    | Short_hop -> "sent a sub-lookahead event")
-    v.exec_part v.owner_window v.exec_window
-
-(* Record a violation. Allocates, but only on an actual violation —
-   clean runs never reach this, so the witnessed hot path stays
-   allocation-free. *)
-let record_violation t st kind ~region ~tile ~owner_part =
-  let v =
-    {
-      kind;
-      time = t.clock;
-      event = t.events;
-      region;
-      tile;
-      owner_part;
-      exec_part = t.cur_part;
-      owner_window = st.vc.(owner_part);
-      exec_window = st.vc.(t.cur_part);
-    }
-  in
-  st.violations <- v :: st.violations;
-  st.count <- st.count + 1
-
-let witness t r =
-  match t.race with
-  | None -> ()
-  | Some st ->
-    if t.domains > 1 && t.in_event then begin
-      let owner = t.tile_map t.region_tiles.(r) in
-      if owner <> t.cur_part then
-        record_violation t st Foreign_write ~region:t.region_names.(r)
-          ~tile:t.region_tiles.(r) ~owner_part:owner
-    end
 
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Sim.schedule: negative delay";
-  Event_queue.add t.queues.(t.cur_part) ~time:(t.clock + delay) f
+  Event_queue.add t.queue ~time:(t.clock + delay) f
 
 let schedule_at t ~time f =
   if time < t.clock then invalid_arg "Sim.schedule_at: time in the past";
-  Event_queue.add t.queues.(t.cur_part) ~time f
+  Event_queue.add t.queue ~time f
 
-(* Tile-tagged schedule: the event lands on the queue of [tile]'s
-   partition. Crossing a partition boundary is counted; crossing it
-   with a delay below the lookahead is counted separately — those are
-   the hops a true multi-domain executor would have to short-circuit
-   (deliver inside the current window), i.e. the model's violations of
-   the conservative lookahead contract. Sequenced execution is exact
-   either way; the counters report how parallelisable the run was.
-
-   [urgent] marks the hand-audited sites where a sub-lookahead
-   cross-partition delivery is intentional model behaviour (e.g. the
-   abort path releasing a parked victim in the same cycle the conflict
-   is resolved): still a short hop for the accounting, but not a race
-   violation — the annotation is the site's declaration that a parallel
-   executor would need an intra-window channel here. *)
-let schedule_tile t ?(urgent = false) ~tile ~delay f =
-  if delay < 0 then invalid_arg "Sim.schedule_tile: negative delay";
-  let part = if t.domains = 1 then 0 else t.tile_map tile in
-  if part <> t.cur_part then begin
-    t.cross_events <- t.cross_events + 1;
-    if delay < t.lookahead then begin
-      t.short_hops <- t.short_hops + 1;
-      if not urgent && t.in_event then begin
-        match t.race with
-        | None -> ()
-        | Some st ->
-          record_violation t st Short_hop ~region:"schedule_tile" ~tile
-            ~owner_part:part
-      end
-    end
-  end;
-  Event_queue.add t.queues.(part) ~time:(t.clock + delay) f
-
-let pending t =
-  if t.domains = 1 then Event_queue.length t.queue
-  else begin
-    let n = ref 0 in
-    for i = 0 to t.domains - 1 do
-      n := !n + Event_queue.length t.queues.(i)
-    done;
-    !n
-  end
+let pending t = Event_queue.length t.queue
 
 let on_quiescent t hook = t.quiescent_hooks <- hook :: t.quiescent_hooks
 
 let set_chooser t chooser = t.chooser <- chooser
 
 let set_observer t observer = t.observer <- observer
-
-(* --- single-queue path (domains = 1) --------------------------------- *)
 
 (* [fire] assumes the queue is non-empty; allocation-free (no tuple/
    option boxing, and no polymorphic [max] on the clock). With a
@@ -312,141 +62,13 @@ let fire t time =
   f ();
   match t.observer with None -> () | Some g -> g ()
 
-(* --- sequenced multi-queue path (domains > 1) ------------------------ *)
-
-(* Queue holding the globally earliest (time, seq) event, or -1 when
-   all queues are empty. Shared sequence numbers make the comparison
-   total, so the selection is unambiguous. *)
-let select t =
-  let best = ref (-1) in
-  let best_time = ref 0 in
-  let best_seq = ref 0 in
-  for i = 0 to t.domains - 1 do
-    let q = t.queues.(i) in
-    let ti = Event_queue.next_time q in
-    if ti <> Event_queue.no_event then
-      if !best < 0 || ti < !best_time then begin
-        best := i;
-        best_time := ti;
-        best_seq := Event_queue.min_seq q
-      end
-      else if ti = !best_time then begin
-        let si = Event_queue.min_seq q in
-        if si < !best_seq then begin
-          best := i;
-          best_seq := si
-        end
-      end
-  done;
-  !best
-
-(* Global runnable set across the partition queues: all pending events
-   at [time]. Checker-only (a chooser is installed), so the O(domains)
-   scans are acceptable — checking runs use tiny models. *)
-let runnable_all t time =
-  let n = ref 0 in
-  for i = 0 to t.domains - 1 do
-    if Event_queue.next_time t.queues.(i) = time then
-      n := !n + Event_queue.runnable t.queues.(i)
-  done;
-  !n
-
-(* Queue index and in-queue rank of the event with the (k+1)-smallest
-   sequence number among the runnable set at [time]. Per-queue runnable
-   sets are seq-ordered and the counter is shared, so a cursor merge
-   enumerates the global set in insertion order — exactly the order a
-   single shared queue would present to the chooser. *)
-let pick_nth t time k =
-  let cursor = Array.make t.domains 0 in
-  let picked = ref 0 in
-  for _ = 0 to k do
-    let bq = ref (-1) in
-    let bs = ref max_int in
-    for i = 0 to t.domains - 1 do
-      let q = t.queues.(i) in
-      if
-        Event_queue.next_time q = time
-        && cursor.(i) < Event_queue.runnable q
-      then begin
-        let s = Event_queue.runnable_seq q cursor.(i) in
-        if s < !bs then begin
-          bs := s;
-          bq := i
-        end
-      end
-    done;
-    if !bq < 0 then invalid_arg "Sim: chooser index out of range";
-    picked := !bq;
-    cursor.(!bq) <- cursor.(!bq) + 1
-  done;
-  (!picked, cursor.(!picked) - 1)
-
-(* Fire the earliest event of queue [qi]. The executing partition is
-   recorded first so that schedules issued by the event inherit it.
-   With a chooser installed the runnable set spans every queue at the
-   earliest time, merged in insertion order — same contract as the
-   single-queue path, so the explorer/fuzzer drive partitioned kernels
-   unchanged. *)
-let fire_part t qi time =
-  if time > t.clock then t.clock <- time;
-  (* Window accounting: a new lookahead window opens whenever the merge
-     crosses the previous window's end — the points where a parallel
-     executor would barrier. *)
-  if time >= t.window_end then begin
-    t.windows <- t.windows + 1;
-    t.window_end <- time + t.lookahead
-  end;
-  t.events <- t.events + 1;
-  let f =
-    match t.chooser with
-    | None ->
-      t.cur_part <- qi;
-      Event_queue.pop_payload t.queues.(qi)
-    | Some choose ->
-      let n = runnable_all t time in
-      if n <= 1 then begin
-        t.cur_part <- qi;
-        Event_queue.pop_payload t.queues.(qi)
-      end
-      else begin
-        let q, rank = pick_nth t time (choose n) in
-        t.cur_part <- q;
-        Event_queue.pop_payload_nth t.queues.(q) rank
-      end
-  in
-  (match t.race with
-  | None -> ()
-  | Some st -> st.vc.(t.cur_part) <- t.windows);
-  t.in_event <- true;
-  (try f ()
-   with e ->
-     t.in_event <- false;
-     raise e);
-  t.in_event <- false;
-  match t.observer with None -> () | Some g -> g ()
-
 let step t =
-  if t.domains = 1 then begin
-    let time = Event_queue.next_time t.queue in
-    if time = Event_queue.no_event then false
-    else begin
-      fire t time;
-      true
-    end
-  end
+  let time = Event_queue.next_time t.queue in
+  if time = Event_queue.no_event then false
   else begin
-    let qi = select t in
-    if qi < 0 then false
-    else begin
-      fire_part t qi (Event_queue.next_time t.queues.(qi));
-      true
-    end
+    fire t time;
+    true
   end
-
-let clear_all t =
-  for i = 0 to t.domains - 1 do
-    Event_queue.clear t.queues.(i)
-  done
 
 let run ?limit t =
   let beyond time = match limit with None -> false | Some l -> time > l in
@@ -455,13 +77,8 @@ let run ?limit t =
      raise rather than spin forever. *)
   let hook_rounds = ref 0 in
   let last_hook_clock = ref (-1) in
-  let single = t.domains = 1 in
   let rec drain () =
-    let qi = if single then 0 else select t in
-    let time =
-      if qi < 0 then Event_queue.no_event
-      else Event_queue.next_time t.queues.(qi)
-    in
+    let time = Event_queue.next_time t.queue in
     if time = Event_queue.no_event then begin
       let hooks = t.quiescent_hooks in
       List.iter (fun hook -> hook ()) hooks;
@@ -482,11 +99,11 @@ let run ?limit t =
       end
     end
     else if beyond time then begin
-      clear_all t;
+      Event_queue.clear t.queue;
       match limit with Some l -> t.clock <- l | None -> ()
     end
     else begin
-      if single then fire t time else fire_part t qi time;
+      fire t time;
       drain ()
     end
   in

@@ -8,21 +8,10 @@
 
 type t
 
-val create :
-  ?backend:Event_queue.backend -> ?domains:int -> ?lookahead:int -> unit -> t
+val create : ?backend:Event_queue.backend -> unit -> t
 (** [backend] selects the pending-event set implementation (default
     {!Event_queue.Wheel}); both backends produce bit-identical runs —
-    the heap is retained for differential testing.
-
-    [domains] (default 1) splits the pending-event set into that many
-    partition queues for the conservative-PDES accounting: every queue
-    draws sequence numbers from one shared counter and the kernel
-    merges them in global (time, seq) order, so a run is byte-identical
-    for {e any} domain count — the split changes where events are
-    stored, never the order they fire. [lookahead] (default 1, must be
-    positive) is the window length used by the {!pdes_stats} window
-    counter and the short-hop classification; the natural value is the
-    model's minimum cross-partition latency (a NoC link hop). *)
+    the heap is retained for differential testing. *)
 
 val now : t -> int
 (** Current simulated cycle. *)
@@ -40,126 +29,6 @@ val schedule : t -> delay:int -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
 (** Schedule at an absolute cycle, which must not be in the past. *)
-
-(** {1 Partitioned scheduling (conservative PDES)}
-
-    With [domains > 1] the kernel keeps one event queue per partition.
-    {!schedule}/{!schedule_at} place the event on the queue of the
-    partition whose event is currently executing (partition 0 outside
-    any event), so an event chain stays where it started;
-    {!schedule_tile} places it on the queue owning a tile. Execution
-    order is unaffected — the kernel merges all queues in global
-    (time, seq) order — but the placement drives the window /
-    cross-partition counters in {!pdes_stats}, and is what a true
-    multi-domain executor ({!Pdes}) partitions on. *)
-
-val domains : t -> int
-
-val set_tile_map : t -> (int -> int) -> unit
-(** Install the tile→partition map used by {!schedule_tile} (typically
-    {!Partition.of_item} over the mesh tiles). Defaults to all-zero. *)
-
-val schedule_tile :
-  t -> ?urgent:bool -> tile:int -> delay:int -> (unit -> unit) -> unit
-(** [schedule_tile sim ~tile ~delay f] is {!schedule} onto the queue of
-    [tile]'s partition. Crossing a partition boundary increments
-    [cross_events]; crossing it with [delay] below the lookahead also
-    increments [short_hops] (a hop a conservative parallel executor
-    could not defer to the next window).
-
-    [urgent] (default [false]) annotates the hand-audited call sites
-    where a sub-lookahead cross-partition delivery is intentional model
-    behaviour: it is still counted in [short_hops], but the race
-    detector does not flag it. An {e unannotated} short hop with the
-    detector on is reported as a {!race_violation} of kind
-    {!Short_hop}. *)
-
-type pdes_stats = {
-  domains : int;
-  lookahead : int;
-  windows : int;  (** lookahead windows opened (barriers + 1 ≈ windows) *)
-  cross_events : int;  (** events scheduled across a partition boundary *)
-  short_hops : int;  (** cross-partition events with delay < lookahead *)
-  race_violations : int;  (** detector findings (0 when the detector is off) *)
-}
-
-val pdes_stats : t -> pdes_stats
-(** Accounting of the partitioned run. Diagnostic only — never part of
-    result JSON, which must stay byte-identical across domain counts. *)
-
-val pdes_windows : t -> int
-val pdes_cross_events : t -> int
-val pdes_short_hops : t -> int
-(** Allocation-free projections of the corresponding {!pdes_stats}
-    fields, for samplers that poll them on a hot path (the telemetry
-    gauges). Same diagnostic-only caveat. *)
-
-(** {1 Partition-ownership race detection}
-
-    The partitioned kernel rests on an ownership convention: every
-    mutable state region belongs to a tile, mutations happen from
-    events running in the owning tile's partition, and cross-partition
-    interaction flows through {!schedule_tile} with [delay >=]
-    lookahead. The detector machine-checks that convention. Components
-    register their regions at construction time (cheap, always on) and
-    call {!witness} at mutation points — one branch when the detector
-    is off, an ownership lookup and comparison when on, an allocation
-    only on an actual violation. *)
-
-type region
-(** Handle of a registered state region. *)
-
-val register_region : t -> name:string -> tile:int -> region
-(** Register a mutable state region owned by [tile]. [name] appears in
-    violation reports (e.g. ["l1[3]"], ["dir-shard[1]"]). *)
-
-val region_count : t -> int
-
-val witness : t -> region -> unit
-(** Declare that the currently executing event mutates [region]. With
-    the detector on and [domains > 1], records a {!Foreign_write}
-    violation when the event is not running in the owning tile's
-    partition. No-op otherwise. *)
-
-val set_race_check : t -> bool -> unit
-(** Switch the detector on or off. Turning it on resets nothing if it
-    is already on; turning it off discards recorded violations. *)
-
-val race_check : t -> bool
-
-type race_kind =
-  | Foreign_write
-      (** A registered region was mutated by an event executing in a
-          partition that does not own the region's tile. *)
-  | Short_hop
-      (** A cross-partition {!schedule_tile} with [delay] below the
-          lookahead and without the [~urgent] annotation — a delivery
-          the conservative window protocol cannot honour. *)
-
-type race_violation = {
-  kind : race_kind;
-  time : int;  (** simulated cycle of the offending event *)
-  event : int;  (** global event index at detection *)
-  region : string;  (** region name, or ["schedule_tile"] for short hops *)
-  tile : int;  (** owning tile (foreign write) / target tile (short hop) *)
-  owner_part : int;  (** partition owning the region/target *)
-  exec_part : int;  (** partition the offending event executed in *)
-  owner_window : int;
-      (** owner partition's logical clock (window index of its last
-          event) at detection *)
-  exec_window : int;  (** offending partition's logical clock *)
-}
-(** A replayable report: [time]/[event] locate the offending event in
-    the deterministic (time, seq) order, and the two window-clock
-    entries show the accesses were not separated by a window barrier —
-    the happens-before edge the conservative protocol would need. *)
-
-val race_count : t -> int
-
-val race_violations : t -> race_violation list
-(** Violations in detection order ([[]] when the detector is off). *)
-
-val pp_race_violation : Format.formatter -> race_violation -> unit
 
 val pending : t -> int
 (** Number of scheduled events not yet fired. *)
@@ -196,10 +65,7 @@ val set_chooser : t -> (int -> int) option -> unit
     returned index (which must be in [0, n)). Insertion order — index
     0 every time — reproduces the default deterministic schedule. The
     explorer enumerates these indices exhaustively; the fuzzer draws
-    them from a seeded RNG. On a partitioned kernel the runnable set is
-    the merge of every queue's earliest-time events in insertion order
-    (the shared sequence counter makes that order global), so
-    exploration and replay work for any domain count. *)
+    them from a seeded RNG. *)
 
 val set_observer : t -> (unit -> unit) option -> unit
 (** Install (or clear) a callback invoked after every fired event —

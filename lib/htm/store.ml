@@ -9,12 +9,6 @@ type t = {
   mem : int Int_table.t;
   buffers : int Int_table.t array;
   mutable ledger : Lk_engine.Ledger.t option;
-  (* Race-detector hook, called with the core whose speculative buffer
-     a write mutates. The buffers are core-local state (the modelled
-     L1 write buffer), so the runtime points this at its per-core
-     region witness; committed memory is deliberately not hooked — a
-     commit publishes from whatever event performs it. *)
-  mutable witness : int -> unit;
   (* Cycles since the core's current attempt began, for the wasted-work
      attribution packed into [Spec_discard]; installed by the runtime,
      0 outside an attempt. *)
@@ -28,12 +22,10 @@ let create ~cores =
     buffers =
       Array.init cores (fun _ -> Int_table.create ~capacity:64 ~dummy:0 ());
     ledger = None;
-    witness = ignore;
     age_of = (fun _ -> 0);
   }
 
 let set_ledger t ledger = t.ledger <- Some ledger
-let set_witness t f = t.witness <- f
 let set_age_of t f = t.age_of <- f
 
 let committed t addr = Int_table.find t.mem addr ~default:0
@@ -48,10 +40,7 @@ let read t ~core ~speculative addr =
   else committed t addr
 
 let write t ~core ~speculative addr v =
-  if speculative then begin
-    t.witness core;
-    Int_table.replace t.buffers.(core) addr v
-  end
+  if speculative then Int_table.replace t.buffers.(core) addr v
   else Int_table.replace t.mem addr v
 
 let commit t ~core =

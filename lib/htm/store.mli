@@ -32,15 +32,6 @@ val set_age_of : t -> (Lk_coherence.Types.core_id -> int) -> unit
     runtime wires this to its per-core attempt clocks; defaults to a
     constant 0. Must not allocate. *)
 
-val set_witness : t -> (Lk_coherence.Types.core_id -> unit) -> unit
-(** Install a race-detector witness, called with [core] on every
-    speculative {!write} (the per-core buffer is core-local state, so a
-    write from the wrong partition is an ownership violation). The
-    runtime points this at [Lk_engine.Sim.witness] on its per-core
-    regions; defaults to a no-op. Committed memory is deliberately not
-    hooked: commits and pokes publish from whatever event performs
-    them, which the ownership contract exempts. *)
-
 val committed : t -> addr -> int
 (** Committed value of an address (0 if never written). *)
 

@@ -35,10 +35,6 @@ type t = {
   read_len : int array;
   write_slots : int array array;
   write_len : int array;
-  (* Race-detector hook for the per-core sets (see {!Store.set_witness};
-     the global [owners] table is commit-time shared state and is not
-     hooked). *)
-  mutable witness : int -> unit;
 }
 
 let create ~cores =
@@ -50,17 +46,13 @@ let create ~cores =
     read_len = Array.make cores 0;
     write_slots = Array.init cores (fun _ -> Array.make slots 0);
     write_len = Array.make cores 0;
-    witness = ignore;
   }
-
-let set_witness t f = t.witness <- f
 
 let reset t core =
   t.read_len.(core) <- 0;
   t.write_len.(core) <- 0
 
 let note_read t ~core ~slot ~version =
-  t.witness core;
   let rs = t.read_slots.(core) in
   let n = t.read_len.(core) in
   let seen = ref false in
@@ -74,7 +66,6 @@ let note_read t ~core ~slot ~version =
   end
 
 let note_write t ~core ~slot =
-  t.witness core;
   let ws = t.write_slots.(core) in
   let n = t.write_len.(core) in
   let seen = ref false in

@@ -69,12 +69,6 @@ type t
 
 val create : cores:int -> t
 
-val set_witness : t -> (int -> unit) -> unit
-(** Install a race-detector witness, called with [core] from
-    {!note_read} and {!note_write} — the per-core sets are core-local
-    state. The global lock-owner table is commit-time shared state and
-    is not hooked (see {!Store.set_witness}). Defaults to a no-op. *)
-
 val reset : t -> int -> unit
 (** Clear a core's read and write sets (begin / after abort). Locks
     are released separately ({!unlock_all}). *)

@@ -120,13 +120,6 @@ type t = {
   (* Deliberately broken variant for the checker-of-the-checker
      mutation tests; [None] in every real run. *)
   inject : Types.injected_fault option;
-  (* Race-detector handles: one region per core covering its runtime
-     state (context, park slot, pending-wake flag, software sets, logs,
-     histograms' per-core cells). Witnessed at the entry points that
-     are contractually core-local; deliberately NOT witnessed on the
-     cross-partition mutation paths (abort of a remote victim, commit
-     publish) that the ownership contract exempts. *)
-  core_regions : Sim.region array;
   per_core : core_stats array;
   stats : Stats.group;
   s_commits : Stats.counter;
@@ -153,9 +146,6 @@ type t = {
 let sysconf t = t.sysconf
 let costs t = t.costs
 
-(* Declare a mutation of [core]'s runtime region to the partition-
-   ownership race detector. Free when the detector is off. *)
-let witness_core t core = Sim.witness t.sim t.core_regions.(core)
 let store t = t.store
 let protocol t = t.proto
 let ctx t core = t.ctxs.(core)
@@ -358,16 +348,13 @@ let requester_beats_holder ~requester:(rc, (rp : Types.party))
 (* --- Wake-up machinery ----------------------------------------------- *)
 
 let wake t core =
-  (* Wake-ups are scheduled on the waiter's tile, so this always runs
-     in [core]'s partition. *)
-  witness_core t core;
   match t.parked.(core) with
   | Some resume ->
     t.parked.(core) <- None;
     Stats.incr t.s_wakeups;
     trace t core Txtrace.Woken;
     emit t core Ledger.Wake ~arg:0;
-    Sim.schedule_tile t.sim ~tile:core ~delay:0 resume
+    Sim.schedule t.sim ~delay:0 resume
   | None ->
     (* The wake-up raced ahead of the reject reply; remember it so the
        park consumes it immediately. *)
@@ -390,31 +377,18 @@ let send_wakeups t core =
         Net.send ~now:(Sim.now t.sim) t.net ~src:core ~dst:w
           ~class_:Msg.Control
       in
-      (* The injected short-hop mutation sends the wake-up with zero
-         delay instead of the NoC latency: when the waiter sits in
-         another partition the hop undercuts the lookahead window — the
-         contract violation [Sim.schedule_tile]'s short-hop check (and
-         [Pdes.post]'s hard floor) exists to expose. *)
-      let lat =
-        match t.inject with
-        | Some Types.Short_hop_schedule -> 0
-        | Some _ | None -> lat
-      in
-      Sim.schedule_tile t.sim ~tile:w ~delay:lat (fun () -> wake t w))
+      Sim.schedule t.sim ~delay:lat (fun () -> wake t w))
     waiters
 
 let park t core ~rejector_alive resume =
-  (* Runs from the access continuation, which [Protocol.finish]
-     delivers on the requester's tile. *)
-  witness_core t core;
   if t.pending_wake.(core) then begin
     t.pending_wake.(core) <- false;
-    Sim.schedule_tile t.sim ~tile:core ~delay:1 resume
+    Sim.schedule t.sim ~delay:1 resume
   end
   else if not rejector_alive then
     (* The rejecting transaction already finished; its wake-up will
        never come. Retry shortly instead of parking. *)
-    Sim.schedule_tile t.sim ~tile:core ~delay:16 resume
+    Sim.schedule t.sim ~delay:16 resume
   else begin
     t.parked.(core) <- Some resume;
     t.per_core.(core).parks <- t.per_core.(core).parks + 1;
@@ -504,18 +478,11 @@ let abort_core ?(aggressor = -1) t core reason =
      never come. *)
   send_wakeups t core;
   (* If the victim itself was parked, release it so it can observe the
-     abort and restart. The abort executes in the aggressor's (home
-     directory's) event, so when the victim lives in another partition
-     this release is a genuine sub-lookahead cross-partition hop — a
-     deliberate, annotated exception to the conservative contract (the
-     sequenced kernel merges globally so no causality is lost; the
-     true-parallel [Pdes] kernel cannot host this model for exactly
-     this reason). [~urgent] keeps it out of the race report while
-     still counting it in [short_hops]. *)
+     abort and restart. *)
   match t.parked.(core) with
   | Some resume ->
     t.parked.(core) <- None;
-    Sim.schedule_tile t.sim ~urgent:true ~tile:core ~delay:0 resume
+    Sim.schedule t.sim ~delay:0 resume
   | None -> ()
 
 (* --- Issue with reject policies -------------------------------------- *)
@@ -576,13 +543,13 @@ let issue t core line what ~epoch k =
           in
           incr attempt;
           stall_begin t core;
-          Sim.schedule_tile t.sim ~tile:core ~delay go
+          Sim.schedule t.sim ~delay go
         | Txstate.Tl | Txstate.Stl ->
           (* Lock transactions carry top priority and are never
              rejected by arbitration; be robust anyway. *)
           incr attempt;
           stall_begin t core;
-          Sim.schedule_tile t.sim ~tile:core ~delay:16 go
+          Sim.schedule t.sim ~delay:16 go
         | Txstate.Htm -> (
           match t.sysconf.Sysconf.reject_policy with
           | Policy.Self_abort ->
@@ -592,7 +559,7 @@ let issue t core line what ~epoch k =
           | Policy.Retry_later pause ->
             incr attempt;
             stall_begin t core;
-            Sim.schedule_tile t.sim ~tile:core ~delay:pause go
+            Sim.schedule t.sim ~delay:pause go
           | Policy.Wait_wakeup ->
             incr attempt;
             stall_begin t core;
@@ -716,11 +683,6 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
   let cores = (Protocol.config proto).Protocol.cores in
   let stats = Stats.group "runtime" in
   let sim = Protocol.sim proto in
-  let core_regions =
-    Array.init cores (fun c ->
-        Sim.register_region sim ~name:("runtime[" ^ string_of_int c ^ "]")
-          ~tile:c)
-  in
   let t =
     {
       proto;
@@ -754,7 +716,6 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
       sw_peak = 0;
       clock_now = 0;
       inject = inject_bug;
-      core_regions;
       per_core =
         Array.init cores (fun _ ->
             {
@@ -792,10 +753,6 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
     }
   in
   Protocol.set_client proto (client t);
-  (* Point the value-layer hooks at the per-core regions so speculative
-     buffer writes and software-set updates are witnessed too. *)
-  Store.set_witness store (fun core -> witness_core t core);
-  Sw_path.set_witness t.sw (fun core -> witness_core t core);
   (* The value layer's [Spec_discard] packing wants the victim's
      attempt age at the moment the buffer is dropped. *)
   Store.set_age_of store (fun core -> attempt_age t core);
@@ -813,14 +770,13 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
           | Some resume ->
             t.parked.(core) <- None;
             Stats.incr t.s_rescues;
-            Sim.schedule_tile t.sim ~tile:core ~delay:1 resume)
+            Sim.schedule t.sim ~delay:1 resume)
         t.parked);
   t
 
 (* --- Programming interface ------------------------------------------- *)
 
 let xbegin t core ~k =
-  witness_core t core;
   let c = t.ctxs.(core) in
   if c.Txstate.mode <> Txstate.Idle then
     invalid_arg "Runtime.xbegin: already in a transaction";
@@ -845,7 +801,7 @@ let xbegin t core ~k =
   let cs = t.per_core.(core) in
   cs.starts <- cs.starts + 1;
   let epoch = c.Txstate.epoch in
-  Sim.schedule_tile t.sim ~tile:core ~delay:t.costs.begin_cost (fun () ->
+  Sim.schedule t.sim ~delay:t.costs.begin_cost (fun () ->
       if c.Txstate.epoch <> epoch then k `Busy
       else if t.sysconf.Sysconf.htmlock then k `Started
       else if t.sysconf.Sysconf.fallback = Policy.Tl2 then begin
@@ -910,8 +866,7 @@ let xend t core ~k =
   if c.Txstate.mode <> Txstate.Htm then
     invalid_arg "Runtime.xend: not in an HTM transaction";
   let epoch = c.Txstate.epoch in
-  Sim.schedule_tile t.sim ~tile:core ~delay:t.costs.commit_cost (fun () ->
-      witness_core t core;
+  Sim.schedule t.sim ~delay:t.costs.commit_cost (fun () ->
       (* A conflict may still kill us during the commit window. The
          injected dirty-commit mutation skips exactly this guard, so a
          killed transaction publishes its commit anyway. *)
@@ -973,8 +928,7 @@ let hlbegin t core ~k =
     invalid_arg "Runtime.hlbegin: already in a transaction";
   let rec acquire_authorization () =
     let rtt = arbitration_rtt t core in
-    Sim.schedule_tile t.sim ~tile:core ~delay:rtt (fun () ->
-        witness_core t core;
+    Sim.schedule t.sim ~delay:rtt (fun () ->
         if Arbiter.try_acquire t.arb core then begin
           c.Txstate.mode <- Txstate.Tl;
           c.Txstate.pending_abort <- None;
@@ -990,12 +944,11 @@ let hlbegin t core ~k =
         else
           (* An STL transaction holds the authorization; it cannot be
              aborted, so wait for its hlend. *)
-          Sim.schedule_tile t.sim ~tile:core ~delay:64 acquire_authorization)
+          Sim.schedule t.sim ~delay:64 acquire_authorization)
   in
   if t.sysconf.Sysconf.switching then acquire_authorization ()
   else
-    Sim.schedule_tile t.sim ~tile:core ~delay:t.costs.begin_cost (fun () ->
-        witness_core t core;
+    Sim.schedule t.sim ~delay:t.costs.begin_cost (fun () ->
         ignore (Arbiter.try_acquire t.arb core);
         c.Txstate.mode <- Txstate.Tl;
         c.Txstate.pending_abort <- None;
@@ -1015,8 +968,7 @@ let hlend t core ~k =
   | Txstate.Htm | Txstate.Idle | Txstate.Sw ->
     invalid_arg "Runtime.hlend: not in HTMLock mode");
   let was_stl = c.Txstate.mode = Txstate.Stl in
-  Sim.schedule_tile t.sim ~tile:core ~delay:t.costs.commit_cost (fun () ->
-      witness_core t core;
+  Sim.schedule t.sim ~delay:t.costs.commit_cost (fun () ->
       ignore (Protocol.commit_flush t.proto core);
       ignore (Store.commit t.store ~core);
       (match t.sig_owner with
@@ -1119,7 +1071,6 @@ let sw_abort ?(aggressor = -1) t core reason ~k =
   sw_gate_leave t core ~k
 
 let swbegin t core ~k =
-  witness_core t core;
   let c = t.ctxs.(core) in
   if c.Txstate.mode <> Txstate.Idle then
     invalid_arg "Runtime.swbegin: already in a transaction";
@@ -1145,7 +1096,7 @@ let swbegin t core ~k =
         emit t core Ledger.Sw_begin ~arg:c.Txstate.rv;
         k ())
   in
-  Sim.schedule_tile t.sim ~tile:core ~delay:t.costs.begin_cost (fun () ->
+  Sim.schedule t.sim ~delay:t.costs.begin_cost (fun () ->
       if sw_gated t then
         (* Enter software mode at the gate: the RMW kills every
            hardware transaction subscribed to the gate line. *)
@@ -1157,7 +1108,6 @@ let swbegin t core ~k =
       else sample_clock ())
 
 let sw_read t core ~addr ~k =
-  witness_core t core;
   let c = t.ctxs.(core) in
   let epoch = c.Txstate.epoch in
   let line = Addr.line_of_byte addr in
@@ -1198,12 +1148,11 @@ let sw_read t core ~addr ~k =
 let sw_write t core ~addr ~value ~k =
   (* Deferred write: buffer the value and remember the slot; the
      coherence traffic (lock, publish, stamp) happens at commit. *)
-  witness_core t core;
   progress_tick t core;
   Store.write t.store ~core ~speculative:true addr value;
   Sw_path.note_write t.sw ~core ~slot:(Sw_path.slot_of_line (Addr.line_of_byte addr));
   log_write t core addr value;
-  Sim.schedule_tile t.sim ~tile:core ~delay:1 (fun () -> k (Ok 0))
+  Sim.schedule t.sim ~delay:1 (fun () -> k (Ok 0))
 
 let sw_fetch_add t core ~addr ~delta ~k =
   sw_read t core ~addr ~k:(function
@@ -1216,7 +1165,6 @@ let sw_fetch_add t core ~addr ~delta ~k =
       k (Ok v))
 
 let sw_commit t core ~k =
-  witness_core t core;
   let c = t.ctxs.(core) in
   if c.Txstate.mode <> Txstate.Sw then
     invalid_arg "Runtime.sw_commit: not in a software transaction";
@@ -1334,7 +1282,7 @@ let sw_commit t core ~k =
       drain (List.rev !published)
     end
   in
-  Sim.schedule_tile t.sim ~tile:core ~delay:t.costs.commit_cost (fun () ->
+  Sim.schedule t.sim ~delay:t.costs.commit_cost (fun () ->
       lock_phase wslots (fun () -> clock_phase (fun ~wt -> finish ~wt)))
 
 (* Instrumented hardware pre-access (the HyTM cost): one extra
@@ -1378,7 +1326,6 @@ let hw_pre_access t core ~line ~is_read ~epoch k =
           else k `Granted)
 
 let read t core ~addr ~k =
-  witness_core t core;
   let c = t.ctxs.(core) in
   if c.Txstate.mode = Txstate.Sw then sw_read t core ~addr ~k
   else
@@ -1398,7 +1345,6 @@ let read t core ~addr ~k =
             k (Ok v)))
 
 let write t core ~addr ~value ~k =
-  witness_core t core;
   let c = t.ctxs.(core) in
   if c.Txstate.mode = Txstate.Sw then sw_write t core ~addr ~value ~k
   else
@@ -1417,7 +1363,6 @@ let write t core ~addr ~value ~k =
             k (Ok 0)))
 
 let fetch_add t core ~addr ~delta ~k =
-  witness_core t core;
   let c = t.ctxs.(core) in
   if c.Txstate.mode = Txstate.Sw then sw_fetch_add t core ~addr ~delta ~k
   else
@@ -1508,7 +1453,7 @@ let lock_acquire_ttas t core ~k =
       else begin
         let delay = Policy.backoff_delay retry ~attempt:!attempt in
         incr attempt;
-        Sim.schedule_tile t.sim ~tile:core ~delay spin
+        Sim.schedule t.sim ~delay spin
       end
   in
   test_and_set ()
@@ -1532,7 +1477,7 @@ let lock_acquire_ticket t core ~k =
         else begin
           let delay = min 512 (16 * (1 + !attempt)) in
           incr attempt;
-          Sim.schedule_tile t.sim ~tile:core ~delay spin
+          Sim.schedule t.sim ~delay spin
         end
       in
       spin ())

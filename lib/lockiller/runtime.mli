@@ -65,14 +65,6 @@ val protocol : t -> Lk_coherence.Protocol.t
 val ctx : t -> Lk_coherence.Types.core_id -> Lk_htm.Txstate.t
 val lock_addr : t -> int
 
-val witness_core : t -> Lk_coherence.Types.core_id -> unit
-(** Declare to {!Lk_engine.Sim}'s partition-ownership race detector
-    that the currently executing event mutates [core]'s runtime state.
-    The runtime registers one region per core at {!create}; this is the
-    hook callers with core-local state of their own (e.g. the CPU
-    model) use at their mutation points. Free when the detector is
-    off. *)
-
 (* -- Hardware primitives -------------------------------------------- *)
 
 val xbegin :

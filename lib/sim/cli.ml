@@ -21,22 +21,6 @@ let cores ~what s =
          Config.max_cores n)
   | Some n -> Ok n
 
-(* Cross-field check, so it runs after parsing rather than inside a
-   converter: the PDES partition count cannot exceed the machine size
-   (a partition with no tiles would never fire an event). The engine
-   enforces the same bound ([Pdes.create] raises); rejecting it here
-   turns the crash into a named usage error. *)
-let pdes_domains ~cores n =
-  if n < 1 then
-    Error (Printf.sprintf "--pdes-domains must be positive (got %d)" n)
-  else if n > cores then
-    Error
-      (Printf.sprintf
-         "--pdes-domains must not exceed the machine size (got %d domains \
-          for %d cores)"
-         n cores)
-  else Ok n
-
 let cache_profile s =
   match Config.cache_profile_of_id s with
   | Some c -> Ok c

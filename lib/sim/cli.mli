@@ -18,12 +18,6 @@ val cores : what:string -> string -> (int, string) result
     message names the supported range (e.g. ["--cores must be a core
     count in 1-1024 (got 2000)"]). *)
 
-val pdes_domains : cores:int -> int -> (int, string) result
-(** Cross-field check (run after parsing, once both values are known):
-    a PDES partition count must lie in [1, cores] — the engine's
-    [Pdes.create] enforces the same bound by raising, this turns it
-    into a named usage error. *)
-
 val cache_profile : string -> (Config.cache_profile, string) result
 (** One of [typical], [small], [large] (see
     {!Config.cache_profile_of_id}). *)

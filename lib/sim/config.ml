@@ -118,19 +118,8 @@ let table1 t =
       Printf.sprintf "%d cycle / 1 flit per cycle" t.link_latency );
   ]
 
-let build ?backend ?(pdes_domains = 1) t =
-  if pdes_domains < 1 then
-    invalid_arg "Config.build: pdes_domains must be positive";
-  (* Clamp to the core count (a 2-core machine cannot feed 4 domains);
-     the lookahead of the PDES window is the NoC link latency — the
-     minimum time any cross-tile interaction takes. *)
-  let domains = if pdes_domains > t.cores then t.cores else pdes_domains in
-  let sim =
-    Lk_engine.Sim.create ?backend ~domains ~lookahead:t.link_latency ()
-  in
-  (if domains > 1 then
-     let part = Lk_engine.Partition.create ~items:t.cores ~domains in
-     Lk_engine.Sim.set_tile_map sim (Lk_engine.Partition.of_item part));
+let build ?backend t =
+  let sim = Lk_engine.Sim.create ?backend () in
   let topo =
     match t.topology with
     | Lk_mesh.Topology.Mesh ->

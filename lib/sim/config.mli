@@ -72,12 +72,8 @@ val table1 : t -> (string * string) list
 
 val build :
   ?backend:Lk_engine.Event_queue.backend ->
-  ?pdes_domains:int ->
   t ->
   Lk_engine.Sim.t * Lk_mesh.Network.t * Lk_coherence.Protocol.t
 (** Instantiate the simulator, network and protocol. [backend] selects
-    the event-queue implementation (default wheel) and [pdes_domains]
-    (default 1, clamped to the core count) the number of PDES
-    partitions the kernel splits the pending-event set into, with the
-    NoC link latency as the lookahead; results are bit-identical under
-    any combination, so neither is part of {!fingerprint}. *)
+    the event-queue implementation (default wheel); results are
+    bit-identical for either, so it is not part of {!fingerprint}. *)

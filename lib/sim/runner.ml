@@ -101,9 +101,8 @@ type exec_mode =
 
 (* Shared execution engine for generated workloads, hand-written
    programs and trace replay. *)
-let execute ?queue_backend ?(pdes_domains = 1) ?(check = false)
-    ?(race_check = false) ?telemetry
-    ~machine ~on_runtime ~placement ~cycle_limit ~sysconf ~mode
+let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
+    ~placement ~cycle_limit ~sysconf ~mode
     ~(workload_name : string) ~cache () =
   let threads =
     match mode with
@@ -113,13 +112,7 @@ let execute ?queue_backend ?(pdes_domains = 1) ?(check = false)
   if threads <= 0 || threads > machine.Config.cores then
     invalid_arg "Runner.run: thread count out of range";
   let core_of = place ~placement ~cores:machine.Config.cores ~threads in
-  let sim, net, protocol =
-    Config.build ?backend:queue_backend ~pdes_domains machine
-  in
-  (* The ownership race detector: purely observational (witnesses never
-     change scheduling), so the result stays byte-identical with it on
-     or off — which is why the flag is excluded from the cache key. *)
-  if race_check then Sim.set_race_check sim true;
+  let sim, net, protocol = Config.build ?backend:queue_backend machine in
   let store = Store.create ~cores:machine.Config.cores in
   let runtime =
     Runtime.create ~protocol ~store ~sysconf
@@ -287,19 +280,6 @@ let execute ?queue_backend ?(pdes_domains = 1) ?(check = false)
     Perf.observe sim (fun () -> Sim.run ~limit:cycle_limit sim)
   in
   Perf.note perf_sample;
-  (* Partition/window diagnostics go to stderr only: the result JSON
-     must stay byte-identical for every [pdes_domains]. *)
-  if pdes_domains > 1 then begin
-    let s = Sim.pdes_stats sim in
-    Printf.eprintf
-      "pdes: domains=%d lookahead=%d windows=%d cross_events=%d \
-       short_hops=%d%s\n%!"
-      s.Sim.domains s.Sim.lookahead s.Sim.windows s.Sim.cross_events
-      s.Sim.short_hops
-      (if race_check then
-         Printf.sprintf " race_violations=%d" s.Sim.race_violations
-       else "")
-  end;
   post_run ();
   if !finished <> threads then
     failwith
@@ -327,19 +307,6 @@ let execute ?queue_backend ?(pdes_domains = 1) ?(check = false)
            (match List.length vs with
            | 1 -> ""
            | n -> Printf.sprintf " (+%d more)" (n - 1)))));
-  if race_check && Sim.race_count sim > 0 then begin
-    let n = Sim.race_count sim in
-    let first =
-      match Sim.race_violations sim with
-      | v :: _ -> Format.asprintf "%a" Sim.pp_race_violation v
-      | [] -> "(no detail)"
-    in
-    failwith
-      (Printf.sprintf
-         "Runner.run: %s/%s: partition-ownership race detector: %d \
-          violation(s); first: %s"
-         sysconf.Sysconf.name workload_name n first)
-  end;
   let cycles =
     Array.fold_left (fun acc cpu -> max acc (Core.finish_time cpu)) 0 cpus
   in
@@ -424,9 +391,7 @@ type options = {
   placement : placement;
   cycle_limit : int;
   queue_backend : Lk_engine.Event_queue.backend;
-  pdes_domains : int;
   check : bool;
-  race_check : bool;
   telemetry : telemetry_request option;
 }
 
@@ -439,9 +404,7 @@ let default_options =
     placement = Compact;
     cycle_limit = 1 lsl 30;
     queue_backend = Lk_engine.Event_queue.Wheel;
-    pdes_domains = 1;
     check = false;
-    race_check = false;
     telemetry = None;
   }
 
@@ -454,9 +417,7 @@ let run ?(options = default_options) ~sysconf ~workload ~threads () =
     placement;
     cycle_limit;
     queue_backend;
-    pdes_domains;
     check;
-    race_check;
     telemetry;
   } =
     options
@@ -466,7 +427,7 @@ let run ?(options = default_options) ~sysconf ~workload ~threads () =
      finish, and holding [program] to the end would keep it all live. *)
   let expected = Workload.hot_increments workload program in
   let store, result =
-    execute ~queue_backend ~pdes_domains ~check ~race_check ?telemetry
+    execute ~queue_backend ~check ?telemetry
       ~machine ~on_runtime ~placement ~cycle_limit ~sysconf
       ~mode:
         (Closed
@@ -494,9 +455,7 @@ let run_program ?(options = default_options) ?(name = "custom") ~sysconf
     placement;
     cycle_limit;
     queue_backend;
-    pdes_domains;
     check;
-    race_check;
     telemetry;
     seed = _;
     scale = _;
@@ -518,7 +477,7 @@ let run_program ?(options = default_options) ?(name = "custom") ~sysconf
              addr))
     (Lk_cpu.Program.touched_addresses program);
   let _, result =
-    execute ~queue_backend ~pdes_domains ~check ~race_check ?telemetry
+    execute ~queue_backend ~check ?telemetry
       ~machine ~on_runtime ~placement ~cycle_limit ~sysconf
       ~mode:(Closed { program; barrier_every = None })
       ~workload_name:name ~cache:machine.Config.cache ()
@@ -533,9 +492,7 @@ let replay ?(options = default_options) ~sysconf ~open_loop ~threads () =
     placement;
     cycle_limit;
     queue_backend;
-    pdes_domains;
     check;
-    race_check;
     telemetry;
     scale = _;
   } =
@@ -546,7 +503,7 @@ let replay ?(options = default_options) ~sysconf ~open_loop ~threads () =
   | Error msg -> invalid_arg ("Runner.replay: body profile: " ^ msg));
   let expected = Hashtbl.create 64 in
   let store, result =
-    execute ~queue_backend ~pdes_domains ~check ~race_check ?telemetry
+    execute ~queue_backend ~check ?telemetry
       ~machine ~on_runtime ~placement ~cycle_limit ~sysconf
       ~mode:(Open { ol = open_loop; threads; seed; expected })
       ~workload_name:open_loop.Workload_source.trace_name

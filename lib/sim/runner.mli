@@ -136,13 +136,6 @@ type options = {
           backends produce bit-identical results — the heap is the
           differential-testing reference — so, like [on_runtime], this
           field is excluded from cache keys. *)
-  pdes_domains : int;
-      (** PDES partitions the kernel splits the pending-event set into
-          (default 1; clamped to the core count; the NoC link latency
-          is the lookahead). The partitioned kernel merges its queues
-          in global (time, seq) order, so results are byte-identical
-          for any value — like [queue_backend], excluded from cache
-          keys. See {!Lk_engine.Sim} and DESIGN.md "Parallel engine". *)
   check : bool;
       (** Attach the invariant sanitizer ({!Lk_check.Sanitizer}): the
           event-level invariant predicates run at every ledger emission
@@ -153,18 +146,6 @@ type options = {
           therefore the checks; use the cache-bypassing paths to force
           a checked execution). Default false: no sink is installed and
           the only cost is the ledger's per-emission [None] branch. *)
-  race_check : bool;
-      (** Arm the partition-ownership race detector
-          ({!Lk_engine.Sim.set_race_check}): every registered mutable
-          region's witness hook checks that the mutating event runs in
-          the region's owning partition, and per-partition vector
-          clocks flag sub-lookahead cross-partition hops. Purely
-          observational — witnesses never change scheduling, so results
-          stay byte-identical with the detector on or off and, like
-          [check], the field is excluded from cache keys. Any recorded
-          violation fails the run post-hoc with the first finding's
-          diagnostic. Default false: the witness hooks short-circuit on
-          a single flag test. *)
   telemetry : telemetry_request option;
       (** Attach the periodic {!Telemetry} sampler and hand the result
           to [consume] after the run. The sampler is read-only and
@@ -181,7 +162,7 @@ type options = {
 val default_options : options
 (** Seed 1, scale 1.0, the paper's 32-core machine,
     no [on_runtime] hook, [Compact] placement, a 2^30-cycle guard, the
-    wheel event queue, one PDES domain, checking off. *)
+    wheel event queue, checking off. *)
 
 val run :
   ?options:options ->

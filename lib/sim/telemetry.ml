@@ -39,9 +39,6 @@ let gauge_channels =
     "clock";  (* global version-clock value (hybrid-TM comparators) *)
     "sw_mode";  (* cores running a software (TL2) transaction *)
     "backlog";  (* open-loop replay: transactions arrived but unfinished *)
-    "pdes_windows";  (* lookahead windows opened (PDES diagnostics) *)
-    "pdes_cross_events";  (* events scheduled across a partition boundary *)
-    "pdes_short_hops";  (* cross-partition events under the lookahead *)
   ]
 
 let g_lock_holders = 0
@@ -58,9 +55,6 @@ let g_messages = 10
 let g_clock = 11
 let g_sw_mode = 12
 let g_backlog = 13
-let g_pdes_windows = 14
-let g_pdes_cross_events = 15
-let g_pdes_short_hops = 16
 
 type t = {
   rt : Runtime.t;
@@ -125,9 +119,6 @@ let sample_now t =
   Timeseries.set t.gauges g_clock (Runtime.clock_value t.rt);
   Timeseries.set t.gauges g_sw_mode (Runtime.sw_population t.rt);
   Timeseries.set t.gauges g_backlog (t.backlog_probe ());
-  Timeseries.set t.gauges g_pdes_windows (Sim.pdes_windows t.sim);
-  Timeseries.set t.gauges g_pdes_cross_events (Sim.pdes_cross_events t.sim);
-  Timeseries.set t.gauges g_pdes_short_hops (Sim.pdes_short_hops t.sim);
   Timeseries.commit t.gauges ~time;
   (* Per-link cumulative flit counters. *)
   let nlinks = Network.num_links t.net in
@@ -251,15 +242,7 @@ let perfetto_counters t =
              ]);
       push
         (counter ~name:"backlog" ~ts:time
-           ~args:[ ("inflight", Json.Int row.(g_backlog)) ]);
-      push
-        (counter ~name:"pdes" ~ts:time
-           ~args:
-             [
-               ("windows", Json.Int row.(g_pdes_windows));
-               ("cross_events", Json.Int row.(g_pdes_cross_events));
-               ("short_hops", Json.Int row.(g_pdes_short_hops));
-             ]));
+           ~args:[ ("inflight", Json.Int row.(g_backlog)) ]));
   (* Link counters are cumulative; the track shows per-sample deltas
      (flits moved since the previous sample) summed over all links. *)
   let prev = ref 0 in

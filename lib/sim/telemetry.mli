@@ -13,9 +13,7 @@
       resident LLC lines, cumulative network flits and messages, the
       global version-clock value, the count of cores in a software
       (TL2) transaction, the open-loop replay backlog (see
-      {!set_backlog_probe}; constant 0 in closed-loop runs) and the
-      cumulative PDES diagnostics (lookahead windows, cross-partition
-      events, short hops — constant 0 under one domain);
+      {!set_backlog_probe}; constant 0 in closed-loop runs);
     - {!links}: one channel per mesh link with its cumulative flit
       counter.
 
@@ -77,9 +75,8 @@ val perfetto_counters : t -> Json.t list
     (rd/wr series), [queue depth], [cores waiting]
     (lock-holders/parked series), [hybrid sw] (clock value and
     software-transaction population), [backlog] (open-loop in-flight
-    transactions), [pdes] (windows / cross-partition events / short
-    hops) and [link utilization] (per-sample flit deltas summed over
-    all links).
+    transactions) and [link utilization] (per-sample flit deltas summed
+    over all links).
     {!Tracing.write_perfetto} appends these to the slice/instant
     events. *)
 

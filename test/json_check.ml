@@ -3,11 +3,7 @@
    Runner.result (every field present and well-typed); with --trace,
    require a Chrome/Perfetto trace (a traceEvents list whose events all
    carry name/ph/pid/tid, duration slices with ts and dur, counter
-   tracks with ts and at least one numeric series); with
-   --strip MEMBER, print the validated document minus the named
-   top-level member (for byte-identity comparisons across runs whose
-   diagnostic riders — e.g. the --race-check "pdes" block — legitimately
-   differ). *)
+   tracks with ts and at least one numeric series). *)
 
 let read_all ic =
   let buf = Buffer.create 4096 in
@@ -68,44 +64,12 @@ let check_trace input =
     events;
   Printf.printf "valid trace (%d events)\n" (List.length events)
 
-let strip_member member input =
-  let module Json = Lk_sim.Json in
-  match Json.of_string input with
-  | Error msg ->
-    Printf.eprintf "invalid json: %s\n" msg;
-    exit 1
-  | Ok (Json.Obj fields) ->
-    print_endline
-      (Json.to_string
-         (Json.Obj (List.filter (fun (k, _) -> k <> member) fields)))
-  | Ok _ ->
-    Printf.eprintf "--strip: top-level value is not an object\n";
-    exit 1
-
 let () =
   let want_result = Array.mem "--result" Sys.argv in
   let want_trace = Array.mem "--trace" Sys.argv in
-  let strip =
-    let n = Array.length Sys.argv in
-    let rec find i =
-      if i >= n then None
-      else if Sys.argv.(i) = "--strip" then
-        if i + 1 < n then Some Sys.argv.(i + 1)
-        else begin
-          Printf.eprintf "--strip needs a member name\n";
-          exit 2
-        end
-      else find (i + 1)
-    in
-    find 1
-  in
   let input = read_all stdin in
   if want_trace then check_trace input
-  else
-    match strip with
-    | Some member -> strip_member member input
-    | None ->
-    if want_result then
+  else if want_result then
     match Lk_sim.Runner.result_of_json input with
     | Ok r -> Printf.printf "valid result (%s/%s)\n" r.Lk_sim.Runner.system
         r.Lk_sim.Runner.workload

@@ -12,7 +12,6 @@ module Harness = Lk_check.Harness
 module Explorer = Lk_check.Explorer
 module Fuzzer = Lk_check.Fuzzer
 module Schedule = Lk_check.Schedule
-module Race = Lk_check.Race
 module Runner = Lk_sim.Runner
 
 let check = Alcotest.check
@@ -169,63 +168,6 @@ let test_mutation_detection_is_deterministic () =
       check_int "same search effort" n1 n2)
     mutations
 
-(* --- Race-detector self-validation ------------------------------------- *)
-
-let test_race_clean_sequenced () =
-  (* The false-positive gate: both partitioned scenarios, detector on,
-     every explored schedule clean. *)
-  List.iter
-    (fun (_, s) ->
-      match Race.clean s with
-      | Ok () -> ()
-      | Error msg -> Alcotest.fail msg)
-    Race.mutations
-
-let test_race_mutations_sequenced () =
-  List.iter
-    (fun (fault, (s : Scenario.t)) ->
-      match Race.sequenced ~inject:fault s with
-      | Ok r ->
-        check Alcotest.string
-          (Types.fault_label fault ^ " reported as a race")
-          "race" r.Race.violation.Invariant.invariant;
-        check_bool "found within the bound" true (r.Race.schedules >= 1);
-        (* The un-mutated scenario must stay clean on that schedule. *)
-        (match (Harness.replay ~schedule:r.Race.schedule s).Harness.status with
-        | Harness.Completed -> ()
-        | other ->
-          Alcotest.failf "%s: schedule fails without the mutation: %s"
-            (Types.fault_label fault) (status_label other))
-      | Error msg -> Alcotest.fail msg)
-    Race.mutations
-
-let test_race_detection_is_deterministic () =
-  List.iter
-    (fun (fault, s) ->
-      let run () =
-        match Race.sequenced ~inject:fault s with
-        | Ok r -> (r.Race.schedule, r.Race.schedules)
-        | Error msg -> Alcotest.fail msg
-      in
-      let s1, n1 = run () in
-      let s2, n2 = run () in
-      check Alcotest.(array int) "same minimal schedule" s1 s2;
-      check_int "same search effort" n1 n2)
-    Race.mutations
-
-let test_race_parallel_kernel () =
-  (match Race.parallel_clean () with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  List.iter
-    (fun (fault, _) ->
-      match Race.parallel ~inject:fault with
-      | Ok () -> ()
-      | Error msg ->
-        Alcotest.failf "%s on the parallel kernel: %s"
-          (Types.fault_label fault) msg)
-    Race.mutations
-
 (* --- Shrinking --------------------------------------------------------- *)
 
 let test_shrink_minimises () =
@@ -378,17 +320,6 @@ let () =
             test_explorer_catches_mutations;
           Alcotest.test_case "detection is deterministic" `Quick
             test_mutation_detection_is_deterministic;
-        ] );
-      ( "race",
-        [
-          Alcotest.test_case "partitioned scenarios stay clean" `Quick
-            test_race_clean_sequenced;
-          Alcotest.test_case "sequenced kernel catches both faults" `Quick
-            test_race_mutations_sequenced;
-          Alcotest.test_case "race detection is deterministic" `Quick
-            test_race_detection_is_deterministic;
-          Alcotest.test_case "parallel kernel catches both faults" `Quick
-            test_race_parallel_kernel;
         ] );
       ( "shrinking",
         [

@@ -453,275 +453,20 @@ let test_sim_step () =
   check_bool "step 2" true (Sim.step sim);
   check_bool "drained" false (Sim.step sim)
 
-(* --- Partition ------------------------------------------------------- *)
-
-module Partition = Lk_engine.Partition
-module Pdes = Lk_engine.Pdes
-
-let test_partition_blocks () =
-  let p = Partition.create ~items:10 ~domains:3 in
-  check_int "domains" 3 (Partition.domains p);
-  check_int "items" 10 (Partition.items p);
-  let sizes = List.init 3 (Partition.size p) in
-  List.iter (fun s -> check_bool "size within one" true (s = 3 || s = 4)) sizes;
-  check_int "sizes cover items" 10 (List.fold_left ( + ) 0 sizes);
-  for i = 0 to 9 do
-    let b = Partition.of_item p i in
-    let lo, hi = Partition.bounds p b in
-    check_bool "item inside its block" true (i >= lo && i < hi)
-  done
-
-let test_partition_clamps_domains () =
-  let p = Partition.create ~items:2 ~domains:8 in
-  check_int "clamped to items" 2 (Partition.domains p);
-  check_int "item 0" 0 (Partition.of_item p 0);
-  check_int "item 1" 1 (Partition.of_item p 1)
-
-let prop_partition_monotone =
-  QCheck.Test.make ~name:"partition blocks are contiguous and monotone"
-    ~count:200
-    QCheck.(pair (int_range 1 64) (int_range 1 64))
-    (fun (items, domains) ->
-      let p = Partition.create ~items ~domains in
-      let prev = ref 0 in
-      let ok = ref true in
-      for i = 0 to items - 1 do
-        let b = Partition.of_item p i in
-        if b < !prev || b > !prev + 1 then ok := false;
-        prev := b
-      done;
-      !ok && !prev = Partition.domains p - 1)
-
-(* --- Partitioned sequenced kernel ------------------------------------ *)
-
-(* The byte-identity contract at engine level: the same model run with
-   1, 2 and 4 partition queues must fire every event at the same time
-   in the same order. The model below is deliberately hostile to a
-   naive split — chains hop between tiles with a shared RNG whose
-   consumption order depends on global event order. *)
-let partitioned_trace ?(backend = Event_queue.Wheel) ?(race_check = false)
-    ~domains () =
-  let tiles = 8 in
-  let sim = Sim.create ~backend ~domains ~lookahead:4 () in
-  Sim.set_tile_map sim (fun tile -> tile * domains / tiles);
-  if race_check then Sim.set_race_check sim true;
-  let log = Buffer.create 4096 in
-  let st = ref 88172645463325252 in
-  let next () =
-    st := !st lxor (!st lsl 13);
-    st := !st lxor (!st lsr 7);
-    st := !st lxor (!st lsl 17);
-    !st land max_int
-  in
-  let rec tick tile n () =
-    Buffer.add_string log (string_of_int tile);
-    Buffer.add_char log '@';
-    Buffer.add_string log (string_of_int (Sim.now sim));
-    Buffer.add_char log ';';
-    if n > 0 then begin
-      let dst = next () mod tiles in
-      let delay = 1 + (next () mod 7) in
-      Sim.schedule_tile sim ~tile:dst ~delay (tick dst (n - 1))
-    end
-  in
-  for tile = 0 to tiles - 1 do
-    Sim.schedule_tile sim ~tile ~delay:(1 + (tile mod 3)) (tick tile 64)
-  done;
-  Sim.run sim;
-  (Buffer.contents log, Sim.pdes_stats sim)
-
-let test_sim_partitioned_identical () =
-  let t1, _ = partitioned_trace ~domains:1 () in
-  let t2, _ = partitioned_trace ~domains:2 () in
-  let t4, _ = partitioned_trace ~domains:4 () in
-  Alcotest.(check string) "1 vs 2 domains" t1 t2;
-  Alcotest.(check string) "1 vs 4 domains" t1 t4
-
-let test_sim_pdes_stats () =
-  let _, s1 = partitioned_trace ~domains:1 () in
-  let _, s4 = partitioned_trace ~domains:4 () in
-  check_int "domains echoed" 1 s1.Sim.domains;
-  check_int "single queue has no crossings" 0 s1.Sim.cross_events;
-  check_int "domains echoed" 4 s4.Sim.domains;
-  check_int "lookahead echoed" 4 s4.Sim.lookahead;
-  check_bool "windows counted" true (s4.Sim.windows > 0);
-  check_bool "chains cross partitions" true (s4.Sim.cross_events > 0);
-  check_bool "short hops are a subset" true
-    (s4.Sim.short_hops <= s4.Sim.cross_events)
-
-let test_sim_partitioned_chooser_merges_queues () =
-  (* The chooser's runnable set spans every partition queue: two
-     same-cycle events parked in different partitions must both be
-     eligible, and picking index 1 flips their firing order. *)
+let test_sim_chooser_picks_runnable () =
+  (* Two same-cycle events form the runnable set: index 0 keeps
+     insertion order, index 1 flips it. *)
   let order chosen =
-    let sim = Sim.create ~domains:2 ~lookahead:1 () in
-    Sim.set_tile_map sim (fun tile -> tile / 2);
+    let sim = Sim.create () in
     let log = Buffer.create 8 in
-    Sim.schedule_tile sim ~tile:0 ~delay:2 (fun () ->
-        Buffer.add_char log 'a');
-    Sim.schedule_tile sim ~tile:3 ~delay:2 (fun () ->
-        Buffer.add_char log 'b');
+    Sim.schedule sim ~delay:2 (fun () -> Buffer.add_char log 'a');
+    Sim.schedule sim ~delay:2 (fun () -> Buffer.add_char log 'b');
     Sim.set_chooser sim (Some (fun _arity -> chosen));
     Sim.run sim;
     Buffer.contents log
   in
   Alcotest.(check string) "insertion order" "ab" (order 0);
   Alcotest.(check string) "flipped" "ba" (order 1)
-
-(* --- Partition-ownership race detector (engine level) ----------------- *)
-
-(* Two partitions over four tiles, lookahead 4 — the smallest
-   configuration where ownership, urgency and the in-event gating are
-   all observable. *)
-let race_sim () =
-  let sim = Sim.create ~domains:2 ~lookahead:4 () in
-  Sim.set_tile_map sim (fun tile -> tile / 2);
-  Sim.set_race_check sim true;
-  sim
-
-let test_sim_witness_owner_ok () =
-  let sim = race_sim () in
-  let r = Sim.register_region sim ~name:"own" ~tile:0 in
-  Sim.schedule_tile sim ~tile:0 ~delay:1 (fun () -> Sim.witness sim r);
-  Sim.run sim;
-  check_int "no violations" 0 (Sim.race_count sim)
-
-let test_sim_witness_foreign_write () =
-  let sim = race_sim () in
-  let r = Sim.register_region sim ~name:"remote" ~tile:3 in
-  Sim.schedule_tile sim ~tile:0 ~delay:1 (fun () -> Sim.witness sim r);
-  Sim.run sim;
-  match Sim.race_violations sim with
-  | [ v ] ->
-    check_bool "kind" true (v.Sim.kind = Sim.Foreign_write);
-    check_int "owner partition" 1 v.Sim.owner_part;
-    check_int "executing partition" 0 v.Sim.exec_part;
-    Alcotest.(check string) "region name" "remote" v.Sim.region
-  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
-
-let test_sim_witness_off_is_noop () =
-  let sim = Sim.create ~domains:2 ~lookahead:4 () in
-  Sim.set_tile_map sim (fun tile -> tile / 2);
-  let r = Sim.register_region sim ~name:"remote" ~tile:3 in
-  Sim.schedule_tile sim ~tile:0 ~delay:1 (fun () -> Sim.witness sim r);
-  Sim.run sim;
-  check_int "detector off records nothing" 0 (Sim.race_count sim)
-
-let test_sim_short_hop_flagged_urgent_exempt () =
-  let sim = race_sim () in
-  Sim.schedule_tile sim ~tile:0 ~delay:1 (fun () ->
-      (* An unannotated sub-lookahead hop to the other partition... *)
-      Sim.schedule_tile sim ~tile:3 ~delay:2 (fun () -> ());
-      (* ...and the same hop annotated urgent: counted, not flagged. *)
-      Sim.schedule_tile sim ~urgent:true ~tile:3 ~delay:2 (fun () -> ()));
-  Sim.run sim;
-  let s = Sim.pdes_stats sim in
-  check_int "both hops counted" 2 s.Sim.short_hops;
-  match Sim.race_violations sim with
-  | [ v ] ->
-    check_bool "kind" true (v.Sim.kind = Sim.Short_hop);
-    check_int "target partition" 1 v.Sim.owner_part;
-    check_int "sending partition" 0 v.Sim.exec_part
-  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
-
-let test_sim_setup_seeding_not_flagged () =
-  (* Work seeded from outside any event (setup code, quiescence hooks)
-     lands in remote partitions with small delays by construction; the
-     detector must not mistake it for an in-model short hop, and a
-     witness from setup must not be charged to partition 0. *)
-  let sim = race_sim () in
-  let r = Sim.register_region sim ~name:"remote" ~tile:3 in
-  Sim.schedule_tile sim ~tile:3 ~delay:1 (fun () -> Sim.witness sim r);
-  Sim.run sim;
-  check_int "no violations" 0 (Sim.race_count sim);
-  check_int "the seeding hop is still counted" 1
-    (Sim.pdes_stats sim).Sim.short_hops
-
-let test_sim_detector_observational () =
-  (* The hostile chain model trips the detector constantly (random
-     sub-lookahead hops); arming it must not move a single event, on
-     either queue backend or any domain count. *)
-  let off, _ = partitioned_trace ~domains:4 () in
-  let on, s = partitioned_trace ~race_check:true ~domains:4 () in
-  Alcotest.(check string) "same trace with the detector armed" off on;
-  check_bool "the model does trip the detector" true
-    (s.Sim.race_violations > 0);
-  let heap, _ =
-    partitioned_trace ~backend:Event_queue.Heap ~race_check:true ~domains:4 ()
-  in
-  Alcotest.(check string) "heap backend identical" off heap;
-  let one, _ = partitioned_trace ~race_check:true ~domains:1 () in
-  Alcotest.(check string) "single domain identical" off one
-
-(* --- Parallel executor (Pdes) ---------------------------------------- *)
-
-(* Partition-confined model for the true-parallel executor: each
-   partition logs only to its own buffer (no shared state), and 1 in 8
-   events hops to the next partition with a delay at the lookahead
-   floor. The run must be a pure function of (model, domains,
-   lookahead) — identical across repetitions despite real
-   Domain.spawn interleaving. *)
-let pdes_run ~domains ~lookahead =
-  let p = Pdes.create ~domains ~lookahead () in
-  let logs = Array.init domains (fun _ -> Buffer.create 1024) in
-  let rec tick n port =
-    let me = Pdes.id port in
-    Buffer.add_string logs.(me) (string_of_int n);
-    Buffer.add_char logs.(me) '@';
-    Buffer.add_string logs.(me) (string_of_int (Pdes.now port));
-    Buffer.add_char logs.(me) ';';
-    if n > 0 then
-      if n mod 8 = 0 && domains > 1 then
-        Pdes.post port ~dst:((me + 1) mod domains) ~delay:lookahead
-          (tick (n - 1))
-      else Pdes.schedule port ~delay:(1 + (n mod 5)) (tick (n - 1))
-  in
-  for i = 0 to domains - 1 do
-    Pdes.schedule (Pdes.port p i) ~delay:(i + 1) (tick 100)
-  done;
-  Pdes.run p;
-  let all = Buffer.create 4096 in
-  Array.iter (fun b -> Buffer.add_buffer all b) logs;
-  (Buffer.contents all, p)
-
-let test_pdes_deterministic () =
-  let a, _ = pdes_run ~domains:4 ~lookahead:3 in
-  let b, _ = pdes_run ~domains:4 ~lookahead:3 in
-  Alcotest.(check string) "two runs identical" a b
-
-let test_pdes_counters () =
-  let _, p = pdes_run ~domains:2 ~lookahead:3 in
-  (* two chains of 101 events each *)
-  check_int "total events" 202 (Pdes.total_events p);
-  check_bool "cross posts counted" true (Pdes.messages p > 0);
-  check_bool "windows counted" true (Pdes.windows p > 0)
-
-let test_pdes_post_enforces_lookahead () =
-  let p = Pdes.create ~domains:2 ~lookahead:5 () in
-  Alcotest.check_raises "below lookahead"
-    (Invalid_argument "Pdes.post: delay below the lookahead") (fun () ->
-      Pdes.post (Pdes.port p 0) ~dst:1 ~delay:4 (fun _ -> ()))
-
-let test_pdes_single_shot () =
-  let p = Pdes.create ~domains:1 ~lookahead:1 () in
-  Pdes.run p;
-  Alcotest.check_raises "second run rejected"
-    (Invalid_argument "Pdes.run: already run") (fun () -> Pdes.run p)
-
-let test_pdes_post_boundary_legal () =
-  (* delay = lookahead is the boundary case the conservative window
-     protocol can honour; one cycle less is rejected (previous test). *)
-  let p = Pdes.create ~domains:2 ~lookahead:5 () in
-  let hit = Atomic.make false in
-  Pdes.schedule (Pdes.port p 0) ~delay:1 (fun port ->
-      Pdes.post port ~dst:1 ~delay:5 (fun _ -> Atomic.set hit true));
-  Pdes.run p;
-  check_bool "delay = lookahead delivered" true (Atomic.get hit)
-
-let test_pdes_create_rejects_excess_domains () =
-  Alcotest.check_raises "more domains than tiles"
-    (Invalid_argument "Pdes.create: more domains than tiles") (fun () ->
-      ignore (Pdes.create ~tiles:2 ~domains:4 ~lookahead:1 ()))
 
 (* --- Trace ----------------------------------------------------------- *)
 
@@ -1175,43 +920,8 @@ let () =
           Alcotest.test_case "hook with progress ok" `Quick
             test_sim_hook_loop_with_progress_ok;
           Alcotest.test_case "single step" `Quick test_sim_step;
-          Alcotest.test_case "partitioned queues byte-identical" `Quick
-            test_sim_partitioned_identical;
-          Alcotest.test_case "pdes stats" `Quick test_sim_pdes_stats;
-          Alcotest.test_case "witness in owning partition ok" `Quick
-            test_sim_witness_owner_ok;
-          Alcotest.test_case "foreign write flagged" `Quick
-            test_sim_witness_foreign_write;
-          Alcotest.test_case "witness no-op when off" `Quick
-            test_sim_witness_off_is_noop;
-          Alcotest.test_case "short hop flagged, urgent exempt" `Quick
-            test_sim_short_hop_flagged_urgent_exempt;
-          Alcotest.test_case "setup seeding not flagged" `Quick
-            test_sim_setup_seeding_not_flagged;
-          Alcotest.test_case "detector is observational" `Quick
-            test_sim_detector_observational;
-          Alcotest.test_case "partitioned chooser merges queues" `Quick
-            test_sim_partitioned_chooser_merges_queues;
-        ] );
-      ( "partition",
-        [
-          Alcotest.test_case "contiguous blocks" `Quick test_partition_blocks;
-          Alcotest.test_case "clamps domains" `Quick
-            test_partition_clamps_domains;
-          QCheck_alcotest.to_alcotest prop_partition_monotone;
-        ] );
-      ( "pdes",
-        [
-          Alcotest.test_case "deterministic across runs" `Quick
-            test_pdes_deterministic;
-          Alcotest.test_case "counters" `Quick test_pdes_counters;
-          Alcotest.test_case "post enforces lookahead" `Quick
-            test_pdes_post_enforces_lookahead;
-          Alcotest.test_case "single shot" `Quick test_pdes_single_shot;
-          Alcotest.test_case "post at the lookahead boundary" `Quick
-            test_pdes_post_boundary_legal;
-          Alcotest.test_case "create rejects excess domains" `Quick
-            test_pdes_create_rejects_excess_domains;
+          Alcotest.test_case "chooser picks within the runnable set" `Quick
+            test_sim_chooser_picks_runnable;
         ] );
       ( "trace",
         [

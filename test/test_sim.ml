@@ -208,24 +208,6 @@ let quick_run ?(sysconf = Sysconf.lockiller) ?(threads = 4) workload_name =
   let workload = Option.get (Suite.find workload_name) in
   Runner.run ~options:quick_options ~sysconf ~workload ~threads ()
 
-let test_runner_pdes_domains_identical () =
-  (* The partitioned kernel merges its queues in global (time, seq)
-     order, so the whole result JSON — cycles, aborts, traffic, every
-     diagnostic counter — must be byte-identical for any domain
-     count. *)
-  let machine = Config.machine ~cores:8 () in
-  let run domains =
-    let options = { quick_options with machine; pdes_domains = domains } in
-    let workload = Option.get (Suite.find "intruder") in
-    let r =
-      Runner.run ~options ~sysconf:Sysconf.lockiller ~workload ~threads:4 ()
-    in
-    Json.to_string (Runner.json_of_result r)
-  in
-  let d1 = run 1 in
-  Alcotest.(check string) "2 domains byte-identical" d1 (run 2);
-  Alcotest.(check string) "4 domains byte-identical" d1 (run 4)
-
 let test_runner_basic_metrics () =
   let r = quick_run "intruder" in
   check_bool "cycles positive" true (r.Runner.cycles > 0);
@@ -874,8 +856,8 @@ let test_telemetry_perfetto_counters () =
   let retained = Timeseries.length (Telemetry.phases t) in
   let cores = Timeseries.width (Telemetry.phases t) in
   (* Per sample: one counter per core plus signature fill, queue depth,
-     cores waiting, hybrid sw, backlog, pdes and link utilization. *)
-  check_int "event count" (retained * (cores + 7)) (List.length events);
+     cores waiting, hybrid sw, backlog and link utilization. *)
+  check_int "event count" (retained * (cores + 6)) (List.length events);
   List.iter
     (fun e ->
       let member name =
@@ -907,11 +889,10 @@ let test_telemetry_latency_percentiles_in_result () =
 (* --- Hybrid-TM comparators ---------------------------------------------- *)
 
 let hybrid_run ?(sysconf = Sysconf.sw_tl2)
-    ?(queue_backend = Lk_engine.Event_queue.Wheel) ?(pdes_domains = 1)
-    workload_name =
+    ?(queue_backend = Lk_engine.Event_queue.Wheel) workload_name =
   let workload = Option.get (Suite.find workload_name) in
   Runner.run
-    ~options:{ quick_options with queue_backend; pdes_domains }
+    ~options:{ quick_options with queue_backend }
     ~sysconf ~workload ~threads:4 ()
 
 let test_hybrid_sw_tl2_all_software () =
@@ -961,15 +942,13 @@ let test_hybrid_validation_abort_in_ledger () =
 
 let test_hybrid_nohw_determinism () =
   (* The software path must stay byte-identical across event-queue
-     backends and PDES partitionings, like every other mechanism. *)
-  let dump ?queue_backend ?pdes_domains () =
+     backends, like every other mechanism. *)
+  let dump ?queue_backend () =
     Json.to_string
-      (Runner.json_of_result (hybrid_run ?queue_backend ?pdes_domains "intruder"))
+      (Runner.json_of_result (hybrid_run ?queue_backend "intruder"))
   in
-  let base = dump () in
-  check Alcotest.string "heap backend byte-identical" base
-    (dump ~queue_backend:Lk_engine.Event_queue.Heap ());
-  check Alcotest.string "pdes:4 byte-identical" base (dump ~pdes_domains:4 ())
+  check Alcotest.string "heap backend byte-identical" (dump ())
+    (dump ~queue_backend:Lk_engine.Event_queue.Heap ())
 
 (* --- Pool ------------------------------------------------------------------ *)
 
@@ -1155,8 +1134,6 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "basic metrics" `Quick test_runner_basic_metrics;
-          Alcotest.test_case "pdes domains byte-identical" `Quick
-            test_runner_pdes_domains_identical;
           Alcotest.test_case "breakdown categories" `Quick
             test_runner_breakdown_covers_all_categories;
           Alcotest.test_case "abort mix order" `Quick

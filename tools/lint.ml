@@ -18,14 +18,6 @@
      - printf: any use of [Printf] (hot code reports through [Stats] /
        [Ledger]; diagnostics use [Format] or string concatenation on
        cold paths).
-     - bare-schedule: a qualified [Sim.schedule] / [Sim.schedule_at] in
-       a file that also manages tile-owned state (it registers race
-       regions or uses [Sim.schedule_tile]). Such a file has committed
-       to the partition-ownership contract, and a bare schedule drops
-       the event into whatever partition happens to be running — the
-       exact bug class the race detector exists to catch. Use
-       [Sim.schedule_tile]; annotate deliberate exceptions (e.g. the
-       fault-injection path) with [lint-ok].
 
    Comments and string literals are stripped before matching, so
    prose mentioning the forbidden identifiers is fine. Suppression:
@@ -98,7 +90,7 @@ let strip src =
              (fun rule ->
                if contains ("lint: allow " ^ rule) then
                  allowed := rule :: !allowed)
-             [ "poly-compare"; "hashtbl"; "printf"; "bare-schedule" ];
+             [ "poly-compare"; "hashtbl"; "printf" ];
            Buffer.clear comment_buf
          end
        end
@@ -224,48 +216,6 @@ let check_file file =
     end
     else incr i
   done;
-  (* bare-schedule: a qualified [Sim.schedule]/[Sim.schedule_at] in a
-     file that manages tile-owned state. The two markers of that
-     commitment — [schedule_tile] and [register_region] — are matched
-     on the stripped code, so a file that merely documents them is not
-     held to the contract. *)
-  let contains sub =
-    let ls = String.length sub in
-    let rec go j =
-      j + ls <= n
-      && ((String.sub code j ls = sub
-          && (j = 0 || not (is_ident_char code.[j - 1]))
-          && (j + ls >= n || not (is_ident_char code.[j + ls])))
-         || go (j + 1))
-    in
-    go 0
-  in
-  if contains "schedule_tile" || contains "register_region" then begin
-    let pat = "Sim.schedule" in
-    let lp = String.length pat in
-    let i = ref 0 in
-    while !i + lp <= n do
-      (if
-         String.sub code !i lp = pat
-         && (!i = 0 || not (is_ident_char code.[!i - 1]))
-       then
-         let j = !i + lp in
-         let bare =
-           if j >= n then true
-           else if not (is_ident_char code.[j]) then true
-           else
-             j + 3 <= n
-             && String.sub code j 3 = "_at"
-             && (j + 3 >= n || not (is_ident_char code.[j + 3]))
-         in
-         if bare then
-           report !i "bare-schedule"
-             "bare [Sim.schedule] in a file with tile-owned state; use \
-              [Sim.schedule_tile] so the event runs in the owning \
-              partition (mark deliberate exceptions with lint-ok)");
-      incr i
-    done
-  end;
   (* Comparison operators as function values: ( = ), (<>), ... *)
   let ops = [ "<>"; "<="; ">="; "="; "<"; ">" ] in
   let i = ref 0 in
