@@ -111,8 +111,9 @@ let trace_capacity_t =
     value
     & opt (pos_int_conv "--trace-capacity") 65536
     & info [ "trace-capacity" ] ~docv:"N"
-        ~doc:"Event-ledger ring capacity in records, for --trace-events \
-              and --abort-breakdown; older records are dropped beyond it.")
+        ~doc:"Event-ledger ring capacity in records, for --trace-events, \
+              --abort-breakdown and the 'trace' listing; older records are \
+              dropped beyond it.")
 
 let telemetry_file_t =
   Arg.(
@@ -811,8 +812,8 @@ let trace_cmd =
   in
   let action system workload threads last seed scale cache cores trace_events
       breakdown trace_capacity telemetry_file sample_interval =
-    let module Txtrace = Lockiller.Mechanisms.Txtrace in
     let module Runtime = Lockiller.Mechanisms.Runtime in
+    let module Ledger = Lockiller.Engine.Ledger in
     match
       ( Lockiller.Mechanisms.Sysconf.find system,
         Lockiller.Stamp.Suite.find workload )
@@ -820,7 +821,6 @@ let trace_cmd =
     | None, _ -> `Error (false, "unknown system " ^ system)
     | _, None -> `Error (false, "unknown workload " ^ workload)
     | Some sysconf, Some profile -> (
-      let trace = ref None in
       let handle = ref None in
       let tele = ref None in
       match
@@ -834,9 +834,7 @@ let trace_cmd =
               on_runtime =
                 (fun rt ->
                   handle := Some rt;
-                  trace := Some (Runtime.enable_txtrace rt);
-                  if want_ledger ~trace_events ~breakdown then
-                    ignore (Runtime.enable_ledger ~capacity:trace_capacity rt));
+                  ignore (Runtime.enable_ledger ~capacity:trace_capacity rt));
               telemetry =
                 telemetry_option ~telemetry_file ~sample_interval tele;
             }
@@ -844,12 +842,12 @@ let trace_cmd =
       with
       | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
       | r ->
-        (match !trace with
+        (match Option.bind !handle Runtime.ledger with
         | None -> ()
-        | Some tr ->
-          Printf.printf "# %d lifecycle events recorded; last %d:\n"
-            (Txtrace.recorded tr) last;
-          Txtrace.dump ~limit:last Format.std_formatter tr);
+        | Some l ->
+          Printf.printf "# %d ledger records (%d dropped); last %d:\n"
+            (Ledger.recorded l) (Ledger.dropped l) last;
+          Tracing.pp_tail ~last Format.std_formatter l);
         emit_telemetry ~telemetry_file !tele;
         Option.iter
           (emit_observability ?telemetry:!tele ~format:`Text ~trace_events
@@ -869,7 +867,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Run one simulation and dump the transaction-lifecycle trace")
+       ~doc:"Run one simulation and print the tail of its event ledger")
     term
 
 (* --- sweep --------------------------------------------------------------- *)

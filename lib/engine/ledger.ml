@@ -179,13 +179,8 @@ let entries t =
 let pp_entry ppf e =
   Format.fprintf ppf "%d %d %s %d" e.time e.core (kind_label e.kind) e.arg
 
-let dump ?limit ppf t =
-  let n = length t in
-  let skip = match limit with None -> 0 | Some l -> Int.max 0 (n - l) in
+let dump ppf t =
   if dropped t > 0 then
     Format.fprintf ppf "# %d earlier events dropped@." (dropped t);
-  let i = ref 0 in
   iter t (fun ~time ~core ~kind ~arg ->
-      if !i >= skip then
-        Format.fprintf ppf "%d %d %s %d@." time core (kind_label kind) arg;
-      incr i)
+      Format.fprintf ppf "%d %d %s %d@." time core (kind_label kind) arg)

@@ -181,9 +181,8 @@ val entries : t -> entry list
 
 val pp_entry : Format.formatter -> entry -> unit
 
-val dump : ?limit:int -> Format.formatter -> t -> unit
+val dump : Format.formatter -> t -> unit
 (** One line per retained record — ["<time> <core> <label> <arg>"] —
-    oldest first, preceded by a drop notice when the ring wrapped.
-    [limit] keeps only the trailing records. The output is
-    deterministic and byte-stable, so differential tests compare it
-    directly. *)
+    oldest first, preceded by a drop notice when the ring wrapped. The
+    output is deterministic and byte-stable, so differential tests
+    compare it directly. *)

@@ -76,7 +76,6 @@ type t = {
   parked : (unit -> unit) option array;
   pending_wake : bool array;
   mutable oracle : Oracle.t option;
-  mutable txtrace : Txtrace.t option;
   mutable ledger : Ledger.t option;
   (* Cycle at which each core acquired the fallback spinlock; -1 when
      not holding it. Feeds the lock-dwell counter. *)
@@ -122,10 +121,6 @@ type t = {
   inject : Types.injected_fault option;
   per_core : core_stats array;
   stats : Stats.group;
-  s_commits : Stats.counter;
-  s_aborts : Stats.counter;
-  s_rejects : Stats.counter;
-  s_parks : Stats.counter;
   s_wakeups : Stats.counter;
   s_rescues : Stats.counter;
   s_switch_ok : Stats.counter;
@@ -133,7 +128,6 @@ type t = {
   s_spilled_lines : Stats.counter;
   s_lock_busy : Stats.counter;
   s_lock_dwell : Stats.counter;
-  s_sw_commits : Stats.counter;
   s_sw_aborts : Stats.counter;
   s_clock_adv : Stats.counter;
   (* Always-on log-linear histograms (array increments on commit-rate
@@ -152,7 +146,49 @@ let ctx t core = t.ctxs.(core)
 let lock_addr t = t.lock_addr
 let core_stats t core = t.per_core.(core)
 let stats t = t.stats
+let wakeups t = Stats.value t.s_wakeups
 let watchdog_rescues t = Stats.value t.s_rescues
+let switches_granted t = Stats.value t.s_switch_ok
+let switches_denied t = Stats.value t.s_switch_denied
+let spilled_lines t = Stats.value t.s_spilled_lines
+let lock_dwell_cycles t = Stats.value t.s_lock_dwell
+let clock_advances t = Stats.value t.s_clock_adv
+
+let empty_core_stats () =
+  {
+    starts = 0;
+    commits = 0;
+    stl_commits = 0;
+    lock_commits = 0;
+    sw_commits = 0;
+    aborts = 0;
+    abort_reasons = Array.make Reason.count 0;
+    rejects_received = 0;
+    parks = 0;
+    attempts_at_commit = 0;
+    wasted = 0;
+    wasted_by_reason = Array.make Reason.count 0;
+  }
+
+let total_stats t =
+  let sum = empty_core_stats () in
+  let add_into dst src = Array.iteri (fun i n -> dst.(i) <- dst.(i) + n) src in
+  Array.iter
+    (fun cs ->
+      sum.starts <- sum.starts + cs.starts;
+      sum.commits <- sum.commits + cs.commits;
+      sum.stl_commits <- sum.stl_commits + cs.stl_commits;
+      sum.lock_commits <- sum.lock_commits + cs.lock_commits;
+      sum.sw_commits <- sum.sw_commits + cs.sw_commits;
+      sum.aborts <- sum.aborts + cs.aborts;
+      add_into sum.abort_reasons cs.abort_reasons;
+      sum.rejects_received <- sum.rejects_received + cs.rejects_received;
+      sum.parks <- sum.parks + cs.parks;
+      sum.attempts_at_commit <- sum.attempts_at_commit + cs.attempts_at_commit;
+      sum.wasted <- sum.wasted + cs.wasted;
+      add_into sum.wasted_by_reason cs.wasted_by_reason)
+    t.per_core;
+  sum
 
 let parked_cores t =
   let out = ref [] in
@@ -220,13 +256,11 @@ let retry_gap_hdr t = t.d_retry_gap
 let lock_dwell_hdr t = t.d_lock_dwell
 
 let commit_rate t =
-  let starts = ref 0 and commits = ref 0 in
-  Array.iter
-    (fun cs ->
-      starts := !starts + cs.starts;
-      commits := !commits + cs.commits + cs.stl_commits + cs.sw_commits)
-    t.per_core;
-  if !starts = 0 then 1.0 else float_of_int !commits /. float_of_int !starts
+  let s = total_stats t in
+  if s.starts = 0 then 1.0
+  else
+    float_of_int (s.commits + s.stl_commits + s.sw_commits)
+    /. float_of_int s.starts
 
 let clock_value t = t.clock_now
 let sw_population t = t.sw_now
@@ -249,13 +283,6 @@ let enable_oracle t =
 
 let oracle t = t.oracle
 
-let enable_txtrace ?capacity t =
-  let tr = Txtrace.create ?capacity () in
-  t.txtrace <- Some tr;
-  tr
-
-let txtrace t = t.txtrace
-
 let enable_ledger ?capacity t =
   let l = Ledger.create ?capacity t.sim in
   t.ledger <- Some l;
@@ -265,13 +292,8 @@ let enable_ledger ?capacity t =
 
 let ledger t = t.ledger
 
-let trace t core event =
-  match t.txtrace with
-  | None -> ()
-  | Some tr -> Txtrace.record tr ~time:(Sim.now t.sim) ~core event
-
-(* The structured counterpart of [trace]: one branch when disabled, an
-   allocation-free four-word write when enabled. *)
+(* One branch when the ledger is off, an allocation-free four-word
+   write when it is on. *)
 let emit t core kind ~arg =
   match t.ledger with
   | None -> ()
@@ -352,7 +374,6 @@ let wake t core =
   | Some resume ->
     t.parked.(core) <- None;
     Stats.incr t.s_wakeups;
-    trace t core Txtrace.Woken;
     emit t core Ledger.Wake ~arg:0;
     Sim.schedule t.sim ~delay:0 resume
   | None ->
@@ -392,9 +413,7 @@ let park t core ~rejector_alive resume =
   else begin
     t.parked.(core) <- Some resume;
     t.per_core.(core).parks <- t.per_core.(core).parks + 1;
-    trace t core Txtrace.Parked;
-    emit t core Ledger.Park ~arg:0;
-    Stats.incr t.s_parks
+    emit t core Ledger.Park ~arg:0
   end
 
 (* --- Abort ------------------------------------------------------------ *)
@@ -463,8 +482,6 @@ let abort_core ?(aggressor = -1) t core reason =
   cs.wasted_by_reason.(Reason.index reason) <-
     cs.wasted_by_reason.(Reason.index reason) + age;
   t.last_abort.(core) <- Sim.now t.sim;
-  Stats.incr t.s_aborts;
-  trace t core (Txtrace.Abort reason);
   emit t core Ledger.Tx_abort
     ~arg:(Ledger.pack_abort ~reason:(Reason.index reason) ~who:aggressor ~age);
   (* The discard's [Spec_discard] packs the same attempt age, so the
@@ -528,8 +545,6 @@ let issue t core line what ~epoch k =
       | Types.Rejected { by } -> begin
         let cs = t.per_core.(core) in
         cs.rejects_received <- cs.rejects_received + 1;
-        Stats.incr t.s_rejects;
-        trace t core (Txtrace.Rejected { by });
         emit t core Ledger.Reject
           ~arg:
             (Ledger.pack_attr
@@ -598,7 +613,6 @@ let on_tx_eviction t ~core ~(view : L1.view) =
     let rtt = arbitration_rtt t core in
     if Arbiter.try_acquire t.arb core then begin
       Stats.incr t.s_switch_ok;
-      trace t core Txtrace.Switch_granted;
       emit t core Ledger.Switch_granted ~arg:0;
       c.Txstate.mode <- Txstate.Stl;
       (* The transaction is irrevocable from here on: its speculative
@@ -609,7 +623,6 @@ let on_tx_eviction t ~core ~(view : L1.view) =
     end
     else begin
       Stats.incr t.s_switch_denied;
-      trace t core Txtrace.Switch_denied;
       emit t core Ledger.Switch_denied ~arg:0;
       abort_core t core Reason.Capacity;
       Client.Abort_tx rtt
@@ -702,7 +715,6 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
       parked = Array.make cores None;
       pending_wake = Array.make cores false;
       oracle = None;
-      txtrace = None;
       ledger = None;
       lock_held_since = Array.make cores (-1);
       section_start = Array.make cores (-1);
@@ -716,27 +728,8 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
       sw_peak = 0;
       clock_now = 0;
       inject = inject_bug;
-      per_core =
-        Array.init cores (fun _ ->
-            {
-              starts = 0;
-              commits = 0;
-              stl_commits = 0;
-              lock_commits = 0;
-              sw_commits = 0;
-              aborts = 0;
-              abort_reasons = Array.make Reason.count 0;
-              rejects_received = 0;
-              parks = 0;
-              attempts_at_commit = 0;
-              wasted = 0;
-              wasted_by_reason = Array.make Reason.count 0;
-            });
+      per_core = Array.init cores (fun _ -> empty_core_stats ());
       stats;
-      s_commits = Stats.counter stats "commits";
-      s_aborts = Stats.counter stats "aborts";
-      s_rejects = Stats.counter stats "rejects";
-      s_parks = Stats.counter stats "parks";
       s_wakeups = Stats.counter stats "wakeups";
       s_rescues = Stats.counter stats "watchdog_rescues";
       s_switch_ok = Stats.counter stats "switches_granted";
@@ -744,7 +737,6 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
       s_spilled_lines = Stats.counter stats "spilled_lines";
       s_lock_busy = Stats.counter stats "lock_busy_aborts";
       s_lock_dwell = Stats.counter stats "lock_dwell_cycles";
-      s_sw_commits = Stats.counter stats "sw_commits";
       s_sw_aborts = Stats.counter stats "sw_aborts";
       s_clock_adv = Stats.counter stats "clock_advances";
       d_tx_latency = Stats.hdr stats "tx_latency";
@@ -781,7 +773,6 @@ let xbegin t core ~k =
   if c.Txstate.mode <> Txstate.Idle then
     invalid_arg "Runtime.xbegin: already in a transaction";
   Txstate.begin_htm c;
-  trace t core Txtrace.Xbegin;
   emit t core Ledger.Tx_begin ~arg:c.Txstate.attempt;
   attempt_clock_start t core;
   (* First attempt opens the critical section for the latency
@@ -909,13 +900,11 @@ let xend t core ~k =
             !written_slots
         end;
         record_section t core Oracle.Htm_commit;
-        trace t core Txtrace.Commit;
         emit t core Ledger.Tx_commit ~arg:(c.Txstate.attempt + 1);
         let cs = t.per_core.(core) in
         cs.commits <- cs.commits + 1;
         cs.attempts_at_commit <-
           cs.attempts_at_commit + c.Txstate.attempt + 1;
-        Stats.incr t.s_commits;
         close_section t core;
         Txstate.finish c;
         send_wakeups t core;
@@ -937,7 +926,6 @@ let hlbegin t core ~k =
           if t.section_start.(core) < 0 then
             t.section_start.(core) <- Sim.now t.sim;
           attempt_clock_start t core;
-          trace t core Txtrace.Hlbegin;
           emit t core Ledger.Hl_begin ~arg:0;
           k ()
         end
@@ -957,7 +945,6 @@ let hlbegin t core ~k =
         if t.section_start.(core) < 0 then
           t.section_start.(core) <- Sim.now t.sim;
         attempt_clock_start t core;
-        trace t core Txtrace.Hlbegin;
         emit t core Ledger.Hl_begin ~arg:0;
         k ())
 
@@ -982,7 +969,6 @@ let hlend t core ~k =
       | Some _ | None -> ());
       record_section t core
         (if was_stl then Oracle.Stl_commit else Oracle.Tl_commit);
-      trace t core (Txtrace.Hlend { was_stl });
       emit t core Ledger.Hl_end ~arg:(if was_stl then 1 else 0);
       let cs = t.per_core.(core) in
       if was_stl then cs.stl_commits <- cs.stl_commits + 1
@@ -1058,9 +1044,7 @@ let sw_abort ?(aggressor = -1) t core reason ~k =
   cs.wasted_by_reason.(Reason.index reason) <-
     cs.wasted_by_reason.(Reason.index reason) + age;
   t.last_abort.(core) <- Sim.now t.sim;
-  Stats.incr t.s_aborts;
   Stats.incr t.s_sw_aborts;
-  trace t core (Txtrace.Abort reason);
   emit t core Ledger.Sw_abort
     ~arg:(Ledger.pack_abort ~reason:(Reason.index reason) ~who:aggressor ~age);
   ignore (Store.discard t.store ~core);
@@ -1268,7 +1252,6 @@ let sw_commit t core ~k =
       emit t core Ledger.Sw_commit ~arg:wt;
       let cs = t.per_core.(core) in
       cs.sw_commits <- cs.sw_commits + 1;
-      Stats.incr t.s_sw_commits;
       close_section t core;
       Sw_path.reset t.sw core;
       t.sw_now <- t.sw_now - 1;
@@ -1436,7 +1419,6 @@ let lock_acquire_ttas t core ~k =
     | `Granted ->
       if Store.committed t.store t.lock_addr = 0 then begin
         Store.write t.store ~core ~speculative:false t.lock_addr 1;
-        trace t core Txtrace.Lock_acquired;
         note_lock_acquired t core;
         k ()
       end
@@ -1470,7 +1452,6 @@ let lock_acquire_ticket t core ~k =
       let rec spin () = issue t core serving_line Types.Read ~epoch on_read
       and on_read _ =
         if Store.committed t.store (serving_addr t) = my then begin
-          trace t core Txtrace.Lock_acquired;
           note_lock_acquired t core;
           k ()
         end
@@ -1503,7 +1484,6 @@ let lock_release t core ~k =
     issue t core t.lock_line Types.Write ~epoch (function
       | `Aborted | `Granted ->
         Store.write t.store ~core ~speculative:false t.lock_addr 0;
-        trace t core Txtrace.Lock_released;
         note_lock_released t core;
         k ())
   | Policy.Ticket ->
@@ -1513,6 +1493,5 @@ let lock_release t core ~k =
         let s_addr = serving_addr t in
         Store.write t.store ~core ~speculative:false s_addr
           (Store.committed t.store s_addr + 1);
-        trace t core Txtrace.Lock_released;
         note_lock_released t core;
         k ())

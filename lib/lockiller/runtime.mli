@@ -185,13 +185,6 @@ val enable_oracle : t -> Lk_htm.Oracle.t
 
 val oracle : t -> Lk_htm.Oracle.t option
 
-val enable_txtrace : ?capacity:int -> t -> Txtrace.t
-(** Start recording transaction-lifecycle events (begins, commits,
-    aborts, rejects, parks/wakes, HTMLock entries, switch attempts,
-    lock handoffs) into a bounded ring. See {!Txtrace}. *)
-
-val txtrace : t -> Txtrace.t option
-
 val enable_ledger : ?capacity:int -> t -> Lk_engine.Ledger.t
 (** Start recording the structured transaction-event ledger and wire it
     into all three emitting layers at once: this runtime (begins,
@@ -248,14 +241,44 @@ type core_stats = {
 }
 
 val core_stats : t -> Lk_coherence.Types.core_id -> core_stats
+(** The core's own counts. These are the only copy: the machine-wide
+    totals below are sums over cores, never kept separately. *)
+
+val total_stats : t -> core_stats
+(** A fresh record holding the field-wise sum of {!core_stats} over
+    every core. *)
+
 val stats : t -> Lk_engine.Stats.group
+(** The machine-wide counters that have no per-core twin (the typed
+    accessors below read them) plus the latency histograms. *)
 
 val commit_rate : t -> float
 (** Committed transactions (HTM, STL and software) / started attempts,
     over all cores (the paper's transaction commit rate). 1.0 when
     nothing started. *)
 
+val wakeups : t -> int
+(** Parked transactions woken by a rejector's commit or abort. *)
+
 val watchdog_rescues : t -> int
+(** Parked cores released by the quiescence watchdog (0 in a healthy
+    run). *)
+
+val switches_granted : t -> int
+(** switchingMode requests that won the LLC authorization. *)
+
+val switches_denied : t -> int
+(** switchingMode requests refused (the transaction aborts instead). *)
+
+val spilled_lines : t -> int
+(** Lines spilled into the LLC overflow signatures. *)
+
+val lock_dwell_cycles : t -> int
+(** Cycles the fallback spinlock was held, summed over acquisitions. *)
+
+val clock_advances : t -> int
+(** Effective advances of the TL2 global version clock. *)
+
 val parked_cores : t -> Lk_coherence.Types.core_id list
 
 (* -- Checker introspection -------------------------------------------- *)

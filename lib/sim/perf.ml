@@ -2,8 +2,11 @@ module Sim = Lk_engine.Sim
 
 (* Wall-clock and allocation probes around simulator work.
 
-   A [probe] captures the wall clock and the minor-heap allocation
-   counter ([Gc.quick_stat]); [stop] turns the deltas plus the caller's
+   A [probe] captures the wall clock and this domain's minor-heap
+   allocation counter ([Gc.minor_words]: it counts up to the current
+   minor-heap pointer, where [Gc.quick_stat] may lag by everything
+   since the last minor collection, and it does not allocate in native
+   code); [stop] turns the deltas plus the caller's
    event/cycle counts into a [sample]. Samples from every simulation in
    the process (including pool domains — the counters are atomics) are
    additionally folded into a global aggregate, which the bench harness
@@ -18,15 +21,13 @@ type sample = {
 
 type probe = { p_wall : float; p_minor : float }
 
-let start () =
-  let st = Gc.quick_stat () in
-  { p_wall = Unix.gettimeofday (); p_minor = st.Gc.minor_words }
+let start () = { p_wall = Unix.gettimeofday (); p_minor = Gc.minor_words () }
 
 let stop probe ~events ~cycles =
-  let st = Gc.quick_stat () in
+  let minor = Gc.minor_words () in
   {
     wall_seconds = Unix.gettimeofday () -. probe.p_wall;
-    minor_words = st.Gc.minor_words -. probe.p_minor;
+    minor_words = minor -. probe.p_minor;
     events;
     cycles;
   }

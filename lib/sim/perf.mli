@@ -1,7 +1,7 @@
 (** Wall-clock and allocation counters for the simulator hot loop.
 
     A probe brackets a stretch of work with [Unix.gettimeofday] and
-    [Gc.quick_stat]; combined with the simulator's event and cycle
+    [Gc.minor_words] (the calling domain's allocation counter); combined with the simulator's event and cycle
     counters ({!Lk_engine.Sim.events}, {!Lk_engine.Sim.now}) this yields
     the three rates the perf harness tracks: events/sec, cycles/sec and
     minor-heap words allocated per event. {!Runner} records one sample

@@ -73,11 +73,6 @@ type telemetry_request = {
 let telemetry_request ?(interval = 1024) ?(capacity = 4096) consume =
   { sample_interval = interval; sample_capacity = capacity; consume }
 
-let counter_value stats name =
-  match List.assoc_opt name (Stats.counters stats) with
-  | Some v -> v
-  | None -> 0
-
 type placement = Compact | Spread
 
 (* Thread index -> core id. *)
@@ -310,39 +305,15 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
   let cycles =
     Array.fold_left (fun acc cpu -> max acc (Core.finish_time cpu)) 0 cpus
   in
-  let htm_commits = ref 0
-  and stl_commits = ref 0
-  and lock_commits = ref 0
-  and sw_commits = ref 0
-  and aborts = ref 0
-  and rejects = ref 0
-  and parks = ref 0
-  and attempts = ref 0
-  and wasted = ref 0 in
-  let mix = Array.make Reason.count 0 in
-  let wasted_mix = Array.make Reason.count 0 in
-  for i = 0 to threads - 1 do
-    let cs = Runtime.core_stats runtime (core_of i) in
-    htm_commits := !htm_commits + cs.Runtime.commits;
-    stl_commits := !stl_commits + cs.Runtime.stl_commits;
-    lock_commits := !lock_commits + cs.Runtime.lock_commits;
-    sw_commits := !sw_commits + cs.Runtime.sw_commits;
-    aborts := !aborts + cs.Runtime.aborts;
-    rejects := !rejects + cs.Runtime.rejects_received;
-    parks := !parks + cs.Runtime.parks;
-    attempts := !attempts + cs.Runtime.attempts_at_commit;
-    wasted := !wasted + cs.Runtime.wasted;
-    Array.iteri
-      (fun i n -> mix.(i) <- mix.(i) + n)
-      cs.Runtime.abort_reasons;
-    Array.iteri
-      (fun i n -> wasted_mix.(i) <- wasted_mix.(i) + n)
-      cs.Runtime.wasted_by_reason
-  done;
+  (* Cores without a thread never run a transaction, so the sum over
+     every core is the sum over the threads' cores. *)
+  let sum = Runtime.total_stats runtime in
+  let by_reason counts =
+    List.map (fun r -> (r, counts.(Reason.index r))) Reason.all
+  in
   (match tele with
   | Some (req, handle) -> req.consume handle
   | None -> ());
-  let stats = Runtime.stats runtime in
   let latency = Runtime.tx_latency_hdr runtime in
   ( store,
     {
@@ -352,31 +323,32 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
     cache;
     cycles;
     commit_rate = Runtime.commit_rate runtime;
-    htm_commits = !htm_commits;
-    stl_commits = !stl_commits;
-    lock_commits = !lock_commits;
-    sw_commits = !sw_commits;
-    aborts = !aborts;
-    abort_mix = List.map (fun r -> (r, mix.(Reason.index r))) Reason.all;
-    wasted_cycles = !wasted;
-    wasted_by_reason =
-      List.map (fun r -> (r, wasted_mix.(Reason.index r))) Reason.all;
+    htm_commits = sum.Runtime.commits;
+    stl_commits = sum.Runtime.stl_commits;
+    lock_commits = sum.Runtime.lock_commits;
+    sw_commits = sum.Runtime.sw_commits;
+    aborts = sum.Runtime.aborts;
+    abort_mix = by_reason sum.Runtime.abort_reasons;
+    wasted_cycles = sum.Runtime.wasted;
+    wasted_by_reason = by_reason sum.Runtime.wasted_by_reason;
     breakdown = Accounting.total acct;
-    rejects = !rejects;
-    parks = !parks;
-    wakeups = counter_value stats "wakeups";
-    switches_granted = counter_value stats "switches_granted";
-    switches_denied = counter_value stats "switches_denied";
-    spilled_lines = counter_value stats "spilled_lines";
-    lock_dwell_cycles = counter_value stats "lock_dwell_cycles";
-    clock_advances = counter_value stats "clock_advances";
+    rejects = sum.Runtime.rejects_received;
+    parks = sum.Runtime.parks;
+    wakeups = Runtime.wakeups runtime;
+    switches_granted = Runtime.switches_granted runtime;
+    switches_denied = Runtime.switches_denied runtime;
+    spilled_lines = Runtime.spilled_lines runtime;
+    lock_dwell_cycles = Runtime.lock_dwell_cycles runtime;
+    clock_advances = Runtime.clock_advances runtime;
     watchdog_rescues = Runtime.watchdog_rescues runtime;
     network_messages = Network.messages_sent net;
     network_flits = Network.flits_sent net;
     oracle_sections = Lk_htm.Oracle.size oracle;
     avg_attempts_per_commit =
-      (if !htm_commits = 0 then 0.0
-       else float_of_int !attempts /. float_of_int !htm_commits);
+      (if sum.Runtime.commits = 0 then 0.0
+       else
+         float_of_int sum.Runtime.attempts_at_commit
+         /. float_of_int sum.Runtime.commits);
     tx_latency_p50 = Stats.percentile latency 50.;
     tx_latency_p95 = Stats.percentile latency 95.;
     tx_latency_p99 = Stats.percentile latency 99.;
@@ -408,6 +380,18 @@ let default_options =
     telemetry = None;
   }
 
+(* End-to-end atomicity check: each committed hot counter must equal
+   the increments the run's transactions performed on it. *)
+let check_conservation ~caller ~sysconf ~workload_name store expected =
+  List.iter
+    (fun (addr, want) ->
+      let got = Store.committed store addr in
+      if got <> want then
+        failwith
+          (Printf.sprintf "%s: %s/%s: conservation violated at %#x: %d <> %d"
+             caller sysconf.Sysconf.name workload_name addr got want))
+    expected
+
 let run ?(options = default_options) ~sysconf ~workload ~threads () =
   let {
     seed;
@@ -434,17 +418,8 @@ let run ?(options = default_options) ~sysconf ~workload ~threads () =
            { program; barrier_every = workload.Workload.barrier_every })
       ~workload_name:workload.Workload.name ~cache:machine.Config.cache ()
   in
-  (* End-to-end atomicity check: committed hot counters must equal the
-     increments the program performs. *)
-  List.iter
-    (fun (addr, want) ->
-      let got = Store.committed store addr in
-      if got <> want then
-        failwith
-          (Printf.sprintf
-             "Runner.run: %s/%s: conservation violated at %#x: %d <> %d"
-             sysconf.Sysconf.name workload.Workload.name addr got want))
-    expected;
+  check_conservation ~caller:"Runner.run" ~sysconf
+    ~workload_name:workload.Workload.name store expected;
   result
 
 let run_program ?(options = default_options) ?(name = "custom") ~sysconf
@@ -509,18 +484,11 @@ let replay ?(options = default_options) ~sysconf ~open_loop ~threads () =
       ~workload_name:open_loop.Workload_source.trace_name
       ~cache:machine.Config.cache ()
   in
-  (* Conservation, open-loop flavour: hot increments are tallied as
-     bodies are synthesised, so the check needs no second trace pass. *)
-  Hashtbl.iter
-    (fun addr want ->
-      let got = Store.committed store addr in
-      if got <> want then
-        failwith
-          (Printf.sprintf
-             "Runner.replay: %s/%s: conservation violated at %#x: %d <> %d"
-             sysconf.Sysconf.name open_loop.Workload_source.trace_name addr
-             got want))
-    expected;
+  (* Hot increments are tallied as bodies are synthesised, so the check
+     needs no second trace pass. *)
+  check_conservation ~caller:"Runner.replay" ~sysconf
+    ~workload_name:open_loop.Workload_source.trace_name store
+    (List.of_seq (Hashtbl.to_seq expected));
   result
 
 let run_source ?(options = default_options) ~sysconf ~source ~threads () =

@@ -375,17 +375,49 @@ let perfetto_json ?telemetry l =
   in
   Json.Obj [ ("traceEvents", Json.List (meta @ List.rev !events @ counters)) ]
 
-let with_out_file file f =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-
 let write_perfetto ?telemetry ~file l =
-  with_out_file file (fun oc ->
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
       output_string oc (Json.to_string_pretty (perfetto_json ?telemetry l));
       output_char oc '\n')
 
-let write_dump ~file l =
-  with_out_file file (fun oc ->
-      let ppf = Format.formatter_of_out_channel oc in
-      Ledger.dump ppf l;
-      Format.pp_print_flush ppf ())
+(* --- Human-readable lifecycle lines ------------------------------------ *)
+
+let reason_label arg =
+  match reason_of_index (Ledger.abort_reason arg) with
+  | Some r -> Reason.label r
+  | None -> "?"
+
+(* " by N" for a record attributed to a core, [none] otherwise. *)
+let by who ~none = if who >= 0 then Printf.sprintf " by %d" who else none
+
+let event_label kind arg =
+  let label = Ledger.kind_label kind in
+  match kind with
+  | Ledger.Tx_begin when arg > 0 -> Printf.sprintf "%s retry %d" label arg
+  | Ledger.Tx_abort | Ledger.Sw_abort ->
+    label ^ ":" ^ reason_label arg ^ by (Ledger.abort_who arg) ~none:""
+  | Ledger.Nack | Ledger.Reject ->
+    label ^ by (Ledger.attr_who arg) ~none:" by llc"
+  | Ledger.Abort_kill -> label ^ by (Ledger.attr_who arg) ~none:""
+  | Ledger.Hl_end -> label ^ if arg = 1 then " stl" else " tl"
+  | Ledger.Spill | Ledger.Spec_publish | Ledger.Sw_begin | Ledger.Sw_commit
+  | Ledger.Clock_advance ->
+    Printf.sprintf "%s %d" label arg
+  | Ledger.Spec_discard ->
+    Printf.sprintf "%s %d" label (Ledger.discard_writes arg)
+  | Ledger.Tx_begin | Ledger.Tx_commit | Ledger.Park | Ledger.Wake
+  | Ledger.Lock_acquire | Ledger.Lock_release | Ledger.Hl_begin
+  | Ledger.Switch_granted | Ledger.Switch_denied ->
+    label
+
+let pp_tail ~last ppf l =
+  let skip = Int.max 0 (Ledger.length l - last) in
+  let i = ref 0 in
+  Ledger.iter l (fun ~time ~core ~kind ~arg ->
+      if !i >= skip then
+        Format.fprintf ppf "%10d  core %2d  %s@." time core
+          (event_label kind arg);
+      incr i)

@@ -92,7 +92,19 @@ val write_perfetto :
   ?telemetry:Telemetry.t -> file:string -> Lk_engine.Ledger.t -> unit
 (** {!perfetto_json} pretty-printed to [file]. *)
 
-val write_dump : file:string -> Lk_engine.Ledger.t -> unit
-(** The raw deterministic text dump ({!Lk_engine.Ledger.dump}, no
-    [limit]) to [file] — the differential-testing format: byte-identical
-    across event-queue backends and [--jobs] values. *)
+(** {1 Human-readable lifecycle lines}
+
+    What [lockiller_sim trace] prints: one line per record, with the
+    packed argument decoded the way the breakdown and the Perfetto
+    export decode it. *)
+
+val event_label : Lk_engine.Ledger.kind -> int -> string
+(** [event_label kind arg] is {!Lk_engine.Ledger.kind_label} plus the
+    decoded argument: ["xbegin retry 2"], ["abort:mutex"],
+    ["abort:mc by 3"], ["reject by 2"] (["by llc"] when the overflow
+    signatures rejected), ["hlend stl"], ["spill 4242"]. Plain events
+    (["commit"], ["park"], ["lock-acquire"] ...) keep the bare label. *)
+
+val pp_tail : last:int -> Format.formatter -> Lk_engine.Ledger.t -> unit
+(** The trailing [last] retained records, oldest first, one
+    ["<cycle>  core <n>  <event_label>"] line each. *)

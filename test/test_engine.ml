@@ -468,39 +468,6 @@ let test_sim_chooser_picks_runnable () =
   Alcotest.(check string) "insertion order" "ab" (order 0);
   Alcotest.(check string) "flipped" "ba" (order 1)
 
-(* --- Trace ----------------------------------------------------------- *)
-
-let test_trace_src_naming () =
-  let src = Lk_engine.Trace.src "protocol" in
-  Alcotest.(check string) "namespaced" "lockiller.protocol" (Logs.Src.name src)
-
-let test_trace_disabled_is_silent () =
-  (* no reporter installed: debugf must be a no-op, not an error *)
-  let src = Lk_engine.Trace.src "test" in
-  Lk_engine.Trace.debugf src ~cycle:42 "event %d happened" 7;
-  ()
-
-let test_trace_disabled_no_formatting () =
-  (* With the source below Debug, the format arguments must be consumed
-     without being rendered: the per-call allocation is a few closure
-     words (constant), not proportional to the payload. Formatting the
-     4KB payload would cost >500 words/call; the ikfprintf path
-     measures ~26. *)
-  let src = Lk_engine.Trace.src "alloc-probe" in
-  let payload = String.make 4096 'x' in
-  let calls = 10_000 in
-  for i = 1 to 100 do
-    Lk_engine.Trace.debugf src ~cycle:i "%s %d" payload i
-  done;
-  let w0 = Gc.minor_words () in
-  for i = 1 to calls do
-    Lk_engine.Trace.debugf src ~cycle:i "%s %d" payload i
-  done;
-  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
-  check_bool
-    (Printf.sprintf "payload not formatted (%.1f words/call)" per_call)
-    true (per_call < 64.0)
-
 (* --- Ledger ---------------------------------------------------------- *)
 
 module Ledger = Lk_engine.Ledger
@@ -564,7 +531,7 @@ let test_ledger_wraparound () =
   check_int "dropped" 6 (Ledger.dropped l);
   let cores = List.map (fun e -> e.Ledger.core) (Ledger.entries l) in
   Alcotest.(check (list int)) "keeps the trailing window" [ 6; 7; 8; 9 ] cores;
-  let dump = Format.asprintf "%a" (Ledger.dump ?limit:None) l in
+  let dump = Format.asprintf "%a" Ledger.dump l in
   check_bool "dump notes the drops" true
     (let sub = "# 6 earlier events dropped" in
      let rec find i =
@@ -922,14 +889,6 @@ let () =
           Alcotest.test_case "single step" `Quick test_sim_step;
           Alcotest.test_case "chooser picks within the runnable set" `Quick
             test_sim_chooser_picks_runnable;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "src naming" `Quick test_trace_src_naming;
-          Alcotest.test_case "silent when disabled" `Quick
-            test_trace_disabled_is_silent;
-          Alcotest.test_case "disabled skips formatting" `Quick
-            test_trace_disabled_no_formatting;
         ] );
       ( "ledger",
         [

@@ -17,7 +17,6 @@ module Txstate = Lk_htm.Txstate
 module Sysconf = Lk_lockiller.Sysconf
 module Runtime = Lk_lockiller.Runtime
 module Signature = Lk_lockiller.Signature
-module Txtrace = Lk_lockiller.Txtrace
 module Wake_table = Lk_lockiller.Wake_table
 module Arbiter = Lk_lockiller.Arbiter
 module Program = Lk_cpu.Program
@@ -44,7 +43,8 @@ type run = {
 
 (* A small 4-core machine; caches sized so overflow is reachable but
    ordinary tests fit. *)
-let run_program ?(cores = 4) ?(l1_sets = 16) ~sysconf program =
+let run_program ?(cores = 4) ?(l1_sets = 16) ?(ledger = false) ~sysconf
+    program =
   let sim = Sim.create () in
   let rows, cols =
     match cores with
@@ -77,6 +77,7 @@ let run_program ?(cores = 4) ?(l1_sets = 16) ~sysconf program =
   let runtime =
     Runtime.create ~protocol ~store ~sysconf ~lock_addr ()
   in
+  if ledger then ignore (Runtime.enable_ledger runtime);
   let acct = Accounting.create ~cores in
   let done_count = ref 0 in
   let cpus =
@@ -281,11 +282,8 @@ let test_switching_mode_survives_overflow () =
   for i = 0 to 3 do
     check_int "counter adds up" 8 (Store.committed r.store (colliding i))
   done;
-  let stats = Runtime.stats r.runtime in
-  let granted =
-    List.assoc "switches_granted" (Lk_engine.Stats.counters stats)
-  in
-  check_bool "switchingMode fired" true (granted > 0);
+  check_bool "switchingMode fired" true
+    (Runtime.switches_granted r.runtime > 0);
   let stl =
     List.init 2 (fun c -> (Runtime.core_stats r.runtime c).Runtime.stl_commits)
     |> List.fold_left ( + ) 0
@@ -735,72 +733,26 @@ let test_barrier_workloads_complete () =
         (w.Lk_stamp.Workload.barrier_every <> None))
     [ "kmeans"; "kmeans+"; "genome" ]
 
-let test_txtrace_ring () =
-  let tr = Txtrace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Txtrace.record tr ~time:i ~core:0 Txtrace.Xbegin
-  done;
-  check_int "recorded all" 6 (Txtrace.recorded tr);
-  check_int "dropped oldest" 2 (Txtrace.dropped tr);
-  let es = Txtrace.entries tr in
-  check_int "retained capacity" 4 (List.length es);
-  check_int "oldest retained is #3" 3 (List.hd es).Txtrace.time;
-  Txtrace.clear tr;
-  check_int "cleared" 0 (Txtrace.recorded tr)
-
-let test_txtrace_labels () =
-  check_bool "abort label" true
-    (Txtrace.event_label (Txtrace.Abort Reason.Capacity) = "abort:of");
-  check_bool "stl label" true
-    (Txtrace.event_label (Txtrace.Hlend { was_stl = true }) = "hlend(stl)")
-
-let test_txtrace_records_lifecycle () =
+let test_ledger_records_lifecycle () =
   let program = counter_program ~threads:4 ~per_thread:8 ~counter:(data 0) in
-  let sim = Sim.create () in
-  let net =
-    Lk_mesh.Network.create (Lk_mesh.Topology.create ~rows:2 ~cols:2)
+  let r = run_program ~ledger:true ~sysconf:Sysconf.lockiller program in
+  let l = Option.get (Runtime.ledger r.runtime) in
+  check_int "nothing dropped" 0 (Lk_engine.Ledger.dropped l);
+  let count kind =
+    let n = ref 0 in
+    Lk_engine.Ledger.iter l (fun ~time:_ ~core:_ ~kind:k ~arg:_ ->
+        if k = kind then incr n);
+    !n
   in
-  let cfg =
-    {
-      Protocol.cores = 4;
-      l1_size = 16 * 64 * 2;
-      l1_ways = 2;
-      l1_hit_latency = 2;
-      llc_size = 4 * 64 * 64 * 8;
-      llc_ways = 8;
-      llc_hit_latency = 12;
-      mem_latency = 100;
-      exclusive_state = true;
-      dir_pointers = None;
-      dir_shards = 0;
-      dir_hash = Shard.Mod;
-    }
-  in
-  let protocol = Protocol.create ~sim ~network:net cfg in
-  let store = Store.create ~cores:4 in
-  let runtime =
-    Runtime.create ~protocol ~store ~sysconf:Sysconf.lockiller ~lock_addr ()
-  in
-  let tr = Runtime.enable_txtrace runtime in
-  let acct = Accounting.create ~cores:4 in
-  let cpus =
-    Array.mapi
-      (fun core thread ->
-        Core.spawn ~runtime ~core ~thread ~accounting:acct ~on_done:(fun () ->
-            ()) ())
-      program
-  in
-  Array.iter Core.start cpus;
-  Sim.run sim;
-  let events = List.map (fun e -> e.Txtrace.event) (Txtrace.entries tr) in
-  let count p = List.length (List.filter p events) in
-  check_int "one xbegin per attempt" 32
-    (count (fun e -> e = Txtrace.Xbegin) + 0
-    |> fun begins ->
-       if begins >= 32 then 32
-       else begins (* at least one begin per committed tx *));
-  check_bool "commits traced" true
-    (count (fun e -> e = Txtrace.Commit) > 0)
+  let sum = Runtime.total_stats r.runtime in
+  check_int "every section committed" 32
+    (sum.Runtime.commits + sum.Runtime.stl_commits + sum.Runtime.lock_commits);
+  check_int "one xbegin per started attempt" sum.Runtime.starts
+    (count Lk_engine.Ledger.Tx_begin);
+  check_int "one commit record per HTM commit" sum.Runtime.commits
+    (count Lk_engine.Ledger.Tx_commit);
+  check_int "one abort record per abort" sum.Runtime.aborts
+    (count Lk_engine.Ledger.Tx_abort)
 
 let test_store_semantics () =
   let st = Store.create ~cores:2 in
@@ -894,9 +846,7 @@ let () =
             test_barrier_phases_synchronise_threads;
           Alcotest.test_case "barrier workloads" `Quick
             test_barrier_workloads_complete;
-          Alcotest.test_case "txtrace ring" `Quick test_txtrace_ring;
-          Alcotest.test_case "txtrace labels" `Quick test_txtrace_labels;
-          Alcotest.test_case "txtrace lifecycle" `Quick
-            test_txtrace_records_lifecycle;
+          Alcotest.test_case "ledger lifecycle" `Quick
+            test_ledger_records_lifecycle;
         ] );
     ]

@@ -490,18 +490,19 @@ module Runtime = Lk_lockiller.Runtime
 
 (* One observed run: LockillerTM on a small machine with the event
    ledger on (capacity ample enough that nothing is dropped). Intruder
-   at this scale is contended enough to produce aborts, rejects and
-   parks while staying fast. *)
-let run_with_ledger ?(sysconf = Sysconf.lockiller) ?(threads = 4)
+   at the default scale is contended enough to produce aborts, rejects
+   and parks while staying fast. *)
+let run_with_ledger ?(sysconf = Sysconf.lockiller) ?(workload = "intruder")
+    ?(scale = 0.2) ?(threads = 4)
     ?(queue_backend = Lk_engine.Event_queue.Wheel) () =
-  let w = Option.get (Suite.find "intruder") in
+  let w = Option.get (Suite.find workload) in
   let ledger = ref None in
   let r =
     Runner.run
       ~options:
         {
           Runner.default_options with
-          scale = 0.2;
+          scale;
           machine = Config.machine ~cores:4 ();
           queue_backend;
           on_runtime =
@@ -512,9 +513,49 @@ let run_with_ledger ?(sysconf = Sysconf.lockiller) ?(threads = 4)
   in
   (r, Option.get !ledger)
 
+(* Records of each kind in the retained stream. *)
+let ledger_counts l =
+  let n = Array.make (List.length Ledger.kinds) 0 in
+  Ledger.iter l (fun ~time:_ ~core:_ ~kind ~arg:_ ->
+      let c = Ledger.kind_code kind in
+      n.(c) <- n.(c) + 1);
+  fun kind -> n.(Ledger.kind_code kind)
+
+(* Fallback-lock dwell rebuilt from the acquire/release pairs. *)
+let ledger_lock_dwell l =
+  let since = Hashtbl.create 4 and dwell = ref 0 in
+  Ledger.iter l (fun ~time ~core ~kind ~arg:_ ->
+      match kind with
+      | Ledger.Lock_acquire -> Hashtbl.replace since core time
+      | Ledger.Lock_release ->
+        Option.iter
+          (fun t0 -> dwell := !dwell + time - t0)
+          (Hashtbl.find_opt since core);
+        Hashtbl.remove since core
+      | _ -> ());
+  !dwell
+
+(* Every result field the runner reads from a runtime counter equals
+   what the ledger saw: the two are kept apart, so a count bumped on
+   the wrong path (or not at all) shows here. *)
+let check_counters_match_ledger r l =
+  check_int "nothing dropped" 0 (Ledger.dropped l);
+  let count = ledger_counts l in
+  check_int "htm commits" r.Runner.htm_commits (count Ledger.Tx_commit);
+  check_int "wakeups" r.Runner.wakeups (count Ledger.Wake);
+  check_int "switches granted" r.Runner.switches_granted
+    (count Ledger.Switch_granted);
+  check_int "switches denied" r.Runner.switches_denied
+    (count Ledger.Switch_denied);
+  check_int "spilled lines" r.Runner.spilled_lines (count Ledger.Spill);
+  check_int "sw commits" r.Runner.sw_commits (count Ledger.Sw_commit);
+  check_int "clock advances" r.Runner.clock_advances
+    (count Ledger.Clock_advance);
+  check_int "lock dwell" r.Runner.lock_dwell_cycles (ledger_lock_dwell l)
+
 let test_ledger_breakdown_matches_stats () =
   let r, l = run_with_ledger () in
-  check_int "nothing dropped" 0 (Ledger.dropped l);
+  check_counters_match_ledger r l;
   let b = Tracing.abort_breakdown l in
   check_int "aborts" r.Runner.aborts b.Tracing.aborts;
   List.iter2
@@ -525,17 +566,41 @@ let test_ledger_breakdown_matches_stats () =
   check_int "rejects" r.Runner.rejects b.Tracing.rejects;
   check_int "parks" r.Runner.parks b.Tracing.parks;
   check_int "wakes" r.Runner.wakeups b.Tracing.wakes;
-  (* Commit events pair off with the runner's commit counters too. *)
-  let commits = ref 0 in
-  Ledger.iter l (fun ~time:_ ~core:_ ~kind ~arg:_ ->
-      if kind = Ledger.Tx_commit then incr commits);
-  check_int "commits" r.Runner.htm_commits !commits
+  (* Labyrinth's footprints overflow the L1: switchingMode, the
+     overflow signatures and the fallback lock all see traffic. *)
+  let r, l = run_with_ledger ~workload:"labyrinth" ~scale:0.5 () in
+  check_bool "switches, spills and lock dwell occurred" true
+    (r.Runner.switches_granted > 0
+    && r.Runner.spilled_lines > 0
+    && r.Runner.lock_dwell_cycles > 0);
+  check_counters_match_ledger r l;
+  let r, l = run_with_ledger ~sysconf:Sysconf.sw_tl2 () in
+  check_bool "software path ran" true
+    (r.Runner.sw_commits > 0 && r.Runner.clock_advances > 0);
+  check_counters_match_ledger r l
+
+let test_trace_labels () =
+  let label = Tracing.event_label in
+  let abort reason who =
+    Ledger.pack_abort ~reason:(Reason.index reason) ~who ~age:7
+  in
+  check Alcotest.string "environmental abort" "abort:mutex"
+    (label Ledger.Tx_abort (abort Reason.Conflict_mutex (-1)));
+  check Alcotest.string "attributed abort" "abort:mc by 3"
+    (label Ledger.Tx_abort (abort Reason.Conflict_htm 3));
+  check Alcotest.string "reject by a core" "reject by 2"
+    (label Ledger.Reject (Ledger.pack_attr ~who:2 ~age:9));
+  check Alcotest.string "reject by the signatures" "reject by llc"
+    (label Ledger.Reject (Ledger.pack_attr ~who:(-1) ~age:9));
+  check Alcotest.string "stl end" "hlend stl" (label Ledger.Hl_end 1);
+  check Alcotest.string "first attempt" "xbegin" (label Ledger.Tx_begin 0);
+  check Alcotest.string "retry" "xbegin retry 2" (label Ledger.Tx_begin 2)
 
 let test_ledger_backend_differential () =
   (* The ledger is a total order over observable events, so it is a
      stronger differential axis than aggregate results: both event
      queue backends must produce byte-identical streams. *)
-  let dump l = Format.asprintf "%a" (Ledger.dump ?limit:None) l in
+  let dump l = Format.asprintf "%a" Ledger.dump l in
   let _, wheel = run_with_ledger ~queue_backend:Lk_engine.Event_queue.Wheel ()
   and _, heap = run_with_ledger ~queue_backend:Lk_engine.Event_queue.Heap () in
   check_bool "non-trivial stream" true (Ledger.length wheel > 100);
@@ -551,7 +616,7 @@ let test_ledger_jobs_differential () =
   in
   let dump_of (sysconf, threads) =
     let _, l = run_with_ledger ~sysconf ~threads () in
-    Format.asprintf "%a" (Ledger.dump ?limit:None) l
+    Format.asprintf "%a" Ledger.dump l
   in
   let seq = Pool.map ~jobs:1 dump_of grid in
   let par = Pool.map ~jobs:4 dump_of grid in
@@ -1186,6 +1251,7 @@ let () =
             test_ledger_jobs_differential;
           Alcotest.test_case "perfetto well-formed" `Quick
             test_perfetto_export_wellformed;
+          Alcotest.test_case "trace labels" `Quick test_trace_labels;
         ] );
       ( "profile",
         [
