@@ -249,31 +249,21 @@ let stats_t =
               network). Embedded under \"stats\" with --format json; \
               ignored with --format csv.")
 
-(* Flatten the JSON encoding of a result into (column, cell) pairs:
-   nested objects (abort_mix, breakdown, open_loop with its phase_mix)
-   become dotted columns, at any depth. *)
-let result_csv_cells r =
-  let cell = function
-    | Json.Null -> ""
-    | Json.Bool b -> string_of_bool b
-    | Json.Int n -> string_of_int n
-    | Json.Float f -> Printf.sprintf "%.17g" f
-    | Json.String s -> s
-    | Json.List _ | Json.Obj _ -> assert false
-  in
-  let rec flatten prefix = function
-    | Json.Obj sub ->
-      List.concat_map
-        (fun (k, v) -> flatten (if prefix = "" then k else prefix ^ "." ^ k) v)
-        sub
-    | v -> [ (prefix, cell v) ]
-  in
-  match Runner.json_of_result r with
-  | Json.Obj _ as obj -> flatten "" obj
-  | _ -> assert false
+(* One CSV cell per column of the result's flat view (Runner.columns). *)
+let csv_cells r =
+  List.map
+    (fun (column, v) ->
+      ( column,
+        match v with
+        | Json.Null -> ""
+        | Json.Int n -> string_of_int n
+        | Json.Float f -> Printf.sprintf "%.17g" f
+        | Json.String s -> s
+        | Json.Bool _ | Json.List _ | Json.Obj _ -> assert false ))
+    (Runner.columns r)
 
 let print_result_csv r =
-  let cells = result_csv_cells r in
+  let cells = csv_cells r in
   print_endline (String.concat "," (List.map fst cells));
   print_endline (String.concat "," (List.map snd cells))
 
@@ -400,9 +390,7 @@ let run_cmd =
    who-killed-whom graph, wasted-work accounting, convoy and
    critical-path summary. The tap sees every record as it is emitted,
    so the ring capacity is irrelevant to the totals — a small ring
-   keeps memory flat. Output is byte-identical across event-queue
-   backends (the ledger is), which the --queue-backend knob exists to
-   demonstrate. *)
+   keeps memory flat. *)
 let profile_cmd =
   let module Runtime = Lockiller.Mechanisms.Runtime in
   let module Profile = Lockiller.Sim.Profile in
@@ -424,23 +412,7 @@ let profile_cmd =
       & opt (some int) None
       & info [ "threads"; "t" ] ~doc:"Thread count (2..cores).")
   in
-  let backend_t =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("wheel", Lockiller.Engine.Event_queue.Wheel);
-               ("heap", Lockiller.Engine.Event_queue.Heap);
-             ])
-          Lockiller.Engine.Event_queue.Wheel
-      & info [ "queue-backend" ] ~docv:"KIND"
-          ~doc:"Event-queue backend, wheel (default) or heap. The \
-                profile is byte-identical for either; the knob exists \
-                for differential testing (make profile-smoke).")
-  in
-  let action system workload threads format seed scale cache cores
-      queue_backend =
+  let action system workload threads format seed scale cache cores =
     let profiler = ref None in
     match (Sysconf.find system, Suite.find workload) with
     | None, _ -> `Error (false, "unknown system " ^ system)
@@ -453,7 +425,6 @@ let profile_cmd =
               Runner.default_options with
               seed;
               scale;
-              queue_backend;
               machine = Config.machine ~cache ~cores ();
               on_runtime =
                 (fun rt ->
@@ -494,7 +465,7 @@ let profile_cmd =
     Term.(
       ret
         (const action $ system $ workload $ threads $ format_t $ seed_t
-       $ scale_t $ cache_t $ cores_t $ backend_t))
+       $ scale_t $ cache_t $ cores_t))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -950,6 +921,13 @@ let sweep_cmd =
 
 (* --- custom -------------------------------------------------------------- *)
 
+let read_file file =
+  let ic = open_in file in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
 let custom_cmd =
   let file =
     Arg.(
@@ -966,14 +944,7 @@ let custom_cmd =
       & info [ "system"; "s" ] ~doc:"System to simulate.")
   in
   let action file system cache cores =
-    let text =
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    match Lockiller.Cpu.Program.of_text text with
+    match Lockiller.Cpu.Program.of_text (read_file file) with
     | Error msg -> `Error (false, file ^ ": " ^ msg)
     | Ok program -> (
       match Lockiller.Mechanisms.Sysconf.find system with
@@ -1226,10 +1197,8 @@ let replay_cmd =
       & info [ "jobs"; "j" ]
           ~doc:"Worker domains when replaying multiple systems.")
   in
-  let action trace systems body threads jobs stats format seed cache
-      cores telemetry_file sample_interval =
-    let module Runtime = Lockiller.Mechanisms.Runtime in
-    let module Stats = Lockiller.Engine.Stats in
+  let action trace systems body threads jobs format seed cache cores
+      telemetry_file sample_interval =
     let unknown =
       List.filter
         (fun s -> Lockiller.Mechanisms.Sysconf.find s = None)
@@ -1318,21 +1287,15 @@ let replay_cmd =
           | `Csv ->
             print_endline
               (String.concat ","
-                 (List.map fst (result_csv_cells results.(0))));
+                 (List.map fst (csv_cells results.(0))));
             Array.iter
               (fun r ->
                 print_endline
-                  (String.concat "," (List.map snd (result_csv_cells r))))
+                  (String.concat "," (List.map snd (csv_cells r))))
               results
           | `Json -> (
             match results with
-            | [| r |] ->
-              let doc =
-                if stats then
-                  Json.Obj [ ("result", Runner.json_of_result r) ]
-                else Runner.json_of_result r
-              in
-              print_endline (Json.to_string doc)
+            | [| r |] -> print_endline (Runner.result_to_json r)
             | _ ->
               print_endline
                 (Json.to_string
@@ -1346,7 +1309,7 @@ let replay_cmd =
     Term.(
       ret
         (const action $ trace_arg $ systems_t $ body_t $ threads_t $ jobs_t
-       $ stats_t $ format_t $ seed_t $ cache_t $ cores_t
+       $ format_t $ seed_t $ cache_t $ cores_t
        $ telemetry_file_t $ sample_interval_t))
   in
   Cmd.v
@@ -1360,88 +1323,38 @@ let replay_cmd =
 
 (* --- compare ------------------------------------------------------------ *)
 
-let read_file file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* Two saved run results (lockiller_sim run --format json > FILE) side
-   by side, with absolute deltas and B/A ratios. *)
+   by side: every numeric column present in both, in encoding order,
+   with absolute deltas and B/A ratios. *)
 let compare_table (a : Runner.result) (b : Runner.result) =
   let ratio va vb =
     if va = 0.0 then "-" else Printf.sprintf "%.3f" (vb /. va)
   in
-  let int_row label va vb =
-    [
-      label;
-      string_of_int va;
-      string_of_int vb;
-      Printf.sprintf "%+d" (vb - va);
-      ratio (float_of_int va) (float_of_int vb);
-    ]
-  in
-  let float_row label va vb =
-    [
-      label;
-      Printf.sprintf "%.4f" va;
-      Printf.sprintf "%.4f" vb;
-      Printf.sprintf "%+.4f" (vb -. va);
-      ratio va vb;
-    ]
-  in
-  let abort_rows =
-    List.map2
-      (fun (reason, na) (reason', nb) ->
-        assert (reason == reason' || Reason.index reason = Reason.index reason');
-        int_row ("abort:" ^ Reason.label reason) na nb)
-      a.Runner.abort_mix b.Runner.abort_mix
-  in
+  let b_columns = Runner.columns ~schema:false b in
   let rows =
-    [
-      int_row "cycles" a.Runner.cycles b.Runner.cycles;
-      float_row "commit_rate" a.Runner.commit_rate b.Runner.commit_rate;
-      int_row "htm_commits" a.Runner.htm_commits b.Runner.htm_commits;
-      int_row "stl_commits" a.Runner.stl_commits b.Runner.stl_commits;
-      int_row "lock_commits" a.Runner.lock_commits b.Runner.lock_commits;
-      int_row "sw_commits" a.Runner.sw_commits b.Runner.sw_commits;
-      int_row "aborts" a.Runner.aborts b.Runner.aborts;
-    ]
-    @ abort_rows
-    @ [
-        int_row "rejects" a.Runner.rejects b.Runner.rejects;
-        int_row "parks" a.Runner.parks b.Runner.parks;
-        int_row "network_flits" a.Runner.network_flits b.Runner.network_flits;
-        int_row "clock_advances" a.Runner.clock_advances
-          b.Runner.clock_advances;
-        int_row "tx_latency_p50" a.Runner.tx_latency_p50
-          b.Runner.tx_latency_p50;
-        int_row "tx_latency_p95" a.Runner.tx_latency_p95
-          b.Runner.tx_latency_p95;
-        int_row "tx_latency_p99" a.Runner.tx_latency_p99
-          b.Runner.tx_latency_p99;
-      ]
-    @
-    (* Open-loop rows only when both sides are replay results — the
-       tail-latency-under-load view per system. *)
-    (match (a.Runner.open_loop, b.Runner.open_loop) with
-    | Some oa, Some ob ->
-      [
-        int_row "arrivals" oa.Runner.arrivals ob.Runner.arrivals;
-        int_row "completed" oa.Runner.completed ob.Runner.completed;
-        int_row "max_backlog" oa.Runner.max_backlog ob.Runner.max_backlog;
-        int_row "queue_delay_p50" oa.Runner.queue_delay_p50
-          ob.Runner.queue_delay_p50;
-        int_row "queue_delay_p95" oa.Runner.queue_delay_p95
-          ob.Runner.queue_delay_p95;
-        int_row "queue_delay_p99" oa.Runner.queue_delay_p99
-          ob.Runner.queue_delay_p99;
-        int_row "sojourn_p50" oa.Runner.sojourn_p50 ob.Runner.sojourn_p50;
-        int_row "sojourn_p95" oa.Runner.sojourn_p95 ob.Runner.sojourn_p95;
-        int_row "sojourn_p99" oa.Runner.sojourn_p99 ob.Runner.sojourn_p99;
-      ]
-    | Some _, None | None, Some _ | None, None -> [])
+    List.filter_map
+      (fun (column, va) ->
+        match (va, List.assoc_opt column b_columns) with
+        | Json.Int va, Some (Json.Int vb) ->
+          Some
+            [
+              column;
+              string_of_int va;
+              string_of_int vb;
+              Printf.sprintf "%+d" (vb - va);
+              ratio (float_of_int va) (float_of_int vb);
+            ]
+        | Json.Float va, Some (Json.Float vb) ->
+          Some
+            [
+              column;
+              Printf.sprintf "%.4f" va;
+              Printf.sprintf "%.4f" vb;
+              Printf.sprintf "%+.4f" (vb -. va);
+              ratio va vb;
+            ]
+        | _ -> None)
+      (Runner.columns ~schema:false a)
   in
   let describe (r : Runner.result) =
     Printf.sprintf "%s/%s t%d" r.Runner.system r.Runner.workload
@@ -1513,22 +1426,20 @@ let compare_cmd =
       | Error msg -> Error (file ^ ": " ^ msg)
       | Ok doc -> (
         warn_dropped file doc;
-        match Result.bind (Json.member "schema" doc) Json.to_int with
+        (* The decoder checks the version; it is read here only to name
+           it on stderr and to label a version error. *)
+        let version = Runner.schema_of_json doc in
+        (match version with
         | Error _ ->
-          Printf.eprintf "# compare: %s carries no schema version\n%!" file;
-          Error
-            (file
-           ^ ": schema-mismatch: no \"schema\" member (pre-v4 result); \
-              re-run the simulation to regenerate it")
-        | Ok v -> (
+          Printf.eprintf "# compare: %s carries no schema version\n%!" file
+        | Ok v ->
           Printf.eprintf "# compare: %s is schema v%d (this build reads v%s)\n%!"
-            file v Schema.version_string;
-          match Schema.check v with
-          | Error msg -> Error (file ^ ": schema-mismatch: " ^ msg)
-          | Ok () -> (
-            match Runner.result_of_json_value doc with
-            | Ok r -> Ok r
-            | Error msg -> Error (file ^ ": " ^ msg))))
+            file v Schema.version_string);
+        match Runner.result_of_json_value doc with
+        | Ok r -> Ok r
+        | Error msg when version <> Ok Schema.version ->
+          Error (file ^ ": schema-mismatch: " ^ msg)
+        | Error msg -> Error (file ^ ": " ^ msg))
     in
     match (load a, load b) with
     | Error msg, _ | _, Error msg -> `Error (false, msg)
@@ -1543,9 +1454,9 @@ let compare_cmd =
   let term = Term.(ret (const action $ file_a $ file_b $ format_t)) in
   Cmd.v
     (Cmd.info "compare"
-       ~doc:"Diff two saved run results (JSON from 'run --format json'): \
-             absolute deltas and ratios for every headline metric, \
-             including the latency percentiles")
+       ~doc:"Diff two saved run results (JSON from 'run --format json' \
+             or 'replay --format json'): absolute deltas and ratios for \
+             every numeric result column both carry")
     term
 
 (* --- top ---------------------------------------------------------------- *)

@@ -518,242 +518,296 @@ let pp ppf r =
 
 (* --- JSON codec --------------------------------------------------------- *)
 
-(* One member per [result] field, in declaration order; [abort_mix] and
-   [breakdown] become label-keyed objects. The cache and the CLI's
-   [--format json] share this encoding, so round-tripping is exercised
-   on every warm-cache run. *)
-let json_of_open_loop o =
-  Json.Obj
-    [
-      ("arrivals", Json.Int o.arrivals);
-      ("completed", Json.Int o.completed);
-      ("max_backlog", Json.Int o.max_backlog);
-      ("queue_delay_p50", Json.Int o.queue_delay_p50);
-      ("queue_delay_p95", Json.Int o.queue_delay_p95);
-      ("queue_delay_p99", Json.Int o.queue_delay_p99);
-      ("sojourn_p50", Json.Int o.sojourn_p50);
-      ("sojourn_p95", Json.Int o.sojourn_p95);
-      ("sojourn_p99", Json.Int o.sojourn_p99);
-      ( "phase_mix",
-        Json.Obj
-          (List.map
-             (fun (phase, n) -> (string_of_int phase, Json.Int n))
-             o.phase_mix) );
-    ]
-
-let json_of_result r =
-  Json.Obj
-    [
-      ("schema", Json.Int Schema.version);
-      ("system", Json.String r.system);
-      ("workload", Json.String r.workload);
-      ("threads", Json.Int r.threads);
-      ("cache", Json.String (Config.cache_profile_id r.cache));
-      ("cycles", Json.Int r.cycles);
-      ("commit_rate", Json.Float r.commit_rate);
-      ("htm_commits", Json.Int r.htm_commits);
-      ("stl_commits", Json.Int r.stl_commits);
-      ("lock_commits", Json.Int r.lock_commits);
-      ("sw_commits", Json.Int r.sw_commits);
-      ("aborts", Json.Int r.aborts);
-      ( "abort_mix",
-        Json.Obj
-          (List.map
-             (fun (reason, n) -> (Reason.label reason, Json.Int n))
-             r.abort_mix) );
-      ("wasted_cycles", Json.Int r.wasted_cycles);
-      ( "wasted_by_reason",
-        Json.Obj
-          (List.map
-             (fun (reason, n) -> (Reason.label reason, Json.Int n))
-             r.wasted_by_reason) );
-      ( "breakdown",
-        Json.Obj
-          (List.map
-             (fun (cat, n) -> (Accounting.label cat, Json.Int n))
-             r.breakdown) );
-      ("rejects", Json.Int r.rejects);
-      ("parks", Json.Int r.parks);
-      ("wakeups", Json.Int r.wakeups);
-      ("switches_granted", Json.Int r.switches_granted);
-      ("switches_denied", Json.Int r.switches_denied);
-      ("spilled_lines", Json.Int r.spilled_lines);
-      ("lock_dwell_cycles", Json.Int r.lock_dwell_cycles);
-      ("clock_advances", Json.Int r.clock_advances);
-      ("watchdog_rescues", Json.Int r.watchdog_rescues);
-      ("network_messages", Json.Int r.network_messages);
-      ("network_flits", Json.Int r.network_flits);
-      ("oracle_sections", Json.Int r.oracle_sections);
-      ("avg_attempts_per_commit", Json.Float r.avg_attempts_per_commit);
-      ("tx_latency_p50", Json.Int r.tx_latency_p50);
-      ("tx_latency_p95", Json.Int r.tx_latency_p95);
-      ("tx_latency_p99", Json.Int r.tx_latency_p99);
-      ( "open_loop",
-        match r.open_loop with
-        | None -> Json.Null
-        | Some o -> json_of_open_loop o );
-    ]
-
-let result_to_json r = Json.to_string (json_of_result r)
+(* The encoding is declared once, as one table of members per record:
+   each row names a JSON member and says how to read it off the record
+   and write it back. Encode, decode and the flat column view (CSV,
+   compare) all walk these tables, so a member name is spelled only
+   here. The cache and the CLI's [--format json] share the encoding, so
+   round-tripping is exercised on every warm-cache run. *)
 
 let ( let* ) = Result.bind
 
-let open_loop_of_json_value v =
-  let int name = let* m = Json.member name v in Json.to_int m in
-  let* arrivals = int "arrivals" in
-  let* completed = int "completed" in
-  let* max_backlog = int "max_backlog" in
-  let* queue_delay_p50 = int "queue_delay_p50" in
-  let* queue_delay_p95 = int "queue_delay_p95" in
-  let* queue_delay_p99 = int "queue_delay_p99" in
-  let* sojourn_p50 = int "sojourn_p50" in
-  let* sojourn_p95 = int "sojourn_p95" in
-  let* sojourn_p99 = int "sojourn_p99" in
-  let* phase_mix =
-    let* m = Json.member "phase_mix" v in
-    let* obj = Json.to_obj m in
-    List.fold_left
-      (fun acc (key, j) ->
-        let* acc = acc in
-        match (int_of_string_opt key, j) with
-        | Some phase, Json.Int n when phase >= 0 -> Ok ((phase, n) :: acc)
-        | _ ->
-          Error
-            (Printf.sprintf "phase_mix: bad entry %S: %s" key
-               (Json.to_string j)))
-      (Ok []) obj
-    |> Result.map List.rev
+(* How one value type maps to JSON and back. *)
+type 'a codec = {
+  enc : 'a -> Json.t;
+  dec : Json.t -> ('a, string) Stdlib.result;
+}
+
+(* One member of a record ['r]; [decode] stores the member's value into
+   a partially decoded record. *)
+type 'r row = {
+  name : string;
+  encode : 'r -> Json.t;
+  decode : Json.t -> 'r -> ('r, string) Stdlib.result;
+}
+
+let row name c get set =
+  {
+    name;
+    encode = (fun r -> c.enc (get r));
+    decode = (fun j r -> Result.map (set r) (c.dec j));
+  }
+
+let int = { enc = (fun n -> Json.Int n); dec = Json.to_int }
+let float = { enc = (fun f -> Json.Float f); dec = Json.to_float }
+let string = { enc = (fun s -> Json.String s); dec = Json.to_str }
+
+let cache_id =
+  {
+    enc = (fun c -> Json.String (Config.cache_profile_id c));
+    dec =
+      (fun j ->
+        let* id = Json.to_str j in
+        Option.to_result
+          ~none:(Printf.sprintf "unknown cache profile %S" id)
+          (Config.cache_profile_of_id id));
+  }
+
+(* Counts keyed by [label], one member per key of [all] in [all]'s
+   order (paper order); unknown labels are ignored when decoding. *)
+let labelled all label =
+  {
+    enc =
+      (fun pairs ->
+        Json.Obj (List.map (fun (k, n) -> (label k, Json.Int n)) pairs));
+    dec =
+      (fun j ->
+        let* obj = Json.to_obj j in
+        List.fold_left
+          (fun acc k ->
+            let* acc = acc in
+            match List.assoc_opt (label k) obj with
+            | Some (Json.Int n) -> Ok ((k, n) :: acc)
+            | Some j ->
+              Error
+                (Printf.sprintf "%s: expected int, got %s" (label k)
+                   (Json.to_string j))
+            | None -> Error (Printf.sprintf "missing count for %S" (label k)))
+          (Ok []) all
+        |> Result.map List.rev);
+  }
+
+(* Completions per phase tag, keyed by the decimal tag, document order. *)
+let phase_counts =
+  {
+    enc =
+      (fun pairs ->
+        Json.Obj
+          (List.map (fun (phase, n) -> (string_of_int phase, Json.Int n)) pairs));
+    dec =
+      (fun j ->
+        let* obj = Json.to_obj j in
+        List.fold_left
+          (fun acc (key, j) ->
+            let* acc = acc in
+            match (int_of_string_opt key, j) with
+            | Some phase, Json.Int n when phase >= 0 -> Ok ((phase, n) :: acc)
+            | _ ->
+              Error
+                (Printf.sprintf "bad entry %S: %s" key (Json.to_string j)))
+          (Ok []) obj
+        |> Result.map List.rev);
+  }
+
+let members rows r = List.map (fun row -> (row.name, row.encode r)) rows
+
+(* Decode [rows] in order into [empty]; [Error] names the first missing
+   or ill-typed member. *)
+let decode_rows rows empty v =
+  List.fold_left
+    (fun acc row ->
+      let* r = acc in
+      let* j = Json.member row.name v in
+      Result.map_error (fun e -> row.name ^ ": " ^ e) (row.decode j r))
+    (Ok empty) rows
+
+let record rows empty =
+  { enc = (fun r -> Json.Obj (members rows r)); dec = decode_rows rows empty }
+
+let nullable c =
+  {
+    enc = (function None -> Json.Null | Some x -> c.enc x);
+    dec = (function Json.Null -> Ok None | j -> Result.map Option.some (c.dec j));
+  }
+
+let open_loop_rows =
+  [
+    row "arrivals" int (fun o -> o.arrivals)
+      (fun o arrivals -> { o with arrivals });
+    row "completed" int (fun o -> o.completed)
+      (fun o completed -> { o with completed });
+    row "max_backlog" int (fun o -> o.max_backlog)
+      (fun o max_backlog -> { o with max_backlog });
+    row "queue_delay_p50" int (fun o -> o.queue_delay_p50)
+      (fun o queue_delay_p50 -> { o with queue_delay_p50 });
+    row "queue_delay_p95" int (fun o -> o.queue_delay_p95)
+      (fun o queue_delay_p95 -> { o with queue_delay_p95 });
+    row "queue_delay_p99" int (fun o -> o.queue_delay_p99)
+      (fun o queue_delay_p99 -> { o with queue_delay_p99 });
+    row "sojourn_p50" int (fun o -> o.sojourn_p50)
+      (fun o sojourn_p50 -> { o with sojourn_p50 });
+    row "sojourn_p95" int (fun o -> o.sojourn_p95)
+      (fun o sojourn_p95 -> { o with sojourn_p95 });
+    row "sojourn_p99" int (fun o -> o.sojourn_p99)
+      (fun o sojourn_p99 -> { o with sojourn_p99 });
+    row "phase_mix" phase_counts (fun o -> o.phase_mix)
+      (fun o phase_mix -> { o with phase_mix });
+  ]
+
+let empty_open_loop =
+  {
+    arrivals = 0;
+    completed = 0;
+    max_backlog = 0;
+    queue_delay_p50 = 0;
+    queue_delay_p95 = 0;
+    queue_delay_p99 = 0;
+    sojourn_p50 = 0;
+    sojourn_p95 = 0;
+    sojourn_p99 = 0;
+    phase_mix = [];
+  }
+
+let reason_counts = labelled Reason.all Reason.label
+
+(* Every member after the leading schema version, in encoding order. *)
+let result_rows =
+  [
+    row "system" string (fun r -> r.system) (fun r system -> { r with system });
+    row "workload" string (fun r -> r.workload)
+      (fun r workload -> { r with workload });
+    row "threads" int (fun r -> r.threads)
+      (fun r threads -> { r with threads });
+    row "cache" cache_id (fun r -> r.cache) (fun r cache -> { r with cache });
+    row "cycles" int (fun r -> r.cycles) (fun r cycles -> { r with cycles });
+    row "commit_rate" float (fun r -> r.commit_rate)
+      (fun r commit_rate -> { r with commit_rate });
+    row "htm_commits" int (fun r -> r.htm_commits)
+      (fun r htm_commits -> { r with htm_commits });
+    row "stl_commits" int (fun r -> r.stl_commits)
+      (fun r stl_commits -> { r with stl_commits });
+    row "lock_commits" int (fun r -> r.lock_commits)
+      (fun r lock_commits -> { r with lock_commits });
+    row "sw_commits" int (fun r -> r.sw_commits)
+      (fun r sw_commits -> { r with sw_commits });
+    row "aborts" int (fun r -> r.aborts) (fun r aborts -> { r with aborts });
+    row "abort_mix" reason_counts (fun r -> r.abort_mix)
+      (fun r abort_mix -> { r with abort_mix });
+    row "wasted_cycles" int (fun r -> r.wasted_cycles)
+      (fun r wasted_cycles -> { r with wasted_cycles });
+    row "wasted_by_reason" reason_counts (fun r -> r.wasted_by_reason)
+      (fun r wasted_by_reason -> { r with wasted_by_reason });
+    row "breakdown"
+      (labelled Accounting.categories Accounting.label)
+      (fun r -> r.breakdown)
+      (fun r breakdown -> { r with breakdown });
+    row "rejects" int (fun r -> r.rejects)
+      (fun r rejects -> { r with rejects });
+    row "parks" int (fun r -> r.parks) (fun r parks -> { r with parks });
+    row "wakeups" int (fun r -> r.wakeups)
+      (fun r wakeups -> { r with wakeups });
+    row "switches_granted" int (fun r -> r.switches_granted)
+      (fun r switches_granted -> { r with switches_granted });
+    row "switches_denied" int (fun r -> r.switches_denied)
+      (fun r switches_denied -> { r with switches_denied });
+    row "spilled_lines" int (fun r -> r.spilled_lines)
+      (fun r spilled_lines -> { r with spilled_lines });
+    row "lock_dwell_cycles" int (fun r -> r.lock_dwell_cycles)
+      (fun r lock_dwell_cycles -> { r with lock_dwell_cycles });
+    row "clock_advances" int (fun r -> r.clock_advances)
+      (fun r clock_advances -> { r with clock_advances });
+    row "watchdog_rescues" int (fun r -> r.watchdog_rescues)
+      (fun r watchdog_rescues -> { r with watchdog_rescues });
+    row "network_messages" int (fun r -> r.network_messages)
+      (fun r network_messages -> { r with network_messages });
+    row "network_flits" int (fun r -> r.network_flits)
+      (fun r network_flits -> { r with network_flits });
+    row "oracle_sections" int (fun r -> r.oracle_sections)
+      (fun r oracle_sections -> { r with oracle_sections });
+    row "avg_attempts_per_commit" float (fun r -> r.avg_attempts_per_commit)
+      (fun r avg_attempts_per_commit -> { r with avg_attempts_per_commit });
+    row "tx_latency_p50" int (fun r -> r.tx_latency_p50)
+      (fun r tx_latency_p50 -> { r with tx_latency_p50 });
+    row "tx_latency_p95" int (fun r -> r.tx_latency_p95)
+      (fun r tx_latency_p95 -> { r with tx_latency_p95 });
+    row "tx_latency_p99" int (fun r -> r.tx_latency_p99)
+      (fun r tx_latency_p99 -> { r with tx_latency_p99 });
+    row "open_loop"
+      (nullable (record open_loop_rows empty_open_loop))
+      (fun r -> r.open_loop)
+      (fun r open_loop -> { r with open_loop });
+  ]
+
+let empty_result =
+  {
+    system = "";
+    workload = "";
+    threads = 0;
+    cache = Config.Typical;
+    cycles = 0;
+    commit_rate = 0.0;
+    htm_commits = 0;
+    stl_commits = 0;
+    lock_commits = 0;
+    sw_commits = 0;
+    aborts = 0;
+    abort_mix = [];
+    wasted_cycles = 0;
+    wasted_by_reason = [];
+    breakdown = [];
+    rejects = 0;
+    parks = 0;
+    wakeups = 0;
+    switches_granted = 0;
+    switches_denied = 0;
+    spilled_lines = 0;
+    lock_dwell_cycles = 0;
+    clock_advances = 0;
+    watchdog_rescues = 0;
+    network_messages = 0;
+    network_flits = 0;
+    oracle_sections = 0;
+    avg_attempts_per_commit = 0.0;
+    tx_latency_p50 = 0;
+    tx_latency_p95 = 0;
+    tx_latency_p99 = 0;
+    open_loop = None;
+  }
+
+let schema_member = "schema"
+
+let json_of_result r =
+  Json.Obj ((schema_member, Json.Int Schema.version) :: members result_rows r)
+
+let result_to_json r = Json.to_string (json_of_result r)
+
+(* Nested objects (abort_mix, breakdown, open_loop with its phase_mix)
+   become dotted columns, at any depth. *)
+let columns ?(schema = true) r =
+  let rec flatten prefix = function
+    | Json.Obj sub ->
+      List.concat_map
+        (fun (k, v) -> flatten (if prefix = "" then k else prefix ^ "." ^ k) v)
+        sub
+    | v -> [ (prefix, v) ]
   in
-  Ok
-    {
-      arrivals;
-      completed;
-      max_backlog;
-      queue_delay_p50;
-      queue_delay_p95;
-      queue_delay_p99;
-      sojourn_p50;
-      sojourn_p95;
-      sojourn_p99;
-      phase_mix;
-    }
+  flatten ""
+    (if schema then json_of_result r else Json.Obj (members result_rows r))
+
+let schema_of_json v =
+  match Json.member schema_member v with
+  | Error _ ->
+    Error
+      (Printf.sprintf
+         "missing %S member (result predates schema v%d); re-run to \
+          regenerate"
+         schema_member Schema.version)
+  | Ok m -> Result.map_error (fun e -> schema_member ^ ": " ^ e) (Json.to_int m)
 
 let result_of_json_value v =
-  let int name = let* m = Json.member name v in Json.to_int m in
-  let float name = let* m = Json.member name v in Json.to_float m in
-  let str name = let* m = Json.member name v in Json.to_str m in
-  let* () =
-    match Json.member "schema" v with
-    | Error _ ->
-      Error
-        (Printf.sprintf
-           "missing \"schema\" member (result predates schema v%d); re-run \
-            to regenerate"
-           Schema.version)
-    | Ok m ->
-      let* s = Json.to_int m in
-      Schema.check s
-  in
-  let labelled name all label of_pairs =
-    let* m = Json.member name v in
-    let* obj = Json.to_obj m in
-    let* pairs =
-      List.fold_left
-        (fun acc key ->
-          let* acc = acc in
-          match List.assoc_opt (label key) obj with
-          | Some (Json.Int n) -> Ok ((key, n) :: acc)
-          | Some j ->
-            Error
-              (Printf.sprintf "%s.%s: expected int, got %s" name (label key)
-                 (Json.to_string j))
-          | None ->
-            Error (Printf.sprintf "%s: missing count for %S" name (label key)))
-        (Ok []) all
-    in
-    Ok (of_pairs (List.rev pairs))
-  in
-  let* system = str "system" in
-  let* workload = str "workload" in
-  let* threads = int "threads" in
-  let* cache =
-    let* id = str "cache" in
-    match Config.cache_profile_of_id id with
-    | Some c -> Ok c
-    | None -> Error (Printf.sprintf "unknown cache profile %S" id)
-  in
-  let* cycles = int "cycles" in
-  let* commit_rate = float "commit_rate" in
-  let* htm_commits = int "htm_commits" in
-  let* stl_commits = int "stl_commits" in
-  let* lock_commits = int "lock_commits" in
-  let* sw_commits = int "sw_commits" in
-  let* aborts = int "aborts" in
-  let* abort_mix = labelled "abort_mix" Reason.all Reason.label Fun.id in
-  let* wasted_cycles = int "wasted_cycles" in
-  let* wasted_by_reason =
-    labelled "wasted_by_reason" Reason.all Reason.label Fun.id
-  in
-  let* breakdown =
-    labelled "breakdown" Accounting.categories Accounting.label Fun.id
-  in
-  let* rejects = int "rejects" in
-  let* parks = int "parks" in
-  let* wakeups = int "wakeups" in
-  let* switches_granted = int "switches_granted" in
-  let* switches_denied = int "switches_denied" in
-  let* spilled_lines = int "spilled_lines" in
-  let* lock_dwell_cycles = int "lock_dwell_cycles" in
-  let* clock_advances = int "clock_advances" in
-  let* watchdog_rescues = int "watchdog_rescues" in
-  let* network_messages = int "network_messages" in
-  let* network_flits = int "network_flits" in
-  let* oracle_sections = int "oracle_sections" in
-  let* avg_attempts_per_commit = float "avg_attempts_per_commit" in
-  let* tx_latency_p50 = int "tx_latency_p50" in
-  let* tx_latency_p95 = int "tx_latency_p95" in
-  let* tx_latency_p99 = int "tx_latency_p99" in
-  let* open_loop =
-    let* m = Json.member "open_loop" v in
-    match m with
-    | Json.Null -> Ok None
-    | m -> Result.map Option.some (open_loop_of_json_value m)
-  in
-  Ok
-    {
-      system;
-      workload;
-      threads;
-      cache;
-      cycles;
-      commit_rate;
-      htm_commits;
-      stl_commits;
-      lock_commits;
-      sw_commits;
-      aborts;
-      abort_mix;
-      wasted_cycles;
-      wasted_by_reason;
-      breakdown;
-      rejects;
-      parks;
-      wakeups;
-      switches_granted;
-      switches_denied;
-      spilled_lines;
-      lock_dwell_cycles;
-      clock_advances;
-      watchdog_rescues;
-      network_messages;
-      network_flits;
-      oracle_sections;
-      avg_attempts_per_commit;
-      tx_latency_p50;
-      tx_latency_p95;
-      tx_latency_p99;
-      open_loop;
-    }
+  let* version = schema_of_json v in
+  let* () = Schema.check version in
+  decode_rows result_rows empty_result v
 
 let result_of_json s =
   let* v = Json.of_string s in

@@ -240,8 +240,10 @@ val pp : Format.formatter -> result -> unit
 (** {1 Serialisation}
 
     The machine-readable results API: one JSON object per {!result},
-    one member per field in declaration order; [abort_mix] and
-    [breakdown] are label-keyed objects (paper labels, paper order).
+    one member per field in declaration order; [abort_mix],
+    [wasted_by_reason] and [breakdown] are label-keyed objects (paper
+    labels, paper order). One table of members in the implementation
+    drives the encoder, the decoder and {!columns}.
     The on-disk {!Cache} stores exactly this encoding, so every
     warm-cache run round-trips it.
 
@@ -257,7 +259,20 @@ val result_to_json : result -> string
 (** Compact single-line JSON. *)
 
 val result_of_json : string -> (result, string) Stdlib.result
-(** Inverse of {!result_to_json}; [Error] describes the first missing
-    or ill-typed member. Floats round-trip exactly ([%.17g]). *)
+(** Inverse of {!result_to_json}; [Error] names the first missing or
+    ill-typed member in encoding order. Floats round-trip exactly
+    ([%.17g]). *)
 
 val result_of_json_value : Json.t -> (result, string) Stdlib.result
+
+val schema_of_json : Json.t -> (int, string) Stdlib.result
+(** The schema version an encoded result declares, unchecked; [Error]
+    when the member is missing or not an int. *)
+
+val columns : ?schema:bool -> result -> (string * Json.t) list
+(** The flat column view of a result, shared by CSV output and
+    [compare]: every scalar leaf of {!json_of_result} in encoding order,
+    nested members as dotted names ([abort_mix.mc],
+    [open_loop.phase_mix.0]). A closed-loop result's [open_loop] is one
+    [Null] column. [~schema:false] (default [true]) drops the leading
+    schema-version column. *)

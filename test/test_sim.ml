@@ -449,6 +449,105 @@ let test_result_json_fields () =
       ]
   | Ok _ -> Alcotest.fail "expected a JSON object"
 
+(* The decoder names the member it stopped at. The sample carries an
+   open-loop block so its members are covered too; a mutation either
+   deletes one member or gives it a value of the wrong type (a string,
+   or an int where a string is expected). *)
+let prop_decoder_names_member =
+  let sample =
+    {
+      (sample_result ()) with
+      Runner.open_loop =
+        Some
+          {
+            Runner.arrivals = 9;
+            completed = 8;
+            max_backlog = 3;
+            queue_delay_p50 = 10;
+            queue_delay_p95 = 20;
+            queue_delay_p99 = 30;
+            sojourn_p50 = 40;
+            sojourn_p95 = 50;
+            sojourn_p99 = 60;
+            phase_mix = [ (0, 5); (2, 3) ];
+          };
+    }
+  in
+  let encoded = Runner.json_of_result sample in
+  let keys = function Json.Obj members -> List.map fst members | _ -> [] in
+  (* Every member of the result table, and of the open-loop table under
+     its parent. *)
+  let paths =
+    List.concat_map
+      (fun k ->
+        match Json.member k encoded with
+        | Ok (Json.Obj _ as sub) when k = "open_loop" ->
+          [ k ] :: List.map (fun k' -> [ k; k' ]) (keys sub)
+        | _ -> [ [ k ] ])
+      (keys encoded)
+    |> Array.of_list
+  in
+  let rec mutate f path v =
+    match (path, v) with
+    | [ k ], Json.Obj members ->
+      Json.Obj
+        (List.filter_map
+           (fun (k', v) ->
+             if k' = k then Option.map (fun v -> (k', v)) (f v)
+             else Some (k', v))
+           members)
+    | k :: rest, Json.Obj members ->
+      Json.Obj
+        (List.map
+           (fun (k', v) -> if k' = k then (k', mutate f rest v) else (k', v))
+           members)
+    | _ -> v
+  in
+  let quoted name s =
+    let q = Printf.sprintf "%S" name in
+    let rec find i =
+      i + String.length q <= String.length s
+      && (String.sub s i (String.length q) = q || find (i + 1))
+    in
+    find 0
+  in
+  let rec names path msg =
+    match path with
+    | [ k ] -> String.starts_with ~prefix:(k ^ ": ") msg || quoted k msg
+    | k :: rest ->
+      let prefix = k ^ ": " in
+      String.starts_with ~prefix msg
+      && names rest
+           (String.sub msg (String.length prefix)
+              (String.length msg - String.length prefix))
+    | [] -> false
+  in
+  QCheck.Test.make ~name:"decoder names the mutated member" ~count:300
+    QCheck.(pair (int_bound (Array.length paths - 1)) bool)
+    (fun (i, delete) ->
+      let path = paths.(i) in
+      let f =
+        if delete then fun _ -> None
+        else function
+          | Json.String _ -> Some (Json.Int 0)
+          | _ -> Some (Json.String "?")
+      in
+      match Runner.result_of_json_value (mutate f path encoded) with
+      | Ok _ -> QCheck.Test.fail_reportf "%s decoded" (String.concat "." path)
+      | Error msg ->
+        names path msg
+        || QCheck.Test.fail_reportf "%s: error does not name it: %s"
+             (String.concat "." path) msg)
+
+let test_result_columns () =
+  let r = sample_result () in
+  match Runner.columns r with
+  | (_, Json.Int v) :: rest ->
+    check_int "leading schema column" Lk_sim.Schema.version v;
+    check_bool "~schema:false drops only it" true
+      (rest = Runner.columns ~schema:false r)
+  | _ -> Alcotest.fail "expected a leading schema column"
+
 let test_result_json_rejects_garbage () =
   check_bool "truncated" true
     (Result.is_error (Runner.result_of_json "{\"system\":"));
@@ -1237,6 +1336,8 @@ let () =
           Alcotest.test_case "result fields" `Quick test_result_json_fields;
           Alcotest.test_case "rejects garbage" `Quick
             test_result_json_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_decoder_names_member;
+          Alcotest.test_case "columns" `Quick test_result_columns;
           Alcotest.test_case "float exactness" `Quick
             test_json_float_roundtrip;
           Alcotest.test_case "report to_json" `Quick test_report_to_json;
