@@ -88,12 +88,15 @@ let run_experiments ~scale ~jobs ~cache ~csv_dir ~ids =
       Printf.printf "(rendered in %.1fs cpu)\n" (Sys.time () -. t0);
       (* Throughput over the simulations this experiment actually ran
          (warm-cache runs report 0 sims). Wall time varies run to run,
-         so `make ci`'s cold/warm diff filters "perf:" lines out. *)
+         so this line never appears in a byte comparison. *)
       Printf.printf "(perf: %s)\n\n%!"
         (Format.asprintf "%a" Perf.pp_totals (Perf.totals ())))
     selected;
-  (* Observability for the warm-cache acceptance check: a second run of
-     the same experiments must report 0 simulations. *)
+  (* A second run of the same experiments against the same cache must
+     report 0 simulations. This line is for the reader; the property
+     itself is checked by test/cli.t (a warm fig1 rerun: same bytes, all
+     lookups hits) and by test_execute_warm_cache_skips_simulation in
+     test/test_sim.ml. *)
   (match cache with
   | None ->
     Printf.printf "(simulations: %d, cache disabled)\n%!"

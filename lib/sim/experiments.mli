@@ -3,12 +3,21 @@
     renders plain-text tables whose rows correspond to the bars/series
     of the original artefact.
 
-    Every experiment declares its simulation grid up front ([plan]), so
-    the harness can run the jobs through a {!Pool} of domains and an
-    optional on-disk {!Cache} before rendering touches any result.
-    Results are also memoised inside a {!context}, so experiments
-    sharing runs (e.g. every speedup needs the CGL reference) pay for
-    each simulation once per process even without a cache. *)
+    An experiment is written once, as its renderer. Its simulation grid
+    ([plan]) is derived from one pass of that renderer in which
+    {!run_job} records each job instead of running it and hands back a
+    placeholder result. {!execute} then runs the plan through a {!Pool}
+    of domains and an optional on-disk {!Cache}, and renders from the
+    results. Results are also memoised inside a {!context}, so
+    experiments sharing runs (e.g. every speedup needs the CGL
+    reference) pay for each simulation once per process even without a
+    cache.
+
+    The one rule for renderers: which jobs a renderer asks for must not
+    depend on result values, because during the recording pass those
+    values are placeholders. The test suite checks, for every
+    experiment, that rendering after the plan's prefetch simulates
+    nothing further. *)
 
 type context
 
@@ -38,38 +47,17 @@ val simulations : context -> int
 
 (** {1 Jobs}
 
-    A job is one (options, system, workload, threads) simulation
-    request. Experiments build jobs with {!job}, list them in [plan],
-    and read them back with {!run_job} while rendering; {!prefetch}
-    (called by {!execute}) runs any jobs missing from the memo and the
-    cache through the pool first. *)
+    A job is one (seed, scale, machine, placement, system, workload,
+    threads) simulation request, as listed by an experiment's [plan]. *)
 
 type job
-
-val job :
-  context ->
-  ?cache:Config.cache_profile ->
-  ?machine:Config.t ->
-  ?placement:Runner.placement ->
-  ?seed:int ->
-  sysconf:Lk_lockiller.Sysconf.t ->
-  workload:Lk_stamp.Workload.profile ->
-  threads:int ->
-  unit ->
-  job
-(** [machine], [placement] and [seed] default to the context's; [cache]
-    picks one of the three cache profiles on the default machine. *)
 
 val job_key : context -> job -> string
 (** The job's content digest (also its {!Cache} key). *)
 
 val run_job : context -> job -> Runner.result
-(** Memo, then cache, then simulate (and write through). *)
-
-val prefetch : context -> job list -> unit
-(** Run every job not already in the memo or the cache — through
-    {!Pool.map} when the context has [jobs] > 1 — and commit the
-    results in job order. *)
+(** Memo, then cache, then simulate (and write through). While [plan]
+    records, it only notes the job and returns a placeholder. *)
 
 val result :
   context ->
@@ -79,7 +67,8 @@ val result :
   threads:int ->
   unit ->
   Runner.result
-(** Memoised {!Runner.run} (equivalent to {!job} + {!run_job}). *)
+(** Memoised {!Runner.run} on the context's machine with the given cache
+    profile, through {!run_job}. *)
 
 val speedup_vs_cgl :
   context ->
@@ -91,11 +80,13 @@ val speedup_vs_cgl :
   float
 
 (** An experiment: identifier (the bench target name), the paper
-    artefact it reproduces, the simulation grid it needs ([plan]) and
-    the renderer. [render] may run jobs outside its plan (they fall
-    back to sequential simulation); the acceptance harness keeps plans
-    exact so warm-cache runs perform zero simulations. *)
-type experiment = {
+    artefact it reproduces, the renderer, and the simulation grid the
+    renderer needs ([plan]: each distinct job once, in the order the
+    renderer first asks for it). [plan] is recorded from [render], so
+    for a renderer that follows the rule above the two agree, and a
+    warm-cache run performs zero simulations. Recording runs nothing
+    and touches neither the memo nor the cache. *)
+type experiment = private {
   id : string;
   artefact : string;
   describe : string;
@@ -104,7 +95,9 @@ type experiment = {
 }
 
 val execute : context -> experiment -> Report.table list
-(** [prefetch] the experiment's plan, then render. *)
+(** Run the experiment's plan (every job not already in the memo or the
+    cache, through {!Pool.map} when the context has [jobs] > 1,
+    committing results in plan order), then render. *)
 
 val table1 : experiment
 val table2 : experiment
@@ -155,8 +148,9 @@ val wasted : experiment
     LosaTM-SAFU and LockillerTM on the contended STAMP profiles, in
     both closed-loop and open-loop replay form, with each run's
     aggressor-attribution split (attributed + environmental = aborts)
-    from a streaming {!Profile} tap. Plans no cacheable jobs — the
-    profiler hook bypasses the result cache. *)
+    from a streaming {!Profile} tap. Its plan is empty: the profiler
+    hook bypasses the result cache, so every render simulates its runs
+    afresh. *)
 
 val all : experiment list
 (** Paper order; [find] looks one up by id. *)

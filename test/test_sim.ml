@@ -389,21 +389,33 @@ let test_speedup_vs_cgl_positive () =
   in
   check_bool "positive" true (s > 0.0)
 
-let test_quick_experiments_render () =
-  (* The cheap experiments render real tables on a 4-core machine. *)
-  let ctx = quick_ctx () in
+let test_every_plan_is_exact () =
+  (* Every experiment on a tiny machine (9 cores: the torus needs 3x3).
+     Recording the plan simulates nothing, and rendering after the
+     prefetch asks for nothing outside it: a renderer whose job choice
+     depended on result values, or a recorder that dropped a job, would
+     simulate more than its plan. [wasted]'s profiled runs bypass the
+     plan, so its plan is empty. *)
   List.iter
     (fun e ->
-      let tables = e.Experiments.render ctx in
-      check_bool (e.Experiments.id ^ " renders tables") true (tables <> []);
+      let id = e.Experiments.id in
+      let ctx =
+        Experiments.make_context ~scale:0.005 ~cores:9 ~threads:[ 2 ] ~jobs:2
+          ()
+      in
+      let plan = e.Experiments.plan ctx in
+      check_int (id ^ ": recording simulates nothing") 0
+        (Experiments.simulations ctx);
+      let tables = Experiments.execute ctx e in
+      if id = "wasted" then check_int "wasted: empty plan" 0 (List.length plan)
+      else
+        check_int (id ^ ": render stays inside the plan") (List.length plan)
+          (Experiments.simulations ctx);
+      check_bool (id ^ " renders tables") true (tables <> []);
       List.iter
-        (fun t ->
-          check_bool
-            (e.Experiments.id ^ " has rows")
-            true
-            (t.Report.rows <> []))
+        (fun t -> check_bool (id ^ " has rows") true (t.Report.rows <> []))
         tables)
-    [ Experiments.table1; Experiments.table2; Experiments.fig1 ]
+    Experiments.all
 
 let test_fig10_renders_on_small_machine () =
   let ctx = quick_ctx () in
@@ -1231,6 +1243,26 @@ let test_cache_key_sensitivity () =
         (k <> base ~options:{ Runner.default_options with scale = 0.2 } ());
       check_bool "threads" true (k <> base ~threads:2 ()))
 
+(* Reshaping a job must not move its cache key: a new digest for the same
+   inputs would turn every existing on-disk cache cold. A deliberate key
+   change bumps [Cache.schema_version] and this digest with it. *)
+let test_cache_key_golden () =
+  let golden = "fda2137f1b10d56131af7d0c25781e83" in
+  let ctx = Experiments.make_context ~scale:0.1 ~cores:4 ~threads:[ 2 ] () in
+  let first = List.hd (Experiments.fig1.Experiments.plan ctx) in
+  check Alcotest.string "job key" golden (Experiments.job_key ctx first);
+  let options =
+    {
+      Runner.default_options with
+      seed = 1;
+      scale = 0.1;
+      machine = Config.machine ~cores:4 ();
+    }
+  in
+  check Alcotest.string "Cache.key" golden
+    (Cache.key (Cache.create ~dir:"" ()) ~options ~sysconf:Sysconf.cgl
+       ~workload:(List.hd Suite.all) ~threads:2)
+
 (* --- Parallel + cached experiment execution -------------------------------- *)
 
 let test_execute_parallel_matches_sequential () =
@@ -1324,8 +1356,8 @@ let () =
           Alcotest.test_case "memoised" `Quick test_result_memoised;
           Alcotest.test_case "speedup positive" `Quick
             test_speedup_vs_cgl_positive;
-          Alcotest.test_case "cheap experiments render" `Quick
-            test_quick_experiments_render;
+          Alcotest.test_case "every plan is exact" `Quick
+            test_every_plan_is_exact;
           Alcotest.test_case "fig10 shape" `Quick
             test_fig10_renders_on_small_machine;
         ] );
@@ -1407,6 +1439,7 @@ let () =
             test_cache_corrupt_entry_is_miss;
           Alcotest.test_case "key sensitivity" `Quick
             test_cache_key_sensitivity;
+          Alcotest.test_case "key golden digest" `Quick test_cache_key_golden;
         ] );
       ( "parallel-execute",
         [
