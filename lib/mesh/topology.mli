@@ -47,12 +47,25 @@ val rows : t -> int
 val cols : t -> int
 val tiles : t -> int
 
+val next_link : t -> cur:int -> dst:int -> int
+(** Index (see {!link_index}) of the first link on the route from tile
+    [cur] to tile [dst <> cur]: the next dimension-order hop, X first,
+    then Y, the short way round on torus and ring; the direct link on
+    the crossbar. Pure arithmetic, allocation-free and unchecked: both
+    tiles must be in range. *)
+
+val link_target : t -> int -> int
+(** The tile that link index [i] enters. Walking
+    [cur := link_target t (next_link t ~cur ~dst)] until [cur = dst]
+    traverses {!route} without building it. *)
+
 val route : t -> src:int -> dst:int -> link list
 (** The deterministic minimal route between two tiles as the ordered
-    list of directed links traversed; empty when [src = dst]. *)
+    list of directed links traversed; empty when [src = dst]. The list
+    form of the {!next_link} walk. *)
 
 val hops : t -> src:int -> dst:int -> int
-(** Number of links on the route. *)
+(** Number of links on the route. Pure arithmetic. *)
 
 val links : t -> link list
 (** Every directed link of the topology. *)

@@ -13,6 +13,8 @@ module Workload = Lk_stamp.Workload
 module Reason = Lk_htm.Reason
 module Accounting = Lk_cpu.Accounting
 module Protocol = Lk_coherence.Protocol
+module L1 = Lk_coherence.L1_cache
+module Llc = Lk_coherence.Llc
 module Json = Lk_sim.Json
 module Pool = Lk_sim.Pool
 module Cache = Lk_sim.Cache
@@ -77,6 +79,32 @@ let test_build () =
   check_int "tiles" 4
     (Lk_mesh.Topology.tiles (Lk_mesh.Network.topology net));
   check_int "cores" 4 (Protocol.config proto).Protocol.cores
+
+(* Building the Table I machine (32 cores, 32 KB L1s, 8 MB LLC) must be
+   nearly free: every cache slot lives in flat arrays of immediates, so
+   construction allocates a handful of large blocks straight into the
+   major heap and no per-slot record. *)
+let test_build_allocation () =
+  let m = Config.machine ~cores:32 () in
+  ignore (Config.build m);
+  let w0 = Gc.minor_words () in
+  let _sim, _net, proto = Config.build m in
+  let minor = Gc.minor_words () -. w0 in
+  check_bool
+    (Printf.sprintf "build allocates %.0f minor words (< 20k)" minor)
+    true (minor < 20_000.);
+  let llc = Protocol.llc proto in
+  let slots =
+    (32 * L1.sets (Protocol.l1 proto 0) * L1.ways (Protocol.l1 proto 0))
+    + (Llc.banks llc * Llc.sets_per_bank llc
+      * (Protocol.config proto).Protocol.llc_ways)
+  in
+  let per_slot =
+    float_of_int (Obj.reachable_words (Obj.repr proto)) /. float_of_int slots
+  in
+  check_bool
+    (Printf.sprintf "protocol holds %.2f words per cache slot (<= 4)" per_slot)
+    true (per_slot <= 4.)
 
 let test_build_non_divisor_llc () =
   (* 100 directory banks do not divide the 8MB LLC evenly; the bank
@@ -1309,6 +1337,7 @@ let () =
             test_machine_rejects_odd_core_counts;
           Alcotest.test_case "table1" `Quick test_table1_rows;
           Alcotest.test_case "build" `Quick test_build;
+          Alcotest.test_case "build allocation" `Quick test_build_allocation;
           Alcotest.test_case "mesh shape general" `Quick
             test_mesh_shape_general;
           Alcotest.test_case "non-divisor llc banks" `Quick
