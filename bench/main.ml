@@ -213,21 +213,27 @@ let machine_micro ~cores =
     let options =
       { Runner.default_options with machine; scale = 0.25 }
     in
-    let once () =
-      Perf.reset_totals ();
+    (* One simulation fires about 7k events in a few ms, too short to
+       time; repeat it until the runs add up to [min_seconds] of wall
+       time and report the aggregate. *)
+    let min_seconds = 0.3 in
+    let run () =
       ignore
         (Runner.run ~options ~sysconf:Sysconf.lockiller ~workload:w
-           ~threads:16 ());
-      let t = Perf.totals () in
-      {
-        Perf.wall_seconds = t.Perf.total_wall_seconds;
-        minor_words = t.Perf.total_minor_words;
-        events = t.Perf.total_events;
-        cycles = t.Perf.total_cycles;
-      }
+           ~threads:16 ())
     in
-    ignore (once ());
-    once ()
+    run ();
+    Perf.reset_totals ();
+    while (Perf.totals ()).Perf.total_wall_seconds < min_seconds do
+      run ()
+    done;
+    let t = Perf.totals () in
+    {
+      Perf.wall_seconds = t.Perf.total_wall_seconds;
+      minor_words = t.Perf.total_minor_words;
+      events = t.Perf.total_events;
+      cycles = t.Perf.total_cycles;
+    }
 
 (* The causal profiler priced on a contended closed-loop run, off and
    on. "On" attaches the event ledger with the streaming Profile tap
@@ -493,6 +499,24 @@ let test_route =
          counter := (!counter + 1) land 31;
          ignore (Topology.route topo ~src:!counter ~dst:31)))
 
+(* One message per run, cycling through every (src, dst) pair of the
+   fabric: the NoC cost each protocol message pays (docs/SCALING.md). *)
+let test_send ~rows ~cols =
+  let net = Network.create (Topology.create ~rows ~cols) in
+  let n = rows * cols in
+  let src = ref 0 and dst = ref 0 in
+  Test.make
+    ~name:(Printf.sprintf "network send (%dx%d mesh, all pairs)" rows cols)
+    (Staged.stage (fun () ->
+         incr dst;
+         if !dst = n then begin
+           dst := 0;
+           src := if !src + 1 = n then 0 else !src + 1
+         end;
+         ignore
+           (Network.send net ~now:0 ~src:!src ~dst:!dst
+              ~class_:Lockiller.Mesh.Message.Data)))
+
 let test_protocol_access =
   Test.make ~name:"protocol access (cold miss, 4 cores)"
     (Staged.stage (fun () ->
@@ -542,6 +566,8 @@ let microbenchmarks =
     test_l1_lookup;
     test_signature;
     test_route;
+    test_send ~rows:4 ~cols:8;
+    test_send ~rows:16 ~cols:16;
     test_protocol_access;
     test_full_sim;
   ]

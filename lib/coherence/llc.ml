@@ -4,20 +4,29 @@ type view = { line : Types.line; dir : dir; dirty : bool }
 
 type room = Present | Free | Evict of view
 
-(* Slots are parallel flat arrays, bank-major, then set, then way:
-   building the LLC allocates four blocks and no per-way record.
-   [tags.(i) = -1] encodes an invalid slot, and the tag is the full
-   line number. Every free or fresh slot's directory entry is the one
-   shared [no_sharers] constant. *)
+(* Storage is allocated a set at a time, on the set's first insert, so
+   a run pays for the sets it touches rather than for the whole LLC.
+   Sets are numbered bank-major, then set within the bank. [slots.(s)]
+   is set [s]'s [2 * nways] immediates: way [w]'s tag at [w] ([-1]
+   encodes an invalid slot; the tag is the full line number) and at
+   [nways + w] its LRU stamp shifted left by one, with the dirty flag
+   (holds data newer than memory) in bit 0. [dirs.(s)] holds the set's
+   directory entries. Every untouched set shares the all-invalid
+   [untouched] slots and an empty [dirs] entry; no operation writes
+   them, because only [insert] writes to a set that holds no line, and
+   nothing reads the directory entry of an invalid way. Every free or
+   fresh slot's directory entry is the one shared [no_sharers]
+   constant. A touched set costs 3 words per way plus two headers, its
+   share of a flat per-slot layout. *)
 type t = {
   plan : Shard.t;
   nbanks : int;  (* = Shard.count plan: one bank per directory shard *)
   nsets : int;  (* per bank *)
   nways : int;
-  tags : int array;
-  dirs : dir array;
-  dirty : Bytes.t;  (* '\001' = holds data newer than memory *)
-  used : int array;  (* LRU stamps *)
+  slots : int array array;
+  dirs : dir array array;
+  untouched : int array;
+  mutable count : int;  (* resident lines *)
   mutable tick : int;
 }
 
@@ -30,16 +39,16 @@ let create ~plan ~bank_size_bytes ~ways =
     invalid_arg "Llc.create: bank size must be a multiple of ways * line size";
   let banks = Shard.count plan in
   let nsets = bank_size_bytes / set_bytes in
-  let n = banks * nsets * ways in
+  let untouched = Array.make (2 * ways) (-1) in
   {
     plan;
     nbanks = banks;
     nsets;
     nways = ways;
-    tags = Array.make n (-1);
-    dirs = Array.make n no_sharers;
-    dirty = Bytes.make n '\000';
-    used = Array.make n 0;
+    slots = Array.make (banks * nsets) untouched;
+    dirs = Array.make (banks * nsets) [||];
+    untouched;
+    count = 0;
     tick = 0;
   }
 
@@ -52,116 +61,143 @@ let sets_per_bank t = t.nsets
    set is the historical [(line / nbanks) mod nsets]. Slots store the
    full line number as the tag, so placement is free to use any hash
    without a tag/line reconstruction becoming ambiguous. *)
-let bank_of t line = Shard.of_line t.plan line
-let set_of t line = line / t.nbanks mod t.nsets
+let set_index t line =
+  (Shard.of_line t.plan line * t.nsets) + (line / t.nbanks mod t.nsets)
 
-let first_way t line = ((bank_of t line * t.nsets) + set_of t line) * t.nways
-
-(* First index in [i, hi) whose tag is [tag], or -1. Top-level, so a
+(* First way in [w, ways) whose tag is [tag], or -1. Top-level, so a
    search allocates no closure. *)
-let rec scan tags tag i hi =
-  if i >= hi then -1 else if tags.(i) = tag then i else scan tags tag (i + 1) hi
+let rec scan slots tag w ways =
+  if w >= ways then -1 else if slots.(w) = tag then w else scan slots tag (w + 1) ways
 
-(* Slot index of a resident line, or -1. *)
-let find_slot t line =
-  let lo = first_way t line in
-  scan t.tags line lo (lo + t.nways)
+(* Way of a resident line within set [s], or -1. *)
+let find t s line = scan t.slots.(s) line 0 t.nways
 
-let is_dirty t i = Bytes.get t.dirty i <> '\000'
-
-let view_of t i = { line = t.tags.(i); dir = t.dirs.(i); dirty = is_dirty t i }
+let view_of t s w =
+  let slots = t.slots.(s) in
+  {
+    line = slots.(w);
+    dir = t.dirs.(s).(w);
+    dirty = slots.(t.nways + w) land 1 <> 0;
+  }
 
 let lookup t line =
-  let i = find_slot t line in
-  if i < 0 then None else Some (view_of t i)
+  let s = set_index t line in
+  let w = find t s line in
+  if w < 0 then None else Some (view_of t s w)
 
-let bump t i =
+(* Stamp way [w] of set [s] most recently used, keeping its dirty bit. *)
+let bump t s w =
   t.tick <- t.tick + 1;
-  t.used.(i) <- t.tick
+  let slots = t.slots.(s) in
+  let k = t.nways + w in
+  slots.(k) <- (t.tick lsl 1) lor (slots.(k) land 1)
 
-let has_l1_copies t i =
-  match t.dirs.(i) with
+let has_l1_copies = function
   | Owner _ -> true
   | Sharers s -> not (Coreset.is_empty s)
 
-(* Whether slot [i] was used before slot [best] (or [best] is none). *)
-let older t i best = best < 0 || t.used.(i) < t.used.(best)
+(* Whether way [w] was used before way [best] (or [best] is none). *)
+let older slots ways w best =
+  best < 0 || slots.(ways + w) lsr 1 < slots.(ways + best) lsr 1
 
 (* The victim is the first least-recently-used way with no L1 copies,
    else the first least-recently-used way with some. *)
 let room_for t line =
-  if find_slot t line >= 0 then Present
+  let s = set_index t line in
+  if find t s line >= 0 then Present
   else begin
-    let lo = first_way t line in
+    let slots = t.slots.(s) and dirs = t.dirs.(s) and ways = t.nways in
     let free = ref false in
     let best_private = ref (-1) in
     (* lines with L1 copies *)
     let best_quiet = ref (-1) in
     (* lines with no L1 copies *)
-    for i = lo to lo + t.nways - 1 do
-      if t.tags.(i) = -1 then free := true
-      else if has_l1_copies t i then begin
-        if older t i !best_private then best_private := i
+    for w = 0 to ways - 1 do
+      if slots.(w) = -1 then free := true
+      else if has_l1_copies dirs.(w) then begin
+        if older slots ways w !best_private then best_private := w
       end
-      else if older t i !best_quiet then best_quiet := i
+      else if older slots ways w !best_quiet then best_quiet := w
     done;
     if !free then Free
     else
       Evict
-        (view_of t (if !best_quiet >= 0 then !best_quiet else !best_private))
+        (view_of t s (if !best_quiet >= 0 then !best_quiet else !best_private))
   end
 
 let insert t line =
-  if find_slot t line >= 0 then invalid_arg "Llc.insert: line already resident";
-  let lo = first_way t line in
-  let i = scan t.tags (-1) lo (lo + t.nways) in
-  if i < 0 then invalid_arg "Llc.insert: set is full";
-  t.tags.(i) <- line;
-  t.dirs.(i) <- no_sharers;
-  Bytes.set t.dirty i '\000';
-  bump t i
+  let s = set_index t line in
+  if find t s line >= 0 then invalid_arg "Llc.insert: line already resident";
+  let w = scan t.slots.(s) (-1) 0 t.nways in
+  if w < 0 then invalid_arg "Llc.insert: set is full";
+  if t.slots.(s) == t.untouched then begin
+    t.slots.(s) <- Array.make (2 * t.nways) (-1);
+    t.dirs.(s) <- Array.make t.nways no_sharers
+  end;
+  let slots = t.slots.(s) in
+  slots.(w) <- line;
+  (* Clean; [bump] then stamps it most recently used. *)
+  slots.(t.nways + w) <- 0;
+  t.dirs.(s).(w) <- no_sharers;
+  t.count <- t.count + 1;
+  bump t s w
 
-let slot_exn t line name =
-  let i = find_slot t line in
-  if i < 0 then invalid_arg ("Llc." ^ name ^ ": line not resident");
-  i
+(* Way of a resident line within its set [s]; raises naming [name] if
+   absent. *)
+let way_exn t s line name =
+  let w = find t s line in
+  if w < 0 then invalid_arg ("Llc." ^ name ^ ": line not resident");
+  w
 
 let evict t line =
-  let i = slot_exn t line "evict" in
-  let v = view_of t i in
-  t.tags.(i) <- -1;
-  t.dirs.(i) <- no_sharers;
-  Bytes.set t.dirty i '\000';
+  let s = set_index t line in
+  let w = way_exn t s line "evict" in
+  let v = view_of t s w in
+  let slots = t.slots.(s) in
+  slots.(w) <- -1;
+  t.dirs.(s).(w) <- no_sharers;
+  t.count <- t.count - 1;
   v
 
 let touch t line =
-  let i = find_slot t line in
-  if i >= 0 then bump t i
+  let s = set_index t line in
+  let w = find t s line in
+  if w >= 0 then bump t s w
 
-let dir_of t line = t.dirs.(slot_exn t line "dir_of")
+let dir_of t line =
+  let s = set_index t line in
+  t.dirs.(s).(way_exn t s line "dir_of")
 
-let set_dir t line dir = t.dirs.(slot_exn t line "set_dir") <- dir
+let set_dir t line dir =
+  let s = set_index t line in
+  t.dirs.(s).(way_exn t s line "set_dir") <- dir
 
 let set_dirty t line dirty =
-  Bytes.set t.dirty (slot_exn t line "set_dirty")
-    (if dirty then '\001' else '\000')
+  let s = set_index t line in
+  let k = t.nways + way_exn t s line "set_dirty" in
+  let slots = t.slots.(s) in
+  slots.(k) <- (slots.(k) land lnot 1) lor Bool.to_int dirty
 
-let resident t line = find_slot t line >= 0
+let resident t line = find t (set_index t line) line >= 0
 
-let occupancy t =
-  Array.fold_left (fun acc tag -> if tag = -1 then acc else acc + 1) 0 t.tags
+let occupancy t = t.count
 
-let iter t f =
-  for i = 0 to Array.length t.tags - 1 do
-    if t.tags.(i) <> -1 then f (view_of t i)
+(* Every resident view of sets [lo, hi), in set then way order;
+   untouched sets are skipped without a look at their ways. *)
+let iter_sets t lo hi f =
+  for s = lo to hi - 1 do
+    let slots = t.slots.(s) in
+    if slots != t.untouched then
+      for w = 0 to t.nways - 1 do
+        if slots.(w) <> -1 then f (view_of t s w)
+      done
   done
+
+let iter t f = iter_sets t 0 (Array.length t.slots) f
 
 (* Per-shard (= per-bank) iteration, for the shard-consistency
    invariants: every resident view of bank [shard], in slot order. *)
 let iter_shard t shard f =
   if shard < 0 || shard >= t.nbanks then
     invalid_arg "Llc.iter_shard: shard out of range";
-  let per_bank = t.nsets * t.nways in
-  for i = shard * per_bank to ((shard + 1) * per_bank) - 1 do
-    if t.tags.(i) <> -1 then f (view_of t i)
-  done
+  iter_sets t (shard * t.nsets) ((shard + 1) * t.nsets) f

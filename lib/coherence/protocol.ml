@@ -630,49 +630,13 @@ let flush_core t core =
 
 let check_invariants t =
   let fail fmt = Format.kasprintf failwith fmt in
-  (* Directory exactness and SWMR, from the LLC's point of view. *)
-  Llc.iter t.llc (fun (v : Llc.view) ->
-      match v.dir with
-      | Llc.Owner o ->
-        (match L1_cache.lookup t.l1s.(o) v.line with
-        | Some lv
-          when lv.L1_cache.state = L1_cache.M || lv.L1_cache.state = L1_cache.E
-          ->
-          ()
-        | Some _ ->
-          fail "line %d: directory owner %d holds it in S" v.line o
-        | None -> fail "line %d: directory owner %d has no copy" v.line o);
-        Array.iteri
-          (fun c l1c ->
-            if c <> o && L1_cache.resident l1c v.line then
-              fail "line %d: owned by %d but also resident at %d" v.line o c)
-          t.l1s
-      | Llc.Sharers s ->
-        Array.iteri
-          (fun c l1c ->
-            match L1_cache.lookup l1c v.line with
-            | None ->
-              if Coreset.mem c s then
-                fail "line %d: directory lists %d but no copy" v.line c
-            | Some lv ->
-              if not (Coreset.mem c s) then
-                fail "line %d: resident at %d but not in directory" v.line c;
-              if lv.L1_cache.state <> L1_cache.S then
-                fail "line %d: sharer %d holds it in M/E" v.line c)
-          t.l1s);
-  (* Inclusivity: every L1 line is LLC-resident. *)
-  Array.iteri
-    (fun c l1c ->
-      L1_cache.iter l1c (fun lv ->
-          if not (Llc.resident t.llc lv.L1_cache.line) then
-            fail "line %d: resident in L1 %d but not in LLC" lv.L1_cache.line c))
-    t.l1s;
-  (* Shard consistency: every line resident in a bank hashes to that
-     shard, every busy-FIFO entry sits in its line's shard table, and
-     every shard's home tile is a valid mesh tile. One wrong hash or a
-     FIFO filed under the wrong shard would let two shards serve the
-     same line concurrently — the sharded equivalent of an SWMR
-     violation. *)
+  (* Directory side, bank by bank: every resident line hashes to the
+     shard whose bank holds it, and every L1 copy its entry names
+     exists in the state the entry implies (the owner in M/E, each
+     sharer in S). Shard consistency also covers the busy FIFOs and
+     the home tiles: one wrong hash or a FIFO filed under the wrong
+     shard would let two shards serve the same line concurrently — the
+     sharded equivalent of an SWMR violation. *)
   for s = 0 to Shard.count t.plan - 1 do
     let home = Shard.home_tile t.plan s in
     if home < 0 || home >= t.cfg.cores then
@@ -680,9 +644,44 @@ let check_invariants t =
     Llc.iter_shard t.llc s (fun (v : Llc.view) ->
         if Shard.of_line t.plan v.line <> s then
           fail "line %d: resident in bank %d but hashes to shard %d" v.line s
-            (Shard.of_line t.plan v.line));
+            (Shard.of_line t.plan v.line);
+        match v.dir with
+        | Llc.Owner o -> (
+          match L1_cache.lookup t.l1s.(o) v.line with
+          | Some lv
+            when lv.L1_cache.state = L1_cache.M
+                 || lv.L1_cache.state = L1_cache.E ->
+            ()
+          | Some _ -> fail "line %d: directory owner %d holds it in S" v.line o
+          | None -> fail "line %d: directory owner %d has no copy" v.line o)
+        | Llc.Sharers sharers ->
+          Coreset.iter
+            (fun c ->
+              match L1_cache.lookup t.l1s.(c) v.line with
+              | None -> fail "line %d: directory lists %d but no copy" v.line c
+              | Some lv ->
+                if lv.L1_cache.state <> L1_cache.S then
+                  fail "line %d: sharer %d holds it in M/E" v.line c)
+            sharers);
     Lk_engine.Int_table.iter t.busy.(s) (fun line _q ->
         if Shard.of_line t.plan line <> s then
           fail "line %d: busy at shard %d but hashes to shard %d" line s
             (Shard.of_line t.plan line))
-  done
+  done;
+  (* Cache side: every L1 copy is LLC-resident (inclusivity) and named
+     by its directory entry. With the directory side this is SWMR and
+     directory exactness, at a cost of O(resident lines + L1 slots)
+     rather than a directory probe per core per LLC slot. *)
+  Array.iteri
+    (fun c l1c ->
+      L1_cache.iter l1c (fun lv ->
+          let line = lv.L1_cache.line in
+          match Llc.lookup t.llc line with
+          | None -> fail "line %d: resident in L1 %d but not in LLC" line c
+          | Some { Llc.dir = Llc.Owner o; _ } ->
+            if o <> c then
+              fail "line %d: owned by %d but also resident at %d" line o c
+          | Some { Llc.dir = Llc.Sharers sharers; _ } ->
+            if not (Coreset.mem c sharers) then
+              fail "line %d: resident at %d but not in directory" line c))
+    t.l1s

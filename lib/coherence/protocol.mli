@@ -119,7 +119,9 @@ val check_invariants : t -> unit
     consistency (bank placement matches the shard hash, busy FIFOs are
     filed under their line's shard, shard homes are valid tiles) over
     the whole machine. Raises [Failure] with a description on
-    violation. O(cache capacity); intended for tests. *)
+    violation. O(resident LLC lines + L1 slots): the directory side
+    checks the copies each entry names, the cache side checks that
+    each L1 copy is resident and named. *)
 
 val home_of : t -> Types.line -> Types.core_id
 (** Home tile of a line under this configuration: the tile hosting the

@@ -44,9 +44,12 @@ let add t line =
     set_bit t (bit_index t line i)
   done
 
-let test t line =
-  let rec go i = i >= t.hashes || (get_bit t (bit_index t line i) && go (i + 1)) in
-  t.insertions > 0 && go 0
+(* Whether probes [i, hashes) all hit. Top-level, so a membership test
+   allocates no closure. *)
+let rec probe t line i =
+  i >= t.hashes || (get_bit t (bit_index t line i) && probe t line (i + 1))
+
+let test t line = t.insertions > 0 && probe t line 0
 
 let clear t =
   Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';

@@ -9,6 +9,8 @@ type t = {
   (* Under the contention model: first cycle at which each link is free
      again. *)
   link_free : int array;
+  (* The route cursor [send] reuses, so a message allocates nothing. *)
+  walk : Topology.walk;
   stats : Stats.group;
   messages : Stats.counter;
   flits : Stats.counter;
@@ -27,6 +29,7 @@ let create ?(link_latency = 1) ?(router_latency = 1) ?(contention = false)
     contention;
     link_flits = Array.make (Topology.num_links topology) 0;
     link_free = Array.make (Topology.num_links topology) 0;
+    walk = Topology.walk ();
     stats;
     messages = Stats.counter stats "messages";
     flits = Stats.counter stats "flits";
@@ -46,11 +49,12 @@ let check_tile t id =
   if id < 0 || id >= Topology.tiles t.topology then
     invalid_arg ("Network.send: tile " ^ string_of_int id ^ " out of range")
 
-(* One integer walk over the dimension-order route serves both models:
-   each hop charges its link the message's flits and advances the head
+(* One walk over the dimension-order route serves both models: each
+   hop charges its link the message's flits and advances the head
    flit's cursor. Under the contention model (wormhole reservation) the
    head first waits for the link to drain earlier messages; the body
-   (flits - 1) follows pipelined behind it. Nothing here allocates. *)
+   (flits - 1) follows pipelined behind it. Nothing here allocates or
+   divides per hop. *)
 let send t ~now ~src ~dst ~class_ =
   check_tile t src;
   check_tile t dst;
@@ -58,18 +62,21 @@ let send t ~now ~src ~dst ~class_ =
   Stats.incr t.messages;
   Stats.add t.flits flits;
   let per_hop = t.link_latency + t.router_latency in
-  let cur = ref src and cursor = ref now and queued = ref 0 in
-  while !cur <> dst do
-    let i = Topology.next_link t.topology ~cur:!cur ~dst in
-    t.link_flits.(i) <- t.link_flits.(i) + flits;
+  let topo = t.topology and w = t.walk in
+  Topology.start topo w ~src ~dst;
+  let cursor = ref now and queued = ref 0 in
+  let i = ref (Topology.next topo w) in
+  while !i >= 0 do
+    let l = !i in
+    t.link_flits.(l) <- t.link_flits.(l) + flits;
     if t.contention then begin
-      let start = Int.max !cursor t.link_free.(i) in
+      let start = Int.max !cursor t.link_free.(l) in
       queued := !queued + (start - !cursor);
-      t.link_free.(i) <- start + flits;
+      t.link_free.(l) <- start + flits;
       cursor := start
     end;
     cursor := !cursor + per_hop;
-    cur := Topology.link_target t.topology i
+    i := Topology.next topo w
   done;
   if t.contention then Stats.add t.queueing !queued;
   !cursor - now + Message.serialization_cycles class_

@@ -40,27 +40,25 @@ let check_tile t id name =
     invalid_arg
       ("Topology." ^ name ^ ": tile " ^ string_of_int id ^ " out of range")
 
-(* Direction of the minimal step from [a] to [b] on a wrap-around
-   axis of size [n] ([a <> b]): [true] for +1. Ties (exactly half-way)
-   go in the positive direction. *)
-let wrap_forward n a b =
-  let fwd = (b - a + n) mod n in
-  fwd <= n - fwd
+(* Signed minimal displacement from position [a] to [b] on an axis of
+   [n] positions: the plain difference on a mesh axis, the short way
+   round on a wrapping one, with an exact half-way tie going forward
+   (+). *)
+let displacement ~wrap n a b =
+  if not wrap then b - a
+  else
+    let fwd = (b - a + n) mod n in
+    if fwd <= n - fwd then fwd else fwd - n
 
-let wrap_axis_distance n a b =
-  let fwd = (b - a + n) mod n in
-  Int.min fwd (n - fwd)
+let wraps t = match t.kind with Torus | Ring -> true | Mesh | Crossbar -> false
 
 let distance t ~src ~dst =
   match t.kind with
-  | Mesh ->
-    abs ((src / t.cols) - (dst / t.cols))
-    + abs ((src mod t.cols) - (dst mod t.cols))
-  | Torus ->
-    wrap_axis_distance t.cols (src mod t.cols) (dst mod t.cols)
-    + wrap_axis_distance t.rows (src / t.cols) (dst / t.cols)
-  | Ring -> wrap_axis_distance (tiles t) src dst
   | Crossbar -> if src = dst then 0 else 1
+  | Mesh | Torus | Ring ->
+    let wrap = wraps t in
+    abs (displacement ~wrap t.cols (src mod t.cols) (dst mod t.cols))
+    + abs (displacement ~wrap t.rows (src / t.cols) (dst / t.cols))
 
 let hops t ~src ~dst =
   check_tile t src "hops";
@@ -69,62 +67,117 @@ let hops t ~src ~dst =
 
 (* Link indices: the grid-like topologies number the links leaving a
    tile [tile * 4 + dir] with [dir] 0..3 for N/S/W/E (row - 1, row + 1,
-   col - 1, col + 1, modulo the axis on the torus); the ring uses 3 for
-   clockwise (+1) and 2 for counter-clockwise; the crossbar uses the
-   full [from * tiles + to] square. *)
+   col - 1, col + 1, modulo the axis on the torus); the ring is a
+   one-row torus, so it uses 3 for clockwise (+1) and 2 for
+   counter-clockwise; the crossbar uses the full [from * tiles + to]
+   square. *)
 let north = 0
 let south = 1
 let west = 2
 let east = 3
 
-(* Whether the minimal step from [a] to [b] on an axis of size [n]
-   ([a <> b]) is +1. *)
-let forward ~wrap n a b = if wrap then wrap_forward n a b else a < b
+(* The one routing rule, as a reusable cursor over a route's links:
+   dimension order, X (columns) first, then Y (rows), each axis the
+   short way round when it wraps (torus and ring); the crossbar is one
+   direct hop. [start] splits the endpoints into row and column once
+   and computes the first link of each leg; each [next] then moves one
+   position along the current leg by addition, wrapping with a
+   compare, so a hop costs no division and no allocation. *)
+type walk = {
+  mutable row : int;  (* current position *)
+  mutable col : int;
+  mutable xs : int;  (* hops left along the row *)
+  mutable xstep : int;  (* column change per X hop: +1, -1 (crossbar: any) *)
+  mutable xlink : int;  (* index of the next X link *)
+  mutable ys : int;  (* then hops left along the column *)
+  mutable ystep : int;  (* row change per Y hop: +1 or -1 *)
+  mutable ylink : int;  (* index of the next Y link *)
+}
 
-(* The one routing rule: dimension order, X (columns) first, then Y
-   (rows); each axis goes the short way round when it wraps. *)
-let next_link t ~cur ~dst =
-  match t.kind with
-  | Crossbar -> (cur * tiles t) + dst
-  | Ring -> (cur * 4) + if wrap_forward (tiles t) cur dst then east else west
-  | Mesh | Torus ->
-    let wrap =
-      match t.kind with Torus -> true | Mesh | Ring | Crossbar -> false
-    in
-    let cc = cur mod t.cols and dc = dst mod t.cols in
-    let dir =
-      if cc <> dc then if forward ~wrap t.cols cc dc then east else west
-      else if forward ~wrap t.rows (cur / t.cols) (dst / t.cols) then south
-      else north
-    in
-    (cur * 4) + dir
+let walk () =
+  { row = 0; col = 0; xs = 0; xstep = 0; xlink = 0; ys = 0; ystep = 0; ylink = 0 }
 
-let link_target t i =
+let start t w ~src ~dst =
+  let sc = src mod t.cols and dc = dst mod t.cols in
+  let sr = src / t.cols in
+  w.row <- sr;
+  w.col <- sc;
   match t.kind with
-  | Crossbar -> i mod tiles t
-  | Ring ->
-    let n = tiles t in
-    let from = i / 4 in
-    if i mod 4 = east then (from + 1) mod n else (from + n - 1) mod n
-  | Mesh | Torus ->
-    let from = i / 4 in
-    let r = from / t.cols and c = from mod t.cols in
-    let dir = i mod 4 in
-    if dir = north then ((r + t.rows - 1) mod t.rows * t.cols) + c
-    else if dir = south then ((r + 1) mod t.rows * t.cols) + c
-    else if dir = west then (r * t.cols) + ((c + t.cols - 1) mod t.cols)
-    else (r * t.cols) + ((c + 1) mod t.cols)
+  | Crossbar ->
+    (* One row: the single hop moves straight to [dst]'s column. *)
+    w.xs <- (if src = dst then 0 else 1);
+    w.xstep <- dc - sc;
+    w.xlink <- (src * tiles t) + dst;
+    w.ys <- 0
+  | Mesh | Torus | Ring ->
+    let wrap = wraps t in
+    let dx = displacement ~wrap t.cols sc dc in
+    let dy = displacement ~wrap t.rows sr (dst / t.cols) in
+    w.xs <- abs dx;
+    w.xstep <- (if dx > 0 then 1 else -1);
+    w.xlink <- (src * 4) + if dx > 0 then east else west;
+    w.ys <- abs dy;
+    w.ystep <- (if dy > 0 then 1 else -1);
+    w.ylink <- ((((sr * t.cols) + dc) * 4) + if dy > 0 then south else north)
+
+let position t w = (w.row * t.cols) + w.col
+
+(* A grid hop moves the link index by 4 per column and [4 * cols] per
+   row; wrapping round an axis moves it back across the whole axis.
+   The crossbar's one hop never advances further, so its [xlink]
+   update is dead. *)
+let next t w =
+  if w.xs > 0 then begin
+    let i = w.xlink in
+    w.xs <- w.xs - 1;
+    let c = w.col + w.xstep in
+    if c >= t.cols then begin
+      w.col <- c - t.cols;
+      w.xlink <- i + 4 - (4 * t.cols)
+    end
+    else if c < 0 then begin
+      w.col <- c + t.cols;
+      w.xlink <- i - 4 + (4 * t.cols)
+    end
+    else begin
+      w.col <- c;
+      w.xlink <- i + (4 * w.xstep)
+    end;
+    i
+  end
+  else if w.ys > 0 then begin
+    let i = w.ylink in
+    w.ys <- w.ys - 1;
+    let r = w.row + w.ystep in
+    let axis = 4 * t.cols in
+    if r >= t.rows then begin
+      w.row <- r - t.rows;
+      w.ylink <- i + axis - (axis * t.rows)
+    end
+    else if r < 0 then begin
+      w.row <- r + t.rows;
+      w.ylink <- i - axis + (axis * t.rows)
+    end
+    else begin
+      w.row <- r;
+      w.ylink <- i + (axis * w.ystep)
+    end;
+    i
+  end
+  else -1
 
 let route t ~src ~dst =
   check_tile t src "route";
   check_tile t dst "route";
-  let rec walk cur acc =
-    if cur = dst then List.rev acc
+  let w = walk () in
+  start t w ~src ~dst;
+  let rec go from_tile acc =
+    if next t w < 0 then List.rev acc
     else
-      let to_tile = link_target t (next_link t ~cur ~dst) in
-      walk to_tile ({ from_tile = cur; to_tile } :: acc)
+      let to_tile = position t w in
+      go to_tile ({ from_tile; to_tile } :: acc)
   in
-  walk src []
+  go src []
 
 let grid_neighbours t id ~wrap =
   let c = Coord.of_tile ~cols:t.cols id in
@@ -174,14 +227,14 @@ let links t =
              (List.init n Fun.id)))
 
 (* Adjacent tiles are one hop apart, so the link between them is the
-   first hop of the route. *)
+   route's only link. *)
 let link_index t { from_tile; to_tile } =
   check_tile t from_tile "link_index";
   check_tile t to_tile "link_index";
-  let i =
-    if from_tile = to_tile then -1 else next_link t ~cur:from_tile ~dst:to_tile
-  in
-  if i < 0 || link_target t i <> to_tile then
+  let w = walk () in
+  start t w ~src:from_tile ~dst:to_tile;
+  let i = next t w in
+  if i < 0 || position t w <> to_tile then
     invalid_arg "Topology.link_index: tiles are not adjacent";
   i
 

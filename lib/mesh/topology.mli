@@ -47,22 +47,10 @@ val rows : t -> int
 val cols : t -> int
 val tiles : t -> int
 
-val next_link : t -> cur:int -> dst:int -> int
-(** Index (see {!link_index}) of the first link on the route from tile
-    [cur] to tile [dst <> cur]: the next dimension-order hop, X first,
-    then Y, the short way round on torus and ring; the direct link on
-    the crossbar. Pure arithmetic, allocation-free and unchecked: both
-    tiles must be in range. *)
-
-val link_target : t -> int -> int
-(** The tile that link index [i] enters. Walking
-    [cur := link_target t (next_link t ~cur ~dst)] until [cur = dst]
-    traverses {!route} without building it. *)
-
 val route : t -> src:int -> dst:int -> link list
 (** The deterministic minimal route between two tiles as the ordered
     list of directed links traversed; empty when [src = dst]. The list
-    form of the {!next_link} walk. *)
+    form of a {!walk}. *)
 
 val hops : t -> src:int -> dst:int -> int
 (** Number of links on the route. Pure arithmetic. *)
@@ -78,3 +66,29 @@ val num_links : t -> int
 (** Upper bound (array size) for {!link_index}. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Walking a route}
+
+    The one routing rule: dimension order, X (along the row) first,
+    then Y, each axis the short way round on torus and ring; the
+    crossbar is one direct hop. A cursor yields a route's links one at
+    a time without building it: {!start} splits the endpoints into row
+    and column once, then each {!next} steps by addition. Reusing one
+    cursor, a walk is allocation-free and division-free per hop. *)
+
+type walk
+(** A mutable route cursor. *)
+
+val walk : unit -> walk
+
+val start : t -> walk -> src:int -> dst:int -> unit
+(** Point the cursor at tile [src], bound for [dst]. Unchecked: both
+    tiles must be in range. *)
+
+val next : t -> walk -> int
+(** Index (see {!link_index}) of the next link on the route, moving
+    the cursor to the tile it enters; [-1] once the cursor is at
+    [dst]. *)
+
+val position : t -> walk -> int
+(** The tile the cursor is at. *)

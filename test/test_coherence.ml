@@ -782,6 +782,88 @@ let test_llc_iter () =
   check_int "iter covers" 2 !seen;
   check_int "occupancy" 2 (Llc.occupancy c)
 
+(* --- Invariant checker: one corruption per failure message ---------- *)
+
+(* Each case builds a consistent machine through real accesses, breaks
+   one invariant by hand through [Protocol.l1]/[Protocol.llc], and
+   expects [check_invariants] to name exactly that violation. *)
+
+let read_by p sim cores line =
+  List.iter
+    (fun core -> ignore (expect_granted sim p ~core ~line ~what:Types.Read))
+    cores
+
+(* The one corruption the public API cannot make: a line filed in a
+   bank its shard hash does not name (the LLC places every insert by
+   the same plan the checker uses). The test swaps the LLC's plan for
+   the duration of one insert by rewriting the record field that holds
+   it — found by physical equality, so it does not depend on the
+   record's layout. *)
+let with_llc_plan llc plan f =
+  let r = Obj.repr llc in
+  let current = Obj.repr (Llc.plan llc) in
+  let rec field i =
+    if i >= Obj.size r then Alcotest.fail "Llc.t holds no plan field"
+    else if Obj.field r i == current then i
+    else field (i + 1)
+  in
+  let i = field 0 in
+  Obj.set_field r i (Obj.repr plan);
+  Fun.protect ~finally:(fun () -> Obj.set_field r i current) f
+
+let invariant_cases =
+  [
+    ( "owner in S",
+      "line 7: directory owner 0 holds it in S",
+      fun sim p ->
+        read_by p sim [ 0 ] 7;
+        L1.set_state (Protocol.l1 p 0) 7 L1.S );
+    ( "owner without copy",
+      "line 7: directory owner 0 has no copy",
+      fun sim p ->
+        read_by p sim [ 0 ] 7;
+        ignore (L1.remove (Protocol.l1 p 0) 7) );
+    ( "owned and shared",
+      "line 7: owned by 0 but also resident at 2",
+      fun sim p ->
+        read_by p sim [ 0 ] 7;
+        L1.insert (Protocol.l1 p 2) 7 L1.S );
+    ( "listed sharer without copy",
+      "line 7: directory lists 1 but no copy",
+      fun sim p ->
+        read_by p sim [ 0; 1 ] 7;
+        ignore (L1.remove (Protocol.l1 p 1) 7) );
+    ( "copy missing from directory",
+      "line 7: resident at 1 but not in directory",
+      fun sim p ->
+        read_by p sim [ 0; 1 ] 7;
+        Llc.set_dir (Protocol.llc p) 7 (Llc.Sharers (Coreset.singleton 0)) );
+    ( "sharer in M",
+      "line 7: sharer 1 holds it in M/E",
+      fun sim p ->
+        read_by p sim [ 0; 1 ] 7;
+        L1.set_state (Protocol.l1 p 1) 7 L1.M );
+    ( "L1 copy not in LLC",
+      "line 7: resident in L1 3 but not in LLC",
+      fun sim p ->
+        read_by p sim [ 3 ] 7;
+        ignore (Llc.evict (Protocol.llc p) 7) );
+    ( "line in wrong bank",
+      "line 9: resident in bank 3 but hashes to shard 1",
+      fun _sim p ->
+        let llc = Protocol.llc p in
+        let mix = Shard.make ~count:4 ~tiles:4 ~hash:Shard.Mix in
+        (* Line 9 is shard 1 under [Mod] but bank 3 under [Mix]. *)
+        check_int "mix bank of 9" 3 (Shard.of_line mix 9);
+        with_llc_plan llc mix (fun () -> Llc.insert llc 9) );
+  ]
+
+let test_violation (name, msg, corrupt) =
+  let sim, p = mk_machine () in
+  corrupt sim p;
+  Alcotest.check_raises name (Failure msg) (fun () ->
+      Protocol.check_invariants p)
+
 (* --- Golden differential traces -------------------------------------- *)
 
 (* A seeded random op sequence over each cache level, with every
@@ -898,6 +980,11 @@ let llc_trace_digest ~seed =
       | None -> Buffer.add_string b "-;"
       | Some v -> add_llc_view b v));
     if step mod 250 = 0 then begin
+      (* The occupancy counter must agree with a recount. *)
+      let recount = ref 0 in
+      Llc.iter c (fun _ -> incr recount);
+      check_int (Printf.sprintf "occupancy at step %d" step) !recount
+        (Llc.occupancy c);
       Printf.bprintf b "|%d|" (Llc.occupancy c);
       for s = 0 to banks - 1 do
         Printf.bprintf b "#%d" s;
@@ -1030,4 +1117,9 @@ let () =
           Alcotest.test_case "l1 iter" `Quick test_l1_iter_and_occupancy;
           Alcotest.test_case "llc iter" `Quick test_llc_iter;
         ] );
+      ( "invariants",
+        List.map
+          (fun ((name, _, _) as case) ->
+            Alcotest.test_case name `Quick (fun () -> test_violation case))
+          invariant_cases );
     ]

@@ -615,6 +615,21 @@ let test_signature_empty_rejects_nothing () =
   let s = Signature.create () in
   check_bool "fresh signature matches nothing" false (Signature.test s 0)
 
+(* [llc_check] probes two signatures on every LLC request, so a
+   membership test must not allocate. *)
+let test_signature_test_no_alloc () =
+  let s = Signature.create () in
+  List.iter (Signature.add s) [ 3; 17; 4096 ];
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for l = 1 to 10_000 do
+    if Signature.test s l then incr hits
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "%.0f words over 10k tests" words) true
+    (words = 0.);
+  check_bool "members found" true (!hits >= 2)
+
 let prop_signature_conservative =
   QCheck.Test.make ~name:"signature has no false negatives" ~count:100
     QCheck.(list (int_bound 100_000))
@@ -835,6 +850,8 @@ let () =
           Alcotest.test_case "signature clear" `Quick test_signature_clear;
           Alcotest.test_case "signature empty" `Quick
             test_signature_empty_rejects_nothing;
+          Alcotest.test_case "signature test no alloc" `Quick
+            test_signature_test_no_alloc;
           QCheck_alcotest.to_alcotest prop_signature_conservative;
           Alcotest.test_case "wake table" `Quick test_wake_table;
           Alcotest.test_case "arbiter" `Quick test_arbiter;

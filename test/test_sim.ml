@@ -81,9 +81,10 @@ let test_build () =
   check_int "cores" 4 (Protocol.config proto).Protocol.cores
 
 (* Building the Table I machine (32 cores, 32 KB L1s, 8 MB LLC) must be
-   nearly free: every cache slot lives in flat arrays of immediates, so
-   construction allocates a handful of large blocks straight into the
-   major heap and no per-slot record. *)
+   nearly free: L1 slots live in flat arrays of immediates and LLC sets
+   get storage only on their first insert, so construction allocates a
+   handful of blocks and the built machine holds well under a word per
+   cache slot. *)
 let test_build_allocation () =
   let m = Config.machine ~cores:32 () in
   ignore (Config.build m);
@@ -94,17 +95,32 @@ let test_build_allocation () =
     (Printf.sprintf "build allocates %.0f minor words (< 20k)" minor)
     true (minor < 20_000.);
   let llc = Protocol.llc proto in
+  let ways = (Protocol.config proto).Protocol.llc_ways in
   let slots =
     (32 * L1.sets (Protocol.l1 proto 0) * L1.ways (Protocol.l1 proto 0))
-    + (Llc.banks llc * Llc.sets_per_bank llc
-      * (Protocol.config proto).Protocol.llc_ways)
+    + (Llc.banks llc * Llc.sets_per_bank llc * ways)
   in
   let per_slot =
     float_of_int (Obj.reachable_words (Obj.repr proto)) /. float_of_int slots
   in
   check_bool
-    (Printf.sprintf "protocol holds %.2f words per cache slot (<= 4)" per_slot)
-    true (per_slot <= 4.)
+    (Printf.sprintf "protocol holds %.2f words per cache slot (<= 0.5)"
+       per_slot)
+    true (per_slot <= 0.5);
+  (* A fresh LLC grows with the lines it holds, not with its capacity:
+     k lines in k distinct sets cost about one set's storage each
+     (3 words per way plus headers), whatever the slot count. *)
+  let before = Obj.reachable_words (Obj.repr llc) in
+  let k = 64 in
+  for line = 0 to k - 1 do
+    Llc.insert llc line
+  done;
+  let grown = Obj.reachable_words (Obj.repr llc) - before in
+  check_bool
+    (Printf.sprintf "%d inserts grow the LLC by %d words (<= %d)" k grown
+       (k * ((3 * ways) + 4)))
+    true
+    (grown <= k * ((3 * ways) + 4))
 
 let test_build_non_divisor_llc () =
   (* 100 directory banks do not divide the 8MB LLC evenly; the bank
