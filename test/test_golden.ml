@@ -1,0 +1,202 @@
+(* Golden result digests: the MD5 of [Runner.result_to_json] for a fixed
+   grid of runs, recorded once and compared on every [dune runtest].
+   The simulator is deterministic, so any change to a result byte —
+   cycles, counts, breakdown, percentiles — shows up here as a changed
+   digest. A change that alters results on purpose updates this table
+   and says so in CHANGES.md; a refactor must leave it untouched.
+
+   The grid covers every system on a contended (intruder), a faulting
+   (yada) and a barrier-phased (kmeans) workload, odd and large machine
+   shapes, the heap queue backend, one open-loop replay of a generated
+   bursty trace and one hand-written program. *)
+
+module Config = Lk_sim.Config
+module Runner = Lk_sim.Runner
+module Workload_source = Lk_sim.Workload_source
+module Sysconf = Lk_lockiller.Sysconf
+module Suite = Lk_stamp.Suite
+module Program = Lk_cpu.Program
+module Gen = Lk_trace.Gen
+
+let digest r = Digest.to_hex (Digest.string (Runner.result_to_json r))
+let sysconf name = Option.get (Sysconf.find name)
+let workload name = Option.get (Suite.find name)
+
+let options ?(queue_backend = Lk_engine.Event_queue.Wheel) ?(scale = 1.0)
+    machine =
+  { Runner.default_options with Runner.machine; scale; queue_backend }
+
+let four = Config.machine ~cores:4 ()
+
+let run ?queue_backend ?scale ?(machine = four) ?(threads = 4) system wl () =
+  digest
+    (Runner.run
+       ~options:(options ?queue_backend ?scale machine)
+       ~sysconf:(sysconf system) ~workload:(workload wl) ~threads ())
+
+(* A bursty Gen trace, replayed open-loop on 4 cores. *)
+let replay () =
+  let records = ref [] in
+  let profile =
+    {
+      Gen.default with
+      Gen.users = 2000;
+      think_time = 40_000.;
+      duration = 60_000;
+      burst_every = 20_000;
+      burst_len = 4_000;
+      burst_mult = 4.0;
+      cores = 4;
+      affinity = Gen.Uniform;
+    }
+  in
+  ignore
+    (Result.get_ok
+       (Gen.generate profile ~seed:5 ~emit:(fun r -> records := r :: !records)));
+  let pending = ref (List.rev !records) in
+  let next () =
+    match !pending with
+    | [] -> Ok None
+    | r :: rest ->
+      pending := rest;
+      Ok (Some r)
+  in
+  digest
+    (Runner.replay ~options:(options four) ~sysconf:(sysconf "LockillerTM")
+       ~open_loop:
+         { Workload_source.trace_name = "burst"; next; body = workload "vacation" }
+       ~threads:4 ())
+
+(* Two tellers moving money between shared accounts, with a fault. *)
+let program () =
+  let text =
+    {|thread
+  tx pre=10 post=5
+    read 0x1000
+    add 0x1000 -5
+    add 0x1040 5
+  tx pre=3 post=0
+    incr 0x2000
+    fault
+    incr 0x2040
+thread
+  tx pre=0 post=7
+    read 0x1040
+    add 0x1040 -2
+    add 0x1000 2
+  tx pre=4 post=4
+    incr 0x2000
+    compute 30
+    incr 0x2040
+|}
+  in
+  let program = Result.get_ok (Program.of_text text) in
+  digest
+    (Runner.run_program ~options:(options four) ~name:"bank"
+       ~sysconf:(sysconf "LockillerTM") ~program ())
+
+let grid =
+  List.concat_map
+    (fun wl ->
+      List.map
+        (fun s -> (wl ^ "/" ^ s.Sysconf.name, run s.Sysconf.name wl))
+        (Sysconf.all @ Sysconf.extras @ Sysconf.hybrid))
+    [ "intruder"; "yada"; "kmeans" ]
+  @ [
+      ( "7 cores",
+        run ~machine:(Config.machine ~cores:7 ()) ~threads:7 "LockillerTM"
+          "intruder" );
+      ( "16 cores",
+        run ~machine:(Config.machine ~cores:16 ()) ~threads:16 ~scale:0.5
+          "LockillerTM" "genome" );
+      ( "100 cores",
+        run ~machine:(Config.machine ~cores:100 ()) ~threads:100 ~scale:0.1
+          "LockillerTM" "vacation" );
+      ( "256 cores, sharded directory",
+        run
+          ~machine:(Config.machine ~cores:256 ~dir_shards:16 ())
+          ~threads:256 ~scale:0.05 "LockillerTM" "ssca2" );
+      ( "heap queue backend",
+        run ~queue_backend:Lk_engine.Event_queue.Heap "LockillerTM" "intruder"
+      );
+      ("replay of a bursty trace", replay);
+      ("hand-written program", program);
+    ]
+
+let golden =
+  [
+    ("intruder/CGL", "2b1e556ab020016b243c49205b87a6d0");
+    ("intruder/Baseline", "5c59e37e6c718439a8d780b70895c702");
+    ("intruder/LosaTM-SAFU", "32750ea91e6a18d23a3a0b151a96b741");
+    ("intruder/LockillerTM-RAI", "ce275d11c86298ec47322034b0998c87");
+    ("intruder/LockillerTM-RRI", "9d4efaab8eef24c2a6653c51190071fc");
+    ("intruder/LockillerTM-RWI", "8d4e6e5556163f2ddb81eb89c81a8e17");
+    ("intruder/LockillerTM-RWL", "be712cf6110aca200bcd7f6a5cc06985");
+    ("intruder/LockillerTM-RWIL", "2db6080f0cd66ac0032e7a266982caf9");
+    ("intruder/LockillerTM", "0aeb4214c9f384b0d2dccef2335cd2a2");
+    ("intruder/CGL-Ticket", "56812c9350bc20da1df6153728ab361f");
+    ("intruder/LockillerTM-RWS", "a59cfbf1b5f921f5f903e60d565dbef3");
+    ("intruder/SW-TL2", "3e950a0ad49f58c7f01de63b57c4f492");
+    ("intruder/HyTM-GV1", "de5d5141894ad2eab617256b7ba2c8ea");
+    ("intruder/HyTM-GV5", "667d9c023588a4b772a30c61e280aff8");
+    ("intruder/HyTM-RC", "716d4a4d156eb7ab19c6394cbc0e5ad7");
+    ("intruder/HyTM-MD", "cd4e977a81d64e224bb2eab5a90620e3");
+    ("yada/CGL", "acb129f0cc32026b56737382abdabb75");
+    ("yada/Baseline", "93cd138ee2db3c2a480abf1d3e6d3fa6");
+    ("yada/LosaTM-SAFU", "edaa0808cbfcf56948c052b589e33c0b");
+    ("yada/LockillerTM-RAI", "c0440504cd9205f48b9e7439c3ad3a59");
+    ("yada/LockillerTM-RRI", "4c2ef6ae3abef88800c693c0d227990a");
+    ("yada/LockillerTM-RWI", "be9e815c44483673ba8a8a0499beba8a");
+    ("yada/LockillerTM-RWL", "51324f24eb7f2f9d1818b9ed97634c5d");
+    ("yada/LockillerTM-RWIL", "7b47a854ad98f1764ff3f238886d9d46");
+    ("yada/LockillerTM", "6c853f03f633c4c4ed9a070f2b711174");
+    ("yada/CGL-Ticket", "99e88ff71da55890a540ecb6af0045f6");
+    ("yada/LockillerTM-RWS", "02dcfaebcb8758dfd98e707231446a6b");
+    ("yada/SW-TL2", "5a7a49117a258d2ec8532906fcc79cdf");
+    ("yada/HyTM-GV1", "e0ffe894abe71face383c793ca948357");
+    ("yada/HyTM-GV5", "b64c544be17b4bc1136bda4e6814e88c");
+    ("yada/HyTM-RC", "1102a9dcfd60c64a5bfd922682b16052");
+    ("yada/HyTM-MD", "094deee63b13395c6f522173daf9cb87");
+    ("kmeans/CGL", "00f9afcbefd21a9f6ed4c0da5b08ea33");
+    ("kmeans/Baseline", "80285f8beefa1949857334300606fa48");
+    ("kmeans/LosaTM-SAFU", "203851e8912ad4261c6d12ef2d100119");
+    ("kmeans/LockillerTM-RAI", "8472e6ca9773591d863075194857286a");
+    ("kmeans/LockillerTM-RRI", "4ff277b1fcc48211c875cf5dba2dfeed");
+    ("kmeans/LockillerTM-RWI", "33359d95b3f0dc54cb7b7f57be15ccbe");
+    ("kmeans/LockillerTM-RWL", "1c5f8f5e10a689d1dac56fa87923f479");
+    ("kmeans/LockillerTM-RWIL", "62ffe45912533c5cd6935bb94495b8b7");
+    ("kmeans/LockillerTM", "9812a669fcc35663b82f684673e6ac61");
+    ("kmeans/CGL-Ticket", "f5057b6dfd995b0d2e55654358819764");
+    ("kmeans/LockillerTM-RWS", "6c077a9f4814c41a6f43542012af0013");
+    ("kmeans/SW-TL2", "f96bcaea73f979629c10c9dad01c74a6");
+    ("kmeans/HyTM-GV1", "497ba33525f06ee5a5a468d8bfb475dc");
+    ("kmeans/HyTM-GV5", "aba6adb4a252ccdec8109ffa1ade1167");
+    ("kmeans/HyTM-RC", "ad7e3e3cb519352957b6e5ca831464d7");
+    ("kmeans/HyTM-MD", "f777245af6979ea8f9f346bf4d1461db");
+    ("7 cores", "e2951cb845d35383cba71c28c47f7f67");
+    ("16 cores", "e194f0541cd09d5ac1d35d3ae23abfda");
+    ("100 cores", "8c200256cfffd397d30470b6e3154e32");
+    ("256 cores, sharded directory", "b12f62b3ecea2973c85247dbd1c6978b");
+    ("heap queue backend", "0aeb4214c9f384b0d2dccef2335cd2a2");
+    ("replay of a bursty trace", "6038210ad615db0a1f3717bd842f4496");
+    ("hand-written program", "7a6fd41a52d7589e12836064bd0878df");
+  ]
+
+let () =
+  let cases =
+    List.map
+      (fun (label, f) ->
+        Alcotest.test_case label `Quick (fun () ->
+            Alcotest.(check (option string))
+              label (List.assoc_opt label golden) (Some (f ()))))
+      grid
+  in
+  let table () =
+    Alcotest.(check (list string))
+      "one digest per grid entry" (List.map fst grid) (List.map fst golden)
+  in
+  Alcotest.run "golden"
+    [
+      ("result digests", cases);
+      ("table", [ Alcotest.test_case "covers the grid" `Quick table ]);
+    ]
