@@ -54,10 +54,11 @@ let run_bank sysconf =
   let accounting = Accounting.create ~cores:8 in
   let cpus =
     Array.init tellers (fun core ->
-        Core.spawn ~runtime ~core ~thread:(teller_program core) ~accounting
-          ~on_done:(fun () -> ()) ())
+        Core.spawn ~runtime ~core ~accounting ~on_done:(fun () -> ()) ())
   in
-  Array.iter Core.start cpus;
+  Array.iteri
+    (fun core cpu -> Core.drive cpu (Program.cursor (teller_program core)))
+    cpus;
   Sim.run sim;
   let total =
     List.init accounts (fun i -> Store.committed store (account_addr i))

@@ -59,12 +59,12 @@ let run sysconf =
   let runtime = Runtime.create ~protocol ~store ~sysconf ~lock_addr:0 () in
   let accounting = Accounting.create ~cores:2 in
   let cpus =
-    Array.mapi
-      (fun core thread ->
-        Core.spawn ~runtime ~core ~thread ~accounting ~on_done:(fun () -> ()) ())
-      program
+    Array.init (Array.length program) (fun core ->
+        Core.spawn ~runtime ~core ~accounting ~on_done:(fun () -> ()) ())
   in
-  Array.iter Core.start cpus;
+  Array.iteri
+    (fun core cpu -> Core.drive cpu (Program.cursor program.(core)))
+    cpus;
   Sim.run sim;
   let stats c = Runtime.core_stats runtime c in
   let aborts = (stats 0).Runtime.aborts + (stats 1).Runtime.aborts in

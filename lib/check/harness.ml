@@ -178,14 +178,14 @@ let run ?(check_states = true) ?(cycle_limit = default_cycle_limit)
   let finished = ref 0 in
   let acct = Accounting.create ~cores:threads in
   let cores =
-    Array.mapi
-      (fun i thread ->
-        Core.spawn ~runtime:rt ~core:i ~thread ~accounting:acct
+    Array.init threads (fun i ->
+        Core.spawn ~runtime:rt ~core:i ~accounting:acct
           ~on_done:(fun () -> incr finished)
           ())
-      scenario.Scenario.program
   in
-  Array.iter Core.start cores;
+  Array.iteri
+    (fun i thread -> Core.drive cores.(i) (Lk_cpu.Program.cursor thread))
+    scenario.Scenario.program;
   let check_expected () =
     List.find_map
       (fun (addr, want) ->

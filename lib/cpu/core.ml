@@ -4,8 +4,8 @@ module Txstate = Lk_htm.Txstate
 module Sysconf = Lk_lockiller.Sysconf
 module Runtime = Lk_lockiller.Runtime
 
-(* A transaction waiting in a stream core's service queue. The body is
-   a thunk, not an op list: under open-loop backlog the queue can grow
+(* A transaction waiting in the core's service queue. The body is a
+   thunk, not an op list: under open-loop backlog the queue can grow
    long, and a thunk (a closure over a few ints and an RNG) keeps the
    queued footprint O(1) per entry no matter how large the transaction
    it will synthesise. *)
@@ -15,68 +15,38 @@ type pending = {
                                      the cycle service began. *)
 }
 
-type stream = {
-  q : pending Queue.t;
-  mutable busy : bool;  (** a transaction is currently in service *)
-  mutable sealed : bool;  (** no further [submit]s will arrive *)
-}
-
 type t = {
   core : Lk_coherence.Types.core_id;
   rt : Runtime.t;
   sim : Sim.t;
   acct : Accounting.t;
-  mutable remaining : Program.transaction list;
   on_done : unit -> unit;
   mutable finished : bool;
   mutable finish_time : int;
-  barrier : (Barrier.t * int) option;
   mutable completed_txs : int;
-  stream : stream option;
+  q : pending Queue.t;
+  mutable busy : bool;  (** a transaction is currently in service *)
+  mutable sealed : bool;  (** no further [submit]s will arrive *)
 }
 
-let spawn ?barrier ~runtime ~core ~thread ~accounting ~on_done () =
-  (match barrier with
-  | Some (_, k) when k <= 0 ->
-    invalid_arg "Core.spawn: barrier interval must be positive"
-  | Some _ | None -> ());
+let spawn ~runtime ~core ~accounting ~on_done () =
   {
     core;
     rt = runtime;
     sim = Lk_coherence.Protocol.sim (Runtime.protocol runtime);
     acct = accounting;
-    remaining = thread;
     on_done;
     finished = false;
     finish_time = 0;
-    barrier;
     completed_txs = 0;
-    stream = None;
-  }
-
-let spawn_stream ~runtime ~core ~accounting ~on_done () =
-  {
-    core;
-    rt = runtime;
-    sim = Lk_coherence.Protocol.sim (Runtime.protocol runtime);
-    acct = accounting;
-    remaining = [];
-    on_done;
-    finished = false;
-    finish_time = 0;
-    barrier = None;
-    completed_txs = 0;
-    stream = Some { q = Queue.create (); busy = false; sealed = false };
+    q = Queue.create ();
+    busy = false;
+    sealed = false;
   }
 
 let finished t = t.finished
 let finish_time t = t.finish_time
-let transactions_left t = List.length t.remaining
-
-let backlog t =
-  match t.stream with
-  | None -> 0
-  | Some s -> Queue.length s.q + if s.busy then 1 else 0
+let completed t = t.completed_txs
 
 let now t = Sim.now t.sim
 
@@ -333,53 +303,22 @@ let critical t (tx : Program.transaction) k =
                 done_ ())))
   | Sysconf.Htm -> attempt t tx done_
 
-(* Phase synchronisation: after every [every]-th transaction, park at
-   the barrier; the wait is non-tran time ("non-tran and barrier"). *)
-let sync_phase t k =
-  match t.barrier with
-  | Some (b, every)
-    when t.completed_txs mod every = 0 && t.remaining <> [] ->
-    let t0 = now t in
-    Barrier.wait b ~sim:t.sim ~k:(fun () ->
-        account t Accounting.Non_tran (now t - t0);
-        k ())
-  | Some _ | None -> k ()
-
-let rec run t = function
-  | [] ->
-    t.finished <- true;
-    t.finish_time <- now t;
-    t.on_done ()
-  | tx :: rest ->
-    t.remaining <- tx :: rest;
-    compute t tx.Program.pre_compute Accounting.Non_tran (fun () ->
-        critical t tx (fun () ->
-            compute t tx.Program.post_compute Accounting.Non_tran (fun () ->
-                t.remaining <- rest;
-                t.completed_txs <- t.completed_txs + 1;
-                sync_phase t (fun () -> run t rest))))
-
-let start t =
-  match t.stream with
-  | Some _ -> invalid_arg "Core.start: stream core (use submit/seal)"
-  | None -> run t t.remaining
-
-(* Open-loop service loop: pop the next pending arrival, synthesise its
-   body, run it through the same pre/critical/post pipeline as the
-   closed-loop path, report completion, repeat until the queue drains.
-   The core finishes when drained *and* sealed. *)
-let rec pump t s =
-  if Queue.is_empty s.q then begin
-    s.busy <- false;
-    if s.sealed && not t.finished then begin
+(* The service loop: pop the next pending transaction, synthesise its
+   body, run it through the pre-compute / critical section /
+   post-compute pipeline, report completion, repeat until the queue
+   drains. The core finishes when drained *and* sealed. *)
+let rec pump t =
+  if Queue.is_empty t.q then begin
+    t.busy <- false;
+    if t.sealed && not t.finished then begin
       t.finished <- true;
       t.finish_time <- now t;
       t.on_done ()
     end
   end
   else begin
-    s.busy <- true;
-    let p = Queue.pop s.q in
+    t.busy <- true;
+    let p = Queue.pop t.q in
     let started = now t in
     let tx = p.gen () in
     compute t tx.Program.pre_compute Accounting.Non_tran (fun () ->
@@ -387,20 +326,42 @@ let rec pump t s =
             compute t tx.Program.post_compute Accounting.Non_tran (fun () ->
                 t.completed_txs <- t.completed_txs + 1;
                 p.notify ~started;
-                pump t s)))
+                pump t)))
   end
 
 let submit t ~gen ~notify =
-  match t.stream with
-  | None -> invalid_arg "Core.submit: not a stream core"
-  | Some s ->
-    if s.sealed then invalid_arg "Core.submit: stream already sealed";
-    Queue.push { gen; notify } s.q;
-    if not s.busy then pump t s
+  if t.sealed then invalid_arg "Core.submit: stream already sealed";
+  Queue.push { gen; notify } t.q;
+  if not t.busy then pump t
 
 let seal t =
-  match t.stream with
-  | None -> invalid_arg "Core.seal: not a stream core"
-  | Some s ->
-    s.sealed <- true;
-    if not s.busy then pump t s
+  t.sealed <- true;
+  if not t.busy then pump t
+
+(* Closed loop: submit transaction i+1 from the completion of
+   transaction i, so exactly one is queued or in service at a time.
+   After every [every]-th transaction but the last, park at the
+   barrier first; the wait is non-tran time ("non-tran and
+   barrier"). *)
+let drive ?barrier t { Program.length; next } =
+  (match barrier with
+  | Some (_, k) when k <= 0 ->
+    invalid_arg "Core.drive: barrier interval must be positive"
+  | Some _ | None -> ());
+  let issued = ref 0 in
+  let rec issue () =
+    if !issued = length then seal t
+    else begin
+      incr issued;
+      submit t ~gen:next ~notify
+    end
+  and notify ~started:_ =
+    match barrier with
+    | Some (b, every) when !issued mod every = 0 && !issued < length ->
+      let t0 = now t in
+      Barrier.wait b ~sim:t.sim ~k:(fun () ->
+          account t Accounting.Non_tran (now t - t0);
+          issue ())
+    | Some _ | None -> issue ()
+  in
+  issue ()

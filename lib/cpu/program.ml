@@ -12,6 +12,20 @@ type thread = transaction list
 
 type t = thread array
 
+type cursor = { length : int; next : unit -> transaction }
+
+let cursor thread =
+  let txs = Array.of_list thread in
+  let drawn = ref 0 in
+  {
+    length = Array.length txs;
+    next =
+      (fun () ->
+        let i = !drawn in
+        drawn := i + 1;
+        txs.(i));
+  }
+
 let op_insts = function
   | Compute n -> n
   | Read _ | Write _ | Incr _ | Add _ | Fault -> 1

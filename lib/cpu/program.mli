@@ -32,6 +32,16 @@ type thread = transaction list
 type t = thread array
 (** One thread per participating core, indexed by core id. *)
 
+type cursor = { length : int; next : unit -> transaction }
+(** A thread drawn on demand: [length] transactions, the [i]-th
+    returned by the [i]-th call of [next] (call it at most [length]
+    times). Closed-loop cores pull their transactions through a cursor
+    ({!Core.drive}), so a generated thread never exists as a whole. *)
+
+val cursor : thread -> cursor
+(** Replays a materialised thread (hand-written programs, check
+    scenarios, tests). *)
+
 val op_count : op list -> int
 (** Number of instructions a body executes (computes count their cycle
     count, memory operations one each). *)

@@ -81,27 +81,24 @@ let place ~placement ~cores ~threads i =
   | Compact -> i
   | Spread -> i * cores / threads
 
-(* How [execute] drives the cores: a closed-loop pre-built program or
-   an open-loop arrival stream served by stream cores. *)
+(* How [execute] feeds the cores: closed-loop threads, each drawn from
+   a cursor as its previous transaction completes, or an open-loop
+   arrival stream. *)
 type exec_mode =
-  | Closed of { program : Program.t; barrier_every : int option }
-  | Open of {
-      ol : Workload_source.open_loop;
-      threads : int;
-      seed : int;
-      expected : (int, int) Hashtbl.t;
-          (* Hot-counter increments accumulated as bodies are
-             synthesised, for the post-run conservation check. *)
-    }
+  | Closed of { cursors : Program.cursor array; barrier_every : int option }
+  | Open of { ol : Workload_source.open_loop; threads : int; seed : int }
 
 (* Shared execution engine for generated workloads, hand-written
-   programs and trace replay. *)
+   programs and trace replay. With [conserve = Some profile], every
+   body's [Incr]s are tallied as it is drawn, and after the run each
+   hot record and each incremented address must hold exactly its
+   count. *)
 let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
-    ~placement ~cycle_limit ~sysconf ~mode
+    ~placement ~cycle_limit ~sysconf ~mode ~conserve
     ~(workload_name : string) ~cache () =
   let threads =
     match mode with
-    | Closed { program; _ } -> Array.length program
+    | Closed { cursors; _ } -> Array.length cursors
     | Open { threads; _ } -> threads
   in
   if threads <= 0 || threads > machine.Config.cores then
@@ -128,41 +125,33 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
   in
   let acct = Accounting.create ~cores:machine.Config.cores in
   let finished = ref 0 in
-  let cpus, post_run, collect_open =
+  let cpus =
+    Array.init threads (fun i ->
+        Core.spawn ~runtime ~core:(core_of i) ~accounting:acct
+          ~on_done:(fun () -> incr finished)
+          ())
+  in
+  let tally = Option.map Workload.tally conserve in
+  let draw =
+    match tally with None -> Fun.id | Some t -> Workload.count t
+  in
+  let post_run, collect_open =
     match mode with
-    | Closed { program; barrier_every } ->
+    | Closed { cursors; barrier_every } ->
       let barrier =
         Option.map
           (fun k -> (Lk_cpu.Barrier.create ~parties:threads, k))
           barrier_every
       in
-      let cpus =
-        Array.mapi
-          (fun i thread ->
-            Core.spawn ?barrier ~runtime ~core:(core_of i) ~thread
-              ~accounting:acct
-              ~on_done:(fun () -> incr finished)
-              ())
-          program
-      in
-      Array.iter Core.start cpus;
-      (cpus, (fun () -> ()), fun () -> None)
-    | Open { ol; seed; expected; _ } ->
-      let cpus =
-        Array.init threads (fun i ->
-            Core.spawn_stream ~runtime ~core:(core_of i) ~accounting:acct
-              ~on_done:(fun () -> incr finished)
-              ())
-      in
+      Array.iteri
+        (fun i (c : Program.cursor) ->
+          Core.drive ?barrier cpus.(i)
+            { c with Program.next = (fun () -> draw (c.Program.next ())) })
+        cursors;
+      ((fun () -> ()), fun () -> None)
+    | Open { ol; seed; _ } ->
       let body = ol.Workload_source.body in
-      (* Per-slot body RNGs, seeded exactly like [Workload.generate]'s
-         per-thread streams so replay bodies are deterministic in
-         (profile, seed, threads). *)
-      let root =
-        Lk_engine.Rng.create
-          (seed + (1299721 * Hashtbl.hash body.Workload.name))
-      in
-      let rngs = Array.init threads (fun _ -> Lk_engine.Rng.split root) in
+      let rngs = Workload.thread_rngs body ~threads ~seed in
       let group = Stats.group "replay" in
       let qdelay = Stats.hdr group "queue_delay" in
       let sojourn = Stats.hdr group "sojourn" in
@@ -197,20 +186,9 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
         let reads = r.reads and writes = r.writes in
         Core.submit cpus.(slot)
           ~gen:(fun () ->
-            let tx =
-              Workload.synthesize body rngs.(slot) ~threads ~thread:slot
-                ~reads ~writes
-            in
-            List.iter
-              (function
-                | Program.Incr a ->
-                  Hashtbl.replace expected a
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt expected a))
-                | Program.Add _ | Program.Read _ | Program.Write _
-                | Program.Compute _ | Program.Fault ->
-                  ())
-              tx.Program.ops;
-            tx)
+            draw
+              (Workload.synthesize body rngs.(slot) ~threads ~thread:slot
+                 ~reads ~writes))
           ~notify:(fun ~started ->
             decr inflight;
             incr completed;
@@ -219,12 +197,20 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
             Stats.record sojourn (Sim.now sim - arrival))
       in
       let seal_all () = Array.iter Core.seal cpus in
+      (* Range-check every record: a library-supplied [next] need not
+         come from the validating trace reader. *)
+      let pull () =
+        match ol.Workload_source.next () with
+        | Ok (Some r) ->
+          Result.map (fun () -> Some r) (Lk_trace.Record.validate r)
+        | (Ok None | Error _) as end_ -> end_
+      in
       (* Pull-one-ahead feeder: at most one unscheduled record is in
          memory at any time, so replay is O(1) in trace length. *)
       let rec feed () =
         let live = ref true in
         while !live do
-          match ol.Workload_source.next () with
+          match pull () with
           | Error e ->
             feed_error := Some e;
             seal_all ();
@@ -269,7 +255,7 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
               |> List.filter (fun (_, n) -> n > 0);
           }
       in
-      (cpus, post_run, collect)
+      (post_run, collect)
   in
   let (), perf_sample =
     Perf.observe sim (fun () -> Sim.run ~limit:cycle_limit sim)
@@ -315,7 +301,7 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
   | Some (req, handle) -> req.consume handle
   | None -> ());
   let latency = Runtime.tx_latency_hdr runtime in
-  ( store,
+  let result =
     {
     system = sysconf.Sysconf.name;
     workload = workload_name;
@@ -353,7 +339,25 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
     tx_latency_p95 = Stats.percentile latency 95.;
     tx_latency_p99 = Stats.percentile latency 99.;
     open_loop = collect_open ();
-  } )
+  }
+  in
+  (* End-to-end atomicity check: each committed hot counter must equal
+     the increments the run's transactions performed on it. *)
+  (match tally with
+  | None -> ()
+  | Some t ->
+    let caller =
+      match mode with Closed _ -> "Runner.run" | Open _ -> "Runner.replay"
+    in
+    List.iter
+      (fun (addr, want) ->
+        let got = Store.committed store addr in
+        if got <> want then
+          failwith
+            (Printf.sprintf "%s: %s/%s: conservation violated at %#x: %d <> %d"
+               caller sysconf.Sysconf.name workload_name addr got want))
+      (Workload.expected t));
+  result
 
 type options = {
   seed : int;
@@ -380,18 +384,6 @@ let default_options =
     telemetry = None;
   }
 
-(* End-to-end atomicity check: each committed hot counter must equal
-   the increments the run's transactions performed on it. *)
-let check_conservation ~caller ~sysconf ~workload_name store expected =
-  List.iter
-    (fun (addr, want) ->
-      let got = Store.committed store addr in
-      if got <> want then
-        failwith
-          (Printf.sprintf "%s: %s/%s: conservation violated at %#x: %d <> %d"
-             caller sysconf.Sysconf.name workload_name addr got want))
-    expected
-
 let run ?(options = default_options) ~sysconf ~workload ~threads () =
   let {
     seed;
@@ -406,21 +398,16 @@ let run ?(options = default_options) ~sysconf ~workload ~threads () =
   } =
     options
   in
-  let program = Workload.generate workload ~threads ~seed ~scale in
-  (* Counted before the run: the cores drop transactions as they
-     finish, and holding [program] to the end would keep it all live. *)
-  let expected = Workload.hot_increments workload program in
-  let store, result =
-    execute ~queue_backend ~check ?telemetry
-      ~machine ~on_runtime ~placement ~cycle_limit ~sysconf
-      ~mode:
-        (Closed
-           { program; barrier_every = workload.Workload.barrier_every })
-      ~workload_name:workload.Workload.name ~cache:machine.Config.cache ()
-  in
-  check_conservation ~caller:"Runner.run" ~sysconf
-    ~workload_name:workload.Workload.name store expected;
-  result
+  execute ~queue_backend ~check ?telemetry ~machine ~on_runtime ~placement
+    ~cycle_limit ~sysconf
+    ~mode:
+      (Closed
+         {
+           cursors = Workload.cursors workload ~threads ~seed ~scale;
+           barrier_every = workload.Workload.barrier_every;
+         })
+    ~conserve:(Some workload)
+    ~workload_name:workload.Workload.name ~cache:machine.Config.cache ()
 
 let run_program ?(options = default_options) ?(name = "custom") ~sysconf
     ~program () =
@@ -451,13 +438,12 @@ let run_program ?(options = default_options) ?(name = "custom") ~sysconf
               lock/clock/gate lines"
              addr))
     (Lk_cpu.Program.touched_addresses program);
-  let _, result =
-    execute ~queue_backend ~check ?telemetry
-      ~machine ~on_runtime ~placement ~cycle_limit ~sysconf
-      ~mode:(Closed { program; barrier_every = None })
-      ~workload_name:name ~cache:machine.Config.cache ()
-  in
-  result
+  execute ~queue_backend ~check ?telemetry ~machine ~on_runtime ~placement
+    ~cycle_limit ~sysconf
+    ~mode:
+      (Closed
+         { cursors = Array.map Program.cursor program; barrier_every = None })
+    ~conserve:None ~workload_name:name ~cache:machine.Config.cache ()
 
 let replay ?(options = default_options) ~sysconf ~open_loop ~threads () =
   let {
@@ -476,20 +462,12 @@ let replay ?(options = default_options) ~sysconf ~open_loop ~threads () =
   (match Workload.validate open_loop.Workload_source.body with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Runner.replay: body profile: " ^ msg));
-  let expected = Hashtbl.create 64 in
-  let store, result =
-    execute ~queue_backend ~check ?telemetry
-      ~machine ~on_runtime ~placement ~cycle_limit ~sysconf
-      ~mode:(Open { ol = open_loop; threads; seed; expected })
-      ~workload_name:open_loop.Workload_source.trace_name
-      ~cache:machine.Config.cache ()
-  in
-  (* Hot increments are tallied as bodies are synthesised, so the check
-     needs no second trace pass. *)
-  check_conservation ~caller:"Runner.replay" ~sysconf
-    ~workload_name:open_loop.Workload_source.trace_name store
-    (List.of_seq (Hashtbl.to_seq expected));
-  result
+  execute ~queue_backend ~check ?telemetry ~machine ~on_runtime ~placement
+    ~cycle_limit ~sysconf
+    ~mode:(Open { ol = open_loop; threads; seed })
+    ~conserve:(Some open_loop.Workload_source.body)
+    ~workload_name:open_loop.Workload_source.trace_name
+    ~cache:machine.Config.cache ()
 
 let run_source ?(options = default_options) ~sysconf ~source ~threads () =
   match (source : Workload_source.t) with

@@ -2,8 +2,9 @@
     collect every metric the paper reports.
 
     Each run verifies its own correctness twice over: the committed
-    values of the workload's hot records must equal the increments the
-    generated program performs (conservation), and the serializability
+    values of the workload's hot records must equal the increments its
+    transactions perform, counted as each body is drawn (conservation),
+    and the serializability
     oracle replays each critical section against a model store as it
     commits and checks every observed read ({!Lk_htm.Oracle}), in
     memory bounded by the addresses touched. These checks run on every
@@ -171,7 +172,10 @@ val run :
   threads:int ->
   unit ->
   result
-(** Closed-loop run. [?options] defaults to {!default_options}; build
+(** Closed-loop run: each thread draws its next transaction from
+    {!Lk_stamp.Workload.cursors} when the previous one completes, so
+    the workload costs O(threads) memory, not O(transactions).
+    [?options] defaults to {!default_options}; build
     variations with record update
     ([{ Runner.default_options with seed = 7 }]) — the pre-[options]
     per-field optional arguments were removed.
@@ -202,7 +206,7 @@ val replay :
   threads:int ->
   unit ->
   result
-(** Open-loop replay: [threads] stream cores serve the arrival stream.
+(** Open-loop replay: [threads] cores serve the arrival stream.
     Each record is admitted at its arrival cycle (immediately if the
     trace is behind simulated time), queued FIFO at a core — its own
     [core mod threads] when it has affinity, round-robin otherwise —
@@ -216,10 +220,10 @@ val replay :
     The serializability oracle checks each section as it commits and
     keeps only the model store, so it preserves that bound. Raises
     [Failure] on a malformed or
-    non-monotone trace (the feeder's position-tagged error), and on the
-    same conservation/serializability/invariant violations as {!run}
-    (hot-counter increments are tallied during body synthesis, so
-    conservation needs no second trace pass). *)
+    non-monotone trace (the feeder's position-tagged error) or an
+    out-of-range record ({!Lk_trace.Record.validate}, applied to every
+    record the feeder pulls), and on the same
+    conservation/serializability/invariant violations as {!run}. *)
 
 val run_source :
   ?options:options ->

@@ -85,34 +85,38 @@ let sized_tx p rng ~threads ~thread ~n_reads ~n_writes =
       if i < n_reads then mk_read () else mk_write ())
   in
   Rng.shuffle rng ops;
-  let ops = Array.to_list ops in
-  let ops =
-    if p.compute_per_op > 0 then
-      List.concat_map (fun op -> [ Program.Compute p.compute_per_op; op ]) ops
-    else ops
-  in
-  let ops =
+  (* The fault, if any, goes before element [fault_at] of the body with
+     its [Compute]s interleaved. *)
+  let per_op = if p.compute_per_op > 0 then 2 else 1 in
+  let len = per_op * Array.length ops in
+  let fault_at =
     if Rng.chance rng p.fault_prob then begin
       (* Inject the fault late in the body (the last quarter): faults in
          yada-like workloads strike deep inside cavity processing, which
          is what makes the wasted work expensive. *)
-      let len = List.length ops in
       let lo = 3 * len / 4 in
-      let pos = lo + Rng.int rng (len - lo + 1) in
-      List.concat
-        [
-          List.filteri (fun i _ -> i < pos) ops;
-          [ Program.Fault ];
-          List.filteri (fun i _ -> i >= pos) ops;
-        ]
+      lo + Rng.int rng (len - lo + 1)
     end
-    else ops
+    else -1
   in
-  {
-    Program.pre_compute = uniform_in rng p.pre_compute;
-    ops;
-    post_compute = uniform_in rng p.post_compute;
-  }
+  (* One pass, back to front. With interleave, even positions hold the
+     compute before op [pos / 2] and odd ones the op. *)
+  let compute = Program.Compute p.compute_per_op in
+  let body = ref (if fault_at = len then [ Program.Fault ] else []) in
+  for pos = len - 1 downto 0 do
+    let elt =
+      if per_op = 1 then ops.(pos)
+      else if pos land 1 = 0 then compute
+      else ops.(pos / 2)
+    in
+    body := elt :: !body;
+    if pos = fault_at then body := Program.Fault :: !body
+  done;
+  (* Draw order is part of the output: [post_compute] before
+     [pre_compute]. *)
+  let post_compute = uniform_in rng p.post_compute in
+  let pre_compute = uniform_in rng p.pre_compute in
+  { Program.pre_compute; ops = !body; post_compute }
 
 (* Closed-loop body: footprint sizes drawn from the profile's ranges. *)
 let gen_tx p rng ~threads ~thread =
@@ -126,41 +130,55 @@ let synthesize p rng ~threads ~thread ~reads ~writes =
     invalid_arg "Workload.synthesize: negative footprint";
   sized_tx p rng ~threads ~thread ~n_reads:reads ~n_writes:writes
 
-let generate p ~threads ~seed ~scale =
+(* One RNG per thread, split from a root seeded by (seed, profile name)
+   in thread order. A thread's transactions draw only from its own
+   stream, so drawing them lazily, interleaved across threads, yields
+   the same bodies as drawing each thread's in one go. *)
+let thread_rngs p ~threads ~seed =
+  let root = Rng.create (seed + (1299721 * Hashtbl.hash p.name)) in
+  Array.init threads (fun _ -> Rng.split root)
+
+let cursors p ~threads ~seed ~scale =
   (match validate p with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Workload.generate: " ^ msg));
-  if threads <= 0 then invalid_arg "Workload.generate: threads must be positive";
-  if scale <= 0.0 then invalid_arg "Workload.generate: scale must be positive";
-  let txs = max 1 (int_of_float (float_of_int p.txs_per_thread *. scale)) in
-  let root = Rng.create (seed + (1299721 * Hashtbl.hash p.name)) in
-  Array.init threads (fun thread ->
-      let rng = Rng.split root in
-      List.init txs (fun _ -> gen_tx p rng ~threads ~thread))
+  | Error msg -> invalid_arg ("Workload.cursors: " ^ msg));
+  if threads <= 0 then invalid_arg "Workload.cursors: threads must be positive";
+  if scale <= 0.0 then invalid_arg "Workload.cursors: scale must be positive";
+  let length = max 1 (int_of_float (float_of_int p.txs_per_thread *. scale)) in
+  Array.mapi
+    (fun thread rng ->
+      { Program.length; next = (fun () -> gen_tx p rng ~threads ~thread) })
+    (thread_rngs p ~threads ~seed)
+
+let generate p ~threads ~seed ~scale =
+  Array.map
+    (fun (c : Program.cursor) ->
+      List.init c.Program.length (fun _ -> c.Program.next ()))
+    (cursors p ~threads ~seed ~scale)
 
 let hot_addresses p =
   List.init p.hot_lines (fun i -> addr_of_line (hot_line i))
 
-let hot_increments p program =
-  let counts = Hashtbl.create 64 in
-  List.iter (fun a -> Hashtbl.replace counts a 0) (hot_addresses p);
-  Array.iter
-    (fun thread ->
-      List.iter
-        (fun tx ->
-          List.iter
-            (function
-              | Program.Incr a ->
-                Hashtbl.replace counts a
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt counts a))
-              | Program.Add (a, _) | Program.Read a | Program.Write (a, _) ->
-                ignore a
-              | Program.Compute _ | Program.Fault -> ())
-            tx.Program.ops)
-        thread)
-    program;
-  Hashtbl.fold (fun a n acc -> (a, n) :: acc) counts []
-  |> List.sort compare
+type tally = (int, int) Hashtbl.t
+
+let tally p =
+  let t = Hashtbl.create 64 in
+  List.iter (fun a -> Hashtbl.replace t a 0) (hot_addresses p);
+  t
+
+let count t (tx : Program.transaction) =
+  List.iter
+    (function
+      | Program.Incr a ->
+        Hashtbl.replace t a (1 + Option.value ~default:0 (Hashtbl.find_opt t a))
+      | Program.Add _ | Program.Read _ | Program.Write _ | Program.Compute _
+      | Program.Fault ->
+        ())
+    tx.Program.ops;
+  tx
+
+let expected t =
+  Hashtbl.fold (fun a n acc -> (a, n) :: acc) t [] |> List.sort compare
 
 let pp ppf p =
   Format.fprintf ppf

@@ -44,11 +44,27 @@ val lock_addr : int
 
 val validate : profile -> (unit, string) result
 
+val cursors :
+  profile ->
+  threads:int ->
+  seed:int ->
+  scale:float ->
+  Lk_cpu.Program.cursor array
+(** One cursor per thread, each drawing that thread's transactions on
+    demand, so memory is O(threads) however long the run. Deterministic:
+    same (profile, threads, seed, scale) gives the same transactions.
+    [scale] multiplies [txs_per_thread] (min 1), which is every
+    cursor's [length]. Threads must be positive. *)
+
 val generate :
   profile -> threads:int -> seed:int -> scale:float -> Lk_cpu.Program.t
-(** Deterministic: same (profile, threads, seed, scale) gives the same
-    program. [scale] multiplies [txs_per_thread] (min 1). Threads must
-    be positive. *)
+(** {!cursors}, drained into lists. *)
+
+val thread_rngs :
+  profile -> threads:int -> seed:int -> Lk_engine.Rng.t array
+(** The per-thread streams {!cursors} draw from: split in thread order
+    from one root seeded by [seed] and the profile's name. Open-loop
+    replay synthesises each slot's bodies from the same streams. *)
 
 val synthesize :
   profile ->
@@ -70,9 +86,18 @@ val hot_addresses : profile -> int list
     run must equal the number of committed [Incr]s (conservation
     checks). *)
 
-val hot_increments : profile -> Lk_cpu.Program.t -> (int * int) list
-(** [(addr, total increments)] pairs, sorted by address, that [program]
-    (generated from [profile]) performs on the hot records — what the
-    committed store must show after any correct run. *)
+type tally
+(** Per-address count of the [Incr]s in the bodies drawn so far. *)
+
+val tally : profile -> tally
+(** An empty tally holding every hot record at 0. *)
+
+val count : tally -> Lk_cpu.Program.transaction -> Lk_cpu.Program.transaction
+(** Add a body's [Incr]s to the tally; returns the body, so a draw can
+    be counted in passing. *)
+
+val expected : tally -> (int * int) list
+(** [(addr, increments)] pairs sorted by address: what the committed
+    store must show after any correct run of the counted bodies. *)
 
 val pp : Format.formatter -> profile -> unit

@@ -148,14 +148,10 @@ let generate p ~seed ~emit =
                 user mod p.cores
           in
           let phase = t_phase p cycle in
-          emit
-            {
-              Record.arrival = cycle;
-              core;
-              reads = uniform_in bodies p.reads_per_tx;
-              writes = uniform_in bodies p.writes_per_tx;
-              phase;
-            };
+          (* Draw order is part of the trace: [writes] before [reads]. *)
+          let writes = uniform_in bodies p.writes_per_tx in
+          let reads = uniform_in bodies p.reads_per_tx in
+          emit { Record.arrival = cycle; core; reads; writes; phase };
           incr count
         end
       done;

@@ -308,13 +308,12 @@ let run_with_oracle sysconf program =
   let oracle = Runtime.enable_oracle runtime in
   let acct = Accounting.create ~cores:4 in
   let cpus =
-    Array.mapi
-      (fun core thread ->
-        Core.spawn ~runtime ~core ~thread ~accounting:acct ~on_done:(fun () ->
-            ()) ())
-      program
+    Array.init (Array.length program) (fun core ->
+        Core.spawn ~runtime ~core ~accounting:acct ~on_done:(fun () -> ()) ())
   in
-  Array.iter Core.start cpus;
+  Array.iteri
+    (fun core cpu -> Core.drive cpu (Program.cursor program.(core)))
+    cpus;
   Sim.run sim;
   oracle
 

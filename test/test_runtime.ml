@@ -81,19 +81,20 @@ let run_program ?(cores = 4) ?(l1_sets = 16) ?(ledger = false) ~sysconf
   let acct = Accounting.create ~cores in
   let done_count = ref 0 in
   let cpus =
-    Array.mapi
-      (fun core thread ->
-        Core.spawn ~runtime ~core ~thread ~accounting:acct
+    Array.init (Array.length program) (fun core ->
+        Core.spawn ~runtime ~core ~accounting:acct
           ~on_done:(fun () -> incr done_count) ())
-      program
   in
-  Array.iter Core.start cpus;
+  Array.iteri
+    (fun core cpu -> Core.drive cpu (Program.cursor program.(core)))
+    cpus;
   Sim.run sim;
   Array.iteri
     (fun i cpu ->
       if not (Core.finished cpu) then
-        Alcotest.failf "core %d never finished (%d txs left)" i
-          (Core.transactions_left cpu))
+        Alcotest.failf "core %d never finished (%d of %d txs completed)" i
+          (Core.completed cpu)
+          (List.length program.(i)))
     cpus;
   Protocol.check_invariants protocol;
   { runtime; store; acct; cycles = Sim.now sim; protocol }
@@ -509,13 +510,12 @@ let test_llc_eviction_capacity_abort () =
     |]
   in
   let cpus =
-    Array.mapi
-      (fun core thread ->
-        Core.spawn ~runtime ~core ~thread ~accounting:acct ~on_done:(fun () ->
-            ()) ())
-      program
+    Array.init (Array.length program) (fun core ->
+        Core.spawn ~runtime ~core ~accounting:acct ~on_done:(fun () -> ()) ())
   in
-  Array.iter Core.start cpus;
+  Array.iteri
+    (fun core cpu -> Core.drive cpu (Program.cursor program.(core)))
+    cpus;
   Sim.run sim;
   Protocol.check_invariants protocol;
   check_int "counter adds up" 1 (Store.committed store (data 0));
@@ -723,14 +723,13 @@ let test_barrier_phases_synchronise_threads () =
   let b = Barrier.create ~parties:4 in
   let program = counter_program ~threads:4 ~per_thread:6 ~counter:(data 0) in
   let cpus =
-    Array.mapi
-      (fun core thread ->
-        Core.spawn ~barrier:(b, 2) ~runtime ~core ~thread ~accounting:acct
-          ~on_done:(fun () -> ())
-          ())
-      program
+    Array.init (Array.length program) (fun core ->
+        Core.spawn ~runtime ~core ~accounting:acct ~on_done:(fun () -> ()) ())
   in
-  Array.iter Core.start cpus;
+  Array.iteri
+    (fun core cpu ->
+      Core.drive ~barrier:(b, 2) cpu (Program.cursor program.(core)))
+    cpus;
   Sim.run sim;
   check_int "counter adds up with barriers" 24 (Store.committed store (data 0));
   (* 6 txs / barrier every 2 = 2 mid-run phases (no barrier after the

@@ -191,11 +191,63 @@ let test_plus_variants_more_contended () =
 
 (* --- conservation bookkeeping ----------------------------------------- *)
 
+(* Draw every transaction of [cursors] the way a run does: round-robin
+   across threads, one transaction each, instead of thread by thread. *)
+let draw_interleaved (cursors : Program.cursor array) ~f =
+  let drawn = Array.map (fun _ -> []) cursors in
+  let longest =
+    Array.fold_left (fun acc c -> max acc c.Program.length) 0 cursors
+  in
+  for i = 0 to longest - 1 do
+    Array.iteri
+      (fun t (c : Program.cursor) ->
+        if i < c.Program.length then
+          drawn.(t) <- f (c.Program.next ()) :: drawn.(t))
+      cursors
+  done;
+  Array.map List.rev drawn
+
+let test_cursors_match_generate () =
+  List.iter
+    (fun (name, threads, seed) ->
+      let p = Option.get (Suite.find name) in
+      let drawn =
+        draw_interleaved (Workload.cursors p ~threads ~seed ~scale:0.5)
+          ~f:Fun.id
+      in
+      check_bool
+        (Printf.sprintf "%s, %d threads, seed %d" name threads seed)
+        true
+        (drawn = Workload.generate p ~threads ~seed ~scale:0.5))
+    (List.concat_map
+       (fun name ->
+         List.concat_map
+           (fun threads ->
+             List.map (fun seed -> (name, threads, seed)) [ 1; 2; 7 ])
+           [ 1; 3; 32 ])
+       [ "genome"; "kmeans"; "yada" ])
+
+let test_cursor_state_is_per_thread () =
+  (* A cursor holds its thread's RNG, not its transactions: the drawn
+     program's size must not show in the cursors' reachable words. *)
+  let p = Option.get (Suite.find "ssca2") in
+  let words scale =
+    Obj.reachable_words
+      (Obj.repr (Workload.cursors p ~threads:128 ~seed:1 ~scale))
+  in
+  check_int "scale 16 = scale 1" (words 1.0) (words 16.0);
+  check_bool "O(threads)" true (words 1.0 < 128 * 64)
+
 let test_expected_increments_match_program () =
   List.iter
     (fun p ->
       let program = gen p in
-      let expected = Workload.hot_increments p program in
+      (* tallied at draw time, as the runner does *)
+      let tally = Workload.tally p in
+      ignore
+        (draw_interleaved (Workload.cursors p ~threads:4 ~seed:1 ~scale:1.0)
+           ~f:(Workload.count tally));
+      let expected = Workload.expected tally in
       (* recount from the program *)
       let counts = Hashtbl.create 64 in
       Array.iter
@@ -430,6 +482,10 @@ let () =
           QCheck_alcotest.to_alcotest
             prop_random_profiles_generate_valid_programs;
           QCheck_alcotest.to_alcotest prop_generation_is_pure;
+          Alcotest.test_case "cursors match generate" `Quick
+            test_cursors_match_generate;
+          Alcotest.test_case "cursor state per thread" `Quick
+            test_cursor_state_is_per_thread;
         ] );
       ( "conservation",
         [

@@ -305,6 +305,28 @@ let test_replay_rejects_bad_stream () =
       find 0)
   | _ -> Alcotest.fail "expected Failure on a failing stream"
 
+(* A library-supplied [next] need not come from the validating reader:
+   an out-of-range record must fail the replay with a message naming
+   the system and trace, not crash inside the run. *)
+let test_replay_rejects_bad_record () =
+  let good =
+    { Record.arrival = 5; core = 1; reads = 2; writes = 1; phase = 0 }
+  in
+  List.iter
+    (fun (bad, want) ->
+      match replay_trace [ good; bad ] ~threads:2 with
+      | exception Failure msg ->
+        check_string want ("Runner.replay: LockillerTM/test: " ^ want) msg
+      | _ -> Alcotest.failf "expected Failure on %s" want)
+    [
+      ( { Record.arrival = 10; core = 0; reads = 2; writes = 1; phase = 99 },
+        "phase must be in [0, 15] (got 99)" );
+      ( { Record.arrival = 10; core = 0; reads = -1; writes = 1; phase = 0 },
+        "reads must be non-negative (got -1)" );
+      ( { Record.arrival = 10; core = -2; reads = 2; writes = 1; phase = 0 },
+        "core must be >= -1 (got -2)" );
+    ]
+
 (* The streaming guarantee: replay memory is independent of trace
    length. Replay a short and a 16x-longer trace through temp files and
    require the major-heap growth attributable to the longer run to stay
@@ -536,6 +558,8 @@ let () =
           Alcotest.test_case "affinity" `Quick test_replay_respects_affinity;
           Alcotest.test_case "bad stream" `Quick
             test_replay_rejects_bad_stream;
+          Alcotest.test_case "bad record" `Quick
+            test_replay_rejects_bad_record;
           Alcotest.test_case "bounded memory" `Slow
             test_replay_bounded_memory;
         ] );
