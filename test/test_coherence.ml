@@ -996,6 +996,135 @@ let llc_trace_digest ~seed =
   guarded b (fun () -> ignore (Llc.dir_of c 1_000_003));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* A 16-way LLC touched sparsely: a dozen sets per run, each drawing
+   from its own pool of 1 to 40 lines, so sets come to hold 1, 2, 3-4,
+   5-8 and 9-16 lines, the deep ones fill and evict, and explicit
+   evictions leave holes below a set's highest occupied way. Every
+   step's room, view and error text is folded in, with periodic
+   [iter] and [iter_shard] dumps that pin set-then-way order. *)
+let llc_sparse_trace_digest ~seed =
+  let rng = Rng.create seed in
+  let banks = 4 and sets = 64 and ways = 16 in
+  let c =
+    Llc.create ~plan:(Shard.make ~count:banks ~tiles:banks ~hash:Shard.Mod)
+      ~bank_size_bytes:(sets * 64 * ways) ~ways
+  in
+  let b = Buffer.create 65536 in
+  (* (bank, set within the bank, distinct lines drawn there) *)
+  let pools =
+    [|
+      (0, 0, 1); (1, 5, 2); (2, 9, 3); (3, 63, 4); (0, 17, 5); (1, 33, 8);
+      (2, 40, 9); (3, 2, 16); (0, 50, 17); (1, 11, 24); (2, 61, 40);
+      (3, 30, 2);
+    |]
+  in
+  let draw () =
+    let bank, set, depth = pools.(Rng.int rng (Array.length pools)) in
+    bank + (banks * set) + (banks * sets * Rng.int rng depth)
+  in
+  let dir () =
+    match Rng.int rng 3 with
+    | 0 -> Llc.Owner (Rng.int rng 8)
+    | 1 -> Llc.Sharers Coreset.empty
+    | _ -> Llc.Sharers (Coreset.of_list [ Rng.int rng 8; Rng.int rng 8 ])
+  in
+  let dump () =
+    let recount = ref 0 in
+    Llc.iter c (fun v ->
+        incr recount;
+        add_llc_view b v);
+    check_int "occupancy" !recount (Llc.occupancy c);
+    Printf.bprintf b "|%d|" (Llc.occupancy c);
+    for s = 0 to banks - 1 do
+      Printf.bprintf b "#%d" s;
+      Llc.iter_shard c s (add_llc_view b)
+    done
+  in
+  dump ();
+  for step = 1 to 3000 do
+    let line = draw () in
+    Printf.bprintf b "%d:" step;
+    (match Rng.int rng 9 with
+    | 0 | 1 | 2 -> (
+      match Llc.room_for c line with
+      | Llc.Present -> Buffer.add_string b "P;"
+      | Llc.Free ->
+        Buffer.add_string b "F;";
+        Llc.insert c line
+      | Llc.Evict v ->
+        Buffer.add_string b "E";
+        add_llc_view b v;
+        add_llc_view b (Llc.evict c v.Llc.line);
+        Llc.insert c line)
+    | 3 -> guarded b (fun () -> Llc.insert c line)
+    | 4 | 5 -> guarded b (fun () -> add_llc_view b (Llc.evict c line))
+    | 6 -> guarded b (fun () -> Llc.set_dir c line (dir ()))
+    | 7 -> guarded b (fun () -> Llc.set_dirty c line (Rng.bool rng))
+    | _ -> (
+      Llc.touch c line;
+      match Llc.lookup c line with
+      | None -> Buffer.add_string b "-;"
+      | Some v -> add_llc_view b v));
+    if step mod 100 = 0 then dump ()
+  done;
+  (* Drain in iteration order, then refill from scratch. *)
+  let resident = ref [] in
+  Llc.iter c (fun v -> resident := v.Llc.line :: !resident);
+  List.iter (fun l -> add_llc_view b (Llc.evict c l)) (List.rev !resident);
+  dump ();
+  for _ = 1 to 200 do
+    let line = draw () in
+    match Llc.room_for c line with
+    | Llc.Free -> Llc.insert c line
+    | Llc.Present | Llc.Evict _ -> Buffer.add_string b "x;"
+  done;
+  dump ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Every read-only operation, and every mutator that must refuse, on an
+   L1 that has never held a line; then the first inserts. *)
+let l1_fresh_trace_digest () =
+  let c = L1.create ~size_bytes:(64 * 64 * 8) ~ways:8 in
+  let b = Buffer.create 4096 in
+  let dump () =
+    Printf.bprintf b "|%d %d|" (L1.occupancy c) (L1.tx_count c);
+    List.iter (add_l1_view b) (L1.tx_lines c);
+    L1.iter c (add_l1_view b)
+  in
+  let probe line =
+    Printf.bprintf b "%d:" line;
+    (match L1.lookup c line with
+    | None -> Buffer.add_string b "-;"
+    | Some v -> add_l1_view b v);
+    (match L1.room_for c line with
+    | L1.Present -> Buffer.add_string b "P;"
+    | L1.Free -> Buffer.add_string b "F;"
+    | L1.Evict v -> add_l1_view b v);
+    Printf.bprintf b "%b;" (L1.resident c line);
+    L1.touch c line
+  in
+  dump ();
+  List.iter probe [ 0; 1; 63; 64; 65; 511; 512; 4096; 1_000_003 ];
+  List.iter
+    (fun line ->
+      guarded b (fun () -> L1.set_state c line L1.M);
+      guarded b (fun () -> L1.mark_dirty c line);
+      guarded b (fun () -> L1.clear_dirty c line);
+      guarded b (fun () -> L1.mark_tx c line ~write:true);
+      guarded b (fun () -> add_l1_view b (L1.remove c line)))
+    [ 0; 64; 777 ];
+  List.iter (add_l1_view b) (L1.clear_tx c ~drop_written:false);
+  List.iter (add_l1_view b) (L1.clear_tx c ~drop_written:true);
+  dump ();
+  L1.insert c 64 L1.E;
+  L1.mark_tx c 64 ~write:false;
+  L1.insert c 0 L1.M;
+  List.iter probe [ 0; 64; 128 ];
+  dump ();
+  List.iter (add_l1_view b) (L1.clear_tx c ~drop_written:true);
+  dump ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let test_l1_golden_trace () =
   check Alcotest.string "seed 1" "a08db20643e853450043e1d6e9444d22"
     (l1_trace_digest ~seed:1);
@@ -1008,6 +1137,16 @@ let test_llc_golden_trace () =
   check Alcotest.string "seed 2" "c372068ce1aab08d1c618de46d8a25b9"
     (llc_trace_digest ~seed:2)
 
+
+let test_llc_sparse_golden_trace () =
+  check Alcotest.string "seed 1" "3f80d06de9007597c560ab1c07cc9976"
+    (llc_sparse_trace_digest ~seed:1);
+  check Alcotest.string "seed 2" "720b2c78fc994b8a1d596e0b7ffa1f8a"
+    (llc_sparse_trace_digest ~seed:2)
+
+let test_l1_fresh_golden_trace () =
+  check Alcotest.string "fresh" "cc47c526efba3ffc029d9930df3cc7ae"
+    (l1_fresh_trace_digest ())
 
 let () =
   Alcotest.run "coherence"
@@ -1044,6 +1183,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_l1_never_exceeds_capacity;
           QCheck_alcotest.to_alcotest prop_l1_matches_lru_model;
           Alcotest.test_case "golden trace" `Quick test_l1_golden_trace;
+          Alcotest.test_case "golden trace, never filled" `Quick
+            test_l1_fresh_golden_trace;
         ] );
       ( "shard",
         [
@@ -1062,6 +1203,8 @@ let () =
             test_llc_victim_prefers_quiet_lines;
           Alcotest.test_case "evict" `Quick test_llc_evict;
           Alcotest.test_case "golden trace" `Quick test_llc_golden_trace;
+          Alcotest.test_case "golden trace, 16-way sparse" `Quick
+            test_llc_sparse_golden_trace;
         ] );
       ( "protocol-mesi",
         [

@@ -8,7 +8,9 @@
    The grid covers every system on a contended (intruder), a faulting
    (yada) and a barrier-phased (kmeans) workload, odd and large machine
    shapes, the heap queue backend, one open-loop replay of a generated
-   bursty trace and one hand-written program. *)
+   bursty trace and one hand-written program. Each experiment's JSON
+   document (as [experiment ID --format json] prints it, without the
+   trailing newline) is pinned at 4 cores, 2 threads and scale 0.05. *)
 
 module Config = Lk_sim.Config
 module Runner = Lk_sim.Runner
@@ -17,6 +19,9 @@ module Sysconf = Lk_lockiller.Sysconf
 module Suite = Lk_stamp.Suite
 module Program = Lk_cpu.Program
 module Gen = Lk_trace.Gen
+module Experiments = Lk_sim.Experiments
+module Report = Lk_sim.Report
+module Json = Lk_sim.Json
 
 let digest r = Digest.to_hex (Digest.string (Runner.result_to_json r))
 let sysconf name = Option.get (Sysconf.find name)
@@ -95,6 +100,24 @@ thread
     (Runner.run_program ~options:(options four) ~name:"bank"
        ~sysconf:(sysconf "LockillerTM") ~program ())
 
+(* The topology experiment builds a torus, which needs at least 3 tiles
+   a side, so it runs on the smallest square machine that has one. *)
+let experiment (e : Experiments.experiment) () =
+  let cores = if e.Experiments.id = "topology" then 9 else 4 in
+  let ctx = Experiments.make_context ~scale:0.05 ~cores ~threads:[ 2 ] () in
+  let doc =
+    Json.Obj
+      [
+        ("id", Json.String e.Experiments.id);
+        ("artefact", Json.String e.Experiments.artefact);
+        ("describe", Json.String e.Experiments.describe);
+        ( "tables",
+          Json.List (List.map Report.json_of_table (Experiments.execute ctx e))
+        );
+      ]
+  in
+  Digest.to_hex (Digest.string (Json.to_string (Json.List [ doc ])))
+
 let grid =
   List.concat_map
     (fun wl ->
@@ -122,6 +145,10 @@ let grid =
       ("replay of a bursty trace", replay);
       ("hand-written program", program);
     ]
+  @ List.map
+      (fun (e : Experiments.experiment) ->
+        ("experiment " ^ e.Experiments.id, experiment e))
+      Experiments.all
 
 let golden =
   [
@@ -180,6 +207,27 @@ let golden =
     ("heap queue backend", "0aeb4214c9f384b0d2dccef2335cd2a2");
     ("replay of a bursty trace", "6038210ad615db0a1f3717bd842f4496");
     ("hand-written program", "7a6fd41a52d7589e12836064bd0878df");
+    ("experiment table1", "b1fdb7f6f962a578a9a0ff463d0a65f4");
+    ("experiment table2", "9c8b3d113522ded8e6cb7f7de2b73328");
+    ("experiment fig1", "c722c6e1d918d175a828ff831cd7772c");
+    ("experiment fig7", "34c495bbb7891b9ccb40fd5b90da82b3");
+    ("experiment fig8", "3dfe579517d8c6b43f5a0624845ea291");
+    ("experiment fig9", "e376b5dccefba1a43de10dd0df7260bb");
+    ("experiment fig10", "2af859fbaf33d9410b3484bbdcb52b7c");
+    ("experiment fig11", "3f17058bd6fb4c7b591b4e4fd449d434");
+    ("experiment fig12", "db2584ffc17dae11c37db5bfbb22b79e");
+    ("experiment fig13", "8e4524e3affec7e104a3d6b3ed270bb3");
+    ("experiment headline", "2250e46c38768ddcdeab2e549bb55f48");
+    ("experiment ablation", "b0e1b47002008a35f869820671080b23");
+    ("experiment txsize", "ead150822c8a3774d070cc01a40b756f");
+    ("experiment noc", "1d7cbd32a777a2817770ab3cc2144065");
+    ("experiment topology", "925175296aa270687e3b949678996a51");
+    ("experiment placement", "b23a2733020ea940033b01561127ef2f");
+    ("experiment protocol", "a447adbd1d86aa982a902870fb255956");
+    ("experiment variance", "78585ab8c7285e1ed9503743abf23436");
+    ("experiment latency", "e0ee9888980cfff11c3ad3c741f69869");
+    ("experiment hytm", "91334fa93ec7594b1c703e085f841cd7");
+    ("experiment wasted", "5232f61d82fe0c347180ce44689ac68c");
   ]
 
 let () =
