@@ -302,6 +302,40 @@ let swpath_micro () =
     ignore (once ());
     once ()
 
+(* What a simulation holds, as reachable heap words: the 32- and
+   256-core machines with their runtimes as built, before any core
+   starts, and the 256-core runtime after a fixed short run of 128
+   threads. A heap walk reads no clock, so the figures are
+   deterministic and perfcheck holds each to its recorded value. *)
+let footprint_built ~cores =
+  let machine = Lockiller.Sim.Config.machine ~cores () in
+  let _sim, _net, protocol = Lockiller.Sim.Config.build machine in
+  let store = Lockiller.Htm.Store.create ~cores in
+  let rt =
+    Lockiller.Mechanisms.Runtime.create ~protocol ~store
+      ~sysconf:Sysconf.lockiller ~lock_addr:Lockiller.Stamp.Workload.lock_addr
+      ()
+  in
+  Obj.reachable_words (Obj.repr rt)
+
+let footprint_run () =
+  match Lockiller.Stamp.Suite.find "ssca2" with
+  | None -> assert false
+  | Some w ->
+    let rt = ref None in
+    let options =
+      {
+        Runner.default_options with
+        machine = Lockiller.Sim.Config.machine ~cores:256 ();
+        scale = 0.05;
+        on_runtime = (fun r -> rt := Some r);
+      }
+    in
+    ignore
+      (Runner.run ~options ~sysconf:Sysconf.lockiller ~workload:w ~threads:128
+         ());
+    Obj.reachable_words (Obj.repr (Option.get !rt))
+
 let bench_micro_file = "BENCH_micro.json"
 
 let run_perf_micro ~scale ~format =
@@ -324,6 +358,13 @@ let run_perf_micro ~scale ~format =
   let poff = profile_micro ~profiled:false in
   let pon = profile_micro ~profiled:true in
   let sp = swpath_micro () in
+  let footprint =
+    [
+      ("cores32", footprint_built ~cores:32);
+      ("cores256", footprint_built ~cores:256);
+      ("run256", footprint_run ());
+    ]
+  in
   let speedup w h =
     let h = Perf.events_per_sec h in
     if h <= 0.0 then 0.0 else Perf.events_per_sec w /. h
@@ -366,6 +407,12 @@ let run_perf_micro ~scale ~format =
             Json.Obj
               [ ("threads", Json.Int 8); ("sw_tl2", Perf.json_of_sample sp) ]
           );
+          ( "footprint",
+            Json.Obj
+              (List.map
+                 (fun (label, words) ->
+                   (label, Json.Obj [ ("reachable_words", Json.Int words) ]))
+                 footprint) );
         ]
     in
     let oc = open_out bench_micro_file in
@@ -406,6 +453,10 @@ let run_perf_micro ~scale ~format =
     Printf.printf "%-8s %-8s %14.0f %16.2f\n" "swpath" "sw_tl2"
       (Perf.events_per_sec sp)
       (Perf.minor_words_per_event sp);
+    List.iter
+      (fun (label, words) ->
+        Printf.printf "%-8s %-8s %14d reachable words\n" "memory" label words)
+      footprint;
     Printf.printf "\nqueue wheel speedup over heap: %.2fx\n" (speedup qw qh);
     Printf.printf "sim   wheel speedup over heap: %.2fx\n" (speedup sw sh);
     Printf.printf "mesh  256-core over 32-core:     %.2fx\n\n%!"
@@ -630,7 +681,11 @@ let () =
         exit 2);
       parse rest
     | "--scale" :: v :: rest ->
-      scale := float_of_string v;
+      (match Lockiller.Sim.Cli.scale ~what:"--scale" v with
+      | Ok s -> scale := s
+      | Error msg ->
+        Printf.eprintf "%s\n%!" msg;
+        exit 2);
       parse rest
     | "--jobs" :: v :: rest ->
       (match Lockiller.Sim.Cli.positive_int ~what:"--jobs" v with

@@ -22,7 +22,11 @@
      tight --tolerance (default 2.0): fail when the current value
      exceeds baseline * tolerance + 0.5 words of absolute slack
      (the baselines sit near zero, where a ratio alone is
-     meaningless).
+     meaningless);
+   - held ("reachable_words"): the footprint of a built or run machine
+     is a heap walk, exact and repeatable, so these fail as soon as
+     the current value exceeds the baseline. A deliberate gain is
+     recorded by lowering the baseline.
 
    Everything else in the files (wall times, raw counters) is
    informational and ignored. *)
@@ -46,6 +50,8 @@ let higher_better key =
      && String.sub key (String.length key - 7) 7 = "speedup"
 
 let lower_better key = key = "minor_words_per_event"
+let held key = key = "reachable_words"
+let metric key = higher_better key || lower_better key || held key
 
 let failures = ref 0
 let checks = ref 0
@@ -61,6 +67,10 @@ let check ~tol ~wall_tol path key baseline current =
     let floor = baseline /. wall_tol in
     if current < floor then fail "floor" floor
     else Printf.printf "ok   %-32s %12.3f (baseline %12.3f)\n" path current baseline
+  end
+  else if held key then begin
+    if current > baseline then fail "held at" baseline
+    else Printf.printf "ok   %-32s %12.0f (baseline %12.0f)\n" path current baseline
   end
   else begin
     let ceiling = (baseline *. tol) +. 0.5 in
@@ -79,11 +89,9 @@ let rec walk ~tol ~wall_tol path key baseline current =
         match Json.member k current with
         | Ok cv -> walk ~tol ~wall_tol sub k bv cv
         | Error _ ->
-          if higher_better k || lower_better k then
-            die "perfcheck: current results lack %s" sub)
+          if metric k then die "perfcheck: current results lack %s" sub)
       members
-  | (Json.Int _ | Json.Float _), _
-    when higher_better key || lower_better key -> (
+  | (Json.Int _ | Json.Float _), _ when metric key -> (
     match (Json.to_float baseline, Json.to_float current) with
     | Ok b, Ok c -> check ~tol ~wall_tol path key b c
     | _ -> die "perfcheck: %s is not numeric in both files" path)

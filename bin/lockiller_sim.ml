@@ -52,8 +52,12 @@ let seed_t =
 let scale_t =
   Arg.(
     value
-    & opt float 1.0
-    & info [ "scale" ] ~doc:"Workload size multiplier (transactions/thread).")
+    & opt
+        (conv_of_check (Cli.scale ~what:"--scale") Format.pp_print_float)
+        1.0
+    & info [ "scale" ]
+        ~doc:"Workload size multiplier (transactions/thread); finite and \
+              positive.")
 
 let cache_t =
   Arg.(

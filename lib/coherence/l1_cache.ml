@@ -10,22 +10,28 @@ type view = {
 
 type room = Present | Free | Evict of view
 
-(* Slots are parallel arrays of immediates, row-major by set: building
-   a cache allocates three flat blocks and no per-way record. [tags.(i)
-   = -1] encodes an invalid slot; [flags] packs the state and the
-   dirty/tx bits of slot [i] into one byte; [used] is its LRU stamp. *)
+(* Slots are parallel arrays of immediates, row-major by set: a cache
+   holds three flat blocks and no per-way record. [tags.(i) = -1]
+   encodes an invalid slot; [flags] packs the state and the dirty/tx
+   bits of slot [i] into one byte; [used] is its LRU stamp. The blocks
+   are allocated on the first insert, so a core that never runs a
+   thread pays for no slots. Until then they are empty and [span], the
+   ways a lookup scans per set, is 0: every scan ends before it reads a
+   slot, so an unfilled cache answers as an all-invalid one with no
+   test of its own on the lookup path. *)
 type t = {
   nsets : int;
   nways : int;
-  tags : int array;
-  flags : Bytes.t;
-  used : int array;
+  mutable span : int;  (* 0 before the first insert, then [nways] *)
+  mutable tags : int array;
+  mutable flags : Bytes.t;
+  mutable used : int array;
   mutable tick : int;
   (* Lines with a tx bit set, for O(tx-set) commit/abort clearing.
      Kept as a sorted array maintained incrementally (binary-search
      insert/delete), so conflict queries walk it in line order without
      re-sorting and membership tests cost one binary search instead of
-     a polymorphic hash. *)
+     a polymorphic hash. Allocated on the first tracked line. *)
   mutable tx_lines_sorted : int array;
   mutable tx_count : int;
 }
@@ -49,18 +55,25 @@ let create ~size_bytes ~ways =
   let set_bytes = ways * Addr.line_size in
   if size_bytes <= 0 || size_bytes mod set_bytes <> 0 then
     invalid_arg "L1_cache.create: size must be a multiple of ways * line size";
-  let nsets = size_bytes / set_bytes in
-  let n = nsets * ways in
   {
-    nsets;
+    nsets = size_bytes / set_bytes;
     nways = ways;
-    tags = Array.make n (-1);
-    flags = Bytes.make n '\000';
-    used = Array.make n 0;
+    span = 0;
+    tags = [||];
+    flags = Bytes.empty;
+    used = [||];
     tick = 0;
-    tx_lines_sorted = Array.make 64 0;
+    tx_lines_sorted = [||];
     tx_count = 0;
   }
+
+(* Give the cache its slots, all invalid. *)
+let allocate t =
+  let n = t.nsets * t.nways in
+  t.tags <- Array.make n (-1);
+  t.flags <- Bytes.make n '\000';
+  t.used <- Array.make n 0;
+  t.span <- t.nways
 
 (* --- tracked-set maintenance ----------------------------------------- *)
 
@@ -80,7 +93,7 @@ let tx_track t line =
     let at = -i - 1 in
     let cap = Array.length t.tx_lines_sorted in
     if t.tx_count = cap then begin
-      let bigger = Array.make (2 * cap) 0 in
+      let bigger = Array.make (Int.max 64 (2 * cap)) 0 in
       Array.blit t.tx_lines_sorted 0 bigger 0 t.tx_count;
       t.tx_lines_sorted <- bigger
     end;
@@ -112,7 +125,7 @@ let rec scan tags tag i hi =
 (* Slot index of a resident line, or -1. *)
 let find_slot t line =
   let lo = set_of t line * t.nways in
-  scan t.tags (tag_of t line) lo (lo + t.nways)
+  scan t.tags (tag_of t line) lo (lo + t.span)
 
 let view_of t i =
   let f = flags t i in
@@ -140,15 +153,16 @@ let touch t line =
 let older t i best = best < 0 || t.used.(i) < t.used.(best)
 
 (* The victim is the first least-recently-used non-transactional way,
-   else the first least-recently-used transactional one. *)
+   else the first least-recently-used transactional one. An unfilled
+   cache has every way free. *)
 let room_for t line =
   if find_slot t line >= 0 then Present
   else begin
     let lo = set_of t line * t.nways in
-    let free = ref false in
+    let free = ref (t.span < t.nways) in
     let best_non_tx = ref (-1) in
     let best_tx = ref (-1) in
-    for i = lo to lo + t.nways - 1 do
+    for i = lo to lo + t.span - 1 do
       if t.tags.(i) = -1 then free := true
       else if flags t i land tx_bits <> 0 then begin
         if older t i !best_tx then best_tx := i
@@ -163,6 +177,7 @@ let room_for t line =
 let insert t line state =
   if find_slot t line >= 0 then
     invalid_arg "L1_cache.insert: line already resident";
+  if t.span = 0 then allocate t;
   let lo = set_of t line * t.nways in
   let i = scan t.tags (-1) lo (lo + t.nways) in
   if i < 0 then invalid_arg "L1_cache.insert: set is full";

@@ -9,7 +9,11 @@
     Victim selection prefers a free way, then the LRU non-transactional
     line; a transactional line is only chosen when the whole set is
     transactional — that is precisely the capacity-overflow event the
-    paper's switchingMode mechanism targets. *)
+    paper's switchingMode mechanism targets.
+
+    A cache allocates its slots on its first {!insert}; before that it
+    holds a few words and answers every query as an all-invalid
+    cache, so a core that never runs a thread costs almost nothing. *)
 
 type state = M | E | S
 

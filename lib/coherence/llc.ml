@@ -4,20 +4,24 @@ type view = { line : Types.line; dir : dir; dirty : bool }
 
 type room = Present | Free | Evict of view
 
-(* Storage is allocated a set at a time, on the set's first insert, so
-   a run pays for the sets it touches rather than for the whole LLC.
-   Sets are numbered bank-major, then set within the bank. [slots.(s)]
-   is set [s]'s [2 * nways] immediates: way [w]'s tag at [w] ([-1]
-   encodes an invalid slot; the tag is the full line number) and at
-   [nways + w] its LRU stamp shifted left by one, with the dirty flag
-   (holds data newer than memory) in bit 0. [dirs.(s)] holds the set's
-   directory entries. Every untouched set shares the all-invalid
-   [untouched] slots and an empty [dirs] entry; no operation writes
-   them, because only [insert] writes to a set that holds no line, and
-   nothing reads the directory entry of an invalid way. Every free or
-   fresh slot's directory entry is the one shared [no_sharers]
-   constant. A touched set costs 3 words per way plus two headers, its
-   share of a flat per-slot layout. *)
+(* A set's storage grows with the ways it uses, so a run pays for the
+   lines it holds rather than for the LLC's capacity. Sets are
+   numbered bank-major, then set within the bank. [dirs.(s)] holds set
+   [s]'s directory entries, one per way of its storage; its length is
+   the set's capacity [cap], which is 0 for a set that has never held
+   a line, then 1, 2, 4, ... doubling up to [nways]. [slots.(s)] holds
+   [2 * cap] immediates: way [w]'s tag at [w] ([-1] encodes an invalid
+   slot; the tag is the full line number) and at [cap + w] its LRU
+   stamp shifted left by one, with the dirty flag (holds data newer
+   than memory) in bit 0. Logical way [w] always sits at position [w]
+   and every way at or past [cap] is invalid, so growing a set moves
+   no line: the first free way, the victim and the iteration order are
+   those of a full-width set. Storage never shrinks. An untouched set
+   is two empty arrays, which no operation writes: only [insert]
+   writes to a set that holds no line, and it grows the set first.
+   Every free or fresh slot's directory entry is the one shared
+   [no_sharers] constant. A set costs 3 words per way of storage plus
+   two headers: 5 words for one line, 50 for 16 ways. *)
 type t = {
   plan : Shard.t;
   nbanks : int;  (* = Shard.count plan: one bank per directory shard *)
@@ -25,7 +29,6 @@ type t = {
   nways : int;
   slots : int array array;
   dirs : dir array array;
-  untouched : int array;
   mutable count : int;  (* resident lines *)
   mutable tick : int;
 }
@@ -39,15 +42,13 @@ let create ~plan ~bank_size_bytes ~ways =
     invalid_arg "Llc.create: bank size must be a multiple of ways * line size";
   let banks = Shard.count plan in
   let nsets = bank_size_bytes / set_bytes in
-  let untouched = Array.make (2 * ways) (-1) in
   {
     plan;
     nbanks = banks;
     nsets;
     nways = ways;
-    slots = Array.make (banks * nsets) untouched;
+    slots = Array.make (banks * nsets) [||];
     dirs = Array.make (banks * nsets) [||];
-    untouched;
     count = 0;
     tick = 0;
   }
@@ -64,20 +65,25 @@ let sets_per_bank t = t.nsets
 let set_index t line =
   (Shard.of_line t.plan line * t.nsets) + (line / t.nbanks mod t.nsets)
 
+(* The capacity of a set whose slots are [slots]. *)
+let cap slots = Array.length slots lsr 1
+
 (* First way in [w, ways) whose tag is [tag], or -1. Top-level, so a
    search allocates no closure. *)
 let rec scan slots tag w ways =
   if w >= ways then -1 else if slots.(w) = tag then w else scan slots tag (w + 1) ways
 
 (* Way of a resident line within set [s], or -1. *)
-let find t s line = scan t.slots.(s) line 0 t.nways
+let find t s line =
+  let slots = t.slots.(s) in
+  scan slots line 0 (cap slots)
 
 let view_of t s w =
   let slots = t.slots.(s) in
   {
     line = slots.(w);
     dir = t.dirs.(s).(w);
-    dirty = slots.(t.nways + w) land 1 <> 0;
+    dirty = slots.(cap slots + w) land 1 <> 0;
   }
 
 let lookup t line =
@@ -89,35 +95,38 @@ let lookup t line =
 let bump t s w =
   t.tick <- t.tick + 1;
   let slots = t.slots.(s) in
-  let k = t.nways + w in
+  let k = cap slots + w in
   slots.(k) <- (t.tick lsl 1) lor (slots.(k) land 1)
 
 let has_l1_copies = function
   | Owner _ -> true
   | Sharers s -> not (Coreset.is_empty s)
 
-(* Whether way [w] was used before way [best] (or [best] is none). *)
-let older slots ways w best =
-  best < 0 || slots.(ways + w) lsr 1 < slots.(ways + best) lsr 1
+(* Whether way [w] was used before way [best] (or [best] is none), in
+   a set of capacity [cap]. *)
+let older slots cap w best =
+  best < 0 || slots.(cap + w) lsr 1 < slots.(cap + best) lsr 1
 
 (* The victim is the first least-recently-used way with no L1 copies,
-   else the first least-recently-used way with some. *)
+   else the first least-recently-used way with some. A set below full
+   width has a free way past its storage. *)
 let room_for t line =
   let s = set_index t line in
   if find t s line >= 0 then Present
   else begin
-    let slots = t.slots.(s) and dirs = t.dirs.(s) and ways = t.nways in
-    let free = ref false in
+    let slots = t.slots.(s) and dirs = t.dirs.(s) in
+    let cap = cap slots in
+    let free = ref (cap < t.nways) in
     let best_private = ref (-1) in
     (* lines with L1 copies *)
     let best_quiet = ref (-1) in
     (* lines with no L1 copies *)
-    for w = 0 to ways - 1 do
+    for w = 0 to cap - 1 do
       if slots.(w) = -1 then free := true
       else if has_l1_copies dirs.(w) then begin
-        if older slots ways w !best_private then best_private := w
+        if older slots cap w !best_private then best_private := w
       end
-      else if older slots ways w !best_quiet then best_quiet := w
+      else if older slots cap w !best_quiet then best_quiet := w
     done;
     if !free then Free
     else
@@ -125,19 +134,37 @@ let room_for t line =
         (view_of t s (if !best_quiet >= 0 then !best_quiet else !best_private))
   end
 
+(* Double set [s]'s storage (an untouched set gets one way), keeping
+   every way at its position. *)
+let grow t s =
+  let slots = t.slots.(s) and dirs = t.dirs.(s) in
+  let cap = cap slots in
+  let cap' = if cap = 0 then 1 else Int.min t.nways (2 * cap) in
+  let slots' = Array.make (2 * cap') (-1) in
+  Array.blit slots 0 slots' 0 cap;
+  Array.blit slots cap slots' cap' cap;
+  let dirs' = Array.make cap' no_sharers in
+  Array.blit dirs 0 dirs' 0 cap;
+  t.slots.(s) <- slots';
+  t.dirs.(s) <- dirs'
+
 let insert t line =
   let s = set_index t line in
   if find t s line >= 0 then invalid_arg "Llc.insert: line already resident";
-  let w = scan t.slots.(s) (-1) 0 t.nways in
-  if w < 0 then invalid_arg "Llc.insert: set is full";
-  if t.slots.(s) == t.untouched then begin
-    t.slots.(s) <- Array.make (2 * t.nways) (-1);
-    t.dirs.(s) <- Array.make t.nways no_sharers
-  end;
+  let w =
+    let slots = t.slots.(s) in
+    let cap = cap slots in
+    match scan slots (-1) 0 cap with
+    | -1 when cap = t.nways -> invalid_arg "Llc.insert: set is full"
+    | -1 ->
+      grow t s;
+      cap
+    | w -> w
+  in
   let slots = t.slots.(s) in
   slots.(w) <- line;
   (* Clean; [bump] then stamps it most recently used. *)
-  slots.(t.nways + w) <- 0;
+  slots.(cap slots + w) <- 0;
   t.dirs.(s).(w) <- no_sharers;
   t.count <- t.count + 1;
   bump t s w
@@ -174,23 +201,23 @@ let set_dir t line dir =
 
 let set_dirty t line dirty =
   let s = set_index t line in
-  let k = t.nways + way_exn t s line "set_dirty" in
+  let w = way_exn t s line "set_dirty" in
   let slots = t.slots.(s) in
+  let k = cap slots + w in
   slots.(k) <- (slots.(k) land lnot 1) lor Bool.to_int dirty
 
 let resident t line = find t (set_index t line) line >= 0
 
 let occupancy t = t.count
 
-(* Every resident view of sets [lo, hi), in set then way order;
-   untouched sets are skipped without a look at their ways. *)
+(* Every resident view of sets [lo, hi), in set then way order; a
+   set's walk stops at its capacity, so untouched sets cost one look. *)
 let iter_sets t lo hi f =
   for s = lo to hi - 1 do
     let slots = t.slots.(s) in
-    if slots != t.untouched then
-      for w = 0 to t.nways - 1 do
-        if slots.(w) <> -1 then f (view_of t s w)
-      done
+    for w = 0 to cap slots - 1 do
+      if slots.(w) <> -1 then f (view_of t s w)
+    done
   done
 
 let iter t f = iter_sets t 0 (Array.length t.slots) f

@@ -9,7 +9,13 @@
     owned by one L1. The LLC is inclusive: every line resident in any
     L1 is resident here, so evicting an LLC line forces
     back-invalidation of L1 copies — the protocol layer performs that
-    and must call [evict] only after it has done so. *)
+    and must call [evict] only after it has done so.
+
+    Storage follows the lines a run holds, not the capacity: an
+    untouched set holds nothing, and a set's storage grows by doubling
+    (1, 2, 4, ... up to [ways]) to cover its highest way in use. Each
+    line keeps its way as the set grows, so victim choice and
+    iteration order are those of a full-width set. *)
 
 type dir = Sharers of Coreset.t | Owner of Types.core_id
 
@@ -56,6 +62,8 @@ val resident : t -> Types.line -> bool
 val occupancy : t -> int
 
 val iter : t -> (view -> unit) -> unit
+(** Every resident view, in set order (bank-major, then set within the
+    bank) and way order within a set. *)
 
 val iter_shard : t -> int -> (view -> unit) -> unit
 (** [iter_shard t s f] applies [f] to every view resident in shard

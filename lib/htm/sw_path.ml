@@ -27,9 +27,11 @@ let lock_word word = word lor 1
 
 type t = {
   owners : int array;  (* slot -> core holding its write lock, -1 free *)
-  (* Per-core read and write sets as fixed scratch arrays (slot-level,
+  (* Per-core read and write sets as scratch arrays (slot-level,
      deduplicated, so [slots] entries bound each); versions are the
-     meta-word version fields observed at first read. *)
+     meta-word version fields observed at first read. Each core's
+     arrays start empty and double when full, up to [slots], so a core
+     that never takes the software path holds none. *)
   read_slots : int array array;
   read_vers : int array array;
   read_len : int array;
@@ -41,12 +43,20 @@ let create ~cores =
   if cores <= 0 then invalid_arg "Sw_path.create: cores must be positive";
   {
     owners = Array.make slots (-1);
-    read_slots = Array.init cores (fun _ -> Array.make slots 0);
-    read_vers = Array.init cores (fun _ -> Array.make slots 0);
+    read_slots = Array.make cores [||];
+    read_vers = Array.make cores [||];
     read_len = Array.make cores 0;
-    write_slots = Array.init cores (fun _ -> Array.make slots 0);
+    write_slots = Array.make cores [||];
     write_len = Array.make cores 0;
   }
+
+(* A copy of full set array [a], twice as long (at least 8 entries, at
+   most [slots]). *)
+let grow a =
+  let n = Array.length a in
+  let b = Array.make (Int.min slots (Int.max 8 (2 * n))) 0 in
+  Array.blit a 0 b 0 n;
+  b
 
 let reset t core =
   t.read_len.(core) <- 0;
@@ -60,7 +70,11 @@ let note_read t ~core ~slot ~version =
     if rs.(i) = slot then seen := true
   done;
   if not !seen then begin
-    rs.(n) <- slot;
+    if n = Array.length rs then begin
+      t.read_slots.(core) <- grow rs;
+      t.read_vers.(core) <- grow t.read_vers.(core)
+    end;
+    t.read_slots.(core).(n) <- slot;
     t.read_vers.(core).(n) <- version;
     t.read_len.(core) <- n + 1
   end
@@ -73,7 +87,8 @@ let note_write t ~core ~slot =
     if ws.(i) = slot then seen := true
   done;
   if not !seen then begin
-    ws.(n) <- slot;
+    if n = Array.length ws then t.write_slots.(core) <- grow ws;
+    t.write_slots.(core).(n) <- slot;
     t.write_len.(core) <- n + 1
   end
 

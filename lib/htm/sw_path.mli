@@ -17,10 +17,12 @@
     instrumentation scheme — conflicts with hardware transactions that
     touched the same meta line.
 
-    This module itself is pure bookkeeping (no coherence traffic, no
-    allocation after {!create}): per-core read/write sets on fixed
-    scratch arrays and the lock-ownership table the runtime uses to
-    detect lock conflicts. *)
+    This module itself is pure bookkeeping (no coherence traffic):
+    per-core read/write sets on scratch arrays and the lock-ownership
+    table the runtime uses to detect lock conflicts. A core's sets
+    start empty and double when full, up to {!slots} entries, so a
+    core that never takes the software path holds none, and one that
+    does stops allocating once its sets reach their working size. *)
 
 val slots : int
 (** Number of version-stamp slots (256). *)

@@ -12,6 +12,13 @@ let non_negative_int ~what s =
     Error (Printf.sprintf "%s must be non-negative (got %d)" what n)
   | Some n -> Ok n
 
+let scale ~what s =
+  match float_of_string_opt s with
+  | None -> Error (Printf.sprintf "%s must be a number (got %S)" what s)
+  | Some f when not (Float.is_finite f && f > 0.0) ->
+    Error (Printf.sprintf "%s must be finite and positive (got %s)" what s)
+  | Some f -> Ok f
+
 let cores ~what s =
   match int_of_string_opt s with
   | None -> Error (Printf.sprintf "%s must be an integer (got %S)" what s)

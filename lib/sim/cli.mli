@@ -13,6 +13,11 @@ val positive_int : what:string -> string -> (int, string) result
 val non_negative_int : what:string -> string -> (int, string) result
 (** Integer >= 0, same message shapes with "non-negative". *)
 
+val scale : what:string -> string -> (float, string) result
+(** A size multiplier: a finite float > 0. NaN and infinities are
+    rejected (e.g. ["--scale must be finite and positive (got nan)"]),
+    since no run length can be derived from them. *)
+
 val cores : what:string -> string -> (int, string) result
 (** A machine size: an integer in [1, {!Config.max_cores}]. The error
     message names the supported range (e.g. ["--cores must be a core

@@ -72,11 +72,15 @@ let realise s =
       (Printf.sprintf "unknown workload %S (expected one of: %s)" lookup
          (String.concat ", " (names @ extra_names)))
   | Some base ->
-    if s.rw_scale <= 0.0 then
-      Error (Printf.sprintf "rw_scale must be positive (got %g)" s.rw_scale)
-    else if s.txs_scale <= 0.0 then
+    let bad f = not (Float.is_finite f && f > 0.0) in
+    if bad s.rw_scale then
       Error
-        (Printf.sprintf "txs_scale must be positive (got %g)" s.txs_scale)
+        (Printf.sprintf "rw_scale must be finite and positive (got %g)"
+           s.rw_scale)
+    else if bad s.txs_scale then
+      Error
+        (Printf.sprintf "txs_scale must be finite and positive (got %g)"
+           s.txs_scale)
     else
       let scale_range (lo, hi) =
         ( scale_floor ~floor:1 lo s.rw_scale,

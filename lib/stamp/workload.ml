@@ -143,7 +143,10 @@ let cursors p ~threads ~seed ~scale =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Workload.cursors: " ^ msg));
   if threads <= 0 then invalid_arg "Workload.cursors: threads must be positive";
-  if scale <= 0.0 then invalid_arg "Workload.cursors: scale must be positive";
+  if not (Float.is_finite scale && scale > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Workload.cursors: scale must be finite and positive (got %g)"
+         scale);
   let length = max 1 (int_of_float (float_of_int p.txs_per_thread *. scale)) in
   Array.mapi
     (fun thread rng ->

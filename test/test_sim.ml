@@ -81,10 +81,10 @@ let test_build () =
   check_int "cores" 4 (Protocol.config proto).Protocol.cores
 
 (* Building the Table I machine (32 cores, 32 KB L1s, 8 MB LLC) must be
-   nearly free: L1 slots live in flat arrays of immediates and LLC sets
-   get storage only on their first insert, so construction allocates a
-   handful of blocks and the built machine holds well under a word per
-   cache slot. *)
+   nearly free: L1s get their slots on their first insert and LLC sets
+   get storage only on theirs, so construction allocates a handful of
+   blocks and the built machine holds well under a word per cache
+   slot. *)
 let test_build_allocation () =
   let m = Config.machine ~cores:32 () in
   ignore (Config.build m);
@@ -107,9 +107,10 @@ let test_build_allocation () =
     (Printf.sprintf "protocol holds %.2f words per cache slot (<= 0.5)"
        per_slot)
     true (per_slot <= 0.5);
-  (* A fresh LLC grows with the lines it holds, not with its capacity:
-     k lines in k distinct sets cost about one set's storage each
-     (3 words per way plus headers), whatever the slot count. *)
+  (* A fresh LLC grows with the lines it holds, not with its capacity
+     or its associativity: k lines in k distinct sets cost one way's
+     storage each (a 2-word slot block and a 1-entry directory block,
+     with their headers), plus the one shared empty-directory entry. *)
   let before = Obj.reachable_words (Obj.repr llc) in
   let k = 64 in
   for line = 0 to k - 1 do
@@ -118,9 +119,42 @@ let test_build_allocation () =
   let grown = Obj.reachable_words (Obj.repr llc) - before in
   check_bool
     (Printf.sprintf "%d inserts grow the LLC by %d words (<= %d)" k grown
-       (k * ((3 * ways) + 4)))
+       ((5 * k) + 8))
     true
-    (grown <= k * ((3 * ways) + 4))
+    (grown <= (5 * k) + 8)
+
+(* Building a 256-core machine and its runtime gives no core cache
+   slots or TL2 read and write sets: an L1 gets its slots on its first
+   insert, a core its TL2 sets on its first software-path access. So
+   each L1 is a few words, not a word per slot, and the TL2 bookkeeping
+   is its lock table plus a few words per core. *)
+let test_build_per_core_state () =
+  let cores = 256 in
+  let _sim, _net, protocol = Config.build (Config.machine ~cores ()) in
+  let rt =
+    Lk_lockiller.Runtime.create ~protocol
+      ~store:(Lk_htm.Store.create ~cores)
+      ~sysconf:Sysconf.lockiller ~lock_addr:Workload.lock_addr ()
+  in
+  let l1 = Protocol.l1 protocol 0 in
+  let l1_words = ref 0 in
+  for core = 0 to cores - 1 do
+    l1_words :=
+      Int.max !l1_words
+        (Obj.reachable_words (Obj.repr (Protocol.l1 protocol core)))
+  done;
+  check_bool
+    (Printf.sprintf "largest L1 holds %d words (<= 16, %d slots)" !l1_words
+       (L1.sets l1 * L1.ways l1))
+    true (!l1_words <= 16);
+  let module Sw_path = Lk_htm.Sw_path in
+  let sw_words =
+    Obj.reachable_words (Obj.repr (Lk_lockiller.Runtime.sw_path rt))
+  in
+  let bound = Sw_path.slots + (5 * cores) + 16 in
+  check_bool
+    (Printf.sprintf "TL2 bookkeeping holds %d words (<= %d)" sw_words bound)
+    true (sw_words <= bound)
 
 let test_build_non_divisor_llc () =
   (* 100 directory banks do not divide the 8MB LLC evenly; the bank
@@ -1354,6 +1388,8 @@ let () =
           Alcotest.test_case "table1" `Quick test_table1_rows;
           Alcotest.test_case "build" `Quick test_build;
           Alcotest.test_case "build allocation" `Quick test_build_allocation;
+          Alcotest.test_case "no per-core state before first use" `Quick
+            test_build_per_core_state;
           Alcotest.test_case "mesh shape general" `Quick
             test_mesh_shape_general;
           Alcotest.test_case "non-divisor llc banks" `Quick

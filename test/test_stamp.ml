@@ -94,7 +94,17 @@ let test_generation_scale () =
     (List.length full.(0) / 2)
     (List.length half.(0));
   let tiny = gen ~scale:0.0001 p in
-  check_int "scale floor of one tx" 1 (List.length tiny.(0))
+  check_int "scale floor of one tx" 1 (List.length tiny.(0));
+  (* NaN and +inf pass a [<= 0] test; neither may become a length. *)
+  List.iter
+    (fun (label, scale) ->
+      Alcotest.check_raises label
+        (Invalid_argument
+           (Printf.sprintf
+              "Workload.cursors: scale must be finite and positive (got %g)"
+              scale))
+        (fun () -> ignore (gen ~scale p)))
+    [ ("nan", Float.nan); ("inf", Float.infinity); ("zero", 0.0) ]
 
 let test_generated_programs_validate () =
   List.iter

@@ -506,7 +506,14 @@ let test_spec_rejects () =
     (expect_error "unknown app" (Suite.realise (Suite.spec "nonesuch")));
   ignore
     (expect_error "bad scale"
-       (Suite.realise (Suite.spec ~rw_scale:0.0 "vacation")))
+       (Suite.realise (Suite.spec ~rw_scale:0.0 "vacation")));
+  check_string "nan rw_scale" "rw_scale must be finite and positive (got nan)"
+    (expect_error "nan rw_scale"
+       (Suite.realise (Suite.spec ~rw_scale:Float.nan "vacation")));
+  check_string "infinite txs_scale"
+    "txs_scale must be finite and positive (got inf)"
+    (expect_error "infinite txs_scale"
+       (Suite.realise (Suite.spec ~txs_scale:Float.infinity "vacation")))
 
 (* --- Shared CLI validators ---------------------------------------------- *)
 
@@ -514,6 +521,15 @@ let test_cli_validators () =
   check_int "positive" 3 (get (Cli.positive_int ~what:"--jobs" "3"));
   check_string "zero" "--jobs must be positive (got 0)"
     (expect_error "zero" (Cli.positive_int ~what:"--jobs" "0"));
+  check_bool "scale" true (get (Cli.scale ~what:"--scale" "0.25") = 0.25);
+  List.iter
+    (fun v ->
+      check_string ("scale " ^ v)
+        ("--scale must be finite and positive (got " ^ v ^ ")")
+        (expect_error v (Cli.scale ~what:"--scale" v)))
+    [ "nan"; "inf"; "-inf"; "0"; "-0.5" ];
+  check_string "scale garbage" "--scale must be a number (got \"x\")"
+    (expect_error "scale garbage" (Cli.scale ~what:"--scale" "x"));
   check_string "garbage" "--jobs must be an integer (got \"x\")"
     (expect_error "garbage" (Cli.positive_int ~what:"--jobs" "x"));
   check_int "non-negative" 0 (get (Cli.non_negative_int ~what:"--n" "0"));
