@@ -56,10 +56,13 @@ perfcheck:
 	dune exec bench/main.exe -- --micro --format json --scale 0.1
 	dune exec bench/perfcheck.exe -- BENCH_micro.json bench/baseline.json
 
-# What CI runs: `dune build @ci` (full build, every test suite, the
-# hot-path lint and the model checker), the API docs and the perf gate.
+# Everything CI runs (.github/workflows/ci.yml calls this target):
+# `dune build @ci` (full build, every test suite, the hot-path lint and
+# the model checker), a smoke run of two paper figures through the
+# bench harness, the API docs and the perf gate.
 ci:
 	dune build @ci
+	dune exec bench/main.exe -- --scale 0.2 fig1 headline
 	$(MAKE) doc
 	$(MAKE) perfcheck
 

@@ -494,7 +494,11 @@ let run_traced ~scale ~file =
       Tracing.write_perfetto ~file l;
       Printf.printf "(trace-events: %s, %d events, %d dropped)\n" file
         (Ledger.length l) (Ledger.dropped l);
-      Report.print (Tracing.breakdown_table (Tracing.abort_breakdown l))
+      let cores =
+        Runner.default_options.Runner.machine.Lockiller.Sim.Config.cores
+      in
+      Report.print
+        (Tracing.breakdown_table (Lockiller.Sim.Profile.of_ledger ~cores l))
     | Some None | None -> assert false);
     Printf.printf "(traced run: %d cycles, commit rate %.1f%%)\n%!"
       r.Runner.cycles

@@ -25,6 +25,11 @@ module Trace_stream = Lockiller.Trace.Stream
 module Trace_gen = Lockiller.Trace.Gen
 module Suite = Lockiller.Stamp.Suite
 module Workload_source = Lockiller.Sim.Workload_source
+module Profile = Lockiller.Sim.Profile
+module Runtime = Lockiller.Mechanisms.Runtime
+module Ledger = Lockiller.Engine.Ledger
+module Stats = Lockiller.Engine.Stats
+module Program = Lockiller.Cpu.Program
 
 (* --- shared options ---------------------------------------------------- *)
 
@@ -90,6 +95,51 @@ let resolve_cache_dir = function
   | Some dir -> dir
   | None -> Cache.default_dir ()
 
+(* --- single runs -------------------------------------------------------- *)
+
+(* What run, trace, profile, custom and replay share: the -s/-w/-t
+   arguments, the run options, the name lookup (Lockiller.lookup and
+   Sysconf.lookup, whose errors list every accepted name) and the
+   mapping of a failed run to a named error (Lockiller.guard). *)
+
+let system_t =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "system"; "s" ] ~doc:"System to simulate (see 'list').")
+
+let workload_t =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "workload"; "w" ] ~doc:"Workload to run (see 'list').")
+
+let threads_t =
+  Arg.(
+    required
+    & opt (some int) None
+    & info [ "threads"; "t" ] ~doc:"Thread count (2..cores).")
+
+(* Run options from --cache and --cores, and from --seed and --scale
+   where the command takes them (the defaults otherwise). *)
+let options_t ?(seed = Term.const Runner.default_options.Runner.seed)
+    ?(scale = Term.const Runner.default_options.Runner.scale) () =
+  Term.(
+    const (fun seed scale cache cores ->
+        Lockiller.options ~seed ~scale ~cache ~cores ())
+    $ seed $ scale $ cache_t $ cores_t)
+
+let ( let* ) = Result.bind
+
+(* A command's outcome for cmdliner: an error prints as
+   "lockiller_sim: <message>". *)
+let ret = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
+
+let run_workload ~options ~system ~workload ~threads =
+  let* sysconf, profile = Lockiller.lookup ~system ~workload in
+  Lockiller.guard (fun () ->
+      Runner.run ~options ~sysconf ~workload:profile ~threads ())
+
 (* --- observability options --------------------------------------------- *)
 
 let trace_events_t =
@@ -106,18 +156,18 @@ let abort_breakdown_t =
   Arg.(
     value & flag
     & info [ "abort-breakdown" ]
-        ~doc:"Print the abort-cause breakdown aggregated from the event \
-              ledger (counts match the abort statistics exactly unless \
-              the ledger overflowed).")
+        ~doc:"Print the abort-cause breakdown folded from the event \
+              ledger as it is recorded (counts match the abort \
+              statistics exactly at any --trace-capacity).")
 
 let trace_capacity_t =
   Arg.(
     value
     & opt (pos_int_conv "--trace-capacity") 65536
     & info [ "trace-capacity" ] ~docv:"N"
-        ~doc:"Event-ledger ring capacity in records, for --trace-events, \
-              --abort-breakdown and the 'trace' listing; older records are \
-              dropped beyond it.")
+        ~doc:"Event-ledger ring capacity in records, for --trace-events \
+              and the 'trace' listing; older records are dropped beyond \
+              it.")
 
 let telemetry_file_t =
   Arg.(
@@ -137,17 +187,10 @@ let sample_interval_t =
     & info [ "sample-interval" ] ~docv:"CYCLES"
         ~doc:"Telemetry sampling period in cycles (with --telemetry).")
 
-(* The ledger is enabled lazily: zero simulation overhead unless one of
-   the observability flags asked for it. *)
-let want_ledger ~trace_events ~breakdown = trace_events <> None || breakdown
-
-let telemetry_option ~telemetry_file ~sample_interval sink =
-  match telemetry_file with
-  | None -> None
-  | Some _ ->
-    Some
-      (Runner.telemetry_request ~interval:sample_interval (fun t ->
-           sink := Some t))
+let telemetry_request ?sample_interval telemetry_file sink =
+  Option.map
+    (fun _ -> Runner.telemetry_request ?interval:sample_interval sink)
+    telemetry_file
 
 let emit_telemetry ~telemetry_file tele =
   match (telemetry_file, tele) with
@@ -157,26 +200,56 @@ let emit_telemetry ~telemetry_file tele =
       (Telemetry.samples t) (Telemetry.dropped t)
   | _ -> ()
 
-let emit_observability ?telemetry ~format ~trace_events ~breakdown rt =
-  let module Runtime = Lockiller.Mechanisms.Runtime in
-  match Runtime.ledger rt with
-  | None -> ()
-  | Some l ->
-    (match trace_events with
-    | None -> ()
-    | Some file ->
-      Tracing.write_perfetto ?telemetry ~file l;
-      Printf.printf "# trace-events: wrote %s (%d events, %d dropped)\n" file
-        (Lockiller.Engine.Ledger.length l)
-        (Lockiller.Engine.Ledger.dropped l));
-    if breakdown then begin
-      let b = Tracing.abort_breakdown l in
-      let table = Tracing.breakdown_table b in
-      match format with
-      | `Text -> Report.print table
-      | `Csv -> print_string (Report.to_csv table)
-      | `Json -> print_endline (Json.to_string (Tracing.json_of_breakdown b))
+(* What a run keeps for output besides its result. *)
+type observed = {
+  mutable runtime : Runtime.t option;
+  mutable profile : Profile.t option;
+  mutable telemetry : Telemetry.t option;
+}
+
+(* [options] with hooks that fill a fresh [observed]. The ledger is
+   enabled only when [ledger] asks for it, so a plain run pays nothing;
+   [profile] puts a streaming Profile on its tap, which sees every
+   record however small the ring. *)
+let observe ?telemetry_file ?sample_interval ~ledger ~profile ~capacity
+    options =
+  let obs = { runtime = None; profile = None; telemetry = None } in
+  let on_runtime rt =
+    obs.runtime <- Some rt;
+    if ledger then begin
+      let l = Runtime.enable_ledger ~capacity rt in
+      if profile then begin
+        let p = Profile.create ~cores:options.Runner.machine.Config.cores in
+        Profile.attach p l;
+        obs.profile <- Some p
+      end
     end
+  in
+  ( obs,
+    {
+      options with
+      Runner.on_runtime;
+      telemetry =
+        telemetry_request ?sample_interval telemetry_file (fun t ->
+            obs.telemetry <- Some t);
+    } )
+
+(* The telemetry export, the Perfetto trace and the abort breakdown. *)
+let emit_observed obs ~format ~telemetry_file ~trace_events =
+  emit_telemetry ~telemetry_file obs.telemetry;
+  (match (trace_events, Option.bind obs.runtime Runtime.ledger) with
+  | Some file, Some l ->
+    Tracing.write_perfetto ?telemetry:obs.telemetry ~file l;
+    Printf.printf "# trace-events: wrote %s (%d events, %d dropped)\n" file
+      (Ledger.length l) (Ledger.dropped l)
+  | _ -> ());
+  Option.iter
+    (fun p ->
+      match format with
+      | `Text -> Report.print (Tracing.breakdown_table p)
+      | `Csv -> print_string (Report.to_csv (Tracing.breakdown_table p))
+      | `Json -> print_endline (Json.to_string (Tracing.json_of_breakdown p)))
+    obs.profile
 
 (* --- run --------------------------------------------------------------- *)
 
@@ -275,113 +348,65 @@ let json_of_group group =
   Json.Obj
     (List.map
        (fun (name, v) -> (name, Json.Int v))
-       (Lockiller.Engine.Stats.counters group))
+       (Stats.counters group))
 
 let run_cmd =
-  let system =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "system"; "s" ] ~doc:"System to simulate (see 'list').")
-  in
-  let workload =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "workload"; "w" ] ~doc:"Workload to run (see 'list').")
-  in
-  let threads =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "threads"; "t" ] ~doc:"Thread count (2..cores).")
-  in
-  let action system workload threads stats format seed scale cache cores
-      trace_events breakdown trace_capacity check telemetry_file
-      sample_interval =
-    let module Runtime = Lockiller.Mechanisms.Runtime in
-    let module Stats = Lockiller.Engine.Stats in
-    let handle = ref None in
-    let tele = ref None in
-    match
-      ( Lockiller.Mechanisms.Sysconf.find system,
-        Lockiller.Stamp.Suite.find workload )
-    with
-    | None, _ -> `Error (false, "unknown system " ^ system)
-    | _, None -> `Error (false, "unknown workload " ^ workload)
-    | Some sysconf, Some profile -> (
-      match
-        Runner.run
-          ~options:
-            {
-              Runner.default_options with
-              seed;
-              scale;
-              check;
-              machine = Config.machine ~cache ~cores ();
-              on_runtime =
-                (fun rt ->
-                  handle := Some rt;
-                  if want_ledger ~trace_events ~breakdown then
-                    ignore (Runtime.enable_ledger ~capacity:trace_capacity rt));
-              telemetry =
-                telemetry_option ~telemetry_file ~sample_interval tele;
-            }
-          ~sysconf ~workload:profile ~threads ()
-      with
-      | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
-      | r ->
-        let stat_groups () =
-          match !handle with
-          | None -> []
-          | Some rt ->
-            [
-              ("runtime", Runtime.stats rt);
-              ( "protocol",
-                Lockiller.Coherence.Protocol.stats (Runtime.protocol rt) );
-              ( "network",
-                Lockiller.Mesh.Network.stats
-                  (Lockiller.Coherence.Protocol.network (Runtime.protocol rt))
-              );
-            ]
-        in
-        (match format with
-        | `Text ->
-          print_result r;
-          if stats then
-            List.iter
-              (fun (_, g) -> Format.printf "@.%a@." Stats.pp g)
-              (stat_groups ())
-        | `Csv -> print_result_csv r
-        | `Json ->
-          let doc =
-            if stats then
-              Json.Obj
-                [
-                  ("result", Runner.json_of_result r);
-                  ( "stats",
-                    Json.Obj
-                      (List.map
-                         (fun (name, g) -> (name, json_of_group g))
-                         (stat_groups ())) );
-                ]
-            else Runner.json_of_result r
-          in
-          print_endline (Json.to_string doc));
-        emit_telemetry ~telemetry_file !tele;
-        Option.iter
-          (emit_observability ?telemetry:!tele ~format ~trace_events
-             ~breakdown)
-          !handle;
-        `Ok ())
+  let action system workload threads options stats format trace_events
+      breakdown trace_capacity check telemetry_file sample_interval =
+    let obs, options =
+      observe ?telemetry_file ~sample_interval
+        ~ledger:(trace_events <> None || breakdown)
+        ~profile:breakdown ~capacity:trace_capacity
+        { options with Runner.check }
+    in
+    ret
+      (let* r = run_workload ~options ~system ~workload ~threads in
+       let stat_groups () =
+         match obs.runtime with
+         | None -> []
+         | Some rt ->
+           let protocol = Runtime.protocol rt in
+           [
+             ("runtime", Runtime.stats rt);
+             ("protocol", Lockiller.Coherence.Protocol.stats protocol);
+             ( "network",
+               Lockiller.Mesh.Network.stats
+                 (Lockiller.Coherence.Protocol.network protocol) );
+           ]
+       in
+       (match format with
+       | `Text ->
+         print_result r;
+         if stats then
+           List.iter
+             (fun (_, g) -> Format.printf "@.%a@." Stats.pp g)
+             (stat_groups ())
+       | `Csv -> print_result_csv r
+       | `Json ->
+         let doc =
+           if stats then
+             Json.Obj
+               [
+                 ("result", Runner.json_of_result r);
+                 ( "stats",
+                   Json.Obj
+                     (List.map
+                        (fun (name, g) -> (name, json_of_group g))
+                        (stat_groups ())) );
+               ]
+           else Runner.json_of_result r
+         in
+         print_endline (Json.to_string doc));
+       emit_observed obs ~format ~telemetry_file ~trace_events;
+       Ok ())
   in
   let term =
     Term.(
       ret
-        (const action $ system $ workload $ threads $ stats_t $ format_t
-       $ seed_t $ scale_t $ cache_t $ cores_t $ trace_events_t
-       $ abort_breakdown_t $ trace_capacity_t $ check_t $ telemetry_file_t
-       $ sample_interval_t))
+        (const action $ system_t $ workload_t $ threads_t
+        $ options_t ~seed:seed_t ~scale:scale_t ()
+        $ stats_t $ format_t $ trace_events_t $ abort_breakdown_t
+        $ trace_capacity_t $ check_t $ telemetry_file_t $ sample_interval_t))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one system/workload/thread combination")
@@ -396,80 +421,37 @@ let run_cmd =
    so the ring capacity is irrelevant to the totals — a small ring
    keeps memory flat. *)
 let profile_cmd =
-  let module Runtime = Lockiller.Mechanisms.Runtime in
-  let module Profile = Lockiller.Sim.Profile in
-  let system =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "system"; "s" ] ~doc:"System to simulate (see 'list').")
-  in
-  let workload =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "workload"; "w" ] ~doc:"Workload to run (see 'list').")
-  in
-  let threads =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "threads"; "t" ] ~doc:"Thread count (2..cores).")
-  in
-  let action system workload threads format seed scale cache cores =
-    let profiler = ref None in
-    match (Sysconf.find system, Suite.find workload) with
-    | None, _ -> `Error (false, "unknown system " ^ system)
-    | _, None -> `Error (false, "unknown workload " ^ workload)
-    | Some sysconf, Some wl -> (
-      match
-        Runner.run
-          ~options:
-            {
-              Runner.default_options with
-              seed;
-              scale;
-              machine = Config.machine ~cache ~cores ();
-              on_runtime =
-                (fun rt ->
-                  (* Streaming tap: totals are exact however small the
-                     ring, so keep it minimal. *)
-                  let l = Runtime.enable_ledger ~capacity:1024 rt in
-                  let p = Profile.create ~cores in
-                  Profile.attach p l;
-                  profiler := Some p);
-            }
-          ~sysconf ~workload:wl ~threads ()
-      with
-      | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
-      | r -> (
-        match !profiler with
-        | None -> `Error (false, "profiler was never attached")
-        | Some p ->
-          (* Cross-check the stream against the run's own counters:
-             every abort must have produced exactly one edge. *)
-          if Profile.total_aborts p <> r.Runner.aborts then
-            `Error
-              ( false,
-                Printf.sprintf
-                  "profile/result mismatch: %d abort edges vs %d aborts"
-                  (Profile.total_aborts p) r.Runner.aborts )
-          else begin
-            (match format with
-            | `Text ->
-              Printf.printf "# profile: %s/%s threads=%d seed=%d\n"
-                r.Runner.system r.Runner.workload threads seed;
-              print_string (Profile.to_text p)
-            | `Csv -> print_string (Profile.to_csv p)
-            | `Json -> print_endline (Profile.to_json p));
-            `Ok ()
-          end))
+  let action system workload threads options format =
+    let obs, options =
+      observe ~ledger:true ~profile:true ~capacity:1024 options
+    in
+    ret
+      (let* r = run_workload ~options ~system ~workload ~threads in
+       match obs.profile with
+       | None -> Error "profiler was never attached"
+       | Some p when Profile.total_aborts p <> r.Runner.aborts ->
+         (* Cross-check the stream against the run's own counters:
+            every abort must have produced exactly one edge. *)
+         Error
+           (Printf.sprintf
+              "profile/result mismatch: %d abort edges vs %d aborts"
+              (Profile.total_aborts p) r.Runner.aborts)
+       | Some p ->
+         (match format with
+         | `Text ->
+           Printf.printf "# profile: %s/%s threads=%d seed=%d\n"
+             r.Runner.system r.Runner.workload threads options.Runner.seed;
+           print_string (Profile.to_text p)
+         | `Csv -> print_string (Profile.to_csv p)
+         | `Json -> print_endline (Profile.to_json p));
+         Ok ())
   in
   let term =
     Term.(
       ret
-        (const action $ system $ workload $ threads $ format_t $ seed_t
-       $ scale_t $ cache_t $ cores_t))
+        (const action $ system_t $ workload_t $ threads_t
+        $ options_t ~seed:seed_t ~scale:scale_t ()
+        $ format_t))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -723,29 +705,30 @@ let experiment_cmd =
           :: !json_docs
     in
     let finish () =
-      (match format with
+      match format with
       | `Json ->
         print_endline (Json.to_string (Json.List (List.rev !json_docs)))
-      | `Text | `Csv -> ());
-      Option.iter Cache.persist_counters cache
+      | `Text | `Csv -> ()
     in
-    if String.lowercase_ascii id = "all" then begin
-      List.iter render Experiments.all;
-      finish ();
-      `Ok ()
-    end
-    else
-      match Experiments.find id with
-      | Some e ->
-        render e;
-        finish ();
-        `Ok ()
-      | None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown experiment %S; try: %s" id
-              (String.concat ", "
-                 (List.map (fun e -> e.Experiments.id) Experiments.all)) )
+    ret
+      (let* experiments =
+         if String.lowercase_ascii id = "all" then Ok Experiments.all
+         else
+           Option.to_result
+             ~none:
+               (Printf.sprintf "unknown experiment %S; try: %s" id
+                  (String.concat ", "
+                     (List.map (fun e -> e.Experiments.id) Experiments.all)))
+             (Option.map (fun e -> [ e ]) (Experiments.find id))
+       in
+       (* The counters cover the simulations that ran, also when a
+          later experiment fails. *)
+       Fun.protect
+         ~finally:(fun () -> Option.iter Cache.persist_counters cache)
+         (fun () ->
+           Lockiller.guard (fun () ->
+               List.iter render experiments;
+               finish ())))
   in
   let term =
     Term.(
@@ -761,84 +744,39 @@ let experiment_cmd =
 (* --- trace --------------------------------------------------------------- *)
 
 let trace_cmd =
-  let system =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "system"; "s" ] ~doc:"System to simulate.")
-  in
-  let workload =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "workload"; "w" ] ~doc:"Workload to run.")
-  in
-  let threads =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "threads"; "t" ] ~doc:"Thread count.")
-  in
   let last =
     Arg.(
       value
       & opt int 200
       & info [ "last"; "n" ] ~doc:"How many trailing events to print.")
   in
-  let action system workload threads last seed scale cache cores trace_events
-      breakdown trace_capacity telemetry_file sample_interval =
-    let module Runtime = Lockiller.Mechanisms.Runtime in
-    let module Ledger = Lockiller.Engine.Ledger in
-    match
-      ( Lockiller.Mechanisms.Sysconf.find system,
-        Lockiller.Stamp.Suite.find workload )
-    with
-    | None, _ -> `Error (false, "unknown system " ^ system)
-    | _, None -> `Error (false, "unknown workload " ^ workload)
-    | Some sysconf, Some profile -> (
-      let handle = ref None in
-      let tele = ref None in
-      match
-        Runner.run
-          ~options:
-            {
-              Runner.default_options with
-              seed;
-              scale;
-              machine = Config.machine ~cache ~cores ();
-              on_runtime =
-                (fun rt ->
-                  handle := Some rt;
-                  ignore (Runtime.enable_ledger ~capacity:trace_capacity rt));
-              telemetry =
-                telemetry_option ~telemetry_file ~sample_interval tele;
-            }
-          ~sysconf ~workload:profile ~threads ()
-      with
-      | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
-      | r ->
-        (match Option.bind !handle Runtime.ledger with
-        | None -> ()
-        | Some l ->
-          Printf.printf "# %d ledger records (%d dropped); last %d:\n"
-            (Ledger.recorded l) (Ledger.dropped l) last;
-          Tracing.pp_tail ~last Format.std_formatter l);
-        emit_telemetry ~telemetry_file !tele;
-        Option.iter
-          (emit_observability ?telemetry:!tele ~format:`Text ~trace_events
-             ~breakdown)
-          !handle;
-        Printf.printf "\n# run summary: %d cycles, commit rate %.1f%%\n"
-          r.Runner.cycles
-          (100.0 *. r.Runner.commit_rate);
-        `Ok ())
+  let action system workload threads last options trace_events breakdown
+      trace_capacity telemetry_file sample_interval =
+    let obs, options =
+      observe ?telemetry_file ~sample_interval ~ledger:true ~profile:breakdown
+        ~capacity:trace_capacity options
+    in
+    ret
+      (let* r = run_workload ~options ~system ~workload ~threads in
+       Option.iter
+         (fun l ->
+           Printf.printf "# %d ledger records (%d dropped); last %d:\n"
+             (Ledger.recorded l) (Ledger.dropped l) last;
+           Tracing.pp_tail ~last Format.std_formatter l)
+         (Option.bind obs.runtime Runtime.ledger);
+       emit_observed obs ~format:`Text ~telemetry_file ~trace_events;
+       Printf.printf "\n# run summary: %d cycles, commit rate %.1f%%\n"
+         r.Runner.cycles
+         (100.0 *. r.Runner.commit_rate);
+       Ok ())
   in
   let term =
     Term.(
       ret
-        (const action $ system $ workload $ threads $ last $ seed_t $ scale_t
-       $ cache_t $ cores_t $ trace_events_t $ abort_breakdown_t
-       $ trace_capacity_t $ telemetry_file_t $ sample_interval_t))
+        (const action $ system_t $ workload_t $ threads_t $ last
+        $ options_t ~seed:seed_t ~scale:scale_t ()
+        $ trace_events_t $ abort_breakdown_t $ trace_capacity_t
+        $ telemetry_file_t $ sample_interval_t))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -947,29 +885,23 @@ let custom_cmd =
       & opt string "LockillerTM"
       & info [ "system"; "s" ] ~doc:"System to simulate.")
   in
-  let action file system cache cores =
-    match Lockiller.Cpu.Program.of_text (read_file file) with
-    | Error msg -> `Error (false, file ^ ": " ^ msg)
-    | Ok program -> (
-      match Lockiller.Mechanisms.Sysconf.find system with
-      | None -> `Error (false, "unknown system " ^ system)
-      | Some sysconf -> (
-        match
-          Runner.run_program
-            ~options:
-              {
-                Runner.default_options with
-                machine = Config.machine ~cache ~cores ();
-              }
-            ~name:(Filename.basename file) ~sysconf ~program ()
-        with
-        | exception (Failure msg | Invalid_argument msg) ->
-          `Error (false, msg)
-        | r ->
-          print_result r;
-          `Ok ()))
+  let action file system options =
+    ret
+      (let* program =
+         Result.map_error
+           (fun msg -> file ^ ": " ^ msg)
+           (Program.of_text (read_file file))
+       in
+       let* sysconf = Sysconf.lookup system in
+       let* r =
+         Lockiller.guard (fun () ->
+             Runner.run_program ~options ~name:(Filename.basename file)
+               ~sysconf ~program ())
+       in
+       print_result r;
+       Ok ())
   in
-  let term = Term.(ret (const action $ file $ system $ cache_t $ cores_t)) in
+  let term = Term.(ret (const action $ file $ system $ options_t ())) in
   Cmd.v
     (Cmd.info "custom" ~doc:"Run a hand-written workload from a text file")
     term
@@ -1201,120 +1133,91 @@ let replay_cmd =
       & info [ "jobs"; "j" ]
           ~doc:"Worker domains when replaying multiple systems.")
   in
-  let action trace systems body threads jobs format seed cache cores
-      telemetry_file sample_interval =
-    let unknown =
-      List.filter
-        (fun s -> Lockiller.Mechanisms.Sysconf.find s = None)
-        systems
-    in
-    if unknown <> [] then
-      `Error (false, "unknown system " ^ String.concat ", " unknown)
-    else if trace = "-" && List.length systems > 1 then
-      `Error
-        ( false,
-          "replay from stdin drives a single --system; save the trace to \
-           a file to replay it against several" )
-    else if telemetry_file <> None && List.length systems > 1 then
-      `Error (false, "--telemetry records a single --system per file")
-    else
-      let body_profile =
-        Result.bind (Suite.spec_of_name body) Suite.realise
-      in
-      match body_profile with
-      | Error msg -> `Error (false, msg)
-      | Ok profile ->
-        let trace_name =
-          if trace = "-" then "stdin"
-          else Filename.remove_extension (Filename.basename trace)
-        in
-        let tele = ref None in
-        let run_one system =
-          let sysconf =
-            Option.get (Lockiller.Mechanisms.Sysconf.find system)
-          in
-          let ic = if trace = "-" then stdin else open_in_bin trace in
-          let close () = if trace <> "-" then close_in ic in
-          Fun.protect ~finally:close (fun () ->
-              match
-                Trace_stream.reader_of_channel
-                  ~name:(if trace = "-" then "<stdin>" else trace)
-                  ic
-              with
-              | Error msg -> Error msg
-              | Ok reader -> (
-                let source =
-                  Workload_source.of_reader ~name:trace_name ~body:profile
-                    reader
-                in
-                match
-                  Runner.run_source
-                    ~options:
-                      {
-                        Runner.default_options with
-                        seed;
-                        machine = Config.machine ~cache ~cores ();
-                        telemetry =
-                          telemetry_option ~telemetry_file ~sample_interval
-                            tele;
-                      }
-                    ~sysconf ~source ~threads ()
-                with
-                | exception (Failure msg | Invalid_argument msg) -> Error msg
-                | r -> Ok r))
-        in
-        let results = Pool.map ~jobs run_one (Array.of_list systems) in
-        let first_error =
-          Array.fold_left
-            (fun acc r ->
-              match (acc, r) with
-              | Some _, _ -> acc
-              | None, Error msg -> Some msg
-              | None, Ok _ -> None)
-            None results
-        in
-        (match first_error with
-        | Some msg -> `Error (false, msg)
-        | None ->
-          let results =
-            Array.map
-              (function Ok r -> r | Error _ -> assert false)
-              results
-          in
-          (match format with
-          | `Text ->
-            Array.iteri
-              (fun i r ->
-                if i > 0 then print_newline ();
-                print_result r)
-              results
-          | `Csv ->
-            print_endline
-              (String.concat ","
-                 (List.map fst (csv_cells results.(0))));
-            Array.iter
-              (fun r ->
-                print_endline
-                  (String.concat "," (List.map snd (csv_cells r))))
-              results
-          | `Json -> (
-            match results with
-            | [| r |] -> print_endline (Runner.result_to_json r)
-            | _ ->
-              print_endline
-                (Json.to_string
-                   (Json.List
-                      (List.map Runner.json_of_result
-                         (Array.to_list results))))));
-          emit_telemetry ~telemetry_file !tele;
-          `Ok ())
+  (* The first error of [results], or all of them. *)
+  let all_ok results =
+    List.fold_right
+      (fun r acc ->
+        let* r = r in
+        Result.map (List.cons r) acc)
+      results (Ok [])
+  in
+  let action trace systems body threads jobs format options telemetry_file
+      sample_interval =
+    ret
+      (let* sysconfs = all_ok (List.map Sysconf.lookup systems) in
+       let* () =
+         if trace = "-" && List.length systems > 1 then
+           Error
+             "replay from stdin drives a single --system; save the trace to \
+              a file to replay it against several"
+         else if telemetry_file <> None && List.length systems > 1 then
+           Error "--telemetry records a single --system per file"
+         else Ok ()
+       in
+       let* profile = Result.bind (Suite.spec_of_name body) Suite.realise in
+       let trace_name =
+         if trace = "-" then "stdin"
+         else Filename.remove_extension (Filename.basename trace)
+       in
+       let tele = ref None in
+       let options =
+         {
+           options with
+           Runner.telemetry =
+             telemetry_request ~sample_interval telemetry_file (fun t ->
+                 tele := Some t);
+         }
+       in
+       let run_one sysconf =
+         match if trace = "-" then stdin else open_in_bin trace with
+         | exception Sys_error msg -> Error msg
+         | ic ->
+           let close () = if trace <> "-" then close_in ic in
+           Fun.protect ~finally:close (fun () ->
+               let* reader =
+                 Trace_stream.reader_of_channel
+                   ~name:(if trace = "-" then "<stdin>" else trace)
+                   ic
+               in
+               let source =
+                 Workload_source.of_reader ~name:trace_name ~body:profile
+                   reader
+               in
+               Lockiller.guard (fun () ->
+                   Runner.run_source ~options ~sysconf ~source ~threads ()))
+       in
+       let* results =
+         all_ok (Array.to_list (Pool.map ~jobs run_one (Array.of_list sysconfs)))
+       in
+       (match format with
+       | `Text ->
+         List.iteri
+           (fun i r ->
+             if i > 0 then print_newline ();
+             print_result r)
+           results
+       | `Csv ->
+         print_endline
+           (String.concat "," (List.map fst (csv_cells (List.hd results))));
+         List.iter
+           (fun r -> print_endline (String.concat "," (List.map snd (csv_cells r))))
+           results
+       | `Json -> (
+         match results with
+         | [ r ] -> print_endline (Runner.result_to_json r)
+         | _ ->
+           print_endline
+             (Json.to_string (Json.List (List.map Runner.json_of_result results)))
+         ));
+       emit_telemetry ~telemetry_file !tele;
+       Ok ())
   in
   let term =
     Term.(
       ret
         (const action $ trace_arg $ systems_t $ body_t $ threads_t $ jobs_t
-       $ format_t $ seed_t $ cache_t $ cores_t
-       $ telemetry_file_t $ sample_interval_t))
+        $ format_t $ options_t ~seed:seed_t () $ telemetry_file_t
+        $ sample_interval_t))
   in
   Cmd.v
     (Cmd.info "replay"
@@ -1468,7 +1371,6 @@ let compare_cmd =
 (* Render a saved telemetry export (run --telemetry FILE) as per-core
    phase strips plus gauge sparklines. *)
 let top_cmd =
-  let module Runtime = Lockiller.Mechanisms.Runtime in
   let file =
     Arg.(
       required

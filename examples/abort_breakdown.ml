@@ -1,8 +1,8 @@
 (* Abort breakdowns from the event ledger. Runs one contended workload
    under three Table II systems with the transaction-event ledger
    attached, then recomputes each run's abort mix from the recorded
-   event stream (Lk_sim.Tracing.abort_breakdown) — the same data the
-   CLI's --abort-breakdown flag prints — and cross-checks it against
+   event stream (Lk_sim.Profile.of_ledger) — the same counts the CLI's
+   --abort-breakdown flag prints — and cross-checks it against
    the runner's aggregate counters. Also writes a Perfetto timeline
    for the last run.
 
@@ -11,6 +11,7 @@
 module Runner = Lockiller.Sim.Runner
 module Config = Lockiller.Sim.Config
 module Tracing = Lockiller.Sim.Tracing
+module Profile = Lockiller.Sim.Profile
 module Report = Lockiller.Sim.Report
 module Suite = Lockiller.Stamp.Suite
 module Sysconf = Lockiller.Mechanisms.Sysconf
@@ -43,10 +44,11 @@ let () =
   List.iter
     (fun sysconf ->
       let r, ledger = run_with_ledger sysconf in
-      let b = Tracing.abort_breakdown ledger in
+      let cores = Runner.default_options.Runner.machine.Config.cores in
+      let b = Profile.of_ledger ~cores ledger in
       (* The ledger is an independent path to the same totals. *)
-      assert (b.Tracing.aborts = r.Runner.aborts);
-      assert (b.Tracing.by_reason = r.Runner.abort_mix);
+      assert (Profile.total_aborts b = r.Runner.aborts);
+      assert (Profile.abort_mix b = r.Runner.abort_mix);
       Report.print
         (Tracing.breakdown_table
            ~title:

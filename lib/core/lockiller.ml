@@ -20,65 +20,44 @@ let hybrid_systems =
 let workloads = Lk_stamp.Suite.names
 
 let lookup ~system ~workload =
-  match Lk_lockiller.Sysconf.find system with
-  | None ->
-    Error
-      (Printf.sprintf "unknown system %S (expected one of: %s)" system
-         (String.concat ", " systems))
-  | Some sysconf -> (
-    match Lk_stamp.Suite.find workload with
-    | None ->
-      Error
-        (Printf.sprintf "unknown workload %S (expected one of: %s)" workload
-           (String.concat ", " workloads))
-    | Some profile -> Ok (sysconf, profile))
+  Result.bind (Lk_lockiller.Sysconf.lookup system) (fun sysconf ->
+      Result.map (fun profile -> (sysconf, profile))
+        (Lk_stamp.Suite.lookup workload))
 
-let run ?(seed = 1) ?(scale = 1.0) ?(cache = Lk_sim.Config.Typical)
-    ?(cores = 32) ~system ~workload ~threads () =
-  match lookup ~system ~workload with
-  | Error _ as e -> e
-  | Ok (sysconf, profile) -> (
-    match
-      Lk_sim.Runner.run
-        ~options:
-          {
-            Lk_sim.Runner.default_options with
-            seed;
-            scale;
-            machine = Lk_sim.Config.machine ~cache ~cores ();
-          }
-        ~sysconf ~workload:profile ~threads ()
-    with
-    | r -> Ok r
-    | exception (Invalid_argument msg | Failure msg) -> Error msg)
+let options ?(seed = 1) ?(scale = 1.0) ?(cache = Lk_sim.Config.Typical)
+    ?(cores = 32) () =
+  {
+    Lk_sim.Runner.default_options with
+    seed;
+    scale;
+    machine = Lk_sim.Config.machine ~cache ~cores ();
+  }
 
-let run_text ?(cache = Lk_sim.Config.Typical) ?(cores = 32) ~system ~program
-    () =
-  match Lk_lockiller.Sysconf.find system with
-  | None -> Error (Printf.sprintf "unknown system %S" system)
-  | Some sysconf -> (
-    match Lk_cpu.Program.of_text program with
-    | Error msg -> Error msg
-    | Ok program -> (
-      match
-        Lk_sim.Runner.run_program
-          ~options:
-            {
-              Lk_sim.Runner.default_options with
-              machine = Lk_sim.Config.machine ~cache ~cores ();
-            }
-          ~sysconf ~program ()
-      with
-      | r -> Ok r
-      | exception (Invalid_argument msg | Failure msg) -> Error msg))
+let guard f =
+  match f () with
+  | v -> Ok v
+  | exception (Invalid_argument msg | Failure msg) -> Error msg
+
+let run ?seed ?scale ?cache ?cores ~system ~workload ~threads () =
+  Result.bind (lookup ~system ~workload) (fun (sysconf, profile) ->
+      guard (fun () ->
+          Lk_sim.Runner.run
+            ~options:(options ?seed ?scale ?cache ?cores ())
+            ~sysconf ~workload:profile ~threads ()))
+
+let run_text ?cache ?cores ~system ~program () =
+  Result.bind (Lk_lockiller.Sysconf.lookup system) (fun sysconf ->
+      Result.bind (Lk_cpu.Program.of_text program) (fun program ->
+          guard (fun () ->
+              Lk_sim.Runner.run_program
+                ~options:(options ?cache ?cores ())
+                ~sysconf ~program ())))
 
 let speedup_vs_cgl ?seed ?scale ?cache ?cores ~system ~workload ~threads () =
-  match run ?seed ?scale ?cache ?cores ~system ~workload ~threads () with
-  | Error _ as e -> e
-  | Ok r -> (
-    match run ?seed ?scale ?cache ?cores ~system:"CGL" ~workload ~threads () with
-    | Error _ as e -> e
-    | Ok cgl ->
-      Ok
-        (Lk_sim.Metrics.speedup ~baseline_cycles:cgl.Lk_sim.Runner.cycles
-           ~cycles:r.Lk_sim.Runner.cycles))
+  let run = run ?seed ?scale ?cache ?cores ~workload ~threads in
+  Result.bind (run ~system ()) (fun r ->
+      Result.map
+        (fun cgl ->
+          Lk_sim.Metrics.speedup ~baseline_cycles:cgl.Lk_sim.Runner.cycles
+            ~cycles:r.Lk_sim.Runner.cycles)
+        (run ~system:"CGL" ()))

@@ -52,7 +52,8 @@ module Check = Lk_check
 (** {1 One-call API} *)
 
 val systems : string list
-(** Names accepted by {!run} (Table II). *)
+(** The Table II system names ({!run} also accepts the ablation
+    systems and the {!hybrid_systems}). *)
 
 val hybrid_systems : string list
 (** The hybrid-TM comparator family (also accepted by {!run}): the
@@ -60,7 +61,32 @@ val hybrid_systems : string list
     see docs/HYBRID.md. *)
 
 val workloads : string list
-(** Workload names accepted by {!run} (STAMP without bayes). *)
+(** The paper's workload names, STAMP without bayes ({!run} also
+    accepts bayes and the microbenchmarks). *)
+
+val lookup :
+  system:string ->
+  workload:string ->
+  (Lk_lockiller.Sysconf.t * Lk_stamp.Workload.profile, string) result
+(** Resolve a system and a workload name (system first). The error for
+    an unknown name lists every name accepted there, beyond {!systems}
+    and {!workloads}: the ablation systems, the hybrid comparators,
+    bayes and the microbenchmarks. *)
+
+val options :
+  ?seed:int ->
+  ?scale:float ->
+  ?cache:Lk_sim.Config.cache_profile ->
+  ?cores:int ->
+  unit ->
+  Lk_sim.Runner.options
+(** {!Lk_sim.Runner.default_options} on a machine of [cores] tiles
+    (default 32) with the [cache] profile, at [seed] and [scale]. *)
+
+val guard : (unit -> 'a) -> ('a, string) result
+(** [guard f] is [Ok (f ())], or [Error msg] when [f] raises [Failure
+    msg] or [Invalid_argument msg] — how a run reports an invalid
+    parameter or a failed check. *)
 
 val run :
   ?seed:int ->

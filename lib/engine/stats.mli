@@ -1,13 +1,11 @@
 (** Statistics primitives shared by all simulator components.
 
-    Counters are plain named integers; accumulators track sum/min/max
-    of integer samples; histograms bucket samples by powers of two. A
-    [group] bundles the three so a component can expose everything it
-    measured under one namespace and reports can render it uniformly. *)
+    Counters are plain named integers; log-linear histograms ({!hdr})
+    record integer samples for percentile queries. A [group] bundles
+    both so a component can expose everything it measured under one
+    namespace and reports can render it uniformly. *)
 
 type counter
-type accumulator
-type histogram
 
 type hdr
 (** A log-linear ("HDR-style") histogram: exact unit buckets below 32,
@@ -22,12 +20,6 @@ val group : string -> group
 
 val counter : group -> string -> counter
 (** Create-or-get the counter [name] inside the group. *)
-
-val accumulator : group -> string -> accumulator
-(** Create-or-get the accumulator [name] inside the group. *)
-
-val histogram : group -> string -> histogram
-(** Create-or-get the histogram [name] inside the group. *)
 
 val hdr : group -> string -> hdr
 (** Create-or-get the log-linear histogram [name] inside the group. *)
@@ -66,36 +58,8 @@ val add : counter -> int -> unit
 val value : counter -> int
 (** Current counter value (0 at creation). *)
 
-val sample : accumulator -> int -> unit
-(** Record one integer sample. *)
-
-val count : accumulator -> int
-(** Number of samples recorded so far. *)
-
-val sum : accumulator -> int
-(** Sum of all samples (0 when empty). *)
-
-val min_sample : accumulator -> int option
-(** Smallest sample, or [None] when empty. *)
-
-val max_sample : accumulator -> int option
-(** Largest sample, or [None] when empty. *)
-
-val mean : accumulator -> float
-(** Mean of the samples; 0 when empty. *)
-
-val observe : histogram -> int -> unit
-(** Record one sample into its power-of-two bucket. *)
-
-val buckets : histogram -> (int * int) list
-(** [(upper_bound, count)] pairs for non-empty power-of-two buckets, in
-    increasing bound order. *)
-
 val counters : group -> (string * int) list
 (** All counters of the group with their values, sorted by name. *)
-
-val accumulators : group -> (string * accumulator) list
-(** All accumulators of the group, sorted by name. *)
 
 val hdrs : group -> (string * hdr) list
 (** All log-linear histograms of the group, sorted by name. *)

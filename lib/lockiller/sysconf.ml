@@ -149,6 +149,13 @@ let find name =
     (fun s -> String.lowercase_ascii s.name = needle)
     (all @ extras @ hybrid)
 
+let lookup name =
+  let names = List.map (fun s -> s.name) (all @ extras @ hybrid) in
+  Option.to_result (find name)
+    ~none:
+      (Printf.sprintf "unknown system %S (expected one of: %s)" name
+         (String.concat ", " names))
+
 let validate t =
   if t.kind = Cgl then Ok ()
   else if t.lock = Policy.Ticket then

@@ -113,6 +113,10 @@ val find : string -> t option
 (** Case-insensitive lookup by name, over Table II, the extras and the
     hybrid comparators. *)
 
+val lookup : string -> (t, string) result
+(** {!find}, with the error every front-end reports for an unknown
+    name: it lists each name {!find} accepts. *)
+
 val validate : t -> (unit, string) result
 (** Sanity rules: HTMLock requires recovery (lock transactions are
     protected by rejects); switchingMode requires HTMLock; CGL ignores

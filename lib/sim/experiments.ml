@@ -813,6 +813,16 @@ let topology =
     ~describe:
       "The recovery framework does not depend on the interconnect topology: run the key systems over mesh, torus, ring and crossbar fabrics"
     (fun ctx ->
+      (* The torus wraps each row and column, so it needs 3 tiles a
+         side; the ring and the crossbar fit any such machine. *)
+      (match Config.mesh_shape ctx.cores with
+      | rows, cols when rows < 3 ->
+        invalid_arg
+          (Printf.sprintf
+             "experiment topology: %d cores form a %dx%d grid, but the \
+              torus needs at least 3 tiles a side (try 9, 12 or 16 cores)"
+             ctx.cores rows cols)
+      | _ -> ());
       let threads = List.fold_left max 2 ctx.threads in
       let rows =
         List.map

@@ -20,6 +20,7 @@ type t = {
   (* Kill-chain depth per core (0 = not currently a victim); the max
      observed is the report's chain depth. *)
   depth : int array;
+  reason_aborts : int array;
   reason_wasted : int array;
   (* Begin time of the core's current attempt (-1 outside one), from
      the begin events — feeds the commit critical-path estimate. *)
@@ -44,6 +45,11 @@ type t = {
   mutable nacks : int;
   mutable rejects : int;
   mutable protocol_kills : int;
+  mutable parks : int;
+  mutable wakes : int;
+  mutable sw_commits : int;
+  mutable sw_aborts : int;
+  mutable clock_advances : int;
   mutable last_commit : int;
   mutable serial_commit : int;
   mutable dropped : int;
@@ -58,6 +64,7 @@ let create ~cores =
     wasted_arr = Array.make cores 0;
     commits_of = Array.make cores 0;
     depth = Array.make cores 0;
+    reason_aborts = Array.make Reason.count 0;
     reason_wasted = Array.make Reason.count 0;
     begin_time = Array.make cores (-1);
     lock_since = Array.make cores (-1);
@@ -78,6 +85,11 @@ let create ~cores =
     nacks = 0;
     rejects = 0;
     protocol_kills = 0;
+    parks = 0;
+    wakes = 0;
+    sw_commits = 0;
+    sw_aborts = 0;
+    clock_advances = 0;
     last_commit = 0;
     serial_commit = 0;
     dropped = 0;
@@ -97,8 +109,10 @@ let abort_edge t ~core ~arg =
   t.aborts_of.(core) <- t.aborts_of.(core) + 1;
   t.wasted <- t.wasted + age;
   t.wasted_arr.(core) <- t.wasted_arr.(core) + age;
-  if reason >= 0 && reason < Reason.count then
-    t.reason_wasted.(reason) <- t.reason_wasted.(reason) + age;
+  if reason >= 0 && reason < Reason.count then begin
+    t.reason_aborts.(reason) <- t.reason_aborts.(reason) + 1;
+    t.reason_wasted.(reason) <- t.reason_wasted.(reason) + age
+  end;
   let who = if who >= 0 && who < t.cores then who else -1 in
   if who < 0 then t.environmental <- t.environmental + 1;
   let idx = ((who + 1) * t.cores) + core in
@@ -129,8 +143,13 @@ let feed t ~time ~core ~kind ~arg =
   match (kind : Ledger.kind) with
   | Ledger.Tx_begin | Ledger.Hl_begin | Ledger.Sw_begin ->
     t.begin_time.(core) <- time
-  | Ledger.Tx_abort | Ledger.Sw_abort -> abort_edge t ~core ~arg
-  | Ledger.Tx_commit | Ledger.Hl_end | Ledger.Sw_commit ->
+  | Ledger.Tx_abort -> abort_edge t ~core ~arg
+  | Ledger.Sw_abort ->
+    t.sw_aborts <- t.sw_aborts + 1;
+    abort_edge t ~core ~arg
+  | Ledger.Tx_commit | Ledger.Hl_end -> commit_event t ~time ~core
+  | Ledger.Sw_commit ->
+    t.sw_commits <- t.sw_commits + 1;
     commit_event t ~time ~core
   | Ledger.Nack -> t.nacks <- t.nacks + 1
   | Ledger.Reject -> t.rejects <- t.rejects + 1
@@ -158,8 +177,11 @@ let feed t ~time ~core ~kind ~arg =
       if d > t.dwell_max then t.dwell_max <- d;
       t.lock_since.(core) <- -1
     end
-  | Ledger.Park | Ledger.Wake | Ledger.Switch_granted | Ledger.Switch_denied
-  | Ledger.Spill | Ledger.Spec_publish | Ledger.Clock_advance ->
+  | Ledger.Park -> t.parks <- t.parks + 1
+  | Ledger.Wake -> t.wakes <- t.wakes + 1
+  | Ledger.Clock_advance -> t.clock_advances <- t.clock_advances + 1
+  | Ledger.Switch_granted | Ledger.Switch_denied | Ledger.Spill
+  | Ledger.Spec_publish ->
     ()
 
 let attach t ledger =
@@ -223,6 +245,15 @@ let serial_commit_cycles t = t.serial_commit
 let nacks t = t.nacks
 let rejects t = t.rejects
 let protocol_kills t = t.protocol_kills
+
+let abort_mix t =
+  List.map (fun r -> (r, t.reason_aborts.(Reason.index r))) Reason.all
+
+let parks t = t.parks
+let wakes t = t.wakes
+let sw_commits t = t.sw_commits
+let sw_aborts t = t.sw_aborts
+let clock_advances t = t.clock_advances
 let lock_acquisitions t = t.acquisitions
 let lock_handoffs t = t.handoffs
 let longest_holder_run t = t.best_run

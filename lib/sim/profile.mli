@@ -108,6 +108,29 @@ val protocol_kills : t -> int
 (** [Abort_kill] records (the coherence protocol's view of conflict
     kills; each is also counted as a [Tx_abort] edge). *)
 
+(** {1 Event counts}
+
+    What the abort breakdown ({!Tracing.breakdown_table}) reports next
+    to the per-reason table. *)
+
+val abort_mix : t -> (Lk_htm.Reason.t * int) list
+(** Aborts per reason, paper order — the shape of
+    [Runner.result.abort_mix], and equal to it when streaming.
+    Software aborts fold in too (their [Validation] / conflict reasons
+    share the table). *)
+
+val parks : t -> int
+val wakes : t -> int
+
+val sw_commits : t -> int
+(** [Sw_commit] records (hybrid-TM software path). *)
+
+val sw_aborts : t -> int
+(** [Sw_abort] records (also counted in {!total_aborts}). *)
+
+val clock_advances : t -> int
+(** Global version-clock advances. *)
+
 (** {1 Convoy detection} *)
 
 val lock_acquisitions : t -> int

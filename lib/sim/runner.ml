@@ -81,284 +81,6 @@ let place ~placement ~cores ~threads i =
   | Compact -> i
   | Spread -> i * cores / threads
 
-(* How [execute] feeds the cores: closed-loop threads, each drawn from
-   a cursor as its previous transaction completes, or an open-loop
-   arrival stream. *)
-type exec_mode =
-  | Closed of { cursors : Program.cursor array; barrier_every : int option }
-  | Open of { ol : Workload_source.open_loop; threads : int; seed : int }
-
-(* Shared execution engine for generated workloads, hand-written
-   programs and trace replay. With [conserve = Some profile], every
-   body's [Incr]s are tallied as it is drawn, and after the run each
-   hot record and each incremented address must hold exactly its
-   count. *)
-let execute ?queue_backend ?(check = false) ?telemetry ~machine ~on_runtime
-    ~placement ~cycle_limit ~sysconf ~mode ~conserve
-    ~(workload_name : string) ~cache () =
-  let threads =
-    match mode with
-    | Closed { cursors; _ } -> Array.length cursors
-    | Open { threads; _ } -> threads
-  in
-  if threads <= 0 || threads > machine.Config.cores then
-    invalid_arg "Runner.run: thread count out of range";
-  let core_of = place ~placement ~cores:machine.Config.cores ~threads in
-  let sim, net, protocol = Config.build ?backend:queue_backend machine in
-  let store = Store.create ~cores:machine.Config.cores in
-  let runtime =
-    Runtime.create ~protocol ~store ~sysconf
-      ~lock_addr:Workload.lock_addr ()
-  in
-  let oracle = Runtime.enable_oracle runtime in
-  on_runtime runtime;
-  let tele =
-    Option.map
-      (fun req ->
-        ( req,
-          Telemetry.attach ~interval:req.sample_interval
-            ~capacity:req.sample_capacity runtime ))
-      telemetry
-  in
-  let sanitizer =
-    if check then Some (Lk_check.Sanitizer.attach runtime) else None
-  in
-  let acct = Accounting.create ~cores:machine.Config.cores in
-  let finished = ref 0 in
-  let cpus =
-    Array.init threads (fun i ->
-        Core.spawn ~runtime ~core:(core_of i) ~accounting:acct
-          ~on_done:(fun () -> incr finished)
-          ())
-  in
-  let tally = Option.map Workload.tally conserve in
-  let draw =
-    match tally with None -> Fun.id | Some t -> Workload.count t
-  in
-  let post_run, collect_open =
-    match mode with
-    | Closed { cursors; barrier_every } ->
-      let barrier =
-        Option.map
-          (fun k -> (Lk_cpu.Barrier.create ~parties:threads, k))
-          barrier_every
-      in
-      Array.iteri
-        (fun i (c : Program.cursor) ->
-          Core.drive ?barrier cpus.(i)
-            { c with Program.next = (fun () -> draw (c.Program.next ())) })
-        cursors;
-      ((fun () -> ()), fun () -> None)
-    | Open { ol; seed; _ } ->
-      let body = ol.Workload_source.body in
-      let rngs = Workload.thread_rngs body ~threads ~seed in
-      let group = Stats.group "replay" in
-      let qdelay = Stats.hdr group "queue_delay" in
-      let sojourn = Stats.hdr group "sojourn" in
-      let phases = Array.make (Lk_trace.Record.max_phase + 1) 0 in
-      let arrivals = ref 0
-      and completed = ref 0
-      and inflight = ref 0
-      and max_backlog = ref 0 in
-      (* Surface the open-loop backlog as a telemetry gauge (and
-         Perfetto counter track): the replay overlay the closed-loop
-         channels cannot see. Observational only — the probe never
-         perturbs the run. *)
-      (match tele with
-      | Some (_, handle) ->
-        Telemetry.set_backlog_probe handle (fun () -> !inflight)
-      | None -> ());
-      let feed_error = ref None in
-      let rr = ref 0 in
-      let dispatch (r : Lk_trace.Record.t) =
-        let slot =
-          if r.core >= 0 then r.core mod threads
-          else begin
-            let s = !rr in
-            rr := (s + 1) mod threads;
-            s
-          end
-        in
-        incr arrivals;
-        incr inflight;
-        if !inflight > !max_backlog then max_backlog := !inflight;
-        let arrival = r.arrival and phase = r.phase in
-        let reads = r.reads and writes = r.writes in
-        Core.submit cpus.(slot)
-          ~gen:(fun () ->
-            draw
-              (Workload.synthesize body rngs.(slot) ~threads ~thread:slot
-                 ~reads ~writes))
-          ~notify:(fun ~started ->
-            decr inflight;
-            incr completed;
-            phases.(phase) <- phases.(phase) + 1;
-            Stats.record qdelay (started - arrival);
-            Stats.record sojourn (Sim.now sim - arrival))
-      in
-      let seal_all () = Array.iter Core.seal cpus in
-      (* Range-check every record: a library-supplied [next] need not
-         come from the validating trace reader. *)
-      let pull () =
-        match ol.Workload_source.next () with
-        | Ok (Some r) ->
-          Result.map (fun () -> Some r) (Lk_trace.Record.validate r)
-        | (Ok None | Error _) as end_ -> end_
-      in
-      (* Pull-one-ahead feeder: at most one unscheduled record is in
-         memory at any time, so replay is O(1) in trace length. *)
-      let rec feed () =
-        let live = ref true in
-        while !live do
-          match pull () with
-          | Error e ->
-            feed_error := Some e;
-            seal_all ();
-            live := false
-          | Ok None ->
-            seal_all ();
-            live := false
-          | Ok (Some r) ->
-            if r.Lk_trace.Record.arrival <= Sim.now sim then dispatch r
-            else begin
-              Sim.schedule_at sim ~time:r.Lk_trace.Record.arrival (fun () ->
-                  dispatch r;
-                  feed ());
-              live := false
-            end
-        done
-      in
-      feed ();
-      let post_run () =
-        match !feed_error with
-        | Some e ->
-          failwith
-            (Printf.sprintf "Runner.replay: %s/%s: %s" sysconf.Sysconf.name
-               workload_name e)
-        | None -> ()
-      in
-      let collect () =
-        Some
-          {
-            arrivals = !arrivals;
-            completed = !completed;
-            max_backlog = !max_backlog;
-            queue_delay_p50 = Stats.percentile qdelay 50.;
-            queue_delay_p95 = Stats.percentile qdelay 95.;
-            queue_delay_p99 = Stats.percentile qdelay 99.;
-            sojourn_p50 = Stats.percentile sojourn 50.;
-            sojourn_p95 = Stats.percentile sojourn 95.;
-            sojourn_p99 = Stats.percentile sojourn 99.;
-            phase_mix =
-              Array.to_list phases
-              |> List.mapi (fun i n -> (i, n))
-              |> List.filter (fun (_, n) -> n > 0);
-          }
-      in
-      (post_run, collect)
-  in
-  let (), perf_sample =
-    Perf.observe sim (fun () -> Sim.run ~limit:cycle_limit sim)
-  in
-  Perf.note perf_sample;
-  post_run ();
-  if !finished <> threads then
-    failwith
-      (Printf.sprintf "Runner.run: %s/%s/%d threads: only %d threads finished"
-         sysconf.Sysconf.name workload_name threads !finished);
-  Protocol.check_invariants protocol;
-  (* Serializability: the oracle checked each section as it committed;
-     report the first violation it saw. *)
-  (match Lk_htm.Oracle.verify oracle with
-  | Ok () -> ()
-  | Error v ->
-    failwith
-      (Format.asprintf "Runner.run: %s/%s: serializability violated: %a"
-         sysconf.Sysconf.name workload_name Lk_htm.Oracle.pp_violation v));
-  (match sanitizer with
-  | None -> ()
-  | Some s -> (
-    match Lk_check.Sanitizer.finish s with
-    | [] -> ()
-    | v :: _ as vs ->
-      failwith
-        (Printf.sprintf "Runner.run: %s/%s: invariant sanitizer: %s%s"
-           sysconf.Sysconf.name workload_name
-           (Lk_check.Invariant.violation_to_string v)
-           (match List.length vs with
-           | 1 -> ""
-           | n -> Printf.sprintf " (+%d more)" (n - 1)))));
-  let cycles =
-    Array.fold_left (fun acc cpu -> max acc (Core.finish_time cpu)) 0 cpus
-  in
-  (* Cores without a thread never run a transaction, so the sum over
-     every core is the sum over the threads' cores. *)
-  let sum = Runtime.total_stats runtime in
-  let by_reason counts =
-    List.map (fun r -> (r, counts.(Reason.index r))) Reason.all
-  in
-  (match tele with
-  | Some (req, handle) -> req.consume handle
-  | None -> ());
-  let latency = Runtime.tx_latency_hdr runtime in
-  let result =
-    {
-    system = sysconf.Sysconf.name;
-    workload = workload_name;
-    threads;
-    cache;
-    cycles;
-    commit_rate = Runtime.commit_rate runtime;
-    htm_commits = sum.Runtime.commits;
-    stl_commits = sum.Runtime.stl_commits;
-    lock_commits = sum.Runtime.lock_commits;
-    sw_commits = sum.Runtime.sw_commits;
-    aborts = sum.Runtime.aborts;
-    abort_mix = by_reason sum.Runtime.abort_reasons;
-    wasted_cycles = sum.Runtime.wasted;
-    wasted_by_reason = by_reason sum.Runtime.wasted_by_reason;
-    breakdown = Accounting.total acct;
-    rejects = sum.Runtime.rejects_received;
-    parks = sum.Runtime.parks;
-    wakeups = Runtime.wakeups runtime;
-    switches_granted = Runtime.switches_granted runtime;
-    switches_denied = Runtime.switches_denied runtime;
-    spilled_lines = Runtime.spilled_lines runtime;
-    lock_dwell_cycles = Runtime.lock_dwell_cycles runtime;
-    clock_advances = Runtime.clock_advances runtime;
-    watchdog_rescues = Runtime.watchdog_rescues runtime;
-    network_messages = Network.messages_sent net;
-    network_flits = Network.flits_sent net;
-    oracle_sections = Lk_htm.Oracle.size oracle;
-    avg_attempts_per_commit =
-      (if sum.Runtime.commits = 0 then 0.0
-       else
-         float_of_int sum.Runtime.attempts_at_commit
-         /. float_of_int sum.Runtime.commits);
-    tx_latency_p50 = Stats.percentile latency 50.;
-    tx_latency_p95 = Stats.percentile latency 95.;
-    tx_latency_p99 = Stats.percentile latency 99.;
-    open_loop = collect_open ();
-  }
-  in
-  (* End-to-end atomicity check: each committed hot counter must equal
-     the increments the run's transactions performed on it. *)
-  (match tally with
-  | None -> ()
-  | Some t ->
-    let caller =
-      match mode with Closed _ -> "Runner.run" | Open _ -> "Runner.replay"
-    in
-    List.iter
-      (fun (addr, want) ->
-        let got = Store.committed store addr in
-        if got <> want then
-          failwith
-            (Printf.sprintf "%s: %s/%s: conservation violated at %#x: %d <> %d"
-               caller sysconf.Sysconf.name workload_name addr got want))
-      (Workload.expected t));
-  result
-
 type options = {
   seed : int;
   scale : float;
@@ -384,115 +106,333 @@ let default_options =
     telemetry = None;
   }
 
-let run ?(options = default_options) ~sysconf ~workload ~threads () =
-  let {
-    seed;
-    scale;
-    machine;
-    on_runtime;
-    placement;
-    cycle_limit;
-    queue_backend;
-    check;
-    telemetry;
-  } =
+(* The checks a source must pass before anything is built, named after
+   the entry point that takes that kind of source. *)
+let validate_source = function
+  | Workload_source.Workload _ -> ()
+  | Workload_source.Program { program; _ } ->
+    (match Program.validate program with
+    | Ok () -> ()
+    | Error msg -> invalid_arg ("Runner.run_program: " ^ msg));
+    List.iter
+      (fun addr ->
+        (* Lines 0-1 hold the fallback lock, line 2 the global version
+           clock, line 3 the software-mode gate. *)
+        if addr < 256 then
+          invalid_arg
+            (Printf.sprintf
+               "Runner.run_program: address %#x collides with the reserved \
+                lock/clock/gate lines"
+               addr))
+      (Program.touched_addresses program)
+  | Workload_source.Replay ol -> (
+    match Workload.validate ol.Workload_source.body with
+    | Ok () -> ()
+    | Error msg -> invalid_arg ("Runner.replay: body profile: " ^ msg))
+
+(* Open-loop feeder: admits each trace record at its arrival cycle on
+   one of [cpus] ([core mod threads] with affinity, round-robin
+   without), synthesising its body only when service begins. Returns
+   the statistics, read after the run; a bad record fails the run
+   there, under [label]. *)
+let feed_open_loop ~sim ~cpus ~draw ~tele ~seed ~label
+    (ol : Workload_source.open_loop) =
+  let threads = Array.length cpus in
+  let body = ol.Workload_source.body in
+  let rngs = Workload.thread_rngs body ~threads ~seed in
+  let group = Stats.group "replay" in
+  let qdelay = Stats.hdr group "queue_delay" in
+  let sojourn = Stats.hdr group "sojourn" in
+  let phases = Array.make (Lk_trace.Record.max_phase + 1) 0 in
+  let arrivals = ref 0
+  and completed = ref 0
+  and inflight = ref 0
+  and max_backlog = ref 0 in
+  (* Surface the open-loop backlog as a telemetry gauge (and Perfetto
+     counter track): the replay overlay the closed-loop channels cannot
+     see. Observational only — the probe never perturbs the run. *)
+  Option.iter (fun h -> Telemetry.set_backlog_probe h (fun () -> !inflight)) tele;
+  let feed_error = ref None in
+  let rr = ref 0 in
+  let dispatch (r : Lk_trace.Record.t) =
+    let slot =
+      if r.core >= 0 then r.core mod threads
+      else begin
+        let s = !rr in
+        rr := (s + 1) mod threads;
+        s
+      end
+    in
+    incr arrivals;
+    incr inflight;
+    if !inflight > !max_backlog then max_backlog := !inflight;
+    let arrival = r.arrival and phase = r.phase in
+    let reads = r.reads and writes = r.writes in
+    Core.submit cpus.(slot)
+      ~gen:(fun () ->
+        draw
+          (Workload.synthesize body rngs.(slot) ~threads ~thread:slot ~reads
+             ~writes))
+      ~notify:(fun ~started ->
+        decr inflight;
+        incr completed;
+        phases.(phase) <- phases.(phase) + 1;
+        Stats.record qdelay (started - arrival);
+        Stats.record sojourn (Sim.now sim - arrival))
+  in
+  let seal_all () = Array.iter Core.seal cpus in
+  (* Range-check every record: a library-supplied [next] need not come
+     from the validating trace reader. *)
+  let pull () =
+    match ol.Workload_source.next () with
+    | Ok (Some r) -> Result.map (fun () -> Some r) (Lk_trace.Record.validate r)
+    | (Ok None | Error _) as end_ -> end_
+  in
+  (* Pull-one-ahead: at most one unscheduled record is in memory at any
+     time, so replay is O(1) in trace length. *)
+  let rec feed () =
+    let live = ref true in
+    while !live do
+      match pull () with
+      | Error e ->
+        feed_error := Some e;
+        seal_all ();
+        live := false
+      | Ok None ->
+        seal_all ();
+        live := false
+      | Ok (Some r) ->
+        if r.Lk_trace.Record.arrival <= Sim.now sim then dispatch r
+        else begin
+          Sim.schedule_at sim ~time:r.Lk_trace.Record.arrival (fun () ->
+              dispatch r;
+              feed ());
+          live := false
+        end
+    done
+  in
+  feed ();
+  fun () ->
+    Option.iter
+      (fun e -> failwith (Printf.sprintf "Runner.replay: %s: %s" label e))
+      !feed_error;
+    {
+      arrivals = !arrivals;
+      completed = !completed;
+      max_backlog = !max_backlog;
+      queue_delay_p50 = Stats.percentile qdelay 50.;
+      queue_delay_p95 = Stats.percentile qdelay 95.;
+      queue_delay_p99 = Stats.percentile qdelay 99.;
+      sojourn_p50 = Stats.percentile sojourn 50.;
+      sojourn_p95 = Stats.percentile sojourn 95.;
+      sojourn_p99 = Stats.percentile sojourn 99.;
+      phase_mix =
+        Array.to_list phases
+        |> List.mapi (fun i n -> (i, n))
+        |> List.filter (fun (_, n) -> n > 0);
+    }
+
+(* After the run: every thread finished, the protocol invariants hold,
+   the oracle (which checked each section as it committed) saw no
+   serializability violation, and the sanitizer, when attached, none of
+   its invariants broken. *)
+let check_run ~label ~threads ~finished ~protocol ~oracle ~sanitizer =
+  if finished <> threads then
+    failwith
+      (Printf.sprintf "Runner.run: %s/%d threads: only %d threads finished"
+         label threads finished);
+  Protocol.check_invariants protocol;
+  (match Lk_htm.Oracle.verify oracle with
+  | Ok () -> ()
+  | Error v ->
+    failwith
+      (Format.asprintf "Runner.run: %s: serializability violated: %a" label
+         Lk_htm.Oracle.pp_violation v));
+  match Option.map Lk_check.Sanitizer.finish sanitizer with
+  | None | Some [] -> ()
+  | Some (v :: _ as vs) ->
+    failwith
+      (Printf.sprintf "Runner.run: %s: invariant sanitizer: %s%s" label
+         (Lk_check.Invariant.violation_to_string v)
+         (match List.length vs with
+         | 1 -> ""
+         | n -> Printf.sprintf " (+%d more)" (n - 1)))
+
+(* End-to-end atomicity check: each committed hot counter must equal
+   the increments the run's transactions performed on it. *)
+let check_conservation ~caller ~label ~store tally =
+  List.iter
+    (fun (addr, want) ->
+      let got = Store.committed store addr in
+      if got <> want then
+        failwith
+          (Printf.sprintf "%s: %s: conservation violated at %#x: %d <> %d"
+             caller label addr got want))
+    (Workload.expected tally)
+
+(* The one execution path: build the machine, feed it from [source],
+   run it, check it, collect the result. With a generated or replayed
+   source every body's [Incr]s are tallied as it is drawn, and after the
+   run each hot record and each incremented address must hold exactly
+   its count. *)
+let execute ~options ~sysconf ~threads (source : Workload_source.t) =
+  let { seed; scale; machine; on_runtime; placement; cycle_limit;
+        queue_backend; check; telemetry } =
     options
   in
-  execute ~queue_backend ~check ?telemetry ~machine ~on_runtime ~placement
-    ~cycle_limit ~sysconf
-    ~mode:
-      (Closed
-         {
-           cursors = Workload.cursors workload ~threads ~seed ~scale;
-           barrier_every = workload.Workload.barrier_every;
-         })
-    ~conserve:(Some workload)
-    ~workload_name:workload.Workload.name ~cache:machine.Config.cache ()
+  validate_source source;
+  let label = sysconf.Sysconf.name ^ "/" ^ Workload_source.name source in
+  (* Closed-loop threads draw from cursors (replay has none); [conserve]
+     is the profile whose increments are tallied, [caller] the entry
+     point a conservation violation is reported under. *)
+  let cursors, barrier_every, conserve, caller =
+    match source with
+    | Workload_source.Workload p ->
+      ( Workload.cursors p ~threads ~seed ~scale,
+        p.Workload.barrier_every,
+        Some p,
+        "Runner.run" )
+    | Workload_source.Program { program; _ } ->
+      (Array.map Program.cursor program, None, None, "Runner.run")
+    | Workload_source.Replay ol ->
+      ([||], None, Some ol.Workload_source.body, "Runner.replay")
+  in
+  if threads <= 0 || threads > machine.Config.cores then
+    invalid_arg "Runner.run: thread count out of range";
+  let core_of = place ~placement ~cores:machine.Config.cores ~threads in
+  let sim, net, protocol = Config.build ~backend:queue_backend machine in
+  let store = Store.create ~cores:machine.Config.cores in
+  let runtime =
+    Runtime.create ~protocol ~store ~sysconf ~lock_addr:Workload.lock_addr ()
+  in
+  let oracle = Runtime.enable_oracle runtime in
+  on_runtime runtime;
+  let tele =
+    Option.map
+      (fun req ->
+        ( req,
+          Telemetry.attach ~interval:req.sample_interval
+            ~capacity:req.sample_capacity runtime ))
+      telemetry
+  in
+  let sanitizer =
+    if check then Some (Lk_check.Sanitizer.attach runtime) else None
+  in
+  let acct = Accounting.create ~cores:machine.Config.cores in
+  let finished = ref 0 in
+  let cpus =
+    Array.init threads (fun i ->
+        Core.spawn ~runtime ~core:(core_of i) ~accounting:acct
+          ~on_done:(fun () -> incr finished)
+          ())
+  in
+  let tally = Option.map Workload.tally conserve in
+  let draw = match tally with None -> Fun.id | Some t -> Workload.count t in
+  let open_loop_stats =
+    match source with
+    | Workload_source.Replay ol ->
+      Some
+        (feed_open_loop ~sim ~cpus ~draw ~tele:(Option.map snd tele) ~seed
+           ~label ol)
+    | Workload_source.Workload _ | Workload_source.Program _ ->
+      let barrier =
+        Option.map
+          (fun k -> (Lk_cpu.Barrier.create ~parties:threads, k))
+          barrier_every
+      in
+      Array.iteri
+        (fun i (c : Program.cursor) ->
+          Core.drive ?barrier cpus.(i)
+            { c with Program.next = (fun () -> draw (c.Program.next ())) })
+        cursors;
+      None
+  in
+  let (), perf_sample =
+    Perf.observe sim (fun () -> Sim.run ~limit:cycle_limit sim)
+  in
+  Perf.note perf_sample;
+  let open_loop = Option.map (fun stats -> stats ()) open_loop_stats in
+  check_run ~label ~threads ~finished:!finished ~protocol ~oracle ~sanitizer;
+  (* Cores without a thread never run a transaction, so the sum over
+     every core is the sum over the threads' cores. *)
+  let sum = Runtime.total_stats runtime in
+  let by_reason counts =
+    List.map (fun r -> (r, counts.(Reason.index r))) Reason.all
+  in
+  Option.iter (fun (req, handle) -> req.consume handle) tele;
+  let latency = Runtime.tx_latency_hdr runtime in
+  let result =
+    {
+      system = sysconf.Sysconf.name;
+      workload = Workload_source.name source;
+      threads;
+      cache = machine.Config.cache;
+      cycles =
+        Array.fold_left (fun acc cpu -> max acc (Core.finish_time cpu)) 0 cpus;
+      commit_rate = Runtime.commit_rate runtime;
+      htm_commits = sum.Runtime.commits;
+      stl_commits = sum.Runtime.stl_commits;
+      lock_commits = sum.Runtime.lock_commits;
+      sw_commits = sum.Runtime.sw_commits;
+      aborts = sum.Runtime.aborts;
+      abort_mix = by_reason sum.Runtime.abort_reasons;
+      wasted_cycles = sum.Runtime.wasted;
+      wasted_by_reason = by_reason sum.Runtime.wasted_by_reason;
+      breakdown = Accounting.total acct;
+      rejects = sum.Runtime.rejects_received;
+      parks = sum.Runtime.parks;
+      wakeups = Runtime.wakeups runtime;
+      switches_granted = Runtime.switches_granted runtime;
+      switches_denied = Runtime.switches_denied runtime;
+      spilled_lines = Runtime.spilled_lines runtime;
+      lock_dwell_cycles = Runtime.lock_dwell_cycles runtime;
+      clock_advances = Runtime.clock_advances runtime;
+      watchdog_rescues = Runtime.watchdog_rescues runtime;
+      network_messages = Network.messages_sent net;
+      network_flits = Network.flits_sent net;
+      oracle_sections = Lk_htm.Oracle.size oracle;
+      avg_attempts_per_commit =
+        (if sum.Runtime.commits = 0 then 0.0
+         else
+           float_of_int sum.Runtime.attempts_at_commit
+           /. float_of_int sum.Runtime.commits);
+      tx_latency_p50 = Stats.percentile latency 50.;
+      tx_latency_p95 = Stats.percentile latency 95.;
+      tx_latency_p99 = Stats.percentile latency 99.;
+      open_loop;
+    }
+  in
+  Option.iter (check_conservation ~caller ~label ~store) tally;
+  result
+
+let run ?(options = default_options) ~sysconf ~workload ~threads () =
+  execute ~options ~sysconf ~threads (Workload_source.Workload workload)
 
 let run_program ?(options = default_options) ?(name = "custom") ~sysconf
     ~program () =
-  let {
-    machine;
-    on_runtime;
-    placement;
-    cycle_limit;
-    queue_backend;
-    check;
-    telemetry;
-    seed = _;
-    scale = _;
-  } =
-    options
-  in
-  (match Lk_cpu.Program.validate program with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Runner.run_program: " ^ msg));
-  List.iter
-    (fun addr ->
-      (* Lines 0-1 hold the fallback lock, line 2 the global version
-         clock, line 3 the software-mode gate. *)
-      if addr < 256 then
-        invalid_arg
-          (Printf.sprintf
-             "Runner.run_program: address %#x collides with the reserved \
-              lock/clock/gate lines"
-             addr))
-    (Lk_cpu.Program.touched_addresses program);
-  execute ~queue_backend ~check ?telemetry ~machine ~on_runtime ~placement
-    ~cycle_limit ~sysconf
-    ~mode:
-      (Closed
-         { cursors = Array.map Program.cursor program; barrier_every = None })
-    ~conserve:None ~workload_name:name ~cache:machine.Config.cache ()
+  execute ~options ~sysconf ~threads:(Array.length program)
+    (Workload_source.Program { name; program })
 
 let replay ?(options = default_options) ~sysconf ~open_loop ~threads () =
-  let {
-    seed;
-    machine;
-    on_runtime;
-    placement;
-    cycle_limit;
-    queue_backend;
-    check;
-    telemetry;
-    scale = _;
-  } =
-    options
-  in
-  (match Workload.validate open_loop.Workload_source.body with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Runner.replay: body profile: " ^ msg));
-  execute ~queue_backend ~check ?telemetry ~machine ~on_runtime ~placement
-    ~cycle_limit ~sysconf
-    ~mode:(Open { ol = open_loop; threads; seed })
-    ~conserve:(Some open_loop.Workload_source.body)
-    ~workload_name:open_loop.Workload_source.trace_name
-    ~cache:machine.Config.cache ()
+  execute ~options ~sysconf ~threads (Workload_source.Replay open_loop)
 
 let run_source ?(options = default_options) ~sysconf ~source ~threads () =
-  match (source : Workload_source.t) with
-  | Workload_source.Workload workload -> run ~options ~sysconf ~workload ~threads ()
-  | Workload_source.Program { name; program } ->
-    if Array.length program <> threads then
-      invalid_arg
-        (Printf.sprintf
-           "Runner.run_source: %d threads requested but the program has %d"
-           threads (Array.length program));
-    run_program ~options ~name ~sysconf ~program ()
-  | Workload_source.Replay open_loop ->
-    replay ~options ~sysconf ~open_loop ~threads ()
+  (match (source : Workload_source.t) with
+  | Workload_source.Program { program; _ } when Array.length program <> threads
+    ->
+    invalid_arg
+      (Printf.sprintf
+         "Runner.run_source: %d threads requested but the program has %d"
+         threads (Array.length program))
+  | Workload_source.Workload _ | Workload_source.Program _
+  | Workload_source.Replay _ ->
+    ());
+  execute ~options ~sysconf ~threads source
 
 let abort_fraction r reason =
   if r.aborts = 0 then 0.0
   else
     float_of_int (List.assoc reason r.abort_mix) /. float_of_int r.aborts
-
-let pp ppf r =
-  Format.fprintf ppf
-    "@[<v>%s / %s / %d threads: %d cycles, commit rate %.2f, %d commits \
-     (%d stl, %d lock, %d sw), %d aborts@]"
-    r.system r.workload r.threads r.cycles r.commit_rate r.htm_commits
-    r.stl_commits r.lock_commits r.sw_commits r.aborts
 
 (* --- JSON codec --------------------------------------------------------- *)
 

@@ -155,15 +155,34 @@ type options = {
           skips the run and produces no telemetry; bypass the cache to
           force a sampled execution). Default [None]: zero cost. *)
 }
-(** Everything {!run} needs besides the (system, workload, threads)
-    triple, collapsed from the former pile of optional arguments.
-    Build variations with record update:
+(** Everything a run needs besides the system, the source and the
+    thread count. Build variations with record update:
     [{ Runner.default_options with seed = 7 }]. *)
 
 val default_options : options
 (** Seed 1, scale 1.0, the paper's 32-core machine,
     no [on_runtime] hook, [Compact] placement, a 2^30-cycle guard, the
     wheel event queue, checking off. *)
+
+(** {1 Running}
+
+    Every entry point below is one call to the same execution path,
+    which dispatches on the {!Workload_source.t}: it builds the machine
+    from [options], feeds the cores (closed-loop cursors or the
+    open-loop feeder), runs, checks and collects the {!result}. They
+    differ only in the source they wrap and the input checks named
+    after them. *)
+
+val run_source :
+  ?options:options ->
+  sysconf:Lk_lockiller.Sysconf.t ->
+  source:Workload_source.t ->
+  threads:int ->
+  unit ->
+  result
+(** Run any workload source: [Workload] as {!run}, [Program] as
+    {!run_program} ([threads] must equal the program's width), [Replay]
+    as {!replay}. *)
 
 val run :
   ?options:options ->
@@ -175,10 +194,8 @@ val run :
 (** Closed-loop run: each thread draws its next transaction from
     {!Lk_stamp.Workload.cursors} when the previous one completes, so
     the workload costs O(threads) memory, not O(transactions).
-    [?options] defaults to {!default_options}; build
-    variations with record update
-    ([{ Runner.default_options with seed = 7 }]) — the pre-[options]
-    per-field optional arguments were removed.
+    [?options] defaults to {!default_options}; build variations with
+    record update ([{ Runner.default_options with seed = 7 }]).
 
     [threads] must not exceed the machine's cores. Raises [Failure] if
     the run violates conservation or serializability, leaves a thread
@@ -197,7 +214,8 @@ val run_program :
     fit the machine. The serializability oracle and protocol invariants
     still verify the run; there is no conservation check (the runner
     does not know the program's intent). The program must use addresses
-    clear of the reserved lock/clock/gate lines (bytes 0-255). *)
+    clear of the reserved lock/clock/gate lines (bytes 0-255).
+    [options.seed] and [options.scale] are ignored. *)
 
 val replay :
   ?options:options ->
@@ -225,21 +243,8 @@ val replay :
     record the feeder pulls), and on the same
     conservation/serializability/invariant violations as {!run}. *)
 
-val run_source :
-  ?options:options ->
-  sysconf:Lk_lockiller.Sysconf.t ->
-  source:Workload_source.t ->
-  threads:int ->
-  unit ->
-  result
-(** Dispatch on the workload source: [Workload] -> {!run}, [Program] ->
-    {!run_program} ([threads] must equal the program's width),
-    [Replay] -> {!replay}. *)
-
 val abort_fraction : result -> Lk_htm.Reason.t -> float
 (** Share of a reason among all aborts (0 when no aborts). *)
-
-val pp : Format.formatter -> result -> unit
 
 (** {1 Serialisation}
 

@@ -1,121 +1,67 @@
 module Ledger = Lk_engine.Ledger
 module Reason = Lk_htm.Reason
 
-type breakdown = {
-  aborts : int;
-  by_reason : (Reason.t * int) list;
-  nacks : int;
-  kills : int;
-  rejects : int;
-  parks : int;
-  wakes : int;
-  sw_commits : int;
-  sw_aborts : int;
-  clock_advances : int;
-  dropped : int;
-}
-
 let reason_of_index =
   let arr = Array.of_list Reason.all in
   fun i -> if i >= 0 && i < Array.length arr then Some arr.(i) else None
 
-let abort_breakdown l =
-  let by = Array.make Reason.count 0 in
-  let aborts = ref 0
-  and nacks = ref 0
-  and kills = ref 0
-  and rejects = ref 0
-  and parks = ref 0
-  and wakes = ref 0
-  and sw_commits = ref 0
-  and sw_aborts = ref 0
-  and clock_advances = ref 0 in
-  Ledger.iter l (fun ~time:_ ~core:_ ~kind ~arg ->
-      match kind with
-      | Ledger.Tx_abort | Ledger.Sw_abort -> (
-        (* Software aborts carry a reason index too (typically
-           Validation or a lock conflict), so they fold into the same
-           per-cause table as hardware aborts. The reason shares the
-           packed arg with the aggressor and the victim's age. *)
-        incr aborts;
-        if kind = Ledger.Sw_abort then incr sw_aborts;
-        match reason_of_index (Ledger.abort_reason arg) with
-        | Some r -> by.(Reason.index r) <- by.(Reason.index r) + 1
-        | None -> ())
-      | Ledger.Nack -> incr nacks
-      | Ledger.Abort_kill -> incr kills
-      | Ledger.Reject -> incr rejects
-      | Ledger.Park -> incr parks
-      | Ledger.Wake -> incr wakes
-      | Ledger.Sw_commit -> incr sw_commits
-      | Ledger.Clock_advance -> incr clock_advances
-      | _ -> ());
-  {
-    aborts = !aborts;
-    by_reason = List.map (fun r -> (r, by.(Reason.index r))) Reason.all;
-    nacks = !nacks;
-    kills = !kills;
-    rejects = !rejects;
-    parks = !parks;
-    wakes = !wakes;
-    sw_commits = !sw_commits;
-    sw_aborts = !sw_aborts;
-    clock_advances = !clock_advances;
-    dropped = Ledger.dropped l;
-  }
-
-let breakdown_table ?(title = "Abort breakdown") b =
+let breakdown_table ?(title = "Abort breakdown") p =
+  let aborts = Profile.total_aborts p in
   let share n =
-    if b.aborts = 0 then "-"
-    else Report.pct (float_of_int n /. float_of_int b.aborts)
+    if aborts = 0 then "-" else Report.pct (float_of_int n /. float_of_int aborts)
   in
   let rows =
     List.map
       (fun (r, n) -> [ Reason.label r; string_of_int n; share n ])
-      b.by_reason
-    @ [ [ "total"; string_of_int b.aborts; share b.aborts ] ]
+      (Profile.abort_mix p)
+    @ [ [ "total"; string_of_int aborts; share aborts ] ]
   in
+  let sw_commits = Profile.sw_commits p
+  and sw_aborts = Profile.sw_aborts p
+  and clock_advances = Profile.clock_advances p in
   let notes =
     [
       Printf.sprintf
         "conflict traffic: %d nacks, %d kills, %d rejects, %d parks, %d wakes"
-        b.nacks b.kills b.rejects b.parks b.wakes;
+        (Profile.nacks p) (Profile.protocol_kills p) (Profile.rejects p)
+        (Profile.parks p) (Profile.wakes p);
     ]
-    @ (if b.sw_commits = 0 && b.sw_aborts = 0 && b.clock_advances = 0 then []
+    @ (if sw_commits = 0 && sw_aborts = 0 && clock_advances = 0 then []
        else
          [
            Printf.sprintf
              "software path: %d commits, %d aborts, %d clock advances"
-             b.sw_commits b.sw_aborts b.clock_advances;
+             sw_commits sw_aborts clock_advances;
          ])
     @
-    if b.dropped = 0 then []
+    if Profile.dropped p = 0 then []
     else
       [
         Printf.sprintf
           "WARNING: %d ledger records dropped; counts are lower bounds"
-          b.dropped;
+          (Profile.dropped p);
       ]
   in
   Report.table ~notes ~title ~headers:[ "reason"; "aborts"; "share" ] rows
 
-let json_of_breakdown b =
+let json_of_breakdown p =
   Json.Obj
     [
-      ("aborts", Json.Int b.aborts);
+      ("aborts", Json.Int (Profile.total_aborts p));
       ( "by_reason",
         Json.Obj
-          (List.map (fun (r, n) -> (Reason.label r, Json.Int n)) b.by_reason)
-      );
-      ("nacks", Json.Int b.nacks);
-      ("kills", Json.Int b.kills);
-      ("rejects", Json.Int b.rejects);
-      ("parks", Json.Int b.parks);
-      ("wakes", Json.Int b.wakes);
-      ("sw_commits", Json.Int b.sw_commits);
-      ("sw_aborts", Json.Int b.sw_aborts);
-      ("clock_advances", Json.Int b.clock_advances);
-      ("dropped", Json.Int b.dropped);
+          (List.map
+             (fun (r, n) -> (Reason.label r, Json.Int n))
+             (Profile.abort_mix p)) );
+      ("nacks", Json.Int (Profile.nacks p));
+      ("kills", Json.Int (Profile.protocol_kills p));
+      ("rejects", Json.Int (Profile.rejects p));
+      ("parks", Json.Int (Profile.parks p));
+      ("wakes", Json.Int (Profile.wakes p));
+      ("sw_commits", Json.Int (Profile.sw_commits p));
+      ("sw_aborts", Json.Int (Profile.sw_aborts p));
+      ("clock_advances", Json.Int (Profile.clock_advances p));
+      ("dropped", Json.Int (Profile.dropped p));
     ]
 
 (* --- Perfetto export --------------------------------------------------- *)

@@ -2,49 +2,30 @@
 
     {!Lk_engine.Ledger} records what happened; this module turns those
     flat integer records back into domain terms: an abort-cause
-    breakdown that cross-checks the {!Runner.result} counters, and a
+    breakdown, rendered from a {!Profile} fold of the records, and a
     Chrome/Perfetto trace export for interactive timeline inspection.
 
-    Both consumers decode the ledger the same way: [Tx_abort] args are
+    Both decode the ledger the same way: [Tx_abort] args are
     {!Lk_htm.Reason.index} values, [Nack]/[Reject] args are the winning
     holder's core (or [-1] for an LLC overflow-signature reject),
     [Abort_kill] records carry the victim as [core] and the aggressor
     as [arg]. See {!Lk_engine.Ledger} for the full argument
     conventions. *)
 
-(** Aggregated event counts over one ledger. When [dropped > 0] the
-    ring overflowed and every count is a lower bound — rerun with a
-    larger [capacity] for exact numbers. *)
-type breakdown = {
-  aborts : int;  (** Total [Tx_abort] plus [Sw_abort] records. *)
-  by_reason : (Lk_htm.Reason.t * int) list;
-      (** Aborts per cause, paper order — same shape as
-          [Runner.result.abort_mix], and equal to it whenever the
-          ledger did not drop records. Software aborts fold in here
-          too (their [Validation] / conflict reason indices share the
-          table). *)
-  nacks : int;  (** Coherence-level reject replies observed. *)
-  kills : int;  (** Holders aborted on behalf of a requester. *)
-  rejects : int;  (** Runtime-level rejects (transactions parked or
-                      backed off after a NACK resolution). *)
-  parks : int;
-  wakes : int;
-  sw_commits : int;  (** [Sw_commit] records (hybrid-TM software path). *)
-  sw_aborts : int;  (** [Sw_abort] records (also counted in [aborts]). *)
-  clock_advances : int;  (** Global version-clock advances observed. *)
-  dropped : int;  (** Records lost to ring overflow. *)
-}
-
-val abort_breakdown : Lk_engine.Ledger.t -> breakdown
-
-val breakdown_table : ?title:string -> breakdown -> Report.table
-(** One row per abort cause (label, count, share of all aborts) plus a
-    totals row; conflict-resolution traffic (NACKs, kills, rejects,
-    parks/wakes) goes in the notes. Render with {!Report.pp_table},
+val breakdown_table : ?title:string -> Profile.t -> Report.table
+(** The abort-cause breakdown of a profile: one row per abort cause
+    (label, count, share of all aborts) plus a totals row;
+    conflict-resolution traffic (NACKs, kills, rejects, parks/wakes)
+    and, when it ran, the software path go in the notes. Fed from the
+    ledger's streaming tap ({!Profile.attach}) the counts are exact
+    however small the ring; folded from a retained ledger
+    ({!Profile.of_ledger}) they cover its records, and a note warns
+    when the ring dropped some. Render with {!Report.pp_table},
     {!Report.to_csv} or {!Report.json_of_table}. *)
 
-val json_of_breakdown : breakdown -> Json.t
-(** Label-keyed counts ([{"aborts": ..., "by_reason": {"mc": ...}}]). *)
+val json_of_breakdown : Profile.t -> Json.t
+(** The same counts, label-keyed
+    ([{"aborts": ..., "by_reason": {"mc": ...}, ..., "dropped": ...}]). *)
 
 (** {1 Perfetto export}
 

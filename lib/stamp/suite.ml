@@ -25,6 +25,12 @@ let names = List.map (fun p -> p.Workload.name) all
 
 let extra_names = List.map (fun p -> p.Workload.name) extras
 
+let lookup name =
+  Option.to_result (find name)
+    ~none:
+      (Printf.sprintf "unknown workload %S (expected one of: %s)" name
+         (String.concat ", " (names @ extra_names)))
+
 (* --- Workload specs ----------------------------------------------------- *)
 
 type size = Low | High
@@ -65,13 +71,10 @@ let scale_floor ~floor v f =
   if f = 1.0 then v else max floor (int_of_float (float_of_int v *. f))
 
 let realise s =
-  let lookup = s.app ^ match s.size with Low -> "" | High -> "+" in
-  match find lookup with
-  | None ->
-    Error
-      (Printf.sprintf "unknown workload %S (expected one of: %s)" lookup
-         (String.concat ", " (names @ extra_names)))
-  | Some base ->
+  let name = s.app ^ match s.size with Low -> "" | High -> "+" in
+  match lookup name with
+  | Error _ as e -> e
+  | Ok base ->
     let bad f = not (Float.is_finite f && f > 0.0) in
     if bad s.rw_scale then
       Error

@@ -22,6 +22,10 @@ val names : string list
 
 val extra_names : string list
 
+val lookup : string -> (Workload.profile, string) result
+(** {!find}, with the error every front-end reports for an unknown
+    name: it lists each name {!find} accepts. *)
+
 (** {1 Workload specs}
 
     The one way to construct a workload: a {!spec} names an application

@@ -581,29 +581,6 @@ let test_stats_counter () =
   check_bool "same name same counter" true
     (Stats.value (Stats.counter g "hits") = 5)
 
-let test_stats_accumulator () =
-  let g = Stats.group "g" in
-  let a = Stats.accumulator g "lat" in
-  List.iter (Stats.sample a) [ 10; 2; 6 ];
-  check_int "count" 3 (Stats.count a);
-  check_int "sum" 18 (Stats.sum a);
-  check_bool "min" true (Stats.min_sample a = Some 2);
-  check_bool "max" true (Stats.max_sample a = Some 10);
-  check (Alcotest.float 0.001) "mean" 6.0 (Stats.mean a)
-
-let test_stats_empty_accumulator () =
-  let g = Stats.group "g" in
-  let a = Stats.accumulator g "none" in
-  check_bool "min none" true (Stats.min_sample a = None);
-  check (Alcotest.float 0.001) "mean 0" 0.0 (Stats.mean a)
-
-let test_stats_histogram () =
-  let g = Stats.group "g" in
-  let h = Stats.histogram g "sizes" in
-  List.iter (Stats.observe h) [ 0; 1; 1; 3; 100 ];
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 (Stats.buckets h) in
-  check_int "all samples bucketed" 5 total
-
 let test_stats_reset () =
   let g = Stats.group "g" in
   let c = Stats.counter g "x" in
@@ -902,10 +879,6 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "counter" `Quick test_stats_counter;
-          Alcotest.test_case "accumulator" `Quick test_stats_accumulator;
-          Alcotest.test_case "empty accumulator" `Quick
-            test_stats_empty_accumulator;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
           Alcotest.test_case "reset" `Quick test_stats_reset;
           Alcotest.test_case "counters sorted" `Quick
             test_stats_counters_sorted;

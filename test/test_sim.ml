@@ -676,6 +676,7 @@ let test_report_to_json () =
 module Tracing = Lk_sim.Tracing
 module Ledger = Lk_engine.Ledger
 module Runtime = Lk_lockiller.Runtime
+module Profile = Lk_sim.Profile
 
 (* One observed run: LockillerTM on a small machine with the event
    ledger on (capacity ample enough that nothing is dropped). Intruder
@@ -745,16 +746,16 @@ let check_counters_match_ledger r l =
 let test_ledger_breakdown_matches_stats () =
   let r, l = run_with_ledger () in
   check_counters_match_ledger r l;
-  let b = Tracing.abort_breakdown l in
-  check_int "aborts" r.Runner.aborts b.Tracing.aborts;
+  let b = Profile.of_ledger ~cores:4 l in
+  check_int "aborts" r.Runner.aborts (Profile.total_aborts b);
   List.iter2
     (fun (reason, expected) (reason', got) ->
       check_bool "reason order" true (reason = reason');
       check_int (Reason.label reason) expected got)
-    r.Runner.abort_mix b.Tracing.by_reason;
-  check_int "rejects" r.Runner.rejects b.Tracing.rejects;
-  check_int "parks" r.Runner.parks b.Tracing.parks;
-  check_int "wakes" r.Runner.wakeups b.Tracing.wakes;
+    r.Runner.abort_mix (Profile.abort_mix b);
+  check_int "rejects" r.Runner.rejects (Profile.rejects b);
+  check_int "parks" r.Runner.parks (Profile.parks b);
+  check_int "wakes" r.Runner.wakeups (Profile.wakes b);
   (* Labyrinth's footprints overflow the L1: switchingMode, the
      overflow signatures and the fallback lock all see traffic. *)
   let r, l = run_with_ledger ~workload:"labyrinth" ~scale:0.5 () in
@@ -852,8 +853,6 @@ let test_perfetto_export_wellformed () =
 
 (* --- Causal profile --------------------------------------------------------- *)
 
-module Profile = Lk_sim.Profile
-
 (* One profiled run: the streaming tap and the retained ring observe
    the same events, so the tap-fed profile and a post-hoc fold of the
    ledger must agree exactly (when nothing wrapped). *)
@@ -950,6 +949,30 @@ let test_profile_stream_survives_wraparound () =
   check_bool "fold reports the loss" true (Profile.dropped folded > 0);
   check_bool "fold covers at most the stream" true
     (Profile.total_aborts folded <= Profile.total_aborts small_p)
+
+let test_profile_breakdown_exact_after_wraparound () =
+  (* The abort breakdown reads the streaming profile, so a five-record
+     ring, which keeps almost nothing of the run, still reports every
+     abort, park and wake the result counts. *)
+  let r, l, p = run_with_profile ~capacity:5 () in
+  check_bool "ring wrapped" true (Ledger.dropped l > 0);
+  check_bool "aborts occurred" true (r.Runner.aborts > 0);
+  check_int "aborts" r.Runner.aborts (Profile.total_aborts p);
+  List.iter2
+    (fun (reason, expected) (reason', got) ->
+      check_bool "reason order" true (reason = reason');
+      check_int (Reason.label reason) expected got)
+    r.Runner.abort_mix (Profile.abort_mix p);
+  check_int "rejects" r.Runner.rejects (Profile.rejects p);
+  check_int "parks" r.Runner.parks (Profile.parks p);
+  check_int "wakes" r.Runner.wakeups (Profile.wakes p);
+  let member name =
+    match Json.member name (Tracing.json_of_breakdown p) with
+    | Ok (Json.Int n) -> n
+    | _ -> Alcotest.fail ("breakdown JSON lacks " ^ name)
+  in
+  check_int "json aborts" r.Runner.aborts (member "aborts");
+  check_int "json dropped" 0 (member "dropped")
 
 let test_profile_feed_no_alloc () =
   (* The tap runs on the simulator's emit path, so feeding a record —
@@ -1184,15 +1207,16 @@ let test_hybrid_validation_abort_in_ledger () =
      software-path counters. *)
   let r, l = run_with_ledger ~sysconf:Sysconf.sw_tl2 () in
   check_int "nothing dropped" 0 (Ledger.dropped l);
-  let b = Tracing.abort_breakdown l in
+  let b = Profile.of_ledger ~cores:4 l in
   let valid_result = List.assoc Reason.Validation r.Runner.abort_mix in
-  let valid_ledger = List.assoc Reason.Validation b.Tracing.by_reason in
+  let valid_ledger = List.assoc Reason.Validation (Profile.abort_mix b) in
   check_bool "validation aborts occurred" true (valid_result > 0);
   check_int "ledger matches result" valid_result valid_ledger;
   check_bool "all sw aborts have a reason" true
-    (b.Tracing.sw_aborts >= valid_ledger);
-  check_int "sw commits" r.Runner.sw_commits b.Tracing.sw_commits;
-  check_int "clock advances" r.Runner.clock_advances b.Tracing.clock_advances
+    (Profile.sw_aborts b >= valid_ledger);
+  check_int "sw commits" r.Runner.sw_commits (Profile.sw_commits b);
+  check_int "clock advances" r.Runner.clock_advances
+    (Profile.clock_advances b)
 
 let test_hybrid_nohw_determinism () =
   (* The software path must stay byte-identical across event-queue
@@ -1473,6 +1497,8 @@ let () =
             test_profile_stream_matches_fold;
           Alcotest.test_case "stream survives wraparound" `Quick
             test_profile_stream_survives_wraparound;
+          Alcotest.test_case "breakdown exact after wraparound" `Quick
+            test_profile_breakdown_exact_after_wraparound;
           Alcotest.test_case "feed no alloc" `Quick test_profile_feed_no_alloc;
         ] );
       ( "hybrid",
