@@ -197,6 +197,21 @@ let dir_remove_core t line core =
       if Coreset.mem core s then
         Llc.set_dir t.llc line (Llc.Sharers (Coreset.remove core s))
 
+(* [src]'s dirty copy of [line] goes home, off the critical path. *)
+let writeback t ~src line =
+  Stats.incr t.s_writebacks;
+  bg_data t ~src ~dst:(home_of t line);
+  Llc.set_dirty t.llc line true
+
+(* Remove [core]'s copy of [line] and drop it from the directory entry.
+   A dirty copy is written back; a clean one sends the eviction notice
+   when [notice]. *)
+let drop_copy t ~core ~notice line =
+  let v = L1_cache.remove t.l1s.(core) line in
+  dir_remove_core t line core;
+  if v.dirty then writeback t ~src:core line
+  else if notice then bg_ctrl t ~src:core ~dst:(home_of t line)
+
 let commit_flush t core =
   let views = L1_cache.clear_tx t.l1s.(core) ~drop_written:false in
   List.length views
@@ -216,8 +231,7 @@ let abort_flush t core =
    request), handling transactional copies through the client's
    eviction hook. Returns extra latency charged by the directive. *)
 let rec flush_l1_copy t ~core ~line ~extra =
-  let l1 = t.l1s.(core) in
-  match L1_cache.lookup l1 line with
+  match L1_cache.lookup t.l1s.(core) line with
   | None -> extra
   | Some v when v.tx_read || v.tx_write -> begin
     match t.client.Client.on_tx_eviction ~core ~view:v with
@@ -226,29 +240,14 @@ let rec flush_l1_copy t ~core ~line ~extra =
       (* The abort cleared tx metadata; written lines are gone, read
          lines remain and are flushed below. *)
       flush_l1_copy t ~core ~line ~extra:(extra + e)
-    | Client.Spill { write; extra = e } ->
+    | Client.Spill { write = _; extra = e } ->
       Stats.incr t.s_spills;
-      ignore write;
-      let v2 = L1_cache.remove l1 line in
-      dir_remove_core t line core;
-      if v2.dirty then begin
-        Stats.incr t.s_writebacks;
-        bg_data t ~src:core ~dst:(home_of t line);
-        Llc.set_dirty t.llc line true
-      end
-      else bg_ctrl t ~src:core ~dst:(home_of t line);
+      drop_copy t ~core ~notice:true line;
       extra + e
   end
-  | Some v ->
-    ignore (L1_cache.remove l1 line);
-    dir_remove_core t line core;
+  | Some _ ->
     Stats.incr t.s_invalidations;
-    if v.dirty then begin
-      Stats.incr t.s_writebacks;
-      bg_data t ~src:core ~dst:(home_of t line);
-      Llc.set_dirty t.llc line true
-    end
-    else bg_ctrl t ~src:core ~dst:(home_of t line);
+    drop_copy t ~core ~notice:true line;
     extra
 
 (* Make the line resident in its home LLC bank. Returns extra latency
@@ -316,6 +315,21 @@ let install t req ~state =
   | Some _ | None -> ());
   extra
 
+(* Refuse [req] on behalf of [by] ([None]: the LLC overflow
+   signatures), counting it on [counter]. *)
+let reject t req counter ~by =
+  Stats.incr counter;
+  note_nack t ~requester:req.core ~by:(match by with Some c -> c | None -> -1);
+  t.client.Client.on_reject ~requester:req.core ~by ~line:req.line;
+  Types.Rejected { by }
+
+(* Abort the conflicting holder [victim] on behalf of [req]. *)
+let kill t req (party : Types.party) victim =
+  Stats.incr t.s_conflict_aborts;
+  note_kill t ~victim ~aggressor:req.core;
+  t.client.Client.abort ~victim ~aggressor:req.core
+    ~aggressor_mode:party.Types.mode ~line:req.line
+
 let finish t req outcome ~latency =
   let home = home_of t req.line in
   (* Unblock message closing the directory transaction (traffic only). *)
@@ -352,10 +366,7 @@ let rec dispatch t req (party : Types.party) ~extra ~depth =
           ~line:req.line ~write
       with
       | Client.Reject_requester ->
-        Stats.incr t.s_owner_rejects;
-        note_nack t ~requester:req.core ~by:o;
-        t.client.Client.on_reject ~requester:req.core ~by:(Some o)
-          ~line:req.line;
+        let outcome = reject t req t.s_owner_rejects ~by:(Some o) in
         let lat =
           llc_lat + extra
           + ctrl t ~src:home ~dst:o
@@ -363,12 +374,9 @@ let rec dispatch t req (party : Types.party) ~extra ~depth =
           + ctrl t ~src:o ~dst:home
           + ctrl t ~src:home ~dst:req.core
         in
-        (Types.Rejected { by = Some o }, lat)
+        (outcome, lat)
       | Client.Abort_holder ->
-        Stats.incr t.s_conflict_aborts;
-        note_kill t ~victim:o ~aggressor:req.core;
-        t.client.Client.abort ~victim:o ~aggressor:req.core
-          ~aggressor_mode:party.Types.mode ~line:req.line;
+        kill t req party o;
         (* NACK leg: home -> owner -> home, then retry the decision
            against the post-abort state (Fig 3's red-arrow flow). *)
         let leg =
@@ -383,20 +391,14 @@ let rec dispatch t req (party : Types.party) ~extra ~depth =
       if write then begin
         let v = L1_cache.remove t.l1s.(o) req.line in
         Stats.incr t.s_invalidations;
-        if v.dirty then begin
-          Stats.incr t.s_writebacks;
-          bg_data t ~src:o ~dst:home;
-          Llc.set_dirty t.llc req.line true
-        end;
+        if v.dirty then writeback t ~src:o req.line;
         Llc.set_dir t.llc req.line (Llc.Owner req.core);
         let inst = install t req ~state:L1_cache.M in
         (Types.Granted, llc_lat + extra + fwd + data t ~src:o ~dst:req.core + inst)
       end
       else begin
         if ov.dirty then begin
-          Stats.incr t.s_writebacks;
-          bg_data t ~src:o ~dst:home;
-          Llc.set_dirty t.llc req.line true;
+          writeback t ~src:o req.line;
           L1_cache.clear_dirty t.l1s.(o) req.line
         end;
         (* The injected SWMR mutation skips exactly this downgrade: the
@@ -451,13 +453,7 @@ let rec dispatch t req (party : Types.party) ~extra ~depth =
     and plain = List.rev !plain in
     (* Losers abort even when the request is ultimately rejected: each
        sharer arbitrates locally (Fig 4). *)
-    List.iter
-      (fun c ->
-        Stats.incr t.s_conflict_aborts;
-        note_kill t ~victim:c ~aggressor:req.core;
-        t.client.Client.abort ~victim:c ~aggressor:req.core
-          ~aggressor_mode:party.Types.mode ~line:req.line)
-      losers;
+    List.iter (kill t req party) losers;
     (* Invalidate every non-winner copy still resident (aborts keep
        read lines valid). Latency is the slowest invalidation
        round-trip, all in parallel. Under a limited-pointer directory
@@ -486,23 +482,16 @@ let rec dispatch t req (party : Types.party) ~extra ~depth =
     List.iter
       (fun c -> ignore (flush_l1_copy t ~core:c ~line:req.line ~extra:0))
       (plain @ losers);
-    if winners <> [] then begin
-      Stats.incr t.s_sharer_rejects;
-      note_nack t ~requester:req.core ~by:(List.hd winners);
+    match winners with
+    | by :: _ ->
       let keep =
         if L1_cache.resident t.l1s.(req.core) req.line then req.core :: winners
         else winners
       in
       Llc.set_dir t.llc req.line (Llc.Sharers (Coreset.of_list keep));
-      let by = List.hd winners in
-      t.client.Client.on_reject ~requester:req.core ~by:(Some by)
-        ~line:req.line;
-      let lat =
-        llc_lat + extra + !inv_rtt + ctrl t ~src:home ~dst:req.core
-      in
-      (Types.Rejected { by = Some by }, lat)
-    end
-    else begin
+      let outcome = reject t req t.s_sharer_rejects ~by:(Some by) in
+      (outcome, llc_lat + extra + !inv_rtt + ctrl t ~src:home ~dst:req.core)
+    | [] ->
       Llc.set_dir t.llc req.line (Llc.Owner req.core);
       Llc.touch t.llc req.line;
       let was_resident = L1_cache.resident t.l1s.(req.core) req.line in
@@ -513,7 +502,6 @@ let rec dispatch t req (party : Types.party) ~extra ~depth =
       in
       let slower = if !inv_rtt > transfer then !inv_rtt else transfer in
       (Types.Granted, llc_lat + extra + inst + slower)
-    end
 
 (* Serve a request at the head of its line queue. Returns the busy
    window (cycles until the home frees the line). *)
@@ -546,11 +534,9 @@ let process t req =
     let outcome, lat =
       match sig_verdict with
       | Some Client.Reject_requester ->
-        Stats.incr t.s_sig_rejects;
-        note_nack t ~requester:req.core ~by:(-1);
-        t.client.Client.on_reject ~requester:req.core ~by:None ~line:req.line;
-        ( Types.Rejected { by = None },
-          t.cfg.llc_hit_latency + extra + ctrl t ~src:home ~dst:req.core )
+        let outcome = reject t req t.s_sig_rejects ~by:None in
+        let lat = t.cfg.llc_hit_latency + extra in
+        (outcome, lat + ctrl t ~src:home ~dst:req.core)
       | Some Client.Abort_holder ->
         failwith "Protocol.process: llc_check returned Abort_holder"
       | None -> dispatch t req party ~extra ~depth:0
@@ -591,14 +577,11 @@ let access t ~core ~line ~what ~epoch ~k =
     L1_cache.touch l1c line;
     let party = t.client.Client.party_of core in
     if write then begin
-      if in_tx_mode party && v.dirty && not v.tx_write then begin
+      if in_tx_mode party && v.dirty && not v.tx_write then
         (* First speculative write to a non-speculatively dirty line:
            push the pre-transactional data to the LLC so an abort can
            recover it (eager-versioning bookkeeping). *)
-        Stats.incr t.s_writebacks;
-        bg_data t ~src:core ~dst:(home_of t line);
-        Llc.set_dirty t.llc line true
-      end;
+        writeback t ~src:core line;
       L1_cache.set_state l1c line L1_cache.M
     end;
     if in_tx_mode party then L1_cache.mark_tx l1c line ~write;
@@ -614,16 +597,7 @@ let flush_core t core =
   let l1c = t.l1s.(core) in
   let lines = ref [] in
   L1_cache.iter l1c (fun v -> lines := v.L1_cache.line :: !lines);
-  List.iter
-    (fun line ->
-      let v = L1_cache.remove l1c line in
-      dir_remove_core t line core;
-      if v.L1_cache.dirty then begin
-        Stats.incr t.s_writebacks;
-        bg_data t ~src:core ~dst:(home_of t line);
-        Llc.set_dirty t.llc line true
-      end)
-    !lines;
+  List.iter (drop_copy t ~core ~notice:false) !lines;
   List.length !lines
 
 (* --- Invariant checking (tests). ------------------------------------ *)

@@ -71,41 +71,37 @@ let exec_ops t ~epoch ops k =
   let dead () =
     match epoch with Some e -> ctx.Txstate.epoch <> e | None -> false
   in
-  let rec go = function
+  (* The ops still to run live in a ref, so the continuations below are
+     allocated once per body, not once per op. *)
+  let todo = ref ops in
+  let rec go () =
+    match !todo with
     | [] -> k `Done
-    | op :: rest ->
+    | op :: rest -> (
+      todo := rest;
       if dead () then k `Aborted
-      else begin
+      else
         match (op : Program.op) with
         | Program.Compute n ->
           Runtime.add_insts t.rt t.core n;
-          Sim.schedule t.sim ~delay:(max n 0) (fun () ->
-              if dead () then k `Aborted else go rest)
-        | Program.Read addr ->
-          Runtime.read t.rt t.core ~addr ~k:(function
-            | Runtime.Ok _ -> go rest
-            | Runtime.Tx_aborted -> k `Aborted)
+          Sim.schedule t.sim ~delay:(Int.max n 0) resume
+        | Program.Read addr -> Runtime.read t.rt t.core ~addr ~k:next
         | Program.Write (addr, value) ->
-          Runtime.write t.rt t.core ~addr ~value ~k:(function
-            | Runtime.Ok _ -> go rest
-            | Runtime.Tx_aborted -> k `Aborted)
+          Runtime.write t.rt t.core ~addr ~value ~k:next
         | Program.Incr addr ->
-          Runtime.fetch_add t.rt t.core ~addr ~delta:1 ~k:(function
-            | Runtime.Ok _ -> go rest
-            | Runtime.Tx_aborted -> k `Aborted)
+          Runtime.fetch_add t.rt t.core ~addr ~delta:1 ~k:next
         | Program.Add (addr, delta) ->
-          Runtime.fetch_add t.rt t.core ~addr ~delta ~k:(function
-            | Runtime.Ok _ -> go rest
-            | Runtime.Tx_aborted -> k `Aborted)
+          Runtime.fetch_add t.rt t.core ~addr ~delta ~k:next
         | Program.Fault ->
           Runtime.fault t.rt t.core ~k:(function
             | `Died -> k `Aborted
-            | `Survived cost ->
-              Sim.schedule t.sim ~delay:cost (fun () ->
-                  if dead () then k `Aborted else go rest))
-      end
+            | `Survived cost -> Sim.schedule t.sim ~delay:cost resume))
+  and resume () = if dead () then k `Aborted else go ()
+  and next = function
+    | Runtime.Ok _ -> go ()
+    | Runtime.Tx_aborted -> k `Aborted
   in
-  go ops
+  go ()
 
 (* Spin (with backoff, polling through the coherence protocol) until
    the fallback lock reads free. Time spent is waiting-for-lock. *)
@@ -138,12 +134,16 @@ let wait_lock_free t k =
   in
   poll ()
 
-(* Abort cleanup: the architectural penalty plus the software backoff
+(* A failed attempt: its cycles since [t0] were wasted, the attempt
+   counter moves on (to at least [at_least]), and [k] runs after the
+   abort cleanup — the architectural penalty plus the software backoff
    of the retry strategy. *)
-let rollback_pause t ~attempt k =
+let retry_after_abort ?(at_least = 0) t ~t0 k =
+  account t Accounting.Aborted (now t - t0);
   let costs = Runtime.costs t.rt in
   let retry = (Runtime.sysconf t.rt).Sysconf.retry in
   let ctx = Runtime.ctx t.rt t.core in
+  ctx.Txstate.attempt <- Int.max (ctx.Txstate.attempt + 1) at_least;
   let fault_extra =
     match ctx.Txstate.pending_abort with
     | Some Lk_htm.Reason.Fault -> costs.Runtime.fault_abort_penalty
@@ -151,21 +151,36 @@ let rollback_pause t ~attempt k =
   in
   let pause =
     costs.Runtime.abort_penalty + fault_extra
-    + Policy.backoff_delay retry ~attempt
+    + Policy.backoff_delay retry ~attempt:ctx.Txstate.attempt
   in
   Sim.schedule t.sim ~delay:pause (fun () ->
       account t Accounting.Rollback pause;
       k ())
 
+(* A plain (non-speculative) critical section under the fallback lock:
+   CGL's only path, and the fallback of the systems without HTMLock,
+   which count it as a lock commit. *)
+let plain_section t (tx : Program.transaction) ~lock_commit k =
+  let w0 = now t in
+  Runtime.lock_acquire t.rt t.core ~k:(fun () ->
+      account t Accounting.Wait_lock (now t - w0);
+      let b0 = now t in
+      Runtime.plain_section_begin t.rt t.core;
+      exec_ops t ~epoch:None tx.Program.ops (fun _ ->
+          Runtime.plain_section_end t.rt t.core;
+          Runtime.lock_release t.rt t.core ~k:(fun () ->
+              if lock_commit then Runtime.note_lock_commit t.rt t.core;
+              account t Accounting.Lock (now t - b0);
+              k ())))
+
 (* The fallback path: acquire the lock, then run either as an HTMLock
    lock transaction (TL) or as a plain non-speculative critical
    section. *)
 let fallback t (tx : Program.transaction) k =
-  let sysconf = Runtime.sysconf t.rt in
-  let w0 = now t in
-  Runtime.lock_acquire t.rt t.core ~k:(fun () ->
-      account t Accounting.Wait_lock (now t - w0);
-      if sysconf.Sysconf.htmlock then
+  if (Runtime.sysconf t.rt).Sysconf.htmlock then begin
+    let w0 = now t in
+    Runtime.lock_acquire t.rt t.core ~k:(fun () ->
+        account t Accounting.Wait_lock (now t - w0);
         let a0 = now t in
         Runtime.hlbegin t.rt t.core ~k:(fun () ->
             account t Accounting.Wait_lock (now t - a0);
@@ -174,17 +189,9 @@ let fallback t (tx : Program.transaction) k =
                 Runtime.hlend t.rt t.core ~k:(fun () ->
                     Runtime.lock_release t.rt t.core ~k:(fun () ->
                         account t Accounting.Lock (now t - b0);
-                        k ()))))
-      else begin
-        let b0 = now t in
-        Runtime.plain_section_begin t.rt t.core;
-        exec_ops t ~epoch:None tx.Program.ops (fun _ ->
-            Runtime.plain_section_end t.rt t.core;
-            Runtime.lock_release t.rt t.core ~k:(fun () ->
-                Runtime.note_lock_commit t.rt t.core;
-                account t Accounting.Lock (now t - b0);
-                k ()))
-      end)
+                        k ())))))
+  end
+  else plain_section t tx ~lock_commit:true k
 
 (* One critical section under the HTM systems: try speculatively up to
    max_retries times, then fall back — to the lock ([Cgl_lock]) or to
@@ -204,32 +211,24 @@ let rec attempt t (tx : Program.transaction) k =
            during subscription): wasted attempt. Under the lock
            fallback, wait for the lock before retrying; under [Tl2]
            there is no lock to wait for — back off and retry. *)
-        account t Accounting.Aborted (now t - t0);
-        ctx.Txstate.attempt <- ctx.Txstate.attempt + 1;
-        rollback_pause t ~attempt:ctx.Txstate.attempt (fun () ->
+        retry_after_abort t ~t0 (fun () ->
             if tl2 then attempt t tx k
             else wait_lock_free t (fun () -> attempt t tx k))
       | `Started ->
         let epoch = ctx.Txstate.epoch in
         exec_ops t ~epoch:(Some epoch) tx.Program.ops (function
           | `Aborted ->
-            account t Accounting.Aborted (now t - t0);
-            ctx.Txstate.attempt <- ctx.Txstate.attempt + 1;
             (* retry_strategy(xstatus): a fault cannot succeed on retry
                — go straight to the fallback path. A capacity overflow
                gets one more attempt (associativity pressure can be
                timing-dependent) and then falls back too. *)
-            (match ctx.Txstate.pending_abort with
-            | Some Lk_htm.Reason.Fault ->
-              ctx.Txstate.attempt <-
-                sysconf.Sysconf.retry.Policy.max_retries
-            | Some Lk_htm.Reason.Capacity ->
-              ctx.Txstate.attempt <-
-                max ctx.Txstate.attempt
-                  (sysconf.Sysconf.retry.Policy.max_retries - 1)
-            | Some _ | None -> ());
-            rollback_pause t ~attempt:ctx.Txstate.attempt (fun () ->
-                attempt t tx k)
+            let max_retries = sysconf.Sysconf.retry.Policy.max_retries in
+            retry_after_abort t ~t0 (fun () -> attempt t tx k)
+              ~at_least:
+                (match ctx.Txstate.pending_abort with
+                | Some Lk_htm.Reason.Fault -> max_retries
+                | Some Lk_htm.Reason.Capacity -> max_retries - 1
+                | Some _ | None -> 0)
           | `Done -> (
             (* Listing 2: dispatch the release path on the extended
                ttest. *)
@@ -240,13 +239,9 @@ let rec attempt t (tx : Program.transaction) k =
                   k ())
             | Txstate.Htm ->
               Runtime.xend t.rt t.core ~k:(fun () ->
-                  if ctx.Txstate.epoch <> epoch then begin
+                  if ctx.Txstate.epoch <> epoch then
                     (* killed during the commit window *)
-                    account t Accounting.Aborted (now t - t0);
-                    ctx.Txstate.attempt <- ctx.Txstate.attempt + 1;
-                    rollback_pause t ~attempt:ctx.Txstate.attempt (fun () ->
-                        attempt t tx k)
-                  end
+                    retry_after_abort t ~t0 (fun () -> attempt t tx k)
                   else begin
                     account t Accounting.Htm (now t - t0);
                     k ()
@@ -265,12 +260,7 @@ let rec attempt t (tx : Program.transaction) k =
 and software t (tx : Program.transaction) k =
   let ctx = Runtime.ctx t.rt t.core in
   let t0 = now t in
-  let retry_sw () =
-    account t Accounting.Aborted (now t - t0);
-    ctx.Txstate.attempt <- ctx.Txstate.attempt + 1;
-    rollback_pause t ~attempt:ctx.Txstate.attempt (fun () ->
-        software t tx k)
-  in
+  let retry_sw () = retry_after_abort t ~t0 (fun () -> software t tx k) in
   Runtime.swbegin t.rt t.core ~k:(fun () ->
       let epoch = ctx.Txstate.epoch in
       exec_ops t ~epoch:(Some epoch) tx.Program.ops (function
@@ -290,17 +280,7 @@ let critical t (tx : Program.transaction) k =
     k ()
   in
   match sysconf.Sysconf.kind with
-  | Sysconf.Cgl ->
-    let w0 = now t in
-    Runtime.lock_acquire t.rt t.core ~k:(fun () ->
-        account t Accounting.Wait_lock (now t - w0);
-        let b0 = now t in
-        Runtime.plain_section_begin t.rt t.core;
-        exec_ops t ~epoch:None tx.Program.ops (fun _ ->
-            Runtime.plain_section_end t.rt t.core;
-            Runtime.lock_release t.rt t.core ~k:(fun () ->
-                account t Accounting.Lock (now t - b0);
-                done_ ())))
+  | Sysconf.Cgl -> plain_section t tx ~lock_commit:false done_
   | Sysconf.Htm -> attempt t tx done_
 
 (* The service loop: pop the next pending transaction, synthesise its

@@ -1,3 +1,8 @@
+(* lint: allow printf — parse and validation errors are built with
+   [Printf.sprintf] while a program is read, before any simulation.
+   lint: allow hashtbl — [touched_addresses] dedups addresses once per
+   program at setup; the per-event path never reaches it. *)
+
 type op =
   | Compute of int
   | Read of int
@@ -49,7 +54,7 @@ let touched_addresses t =
             tx.ops)
         thread)
     t;
-  Hashtbl.fold (fun a () acc -> a :: acc) tbl [] |> List.sort compare
+  Hashtbl.fold (fun a () acc -> a :: acc) tbl [] |> List.sort Int.compare
 
 let validate t =
   let problem = ref None in

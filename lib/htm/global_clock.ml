@@ -15,8 +15,6 @@ let flag_addr = addr + 8
 
 let read store = Store.committed store addr
 
-let commit_locked store = Store.committed store flag_addr <> 0
-
 let set_commit_flag store flag =
   Store.poke store flag_addr (if flag then 1 else 0)
 

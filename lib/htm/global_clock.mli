@@ -34,10 +34,6 @@ val flag_addr : int
     flag — same line) and abort while it is set, so no hardware
     transaction can commit a read of a half-published write set. *)
 
-val commit_locked : Store.t -> bool
-(** Whether a software writer commit is in progress ([flag_addr] word
-    non-zero). *)
-
 val set_commit_flag : Store.t -> bool -> unit
 (** Raise or clear the flag (no coherence traffic — callers issue the
     access for {!line}). *)

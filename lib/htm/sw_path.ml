@@ -136,11 +136,6 @@ let try_lock t ~core slot =
 let unlock t ~core slot =
   if t.owners.(slot) = core then t.owners.(slot) <- -1
 
-let unlock_all t ~core =
-  for s = 0 to slots - 1 do
-    if t.owners.(s) = core then t.owners.(s) <- -1
-  done
-
 let locks_held t ~core =
   let n = ref 0 in
   for s = 0 to slots - 1 do

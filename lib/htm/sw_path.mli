@@ -73,7 +73,7 @@ val create : cores:int -> t
 
 val reset : t -> int -> unit
 (** Clear a core's read and write sets (begin / after abort). Locks
-    are released separately ({!unlock_all}). *)
+    are released separately ({!unlock}). *)
 
 val note_read : t -> core:int -> slot:int -> version:int -> unit
 (** Record a read of [slot] at [version] (the first observation wins;
@@ -107,5 +107,4 @@ val try_lock : t -> core:int -> int -> bool
     by [core]), false if another core holds it. *)
 
 val unlock : t -> core:int -> int -> unit
-val unlock_all : t -> core:int -> unit
 val locks_held : t -> core:int -> int

@@ -29,13 +29,6 @@ let create core =
     rv = 0;
   }
 
-let coherence_mode t =
-  match t.mode with
-  | Idle -> Lk_coherence.Types.Non_tx
-  | Htm -> Lk_coherence.Types.Htm_tx
-  | Tl | Stl -> Lk_coherence.Types.Lock_tx
-  | Sw -> Lk_coherence.Types.Non_tx
-
 let in_critical t = t.mode <> Idle
 
 let reset_attempt t =

@@ -54,9 +54,6 @@ type t = {
 
 val create : Lk_coherence.Types.core_id -> t
 
-val coherence_mode : t -> Lk_coherence.Types.mode
-(** The mode the coherence layer sees. *)
-
 val in_critical : t -> bool
 
 val reset_attempt : t -> unit

@@ -109,7 +109,6 @@ type t = {
      count sampled by the telemetry gauge. *)
   sw : Sw_path.t;
   mutable sw_now : int;
-  mutable sw_peak : int;
   (* Mirror of the global version clock's committed word: the store
      copy is the authoritative, coherence-visible one, but the
      telemetry sampler reads the value every sample and its path must
@@ -264,7 +263,6 @@ let commit_rate t =
 
 let clock_value t = t.clock_now
 let sw_population t = t.sw_now
-let sw_peak t = t.sw_peak
 let sw_path t = t.sw
 
 let lock_held t =
@@ -349,13 +347,13 @@ let party_of t core =
     let priority =
       match t.sysconf.Sysconf.priority with
       | Policy.No_priority -> 0
-      | Policy.Insts_based -> min c.Txstate.insts priority_field_max
+      | Policy.Insts_based -> Int.min c.Txstate.insts priority_field_max
       | Policy.Progression_based ->
         (* LosaTM tracks coarse execution phases, not an instruction
            count: quantise so that nearby transactions tie (and fall
            back to the core-id tie-break) — the unfairness the paper's
            insts-based priority avoids. *)
-        min (c.Txstate.progress lsr 3) priority_field_max
+        Int.min (c.Txstate.progress lsr 3) priority_field_max
       | Policy.Static_based -> c.Txstate.static_priority
     in
     { Types.mode = Types.Htm_tx; priority }
@@ -462,34 +460,37 @@ let attempt_clock_start t core =
   t.attempt_stall.(core) <- 0;
   t.stall_since.(core) <- -1
 
-(* [aggressor] is the core whose access killed the victim, or -1 for
-   environmental aborts (capacity, faults, mutex subscriptions) with
-   no single core to blame. *)
-let abort_core ?(aggressor = -1) t core reason =
-  let c = t.ctxs.(core) in
-  (match c.Txstate.mode with
-  | Txstate.Tl | Txstate.Stl ->
-    invalid_arg "Runtime.abort_core: lock transactions are irrevocable"
-  | Txstate.Sw ->
-    invalid_arg "Runtime.abort_core: software transactions self-abort"
-  | Txstate.Htm | Txstate.Idle -> ());
+(* The bookkeeping every abort shares, hardware ([Tx_abort]) or
+   software ([Sw_abort]): the counts, the wasted cycles, the ledger
+   record, then the dropped speculative state. [aggressor] is the core
+   whose access killed the victim, or -1 for environmental aborts
+   (capacity, faults, mutex subscriptions) with no single core to
+   blame. *)
+let record_abort t core reason ~aggressor kind =
   let cs = t.per_core.(core) in
-  cs.aborts <- cs.aborts + 1;
-  cs.abort_reasons.(Reason.index reason) <-
-    cs.abort_reasons.(Reason.index reason) + 1;
+  let r = Reason.index reason in
   let age = attempt_age t core in
+  cs.aborts <- cs.aborts + 1;
+  cs.abort_reasons.(r) <- cs.abort_reasons.(r) + 1;
   cs.wasted <- cs.wasted + age;
-  cs.wasted_by_reason.(Reason.index reason) <-
-    cs.wasted_by_reason.(Reason.index reason) + age;
+  cs.wasted_by_reason.(r) <- cs.wasted_by_reason.(r) + age;
   t.last_abort.(core) <- Sim.now t.sim;
-  emit t core Ledger.Tx_abort
-    ~arg:(Ledger.pack_abort ~reason:(Reason.index reason) ~who:aggressor ~age);
+  emit t core kind ~arg:(Ledger.pack_abort ~reason:r ~who:aggressor ~age);
   (* The discard's [Spec_discard] packs the same attempt age, so the
      attempt clock resets only after it. *)
   ignore (Store.discard t.store ~core);
   attempt_clock_reset t core;
   discard_log t core;
-  Txstate.abort c reason;
+  Txstate.abort t.ctxs.(core) reason
+
+let abort_core ?(aggressor = -1) t core reason =
+  (match t.ctxs.(core).Txstate.mode with
+  | Txstate.Tl | Txstate.Stl ->
+    invalid_arg "Runtime.abort_core: lock transactions are irrevocable"
+  | Txstate.Sw ->
+    invalid_arg "Runtime.abort_core: software transactions self-abort"
+  | Txstate.Htm | Txstate.Idle -> ());
+  record_abort t core reason ~aggressor Ledger.Tx_abort;
   ignore (Protocol.abort_flush t.proto core);
   (* Transactions parked on us must not wait for a commit that will
      never come. *)
@@ -725,7 +726,6 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
       plain_section = Array.make cores false;
       sw = Sw_path.create ~cores;
       sw_now = 0;
-      sw_peak = 0;
       clock_now = 0;
       inject = inject_bug;
       per_core = Array.init cores (fun _ -> empty_core_stats ());
@@ -768,6 +768,26 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
 
 (* --- Programming interface ------------------------------------------- *)
 
+(* Listing 1's subscription (line 8) and each hybrid variant of it:
+   read the word at [addr] transactionally, so that a later write to
+   its line kills the transaction, and abort with [Conflict_mutex]
+   (xabort(TME_LOCK_IS_ACQUIRED)) if the word reads [held]. [k] gets
+   [ok], or [busy] when the transaction died. *)
+let subscribe t core ~addr ~held ~epoch ~ok ~busy k =
+  issue t core (Addr.line_of_byte addr) Types.Read ~epoch (function
+    | `Aborted -> k busy
+    | `Granted ->
+      let c = t.ctxs.(core) in
+      c.Txstate.insts <- c.Txstate.insts + 1;
+      if held (Store.committed t.store addr) then begin
+        Stats.incr t.s_lock_busy;
+        abort_core t core Reason.Conflict_mutex;
+        k busy
+      end
+      else k ok)
+
+let nonzero word = word <> 0
+
 let xbegin t core ~k =
   let c = t.ctxs.(core) in
   if c.Txstate.mode <> Txstate.Idle then
@@ -787,59 +807,35 @@ let xbegin t core ~k =
      the transaction and remain unchanged"). *)
   if c.Txstate.attempt = 0 then
     c.Txstate.static_priority <-
-      (Hashtbl.hash (core, c.Txstate.tx_seq) land 0xFFFF) + 1;
+      (* Any other hash would redraw the priorities, and so the results. *)
+      (Hashtbl.hash (core, c.Txstate.tx_seq) land 0xFFFF) + 1 (* lint-ok *);
   discard_log t core;
   let cs = t.per_core.(core) in
   cs.starts <- cs.starts + 1;
   let epoch = c.Txstate.epoch in
   Sim.schedule t.sim ~delay:t.costs.begin_cost (fun () ->
+      let sysconf = t.sysconf in
       if c.Txstate.epoch <> epoch then k `Busy
-      else if t.sysconf.Sysconf.htmlock then k `Started
-      else if t.sysconf.Sysconf.fallback = Policy.Tl2 then begin
-        match t.sysconf.Sysconf.instrumentation with
-        | Policy.Uninstrumented ->
-          (* Mutual exclusion with the software path: subscribe to the
-             software-mode gate (its population count plays the role
-             the fallback lock plays in Listing 1). *)
-          issue t core Sw_path.gate_line Types.Read ~epoch (function
-            | `Aborted -> k `Busy
-            | `Granted ->
-              c.Txstate.insts <- c.Txstate.insts + 1;
-              if Store.committed t.store Sw_path.gate_addr <> 0 then begin
-                Stats.incr t.s_lock_busy;
-                abort_core t core Reason.Conflict_mutex;
-                k `Busy
-              end
-              else k `Started)
-        | Policy.Read_check ->
-          (* Sample (and subscribe to) the global clock's line; abort
-             if a software writer commit is in flight. *)
-          issue t core Global_clock.line Types.Read ~epoch (function
-            | `Aborted -> k `Busy
-            | `Granted ->
-              c.Txstate.insts <- c.Txstate.insts + 1;
-              if Global_clock.commit_locked t.store then begin
-                Stats.incr t.s_lock_busy;
-                abort_core t core Reason.Conflict_mutex;
-                k `Busy
-              end
-              else k `Started)
-        | Policy.Access_check -> k `Started
-      end
+      else if sysconf.Sysconf.htmlock then k `Started
       else
-        (* Best-effort idiom: subscribe to the fallback lock by reading
-           it transactionally (Listing 1, line 8). *)
-        issue t core t.lock_line Types.Read ~epoch (function
-          | `Aborted -> k `Busy
-          | `Granted ->
-            c.Txstate.insts <- c.Txstate.insts + 1;
-            if Store.committed t.store t.lock_addr <> 0 then begin
-              (* xabort(TME_LOCK_IS_ACQUIRED) *)
-              Stats.incr t.s_lock_busy;
-              abort_core t core Reason.Conflict_mutex;
-              k `Busy
-            end
-            else k `Started))
+        match (sysconf.Sysconf.fallback, sysconf.Sysconf.instrumentation) with
+        (* Best-effort idiom: subscribe to the fallback lock. *)
+        | Policy.Cgl_lock, _ ->
+          subscribe t core ~addr:t.lock_addr ~held:nonzero ~epoch
+            ~ok:`Started ~busy:`Busy k
+        (* Mutual exclusion with the software path: the software-mode
+           gate's population count plays the fallback lock's role. *)
+        | Policy.Tl2, Policy.Uninstrumented ->
+          subscribe t core ~addr:Sw_path.gate_addr ~held:nonzero ~epoch
+            ~ok:`Started ~busy:`Busy k
+        (* Sample the global clock's line; a software writer commit in
+           flight raises its flag. *)
+        | Policy.Tl2, Policy.Read_check ->
+          subscribe t core ~addr:Global_clock.flag_addr ~held:nonzero ~epoch
+            ~ok:`Started ~busy:`Busy k
+        (* Access_check subscribes to each stamp slot as it goes
+           ([hw_pre_access]). *)
+        | Policy.Tl2, Policy.Access_check -> k `Started)
 
 (* A critical section completed (HTM commit, hlend or plain fallback):
    close out the latency histogram sample. *)
@@ -851,6 +847,16 @@ let close_section t core =
   end;
   t.last_abort.(core) <- -1;
   attempt_clock_reset t core
+
+(* The distinct [key line] over the lines of [core]'s buffered writes,
+   last found first: the stamp slots a hardware commit bumps, the lines
+   a software commit publishes. *)
+let buffered_distinct t core key =
+  let found = ref [] in
+  Store.iter_buffered t.store ~core (fun addr _ ->
+      let x = key (Addr.line_of_byte addr) in
+      if not (List.mem x !found) then found := x :: !found);
+  !found
 
 let xend t core ~k =
   let c = t.ctxs.(core) in
@@ -876,29 +882,26 @@ let xend t core ~k =
            issued: hardware-assisted stamping rides the commit's own
            write-backs. The lock bit is preserved and versions only
            ever grow. *)
-        let stamp_written =
-          t.sysconf.Sysconf.fallback = Policy.Tl2
-          && t.sysconf.Sysconf.instrumentation <> Policy.Uninstrumented
+        let written_slots =
+          if
+            t.sysconf.Sysconf.fallback = Policy.Tl2
+            && t.sysconf.Sysconf.instrumentation <> Policy.Uninstrumented
+          then buffered_distinct t core Sw_path.slot_of_line
+          else []
         in
-        let written_slots = ref [] in
-        if stamp_written then
-          Store.iter_buffered t.store ~core (fun addr _ ->
-              let slot = Sw_path.slot_of_line (Addr.line_of_byte addr) in
-              if not (List.mem slot !written_slots) then
-                written_slots := slot :: !written_slots);
         ignore (Protocol.commit_flush t.proto core);
         ignore (Store.commit t.store ~core);
-        if stamp_written && !written_slots <> [] then begin
+        (match written_slots with
+        | [] -> ()
+        | slots ->
           let wt = Global_clock.write_stamp t.store in
           List.iter
             (fun slot ->
               let a = Sw_path.meta_addr_of_slot slot in
               let old = Store.committed t.store a in
               let nv = Int.max (Sw_path.version_of old) wt in
-              let word = Sw_path.stamp_word nv lor (old land 1) in
-              Store.poke t.store a word)
-            !written_slots
-        end;
+              Store.poke t.store a (Sw_path.stamp_word nv lor (old land 1)))
+            slots);
         record_section t core Oracle.Htm_commit;
         emit t core Ledger.Tx_commit ~arg:(c.Txstate.attempt + 1);
         let cs = t.per_core.(core) in
@@ -911,24 +914,25 @@ let xend t core ~k =
         k ()
       end)
 
-let hlbegin t core ~k =
+(* Enter TL mode: the core runs a lock transaction from here on. *)
+let enter_tl t core k =
   let c = t.ctxs.(core) in
-  if c.Txstate.mode <> Txstate.Idle then
+  c.Txstate.mode <- Txstate.Tl;
+  c.Txstate.pending_abort <- None;
+  Txstate.reset_attempt c;
+  discard_log t core;
+  if t.section_start.(core) < 0 then t.section_start.(core) <- Sim.now t.sim;
+  attempt_clock_start t core;
+  emit t core Ledger.Hl_begin ~arg:0;
+  k ()
+
+let hlbegin t core ~k =
+  if t.ctxs.(core).Txstate.mode <> Txstate.Idle then
     invalid_arg "Runtime.hlbegin: already in a transaction";
   let rec acquire_authorization () =
     let rtt = arbitration_rtt t core in
     Sim.schedule t.sim ~delay:rtt (fun () ->
-        if Arbiter.try_acquire t.arb core then begin
-          c.Txstate.mode <- Txstate.Tl;
-          c.Txstate.pending_abort <- None;
-          Txstate.reset_attempt c;
-          discard_log t core;
-          if t.section_start.(core) < 0 then
-            t.section_start.(core) <- Sim.now t.sim;
-          attempt_clock_start t core;
-          emit t core Ledger.Hl_begin ~arg:0;
-          k ()
-        end
+        if Arbiter.try_acquire t.arb core then enter_tl t core k
         else
           (* An STL transaction holds the authorization; it cannot be
              aborted, so wait for its hlend. *)
@@ -938,15 +942,7 @@ let hlbegin t core ~k =
   else
     Sim.schedule t.sim ~delay:t.costs.begin_cost (fun () ->
         ignore (Arbiter.try_acquire t.arb core);
-        c.Txstate.mode <- Txstate.Tl;
-        c.Txstate.pending_abort <- None;
-        Txstate.reset_attempt c;
-        discard_log t core;
-        if t.section_start.(core) < 0 then
-          t.section_start.(core) <- Sim.now t.sim;
-        attempt_clock_start t core;
-        emit t core Ledger.Hl_begin ~arg:0;
-        k ())
+        enter_tl t core k)
 
 let hlend t core ~k =
   let c = t.ctxs.(core) in
@@ -1007,15 +1003,16 @@ let advance_clock t core ~to_ =
     emit t core Ledger.Clock_advance ~arg:to_
   end
 
-(* Leave software mode at the gate (Uninstrumented only): RMW the
-   population count down. Runs after [Txstate] already left Sw, so the
-   access is an ordinary plain access. *)
-let sw_gate_leave t core ~k =
+(* Enter (+1) or leave (-1) software mode at the gate (Uninstrumented
+   only): RMW its population count. Entering kills every hardware
+   transaction subscribed to the gate line; leaving runs after
+   [Txstate] already left Sw, so the access is an ordinary plain one. *)
+let sw_gate t core ~delta ~epoch k =
   if sw_gated t then
-    let c = t.ctxs.(core) in
-    issue t core Sw_path.gate_line Types.Rmw ~epoch:c.Txstate.epoch (fun _ ->
+    issue t core Sw_path.gate_line Types.Rmw ~epoch (fun _ ->
         let g = Store.committed t.store Sw_path.gate_addr in
-        Store.write t.store ~core ~speculative:false Sw_path.gate_addr (g - 1);
+        Store.write t.store ~core ~speculative:false Sw_path.gate_addr
+          (g + delta);
         k ())
   else k ()
 
@@ -1023,8 +1020,7 @@ let sw_gate_leave t core ~k =
    every commit-time lock we hold, drop the read/write sets and the
    speculative buffer, then leave the gate. *)
 let sw_abort ?(aggressor = -1) t core reason ~k =
-  let c = t.ctxs.(core) in
-  if c.Txstate.mode <> Txstate.Sw then
+  if t.ctxs.(core).Txstate.mode <> Txstate.Sw then
     invalid_arg "Runtime.sw_abort: not in a software transaction";
   Sw_path.iter_writes t.sw ~core (fun slot ->
       match Sw_path.owner t.sw slot with
@@ -1035,24 +1031,10 @@ let sw_abort ?(aggressor = -1) t core reason ~k =
         Sw_path.unlock t.sw ~core slot
       | Some _ | None -> ());
   Sw_path.reset t.sw core;
-  let cs = t.per_core.(core) in
-  cs.aborts <- cs.aborts + 1;
-  cs.abort_reasons.(Reason.index reason) <-
-    cs.abort_reasons.(Reason.index reason) + 1;
-  let age = attempt_age t core in
-  cs.wasted <- cs.wasted + age;
-  cs.wasted_by_reason.(Reason.index reason) <-
-    cs.wasted_by_reason.(Reason.index reason) + age;
-  t.last_abort.(core) <- Sim.now t.sim;
   Stats.incr t.s_sw_aborts;
-  emit t core Ledger.Sw_abort
-    ~arg:(Ledger.pack_abort ~reason:(Reason.index reason) ~who:aggressor ~age);
-  ignore (Store.discard t.store ~core);
-  attempt_clock_reset t core;
-  discard_log t core;
+  record_abort t core reason ~aggressor Ledger.Sw_abort;
   t.sw_now <- t.sw_now - 1;
-  Txstate.abort c reason;
-  sw_gate_leave t core ~k
+  sw_gate t core ~delta:(-1) ~epoch:t.ctxs.(core).Txstate.epoch k
 
 let swbegin t core ~k =
   let c = t.ctxs.(core) in
@@ -1072,7 +1054,6 @@ let swbegin t core ~k =
   cs.starts <- cs.starts + 1;
   attempt_clock_start t core;
   t.sw_now <- t.sw_now + 1;
-  t.sw_peak <- Int.max t.sw_peak t.sw_now;
   let epoch = c.Txstate.epoch in
   let sample_clock () =
     issue t core Global_clock.line Types.Read ~epoch (fun _ ->
@@ -1081,15 +1062,7 @@ let swbegin t core ~k =
         k ())
   in
   Sim.schedule t.sim ~delay:t.costs.begin_cost (fun () ->
-      if sw_gated t then
-        (* Enter software mode at the gate: the RMW kills every
-           hardware transaction subscribed to the gate line. *)
-        issue t core Sw_path.gate_line Types.Rmw ~epoch (fun _ ->
-            let g = Store.committed t.store Sw_path.gate_addr in
-            Store.write t.store ~core ~speculative:false Sw_path.gate_addr
-              (g + 1);
-            sample_clock ())
-      else sample_clock ())
+      sw_gate t core ~delta:1 ~epoch sample_clock)
 
 let sw_read t core ~addr ~k =
   let c = t.ctxs.(core) in
@@ -1231,10 +1204,7 @@ let sw_commit t core ~k =
         end);
     if not !valid then fail ~aggressor:!culprit ()
     else begin
-      let published = ref [] in
-      Store.iter_buffered t.store ~core (fun a _ ->
-          let line = Addr.line_of_byte a in
-          if not (List.mem line !published) then published := line :: !published);
+      let published = buffered_distinct t core Fun.id in
       ignore (Store.commit t.store ~core);
       List.iter
         (fun slot ->
@@ -1257,12 +1227,14 @@ let sw_commit t core ~k =
       t.sw_now <- t.sw_now - 1;
       Txstate.finish c;
       let rec drain = function
-        | [] -> sw_gate_leave t core ~k:(fun () -> k `Committed)
+        | [] ->
+          sw_gate t core ~delta:(-1) ~epoch:c.Txstate.epoch (fun () ->
+              k `Committed)
         | line :: rest ->
           issue t core line Types.Write ~epoch:c.Txstate.epoch (fun _ ->
               drain rest)
       in
-      drain (List.rev !published)
+      drain (List.rev published)
     end
   in
   Sim.schedule t.sim ~delay:t.costs.commit_cost (fun () ->
@@ -1273,97 +1245,66 @@ let sw_commit t core ~k =
    cycles and creates the coherence subscription the software path's
    commit-time kills rely on. *)
 let hw_pre_access t core ~line ~is_read ~epoch k =
-  let c = t.ctxs.(core) in
-  if c.Txstate.mode <> Txstate.Htm || t.sysconf.Sysconf.fallback <> Policy.Tl2
-  then k `Granted
-  else
+  if speculative t core && t.sysconf.Sysconf.fallback = Policy.Tl2 then
     match t.sysconf.Sysconf.instrumentation with
-    | Policy.Uninstrumented -> k `Granted
-    | Policy.Read_check ->
-      if not is_read then k `Granted
-      else
-        issue t core Global_clock.line Types.Read ~epoch (function
-          | `Aborted -> k `Aborted
-          | `Granted ->
-            c.Txstate.insts <- c.Txstate.insts + 1;
-            if Global_clock.commit_locked t.store then begin
-              Stats.incr t.s_lock_busy;
-              abort_core t core Reason.Conflict_mutex;
-              k `Aborted
-            end
-            else k `Granted)
+    | Policy.Read_check when is_read ->
+      subscribe t core ~addr:Global_clock.flag_addr ~held:nonzero ~epoch
+        ~ok:`Granted ~busy:`Aborted k
     | Policy.Access_check ->
-      issue t core (Sw_path.meta_line line) Types.Read ~epoch (function
-        | `Aborted -> k `Aborted
-        | `Granted ->
-          c.Txstate.insts <- c.Txstate.insts + 1;
-          let word =
-            Store.committed t.store
-              (Sw_path.meta_addr_of_slot (Sw_path.slot_of_line line))
-          in
-          if Sw_path.locked word then begin
-            Stats.incr t.s_lock_busy;
-            abort_core t core Reason.Conflict_mutex;
-            k `Aborted
-          end
-          else k `Granted)
+      subscribe t core
+        ~addr:(Sw_path.meta_addr_of_slot (Sw_path.slot_of_line line))
+        ~held:Sw_path.locked ~epoch ~ok:`Granted ~busy:`Aborted k
+    | Policy.Read_check | Policy.Uninstrumented -> k `Granted
+  else k `Granted
+
+(* A hardware (or plain) access: the pre-access subscription, then the
+   line access itself. *)
+let hw_access t core ~addr what k =
+  let epoch = t.ctxs.(core).Txstate.epoch in
+  let line = Addr.line_of_byte addr in
+  hw_pre_access t core ~line ~is_read:(what <> Types.Write) ~epoch (function
+    | `Aborted -> k `Aborted
+    | `Granted -> issue t core line what ~epoch k)
 
 let read t core ~addr ~k =
-  let c = t.ctxs.(core) in
-  if c.Txstate.mode = Txstate.Sw then sw_read t core ~addr ~k
+  if t.ctxs.(core).Txstate.mode = Txstate.Sw then sw_read t core ~addr ~k
   else
-    let epoch = c.Txstate.epoch in
-    let line = Addr.line_of_byte addr in
-    hw_pre_access t core ~line ~is_read:true ~epoch (function
+    hw_access t core ~addr Types.Read (function
       | `Aborted -> k Tx_aborted
       | `Granted ->
-        issue t core line Types.Read ~epoch (function
-          | `Aborted -> k Tx_aborted
-          | `Granted ->
-            progress_tick t core;
-            let v =
-              Store.read t.store ~core ~speculative:(speculative t core) addr
-            in
-            log_read t core addr v;
-            k (Ok v)))
+        progress_tick t core;
+        let v =
+          Store.read t.store ~core ~speculative:(speculative t core) addr
+        in
+        log_read t core addr v;
+        k (Ok v))
 
 let write t core ~addr ~value ~k =
-  let c = t.ctxs.(core) in
-  if c.Txstate.mode = Txstate.Sw then sw_write t core ~addr ~value ~k
+  if t.ctxs.(core).Txstate.mode = Txstate.Sw then
+    sw_write t core ~addr ~value ~k
   else
-    let epoch = c.Txstate.epoch in
-    let line = Addr.line_of_byte addr in
-    hw_pre_access t core ~line ~is_read:false ~epoch (function
+    hw_access t core ~addr Types.Write (function
       | `Aborted -> k Tx_aborted
       | `Granted ->
-        issue t core line Types.Write ~epoch (function
-          | `Aborted -> k Tx_aborted
-          | `Granted ->
-            progress_tick t core;
-            Store.write t.store ~core ~speculative:(speculative t core) addr
-              value;
-            log_write t core addr value;
-            k (Ok 0)))
+        progress_tick t core;
+        Store.write t.store ~core ~speculative:(speculative t core) addr value;
+        log_write t core addr value;
+        k (Ok 0))
 
 let fetch_add t core ~addr ~delta ~k =
-  let c = t.ctxs.(core) in
-  if c.Txstate.mode = Txstate.Sw then sw_fetch_add t core ~addr ~delta ~k
+  if t.ctxs.(core).Txstate.mode = Txstate.Sw then
+    sw_fetch_add t core ~addr ~delta ~k
   else
-    let epoch = c.Txstate.epoch in
-    let line = Addr.line_of_byte addr in
-    hw_pre_access t core ~line ~is_read:true ~epoch (function
+    hw_access t core ~addr Types.Rmw (function
       | `Aborted -> k Tx_aborted
       | `Granted ->
-        issue t core line Types.Rmw ~epoch (function
-          | `Aborted -> k Tx_aborted
-          | `Granted ->
-            progress_tick t core;
-            let speculative = speculative t core in
-            let v = Store.read t.store ~core ~speculative addr in
-            Store.write t.store ~core ~speculative addr (v + delta);
-            log_read t core addr v;
-            log_write t core addr (v + delta);
-            k (Ok v)))
+        progress_tick t core;
+        let speculative = speculative t core in
+        let v = Store.read t.store ~core ~speculative addr in
+        Store.write t.store ~core ~speculative addr (v + delta);
+        log_read t core addr v;
+        log_write t core addr (v + delta);
+        k (Ok v))
 
 let add_insts t core n =
   let c = t.ctxs.(core) in
@@ -1456,7 +1397,7 @@ let lock_acquire_ticket t core ~k =
           k ()
         end
         else begin
-          let delay = min 512 (16 * (1 + !attempt)) in
+          let delay = Int.min 512 (16 * (1 + !attempt)) in
           incr attempt;
           Sim.schedule t.sim ~delay spin
         end

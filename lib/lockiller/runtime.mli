@@ -368,9 +368,6 @@ val clock_value : t -> int
 val sw_population : t -> int
 (** Cores currently inside a TL2 software transaction. *)
 
-val sw_peak : t -> int
-(** High-water mark of {!sw_population} over the run. *)
-
 val sw_path : t -> Lk_htm.Sw_path.t
 (** The software path's bookkeeping (read/write sets, lock table) —
     checker and fingerprint introspection. *)

@@ -1,3 +1,6 @@
+(* lint: allow printf — lookup and validation messages are built with
+   [Printf.sprintf] once per run, while the system is chosen. *)
+
 module Policy = Lk_htm.Policy
 
 type kind = Cgl | Htm

@@ -109,45 +109,6 @@ let commit ctx key r =
   (match ctx.cache with Some c -> Cache.store c key r | None -> ());
   Hashtbl.replace ctx.memo key r
 
-(* What a recorded job "returns": every count present (renderers
-   [List.assoc] into the breakdown and the abort mix) and positive
-   cycles, so speedups and ratios stay finite. *)
-let placeholder =
-  {
-    Runner.system = "";
-    workload = "";
-    threads = 0;
-    cache = Config.Typical;
-    cycles = 1;
-    commit_rate = 0.0;
-    htm_commits = 0;
-    stl_commits = 0;
-    lock_commits = 0;
-    sw_commits = 0;
-    aborts = 0;
-    abort_mix = List.map (fun r -> (r, 0)) Reason.all;
-    wasted_cycles = 0;
-    wasted_by_reason = List.map (fun r -> (r, 0)) Reason.all;
-    breakdown = List.map (fun c -> (c, 0)) Accounting.categories;
-    rejects = 0;
-    parks = 0;
-    wakeups = 0;
-    switches_granted = 0;
-    switches_denied = 0;
-    spilled_lines = 0;
-    lock_dwell_cycles = 0;
-    clock_advances = 0;
-    watchdog_rescues = 0;
-    network_messages = 0;
-    network_flits = 0;
-    oracle_sections = 0;
-    avg_attempts_per_commit = 0.0;
-    tx_latency_p50 = 0;
-    tx_latency_p95 = 0;
-    tx_latency_p99 = 0;
-    open_loop = None;
-  }
-
 let run_job ctx j =
   match ctx.recorder with
   | Some r ->
@@ -155,7 +116,10 @@ let run_job ctx j =
       Jobs.add r.seen j ();
       r.order <- j :: r.order
     end;
-    placeholder
+    (* Every count present (renderers [List.assoc] into the breakdown
+       and the abort mix) and positive cycles, so speedups and ratios
+       stay finite. *)
+    Runner.zero_result
   | None -> (
     let key = job_key ctx j in
     match Hashtbl.find_opt ctx.memo key with
@@ -1190,7 +1154,7 @@ let wasted_threads ctx = min 8 (List.fold_left max 2 ctx.threads)
    outcome — the result is byte-identical to a plain run. *)
 let wasted_profiled ctx ~sysconf ~source ~threads =
   if Option.is_some ctx.recorder then
-    (placeholder, Profile.create ~cores:ctx.cores)
+    (Runner.zero_result, Profile.create ~cores:ctx.cores)
   else
     let prof = ref None in
     let options =

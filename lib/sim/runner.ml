@@ -656,23 +656,23 @@ let result_rows =
       (fun r open_loop -> { r with open_loop });
   ]
 
-let empty_result =
+let zero_result =
   {
     system = "";
     workload = "";
     threads = 0;
     cache = Config.Typical;
-    cycles = 0;
+    cycles = 1;
     commit_rate = 0.0;
     htm_commits = 0;
     stl_commits = 0;
     lock_commits = 0;
     sw_commits = 0;
     aborts = 0;
-    abort_mix = [];
+    abort_mix = List.map (fun r -> (r, 0)) Reason.all;
     wasted_cycles = 0;
-    wasted_by_reason = [];
-    breakdown = [];
+    wasted_by_reason = List.map (fun r -> (r, 0)) Reason.all;
+    breakdown = List.map (fun c -> (c, 0)) Accounting.categories;
     rejects = 0;
     parks = 0;
     wakeups = 0;
@@ -725,7 +725,7 @@ let schema_of_json v =
 let result_of_json_value v =
   let* version = schema_of_json v in
   let* () = Schema.check version in
-  decode_rows result_rows empty_result v
+  decode_rows result_rows zero_result v
 
 let result_of_json s =
   let* v = Json.of_string s in

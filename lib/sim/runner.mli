@@ -246,6 +246,12 @@ val replay :
 val abort_fraction : result -> Lk_htm.Reason.t -> float
 (** Share of a reason among all aborts (0 when no aborts). *)
 
+val zero_result : result
+(** A result with every count 0 and every [abort_mix],
+    [wasted_by_reason] and [breakdown] key present, but [cycles = 1], so
+    ratios over it stay finite: the value an experiment's planning pass
+    hands its renderers, and the seed the decoder fills. *)
+
 (** {1 Serialisation}
 
     The machine-readable results API: one JSON object per {!result},

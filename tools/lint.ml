@@ -1,7 +1,8 @@
 (* Hot-path lint for the simulator's inner-loop libraries.
 
-   The event engine, the coherence protocol and the HTM value layer run
-   once per simulated message; a polymorphic comparison, a generic
+   The event engine, the coherence protocol, the HTM value layer, the
+   LockillerTM runtime and the cores run once per simulated message or
+   event; a polymorphic comparison, a generic
    [Hashtbl] or a [Printf] that sneaks into them costs real time (and,
    for [compare] on abstract types, correctness risk). dune cannot
    express "this library must not use these Stdlib identifiers", so
@@ -28,7 +29,7 @@
 let scanned_dirs =
   [
     "lib/engine"; "lib/mesh"; "lib/coherence"; "lib/htm"; "lib/trace";
-    "lib/check";
+    "lib/check"; "lib/lockiller"; "lib/cpu";
   ]
 
 type finding = { file : string; line : int; rule : string; message : string }
