@@ -16,7 +16,14 @@
    (every counter, and each histogram's count and sum) of every system
    on intruder, the sharded 256-core run and the replay: counters such
    as writebacks, invalidations, lock_busy_aborts and sw_aborts reach
-   no result field, so the first table cannot see them move. *)
+   no result field, so the first table cannot see them move.
+
+   A third table pins the Perfetto export ([Tracing.perfetto_json]) of
+   ledgered 4-core runs that between them reach every span and instant
+   kind: transactions, HTMLock sections, lock holds, software
+   transactions, faults, conflict traffic, a wrapped ring (closes with
+   no open, spans still open at the end), telemetry counter tracks, and
+   a hand-built ledger with every kind and every unmatched record. *)
 
 module Config = Lk_sim.Config
 module Runner = Lk_sim.Runner
@@ -32,6 +39,8 @@ module Stats = Lk_engine.Stats
 module Runtime = Lk_lockiller.Runtime
 module Protocol = Lk_coherence.Protocol
 module Network = Lk_mesh.Network
+module Ledger = Lk_engine.Ledger
+module Tracing = Lk_sim.Tracing
 
 let digest r = Digest.to_hex (Digest.string (Runner.result_to_json r))
 let sysconf name = Option.get (Sysconf.find name)
@@ -48,6 +57,7 @@ let options ?(queue_backend = Lk_engine.Event_queue.Wheel) ?(scale = 1.0)
   }
 
 let four = Config.machine ~cores:4 ()
+let paper = Config.machine ~cores:32 ()
 
 let run ?queue_backend ?scale ?on_runtime ?(machine = four) ?(threads = 4)
     system wl () =
@@ -167,6 +177,23 @@ let grid =
       (fun (e : Experiments.experiment) ->
         ("experiment " ^ e.Experiments.id, experiment e))
       Experiments.all
+  (* The paper's 4x8 machine: every system at 16 threads, and the
+     headline claims at the default thread counts. *)
+  @ List.map
+      (fun s ->
+        ( "32 cores, intruder/" ^ s.Sysconf.name,
+          run ~machine:paper ~threads:16 ~scale:0.5 s.Sysconf.name "intruder"
+        ))
+      (Sysconf.all @ Sysconf.extras @ Sysconf.hybrid)
+  @ [
+      ( "32 cores, experiment headline",
+        fun () ->
+          let ctx = Experiments.make_context ~scale:0.1 () in
+          Json.List
+            (List.map Report.json_of_table
+               (Experiments.execute ctx Experiments.headline))
+          |> Json.to_string |> Digest.string |> Digest.to_hex );
+    ]
 
 (* The MD5 of the run's runtime, protocol and network [Stats] groups,
    one line per counter and per histogram (count and sum). *)
@@ -206,6 +233,94 @@ let stats_grid =
       ( "replay of a bursty trace",
         stats_digest (fun ~on_runtime -> replay ~on_runtime) );
     ]
+
+(* The MD5 of the Perfetto export of a run whose ledger holds
+   [capacity] records, with telemetry counter tracks when asked. *)
+let perfetto ?capacity ?(telemetry = false) ?scale system wl () =
+  let ledger = ref None and tele = ref None in
+  let options =
+    {
+      (options ?scale
+         ~on_runtime:(fun rt ->
+           ledger := Some (Runtime.enable_ledger ?capacity rt))
+         four)
+      with
+      Runner.telemetry =
+        (if telemetry then
+           Some (Runner.telemetry_request (fun t -> tele := Some t))
+         else None);
+    }
+  in
+  ignore
+    (Runner.run ~options ~sysconf:(sysconf system) ~workload:(workload wl)
+       ~threads:4 ());
+  Json.to_string
+    (Tracing.perfetto_json ?telemetry:!tele (Option.get !ledger))
+  |> Digest.string |> Digest.to_hex
+
+(* Every kind on core 0, each span kind closed once with no open and
+   left open at the end on core 1, aborts attributed to another core
+   (flows) and to none, and a reason index out of range. *)
+let synthetic () =
+  let sim = Lk_engine.Sim.create () in
+  let l = Ledger.create sim in
+  let abort reason who = Ledger.pack_abort ~reason ~who ~age:7 in
+  let attr who = Ledger.pack_attr ~who ~age:3 in
+  let records =
+    [
+      (0, Ledger.Tx_commit, 2); (0, Ledger.Tx_abort, abort 1 1);
+      (0, Ledger.Hl_end, 1); (0, Ledger.Lock_release, 0);
+      (0, Ledger.Sw_commit, 5); (0, Ledger.Sw_abort, abort 2 (-1));
+      (0, Ledger.Tx_begin, 0); (0, Ledger.Tx_abort, abort 0 1);
+      (0, Ledger.Tx_begin, 1); (0, Ledger.Tx_commit, 2);
+      (0, Ledger.Tx_begin, 2); (0, Ledger.Tx_abort, abort 15 (-1));
+      (0, Ledger.Hl_begin, 0); (0, Ledger.Hl_end, 0);
+      (0, Ledger.Hl_begin, 0); (0, Ledger.Hl_end, 1);
+      (0, Ledger.Lock_acquire, 0); (0, Ledger.Lock_release, 0);
+      (0, Ledger.Sw_begin, 11); (0, Ledger.Sw_commit, 12);
+      (0, Ledger.Sw_begin, 13); (0, Ledger.Sw_abort, abort 3 1);
+      (0, Ledger.Nack, attr 1); (0, Ledger.Reject, attr (-1));
+      (0, Ledger.Abort_kill, attr 1); (0, Ledger.Park, 0);
+      (0, Ledger.Wake, 0); (0, Ledger.Switch_granted, 0);
+      (0, Ledger.Switch_denied, 0); (0, Ledger.Spill, 4242);
+      (0, Ledger.Spec_publish, 3);
+      (0, Ledger.Spec_discard, Ledger.pack_discard ~writes:4 ~age:9);
+      (0, Ledger.Clock_advance, 14); (1, Ledger.Tx_begin, 3);
+      (1, Ledger.Hl_begin, 0); (1, Ledger.Lock_acquire, 0);
+      (1, Ledger.Sw_begin, 15); (1, Ledger.Park, 0);
+    ]
+  in
+  List.iteri
+    (fun i (core, kind, arg) ->
+      Lk_engine.Sim.schedule_at sim ~time:(10 * (i + 1)) (fun () ->
+          Ledger.emit l ~core kind ~arg))
+    records;
+  Lk_engine.Sim.run sim;
+  Json.to_string (Tracing.perfetto_json l) |> Digest.string |> Digest.to_hex
+
+let perfetto_grid =
+  [
+    ("LockillerTM/intruder", perfetto "LockillerTM" "intruder");
+    ("SW-TL2/vacation", perfetto "SW-TL2" "vacation");
+    ("CGL/kmeans", perfetto "CGL" "kmeans");
+    ("LockillerTM/yada", perfetto "LockillerTM" "yada");
+    ( "LockillerTM/labyrinth, 16-record ring",
+      perfetto ~capacity:16 "LockillerTM" "labyrinth" );
+    ( "LockillerTM/intruder, telemetry",
+      perfetto ~telemetry:true ~scale:0.2 "LockillerTM" "intruder" );
+    ("hand-built ledger", synthetic);
+  ]
+
+let golden_perfetto =
+  [
+    ("LockillerTM/intruder", "e11fe4a159787adcbe94d29ccf47c4c5");
+    ("SW-TL2/vacation", "25063ff6cecea8c7628e8ecb45b3136b");
+    ("CGL/kmeans", "067fdf5f5afca4f3247abdc1ba7e77fc");
+    ("LockillerTM/yada", "6eb78db04874c12849cab9d5d849c992");
+    ("LockillerTM/labyrinth, 16-record ring", "cf91c010eb9c153ce64567c512e63db2");
+    ("LockillerTM/intruder, telemetry", "d2ad347961acc964017e59ca2b3e091a");
+    ("hand-built ledger", "ddbaa92485229d484000d74ee3098da9");
+  ]
 
 let golden_stats =
   [
@@ -307,6 +422,23 @@ let golden =
     ("experiment latency", "e0ee9888980cfff11c3ad3c741f69869");
     ("experiment hytm", "91334fa93ec7594b1c703e085f841cd7");
     ("experiment wasted", "5232f61d82fe0c347180ce44689ac68c");
+    ("32 cores, intruder/CGL", "347ee733b9ce71f861793de5ff80ee5c");
+    ("32 cores, intruder/Baseline", "117d24ffd2174020b663ce6fac8f68b5");
+    ("32 cores, intruder/LosaTM-SAFU", "374562d83bfecb5b149c9624324f40c6");
+    ("32 cores, intruder/LockillerTM-RAI", "9dfb33597df0fcd7cb67f78d1dc412db");
+    ("32 cores, intruder/LockillerTM-RRI", "7e7146cf70035df3cd3aaec201e4d7e0");
+    ("32 cores, intruder/LockillerTM-RWI", "4ae0555b5566be6d9766e1ea4aca8bcb");
+    ("32 cores, intruder/LockillerTM-RWL", "25427a03ed728c6eb85c48df4831f7eb");
+    ("32 cores, intruder/LockillerTM-RWIL", "3ece063b197b92a7538dcf5d0d55dd66");
+    ("32 cores, intruder/LockillerTM", "d464b20ac116419f74cdc2a122f61c4f");
+    ("32 cores, intruder/CGL-Ticket", "775dd6ebf443ce80fab541fb24ca8976");
+    ("32 cores, intruder/LockillerTM-RWS", "c134fa8b5375bc566be60c99f17a507c");
+    ("32 cores, intruder/SW-TL2", "98e19bdce4624d12fbcdc4e9aea9ff73");
+    ("32 cores, intruder/HyTM-GV1", "c5743bb0926a52f6912c3c225b58c431");
+    ("32 cores, intruder/HyTM-GV5", "9e176b63c503ec11bb9f772a899eee68");
+    ("32 cores, intruder/HyTM-RC", "1c73b7b4f594b2414b02051c1c592b5e");
+    ("32 cores, intruder/HyTM-MD", "24d65e6e65ebecb8ef04ce3be42d97d8");
+    ("32 cores, experiment headline", "67619f169a3f1a2fc9121187438b4e1c");
   ]
 
 let () =
@@ -324,10 +456,13 @@ let () =
     [
       ("result digests", cases golden grid);
       ("stats digests", cases golden_stats stats_grid);
+      ("perfetto digests", cases golden_perfetto perfetto_grid);
       ( "table",
         [
           Alcotest.test_case "covers the grid" `Quick (covers grid golden);
           Alcotest.test_case "covers the stats grid" `Quick
             (covers stats_grid golden_stats);
+          Alcotest.test_case "covers the perfetto grid" `Quick
+            (covers perfetto_grid golden_perfetto);
         ] );
     ]
