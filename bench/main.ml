@@ -15,8 +15,10 @@
      dune exec bench/main.exe -- --jobs 8     # parallel simulations
      dune exec bench/main.exe -- --no-cache   # ignore the result cache
      dune exec bench/main.exe -- --cache-dir d  # cache location
-     dune exec bench/main.exe -- --trace-events trace.json
-                                              # one traced reference run *)
+
+   A traced reference run (Perfetto trace plus abort breakdown) is
+     lockiller_sim run -s LockillerTM -w genome -t 8 \
+       --trace-events trace.json --abort-breakdown *)
 
 module Experiments = Lockiller.Sim.Experiments
 module Report = Lockiller.Sim.Report
@@ -37,15 +39,6 @@ module Pool = Lockiller.Sim.Pool
 module Perf = Lockiller.Sim.Perf
 module Json = Lockiller.Sim.Json
 
-(* [Sys.mkdir] is non-recursive: --csv out/nested/dir used to fail. *)
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 (* --- Paper experiments -------------------------------------------------- *)
 
 let run_experiments ~scale ~jobs ~cache ~csv_dir ~ids =
@@ -53,13 +46,12 @@ let run_experiments ~scale ~jobs ~cache ~csv_dir ~ids =
   let emit_csv table =
     match csv_dir with
     | None -> ()
-    | Some dir ->
-      mkdir_p dir;
-      let path = Filename.concat dir (Report.csv_filename table) in
-      let oc = open_out path in
-      output_string oc (Report.to_csv table);
-      close_out oc;
-      Printf.printf "(csv: %s)\n" path
+    | Some dir -> (
+      match Report.write_csv ~dir table with
+      | Ok path -> Printf.printf "(csv: %s)\n" path
+      | Error msg ->
+        Printf.eprintf "%s\n%!" msg;
+        exit 2)
   in
   let selected =
     match ids with
@@ -462,48 +454,6 @@ let run_perf_micro ~scale ~format =
     Printf.printf "mesh  256-core over 32-core:     %.2fx\n\n%!"
       (speedup m256 m32)
 
-(* --- Traced reference run ----------------------------------------------- *)
-
-(* One observability-instrumented simulation (the acceptance scenario:
-   LockillerTM / genome / 8 threads) with the event ledger on, exported
-   as a Chrome/Perfetto trace plus the abort breakdown on stdout.
-   Always uncached: the on_runtime hook would be unsound to cache. *)
-let run_traced ~scale ~file =
-  let module Runtime = Lockiller.Mechanisms.Runtime in
-  let module Tracing = Lockiller.Sim.Tracing in
-  let module Ledger = Lockiller.Engine.Ledger in
-  match Lockiller.Stamp.Suite.find "genome" with
-  | None -> assert false
-  | Some w ->
-    let handle = ref None in
-    let r =
-      Runner.run
-        ~options:
-          {
-            Runner.default_options with
-            scale;
-            on_runtime =
-              (fun rt ->
-                handle := Some rt;
-                ignore (Runtime.enable_ledger rt));
-          }
-        ~sysconf:Sysconf.lockiller ~workload:w ~threads:8 ()
-    in
-    (match Option.map Runtime.ledger !handle with
-    | Some (Some l) ->
-      Tracing.write_perfetto ~file l;
-      Printf.printf "(trace-events: %s, %d events, %d dropped)\n" file
-        (Ledger.length l) (Ledger.dropped l);
-      let cores =
-        Runner.default_options.Runner.machine.Lockiller.Sim.Config.cores
-      in
-      Report.print
-        (Tracing.breakdown_table (Lockiller.Sim.Profile.of_ledger ~cores l))
-    | Some None | None -> assert false);
-    Printf.printf "(traced run: %d cycles, commit rate %.1f%%)\n%!"
-      r.Runner.cycles
-      (100.0 *. r.Runner.commit_rate)
-
 (* --- Bechamel microbenchmarks ------------------------------------------- *)
 
 open Bechamel
@@ -660,7 +610,6 @@ let () =
   let jobs = ref (Pool.default_jobs ()) in
   let no_cache = ref false in
   let cache_dir = ref None in
-  let trace_events = ref None in
   let ids = ref [] in
   let rec parse = function
     | [] -> ()
@@ -707,19 +656,11 @@ let () =
     | "--csv" :: dir :: rest ->
       csv_dir := Some dir;
       parse rest
-    | "--trace-events" :: file :: rest ->
-      trace_events := Some file;
-      parse rest
     | id :: rest ->
       ids := !ids @ [ id ];
       parse rest
   in
   parse args;
-  (match !trace_events with
-  | Some file ->
-    run_traced ~scale:!scale ~file;
-    exit 0
-  | None -> ());
   if !micro_only then begin
     run_perf_micro ~scale:!scale ~format:!format;
     if !format = `Text then run_micro ();

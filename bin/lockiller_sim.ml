@@ -326,23 +326,24 @@ let stats_t =
               network). Embedded under \"stats\" with --format json; \
               ignored with --format csv.")
 
-(* One CSV cell per column of the result's flat view (Runner.columns). *)
-let csv_cells r =
-  List.map
-    (fun (column, v) ->
-      ( column,
-        match v with
-        | Json.Null -> ""
-        | Json.Int n -> string_of_int n
-        | Json.Float f -> Printf.sprintf "%.17g" f
-        | Json.String s -> s
-        | Json.Bool _ | Json.List _ | Json.Obj _ -> assert false ))
-    (Runner.columns r)
-
-let print_result_csv r =
-  let cells = csv_cells r in
-  print_endline (String.concat "," (List.map fst cells));
-  print_endline (String.concat "," (List.map snd cells))
+(* Results as CSV: a header of the flat view's column names
+   (Runner.columns), then one row per result. *)
+let print_results_csv = function
+  | [] -> ()
+  | r :: _ as results ->
+    let cell = function
+      | Json.Null -> ""
+      | Json.Int n -> string_of_int n
+      | Json.Float f -> Printf.sprintf "%.17g" f
+      | Json.String s -> s
+      | Json.Bool _ | Json.List _ | Json.Obj _ -> assert false
+    in
+    let row r = List.map (fun (_, v) -> cell v) (Runner.columns r) in
+    print_string
+      (Report.to_csv
+         (Report.table ~title:"results"
+            ~headers:(List.map fst (Runner.columns r))
+            (List.map row results)))
 
 let json_of_group group =
   Json.Obj
@@ -381,7 +382,7 @@ let run_cmd =
            List.iter
              (fun (_, g) -> Format.printf "@.%a@." Stats.pp g)
              (stat_groups ())
-       | `Csv -> print_result_csv r
+       | `Csv -> print_results_csv [ r ]
        | `Json ->
          let doc =
            if stats then
@@ -675,12 +676,10 @@ let experiment_cmd =
     let emit_csv table =
       match csv_dir with
       | None -> ()
-      | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let path = Filename.concat dir (Report.csv_filename table) in
-        let oc = open_out path in
-        output_string oc (Report.to_csv table);
-        close_out oc
+      | Some dir -> (
+        match Report.write_csv ~dir table with
+        | Ok _ -> ()
+        | Error msg -> failwith msg)
     in
     let json_docs = ref [] in
     let render e =
@@ -813,42 +812,47 @@ let sweep_cmd =
       & info [ "metric" ]
           ~doc:"What to report: cycles, speedup (vs CGL) or commit-rate.")
   in
+  (* One experiment context for the grid: its memo simulates each
+     (system, threads) job once, so CGL runs once per thread count
+     however many systems the speedups compare. *)
   let action workload systems threads metric seed scale cache cores =
-    let header = "threads," ^ String.concat "," systems in
-    print_endline header;
-    let exit_error = ref None in
-    List.iter
-      (fun t ->
-        let cells =
-          List.map
-            (fun system ->
-              let result =
-                match metric with
-                | `Cycles | `Rate ->
-                  Lockiller.run ~seed ~scale ~cache ~cores ~system ~workload
-                    ~threads:t ()
-                  |> Result.map (fun r ->
-                         match metric with
-                         | `Cycles -> string_of_int r.Runner.cycles
-                         | _ ->
-                           Printf.sprintf "%.4f" r.Runner.commit_rate)
-                | `Speedup ->
-                  Lockiller.speedup_vs_cgl ~seed ~scale ~cache ~cores ~system
-                    ~workload ~threads:t ()
-                  |> Result.map (Printf.sprintf "%.4f")
-              in
-              match result with
-              | Ok v -> v
-              | Error msg ->
-                exit_error := Some msg;
-                "error")
-            systems
-        in
-        Printf.printf "%d,%s\n%!" t (String.concat "," cells))
-      threads;
-    match !exit_error with
-    | None -> `Ok ()
-    | Some msg -> `Error (false, msg)
+    ret
+      (let* ctx =
+         Lockiller.guard (fun () ->
+             Experiments.make_context ~seed ~scale ~cores ~threads ())
+       in
+       print_endline ("threads," ^ String.concat "," systems);
+       let exit_error = ref None in
+       List.iter
+         (fun t ->
+           let cell system =
+             let* sysconf, workload = Lockiller.lookup ~system ~workload in
+             Lockiller.guard (fun () ->
+                 let result () =
+                   Experiments.result ctx ~cache ~sysconf ~workload ~threads:t
+                     ()
+                 in
+                 match metric with
+                 | `Cycles -> string_of_int (result ()).Runner.cycles
+                 | `Rate -> Printf.sprintf "%.4f" (result ()).Runner.commit_rate
+                 | `Speedup ->
+                   Printf.sprintf "%.4f"
+                     (Experiments.speedup_vs_cgl ctx ~cache ~sysconf ~workload
+                        ~threads:t ()))
+           in
+           let cells =
+             List.map
+               (fun system ->
+                 match cell system with
+                 | Ok v -> v
+                 | Error msg ->
+                   exit_error := Some msg;
+                   "error")
+               systems
+           in
+           Printf.printf "%d,%s\n%!" t (String.concat "," cells))
+         threads;
+       match !exit_error with None -> Ok () | Some msg -> Error msg)
   in
   let term =
     Term.(
@@ -1196,12 +1200,7 @@ let replay_cmd =
              if i > 0 then print_newline ();
              print_result r)
            results
-       | `Csv ->
-         print_endline
-           (String.concat "," (List.map fst (csv_cells (List.hd results))));
-         List.iter
-           (fun r -> print_endline (String.concat "," (List.map snd (csv_cells r))))
-           results
+       | `Csv -> print_results_csv results
        | `Json -> (
          match results with
          | [ r ] -> print_endline (Runner.result_to_json r)

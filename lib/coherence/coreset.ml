@@ -111,17 +111,3 @@ let iter f (s : t) =
   done
 
 let of_list l = List.fold_left (fun s c -> add c s) empty l
-
-let equal (a : t) (b : t) =
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let i = ref 0 in
-  while !i < n && a.(!i) = b.(!i) do
-    incr i
-  done;
-  !i = n
-
-let pp ppf s =
-  Format.fprintf ppf "{%s}"
-    (String.concat "," (List.map string_of_int (elements s)))

@@ -23,5 +23,3 @@ val elements : t -> Types.core_id list
 val iter : (Types.core_id -> unit) -> t -> unit
 val fold : (Types.core_id -> 'a -> 'a) -> t -> 'a -> 'a
 val of_list : Types.core_id list -> t
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

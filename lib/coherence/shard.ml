@@ -41,7 +41,3 @@ let of_line t line =
 (* Shards spread evenly across the tile grid; identity when there is
    one shard per tile. *)
 let home_tile t s = s * t.tiles / t.count
-
-let equal a b = a.count = b.count && a.tiles = b.tiles && a.hash = b.hash
-
-let hash_name t = match t.hash with Mod -> "mod" | Mix -> "mix"

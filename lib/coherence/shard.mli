@@ -26,8 +26,3 @@ val of_line : t -> Types.line -> int
 val home_tile : t -> int -> int
 (** Tile hosting a shard ([s * tiles / count]; identity when
     [count = tiles]). *)
-
-val equal : t -> t -> bool
-
-val hash_name : t -> string
-(** ["mod"] or ["mix"] — the fingerprint token. *)

@@ -62,7 +62,3 @@ type injected_fault = Swmr_violation | Lost_wakeup | Dirty_commit
 val fault_label : injected_fault -> string
 (** Stable CLI/report label: ["swmr-violation"], ["lost-wakeup"],
     ["dirty-commit"]. *)
-
-val pp_access : Format.formatter -> access -> unit
-val pp_mode : Format.formatter -> mode -> unit
-val pp_outcome : Format.formatter -> outcome -> unit

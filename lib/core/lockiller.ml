@@ -52,12 +52,3 @@ let run_text ?cache ?cores ~system ~program () =
               Lk_sim.Runner.run_program
                 ~options:(options ?cache ?cores ())
                 ~sysconf ~program ())))
-
-let speedup_vs_cgl ?seed ?scale ?cache ?cores ~system ~workload ~threads () =
-  let run = run ?seed ?scale ?cache ?cores ~workload ~threads in
-  Result.bind (run ~system ()) (fun r ->
-      Result.map
-        (fun cgl ->
-          Lk_sim.Metrics.speedup ~baseline_cycles:cgl.Lk_sim.Runner.cycles
-            ~cycles:r.Lk_sim.Runner.cycles)
-        (run ~system:"CGL" ()))

@@ -113,17 +113,4 @@ val run_text :
     text format (one thread per [thread] section). The serializability
     oracle and protocol invariants still verify the run. *)
 
-val speedup_vs_cgl :
-  ?seed:int ->
-  ?scale:float ->
-  ?cache:Lk_sim.Config.cache_profile ->
-  ?cores:int ->
-  system:string ->
-  workload:string ->
-  threads:int ->
-  unit ->
-  (float, string) result
-(** Speedup of [system] over coarse-grained locking at the same thread
-    count (the paper's principal metric). *)
-
 val version : string

@@ -209,11 +209,3 @@ let of_text text =
     match validate program with
     | Ok () -> Ok program
     | Error msg -> Error ("invalid program: " ^ msg))
-
-let pp_op ppf = function
-  | Compute n -> Format.fprintf ppf "compute(%d)" n
-  | Read a -> Format.fprintf ppf "read(%#x)" a
-  | Write (a, v) -> Format.fprintf ppf "write(%#x,%d)" a v
-  | Incr a -> Format.fprintf ppf "incr(%#x)" a
-  | Add (a, d) -> Format.fprintf ppf "add(%#x,%+d)" a d
-  | Fault -> Format.pp_print_string ppf "fault"

@@ -79,5 +79,3 @@ val to_text : t -> string
 val of_text : string -> (t, string) result
 (** Parse the {!to_text} format. Addresses accept decimal or [0x] hex.
     Errors carry the offending line number. *)
-
-val pp_op : Format.formatter -> op -> unit

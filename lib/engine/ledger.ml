@@ -176,9 +176,6 @@ let entries t =
       out := { time; core; kind; arg } :: !out);
   List.rev !out
 
-let pp_entry ppf e =
-  Format.fprintf ppf "%d %d %s %d" e.time e.core (kind_label e.kind) e.arg
-
 let dump ppf t =
   if dropped t > 0 then
     Format.fprintf ppf "# %d earlier events dropped@." (dropped t);

@@ -179,8 +179,6 @@ type entry = { time : int; core : int; kind : kind; arg : int }
 val entries : t -> entry list
 (** The retained records, oldest first (convenience; allocates). *)
 
-val pp_entry : Format.formatter -> entry -> unit
-
 val dump : Format.formatter -> t -> unit
 (** One line per retained record — ["<time> <core> <label> <arg>"] —
     oldest first, preceded by a drop notice when the ring wrapped. The

@@ -28,10 +28,6 @@ let pp_priority_policy ppf = function
   | Progression_based -> Format.pp_print_string ppf "progression-based"
   | Static_based -> Format.pp_print_string ppf "static"
 
-let pp_lock_impl ppf = function
-  | Ttas -> Format.pp_print_string ppf "ttas"
-  | Ticket -> Format.pp_print_string ppf "ticket"
-
 type clock_scheme = Gv1 | Gv5
 
 type fallback_path = Cgl_lock | Tl2
@@ -41,10 +37,6 @@ type instrumentation = Uninstrumented | Read_check | Access_check
 let pp_clock_scheme ppf = function
   | Gv1 -> Format.pp_print_string ppf "gv1"
   | Gv5 -> Format.pp_print_string ppf "gv5"
-
-let pp_fallback_path ppf = function
-  | Cgl_lock -> Format.pp_print_string ppf "cgl-lock"
-  | Tl2 -> Format.pp_print_string ppf "tl2"
 
 let pp_instrumentation ppf = function
   | Uninstrumented -> Format.pp_print_string ppf "none"

@@ -60,7 +60,6 @@ val backoff_delay : retry -> attempt:int -> int
 
 val pp_reject_policy : Format.formatter -> reject_policy -> unit
 val pp_priority_policy : Format.formatter -> priority_policy -> unit
-val pp_lock_impl : Format.formatter -> lock_impl -> unit
 
 (** {1 Hybrid-TM comparator family}
 
@@ -120,5 +119,4 @@ type instrumentation =
           (precise, twice the coherence traffic). *)
 
 val pp_clock_scheme : Format.formatter -> clock_scheme -> unit
-val pp_fallback_path : Format.formatter -> fallback_path -> unit
 val pp_instrumentation : Format.formatter -> instrumentation -> unit

@@ -45,5 +45,3 @@ let classify_conflict ~aggressor_mode ~line ~lock_line =
   | Lk_coherence.Types.Non_tx ->
     if line = lock_line then Conflict_mutex else Conflict_non_tx
 
-let pp ppf t = Format.pp_print_string ppf (label t)
-let equal (a : t) b = a = b

@@ -53,6 +53,3 @@ val classify_conflict :
     access to the fallback lock is [Conflict_mutex]; other non-tx
     accesses are [Conflict_non_tx]; lock transactions give
     [Conflict_lock]; HTM transactions give [Conflict_htm]. *)
-
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -69,5 +69,3 @@ let buffered t ~core = Int_table.length t.buffers.(core)
 let iter_buffered t ~core f = Int_table.iter t.buffers.(core) f
 
 let iter_committed t f = Int_table.iter t.mem f
-
-let footprint t = Int_table.length t.mem

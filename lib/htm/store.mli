@@ -67,6 +67,3 @@ val iter_buffered :
 val iter_committed : t -> (addr -> int -> unit) -> unit
 (** Visit every committed address/value pair, unspecified order
     (checkers and state fingerprinting). *)
-
-val footprint : t -> int
-(** Number of distinct committed addresses (tests). *)

@@ -7,7 +7,3 @@ let of_tile ~cols id =
 let to_tile ~cols { row; col } = (row * cols) + col
 
 let manhattan a b = abs (a.row - b.row) + abs (a.col - b.col)
-
-let equal a b = a.row = b.row && a.col = b.col
-
-let pp ppf { row; col } = Format.fprintf ppf "(%d,%d)" row col

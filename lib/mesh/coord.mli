@@ -13,5 +13,3 @@ val to_tile : cols:int -> t -> int
 val manhattan : t -> t -> int
 (** Hop distance under minimal routing. *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

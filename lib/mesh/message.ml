@@ -3,7 +3,3 @@ type class_ = Control | Data
 let flits = function Control -> 1 | Data -> 5
 
 let serialization_cycles c = flits c - 1
-
-let pp_class ppf = function
-  | Control -> Format.pp_print_string ppf "control"
-  | Data -> Format.pp_print_string ppf "data"

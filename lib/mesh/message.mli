@@ -16,5 +16,3 @@ val flits : class_ -> int
 
 val serialization_cycles : class_ -> int
 (** Extra cycles beyond the head flit ([flits - 1]). *)
-
-val pp_class : Format.formatter -> class_ -> unit

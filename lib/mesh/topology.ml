@@ -243,9 +243,3 @@ let num_links t =
   | Crossbar -> tiles t * tiles t
   | Mesh | Torus | Ring -> tiles t * 4
 
-let pp ppf t =
-  match t.kind with
-  | Mesh -> Format.fprintf ppf "%dx%d mesh (%d tiles)" t.rows t.cols (tiles t)
-  | Torus -> Format.fprintf ppf "%dx%d torus (%d tiles)" t.rows t.cols (tiles t)
-  | Ring -> Format.fprintf ppf "ring of %d tiles" (tiles t)
-  | Crossbar -> Format.fprintf ppf "crossbar of %d tiles" (tiles t)

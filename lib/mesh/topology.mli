@@ -65,8 +65,6 @@ val link_index : t -> link -> int
 val num_links : t -> int
 (** Upper bound (array size) for {!link_index}. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Walking a route}
 
     The one routing rule: dimension order, X (along the row) first,

@@ -109,6 +109,15 @@ let commit ctx key r =
   (match ctx.cache with Some c -> Cache.store c key r | None -> ());
   Hashtbl.replace ctx.memo key r
 
+(* Memo, then disk cache; a disk hit is memoised. *)
+let lookup ctx key =
+  match Hashtbl.find_opt ctx.memo key with
+  | Some _ as hit -> hit
+  | None ->
+    let hit = Option.bind ctx.cache (fun c -> Cache.find c key) in
+    Option.iter (Hashtbl.replace ctx.memo key) hit;
+    hit
+
 let run_job ctx j =
   match ctx.recorder with
   | Some r ->
@@ -122,17 +131,12 @@ let run_job ctx j =
     Runner.zero_result
   | None -> (
     let key = job_key ctx j in
-    match Hashtbl.find_opt ctx.memo key with
+    match lookup ctx key with
     | Some r -> r
-    | None -> (
-      match Option.bind ctx.cache (fun c -> Cache.find c key) with
-      | Some r ->
-        Hashtbl.replace ctx.memo key r;
-        r
-      | None ->
-        let r = simulate j in
-        commit ctx key r;
-        r))
+    | None ->
+      let r = simulate j in
+      commit ctx key r;
+      r)
 
 let prefetch ctx plan =
   (* A plan lists each job once. Satisfy what we can from the memo and
@@ -143,13 +147,7 @@ let prefetch ctx plan =
     List.filter_map
       (fun j ->
         let key = job_key ctx j in
-        if Hashtbl.mem ctx.memo key then None
-        else
-          match Option.bind ctx.cache (fun c -> Cache.find c key) with
-          | Some r ->
-            Hashtbl.replace ctx.memo key r;
-            None
-          | None -> Some (key, j))
+        if Option.is_some (lookup ctx key) then None else Some (key, j))
       plan
     |> Array.of_list
   in
@@ -1171,15 +1169,7 @@ let wasted_profiled ctx ~sysconf ~source ~threads =
             prof := Some p);
       }
     in
-    let r =
-      match source with
-      | Workload_source.Workload w ->
-        Runner.run ~options ~sysconf ~workload:w ~threads ()
-      | Workload_source.Replay ol ->
-        Runner.replay ~options ~sysconf ~open_loop:ol ~threads ()
-      | Workload_source.Program _ ->
-        invalid_arg "Experiments.wasted: program source"
-    in
+    let r = Runner.run_source ~options ~sysconf ~source ~threads () in
     ctx.simulated <- ctx.simulated + 1;
     match !prof with
     | Some p -> (r, p)

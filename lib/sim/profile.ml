@@ -256,10 +256,6 @@ let sw_aborts t = t.sw_aborts
 let clock_advances t = t.clock_advances
 let lock_acquisitions t = t.acquisitions
 let lock_handoffs t = t.handoffs
-let longest_holder_run t = t.best_run
-let longest_holder t = t.best_run_core
-let lock_dwell_total t = t.dwell_total
-let lock_dwell_max t = t.dwell_max
 
 (* --- Renderers --------------------------------------------------------- *)
 

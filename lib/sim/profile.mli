@@ -138,16 +138,6 @@ val lock_handoffs : t -> int
 (** Acquisitions whose holder differs from the previous holder. A high
     hand-off fraction with short dwell is the convoy signature. *)
 
-val longest_holder_run : t -> int
-(** Longest streak of consecutive acquisitions by one core. *)
-
-val longest_holder : t -> int
-(** The core of {!longest_holder_run} (-1 when the lock was never
-    taken). *)
-
-val lock_dwell_total : t -> int
-val lock_dwell_max : t -> int
-
 (** {1 Renderers} *)
 
 val to_text : t -> string

@@ -7,7 +7,6 @@ type table = {
 
 let table ?(notes = []) ~title ~headers rows = { title; headers; rows; notes }
 
-let f1 f = Printf.sprintf "%.1f" f
 let f2 f = Printf.sprintf "%.2f" f
 let pct f = Printf.sprintf "%.1f%%" (100.0 *. f)
 
@@ -84,6 +83,22 @@ let csv_filename t =
     else s
   in
   s ^ ".csv"
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+let write_csv ~dir t =
+  let path = Filename.concat dir (csv_filename t) in
+  match
+    mkdir_p dir;
+    Out_channel.with_open_text path (fun oc -> output_string oc (to_csv t))
+  with
+  | () -> Ok path
+  | exception Sys_error msg -> Error msg
 
 let json_of_table t =
   Json.Obj

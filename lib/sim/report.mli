@@ -13,9 +13,6 @@ val table :
 (** Build a table; every row must have as many cells as [headers]
     (renderers pad, they do not check). [notes] default to none. *)
 
-val f1 : float -> string
-(** One decimal ("1.9"). *)
-
 val f2 : float -> string
 (** Two decimals ("1.86"). *)
 
@@ -35,6 +32,11 @@ val to_csv : table -> string
 val csv_filename : table -> string
 (** A filesystem-friendly name derived from the title
     ("fig_7_speedup_over_cgl_2_threads.csv"-style). *)
+
+val write_csv : dir:string -> table -> (string, string) result
+(** Write {!to_csv} to [dir]/{!csv_filename}, creating [dir] and its
+    parents; [Ok path] names the file written. [Error] carries the
+    system's message when a directory or the file cannot be made. *)
 
 val json_of_table : table -> Json.t
 (** [{"title": ..., "headers": [...], "rows": [[...]], "notes": [...]}]

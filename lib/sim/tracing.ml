@@ -5,6 +5,12 @@ let reason_of_index =
   let arr = Array.of_list Reason.all in
   fun i -> if i >= 0 && i < Array.length arr then Some arr.(i) else None
 
+(* The reason label of a [Tx_abort] or [Sw_abort] argument. *)
+let reason_label arg =
+  match reason_of_index (Ledger.abort_reason arg) with
+  | Some r -> Reason.label r
+  | None -> "?"
+
 let breakdown_table ?(title = "Abort breakdown") p =
   let aborts = Profile.total_aborts p in
   let share n =
@@ -117,18 +123,35 @@ let metadata ~name ~tid value =
       ("args", Json.Obj [ ("name", Json.String value) ]);
     ]
 
+(* A core's span tracks, indexed by [tx], [hl], [lock] and [sw]. A span
+   still open when the ledger ends becomes the slice [name ^ " (open)"];
+   [opening] labels the opening record's argument in the span's args
+   (none: it is not shown); an end record with no open span becomes the
+   instant [unmatched]. *)
+type track = { name : string; opening : string option; unmatched : string }
+
+let tx = 0
+let hl = 1
+let lock = 2
+let sw = 3
+
+let tracks =
+  [|
+    { name = "tx"; opening = Some "attempt"; unmatched = "commit" };
+    { name = "hl"; opening = None; unmatched = "hlend" };
+    { name = "lock"; opening = None; unmatched = "lock-release" };
+    { name = "sw"; opening = Some "rv"; unmatched = "sw-commit" };
+  |]
+
 let perfetto_json ?telemetry l =
   let entries = Ledger.entries l in
   let cores =
     List.fold_left (fun m e -> max m (e.Ledger.core + 1)) 0 entries
   in
   let last_time = List.fold_left (fun m e -> max m e.Ledger.time) 0 entries in
-  (* Per-core open spans: start time of the pending transaction (with
-     its attempt number), HTMLock section and lock hold. *)
-  let tx_open = Array.make (max cores 1) None in
-  let hl_open = Array.make (max cores 1) None in
-  let lock_open = Array.make (max cores 1) None in
-  let sw_open = Array.make (max cores 1) None in
+  (* Per track and core: the open span's start time and opening
+     argument. *)
+  let spans = Array.map (fun _ -> Array.make (max cores 1) None) tracks in
   let events = ref [] in
   let push e = events := e :: !events in
   (* One fresh id per attributed abort edge, sequential in ledger
@@ -141,77 +164,61 @@ let perfetto_json ?telemetry l =
       push (flow ~phase:"f" ~id:!flow_seq ~ts:time ~tid:victim)
     end
   in
+  let opening track arg =
+    match tracks.(track).opening with
+    | Some label -> [ (label, Json.Int arg) ]
+    | None -> []
+  in
+  (* The open span of [track] on [core] closes as the slice [name], its
+     [args] after the opening argument; with none open, [unmatched] is
+     pushed instead. *)
+  let close track ~time ~core ~name ~args ~unmatched =
+    match spans.(track).(core) with
+    | Some (t0, a) ->
+      spans.(track).(core) <- None;
+      push
+        (slice ~name ~ts:t0 ~dur:(time - t0) ~tid:core
+           ~args:(opening track a @ args))
+    | None -> push unmatched
+  in
+  let finish track ~time ~core ~name ~args =
+    close track ~time ~core ~name ~args
+      ~unmatched:
+        (instant ~name:tracks.(track).unmatched ~ts:time ~tid:core ~args:[])
+  in
+  let abort track ~prefix ~time ~core arg =
+    let label = reason_label arg and who = Ledger.abort_who arg in
+    let name = prefix ^ label
+    and args =
+      [
+        ("reason", Json.String label);
+        ("by", Json.Int who);
+        ("age", Json.Int (Ledger.abort_age arg));
+      ]
+    in
+    close track ~time ~core ~name ~args
+      ~unmatched:(instant ~name ~ts:time ~tid:core ~args);
+    push_kill_flow ~time ~aggressor:who ~victim:core
+  in
   List.iter
     (fun { Ledger.time; core; kind; arg } ->
       match kind with
-      | Ledger.Tx_begin -> tx_open.(core) <- Some (time, arg)
-      | Ledger.Tx_commit -> (
-        match tx_open.(core) with
-        | Some (t0, attempt) ->
-          tx_open.(core) <- None;
-          push
-            (slice ~name:"tx" ~ts:t0 ~dur:(time - t0) ~tid:core
-               ~args:[ ("attempt", Json.Int attempt);
-                       ("attempts", Json.Int arg) ])
-        | None -> push (instant ~name:"commit" ~ts:time ~tid:core ~args:[]))
-      | Ledger.Tx_abort ->
-        let label =
-          match reason_of_index (Ledger.abort_reason arg) with
-          | Some r -> Reason.label r
-          | None -> "?"
-        in
-        let who = Ledger.abort_who arg in
-        let args =
-          [
-            ("reason", Json.String label);
-            ("by", Json.Int who);
-            ("age", Json.Int (Ledger.abort_age arg));
-          ]
-        in
-        (match tx_open.(core) with
-        | Some (t0, attempt) ->
-          tx_open.(core) <- None;
-          push
-            (slice ~name:("abort:" ^ label) ~ts:t0 ~dur:(time - t0) ~tid:core
-               ~args:(("attempt", Json.Int attempt) :: args))
-        | None ->
-          push (instant ~name:("abort:" ^ label) ~ts:time ~tid:core ~args));
-        push_kill_flow ~time ~aggressor:who ~victim:core
-      | Ledger.Hl_begin -> hl_open.(core) <- Some time
-      | Ledger.Hl_end -> (
-        let name = if arg = 1 then "STL" else "TL" in
-        match hl_open.(core) with
-        | Some t0 ->
-          hl_open.(core) <- None;
-          push (slice ~name ~ts:t0 ~dur:(time - t0) ~tid:core ~args:[])
-        | None -> push (instant ~name:"hlend" ~ts:time ~tid:core ~args:[]))
-      | Ledger.Lock_acquire -> lock_open.(core) <- Some time
-      | Ledger.Lock_release -> (
-        match lock_open.(core) with
-        | Some t0 ->
-          lock_open.(core) <- None;
-          push (slice ~name:"lock" ~ts:t0 ~dur:(time - t0) ~tid:core ~args:[])
-        | None ->
-          push (instant ~name:"lock-release" ~ts:time ~tid:core ~args:[]))
-      | Ledger.Nack ->
+      | Ledger.Tx_begin -> spans.(tx).(core) <- Some (time, arg)
+      | Ledger.Hl_begin -> spans.(hl).(core) <- Some (time, arg)
+      | Ledger.Lock_acquire -> spans.(lock).(core) <- Some (time, arg)
+      | Ledger.Sw_begin -> spans.(sw).(core) <- Some (time, arg)
+      | Ledger.Tx_commit ->
+        finish tx ~time ~core ~name:"tx" ~args:[ ("attempts", Json.Int arg) ]
+      | Ledger.Hl_end ->
+        finish hl ~time ~core ~name:(if arg = 1 then "STL" else "TL") ~args:[]
+      | Ledger.Lock_release -> finish lock ~time ~core ~name:"lock" ~args:[]
+      | Ledger.Sw_commit ->
+        finish sw ~time ~core ~name:"sw" ~args:[ ("wt", Json.Int arg) ]
+      | Ledger.Tx_abort -> abort tx ~prefix:"abort:" ~time ~core arg
+      | Ledger.Sw_abort -> abort sw ~prefix:"sw-abort:" ~time ~core arg
+      | Ledger.Nack | Ledger.Reject | Ledger.Abort_kill ->
         push
-          (instant ~name:"nack" ~ts:time ~tid:core
-             ~args:
-               [
-                 ("by", Json.Int (Ledger.attr_who arg));
-                 ("age", Json.Int (Ledger.attr_age arg));
-               ])
-      | Ledger.Reject ->
-        push
-          (instant ~name:"reject" ~ts:time ~tid:core
-             ~args:
-               [
-                 ("by", Json.Int (Ledger.attr_who arg));
-                 ("age", Json.Int (Ledger.attr_age arg));
-               ])
-      | Ledger.Abort_kill ->
-        push
-          (instant ~name:"kill" ~ts:time ~tid:core
+          (instant ~name:(Ledger.kind_label kind) ~ts:time ~tid:core
              ~args:
                [
                  ("by", Json.Int (Ledger.attr_who arg));
@@ -236,40 +243,6 @@ let perfetto_json ?telemetry l =
                  ("writes", Json.Int (Ledger.discard_writes arg));
                  ("age", Json.Int (Ledger.discard_age arg));
                ])
-      | Ledger.Sw_begin -> sw_open.(core) <- Some (time, arg)
-      | Ledger.Sw_commit -> (
-        match sw_open.(core) with
-        | Some (t0, rv) ->
-          sw_open.(core) <- None;
-          push
-            (slice ~name:"sw" ~ts:t0 ~dur:(time - t0) ~tid:core
-               ~args:[ ("rv", Json.Int rv); ("wt", Json.Int arg) ])
-        | None -> push (instant ~name:"sw-commit" ~ts:time ~tid:core ~args:[]))
-      | Ledger.Sw_abort ->
-        let label =
-          match reason_of_index (Ledger.abort_reason arg) with
-          | Some r -> Reason.label r
-          | None -> "?"
-        in
-        let who = Ledger.abort_who arg in
-        let args =
-          [
-            ("reason", Json.String label);
-            ("by", Json.Int who);
-            ("age", Json.Int (Ledger.abort_age arg));
-          ]
-        in
-        (match sw_open.(core) with
-        | Some (t0, rv) ->
-          sw_open.(core) <- None;
-          push
-            (slice
-               ~name:("sw-abort:" ^ label)
-               ~ts:t0 ~dur:(time - t0) ~tid:core
-               ~args:(("rv", Json.Int rv) :: args))
-        | None ->
-          push (instant ~name:("sw-abort:" ^ label) ~ts:time ~tid:core ~args));
-        push_kill_flow ~time ~aggressor:who ~victim:core
       | Ledger.Clock_advance ->
         push
           (instant ~name:"clock" ~ts:time ~tid:core
@@ -278,37 +251,18 @@ let perfetto_json ?telemetry l =
   (* Anything still open when the ledger ends (e.g. a thread parked at
      simulation exit) is closed at the last recorded timestamp. *)
   Array.iteri
-    (fun core -> function
-      | Some (t0, attempt) ->
-        push
-          (slice ~name:"tx (open)" ~ts:t0 ~dur:(last_time - t0) ~tid:core
-             ~args:[ ("attempt", Json.Int attempt) ])
-      | None -> ())
-    tx_open;
-  Array.iteri
-    (fun core -> function
-      | Some t0 ->
-        push
-          (slice ~name:"hl (open)" ~ts:t0 ~dur:(last_time - t0) ~tid:core
-             ~args:[])
-      | None -> ())
-    hl_open;
-  Array.iteri
-    (fun core -> function
-      | Some t0 ->
-        push
-          (slice ~name:"lock (open)" ~ts:t0 ~dur:(last_time - t0) ~tid:core
-             ~args:[])
-      | None -> ())
-    lock_open;
-  Array.iteri
-    (fun core -> function
-      | Some (t0, rv) ->
-        push
-          (slice ~name:"sw (open)" ~ts:t0 ~dur:(last_time - t0) ~tid:core
-             ~args:[ ("rv", Json.Int rv) ])
-      | None -> ())
-    sw_open;
+    (fun track open_spans ->
+      Array.iteri
+        (fun core -> function
+          | Some (t0, a) ->
+            push
+              (slice
+                 ~name:(tracks.(track).name ^ " (open)")
+                 ~ts:t0 ~dur:(last_time - t0) ~tid:core
+                 ~args:(opening track a))
+          | None -> ())
+        open_spans)
+    spans;
   let meta =
     metadata ~name:"process_name" ~tid:0 "lockiller_sim"
     :: List.init cores (fun c ->
@@ -330,11 +284,6 @@ let write_perfetto ?telemetry ~file l =
       output_char oc '\n')
 
 (* --- Human-readable lifecycle lines ------------------------------------ *)
-
-let reason_label arg =
-  match reason_of_index (Ledger.abort_reason arg) with
-  | Some r -> Reason.label r
-  | None -> "?"
 
 (* " by N" for a record attributed to a core, [none] otherwise. *)
 let by who ~none = if who >= 0 then Printf.sprintf " by %d" who else none

@@ -18,10 +18,6 @@ let validate r =
 
 let equal (a : t) (b : t) = a = b
 
-let pp ppf r =
-  Format.fprintf ppf "@[<h>{arrival=%d; core=%d; reads=%d; writes=%d; phase=%d}@]"
-    r.arrival r.core r.reads r.writes r.phase
-
 let to_line r =
   Printf.sprintf "%d %d %d %d %d" r.arrival r.core r.reads r.writes r.phase
 

@@ -29,7 +29,6 @@ val validate : t -> (unit, string) result
     by the streaming reader/writer, not here. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** {1 Line codec} — one record per line, [arrival core reads writes
     phase] as space-separated decimals. *)

@@ -213,5 +213,3 @@ let write w (rec_ : Record.t) =
         w.n_written <- w.n_written + 1;
         Ok ()
       end
-
-let count w = w.n_written

@@ -52,6 +52,3 @@ val writer_to_channel : format -> out_channel -> writer
 val write : writer -> Record.t -> (unit, string) result
 (** Appends a record; rejects invalid fields and arrivals earlier than
     the previous record's. *)
-
-val count : writer -> int
-(** Records written so far. *)

@@ -240,14 +240,6 @@ let test_facade_bad_threads_is_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted thread overflow"
 
-let test_facade_speedup () =
-  match
-    Lockiller.speedup_vs_cgl ~cores:4 ~scale:0.2 ~system:"CGL"
-      ~workload:"ssca2" ~threads:2 ()
-  with
-  | Ok s -> check (Alcotest.float 0.0001) "CGL vs itself" 1.0 s
-  | Error msg -> Alcotest.fail msg
-
 let test_facade_run_text () =
   let program =
     "thread\n  tx pre=1 post=1\n    incr 0x1000\nthread\n  tx pre=1 post=1\n    incr 0x1000\n"
@@ -295,7 +287,6 @@ let () =
           Alcotest.test_case "unknown names" `Quick test_facade_unknown_names;
           Alcotest.test_case "bad threads" `Quick
             test_facade_bad_threads_is_error;
-          Alcotest.test_case "speedup identity" `Quick test_facade_speedup;
           Alcotest.test_case "run_text" `Quick test_facade_run_text;
           Alcotest.test_case "lists" `Quick test_facade_lists;
         ] );
