@@ -41,7 +41,7 @@ module Json = Lockiller.Sim.Json
 
 (* --- Paper experiments -------------------------------------------------- *)
 
-let run_experiments ~scale ~jobs ~cache ~csv_dir ~ids =
+let run_experiments ~scale ~jobs ~cache ~csv_dir ~selected =
   let ctx = Experiments.make_context ~scale ~jobs ?cache () in
   let emit_csv table =
     match csv_dir with
@@ -52,19 +52,6 @@ let run_experiments ~scale ~jobs ~cache ~csv_dir ~ids =
       | Error msg ->
         Printf.eprintf "%s\n%!" msg;
         exit 2)
-  in
-  let selected =
-    match ids with
-    | [] -> Experiments.all
-    | ids ->
-      List.filter_map
-        (fun id ->
-          match Experiments.find id with
-          | Some e -> Some e
-          | None ->
-            Printf.eprintf "unknown experiment %S (skipped)\n%!" id;
-            None)
-        ids
   in
   List.iter
     (fun e ->
@@ -227,6 +214,53 @@ let machine_micro ~cores =
       cycles = t.Perf.total_cycles;
     }
 
+(* The NoC send path alone: one [Data] message between every (src,
+   dst) pair of a [rows] x [cols] mesh per pass, passes repeated until
+   they add up to [min_seconds]. The minor words of one pass are
+   measured apart from the timing, less the words of an empty
+   measurement, so a send path that allocates nothing reads exactly 0
+   words per message. *)
+let net_micro ~rows ~cols =
+  let net = Network.create (Topology.create ~rows ~cols) in
+  let n = rows * cols in
+  let pass () =
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        ignore
+          (Network.send net ~now:0 ~src ~dst
+             ~class_:Lockiller.Mesh.Message.Data)
+      done
+    done
+  in
+  pass ();
+  let e0 = Gc.minor_words () in
+  let e1 = Gc.minor_words () in
+  let w0 = Gc.minor_words () in
+  pass ();
+  let w1 = Gc.minor_words () in
+  let words = w1 -. w0 -. (e1 -. e0) in
+  let min_seconds = 0.3 in
+  let t0 = Unix.gettimeofday () in
+  let passes = ref 0 and elapsed = ref 0.0 in
+  while !elapsed < min_seconds do
+    pass ();
+    incr passes;
+    elapsed := Unix.gettimeofday () -. t0
+  done;
+  let messages = !passes * n * n in
+  (messages, !elapsed, words /. float_of_int (n * n))
+
+let json_of_net (messages, seconds, words) =
+  let m = float_of_int messages in
+  Json.Obj
+    [
+      ("messages", Json.Int messages);
+      ("wall_seconds", Json.Float seconds);
+      ("messages_per_sec", Json.Float (m /. seconds));
+      ("ns_per_message", Json.Float (seconds *. 1e9 /. m));
+      ("minor_words_per_message", Json.Float words);
+    ]
+
 (* The causal profiler priced on a contended closed-loop run, off and
    on. "On" attaches the event ledger with the streaming Profile tap
    (the `profile` subcommand's configuration); the emit path is int
@@ -350,6 +384,12 @@ let run_perf_micro ~scale ~format =
   let poff = profile_micro ~profiled:false in
   let pon = profile_micro ~profiled:true in
   let sp = swpath_micro () in
+  let net =
+    [
+      ("mesh4x8", net_micro ~rows:4 ~cols:8);
+      ("mesh16x16", net_micro ~rows:16 ~cols:16);
+    ]
+  in
   let footprint =
     [
       ("cores32", footprint_built ~cores:32);
@@ -399,6 +439,9 @@ let run_perf_micro ~scale ~format =
             Json.Obj
               [ ("threads", Json.Int 8); ("sw_tl2", Perf.json_of_sample sp) ]
           );
+          ( "net",
+            Json.Obj
+              (List.map (fun (label, n) -> (label, json_of_net n)) net) );
           ( "footprint",
             Json.Obj
               (List.map
@@ -445,6 +488,15 @@ let run_perf_micro ~scale ~format =
     Printf.printf "%-8s %-8s %14.0f %16.2f\n" "swpath" "sw_tl2"
       (Perf.events_per_sec sp)
       (Perf.minor_words_per_event sp);
+    List.iter
+      (fun (label, (messages, seconds, words)) ->
+        Printf.printf
+          "%-8s %-8s %14.0f %16.2f  (messages/sec, w/message; %.1f ns)\n"
+          "net" label
+          (float_of_int messages /. seconds)
+          words
+          (seconds *. 1e9 /. float_of_int messages))
+      net;
     List.iter
       (fun (label, words) ->
         Printf.printf "%-8s %-8s %14d reachable words\n" "memory" label words)
@@ -504,24 +556,6 @@ let test_route =
          counter := (!counter + 1) land 31;
          ignore (Topology.route topo ~src:!counter ~dst:31)))
 
-(* One message per run, cycling through every (src, dst) pair of the
-   fabric: the NoC cost each protocol message pays (docs/SCALING.md). *)
-let test_send ~rows ~cols =
-  let net = Network.create (Topology.create ~rows ~cols) in
-  let n = rows * cols in
-  let src = ref 0 and dst = ref 0 in
-  Test.make
-    ~name:(Printf.sprintf "network send (%dx%d mesh, all pairs)" rows cols)
-    (Staged.stage (fun () ->
-         incr dst;
-         if !dst = n then begin
-           dst := 0;
-           src := if !src + 1 = n then 0 else !src + 1
-         end;
-         ignore
-           (Network.send net ~now:0 ~src:!src ~dst:!dst
-              ~class_:Lockiller.Mesh.Message.Data)))
-
 let test_protocol_access =
   Test.make ~name:"protocol access (cold miss, 4 cores)"
     (Staged.stage (fun () ->
@@ -571,8 +605,6 @@ let microbenchmarks =
     test_l1_lookup;
     test_signature;
     test_route;
-    test_send ~rows:4 ~cols:8;
-    test_send ~rows:16 ~cols:16;
     test_protocol_access;
     test_full_sim;
   ]
@@ -610,7 +642,14 @@ let () =
   let jobs = ref (Pool.default_jobs ()) in
   let no_cache = ref false in
   let cache_dir = ref None in
-  let ids = ref [] in
+  let selected = ref [] in
+  let usage_error fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "bench: %s\n%!" msg;
+        exit 2)
+      fmt
+  in
   let rec parse = function
     | [] -> ()
     | "--micro" :: rest ->
@@ -656,8 +695,16 @@ let () =
     | "--csv" :: dir :: rest ->
       csv_dir := Some dir;
       parse rest
+    | [ ("--format" | "--scale" | "--jobs" | "--cache-dir" | "--csv") as flag ]
+      ->
+      usage_error "%s needs a value" flag
+    | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
+      usage_error "unknown option %S (the usage is at the top of bench/main.ml)"
+        arg
     | id :: rest ->
-      ids := !ids @ [ id ];
+      (match Experiments.find id with
+      | Some e -> selected := !selected @ [ e ]
+      | None -> usage_error "unknown experiment %S (--list shows the ids)" id);
       parse rest
   in
   parse args;
@@ -679,6 +726,7 @@ let () =
              ())
     in
     run_experiments ~scale:!scale ~jobs:!jobs ~cache ~csv_dir:!csv_dir
-      ~ids:!ids
+      ~selected:
+        (match !selected with [] -> Experiments.all | selected -> selected)
   end;
-  if (not !skip_micro) && !ids = [] then run_micro ()
+  if (not !skip_micro) && List.is_empty !selected then run_micro ()

@@ -10,7 +10,8 @@
    regressions (wrong data structure, reintroduced boxing), not
    machine noise:
 
-   - higher-is-better ("events_per_sec", "*speedup"): wall-clock
+   - higher-is-better ("events_per_sec", "messages_per_sec",
+     "*speedup"): wall-clock
      throughput, the noisy family — on a loaded or CPU-stealing host a
      benign run can land 2-2.5x under an idle-host baseline, so these
      use the wider --wall-tolerance (default 3.0): fail when the
@@ -23,9 +24,11 @@
      exceeds baseline * tolerance + 0.5 words of absolute slack
      (the baselines sit near zero, where a ratio alone is
      meaningless);
-   - held ("reachable_words"): the footprint of a built or run machine
-     is a heap walk, exact and repeatable, so these fail as soon as
-     the current value exceeds the baseline. A deliberate gain is
+   - held ("reachable_words", "minor_words_per_message"): the
+     footprint of a built or run machine is a heap walk, and the words
+     a NoC send allocates are counted apart from any clock; both are
+     exact and repeatable, so these fail as soon as the current value
+     exceeds the baseline (0 for the send path). A deliberate gain is
      recorded by lowering the baseline.
 
    Everything else in the files (wall times, raw counters) is
@@ -45,12 +48,12 @@ let load path =
   | Error e -> die "perfcheck: %s: %s" path e
 
 let higher_better key =
-  key = "events_per_sec"
+  key = "events_per_sec" || key = "messages_per_sec"
   || String.length key >= 7
      && String.sub key (String.length key - 7) 7 = "speedup"
 
 let lower_better key = key = "minor_words_per_event"
-let held key = key = "reachable_words"
+let held key = key = "reachable_words" || key = "minor_words_per_message"
 let metric key = higher_better key || lower_better key || held key
 
 let failures = ref 0

@@ -18,5 +18,10 @@ val byte_of_line : Types.line -> int
 val home_of_line : tiles:int -> Types.line -> int
 (** Home tile (LLC bank) of a line. *)
 
+val log2_exact : int -> int
+(** [log2_exact n] is [log2 n] when [n] is a power of two, else [-1]:
+    cache placement shifts and masks instead of dividing when a set or
+    bank count is a power of two. *)
+
 val lines_of_range : first_byte:int -> bytes:int -> Types.line list
 (** All lines touched by the byte range; [bytes] must be positive. *)

@@ -19,12 +19,18 @@ let check c =
 
 let empty : t = [||]
 
+(* One-word sets (every set on a machine of up to 32 cores) are built
+   as array literals: [Array.make] and [Array.copy] are calls into the
+   runtime. *)
 let singleton c =
   check c;
   let w = c lsr word_bits in
-  let a = Array.make (w + 1) 0 in
-  a.(w) <- 1 lsl (c land word_mask);
-  a
+  if w = 0 then [| 1 lsl c |]
+  else begin
+    let a = Array.make (w + 1) 0 in
+    a.(w) <- 1 lsl (c land word_mask);
+    a
+  end
 
 let mem c s =
   check c;
@@ -37,11 +43,13 @@ let add c s =
   let n = Array.length s in
   if w < n then
     if s.(w) land (1 lsl (c land word_mask)) <> 0 then s
+    else if n = 1 then [| s.(0) lor (1 lsl c) |]
     else begin
       let a = Array.copy s in
       a.(w) <- a.(w) lor (1 lsl (c land word_mask));
       a
     end
+  else if n = 0 then singleton c
   else begin
     let a = Array.make (w + 1) 0 in
     Array.blit s 0 a 0 n;
@@ -63,6 +71,9 @@ let remove c s =
   check c;
   let w = c lsr word_bits in
   if w >= Array.length s || s.(w) land (1 lsl (c land word_mask)) = 0 then s
+  else if Array.length s = 1 then
+    let rest = s.(0) land lnot (1 lsl c) in
+    if rest = 0 then empty else [| rest |]
   else begin
     let a = Array.copy s in
     a.(w) <- a.(w) land lnot (1 lsl (c land word_mask));
@@ -109,5 +120,14 @@ let iter f (s : t) =
       incr b
     done
   done
+
+let rec next (s : t) c =
+  let w = c lsr word_bits in
+  if w >= Array.length s then -1
+  else
+    let bits = s.(w) lsr (c land word_mask) in
+    if bits = 0 then next s ((w + 1) lsl word_bits)
+    else if bits land 1 <> 0 then c
+    else next s (c + 1)
 
 let of_list l = List.fold_left (fun s c -> add c s) empty l

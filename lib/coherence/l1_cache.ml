@@ -10,22 +10,26 @@ type view = {
 
 type room = Present | Free | Evict of view
 
-(* Slots are parallel arrays of immediates, row-major by set: a cache
-   holds three flat blocks and no per-way record. [tags.(i) = -1]
-   encodes an invalid slot; [flags] packs the state and the dirty/tx
-   bits of slot [i] into one byte; [used] is its LRU stamp. The blocks
-   are allocated on the first insert, so a core that never runs a
-   thread pays for no slots. Until then they are empty and [span], the
-   ways a lookup scans per set, is 0: every scan ends before it reads a
-   slot, so an unfilled cache answers as an all-invalid one with no
-   test of its own on the lookup path. *)
+(* Slots are one flat array of immediates, row-major by set, two ints
+   per slot: slot [i]'s tag at [2i] ([-1] encodes an invalid slot) and
+   at [2i + 1] its LRU stamp shifted left by 5 over its 5 flag bits
+   (the state and the dirty/tx bits). A set's tags, states and stamps
+   thus sit side by side (64 bytes at 4 ways), so a lookup, an update
+   and a victim scan touch one block of host memory, with no per-way
+   record. The array is allocated on the first insert, so a core that
+   never runs a thread pays for no slots. Until then it is empty and
+   [span], the ways a lookup scans per set, is 0: every scan ends
+   before it reads a slot, so an unfilled cache answers as an
+   all-invalid one with no test of its own on the lookup path. *)
 type t = {
   nsets : int;
+  (* log2 [nsets] when it is a power of two (every configured L1),
+     else -1: a lookup then splits a line into set and tag by mask and
+     shift instead of two divisions. *)
+  set_bits : int;
   nways : int;
   mutable span : int;  (* 0 before the first insert, then [nways] *)
-  mutable tags : int array;
-  mutable flags : Bytes.t;
-  mutable used : int array;
+  mutable slots : int array;
   mutable tick : int;
   (* Lines with a tx bit set, for O(tx-set) commit/abort clearing.
      Kept as a sorted array maintained incrementally (binary-search
@@ -36,7 +40,7 @@ type t = {
   mutable tx_count : int;
 }
 
-(* Flag byte: bits 0-1 the state (M 0, E 1, S 2), then dirty, tx_read,
+(* Flag bits: bits 0-1 the state (M 0, E 1, S 2), then dirty, tx_read,
    tx_write. *)
 let dirty_bit = 4
 let tx_read_bit = 8
@@ -47,8 +51,16 @@ let tx_bits = tx_read_bit lor tx_write_bit
 let state_flags = function M -> dirty_bit | E -> 1 | S -> 2
 let state_of_code = function 0 -> M | 1 -> E | _ -> S
 
-let flags t i = Char.code (Bytes.get t.flags i)
-let set_flags t i f = Bytes.set t.flags i (Char.unsafe_chr f)
+let flag_bits = 5
+let flag_mask = (1 lsl flag_bits) - 1
+
+let tag t i = t.slots.(2 * i)
+let flags t i = t.slots.((2 * i) + 1) land flag_mask
+let used t i = t.slots.((2 * i) + 1) lsr flag_bits
+
+let set_flags t i f =
+  let k = (2 * i) + 1 in
+  t.slots.(k) <- (t.slots.(k) land lnot flag_mask) lor f
 
 let create ~size_bytes ~ways =
   if ways <= 0 then invalid_arg "L1_cache.create: ways must be positive";
@@ -57,11 +69,10 @@ let create ~size_bytes ~ways =
     invalid_arg "L1_cache.create: size must be a multiple of ways * line size";
   {
     nsets = size_bytes / set_bytes;
+    set_bits = Addr.log2_exact (size_bytes / set_bytes);
     nways = ways;
     span = 0;
-    tags = [||];
-    flags = Bytes.empty;
-    used = [||];
+    slots = [||];
     tick = 0;
     tx_lines_sorted = [||];
     tx_count = 0;
@@ -69,10 +80,9 @@ let create ~size_bytes ~ways =
 
 (* Give the cache its slots, all invalid. *)
 let allocate t =
-  let n = t.nsets * t.nways in
-  t.tags <- Array.make n (-1);
-  t.flags <- Bytes.make n '\000';
-  t.used <- Array.make n 0;
+  t.slots <-
+    Array.init (2 * t.nsets * t.nways) (fun k ->
+        if k land 1 = 0 then -1 else 0);
   t.span <- t.nways
 
 (* --- tracked-set maintenance ----------------------------------------- *)
@@ -97,8 +107,9 @@ let tx_track t line =
       Array.blit t.tx_lines_sorted 0 bigger 0 t.tx_count;
       t.tx_lines_sorted <- bigger
     end;
-    Array.blit t.tx_lines_sorted at t.tx_lines_sorted (at + 1)
-      (t.tx_count - at);
+    if at < t.tx_count then
+      Array.blit t.tx_lines_sorted at t.tx_lines_sorted (at + 1)
+        (t.tx_count - at);
     t.tx_lines_sorted.(at) <- line;
     t.tx_count <- t.tx_count + 1
   end
@@ -106,31 +117,37 @@ let tx_track t line =
 let tx_untrack t line =
   let i = tx_search t line in
   if i >= 0 then begin
-    Array.blit t.tx_lines_sorted (i + 1) t.tx_lines_sorted i
-      (t.tx_count - i - 1);
+    if i + 1 < t.tx_count then
+      Array.blit t.tx_lines_sorted (i + 1) t.tx_lines_sorted i
+        (t.tx_count - i - 1);
     t.tx_count <- t.tx_count - 1
   end
 
 let sets t = t.nsets
 let ways t = t.nways
 
-let set_of t line = line mod t.nsets
-let tag_of t line = line / t.nsets
+let set_of t line =
+  if t.set_bits >= 0 then line land (t.nsets - 1) else line mod t.nsets
 
-(* First index in [i, hi) whose tag is [tag], or -1. Top-level, so a
+let tag_of t line =
+  if t.set_bits >= 0 then line lsr t.set_bits else line / t.nsets
+
+(* First slot in [i, hi) whose tag is [tag], or -1. Top-level, so a
    search allocates no closure. *)
-let rec scan tags tag i hi =
-  if i >= hi then -1 else if tags.(i) = tag then i else scan tags tag (i + 1) hi
+let rec scan slots tag i hi =
+  if i >= hi then -1
+  else if slots.(2 * i) = tag then i
+  else scan slots tag (i + 1) hi
 
 (* Slot index of a resident line, or -1. *)
 let find_slot t line =
   let lo = set_of t line * t.nways in
-  scan t.tags (tag_of t line) lo (lo + t.span)
+  scan t.slots (tag_of t line) lo (lo + t.span)
 
 let view_of t i =
   let f = flags t i in
   {
-    line = (t.tags.(i) * t.nsets) + (i / t.nways);
+    line = (tag t i * t.nsets) + (i / t.nways);
     state = state_of_code (f land 3);
     dirty = f land dirty_bit <> 0;
     tx_read = f land tx_read_bit <> 0;
@@ -141,16 +158,28 @@ let lookup t line =
   let i = find_slot t line in
   if i < 0 then None else Some (view_of t i)
 
+let absent = -1
+
+let flags_of t line =
+  let i = find_slot t line in
+  if i < 0 then absent else flags t i
+
+let exclusive f = f land 3 <> 2
+let dirty f = f land dirty_bit <> 0
+let tx_write f = f land tx_write_bit <> 0
+let in_tx f = f land tx_bits <> 0
+
 let bump t i =
   t.tick <- t.tick + 1;
-  t.used.(i) <- t.tick
+  let k = (2 * i) + 1 in
+  t.slots.(k) <- (t.tick lsl flag_bits) lor (t.slots.(k) land flag_mask)
 
 let touch t line =
   let i = find_slot t line in
   if i >= 0 then bump t i
 
 (* Whether slot [i] was used before slot [best] (or [best] is none). *)
-let older t i best = best < 0 || t.used.(i) < t.used.(best)
+let older t i best = best < 0 || used t i < used t best
 
 (* The victim is the first least-recently-used non-transactional way,
    else the first least-recently-used transactional one. An unfilled
@@ -163,7 +192,7 @@ let room_for t line =
     let best_non_tx = ref (-1) in
     let best_tx = ref (-1) in
     for i = lo to lo + t.span - 1 do
-      if t.tags.(i) = -1 then free := true
+      if tag t i = -1 then free := true
       else if flags t i land tx_bits <> 0 then begin
         if older t i !best_tx then best_tx := i
       end
@@ -179,9 +208,9 @@ let insert t line state =
     invalid_arg "L1_cache.insert: line already resident";
   if t.span = 0 then allocate t;
   let lo = set_of t line * t.nways in
-  let i = scan t.tags (-1) lo (lo + t.nways) in
+  let i = scan t.slots (-1) lo (lo + t.nways) in
   if i < 0 then invalid_arg "L1_cache.insert: set is full";
-  t.tags.(i) <- tag_of t line;
+  t.slots.(2 * i) <- tag_of t line;
   set_flags t i (state_flags state);
   bump t i
 
@@ -207,13 +236,17 @@ let mark_tx t line ~write =
   set_flags t i (flags t i lor if write then tx_write_bit else tx_read_bit);
   tx_track t line
 
+(* Invalidate slot [i], returning its flags. *)
+let invalidate t i =
+  let f = flags t i in
+  t.slots.(2 * i) <- -1;
+  set_flags t i (f land 3);
+  f
+
 let remove t line =
-  let i = slot_exn t line "remove" in
-  let v = view_of t i in
-  t.tags.(i) <- -1;
-  set_flags t i (flags t i land 3);
+  let f = invalidate t (slot_exn t line "remove") in
   tx_untrack t line;
-  v
+  f
 
 let resident t line = find_slot t line >= 0
 
@@ -227,24 +260,41 @@ let tx_lines t =
   done;
   !acc
 
-let clear_tx t ~drop_written =
-  let views = tx_lines t in
-  List.iter
-    (fun (v : view) ->
-      if drop_written && v.tx_write then ignore (remove t v.line)
-      else
-        let i = slot_exn t v.line "clear_tx" in
-        set_flags t i (flags t i land lnot tx_bits))
-    views;
+(* One pass over the tracked set in line order. Dropped slots are
+   invalidated in place, not untracked one by one: the whole set is
+   emptied at the end. *)
+let clear_tx t ~drop_written on_drop =
+  let cleared = ref 0 in
+  for k = 0 to t.tx_count - 1 do
+    let line = t.tx_lines_sorted.(k) in
+    let i = find_slot t line in
+    if i >= 0 then begin
+      let f = flags t i in
+      if in_tx f then begin
+        incr cleared;
+        if drop_written && tx_write f then begin
+          ignore (invalidate t i);
+          on_drop line
+        end
+        else set_flags t i (f land lnot tx_bits)
+      end
+    end
+  done;
   t.tx_count <- 0;
-  views
+  !cleared
+
+let slot_count t = Array.length t.slots / 2
 
 let occupancy t =
-  Array.fold_left (fun acc tag -> if tag = -1 then acc else acc + 1) 0 t.tags
+  let n = ref 0 in
+  for i = 0 to slot_count t - 1 do
+    if tag t i <> -1 then incr n
+  done;
+  !n
 
 let tx_count t = t.tx_count
 
 let iter t f =
-  for i = 0 to Array.length t.tags - 1 do
-    if t.tags.(i) <> -1 then f (view_of t i)
+  for i = 0 to slot_count t - 1 do
+    if tag t i <> -1 then f (view_of t i)
   done

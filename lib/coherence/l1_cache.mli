@@ -42,6 +42,27 @@ val ways : t -> int
 val lookup : t -> Types.line -> view option
 (** Resident view of a line, without touching LRU state. *)
 
+(** {1 Flag queries}
+
+    The hot paths read a line's state as one int instead of a
+    {!view}: {!flags_of} returns its flag word (or {!absent}) without
+    allocating, and the predicates below decode it. *)
+
+val absent : int
+(** The flag word of a line that is not resident (negative). *)
+
+val flags_of : t -> Types.line -> int
+(** Flag word of a resident line, or {!absent}; LRU state untouched. *)
+
+val exclusive : int -> bool
+(** Held in [M] or [E]. *)
+
+val dirty : int -> bool
+val tx_write : int -> bool
+
+val in_tx : int -> bool
+(** [tx_read] or [tx_write]. *)
+
 val touch : t -> Types.line -> unit
 (** Mark the line most-recently used. No-op when absent. *)
 
@@ -64,20 +85,21 @@ val clear_dirty : t -> Types.line -> unit
 val mark_tx : t -> Types.line -> write:bool -> unit
 (** Set the transactional read (or write) bit of a resident line. *)
 
-val remove : t -> Types.line -> view
-(** Invalidate a resident line, returning its final view (the caller
-    decides about writebacks). Raises if absent. *)
+val remove : t -> Types.line -> int
+(** Invalidate a resident line, returning its final flag word (the
+    caller decides about writebacks). Raises if absent. *)
 
 val resident : t -> Types.line -> bool
 
 val tx_lines : t -> view list
 (** All lines with a transactional bit set. O(tracked lines). *)
 
-val clear_tx : t -> drop_written:bool -> view list
+val clear_tx : t -> drop_written:bool -> (Types.line -> unit) -> int
 (** End-of-transaction bulk operation: clear every tx bit. When
     [drop_written] (abort path) lines that were transactionally written
-    are invalidated — their speculative data is discarded. Returns the
-    views (pre-clear) of all lines that carried tx bits. *)
+    are invalidated — their speculative data is discarded — and the
+    callback runs on each such line, in ascending line order. Returns
+    the number of lines that carried tx bits. Builds no list. *)
 
 val occupancy : t -> int
 (** Resident line count (for tests). *)

@@ -26,11 +26,23 @@ type t = {
   plan : Shard.t;
   nbanks : int;  (* = Shard.count plan: one bank per directory shard *)
   nsets : int;  (* per bank *)
+  (* log2 [nbanks] when [nbanks] and [nsets] are both powers of two
+     (the default machines), else -1: placement then shifts and masks
+     instead of dividing. *)
+  bank_bits : int;
   nways : int;
   slots : int array array;
   dirs : dir array array;
   mutable count : int;  (* resident lines *)
   mutable tick : int;
+  (* The last line located: its set and its way, or -1 when absent.
+     A directory decision asks about its request line several times in
+     a row; the memo answers all but the first without re-hashing or
+     re-scanning. [insert] and [evict], the only operations that move
+     a line, keep it exact. *)
+  mutable memo_line : int;
+  mutable memo_set : int;
+  mutable memo_way : int;
 }
 
 let no_sharers = Sharers Coreset.empty
@@ -46,11 +58,16 @@ let create ~plan ~bank_size_bytes ~ways =
     plan;
     nbanks = banks;
     nsets;
+    bank_bits =
+      (if Addr.log2_exact nsets < 0 then -1 else Addr.log2_exact banks);
     nways = ways;
     slots = Array.make (banks * nsets) [||];
     dirs = Array.make (banks * nsets) [||];
     count = 0;
     tick = 0;
+    memo_line = -1;
+    memo_set = 0;
+    memo_way = -1;
   }
 
 let plan t = t.plan
@@ -63,7 +80,10 @@ let sets_per_bank t = t.nsets
    full line number as the tag, so placement is free to use any hash
    without a tag/line reconstruction becoming ambiguous. *)
 let set_index t line =
-  (Shard.of_line t.plan line * t.nsets) + (line / t.nbanks mod t.nsets)
+  (Shard.of_line t.plan line * t.nsets)
+  +
+  if t.bank_bits >= 0 then (line lsr t.bank_bits) land (t.nsets - 1)
+  else line / t.nbanks mod t.nsets
 
 (* The capacity of a set whose slots are [slots]. *)
 let cap slots = Array.length slots lsr 1
@@ -78,6 +98,17 @@ let find t s line =
   let slots = t.slots.(s) in
   scan slots line 0 (cap slots)
 
+(* Way of [line] within its set, or -1; the set is left in
+   [memo_set]. *)
+let locate t line =
+  if line <> t.memo_line then begin
+    let s = set_index t line in
+    t.memo_line <- line;
+    t.memo_set <- s;
+    t.memo_way <- find t s line
+  end;
+  t.memo_way
+
 let view_of t s w =
   let slots = t.slots.(s) in
   {
@@ -87,9 +118,8 @@ let view_of t s w =
   }
 
 let lookup t line =
-  let s = set_index t line in
-  let w = find t s line in
-  if w < 0 then None else Some (view_of t s w)
+  let w = locate t line in
+  if w < 0 then None else Some (view_of t t.memo_set w)
 
 (* Stamp way [w] of set [s] most recently used, keeping its dirty bit. *)
 let bump t s w =
@@ -111,9 +141,9 @@ let older slots cap w best =
    else the first least-recently-used way with some. A set below full
    width has a free way past its storage. *)
 let room_for t line =
-  let s = set_index t line in
-  if find t s line >= 0 then Present
+  if locate t line >= 0 then Present
   else begin
+    let s = t.memo_set in
     let slots = t.slots.(s) and dirs = t.dirs.(s) in
     let cap = cap slots in
     let free = ref (cap < t.nways) in
@@ -149,8 +179,8 @@ let grow t s =
   t.dirs.(s) <- dirs'
 
 let insert t line =
-  let s = set_index t line in
-  if find t s line >= 0 then invalid_arg "Llc.insert: line already resident";
+  if locate t line >= 0 then invalid_arg "Llc.insert: line already resident";
+  let s = t.memo_set in
   let w =
     let slots = t.slots.(s) in
     let cap = cap slots in
@@ -167,46 +197,46 @@ let insert t line =
   slots.(cap slots + w) <- 0;
   t.dirs.(s).(w) <- no_sharers;
   t.count <- t.count + 1;
+  t.memo_way <- w;
   bump t s w
 
-(* Way of a resident line within its set [s]; raises naming [name] if
-   absent. *)
-let way_exn t s line name =
-  let w = find t s line in
+(* Way of a resident line within its set ([memo_set]); raises naming
+   [name] if absent. *)
+let way_exn t line name =
+  let w = locate t line in
   if w < 0 then invalid_arg ("Llc." ^ name ^ ": line not resident");
   w
 
 let evict t line =
-  let s = set_index t line in
-  let w = way_exn t s line "evict" in
+  let w = way_exn t line "evict" in
+  let s = t.memo_set in
   let v = view_of t s w in
   let slots = t.slots.(s) in
   slots.(w) <- -1;
   t.dirs.(s).(w) <- no_sharers;
   t.count <- t.count - 1;
+  t.memo_way <- -1;
   v
 
 let touch t line =
-  let s = set_index t line in
-  let w = find t s line in
-  if w >= 0 then bump t s w
+  let w = locate t line in
+  if w >= 0 then bump t t.memo_set w
 
 let dir_of t line =
-  let s = set_index t line in
-  t.dirs.(s).(way_exn t s line "dir_of")
+  let w = way_exn t line "dir_of" in
+  t.dirs.(t.memo_set).(w)
 
 let set_dir t line dir =
-  let s = set_index t line in
-  t.dirs.(s).(way_exn t s line "set_dir") <- dir
+  let w = way_exn t line "set_dir" in
+  t.dirs.(t.memo_set).(w) <- dir
 
 let set_dirty t line dirty =
-  let s = set_index t line in
-  let w = way_exn t s line "set_dirty" in
-  let slots = t.slots.(s) in
+  let w = way_exn t line "set_dirty" in
+  let slots = t.slots.(t.memo_set) in
   let k = cap slots + w in
   slots.(k) <- (slots.(k) land lnot 1) lor Bool.to_int dirty
 
-let resident t line = find t (set_index t line) line >= 0
+let resident t line = locate t line >= 0
 
 let occupancy t = t.count
 

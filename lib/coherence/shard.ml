@@ -13,7 +13,9 @@
 
 type hash = Mod | Mix
 
-type t = { count : int; tiles : int; hash : hash }
+(* [mask] is [count - 1] when [count] is a power of two, else -1: the
+   [Mod] hash then takes the low bits instead of dividing. *)
+type t = { count : int; tiles : int; hash : hash; mask : int }
 
 let make ~count ~tiles ~hash =
   if tiles <= 0 then invalid_arg "Shard.make: tiles must be positive";
@@ -21,7 +23,8 @@ let make ~count ~tiles ~hash =
     invalid_arg
       ("Shard.make: shard count must be in [1, tiles]; got "
       ^ string_of_int count ^ " shards for " ^ string_of_int tiles ^ " tiles");
-  { count; tiles; hash }
+  let mask = if Addr.log2_exact count >= 0 then count - 1 else -1 in
+  { count; tiles; hash; mask }
 
 let count t = t.count
 let tiles t = t.tiles
@@ -36,8 +39,10 @@ let mix l =
   x lxor (x lsr 29)
 
 let of_line t line =
-  match t.hash with Mod -> line mod t.count | Mix -> mix line mod t.count
+  match t.hash with
+  | Mod -> if t.mask >= 0 then line land t.mask else line mod t.count
+  | Mix -> mix line mod t.count
 
 (* Shards spread evenly across the tile grid; identity when there is
    one shard per tile. *)
-let home_tile t s = s * t.tiles / t.count
+let home_tile t s = if t.count = t.tiles then s else s * t.tiles / t.count

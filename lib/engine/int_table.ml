@@ -53,16 +53,17 @@ let slot_of t key =
   let h = key * fib in
   (h lsr 8) land t.mask
 
+(* Linear probe from slot [i] for [key]: its index, or -1 at the
+   first never-used slot. Top-level, so a lookup allocates no
+   closure. *)
+let rec probe keys mask key i =
+  let k = keys.(i) in
+  if k = key then i
+  else if k = empty then -1
+  else probe keys mask key ((i + 1) land mask)
+
 (* Index of [key]'s slot, or -1 when absent. *)
-let find_slot t key =
-  let mask = t.mask in
-  let rec probe i =
-    let k = t.keys.(i) in
-    if k = key then i
-    else if k = empty then -1
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of t key)
+let find_slot t key = probe t.keys t.mask key (slot_of t key)
 
 let mem t key = find_slot t key >= 0
 

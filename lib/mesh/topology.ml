@@ -1,8 +1,31 @@
 type kind = Mesh | Torus | Ring | Crossbar
 
-type t = { kind : kind; rows : int; cols : int }
+(* [row_of]/[col_of] split a tile id into its grid position, so a route
+   costs no division. [scratch] is the segment buffer of the cold
+   readers ([distance], [route], [link_index]). *)
+type t = {
+  kind : kind;
+  rows : int;
+  cols : int;
+  row_of : int array;
+  col_of : int array;
+  scratch : int array;
+}
 
 type link = { from_tile : int; to_tile : int }
+
+let max_segments = 4
+
+let make kind ~rows ~cols =
+  let n = rows * cols in
+  {
+    kind;
+    rows;
+    cols;
+    row_of = Array.init n (fun id -> id / cols);
+    col_of = Array.init n (fun id -> id mod cols);
+    scratch = Array.make (3 * max_segments) 0;
+  }
 
 let kind t = t.kind
 
@@ -15,21 +38,21 @@ let kind_name = function
 let create ~rows ~cols =
   if rows <= 0 || cols <= 0 then
     invalid_arg "Topology.create: dimensions must be positive";
-  { kind = Mesh; rows; cols }
+  make Mesh ~rows ~cols
 
 let create_torus ~rows ~cols =
   if rows < 3 || cols < 3 then
     invalid_arg "Topology.create_torus: dimensions must be at least 3";
-  { kind = Torus; rows; cols }
+  make Torus ~rows ~cols
 
 let create_ring ~tiles =
   if tiles < 3 then invalid_arg "Topology.create_ring: need at least 3 tiles";
-  { kind = Ring; rows = 1; cols = tiles }
+  make Ring ~rows:1 ~cols:tiles
 
 let create_crossbar ~tiles =
   if tiles < 2 then
     invalid_arg "Topology.create_crossbar: need at least 2 tiles";
-  { kind = Crossbar; rows = 1; cols = tiles }
+  make Crossbar ~rows:1 ~cols:tiles
 
 let rows t = t.rows
 let cols t = t.cols
@@ -39,31 +62,6 @@ let check_tile t id name =
   if id < 0 || id >= tiles t then
     invalid_arg
       ("Topology." ^ name ^ ": tile " ^ string_of_int id ^ " out of range")
-
-(* Signed minimal displacement from position [a] to [b] on an axis of
-   [n] positions: the plain difference on a mesh axis, the short way
-   round on a wrapping one, with an exact half-way tie going forward
-   (+). *)
-let displacement ~wrap n a b =
-  if not wrap then b - a
-  else
-    let fwd = (b - a + n) mod n in
-    if fwd <= n - fwd then fwd else fwd - n
-
-let wraps t = match t.kind with Torus | Ring -> true | Mesh | Crossbar -> false
-
-let distance t ~src ~dst =
-  match t.kind with
-  | Crossbar -> if src = dst then 0 else 1
-  | Mesh | Torus | Ring ->
-    let wrap = wraps t in
-    abs (displacement ~wrap t.cols (src mod t.cols) (dst mod t.cols))
-    + abs (displacement ~wrap t.rows (src / t.cols) (dst / t.cols))
-
-let hops t ~src ~dst =
-  check_tile t src "hops";
-  check_tile t dst "hops";
-  distance t ~src ~dst
 
 (* Link indices: the grid-like topologies number the links leaving a
    tile [tile * 4 + dir] with [dir] 0..3 for N/S/W/E (row - 1, row + 1,
@@ -76,108 +74,134 @@ let south = 1
 let west = 2
 let east = 3
 
-(* The one routing rule, as a reusable cursor over a route's links:
-   dimension order, X (columns) first, then Y (rows), each axis the
-   short way round when it wraps (torus and ring); the crossbar is one
-   direct hop. [start] splits the endpoints into row and column once
-   and computes the first link of each leg; each [next] then moves one
-   position along the current leg by addition, wrapping with a
-   compare, so a hop costs no division and no allocation. *)
-type walk = {
-  mutable row : int;  (* current position *)
-  mutable col : int;
-  mutable xs : int;  (* hops left along the row *)
-  mutable xstep : int;  (* column change per X hop: +1, -1 (crossbar: any) *)
-  mutable xlink : int;  (* index of the next X link *)
-  mutable ys : int;  (* then hops left along the column *)
-  mutable ystep : int;  (* row change per Y hop: +1 or -1 *)
-  mutable ylink : int;  (* index of the next Y link *)
-}
+(* Signed minimal displacement from position [a] to [b] on an axis of
+   [n] positions: the plain difference on a mesh axis, the short way
+   round on a wrapping one, with an exact half-way tie going forward
+   (+). *)
+let[@inline] displacement ~wrap n a b =
+  let d = b - a in
+  if not wrap then d
+  else
+    let fwd = if d < 0 then d + n else d in
+    if fwd <= n - fwd then fwd else fwd - n
 
-let walk () =
-  { row = 0; col = 0; xs = 0; xstep = 0; xlink = 0; ys = 0; ystep = 0; ylink = 0 }
+(* Write segment [k] of [buf]. *)
+let[@inline] put buf k ~first ~stride ~count =
+  let o = 3 * k in
+  buf.(o) <- first;
+  buf.(o + 1) <- stride;
+  buf.(o + 2) <- count
 
-let start t w ~src ~dst =
-  let sc = src mod t.cols and dc = dst mod t.cols in
-  let sr = src / t.cols in
-  w.row <- sr;
-  w.col <- sc;
+(* Append one axis leg to [buf] from segment [k]: [d] signed hops from
+   position [p] of an axis of [len] positions, where the link leaving
+   position [q] in the leg's direction has index [base + q * step].
+   A leg that runs off either end of the axis (torus and ring only)
+   continues from the far end, so it splits once there. Returns the
+   next free segment. *)
+let[@inline] leg buf k ~base ~step ~len ~p ~d =
+  if d > 0 then begin
+    let near = Int.min d (len - p) in
+    put buf k ~first:(base + (p * step)) ~stride:step ~count:near;
+    if d = near then k + 1
+    else begin
+      put buf (k + 1) ~first:base ~stride:step ~count:(d - near);
+      k + 2
+    end
+  end
+  else if d < 0 then begin
+    let hops = -d in
+    let near = Int.min hops (p + 1) in
+    put buf k ~first:(base + (p * step)) ~stride:(-step) ~count:near;
+    if hops = near then k + 1
+    else begin
+      put buf (k + 1)
+        ~first:(base + ((len - 1) * step))
+        ~stride:(-step) ~count:(hops - near);
+      k + 2
+    end
+  end
+  else k
+
+(* The one routing rule: dimension order, X (along the row, to [dst]'s
+   column) first, then Y (down [dst]'s column), each axis the short
+   way round when it wraps (torus and ring); the crossbar is one
+   direct hop. Along a leg the link index moves by 4 per column and by
+   [4 * cols] per row, so each leg is one arithmetic run of links,
+   split where it wraps. *)
+let segments t buf ~src ~dst =
   match t.kind with
   | Crossbar ->
-    (* One row: the single hop moves straight to [dst]'s column. *)
-    w.xs <- (if src = dst then 0 else 1);
-    w.xstep <- dc - sc;
-    w.xlink <- (src * tiles t) + dst;
-    w.ys <- 0
+    if src = dst then 0
+    else begin
+      put buf 0 ~first:((src * tiles t) + dst) ~stride:0 ~count:1;
+      1
+    end
   | Mesh | Torus | Ring ->
-    let wrap = wraps t in
+    let wrap =
+      match t.kind with Torus | Ring -> true | Mesh | Crossbar -> false
+    in
+    let sr = t.row_of.(src) and sc = t.col_of.(src) in
+    let dr = t.row_of.(dst) and dc = t.col_of.(dst) in
     let dx = displacement ~wrap t.cols sc dc in
-    let dy = displacement ~wrap t.rows sr (dst / t.cols) in
-    w.xs <- abs dx;
-    w.xstep <- (if dx > 0 then 1 else -1);
-    w.xlink <- (src * 4) + if dx > 0 then east else west;
-    w.ys <- abs dy;
-    w.ystep <- (if dy > 0 then 1 else -1);
-    w.ylink <- ((((sr * t.cols) + dc) * 4) + if dy > 0 then south else north)
+    let dy = displacement ~wrap t.rows sr dr in
+    let row_base = 4 * sr * t.cols in
+    let k =
+      leg buf 0
+        ~base:(row_base + if dx > 0 then east else west)
+        ~step:4 ~len:t.cols ~p:sc ~d:dx
+    in
+    leg buf k
+      ~base:((4 * dc) + if dy > 0 then south else north)
+      ~step:(4 * t.cols) ~len:t.rows ~p:sr ~d:dy
 
-let position t w = (w.row * t.cols) + w.col
+let distance t ~src ~dst =
+  let buf = t.scratch in
+  let n = segments t buf ~src ~dst in
+  let hops = ref 0 in
+  for k = 0 to n - 1 do
+    hops := !hops + buf.((3 * k) + 2)
+  done;
+  !hops
 
-(* A grid hop moves the link index by 4 per column and [4 * cols] per
-   row; wrapping round an axis moves it back across the whole axis.
-   The crossbar's one hop never advances further, so its [xlink]
-   update is dead. *)
-let next t w =
-  if w.xs > 0 then begin
-    let i = w.xlink in
-    w.xs <- w.xs - 1;
-    let c = w.col + w.xstep in
-    if c >= t.cols then begin
-      w.col <- c - t.cols;
-      w.xlink <- i + 4 - (4 * t.cols)
-    end
-    else if c < 0 then begin
-      w.col <- c + t.cols;
-      w.xlink <- i - 4 + (4 * t.cols)
-    end
-    else begin
-      w.col <- c;
-      w.xlink <- i + (4 * w.xstep)
-    end;
-    i
-  end
-  else if w.ys > 0 then begin
-    let i = w.ylink in
-    w.ys <- w.ys - 1;
-    let r = w.row + w.ystep in
-    let axis = 4 * t.cols in
-    if r >= t.rows then begin
-      w.row <- r - t.rows;
-      w.ylink <- i + axis - (axis * t.rows)
-    end
-    else if r < 0 then begin
-      w.row <- r + t.rows;
-      w.ylink <- i - axis + (axis * t.rows)
-    end
-    else begin
-      w.row <- r;
-      w.ylink <- i + (axis * w.ystep)
-    end;
-    i
-  end
-  else -1
+let hops t ~src ~dst =
+  check_tile t src "hops";
+  check_tile t dst "hops";
+  distance t ~src ~dst
+
+(* The tiles at the two ends of link index [l]. *)
+let link_ends t l =
+  match t.kind with
+  | Crossbar -> (l / tiles t, l mod tiles t)
+  | Mesh | Torus | Ring ->
+    let from_tile = l / 4 in
+    let r = t.row_of.(from_tile) and c = t.col_of.(from_tile) in
+    let r, c =
+      match l mod 4 with
+      | 0 -> (r - 1, c)
+      | 1 -> (r + 1, c)
+      | 2 -> (r, c - 1)
+      | _ -> (r, c + 1)
+    in
+    let wrapped v n = if v < 0 then v + n else if v >= n then v - n else v in
+    (from_tile, (wrapped r t.rows * t.cols) + wrapped c t.cols)
+
+(* The route's link indices, in order. *)
+let link_indices t ~src ~dst =
+  let buf = t.scratch in
+  let n = segments t buf ~src ~dst in
+  List.concat
+    (List.init n (fun k ->
+         let first = buf.(3 * k) and stride = buf.((3 * k) + 1) in
+         List.init buf.((3 * k) + 2) (fun j -> first + (j * stride))))
 
 let route t ~src ~dst =
   check_tile t src "route";
   check_tile t dst "route";
-  let w = walk () in
-  start t w ~src ~dst;
-  let rec go from_tile acc =
-    if next t w < 0 then List.rev acc
-    else
-      let to_tile = position t w in
-      go to_tile ({ from_tile; to_tile } :: acc)
-  in
-  go src []
+  List.map
+    (fun l ->
+      let from_tile, to_tile = link_ends t l in
+      { from_tile; to_tile })
+    (link_indices t ~src ~dst)
 
 let grid_neighbours t id ~wrap =
   let c = Coord.of_tile ~cols:t.cols id in
@@ -231,15 +255,12 @@ let links t =
 let link_index t { from_tile; to_tile } =
   check_tile t from_tile "link_index";
   check_tile t to_tile "link_index";
-  let w = walk () in
-  start t w ~src:from_tile ~dst:to_tile;
-  let i = next t w in
-  if i < 0 || position t w <> to_tile then
-    invalid_arg "Topology.link_index: tiles are not adjacent";
-  i
+  match link_indices t ~src:from_tile ~dst:to_tile with
+  | [ l ] -> l
+  | [] | _ :: _ :: _ ->
+    invalid_arg "Topology.link_index: tiles are not adjacent"
 
 let num_links t =
   match t.kind with
   | Crossbar -> tiles t * tiles t
   | Mesh | Torus | Ring -> tiles t * 4
-

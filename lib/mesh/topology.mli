@@ -50,7 +50,7 @@ val tiles : t -> int
 val route : t -> src:int -> dst:int -> link list
 (** The deterministic minimal route between two tiles as the ordered
     list of directed links traversed; empty when [src = dst]. The list
-    form of a {!walk}. *)
+    form of {!segments}. *)
 
 val hops : t -> src:int -> dst:int -> int
 (** Number of links on the route. Pure arithmetic. *)
@@ -65,28 +65,24 @@ val link_index : t -> link -> int
 val num_links : t -> int
 (** Upper bound (array size) for {!link_index}. *)
 
-(** {1 Walking a route}
+(** {1 Route segments}
 
     The one routing rule: dimension order, X (along the row) first,
-    then Y, each axis the short way round on torus and ring; the
-    crossbar is one direct hop. A cursor yields a route's links one at
-    a time without building it: {!start} splits the endpoints into row
-    and column once, then each {!next} steps by addition. Reusing one
-    cursor, a walk is allocation-free and division-free per hop. *)
+    then Y, each axis the short way round on torus and ring, an exact
+    half-way tie going forward (+1); the crossbar is one direct hop.
+    Along a leg the link index (see {!link_index}) moves by a fixed
+    stride, so a route is at most {!max_segments} arithmetic runs of
+    links: the X leg then the Y leg, each split once where a torus or
+    ring axis wraps. {!route}, {!hops}, {!link_index} and
+    [Network.send] all read these segments. *)
 
-type walk
-(** A mutable route cursor. *)
+val max_segments : int
+(** 4. *)
 
-val walk : unit -> walk
-
-val start : t -> walk -> src:int -> dst:int -> unit
-(** Point the cursor at tile [src], bound for [dst]. Unchecked: both
-    tiles must be in range. *)
-
-val next : t -> walk -> int
-(** Index (see {!link_index}) of the next link on the route, moving
-    the cursor to the tile it enters; [-1] once the cursor is at
-    [dst]. *)
-
-val position : t -> walk -> int
-(** The tile the cursor is at. *)
+val segments : t -> int array -> src:int -> dst:int -> int
+(** [segments t buf ~src ~dst] writes the route from [src] to [dst]
+    into [buf] as [(first link, stride, count)] triples — segment [k]
+    at [buf.(3k)], [buf.(3k+1)], [buf.(3k+2)], every count positive —
+    and returns the number of segments (0 when [src = dst]). [buf]
+    must hold [3 * max_segments] ints. Unchecked: both tiles must be
+    in range. Allocation-free and division-free. *)
