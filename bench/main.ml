@@ -179,6 +179,27 @@ let trace_micro ~ops =
   ignore (read_pass ());
   read_pass ()
 
+(* One simulation fires 7k-40k events in a few ms, too short to time:
+   after a warm-up run, repeat it until the runs add up to 0.3 s of
+   wall time inside [Sim.run] and report the aggregate. *)
+let repeated ~options ~sysconf ~workload ~threads =
+  let min_seconds = 0.3 in
+  let run () =
+    ignore (Runner.run ~options ~sysconf ~workload ~threads ())
+  in
+  run ();
+  Perf.reset_totals ();
+  while (Perf.totals ()).Perf.total_wall_seconds < min_seconds do
+    run ()
+  done;
+  let t = Perf.totals () in
+  {
+    Perf.wall_seconds = t.Perf.total_wall_seconds;
+    minor_words = t.Perf.total_minor_words;
+    events = t.Perf.total_events;
+    cycles = t.Perf.total_cycles;
+  }
+
 (* Closed-loop machine throughput as the mesh grows: the same 16
    threads and offered work on a 32-core and a 256-core machine, so
    the only variable is the fabric — more directory shards, longer NoC
@@ -192,27 +213,7 @@ let machine_micro ~cores =
     let options =
       { Runner.default_options with machine; scale = 0.25 }
     in
-    (* One simulation fires about 7k events in a few ms, too short to
-       time; repeat it until the runs add up to [min_seconds] of wall
-       time and report the aggregate. *)
-    let min_seconds = 0.3 in
-    let run () =
-      ignore
-        (Runner.run ~options ~sysconf:Sysconf.lockiller ~workload:w
-           ~threads:16 ())
-    in
-    run ();
-    Perf.reset_totals ();
-    while (Perf.totals ()).Perf.total_wall_seconds < min_seconds do
-      run ()
-    done;
-    let t = Perf.totals () in
-    {
-      Perf.wall_seconds = t.Perf.total_wall_seconds;
-      minor_words = t.Perf.total_minor_words;
-      events = t.Perf.total_events;
-      cycles = t.Perf.total_cycles;
-    }
+    repeated ~options ~sysconf:Sysconf.lockiller ~workload:w ~threads:16
 
 (* The NoC send path alone: one [Data] message between every (src,
    dst) pair of a [rows] x [cols] mesh per pass, passes repeated until
@@ -287,21 +288,7 @@ let profile_micro ~profiled =
             end);
       }
     in
-    let once () =
-      Perf.reset_totals ();
-      ignore
-        (Runner.run ~options ~sysconf:Sysconf.lockiller ~workload:w
-           ~threads:16 ());
-      let t = Perf.totals () in
-      {
-        Perf.wall_seconds = t.Perf.total_wall_seconds;
-        minor_words = t.Perf.total_minor_words;
-        events = t.Perf.total_events;
-        cycles = t.Perf.total_cycles;
-      }
-    in
-    ignore (once ());
-    once ()
+    repeated ~options ~sysconf:Sysconf.lockiller ~workload:w ~threads:16
 
 (* The TL2 software path under contention: the maximally-contended
    counter microbenchmark on SW-TL2 runs every transaction through the
@@ -313,20 +300,7 @@ let swpath_micro () =
   | None -> assert false
   | Some w ->
     let options = { Runner.default_options with scale = 0.25 } in
-    let once () =
-      Perf.reset_totals ();
-      ignore
-        (Runner.run ~options ~sysconf:Sysconf.sw_tl2 ~workload:w ~threads:8 ());
-      let t = Perf.totals () in
-      {
-        Perf.wall_seconds = t.Perf.total_wall_seconds;
-        minor_words = t.Perf.total_minor_words;
-        events = t.Perf.total_events;
-        cycles = t.Perf.total_cycles;
-      }
-    in
-    ignore (once ());
-    once ()
+    repeated ~options ~sysconf:Sysconf.sw_tl2 ~workload:w ~threads:8
 
 (* What a simulation holds, as reachable heap words: the 32- and
    256-core machines with their runtimes as built, before any core

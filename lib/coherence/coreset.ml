@@ -121,13 +121,29 @@ let iter f (s : t) =
     done
   done
 
-let rec next (s : t) c =
+(* The index of the lowest set bit of a non-zero word: isolate the bit
+   and hash it with a de Bruijn multiply into a 32-entry table. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let[@inline] lowest_bit w =
+  debruijn.((((w land -w) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* The least member in word [w] or above, a word at a time. *)
+let rec next_from (s : t) w =
+  if w >= Array.length s then -1
+  else
+    let bits = s.(w) in
+    if bits = 0 then next_from s (w + 1)
+    else (w lsl word_bits) + lowest_bit bits
+
+let next (s : t) c =
   let w = c lsr word_bits in
   if w >= Array.length s then -1
   else
-    let bits = s.(w) lsr (c land word_mask) in
-    if bits = 0 then next s ((w + 1) lsl word_bits)
-    else if bits land 1 <> 0 then c
-    else next s (c + 1)
+    let bits = s.(w) land (-1 lsl (c land word_mask)) in
+    if bits = 0 then next_from s (w + 1)
+    else (w lsl word_bits) + lowest_bit bits
 
 let of_list l = List.fold_left (fun s c -> add c s) empty l

@@ -1,23 +1,24 @@
 module Stats = Lk_engine.Stats
 
 (* Every per-message quantity [send] needs is a field, so a message
-   makes one call out of this module (the route's segments): tile
-   count, flits and serialisation per class, and the three traffic
-   totals, which {!stats} publishes into the [Stats] group when it is
-   read. *)
+   makes one call out of this module to charge its route: tile count,
+   per-hop latency, flits per class, and the three traffic totals,
+   which {!stats} publishes into the [Stats] group when it is read. *)
 type t = {
   topology : Topology.t;
   tiles : int;
-  link_latency : int;
-  router_latency : int;
+  per_hop : int;
   contention : bool;
   control_flits : int;
   data_flits : int;
+  (* Flits per link in difference form (Topology): a send charges each
+     route leg at its two ends, and a read sums the link's prefix. *)
   link_flits : int array;
   (* Under the contention model: first cycle at which each link is free
      again. *)
   link_free : int array;
-  (* The route segments [send] reuses, so a message allocates nothing. *)
+  (* The route segments the contention walk reuses, so a message
+     allocates nothing. *)
   segs : int array;
   mutable messages : int;
   mutable flits : int;
@@ -32,8 +33,7 @@ let create ?(link_latency = 1) ?(router_latency = 1) ?(contention = false)
   {
     topology;
     tiles = Topology.tiles topology;
-    link_latency;
-    router_latency;
+    per_hop = link_latency + router_latency;
     contention;
     control_flits = Message.flits Message.Control;
     data_flits = Message.flits Message.Data;
@@ -51,20 +51,20 @@ let contention t = t.contention
 let topology t = t.topology
 
 let latency t ~src ~dst ~class_ =
-  let hops = Topology.hops t.topology ~src ~dst in
-  (hops * (t.link_latency + t.router_latency))
+  (Topology.hops t.topology ~src ~dst * t.per_hop)
   + Message.serialization_cycles class_
 
 let check_tile t id =
   if id < 0 || id >= t.tiles then
     invalid_arg ("Network.send: tile " ^ string_of_int id ^ " out of range")
 
-(* One pass over the route's segments serves both models: each hop
-   charges its link the message's flits. Under the contention model
-   (wormhole reservation) the head flit first waits for the link to
-   drain earlier messages, and the body (flits - 1) follows pipelined
-   behind it; without it the head advances a fixed [per_hop] per link.
-   Nothing here allocates or divides. *)
+(* The route's flits are charged in difference form, a few array
+   updates whatever its length. Without contention the head then
+   advances a fixed [per_hop] per link. Under the contention model
+   (wormhole reservation) the head walks the route's segments, waiting
+   at each link for it to drain earlier messages. Either way the body
+   (flits - 1) follows pipelined behind the head (Message). Nothing
+   here allocates or divides. *)
 let send t ~now ~src ~dst ~class_ =
   check_tile t src;
   check_tile t dst;
@@ -75,17 +75,16 @@ let send t ~now ~src ~dst ~class_ =
   in
   t.messages <- t.messages + 1;
   t.flits <- t.flits + flits;
-  let per_hop = t.link_latency + t.router_latency in
-  let segs = t.segs and link_flits = t.link_flits in
-  let n = Topology.segments t.topology segs ~src ~dst in
-  let cursor = ref now in
-  if t.contention then begin
-    let link_free = t.link_free and queued = ref 0 in
+  let hops = Topology.charge t.topology t.link_flits ~src ~dst ~flits in
+  if not t.contention then (hops * t.per_hop) + flits - 1
+  else begin
+    let segs = t.segs and link_free = t.link_free and per_hop = t.per_hop in
+    let n = Topology.segments t.topology segs ~src ~dst in
+    let cursor = ref now and queued = ref 0 in
     for k = 0 to n - 1 do
       let l = ref segs.(3 * k) and stride = segs.((3 * k) + 1) in
       for _ = 1 to segs.((3 * k) + 2) do
         let i = !l in
-        link_flits.(i) <- link_flits.(i) + flits;
         let start = Int.max !cursor link_free.(i) in
         queued := !queued + (start - !cursor);
         link_free.(i) <- start + flits;
@@ -93,32 +92,24 @@ let send t ~now ~src ~dst ~class_ =
         l := i + stride
       done
     done;
-    t.queueing <- t.queueing + !queued
+    t.queueing <- t.queueing + !queued;
+    !cursor - now + flits - 1
   end
-  else
-    for k = 0 to n - 1 do
-      let l = ref segs.(3 * k) and stride = segs.((3 * k) + 1) in
-      let count = segs.((3 * k) + 2) in
-      for _ = 1 to count do
-        link_flits.(!l) <- link_flits.(!l) + flits;
-        l := !l + stride
-      done;
-      cursor := !cursor + (count * per_hop)
-    done;
-  (* The body's [flits - 1] cycles behind the head (Message). *)
-  !cursor - now + flits - 1
 
 let queueing_cycles t = t.queueing
 let messages_sent t = t.messages
 let flits_sent t = t.flits
 let num_links t = Array.length t.link_flits
-let link_flits t i = t.link_flits.(i)
+let link_flits t i = Topology.link_total t.topology t.link_flits i
+let read_link_flits t out = Topology.link_totals t.topology t.link_flits out
 let link_free t i = t.link_free.(i)
 
 let link_utilisation t =
+  let totals = Array.make (num_links t) 0 in
+  read_link_flits t totals;
   Topology.links t.topology
   |> List.filter_map (fun link ->
-         let n = t.link_flits.(Topology.link_index t.topology link) in
+         let n = totals.(Topology.link_index t.topology link) in
          if n > 0 then Some (link, n) else None)
   |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
 

@@ -10,7 +10,10 @@
     [~contention:true] additionally reserves per-link occupancy
     (wormhole style: each flit holds a link for one cycle) so that a
     congested link delays later messages. Every traversal is accounted
-    per link either way, so utilisation reports can expose hotspots. *)
+    per link either way, so utilisation reports can expose hotspots.
+    The per-link counts are kept in difference form
+    ({!Topology.charge}), so without contention a send costs the same
+    whatever the route's length; a read sums a link's progression. *)
 
 type t
 
@@ -50,9 +53,15 @@ val num_links : t -> int
 
 val link_flits : t -> int -> int
 (** Cumulative flits carried by link index [i] (see
-    {!Topology.link_index}). Allocation-free, for the telemetry
-    sampler; {!link_utilisation} presents the same data as a sorted
-    association list. *)
+    {!Topology.link_index}): the sum of [i]'s progression up to it,
+    O(row or column length). Allocation-free; {!read_link_flits}
+    reads every link in one pass and {!link_utilisation} presents the
+    same data as a sorted association list. *)
+
+val read_link_flits : t -> int array -> unit
+(** [read_link_flits t out] writes {!link_flits} of every link [i]
+    into [out.(i)] ([out] holds {!num_links} ints) in one O(links)
+    pass. Allocation-free, for the telemetry sampler. *)
 
 val link_free : t -> int -> int
 (** First cycle at which link index [i] is free again under the

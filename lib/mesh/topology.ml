@@ -2,7 +2,7 @@ type kind = Mesh | Torus | Ring | Crossbar
 
 (* [row_of]/[col_of] split a tile id into its grid position, so a route
    costs no division. [scratch] is the segment buffer of the cold
-   readers ([distance], [route], [link_index]). *)
+   readers ([route], [link_index]). *)
 type t = {
   kind : kind;
   rows : int;
@@ -86,56 +86,96 @@ let[@inline] displacement ~wrap n a b =
     if fwd <= n - fwd then fwd else fwd - n
 
 (* Write segment [k] of [buf]. *)
-let[@inline] put buf k ~first ~stride ~count =
+let[@inline] put (buf : int array) k ~first ~stride ~count =
   let o = 3 * k in
   buf.(o) <- first;
   buf.(o + 1) <- stride;
   buf.(o + 2) <- count
 
-(* Append one axis leg to [buf] from segment [k]: [d] signed hops from
-   position [p] of an axis of [len] positions, where the link leaving
-   position [q] in the leg's direction has index [base + q * step].
-   A leg that runs off either end of the axis (torus and ring only)
-   continues from the far end, so it splits once there. Returns the
-   next free segment. *)
-let[@inline] leg buf k ~base ~step ~len ~p ~d =
-  if d > 0 then begin
-    let near = Int.min d (len - p) in
-    put buf k ~first:(base + (p * step)) ~stride:step ~count:near;
-    if d = near then k + 1
-    else begin
-      put buf (k + 1) ~first:base ~stride:step ~count:(d - near);
-      k + 2
-    end
-  end
-  else if d < 0 then begin
-    let hops = -d in
-    let near = Int.min hops (p + 1) in
-    put buf k ~first:(base + (p * step)) ~stride:(-step) ~count:near;
-    if hops = near then k + 1
+(* The one leg rule. [d] signed hops from position [p] of an axis of
+   [len] positions leave the links at the positions of the circular
+   run [s, s + |d|), [s] returned: [p] going forward, [p + d + 1] going
+   back. The run wraps past the axis end (torus and ring only) when
+   [s + |d| > len], and then covers [s, len) and [0, s + |d| - len). *)
+let[@inline] leg_start ~len ~p ~d =
+  if d >= 0 then p
+  else
+    let s = p + d + 1 in
+    if s < 0 then s + len else s
+
+(* Write segment [k] of [buf] for one leg, in route order: [d] signed
+   hops from position [p] of an axis of [len] positions, where the
+   link leaving position [q] in the leg's direction has index
+   [base + q * step]. A wrapping leg continues from the far end, so it
+   splits once there. Returns the next free segment. *)
+let[@inline] put_leg buf k ~base ~step ~len ~p ~d =
+  if d = 0 then k
+  else begin
+    let hops = Int.abs d in
+    let wrapped = leg_start ~len ~p ~d + hops - len in
+    let near =
+      if wrapped <= 0 then hops else if d > 0 then hops - wrapped else wrapped
+    in
+    let stride = if d > 0 then step else -step in
+    put buf k ~first:(base + (p * step)) ~stride ~count:near;
+    if near = hops then k + 1
     else begin
       put buf (k + 1)
-        ~first:(base + ((len - 1) * step))
-        ~stride:(-step) ~count:(hops - near);
+        ~first:(if d > 0 then base else base + ((len - 1) * step))
+        ~stride ~count:(hops - near);
       k + 2
     end
   end
-  else k
 
-(* The one routing rule: dimension order, X (along the row, to [dst]'s
-   column) first, then Y (down [dst]'s column), each axis the short
-   way round when it wraps (torus and ring); the crossbar is one
-   direct hop. Along a leg the link index moves by 4 per column and by
-   [4 * cols] per row, so each leg is one arithmetic run of links,
-   split where it wraps. *)
-let segments t buf ~src ~dst =
+(* Charge one leg's links [flits] in difference form: the leg's run,
+   split where it wraps, gains [flits] at its first position and loses
+   them just past its last, unless that is past the axis end. Returns
+   [hops] plus the leg's. *)
+let[@inline] charge_leg diff ~flits hops ~base ~step ~len ~p ~d =
+  if d = 0 then hops
+  else begin
+    let s = leg_start ~len ~p ~d in
+    let e = s + Int.abs d in
+    let i = base + (s * step) in
+    diff.(i) <- diff.(i) + flits;
+    if e < len then begin
+      let j = base + (e * step) in
+      diff.(j) <- diff.(j) - flits
+    end
+    else if e > len then begin
+      diff.(base) <- diff.(base) + flits;
+      let j = base + ((e - len) * step) in
+      diff.(j) <- diff.(j) - flits
+    end;
+    hops + Int.abs d
+  end
+
+(* What [legs] does with each leg: add up its hops, write it into a
+   segment buffer, or charge it into a difference-form array. *)
+type op = Count | Segment | Charge
+
+(* An [if] on a constant [op] folds away once [legs] is inlined into
+   its caller, leaving only that operation's code; a [match] would
+   not. *)
+let[@inline] on_leg op arr flits acc ~base ~step ~len ~p ~d =
+  if op = Segment then put_leg arr acc ~base ~step ~len ~p ~d
+  else if op = Charge then charge_leg arr ~flits acc ~base ~step ~len ~p ~d
+  else acc + Int.abs d
+
+(* The one routing rule, applying [op] to each leg of the route from
+   [src] to [dst] with [acc] threaded from one leg to the next. A grid
+   route is the X leg along [src]'s row to [dst]'s column, then the Y
+   leg down [dst]'s column, each axis the short way round when it
+   wraps: along the X leg the link index moves by 4 per column, along
+   the Y leg by [4 * cols] per row. The crossbar's one direct hop is a
+   leg of one position. *)
+let[@inline] legs op t ~src ~dst arr flits =
   match t.kind with
   | Crossbar ->
     if src = dst then 0
-    else begin
-      put buf 0 ~first:((src * tiles t) + dst) ~stride:0 ~count:1;
-      1
-    end
+    else
+      on_leg op arr flits 0 ~base:((src * tiles t) + dst) ~step:0 ~len:1 ~p:0
+        ~d:1
   | Mesh | Torus | Ring ->
     let wrap =
       match t.kind with Torus | Ring -> true | Mesh | Crossbar -> false
@@ -144,29 +184,51 @@ let segments t buf ~src ~dst =
     let dr = t.row_of.(dst) and dc = t.col_of.(dst) in
     let dx = displacement ~wrap t.cols sc dc in
     let dy = displacement ~wrap t.rows sr dr in
-    let row_base = 4 * sr * t.cols in
-    let k =
-      leg buf 0
-        ~base:(row_base + if dx > 0 then east else west)
+    let acc =
+      on_leg op arr flits 0
+        ~base:((4 * sr * t.cols) + if dx > 0 then east else west)
         ~step:4 ~len:t.cols ~p:sc ~d:dx
     in
-    leg buf k
+    on_leg op arr flits acc
       ~base:((4 * dc) + if dy > 0 then south else north)
       ~step:(4 * t.cols) ~len:t.rows ~p:sr ~d:dy
 
-let distance t ~src ~dst =
-  let buf = t.scratch in
-  let n = segments t buf ~src ~dst in
-  let hops = ref 0 in
-  for k = 0 to n - 1 do
-    hops := !hops + buf.((3 * k) + 2)
+let segments t buf ~src ~dst = legs Segment t ~src ~dst buf 0
+let charge t diff ~src ~dst ~flits = legs Charge t ~src ~dst diff flits
+
+(* A link's progression predecessor: the link of the same direction
+   one column west (E/W links) or one row north (N/S links), or -1 at
+   the start of the progression; on the crossbar every link is its
+   own progression. *)
+let[@inline] previous t l =
+  match t.kind with
+  | Crossbar -> -1
+  | Mesh | Torus | Ring ->
+    let tile = l lsr 2 in
+    if l land 2 <> 0 then if t.col_of.(tile) = 0 then -1 else l - 4
+    else if t.row_of.(tile) = 0 then -1
+    else l - (4 * t.cols)
+
+let link_total t diff l =
+  let total = ref 0 and l = ref l in
+  while !l >= 0 do
+    total := !total + diff.(!l);
+    l := previous t !l
   done;
-  !hops
+  !total
+
+(* A predecessor has a lower index, so one ascending pass sums every
+   progression. *)
+let link_totals t diff out =
+  for l = 0 to Array.length diff - 1 do
+    let p = previous t l in
+    out.(l) <- (if p < 0 then diff.(l) else out.(p) + diff.(l))
+  done
 
 let hops t ~src ~dst =
   check_tile t src "hops";
   check_tile t dst "hops";
-  distance t ~src ~dst
+  legs Count t ~src ~dst [||] 0
 
 (* The tiles at the two ends of link index [l]. *)
 let link_ends t l =

@@ -73,8 +73,9 @@ val num_links : t -> int
     Along a leg the link index (see {!link_index}) moves by a fixed
     stride, so a route is at most {!max_segments} arithmetic runs of
     links: the X leg then the Y leg, each split once where a torus or
-    ring axis wraps. {!route}, {!hops}, {!link_index} and
-    [Network.send] all read these segments. *)
+    ring axis wraps. {!route}, {!link_index} and the contention model
+    of [Network.send] read these segments; {!hops} and {!charge} use
+    the same leg arithmetic without them. *)
 
 val max_segments : int
 (** 4. *)
@@ -86,3 +87,29 @@ val segments : t -> int array -> src:int -> dst:int -> int
     and returns the number of segments (0 when [src = dst]). [buf]
     must hold [3 * max_segments] ints. Unchecked: both tiles must be
     in range. Allocation-free and division-free. *)
+
+(** {1 Per-link counters in difference form}
+
+    The links of one direction along one row (E or W) or one column
+    (N or S) form a progression, ordered by column or row; on the
+    crossbar every link is a progression of its own. A counter array
+    of {!num_links} ints in difference form holds at each link the
+    change from its predecessor in the progression, so a link's count
+    is the sum of its progression up to it, and a route leg — a
+    contiguous run of one progression, split once where a torus or
+    ring axis wraps — is charged at its two ends, whatever its length. *)
+
+val charge : t -> int array -> src:int -> dst:int -> flits:int -> int
+(** [charge t diff ~src ~dst ~flits] adds [flits] to every link of the
+    route from [src] to [dst] in the difference-form array [diff], with
+    two updates per leg (three where it wraps), and returns the route's
+    hop count.
+    Unchecked: both tiles must be in range. Allocation-free. *)
+
+val link_total : t -> int array -> int -> int
+(** [link_total t diff l] is link [l]'s count in the difference-form
+    array [diff]: the sum of its progression up to [l]. *)
+
+val link_totals : t -> int array -> int array -> unit
+(** [link_totals t diff out] writes every link's count into [out] (of
+    {!num_links} ints) in one ascending pass. Allocation-free. *)

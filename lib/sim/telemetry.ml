@@ -67,6 +67,9 @@ type t = {
   phases : Timeseries.t;
   gauges : Timeseries.t;
   links : Timeseries.t;
+  (* Every link's cumulative flits, read from the network in one pass
+     at each sample. *)
+  link_totals : int array;
   (* Scratch accumulator for the counting loops below: sampling must
      not allocate, so no refs and no closures on this path. *)
   mutable acc : int;
@@ -121,9 +124,9 @@ let sample_now t =
   Timeseries.set t.gauges g_backlog (t.backlog_probe ());
   Timeseries.commit t.gauges ~time;
   (* Per-link cumulative flit counters. *)
-  let nlinks = Network.num_links t.net in
-  for i = 0 to nlinks - 1 do
-    Timeseries.set t.links i (Network.link_flits t.net i)
+  Network.read_link_flits t.net t.link_totals;
+  for i = 0 to Array.length t.link_totals - 1 do
+    Timeseries.set t.links i t.link_totals.(i)
   done;
   Timeseries.commit t.links ~time
 
@@ -150,6 +153,7 @@ let attach ?(interval = 1024) ?(capacity = 4096) rt =
       phases = Timeseries.create ~capacity ~channels:core_channels ();
       gauges = Timeseries.create ~capacity ~channels:gauge_channels ();
       links = Timeseries.create ~capacity ~channels:link_channels ();
+      link_totals = Array.make (Network.num_links net) 0;
       acc = 0;
       backlog_probe = (fun () -> 0);
     }

@@ -64,6 +64,8 @@ let test_coreset_range_check () =
     (Invalid_argument "Coreset: core id -1 out of range") (fun () ->
       ignore (Coreset.add (-1) Coreset.empty))
 
+(* [next] against the model, from every start 0..1024, on the set and
+   on its fold onto cores 0..63 (one or two words, the common case). *)
 let prop_coreset_model =
   QCheck.Test.make ~name:"coreset behaves like a set of small ints"
     ~count:300
@@ -71,7 +73,22 @@ let prop_coreset_model =
     (fun ops ->
       let s = Coreset.of_list ops in
       let model = List.sort_uniq compare ops in
-      Coreset.elements s = model && Coreset.cardinal s = List.length model)
+      let rec least_from c = function
+        | [] -> -1
+        | m :: rest -> if m >= c then m else least_from c rest
+      in
+      let next_agrees ops =
+        let s = Coreset.of_list ops and model = List.sort_uniq compare ops in
+        let ok = ref true in
+        for c = 0 to 1024 do
+          if Coreset.next s c <> least_from c model then ok := false
+        done;
+        !ok
+      in
+      Coreset.elements s = model
+      && Coreset.cardinal s = List.length model
+      && next_agrees ops
+      && next_agrees (List.map (fun c -> c land 63) ops))
 
 (* --- L1 cache -------------------------------------------------------- *)
 

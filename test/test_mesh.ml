@@ -458,48 +458,148 @@ let test_segments_match_reference () =
 
 (* The reference network model over the reference links: every link
    charged the message's flits; under contention the head waits for
-   each link to drain and then holds it for [flits] cycles. *)
+   each link to drain and then holds it for [flits] cycles. Returns the
+   message's latency. *)
+type reference_net = {
+  flits : int array;
+  free : int array;
+  mutable queued : int;
+}
+
+let reference_net topo =
+  {
+    flits = Array.make (Topology.num_links topo) 0;
+    free = Array.make (Topology.num_links topo) 0;
+    queued = 0;
+  }
+
+let reference_send r topo ~contention ~now ~src ~dst ~class_ =
+  let f = Message.flits class_ in
+  let cursor = ref now in
+  List.iter
+    (fun l ->
+      r.flits.(l) <- r.flits.(l) + f;
+      if contention then begin
+        let start = Int.max !cursor r.free.(l) in
+        r.queued <- r.queued + (start - !cursor);
+        r.free.(l) <- start + f;
+        cursor := start
+      end;
+      cursor := !cursor + 2)
+    (reference_links topo ~src ~dst);
+  !cursor - now + Message.serialization_cycles class_
+
+(* Every per-link read of [net] against the reference: [link_flits]
+   and [link_free] link by link, the sampler's one-pass
+   [read_link_flits], and [link_utilisation] (non-zero links, densest
+   first). *)
+let check_reads name r topo net =
+  let nl = Topology.num_links topo in
+  let bulk = Array.make nl (-1) in
+  Network.read_link_flits net bulk;
+  let expect l what expected got =
+    if got <> expected then
+      Alcotest.failf "%s link %d %s: expected %d, got %d" name l what expected
+        got
+  in
+  for l = 0 to nl - 1 do
+    expect l "link_flits" r.flits.(l) (Network.link_flits net l);
+    expect l "read_link_flits" r.flits.(l) bulk.(l);
+    expect l "link_free" r.free.(l) (Network.link_free net l)
+  done;
+  let util = Network.link_utilisation net in
+  let by_index l =
+    List.sort compare
+      (List.map (fun (link, n) -> (Topology.link_index topo link, n)) l)
+  in
+  let expected =
+    List.filter_map
+      (fun link ->
+        let n = r.flits.(Topology.link_index topo link) in
+        if n > 0 then Some (link, n) else None)
+      (Topology.links topo)
+  in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    (name ^ " link_utilisation") (by_index expected) (by_index util);
+  let counts = List.map snd util in
+  check (Alcotest.list Alcotest.int) (name ^ " densest first")
+    (List.sort (fun a b -> Int.compare b a) counts)
+    counts;
+  check_int (name ^ " queueing") r.queued (Network.queueing_cycles net)
+
 let test_send_matches_reference () =
   List.iter
     (fun topo ->
       List.iter
         (fun contention ->
           let net = Network.create ~contention topo in
-          let flits = Array.make (Topology.num_links topo) 0 in
-          let free = Array.make (Topology.num_links topo) 0 in
-          let queued = ref 0 and now = ref 0 in
+          let r = reference_net topo in
+          let now = ref 0 in
           let n = Topology.tiles topo in
+          let name =
+            Printf.sprintf "%s contention=%b" (fabric_name topo) contention
+          in
           for src = 0 to n - 1 do
             for dst = 0 to n - 1 do
               let class_ =
                 if (src + dst) mod 3 = 0 then Message.Data else Message.Control
               in
-              let f = Message.flits class_ in
-              let cursor = ref !now in
-              List.iter
-                (fun l ->
-                  flits.(l) <- flits.(l) + f;
-                  if contention then begin
-                    let start = Int.max !cursor free.(l) in
-                    queued := !queued + (start - !cursor);
-                    free.(l) <- start + f;
-                    cursor := start
-                  end;
-                  cursor := !cursor + 2)
-                (reference_links topo ~src ~dst);
               check_int
-                (Printf.sprintf "%s contention=%b %d->%d latency"
-                   (fabric_name topo) contention src dst)
-                (!cursor - !now + Message.serialization_cycles class_)
+                (Printf.sprintf "%s %d->%d latency" name src dst)
+                (reference_send r topo ~contention ~now:!now ~src ~dst ~class_)
                 (Network.send ~now:!now net ~src ~dst ~class_);
               now := !now + ((src * dst) mod 3)
             done
           done;
-          for l = 0 to Topology.num_links topo - 1 do
-            check_int "link_flits" flits.(l) (Network.link_flits net l);
-            check_int "link_free" free.(l) (Network.link_free net l)
+          check_reads name r topo net)
+        [ false; true ])
+    (equivalence_fabrics ())
+
+(* Random traffic against the reference: seeded sequences of sends
+   (both classes, the cycle advancing by 0-3) with every read checked
+   at random points, and one [reset_traffic] half way, so the
+   difference-form counters are read mid-stream, after a reset and
+   after traffic resumes. *)
+let test_random_traffic_matches_reference () =
+  let rng = Random.State.make [| 30 |] in
+  List.iter
+    (fun topo ->
+      List.iter
+        (fun contention ->
+          let net = Network.create ~contention topo in
+          let r = reference_net topo in
+          let n = Topology.tiles topo in
+          let now = ref 0 in
+          for step = 1 to 600 do
+            let name =
+              Printf.sprintf "%s contention=%b step %d" (fabric_name topo)
+                contention step
+            in
+            if step = 300 then begin
+              Network.reset_traffic net;
+              Array.fill r.flits 0 (Array.length r.flits) 0;
+              Array.fill r.free 0 (Array.length r.free) 0;
+              r.queued <- 0;
+              check_reads (name ^ " after reset") r topo net
+            end
+            else if Random.State.int rng 10 = 0 then check_reads name r topo net
+            else begin
+              let src = Random.State.int rng n
+              and dst = Random.State.int rng n in
+              let class_ =
+                if Random.State.bool rng then Message.Data else Message.Control
+              in
+              check_int (name ^ " latency")
+                (reference_send r topo ~contention ~now:!now ~src ~dst ~class_)
+                (Network.send ~now:!now net ~src ~dst ~class_);
+              now := !now + Random.State.int rng 4
+            end
           done;
-          check_int "queueing" !queued (Network.queueing_cycles net))
+          check_reads
+            (Printf.sprintf "%s contention=%b end" (fabric_name topo)
+               contention)
+            r topo net)
         [ false; true ])
     (equivalence_fabrics ())
 
@@ -578,5 +678,7 @@ let () =
             test_segments_match_reference;
           Alcotest.test_case "send = reference model" `Quick
             test_send_matches_reference;
+          Alcotest.test_case "random traffic = reference model" `Quick
+            test_random_traffic_matches_reference;
         ] );
     ]
