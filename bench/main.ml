@@ -1,14 +1,15 @@
 (* Benchmark harness.
 
    Default: regenerate every table and figure of the paper's evaluation
-   (one section per artefact; see DESIGN.md's experiment index) and
-   finish with Bechamel microbenchmarks of the simulator's hot paths.
+   (one section per artefact; see DESIGN.md's experiment index).
+   [--micro] instead runs the perf microbenchmarks that `make perfcheck`
+   gates: it writes BENCH_micro.json and prints the same tree, one line
+   per leaf.
 
    Usage:
-     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe                 # every experiment
      dune exec bench/main.exe -- fig7 fig12   # selected experiments
      dune exec bench/main.exe -- --micro      # microbenchmarks only
-     dune exec bench/main.exe -- --micro --format json   # BENCH_micro.json
      dune exec bench/main.exe -- --list       # list experiment ids
      dune exec bench/main.exe -- --scale 0.5  # smaller workloads
      dune exec bench/main.exe -- --csv out/   # also write CSVs
@@ -22,16 +23,10 @@
 
 module Experiments = Lockiller.Sim.Experiments
 module Report = Lockiller.Sim.Report
-module Rng = Lockiller.Engine.Rng
 module Event_queue = Lockiller.Engine.Event_queue
 module Sim = Lockiller.Engine.Sim
 module Topology = Lockiller.Mesh.Topology
 module Network = Lockiller.Mesh.Network
-module L1 = Lockiller.Coherence.L1_cache
-module Protocol = Lockiller.Coherence.Protocol
-module Shard = Lockiller.Coherence.Shard
-module Types = Lockiller.Coherence.Types
-module Signature = Lockiller.Mechanisms.Signature
 module Sysconf = Lockiller.Mechanisms.Sysconf
 module Runner = Lockiller.Sim.Runner
 module Cache = Lockiller.Sim.Cache
@@ -86,10 +81,6 @@ let run_experiments ~scale ~jobs ~cache ~csv_dir ~selected =
     Cache.persist_counters c)
 
 (* --- Perf microbenchmark: schedule/pop throughput, wheel vs heap -------- *)
-
-let backend_id = function
-  | Event_queue.Wheel -> "wheel"
-  | Event_queue.Heap -> "heap"
 
 (* Deterministic delay stream (no global RNG) matching the simulator's
    profile: mostly short latencies (L1 hits, NoC hops — 1..256 cycles),
@@ -338,7 +329,7 @@ let footprint_run () =
 
 let bench_micro_file = "BENCH_micro.json"
 
-let run_perf_micro ~scale ~format =
+let run_perf_micro ~scale =
   (* Floored at 1M ops: minor-words/event carries a fixed setup-sized
      overhead that only amortises out at the baseline's operating
      point, so `--scale 0.1` must not shrink the micro below it. *)
@@ -375,234 +366,66 @@ let run_perf_micro ~scale ~format =
     let h = Perf.events_per_sec h in
     if h <= 0.0 then 0.0 else Perf.events_per_sec w /. h
   in
-  match format with
-  | `Json ->
-    let section w h =
-      Json.Obj
-        [
-          ("wheel", Perf.json_of_sample w);
-          ("heap", Perf.json_of_sample h);
-          ("wheel_speedup", Json.Float (speedup w h));
-        ]
-    in
-    let j =
-      Json.Obj
-        [
-          ("schema", Json.Int 1);
-          ("ops", Json.Int ops);
-          ("queue", section qw qh);
-          ("sim", section sw sh);
-          ("trace", Json.Obj [ ("read", Perf.json_of_sample tr) ]);
-          ( "mesh",
-            Json.Obj
-              [
-                ("threads", Json.Int 16);
-                ("cores32", Perf.json_of_sample m32);
-                ("cores256", Perf.json_of_sample m256);
-                ("large_mesh_speedup", Json.Float (speedup m256 m32));
-              ] );
-          ( "profile",
-            Json.Obj
-              [
-                ("threads", Json.Int 16);
-                ("off", Perf.json_of_sample poff);
-                ("on", Perf.json_of_sample pon);
-                ("profiler_on_speedup", Json.Float (speedup pon poff));
-              ] );
-          ( "swpath",
-            Json.Obj
-              [ ("threads", Json.Int 8); ("sw_tl2", Perf.json_of_sample sp) ]
-          );
-          ( "net",
-            Json.Obj
-              (List.map (fun (label, n) -> (label, json_of_net n)) net) );
-          ( "footprint",
-            Json.Obj
-              (List.map
-                 (fun (label, words) ->
-                   (label, Json.Obj [ ("reachable_words", Json.Int words) ]))
-                 footprint) );
-        ]
-    in
-    let oc = open_out bench_micro_file in
-    output_string oc (Json.to_string_pretty j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "(micro: %s)\n%!" bench_micro_file
-  | `Text ->
-    Printf.printf "# Event-engine throughput (%d ops, wheel vs heap)\n\n" ops;
-    Printf.printf "%-8s %-8s %14s %16s\n" "section" "backend" "events/sec"
-      "minor w/event";
-    List.iter
-      (fun (section, backend, s) ->
-        Printf.printf "%-8s %-8s %14.0f %16.2f\n" section (backend_id backend)
-          (Perf.events_per_sec s)
-          (Perf.minor_words_per_event s))
+  let section w h =
+    Json.Obj
       [
-        ("queue", Event_queue.Wheel, qw);
-        ("queue", Event_queue.Heap, qh);
-        ("sim", Event_queue.Wheel, sw);
-        ("sim", Event_queue.Heap, sh);
-      ];
-    Printf.printf "%-8s %-8s %14.0f %16.2f\n" "trace" "read"
-      (Perf.events_per_sec tr)
-      (Perf.minor_words_per_event tr);
-    List.iter
-      (fun (label, s) ->
-        Printf.printf "%-8s %-8s %14.0f %16.2f\n" "mesh" label
-          (Perf.events_per_sec s)
-          (Perf.minor_words_per_event s))
-      [ ("32", m32); ("256", m256) ];
-    List.iter
-      (fun (label, s) ->
-        Printf.printf "%-8s %-8s %14.0f %16.2f\n" "profile" label
-          (Perf.events_per_sec s)
-          (Perf.minor_words_per_event s))
-      [ ("off", poff); ("on", pon) ];
-    Printf.printf "%-8s %-8s %14.0f %16.2f\n" "swpath" "sw_tl2"
-      (Perf.events_per_sec sp)
-      (Perf.minor_words_per_event sp);
-    List.iter
-      (fun (label, (messages, seconds, words)) ->
-        Printf.printf
-          "%-8s %-8s %14.0f %16.2f  (messages/sec, w/message; %.1f ns)\n"
-          "net" label
-          (float_of_int messages /. seconds)
-          words
-          (seconds *. 1e9 /. float_of_int messages))
-      net;
-    List.iter
-      (fun (label, words) ->
-        Printf.printf "%-8s %-8s %14d reachable words\n" "memory" label words)
-      footprint;
-    Printf.printf "\nqueue wheel speedup over heap: %.2fx\n" (speedup qw qh);
-    Printf.printf "sim   wheel speedup over heap: %.2fx\n" (speedup sw sh);
-    Printf.printf "mesh  256-core over 32-core:     %.2fx\n\n%!"
-      (speedup m256 m32)
-
-(* --- Bechamel microbenchmarks ------------------------------------------- *)
-
-open Bechamel
-open Toolkit
-
-let test_event_queue =
-  Test.make ~name:"event-queue push+pop x256"
-    (Staged.stage (fun () ->
-         let q = Event_queue.create () in
-         for i = 0 to 255 do
-           Event_queue.add q ~time:((i * 7919) land 1023) i
-         done;
-         let rec drain () =
-           match Event_queue.pop q with None -> () | Some _ -> drain ()
-         in
-         drain ()))
-
-let test_rng_zipf =
-  let rng = Rng.create 7 in
-  Test.make ~name:"rng zipf draw (n=64, s=0.8)"
-    (Staged.stage (fun () -> ignore (Rng.zipf rng ~n:64 ~s:0.8)))
-
-let test_l1_lookup =
-  let l1 = L1.create ~size_bytes:(32 * 1024) ~ways:4 in
-  for i = 0 to 127 do
-    L1.insert l1 i L1.S
-  done;
-  let counter = ref 0 in
-  Test.make ~name:"l1 lookup (hit)"
-    (Staged.stage (fun () ->
-         counter := (!counter + 1) land 127;
-         ignore (L1.lookup l1 !counter)))
-
-let test_signature =
-  let s = Signature.create () in
-  let counter = ref 0 in
-  Test.make ~name:"signature add+test"
-    (Staged.stage (fun () ->
-         incr counter;
-         Signature.add s !counter;
-         ignore (Signature.test s !counter)))
-
-let test_route =
-  let topo = Topology.create ~rows:4 ~cols:8 in
-  let counter = ref 0 in
-  Test.make ~name:"mesh x-y route (corner to corner)"
-    (Staged.stage (fun () ->
-         counter := (!counter + 1) land 31;
-         ignore (Topology.route topo ~src:!counter ~dst:31)))
-
-let test_protocol_access =
-  Test.make ~name:"protocol access (cold miss, 4 cores)"
-    (Staged.stage (fun () ->
-         let sim = Sim.create () in
-         let net = Network.create (Topology.create ~rows:2 ~cols:2) in
-         let cfg =
-           {
-             Protocol.cores = 4;
-             l1_size = 4 * 1024;
-             l1_ways = 4;
-             l1_hit_latency = 2;
-             llc_size = 64 * 1024;
-             llc_ways = 8;
-             llc_hit_latency = 12;
-             mem_latency = 100;
-      exclusive_state = true;
-      dir_pointers = None;
-      dir_shards = 0;
-      dir_hash = Shard.Mod;
-           }
-         in
-         let p = Protocol.create ~sim ~network:net cfg in
-         Protocol.access p ~core:0 ~line:5 ~what:Types.Read ~epoch:0
-           ~k:(fun _ -> ());
-         Sim.run sim))
-
-let test_full_sim =
-  Test.make ~name:"full kmeans+ run (LockillerTM, 4 threads, scale 0.2)"
-    (Staged.stage (fun () ->
-         match Lockiller.Stamp.Suite.find "kmeans+" with
-         | None -> assert false
-         | Some w ->
-           ignore
-             (Runner.run
-                ~options:
-                  {
-                    Runner.default_options with
-                    scale = 0.2;
-                    machine = Lockiller.Sim.Config.machine ~cores:4 ();
-                  }
-                ~sysconf:Sysconf.lockiller ~workload:w ~threads:4 ())))
-
-let microbenchmarks =
-  [
-    test_event_queue;
-    test_rng_zipf;
-    test_l1_lookup;
-    test_signature;
-    test_route;
-    test_protocol_access;
-    test_full_sim;
-  ]
-
-let run_micro () =
-  Printf.printf "# Microbenchmarks (simulator hot paths)\n\n%!";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+        ("wheel", Perf.json_of_sample w);
+        ("heap", Perf.json_of_sample h);
+        ("wheel_speedup", Json.Float (speedup w h));
+      ]
   in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
+  let j =
+    Json.Obj
+      [
+        ("schema", Json.Int 1);
+        ("ops", Json.Int ops);
+        ("queue", section qw qh);
+        ("sim", section sw sh);
+        ("trace", Json.Obj [ ("read", Perf.json_of_sample tr) ]);
+        ( "mesh",
+          Json.Obj
+            [
+              ("threads", Json.Int 16);
+              ("cores32", Perf.json_of_sample m32);
+              ("cores256", Perf.json_of_sample m256);
+              ("large_mesh_speedup", Json.Float (speedup m256 m32));
+            ] );
+        ( "profile",
+          Json.Obj
+            [
+              ("threads", Json.Int 16);
+              ("off", Perf.json_of_sample poff);
+              ("on", Perf.json_of_sample pon);
+              ("profiler_on_speedup", Json.Float (speedup pon poff));
+            ] );
+        ( "swpath",
+          Json.Obj
+            [ ("threads", Json.Int 8); ("sw_tl2", Perf.json_of_sample sp) ] );
+        ( "net",
+          Json.Obj (List.map (fun (label, n) -> (label, json_of_net n)) net) );
+        ( "footprint",
+          Json.Obj
+            (List.map
+               (fun (label, words) ->
+                 (label, Json.Obj [ ("reachable_words", Json.Int words) ]))
+               footprint) );
+      ]
   in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ ns ] -> Printf.printf "%-55s %12.1f ns/run\n%!" name ns
-          | Some _ | None -> Printf.printf "%-55s (no estimate)\n%!" name)
-        results)
-    microbenchmarks
+  let oc = open_out bench_micro_file in
+  output_string oc (Json.to_string_pretty j);
+  output_char oc '\n';
+  close_out oc;
+  (* The text view is the same tree: one dotted path and value per leaf. *)
+  let rec print_leaves path = function
+    | Json.Obj members ->
+      List.iter
+        (fun (k, v) ->
+          print_leaves (if path = "" then k else path ^ "." ^ k) v)
+        members
+    | leaf -> Printf.printf "%-40s %s\n" path (Json.to_string leaf)
+  in
+  print_leaves "" j;
+  Printf.printf "(micro: %s)\n%!" bench_micro_file
 
 (* --- entry point --------------------------------------------------------- *)
 
@@ -610,8 +433,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let scale = ref 1.0 in
   let micro_only = ref false in
-  let skip_micro = ref false in
-  let format = ref `Text in
   let csv_dir = ref None in
   let jobs = ref (Pool.default_jobs ()) in
   let no_cache = ref false in
@@ -629,23 +450,12 @@ let () =
     | "--micro" :: rest ->
       micro_only := true;
       parse rest
-    | "--no-micro" :: rest ->
-      skip_micro := true;
-      parse rest
     | "--list" :: _ ->
       List.iter
         (fun e ->
           Printf.printf "%-10s %s\n" e.Experiments.id e.Experiments.artefact)
         Experiments.all;
       exit 0
-    | "--format" :: v :: rest ->
-      (match v with
-      | "text" -> format := `Text
-      | "json" -> format := `Json
-      | _ ->
-        Printf.eprintf "unknown --format %S (want text or json)\n%!" v;
-        exit 2);
-      parse rest
     | "--scale" :: v :: rest ->
       (match Lockiller.Sim.Cli.scale ~what:"--scale" v with
       | Ok s -> scale := s
@@ -669,8 +479,7 @@ let () =
     | "--csv" :: dir :: rest ->
       csv_dir := Some dir;
       parse rest
-    | [ ("--format" | "--scale" | "--jobs" | "--cache-dir" | "--csv") as flag ]
-      ->
+    | [ ("--scale" | "--jobs" | "--cache-dir" | "--csv") as flag ] ->
       usage_error "%s needs a value" flag
     | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
       usage_error "unknown option %S (the usage is at the top of bench/main.ml)"
@@ -682,12 +491,8 @@ let () =
       parse rest
   in
   parse args;
-  if !micro_only then begin
-    run_perf_micro ~scale:!scale ~format:!format;
-    if !format = `Text then run_micro ();
-    exit 0
-  end;
-  begin
+  if !micro_only then run_perf_micro ~scale:!scale
+  else begin
     let cache =
       if !no_cache then None
       else
@@ -702,5 +507,4 @@ let () =
     run_experiments ~scale:!scale ~jobs:!jobs ~cache ~csv_dir:!csv_dir
       ~selected:
         (match !selected with [] -> Experiments.all | selected -> selected)
-  end;
-  if (not !skip_micro) && List.is_empty !selected then run_micro ()
+  end

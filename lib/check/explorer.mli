@@ -10,7 +10,7 @@
 
     Termination comes from the scenarios being finite programs (every
     run makes finitely many decisions) plus the [max_schedules] bound.
-    State fingerprints ({!Harness.fingerprint}) prune branches: once a
+    State fingerprints (a canonical hash, in {!Harness}) prune branches: once a
     decision point's fingerprint has been seen, all its continuations
     are already covered from the first visit. The fingerprint hashes
     the architectural state and the pending-event {e count} but not the

@@ -40,14 +40,6 @@ type run = {
   events : int;
 }
 
-val default_cycle_limit : int
-
-val fingerprint : Lk_lockiller.Runtime.t -> pending:int -> int
-(** Hash of the architecturally visible state (L1s, directory,
-    committed and speculative values, transactional contexts, wake
-    tables, arbiter) plus the pending-event count. Canonical: container
-    iteration order does not leak into the hash. *)
-
 val run :
   ?check_states:bool ->
   ?cycle_limit:int ->

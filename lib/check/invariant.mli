@@ -3,7 +3,7 @@
     Three families of checks, all side-effect free and evaluable at any
     event boundary of a run:
 
-    - {b state predicates} ({!check_state}, itemised in {!registry}) —
+    - {b state predicates} ({!check_state}, named in {!names}) —
       properties that must hold of the architectural state between any
       two events: directory/L1 agreement and SWMR (delegated to
       {!Lk_coherence.Protocol.check_invariants}), every speculative
@@ -37,11 +37,8 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val violation_to_string : violation -> string
 
-val registry : (string * (Lk_lockiller.Runtime.t -> violation option)) list
-(** The named state predicates, in evaluation order. *)
-
 val names : string list
-(** Names of the state predicates in {!registry}. *)
+(** Names of the state predicates, in evaluation order. *)
 
 val check_state : Lk_lockiller.Runtime.t -> violation option
 (** First violated state predicate, if any. Sound at any point where

@@ -28,5 +28,3 @@ let attach ?(keep = 8) rt =
 let finish t =
   let end_violations = Invariant.check_end t.runtime in
   List.rev t.violations @ end_violations
-
-let seen t = t.seen

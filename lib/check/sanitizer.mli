@@ -28,7 +28,3 @@ val finish : t -> Invariant.violation list
 (** Evaluate the end-of-run checks and return all recorded violations,
     event-order first, then end-of-run ones. Empty means the run is
     clean. *)
-
-val seen : t -> int
-(** Total event-predicate violations observed (including dropped
-    ones). *)

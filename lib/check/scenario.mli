@@ -32,28 +32,17 @@ type t = {
 
 val read_forward : t
 val incr_incr : t
-val two_lines : t
 val park_wake : t
 val commit_race : t
 (** The widened-commit-window scenario; the one that exposes
     [Dirty_commit]. *)
 
-val fallback_lock : t
-val cgl : t
-val htmlock : t
 val trio : t
 
 val sharded_trio : t
 (** The two-shard hierarchical-directory scenario: three tiles, two
     LLC banks, traffic homed at both shards plus one cross-shard
     transaction. *)
-
-val hybrid : t
-(** The hybrid-TM scenario ({!Lk_lockiller.Sysconf.hytm_gv1}): a
-    faulting transaction exhausts its HTM budget and commits on the
-    TL2-style software path while the second core races it with HTM
-    increments of the same line — exercising the software-mode gate,
-    the global version clock and the HW/SW conflict rules. *)
 
 val all : t list
 (** Every scenario, in a stable order ([make check] runs these). *)

@@ -4,9 +4,6 @@
     low-order interleaving [line mod tiles], the standard layout for
     tiled CMPs (and what gem5's Ruby uses for S-NUCA). *)
 
-val line_bits : int
-(** log2 of the line size; Table I fixes lines at 64 bytes. *)
-
 val line_size : int
 
 val line_of_byte : int -> Types.line

@@ -26,5 +26,4 @@ val next : t -> Types.core_id -> Types.core_id
 (** [next s c] is the least member of [s] at or above [c] (which must
     be non-negative), or [-1]: an allocation-free ascending walk. *)
 
-val fold : (Types.core_id -> 'a -> 'a) -> t -> 'a -> 'a
 val of_list : Types.core_id list -> t

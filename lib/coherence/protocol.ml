@@ -180,7 +180,6 @@ let llc t = t.llc
 let stats t = t.stats
 
 let plan t = t.plan
-let shards t = Shard.count t.plan
 let shard_of t line = Shard.of_line t.plan line
 let home_of t line = Shard.home_tile t.plan (Shard.of_line t.plan line)
 

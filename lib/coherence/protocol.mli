@@ -129,8 +129,3 @@ val home_of : t -> Types.line -> Types.core_id
 
 val plan : t -> Shard.t
 (** The directory sharding plan in force. *)
-
-val shards : t -> int
-
-val shard_of : t -> Types.line -> int
-(** The directory shard serving a line. *)

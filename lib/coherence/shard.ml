@@ -27,7 +27,6 @@ let make ~count ~tiles ~hash =
   { count; tiles; hash; mask }
 
 let count t = t.count
-let tiles t = t.tiles
 let hash t = t.hash
 
 (* Fibonacci-style multiplicative mix (constant < 2^62, result masked

@@ -17,7 +17,6 @@ val make : count:int -> tiles:int -> hash:hash -> t
 (** Requires [1 <= count <= tiles]. *)
 
 val count : t -> int
-val tiles : t -> int
 val hash : t -> hash
 
 val of_line : t -> Types.line -> int

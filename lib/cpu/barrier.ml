@@ -10,8 +10,6 @@ let create ~parties =
   if parties <= 0 then invalid_arg "Barrier.create: parties must be positive";
   { n = parties; parked = []; completed = 0 }
 
-let parties t = t.n
-
 let waiting t = List.length t.parked
 
 let phases_completed t = t.completed

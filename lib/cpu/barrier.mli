@@ -12,8 +12,6 @@ type t
 val create : parties:int -> t
 (** [parties] must be positive. *)
 
-val parties : t -> int
-
 val wait : t -> sim:Lk_engine.Sim.t -> k:(unit -> unit) -> unit
 (** Park until all parties have arrived in the current phase. The
     releasing arrival schedules every continuation at the current

@@ -26,7 +26,6 @@ let create ?backend () =
 
 let now t = t.clock
 let events t = t.events
-let backend t = Event_queue.backend t.queue
 
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Sim.schedule: negative delay";

@@ -20,8 +20,6 @@ val events : t -> int
 (** Events fired so far ({!step} count) — the numerator of the
     events/sec throughput metric ({!Lk_sim.Perf} in the sim library). *)
 
-val backend : t -> Event_queue.backend
-
 val schedule : t -> delay:int -> (unit -> unit) -> unit
 (** [schedule sim ~delay f] runs [f] at [now sim + delay]. [delay] must
     be non-negative; a zero delay runs [f] later in the same cycle,

@@ -23,9 +23,6 @@ val line : Lk_coherence.Types.line
 (** The reserved cache line holding the clock (line 2 — between the
     fallback-lock lines and the workload's data region). *)
 
-val addr : int
-(** Byte address of the clock word ([line * line_size]). *)
-
 val flag_addr : int
 (** Second word of the clock line: the commit-in-progress flag used by
     the [Read_check] instrumentation scheme as a sequence lock. A

@@ -91,4 +91,3 @@ val verify : t -> (unit, violation) result
 (** The first violation seen, in commit order. *)
 
 val pp_violation : Format.formatter -> violation -> unit
-val kind_label : kind -> string

@@ -92,7 +92,6 @@ let note_write t ~core ~slot =
     t.write_len.(core) <- n + 1
   end
 
-let reads t ~core = t.read_len.(core)
 let writes t ~core = t.write_len.(core)
 
 let iter_reads t ~core f =

@@ -27,11 +27,6 @@
 val slots : int
 (** Number of version-stamp slots (256). *)
 
-val meta_base_line : Lk_coherence.Types.line
-(** First meta line; the table occupies
-    [meta_base_line .. meta_base_line + slots - 1], far above any
-    workload data line. *)
-
 val slot_of_line : Lk_coherence.Types.line -> int
 (** The slot a data line hashes to ([line mod slots]). *)
 
@@ -81,7 +76,6 @@ val note_read : t -> core:int -> slot:int -> version:int -> unit
 
 val note_write : t -> core:int -> slot:int -> unit
 
-val reads : t -> core:int -> int
 val writes : t -> core:int -> int
 
 val iter_reads : t -> core:int -> (int -> int -> unit) -> unit

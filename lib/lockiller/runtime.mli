@@ -361,8 +361,8 @@ val lock_dwell_hdr : t -> Lk_engine.Stats.hdr
     counter). *)
 
 val clock_value : t -> int
-(** Current global version clock (committed word at
-    {!Lk_htm.Global_clock.addr}) — the telemetry gauge behind the
+(** Current global version clock (committed word on
+    {!Lk_htm.Global_clock.line}) — the telemetry gauge behind the
     hybrid comparators' clock track. 0 for non-hybrid systems. *)
 
 val sw_population : t -> int

@@ -57,5 +57,4 @@ let clear t =
   t.insertions <- 0
 
 let population t = t.population
-let insertions t = t.insertions
 let is_empty t = t.insertions = 0

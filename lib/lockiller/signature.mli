@@ -22,7 +22,4 @@ val clear : t -> unit
 val population : t -> int
 (** Set bits (for occupancy statistics). *)
 
-val insertions : t -> int
-(** Number of [add] calls since the last [clear]. *)
-
 val is_empty : t -> bool

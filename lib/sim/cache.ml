@@ -2,7 +2,7 @@ module Sysconf = Lk_lockiller.Sysconf
 module Workload = Lk_stamp.Workload
 
 (* The version lives in [Schema] (single source of truth with the
-   result-JSON codec; see [Schema.history] for the migration trail).
+   result-JSON codec; schema.ml keeps the migration trail).
    Entries live under a per-schema directory, so entries from another
    version are simply never read again ([cache stats] counts them as
    stale, [cache clear] removes them). *)

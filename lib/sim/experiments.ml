@@ -70,7 +70,6 @@ let make_context ?(seed = 1) ?(scale = 1.0) ?(cores = 32)
 
 let thread_counts ctx = ctx.threads
 let simulations ctx = ctx.simulated
-let cache ctx = ctx.cache
 
 let job ctx ?(cache = Config.Typical) ?machine ?placement ?seed ~sysconf
     ~workload ~threads () =

@@ -39,8 +39,6 @@ val make_context :
 
 val thread_counts : context -> int list
 
-val cache : context -> Cache.t option
-
 val simulations : context -> int
 (** Simulations actually executed through this context (cache hits and
     memo hits excluded) — the cold-vs-warm observability counter. *)
@@ -99,58 +97,10 @@ val execute : context -> experiment -> Report.table list
     cache, through {!Pool.map} when the context has [jobs] > 1,
     committing results in plan order), then render. *)
 
-val table1 : experiment
-val table2 : experiment
 val fig1 : experiment
 val fig7 : experiment
-val fig8 : experiment
-val fig9 : experiment
 val fig10 : experiment
-val fig11 : experiment
-val fig12 : experiment
-val fig13 : experiment
 val headline : experiment
-val ablation : experiment
-
-val txsize : experiment
-(** Extension (the paper's stated future work): sensitivity to
-    transaction size — read/write sets scaled 0.5x to 8x on a
-    vacation-style workload. *)
-
-val noc : experiment
-(** Model-fidelity ablation: per-link NoC contention on/off. *)
-
-val topology : experiment
-(** Section III-A claim: the framework works over mesh, torus, ring and
-    crossbar interconnects. *)
-
-val placement : experiment
-(** Compact vs spread thread placement on a partially occupied fabric. *)
-
-val protocol_knobs : experiment
-(** Coherence-protocol ablation: MESI vs MSI, full-map vs
-    limited-pointer directory. *)
-
-val variance : experiment
-(** Seed-robustness of the headline comparison (mean / stddev / min /
-    max over several workload-generation seeds). *)
-
-val hytm : experiment
-(** Hybrid-TM instrumentation-cost sweep: the TL2-style software
-    fallback and the three hardware instrumentation schemes
-    ({!Lk_htm.Policy.instrumentation}) against pure software across
-    three contention levels — speedup over SW-TL2 plus per-path
-    commit/abort and version-clock detail. See docs/HYBRID.md. *)
-
-val wasted : experiment
-(** Causal-profiler companion to Fig 10: wasted-cycle share (cycles
-    inside aborted attempts over total core-cycles) for Baseline,
-    LosaTM-SAFU and LockillerTM on the contended STAMP profiles, in
-    both closed-loop and open-loop replay form, with each run's
-    aggressor-attribution split (attributed + environmental = aborts)
-    from a streaming {!Profile} tap. Its plan is empty: the profiler
-    hook bypasses the result cache, so every render simulates its runs
-    afresh. *)
 
 val all : experiment list
 (** Paper order; [find] looks one up by id. *)

@@ -30,10 +30,6 @@ val observe : Lk_engine.Sim.t -> (unit -> 'a) -> 'a * sample
     cycle deltas from [sim]. *)
 
 val events_per_sec : sample -> float
-val cycles_per_sec : sample -> float
-
-val minor_words_per_event : sample -> float
-(** 0 when the window fired no events. *)
 
 val json_of_sample : sample -> Json.t
 (** Object with the raw fields plus the three derived rates. *)

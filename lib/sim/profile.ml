@@ -95,7 +95,6 @@ let create ~cores =
     dropped = 0;
   }
 
-let cores t = t.cores
 let dropped t = t.dropped
 
 (* One abort edge: self-contained (aggressor and age ride in the packed
@@ -200,13 +199,6 @@ let of_ledger ~cores ledger =
 let total_aborts t = t.total_aborts
 let attributed t = t.total_aborts - t.environmental
 let environmental t = t.environmental
-
-let kills t ~aggressor ~victim =
-  if victim < 0 || victim >= t.cores then
-    invalid_arg "Profile.kills: victim out of range";
-  if aggressor < -1 || aggressor >= t.cores then
-    invalid_arg "Profile.kills: aggressor out of range";
-  t.matrix.(((aggressor + 1) * t.cores) + victim)
 
 let killed_by t ~victim = t.aborts_of.(victim)
 

@@ -29,7 +29,7 @@
       max 0 (commit - max begin prev_commit)] — a lower bound on the
       serialized work the run cannot parallelise away.
 
-    {!feed} is allocation-free (the tap runs on the simulator's emit
+    Folding a record is allocation-free (the tap runs on the simulator's emit
     path); the renderers allocate freely and run after the run. The
     profiler is purely observational: attaching it changes no
     simulation result. *)
@@ -37,13 +37,9 @@
 type t
 
 val create : cores:int -> t
-val cores : t -> int
-
-val feed : t -> time:int -> core:int -> kind:Lk_engine.Ledger.kind -> arg:int -> unit
-(** Fold one ledger record. Allocation-free. *)
 
 val attach : t -> Lk_engine.Ledger.t -> unit
-(** Install {!feed} as the ledger's tap ({!Lk_engine.Ledger.set_tap}):
+(** Install the profile's record fold as the ledger's tap ({!Lk_engine.Ledger.set_tap}):
     every subsequent emission streams through the profile, immune to
     ring wraparound. *)
 
@@ -67,15 +63,8 @@ val attributed : t -> int
 
 val environmental : t -> int
 
-val kills : t -> aggressor:int -> victim:int -> int
-(** Edge count for one (aggressor, victim) pair; [aggressor] may be
-    [-1] for the environmental row. *)
-
 val killed_by : t -> victim:int -> int
 (** Incoming edges (aborts suffered) of a core. *)
-
-val kills_of : t -> aggressor:int -> int
-(** Outgoing edges (aborts inflicted) of a core. *)
 
 val top_pairs : t -> k:int -> (int * int * int) list
 (** The [k] heaviest (aggressor, victim, count) edges, count
@@ -149,7 +138,6 @@ val to_csv : t -> string
 (** The kill matrix as [aggressor,victim,count,wasted_of_victim] rows
     (attributed and environmental), deterministic order. *)
 
-val to_json_value : t -> Json.t
 val to_json : t -> string
 (** Everything above as one JSON document (totals, per-core arrays,
     kill edges, convoy block, critical path). Deterministic. *)

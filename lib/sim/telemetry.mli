@@ -80,7 +80,6 @@ val perfetto_counters : t -> Json.t list
     {!Tracing.write_perfetto} appends these to the slice/instant
     events. *)
 
-val to_json_value : t -> Json.t
 val to_json : t -> string
 (** Pretty-printed JSON document: interval, sample count, the three
     rings (channel names + rows of [[time, v0, v1, ...]]) and the

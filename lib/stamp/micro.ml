@@ -1,3 +1,5 @@
+(* Every transaction increments one shared counter: the maximum-
+   contention, minimum-footprint stress test. *)
 let counter =
   {
     Workload.name = "micro-counter";
@@ -16,6 +18,8 @@ let counter =
     barrier_every = None;
   }
 
+(* Search-mostly index: wide read sets over a large shared structure
+   with few, scattered updates, the HTM-friendly case. *)
 let btree =
   {
     Workload.name = "micro-btree";
@@ -36,6 +40,8 @@ let btree =
     barrier_every = None;
   }
 
+(* Producer/consumer queue: short transactions all touching the two
+   hot end-pointers. *)
 let queue =
   {
     Workload.name = "micro-queue";

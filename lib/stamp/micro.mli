@@ -2,16 +2,4 @@
     the STAMP suite (outside the paper's evaluation set) for quick
     experiments and demos. *)
 
-val counter : Workload.profile
-(** Every transaction increments one shared counter: the maximum-
-    contention, minimum-footprint stress test. *)
-
-val btree : Workload.profile
-(** Search-mostly index: wide read sets over a large shared structure
-    with few, scattered updates — the HTM-friendly case. *)
-
-val queue : Workload.profile
-(** Producer/consumer queue: short transactions all touching the two
-    hot end-pointers. *)
-
 val all : Workload.profile list

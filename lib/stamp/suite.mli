@@ -60,9 +60,6 @@ val spec_of_name : string -> (spec, string) result
 (** Parse a CLI-style workload name: a trailing ['+'] selects [High]
     (["kmeans+"] = kmeans at high contention). *)
 
-val spec_name : spec -> string
-(** The profile name {!realise} will give this spec. *)
-
 val realise : spec -> (Workload.profile, string) result
 (** Resolve the app over [all] and [extras] (case-insensitive) and
     apply the scaling. Errors on unknown apps and non-positive

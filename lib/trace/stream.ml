@@ -63,8 +63,6 @@ let reader_of_channel ?(name = "<trace>") ic =
                "%s: not a trace (expected header \"%s %d text|bin\", got %S)" name
                magic version header))
 
-let format r = r.fmt
-
 (* The binary decode path runs once per trace record inside the replay
    feeder, so it is written exception-style: the five varints come back
    as bare ints (no [Ok] box, no [Result.bind] closure per field) and

@@ -29,8 +29,6 @@ val reader_of_channel : ?name:string -> in_channel -> (reader, string) result
 (** Consumes and checks the header. [name] labels errors (defaults to
     ["<trace>"]); the channel is not closed by the reader. *)
 
-val format : reader -> format
-
 val read : reader -> (Record.t option, string) result
 (** Next record; [Ok None] at clean end-of-trace. Errors on malformed
     input, mid-record truncation, or an arrival earlier than its

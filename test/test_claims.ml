@@ -10,7 +10,10 @@
    - Abstract: with an 8 KB L1 at 32 threads on the high-contention
      workloads the maximum speedup over each exceeds the average.
    - Fig 9: at 32 threads, HTMLock (RWIL) cuts genome's waitlock share
-     and raises its commit rate against RWI. *)
+     and raises its commit rate against RWI.
+   - Fig 10: at 2 threads, HTMLock leaves LockillerTM-RWIL and
+     LockillerTM with no mutex aborts on any workload (a structural
+     zero, not a value). *)
 
 module Experiments = Lk_sim.Experiments
 module Config = Lk_sim.Config
@@ -19,6 +22,7 @@ module Runner = Lk_sim.Runner
 module Sysconf = Lk_lockiller.Sysconf
 module Suite = Lk_stamp.Suite
 module Accounting = Lk_cpu.Accounting
+module Reason = Lk_htm.Reason
 
 (* One context, so Baseline, LosaTM-SAFU and LockillerTM runs shared by
    several claims are simulated once. *)
@@ -85,6 +89,25 @@ let test_htmlock_genome () =
   above_one "genome commit rate, RWIL over RWI"
     (rwil.Runner.commit_rate /. rwi.Runner.commit_rate)
 
+let test_no_mutex_aborts () =
+  List.iter
+    (fun sysconf ->
+      List.iter
+        (fun w ->
+          let r =
+            Experiments.result (Lazy.force ctx) ~sysconf ~workload:w
+              ~threads:2 ()
+          in
+          let mutex =
+            Option.value ~default:0
+              (List.assoc_opt Reason.Conflict_mutex r.Runner.abort_mix)
+          in
+          if mutex <> 0 then
+            Alcotest.failf "%s on %s at 2 threads: %d mutex aborts"
+              r.Runner.system w.Lk_stamp.Workload.name mutex)
+        Suite.all)
+    [ Sysconf.lockiller_rwil; Sysconf.lockiller ]
+
 let () =
   Alcotest.run "claims"
     [
@@ -95,5 +118,7 @@ let () =
             test_extreme;
           Alcotest.test_case "HTMLock on genome at 32 threads" `Quick
             test_htmlock_genome;
+          Alcotest.test_case "no mutex aborts under HTMLock" `Quick
+            test_no_mutex_aborts;
         ] );
     ]
