@@ -11,8 +11,9 @@ build:
 test:
 	dune runtest
 
+# Regenerate every table and figure of the paper's evaluation.
 bench:
-	dune exec bench/main.exe
+	dune exec bin/lockiller_sim.exe -- experiment all
 
 # Lint: the event engine, coherence protocol and HTM value layer must
 # stay free of polymorphic compare/max/min, generic Hashtbl and Printf,
@@ -54,17 +55,17 @@ doc:
 # throughput (wide enough for host CPU steal; a lost wheel fast path
 # costs 4x and more).
 perfcheck:
-	dune exec bench/main.exe -- --micro --scale 0.1
+	dune exec bench/main.exe
 	dune exec bench/perfcheck.exe -- BENCH_micro.json bench/baseline.json
 
 # Everything CI runs (.github/workflows/ci.yml calls this target):
 # `dune build @ci` (full build, every test suite, the lint and
-# the model checker), a smoke run of two paper figures through the
-# bench harness (past the result cache, so it always simulates), the
-# API docs and the perf gate.
+# the model checker), a smoke run of two paper figures (past the
+# result cache, so it always simulates), the API docs and the perf
+# gate.
 ci:
 	dune build @ci
-	dune exec bench/main.exe -- --scale 0.2 --no-cache fig1 headline
+	dune exec bin/lockiller_sim.exe -- experiment fig1 headline --scale 0.2 --no-cache
 	$(MAKE) doc
 	$(MAKE) perfcheck
 

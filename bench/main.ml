@@ -1,84 +1,22 @@
-(* Benchmark harness.
-
-   Default: regenerate every table and figure of the paper's evaluation
-   (one section per artefact; see DESIGN.md's experiment index).
-   [--micro] instead runs the perf microbenchmarks that `make perfcheck`
-   gates: it writes BENCH_micro.json and prints the same tree, one line
-   per leaf.
+(* Perf microbenchmarks: the event queue, the kernel, trace decode,
+   whole machines, the NoC send path and the heap footprint. Writes
+   BENCH_micro.json and prints the same tree, one line per leaf;
+   `make perfcheck` compares the file against bench/baseline.json.
 
    Usage:
-     dune exec bench/main.exe                 # every experiment
-     dune exec bench/main.exe -- fig7 fig12   # selected experiments
-     dune exec bench/main.exe -- --micro      # microbenchmarks only
-     dune exec bench/main.exe -- --list       # list experiment ids
-     dune exec bench/main.exe -- --scale 0.5  # smaller workloads
-     dune exec bench/main.exe -- --csv out/   # also write CSVs
-     dune exec bench/main.exe -- --jobs 8     # parallel simulations
-     dune exec bench/main.exe -- --no-cache   # ignore the result cache
-     dune exec bench/main.exe -- --cache-dir d  # cache location
+     dune exec bench/main.exe
 
-   A traced reference run (Perfetto trace plus abort breakdown) is
-     lockiller_sim run -s LockillerTM -w genome -t 8 \
-       --trace-events trace.json --abort-breakdown *)
+   It takes no arguments. The paper's tables and figures come from
+     lockiller_sim experiment all *)
 
-module Experiments = Lockiller.Sim.Experiments
-module Report = Lockiller.Sim.Report
 module Event_queue = Lockiller.Engine.Event_queue
 module Sim = Lockiller.Engine.Sim
 module Topology = Lockiller.Mesh.Topology
 module Network = Lockiller.Mesh.Network
 module Sysconf = Lockiller.Mechanisms.Sysconf
 module Runner = Lockiller.Sim.Runner
-module Cache = Lockiller.Sim.Cache
-module Pool = Lockiller.Sim.Pool
 module Perf = Lockiller.Sim.Perf
 module Json = Lockiller.Sim.Json
-
-(* --- Paper experiments -------------------------------------------------- *)
-
-let run_experiments ~scale ~jobs ~cache ~csv_dir ~selected =
-  let ctx = Experiments.make_context ~scale ~jobs ?cache () in
-  let emit_csv table =
-    match csv_dir with
-    | None -> ()
-    | Some dir -> (
-      match Report.write_csv ~dir table with
-      | Ok path -> Printf.printf "(csv: %s)\n" path
-      | Error msg ->
-        Printf.eprintf "%s\n%!" msg;
-        exit 2)
-  in
-  List.iter
-    (fun e ->
-      Printf.printf "# %s (%s)\n# %s\n\n" e.Experiments.artefact
-        e.Experiments.id e.Experiments.describe;
-      let t0 = Sys.time () in
-      Perf.reset_totals ();
-      List.iter
-        (fun table ->
-          Report.print table;
-          emit_csv table)
-        (Experiments.execute ctx e);
-      Printf.printf "(rendered in %.1fs cpu)\n" (Sys.time () -. t0);
-      (* Throughput over the simulations this experiment actually ran
-         (warm-cache runs report 0 sims). Wall time varies run to run,
-         so this line never appears in a byte comparison. *)
-      Printf.printf "(perf: %s)\n\n%!"
-        (Format.asprintf "%a" Perf.pp_totals (Perf.totals ())))
-    selected;
-  (* A second run of the same experiments against the same cache must
-     report 0 simulations. This line is for the reader; the property
-     itself is checked by test/cli.t (a warm fig1 rerun: same bytes, all
-     lookups hits) and by test_execute_warm_cache_skips_simulation in
-     test/test_sim.ml. *)
-  (match cache with
-  | None ->
-    Printf.printf "(simulations: %d, cache disabled)\n%!"
-      (Experiments.simulations ctx)
-  | Some c ->
-    Printf.printf "(simulations: %d, cache hits: %d, stores: %d)\n%!"
-      (Experiments.simulations ctx) (Cache.hits c) (Cache.stores c);
-    Cache.persist_counters c)
 
 (* --- Perf microbenchmark: schedule/pop throughput, wheel vs heap -------- *)
 
@@ -329,11 +267,10 @@ let footprint_run () =
 
 let bench_micro_file = "BENCH_micro.json"
 
-let run_perf_micro ~scale =
-  (* Floored at 1M ops: minor-words/event carries a fixed setup-sized
-     overhead that only amortises out at the baseline's operating
-     point, so `--scale 0.1` must not shrink the micro below it. *)
-  let ops = max 1_000_000 (int_of_float (1_000_000. *. scale)) in
+let run_perf_micro () =
+  (* 1M ops: minor-words/event carries a fixed setup-sized overhead
+     that only amortises out at this operating point, the baseline's. *)
+  let ops = 1_000_000 in
   let measure micro backend =
     (* First run warms code and minor heap; report the second. *)
     ignore (micro ~backend ~ops);
@@ -430,81 +367,11 @@ let run_perf_micro ~scale =
 (* --- entry point --------------------------------------------------------- *)
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let scale = ref 1.0 in
-  let micro_only = ref false in
-  let csv_dir = ref None in
-  let jobs = ref (Pool.default_jobs ()) in
-  let no_cache = ref false in
-  let cache_dir = ref None in
-  let selected = ref [] in
-  let usage_error fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "bench: %s\n%!" msg;
-        exit 2)
-      fmt
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--micro" :: rest ->
-      micro_only := true;
-      parse rest
-    | "--list" :: _ ->
-      List.iter
-        (fun e ->
-          Printf.printf "%-10s %s\n" e.Experiments.id e.Experiments.artefact)
-        Experiments.all;
-      exit 0
-    | "--scale" :: v :: rest ->
-      (match Lockiller.Sim.Cli.scale ~what:"--scale" v with
-      | Ok s -> scale := s
-      | Error msg ->
-        Printf.eprintf "%s\n%!" msg;
-        exit 2);
-      parse rest
-    | "--jobs" :: v :: rest ->
-      (match Lockiller.Sim.Cli.positive_int ~what:"--jobs" v with
-      | Ok j -> jobs := j
-      | Error msg ->
-        Printf.eprintf "%s\n%!" msg;
-        exit 2);
-      parse rest
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      parse rest
-    | "--cache-dir" :: dir :: rest ->
-      cache_dir := Some dir;
-      parse rest
-    | "--csv" :: dir :: rest ->
-      csv_dir := Some dir;
-      parse rest
-    | [ ("--scale" | "--jobs" | "--cache-dir" | "--csv") as flag ] ->
-      usage_error "%s needs a value" flag
-    | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
-      usage_error "unknown option %S (the usage is at the top of bench/main.ml)"
-        arg
-    | id :: rest ->
-      (match Experiments.find id with
-      | Some e -> selected := !selected @ [ e ]
-      | None -> usage_error "unknown experiment %S (--list shows the ids)" id);
-      parse rest
-  in
-  parse args;
-  if !micro_only then run_perf_micro ~scale:!scale
-  else begin
-    let cache =
-      if !no_cache then None
-      else
-        Some
-          (Cache.create
-             ~dir:
-               (match !cache_dir with
-               | Some d -> d
-               | None -> Cache.default_dir ())
-             ())
-    in
-    run_experiments ~scale:!scale ~jobs:!jobs ~cache ~csv_dir:!csv_dir
-      ~selected:
-        (match !selected with [] -> Experiments.all | selected -> selected)
-  end
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> run_perf_micro ()
+  | arg :: _ ->
+    Printf.eprintf
+      "bench: unexpected argument %S: bench takes no arguments (the paper's \
+       tables and figures come from 'lockiller_sim experiment ID...')\n%!"
+      arg;
+    exit 2

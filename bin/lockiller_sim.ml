@@ -17,6 +17,7 @@ module Json = Lockiller.Sim.Json
 module Schema = Lockiller.Sim.Schema
 module Cache = Lockiller.Sim.Cache
 module Pool = Lockiller.Sim.Pool
+module Perf = Lockiller.Sim.Perf
 module Tracing = Lockiller.Sim.Tracing
 module Telemetry = Lockiller.Sim.Telemetry
 module Cli = Lockiller.Sim.Cli
@@ -33,8 +34,8 @@ module Program = Lockiller.Cpu.Program
 
 (* --- shared options ---------------------------------------------------- *)
 
-(* The validators live in [Lk_sim.Cli] (shared with bench/main.ml);
-   here they are only wrapped into cmdliner converters. *)
+(* The validators live in [Lk_sim.Cli]; here they are only wrapped
+   into cmdliner converters. *)
 let conv_of_check check print =
   Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (check s)), print)
 
@@ -625,14 +626,15 @@ let check_cmd =
 (* --- experiment -------------------------------------------------------- *)
 
 let experiment_cmd =
-  let id =
+  let ids =
     Arg.(
-      required
-      & pos 0 (some string) None
+      non_empty
+      & pos_all string []
       & info [] ~docv:"ID"
-          ~doc:"Experiment id (table1, table2, fig1, fig7...fig13, headline, \
+          ~doc:"Experiment ids (table1, table2, fig1, fig7...fig13, headline, \
                 ablation, txsize, noc, topology, placement, protocol, \
-                variance, hytm — see 'list') or 'all'.")
+                variance, hytm — see 'list') or 'all'. They run on one \
+                context, so a simulation two of them share runs once.")
   in
   let threads_opt =
     Arg.(
@@ -661,7 +663,17 @@ let experiment_cmd =
       value & flag
       & info [ "no-cache" ] ~doc:"Do not read or write the result cache.")
   in
-  let action id threads csv_dir format jobs no_cache cache_dir seed scale
+  let find id =
+    if String.lowercase_ascii id = "all" then Ok Experiments.all
+    else
+      Option.to_result
+        ~none:
+          (Printf.sprintf "unknown experiment %S; try: %s" id
+             (String.concat ", "
+                (List.map (fun e -> e.Experiments.id) Experiments.all)))
+        (Option.map (fun e -> [ e ]) (Experiments.find id))
+  in
+  let action ids threads csv_dir format jobs no_cache cache_dir seed scale
       cores =
     let jobs =
       match jobs with Some j -> j | None -> Pool.default_jobs ()
@@ -669,9 +681,6 @@ let experiment_cmd =
     let cache =
       if no_cache then None
       else Some (Cache.create ~dir:(resolve_cache_dir cache_dir) ())
-    in
-    let ctx =
-      Experiments.make_context ~seed ~scale ~cores ?threads ~jobs ?cache ()
     in
     let emit_csv table =
       match csv_dir with
@@ -681,44 +690,57 @@ let experiment_cmd =
         | Ok _ -> ()
         | Error msg -> failwith msg)
     in
-    let json_docs = ref [] in
-    let render e =
+    (* Text output also reports the host cost of each experiment and,
+       at the end, how many simulations ran. Host time varies run to
+       run, so these parenthesised lines are the only output that may
+       differ between runs or --jobs counts; JSON and CSV carry none. *)
+    let render ctx e =
+      Perf.reset_totals ();
+      let t0 = Sys.time () in
       let tables = Experiments.execute ctx e in
       List.iter emit_csv tables;
       match format with
       | `Text ->
         Printf.printf "# %s — %s\n%s\n\n" e.Experiments.artefact
           e.Experiments.id e.Experiments.describe;
-        List.iter Report.print tables
+        List.iter Report.print tables;
+        Printf.printf "(rendered in %.1fs cpu)\n(perf: %s)\n\n%!"
+          (Sys.time () -. t0)
+          (Format.asprintf "%a" Perf.pp_totals (Perf.totals ()));
+        None
       | `Csv ->
-        List.iter (fun t -> print_string (Report.to_csv t)) tables
+        List.iter (fun t -> print_string (Report.to_csv t)) tables;
+        None
       | `Json ->
-        json_docs :=
-          Json.Obj
-            [
-              ("id", Json.String e.Experiments.id);
-              ("artefact", Json.String e.Experiments.artefact);
-              ("describe", Json.String e.Experiments.describe);
-              ("tables", Json.List (List.map Report.json_of_table tables));
-            ]
-          :: !json_docs
+        Some
+          (Json.Obj
+             [
+               ("id", Json.String e.Experiments.id);
+               ("artefact", Json.String e.Experiments.artefact);
+               ("describe", Json.String e.Experiments.describe);
+               ("tables", Json.List (List.map Report.json_of_table tables));
+             ])
     in
-    let finish () =
+    let finish ctx docs =
       match format with
-      | `Json ->
-        print_endline (Json.to_string (Json.List (List.rev !json_docs)))
-      | `Text | `Csv -> ()
+      | `Json -> print_endline (Json.to_string (Json.List docs))
+      | `Csv -> ()
+      | `Text -> (
+        let sims = Experiments.simulations ctx in
+        match cache with
+        | None -> Printf.printf "(simulations: %d, cache disabled)\n%!" sims
+        | Some c ->
+          Printf.printf "(simulations: %d, cache hits: %d, stores: %d)\n%!"
+            sims (Cache.hits c) (Cache.stores c))
     in
     ret
       (let* experiments =
-         if String.lowercase_ascii id = "all" then Ok Experiments.all
-         else
-           Option.to_result
-             ~none:
-               (Printf.sprintf "unknown experiment %S; try: %s" id
-                  (String.concat ", "
-                     (List.map (fun e -> e.Experiments.id) Experiments.all)))
-             (Option.map (fun e -> [ e ]) (Experiments.find id))
+         List.fold_left
+           (fun acc id ->
+             let* acc = acc in
+             let* es = find id in
+             Ok (acc @ es))
+           (Ok []) ids
        in
        (* The counters cover the simulations that ran, also when a
           later experiment fails. *)
@@ -726,18 +748,21 @@ let experiment_cmd =
          ~finally:(fun () -> Option.iter Cache.persist_counters cache)
          (fun () ->
            Lockiller.guard (fun () ->
-               List.iter render experiments;
-               finish ())))
+               let ctx =
+                 Experiments.make_context ~seed ~scale ~cores ?threads ~jobs
+                   ?cache ()
+               in
+               finish ctx (List.filter_map (render ctx) experiments))))
   in
   let term =
     Term.(
       ret
-        (const action $ id $ threads_opt $ csv_dir $ format_t $ jobs_t
+        (const action $ ids $ threads_opt $ csv_dir $ format_t $ jobs_t
        $ no_cache_t $ cache_dir_t $ seed_t $ scale_t $ cores_t))
   in
   Cmd.v
     (Cmd.info "experiment"
-       ~doc:"Regenerate a table or figure of the paper (or 'all')")
+       ~doc:"Regenerate tables and figures of the paper (or 'all')")
     term
 
 (* --- trace --------------------------------------------------------------- *)
@@ -746,7 +771,10 @@ let trace_cmd =
   let last =
     Arg.(
       value
-      & opt int 200
+      & opt
+          (conv_of_check (Cli.non_negative_int ~what:"--last")
+             Format.pp_print_int)
+          200
       & info [ "last"; "n" ] ~doc:"How many trailing events to print.")
   in
   let action system workload threads last options trace_events breakdown
@@ -1391,19 +1419,6 @@ let top_cmd =
       & info [ "width" ] ~docv:"N"
           ~doc:"Timeline columns: the newest N samples are shown.")
   in
-  let phase_char c =
-    (* Mirrors Runtime.phase_label: non-tx, HTM, STL, lock, parked,
-       aborting, software. *)
-    match c with
-    | 0 -> '.'
-    | 1 -> 'H'
-    | 2 -> 'S'
-    | 3 -> 'L'
-    | 4 -> 'p'
-    | 5 -> 'a'
-    | 6 -> 'w'
-    | _ -> '?'
-  in
   let spark_ramp = " .:-=+*#" in
   let exception Bad of string in
   let ok = function Ok v -> v | Error m -> raise (Bad m) in
@@ -1419,6 +1434,15 @@ let top_cmd =
         (fun row -> List.map (fun c -> ok (Json.to_int c)) (ok (Json.to_list row)))
         (ok (Json.to_list (ok (Json.member "rows" r))))
     in
+    List.iter
+      (fun row ->
+        if List.length row <> 1 + List.length channels then
+          raise
+            (Bad
+               (Printf.sprintf "%s: a row holds %d values, not a time and %d \
+                                channels"
+                  name (List.length row) (List.length channels))))
+      rows;
     let dropped =
       (* Older exports (pre-v6 tooling) may lack the member; treat as
          exact rather than refusing to render. *)
@@ -1430,11 +1454,31 @@ let top_cmd =
   in
   let action file once width =
     match
+      (* [Telemetry.write] picks the CSV export by the .csv suffix. *)
+      if Filename.check_suffix file ".csv" then
+        raise
+          (Bad
+             "top reads the JSON telemetry export, not the CSV one; record \
+              the run with a .json name (run --telemetry FILE.json)");
       let doc = ok (Json.of_string (read_file file)) in
       let interval = ok (Result.bind (Json.member "interval" doc) Json.to_int) in
       let samples = ok (Result.bind (Json.member "samples" doc) Json.to_int) in
       let cores, phase_rows, phase_dropped = ring doc "phases" in
+      (* [ring] checked the width: every row is a time and its codes. *)
+      List.iter
+        (fun row ->
+          List.iter
+            (fun p ->
+              if p < 0 || p >= Runtime.num_phases then
+                raise
+                  (Bad
+                     (Printf.sprintf "phase code %d is not one of 0-%d" p
+                        (Runtime.num_phases - 1))))
+            (List.tl row))
+        phase_rows;
       let gauge_names, gauge_rows, gauge_dropped = ring doc "gauges" in
+      if List.length gauge_rows <> List.length phase_rows then
+        raise (Bad "the phase and gauge rings hold different sample counts");
       ( interval,
         samples,
         cores,
@@ -1490,12 +1534,15 @@ let top_cmd =
             (fun c name ->
               let strip =
                 String.init shown (fun s ->
-                    phase_char (List.nth rows.(first + s) (c + 1)))
+                    Runtime.phase_char (List.nth rows.(first + s) (c + 1)))
               in
               Printf.printf "%-14s %s\n" name strip)
             cores;
           Printf.printf "%-14s %s\n" "phases"
-            ".=non-tx H=htm S=stl L=lock p=parked a=aborting w=sw";
+            (String.concat " "
+               (List.init Runtime.num_phases (fun p ->
+                    Printf.sprintf "%c=%s" (Runtime.phase_char p)
+                      (Runtime.phase_label p))));
           let grows = Array.of_list gauge_rows in
           List.iteri
             (fun g name ->

@@ -216,17 +216,23 @@ let lock_holders t =
    below is allocation-free: the sampler runs them thousands of times
    per simulation and must not disturb the GC. *)
 
-let num_phases = 7
+(* Indexed by phase code: the label and the one-letter glyph of
+   `lockiller_sim top`'s strips. *)
+let phases =
+  [|
+    ("non-tx", '.');
+    ("htm", 'H');
+    ("stl", 'S');
+    ("lock", 'L');
+    ("parked", 'p');
+    ("aborting", 'a');
+    ("sw", 'w');
+  |]
 
-let phase_label = function
-  | 0 -> "non-tx"
-  | 1 -> "htm"
-  | 2 -> "stl"
-  | 3 -> "lock"
-  | 4 -> "parked"
-  | 5 -> "aborting"
-  | 6 -> "sw"
-  | _ -> invalid_arg "Runtime.phase_label"
+let num_phases = Array.length phases
+
+let phase_label c = fst phases.(c)
+let phase_char c = snd phases.(c)
 
 let phase_code t core =
   match t.parked.(core) with

@@ -332,6 +332,11 @@ val phase_label : int -> string
 (** Human-readable name of a {!phase_code}.
     @raise Invalid_argument outside [0 .. num_phases - 1]. *)
 
+val phase_char : int -> char
+(** One-letter glyph of a {!phase_code}, as drawn in telemetry
+    timelines.
+    @raise Invalid_argument outside [0 .. num_phases - 1]. *)
+
 val holds_lock : t -> Lk_coherence.Types.core_id -> bool
 (** The core holds the fallback spinlock ([lock_holders] without the
     list). *)

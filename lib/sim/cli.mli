@@ -1,10 +1,9 @@
-(** Argument validators shared by the command-line front-ends.
+(** Argument validators of the command-line front end.
 
-    [bin/lockiller_sim] (cmdliner) and [bench/main] (hand-rolled argv
-    loop) parse the same kinds of values; these checks keep their error
-    messages identical and in one place. All functions are pure
-    [string -> (value, message) result] so either front-end can wrap
-    them in its own plumbing. *)
+    [bin/lockiller_sim] wraps each of these in a cmdliner converter, so
+    every flag that takes the same kind of value rejects it with the
+    same message. All functions are pure
+    [string -> (value, message) result]. *)
 
 val positive_int : what:string -> string -> (int, string) result
 (** Strictly positive integer; [what] names the flag in the message

@@ -52,6 +52,15 @@ and recorder = { seen : unit Jobs.t; mutable order : job list }
 
 let make_context ?(seed = 1) ?(scale = 1.0) ?(cores = 32)
     ?(threads = [ 2; 4; 8; 16; 32 ]) ?(jobs = 1) ?cache () =
+  List.iter
+    (fun t ->
+      if t <= 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Experiments.make_context: thread counts must be positive (got \
+              %d)"
+             t))
+    threads;
   let threads = List.filter (fun t -> t <= cores) threads in
   if threads = [] then invalid_arg "Experiments.make_context: no thread counts";
   {

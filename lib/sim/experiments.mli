@@ -35,7 +35,9 @@ val make_context :
     use smaller machines and fewer thread counts. [jobs] > 1 runs
     planned jobs on that many domains ({!Pool.map}); results are
     collected deterministically, so the rendered output is identical
-    for any job count. *)
+    for any job count. Thread counts above [cores] are dropped.
+    @raise Invalid_argument if a thread count is not positive or none
+    is left. *)
 
 val thread_counts : context -> int list
 
@@ -77,7 +79,7 @@ val speedup_vs_cgl :
   unit ->
   float
 
-(** An experiment: identifier (the bench target name), the paper
+(** An experiment: identifier (the id [lockiller_sim experiment] takes), the paper
     artefact it reproduces, the renderer, and the simulation grid the
     renderer needs ([plan]: each distinct job once, in the order the
     renderer first asks for it). [plan] is recorded from [render], so

@@ -9,8 +9,9 @@ module Sim = Lk_engine.Sim
    code); [stop] turns the deltas plus the caller's
    event/cycle counts into a [sample]. Samples from every simulation in
    the process (including pool domains — the counters are atomics) are
-   additionally folded into a global aggregate, which the bench harness
-   reads to print a per-experiment wall-clock/throughput section. *)
+   additionally folded into a global aggregate, which `lockiller_sim
+   experiment` reads to print a per-experiment wall-clock/throughput
+   line. *)
 
 type sample = {
   wall_seconds : float;

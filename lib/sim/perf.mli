@@ -6,8 +6,8 @@
     the three rates the perf harness tracks: events/sec, cycles/sec and
     minor-heap words allocated per event. {!Runner} records one sample
     per simulation into a process-wide aggregate (atomic counters, safe
-    under the {!Pool} domains) that the bench harness prints as a
-    per-experiment throughput section. *)
+    under the {!Pool} domains) that [lockiller_sim experiment] prints as
+    a per-experiment throughput line. *)
 
 type sample = {
   wall_seconds : float;
