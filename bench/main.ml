@@ -52,19 +52,22 @@ let queue_micro ~backend ~ops =
   Perf.stop probe ~events:ops ~cycles:!clock
 
 (* The same steady state through the kernel: 1024 self-rescheduling
-   event chains until ~[ops] events have fired. *)
+   event chains until ~[ops] events have fired. Like a model event,
+   each one schedules a fresh closure (5 words: its chain and the
+   step), so the sample pays the queue's write barrier on a young
+   payload, not the cheap path of re-storing one long-lived value. *)
 let sim_micro ~backend ~ops =
   let sim = Sim.create ~backend () in
   let st = ref 0x51AFE2149F123BCD in
   let remaining = ref ops in
-  let rec tick () =
+  let rec tick chain () =
     if !remaining > 0 then begin
       decr remaining;
-      Sim.schedule sim ~delay:(lcg_next st) tick
+      Sim.schedule sim ~delay:(lcg_next st) (fun () -> tick chain ())
     end
   in
-  for _ = 1 to 1024 do
-    Sim.schedule sim ~delay:(lcg_next st) tick
+  for chain = 1 to 1024 do
+    Sim.schedule sim ~delay:(lcg_next st) (tick chain)
   done;
   let (), s = Perf.observe sim (fun () -> Sim.run sim) in
   s

@@ -134,7 +134,7 @@ let tag_of t line =
 
 (* First slot in [i, hi) whose tag is [tag], or -1. Top-level, so a
    search allocates no closure. *)
-let rec scan slots tag i hi =
+let rec scan slots (tag : int) i hi =
   if i >= hi then -1
   else if slots.(2 * i) = tag then i
   else scan slots tag (i + 1) hi

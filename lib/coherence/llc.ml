@@ -90,7 +90,7 @@ let cap slots = Array.length slots lsr 1
 
 (* First way in [w, ways) whose tag is [tag], or -1. Top-level, so a
    search allocates no closure. *)
-let rec scan slots tag w ways =
+let rec scan slots (tag : int) w ways =
   if w >= ways then -1 else if slots.(w) = tag then w else scan slots tag (w + 1) ways
 
 (* Way of a resident line within set [s], or -1. *)

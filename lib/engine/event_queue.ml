@@ -1,10 +1,9 @@
 (* Pending-event set with two interchangeable backends.
 
-   [Heap] is the classic array-backed binary min-heap the simulator
-   started with, kept as the differential-testing reference: entries are
-   compared by time first and by a monotonically increasing sequence
-   number second, which yields stable FIFO behaviour for same-cycle
-   events.
+   [Heap] is the classic binary min-heap the simulator started with,
+   kept as the differential-testing reference: entries are compared by
+   time first and by a monotonically increasing sequence number second,
+   which yields stable FIFO behaviour for same-cycle events.
 
    [Wheel] is a calendar-queue / timing-wheel hybrid tuned for the
    discrete-event hot loop, where almost every event lands within a few
@@ -14,29 +13,27 @@
    backends pop in exactly the same (time, seq) order, so a simulation
    is bit-identical under either.
 
-   Allocation discipline (the point of the wheel): entries are mutable
-   records chained through an intrusive [next] pointer (a physical
-   self-loop marks the end of a list) and recycled through a per-queue
-   freelist, so steady-state schedule/pop cycles allocate nothing. *)
+   Storage (the point of the layout): an entry is an int id into a
+   flat store of parallel arrays — [time], [seq] and [next] are [int
+   array]s, the payloads one ['a array]. The wheel's slot heads and
+   tails and the far heap hold ids, so every link a schedule or a pop
+   rewrites is an unboxed int store, which needs no write barrier. A
+   schedule makes one barrier store (the payload) and a pop one more
+   (clearing the payload slot with an immediate, so nothing popped stays
+   reachable). Ids are recycled through a freelist chained in [next];
+   the store grows only when every id is in use, so steady-state
+   schedule/pop cycles allocate nothing. *)
 
 type backend = Heap | Wheel
 
-(* Placeholder written into vacated slots and recycled entries so the
-   GC can reclaim popped payloads. The immediate 0 is a valid word of
-   any type from the GC's point of view and is never read back: pops
-   copy the payload out before the slot is cleared or recycled. *)
+(* Placeholder written into free payload slots so the GC can reclaim
+   popped payloads. The immediate 0 is a valid word of any type from
+   the GC's point of view and is never read back: pops copy the payload
+   out before its slot is cleared. *)
 let absent : unit -> 'a = fun () -> Obj.magic 0
 
-type 'a entry = {
-  mutable time : int;
-  mutable seq : int;
-  mutable payload : 'a;
-  mutable next : 'a entry;  (* slot chain / freelist; self-loop = nil *)
-}
-
-let make_entry time seq payload =
-  let rec e = { time; seq; payload; next = e } in
-  e
+(* End of a chain (slot FIFO or freelist), and an empty wheel slot. *)
+let nil = -1
 
 (* Near-wheel geometry: one bucket per cycle, [wheel_size] cycles of
    horizon. Delays in the simulator cluster well under this (L1 hits,
@@ -48,82 +45,105 @@ let wheel_mask = wheel_size - 1
 
 type 'a t = {
   kind : backend;
-  nil : 'a entry;  (* per-queue sentinel: empty slot / list end *)
   mutable next_seq : int;  (* insertion counter: the same-time tie-break *)
   mutable count : int;  (* total live entries, both regions *)
-  (* Heap backend, and the wheel's far-overflow region. Orders entries
-     by (time, seq); vacated slots are overwritten with [nil] so popped
-     payloads do not stay reachable through the array. *)
-  mutable harr : 'a entry array;
+  (* The entry store, indexed by id. [next] chains a wheel slot's FIFO
+     or, for a free id, the freelist headed by [free]. *)
+  mutable time : int array;
+  mutable seq : int array;
+  mutable next : int array;
+  mutable payload : 'a array;
+  mutable free : int;
+  (* Heap backend, and the wheel's far-overflow region: ids ordered by
+     (time, seq) in [heap.(0 .. hsize - 1)]. *)
+  mutable heap : int array;
   mutable hsize : int;
   (* Wheel backend only. The near window is [limit - wheel_size, limit);
-     slot [t land wheel_mask] holds exactly the events of cycle [t] in
+     slot [t land wheel_mask] chains exactly the events of cycle [t] in
      FIFO order. [cur] is the next candidate cycle: every near entry has
      time >= cur (adds below cur pull it back). *)
-  slots_head : 'a entry array;
-  slots_tail : 'a entry array;
+  head : int array;
+  tail : int array;
   mutable near_count : int;
   mutable cur : int;
   mutable limit : int;
-  (* Recycled entries, chained through [next], payloads cleared. *)
-  mutable free : 'a entry;
 }
 
 let create ?(backend = Wheel) () =
-  let nil = make_entry min_int (-1) (absent ()) in
   let wheel = backend = Wheel in
   {
     kind = backend;
-    nil;
     next_seq = 0;
     count = 0;
-    harr = [||];
+    time = [||];
+    seq = [||];
+    next = [||];
+    payload = [||];
+    free = nil;
+    heap = [||];
     hsize = 0;
-    slots_head = (if wheel then Array.make wheel_size nil else [||]);
-    slots_tail = (if wheel then Array.make wheel_size nil else [||]);
+    head = (if wheel then Array.make wheel_size nil else [||]);
+    tail = (if wheel then Array.make wheel_size nil else [||]);
     near_count = 0;
     cur = 0;
     limit = wheel_size;
-    free = nil;
   }
 
 let backend q = q.kind
 let is_empty q = q.count = 0
 let length q = q.count
 
-(* --- entry pool ------------------------------------------------------ *)
+(* --- entry store ----------------------------------------------------- *)
+
+(* Every id is in use: grow the store and chain the new ids onto the
+   (empty) freelist, lowest first. *)
+let grow q =
+  let cap = Array.length q.time in
+  let ncap = Int.max 16 (2 * cap) in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  q.time <- extend q.time 0;
+  q.seq <- extend q.seq 0;
+  q.payload <- extend q.payload (absent ());
+  q.next <- extend q.next nil;
+  for id = cap to ncap - 2 do
+    q.next.(id) <- id + 1
+  done;
+  q.free <- cap
 
 let alloc q ~time ~seq payload =
-  let e = q.free in
-  if e != q.nil then begin
-    q.free <- e.next;
-    e.next <- e;
-    e.time <- time;
-    e.seq <- seq;
-    e.payload <- payload;
-    e
-  end
-  else make_entry time seq payload
+  if q.free = nil then grow q;
+  let id = q.free in
+  q.free <- q.next.(id);
+  q.time.(id) <- time;
+  q.seq.(id) <- seq;
+  q.payload.(id) <- payload;
+  id
 
-let recycle q e =
-  e.payload <- absent ();
-  e.next <- q.free;
-  q.free <- e
+(* Take the payload out of [id] and return the id to the freelist. *)
+let release q id =
+  let payload = q.payload.(id) in
+  q.payload.(id) <- absent ();
+  q.next.(id) <- q.free;
+  q.free <- id;
+  payload
 
-(* --- binary heap on entries ------------------------------------------ *)
+(* --- binary heap on ids ---------------------------------------------- *)
 
-let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let heap_swap q i j =
-  let tmp = q.harr.(i) in
-  q.harr.(i) <- q.harr.(j);
-  q.harr.(j) <- tmp
+let lt q a b =
+  let ta = q.time.(a) and tb = q.time.(b) in
+  ta < tb || (ta = tb && q.seq.(a) < q.seq.(b))
 
 let rec sift_up q i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if lt q.harr.(i) q.harr.(parent) then begin
-      heap_swap q i parent;
+    let e = q.heap.(i) and p = q.heap.(parent) in
+    if lt q e p then begin
+      q.heap.(i) <- p;
+      q.heap.(parent) <- e;
       sift_up q parent
     end
   end
@@ -131,66 +151,65 @@ let rec sift_up q i =
 let rec sift_down q i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < q.hsize && lt q.harr.(l) q.harr.(!smallest) then smallest := l;
-  if r < q.hsize && lt q.harr.(r) q.harr.(!smallest) then smallest := r;
+  if l < q.hsize && lt q q.heap.(l) q.heap.(!smallest) then smallest := l;
+  if r < q.hsize && lt q q.heap.(r) q.heap.(!smallest) then smallest := r;
   if !smallest <> i then begin
-    heap_swap q i !smallest;
+    let e = q.heap.(i) in
+    q.heap.(i) <- q.heap.(!smallest);
+    q.heap.(!smallest) <- e;
     sift_down q !smallest
   end
 
-let heap_push q e =
-  let capacity = Array.length q.harr in
+let heap_push q id =
+  let capacity = Array.length q.heap in
   if q.hsize = capacity then begin
-    let ncap = Int.max 16 (2 * capacity) in
-    let narr = Array.make ncap q.nil in
-    Array.blit q.harr 0 narr 0 q.hsize;
-    q.harr <- narr
+    let narr = Array.make (Int.max 16 (2 * capacity)) nil in
+    Array.blit q.heap 0 narr 0 q.hsize;
+    q.heap <- narr
   end;
-  q.harr.(q.hsize) <- e;
+  q.heap.(q.hsize) <- id;
   q.hsize <- q.hsize + 1;
   sift_up q (q.hsize - 1)
 
-(* Remove and return the root. The vacated slot is overwritten with
-   [nil]: leaving the old reference behind used to keep the popped
-   entry — and its closure payload — live for the rest of the run. *)
-let heap_pop q =
-  let top = q.harr.(0) in
+(* Remove the id at heap index [i]: move the last id into the hole,
+   then restore the heap property in whichever direction it breaks. *)
+let heap_remove_at q i =
+  let id = q.heap.(i) in
   q.hsize <- q.hsize - 1;
-  if q.hsize > 0 then begin
-    q.harr.(0) <- q.harr.(q.hsize);
-    q.harr.(q.hsize) <- q.nil;
-    sift_down q 0
-  end
-  else q.harr.(0) <- q.nil;
-  top
+  if i < q.hsize then begin
+    q.heap.(i) <- q.heap.(q.hsize);
+    sift_down q i;
+    sift_up q i
+  end;
+  id
 
 (* --- wheel ----------------------------------------------------------- *)
 
-(* Append to the FIFO chain of [e]'s cycle. Entries arrive here in
+(* Append [id] to the FIFO chain of its cycle. Entries arrive here in
    nondecreasing seq order for any given cycle (direct adds are issued
    in seq order, and refills drain the far heap in (time, seq) order
    before any later direct add), so chain order is seq order. *)
-let wheel_append q e =
-  let i = e.time land wheel_mask in
-  let tail = q.slots_tail.(i) in
-  if tail == q.nil then q.slots_head.(i) <- e else tail.next <- e;
-  q.slots_tail.(i) <- e;
-  if e.time < q.cur then q.cur <- e.time;
+let wheel_append q id =
+  let time = q.time.(id) in
+  let i = time land wheel_mask in
+  let tail = q.tail.(i) in
+  if tail = nil then q.head.(i) <- id else q.next.(tail) <- id;
+  q.tail.(i) <- id;
+  q.next.(id) <- nil;
+  if time < q.cur then q.cur <- time;
   q.near_count <- q.near_count + 1
 
 (* Move every far event that fits into the window ending at [q.limit]
    back into the wheel, in (time, seq) order. *)
 let drain_far q =
-  while q.hsize > 0 && q.harr.(0).time < q.limit do
-    let e = heap_pop q in
-    e.next <- e;
-    wheel_append q e
+  while q.hsize > 0 && q.time.(q.heap.(0)) < q.limit do
+    wheel_append q (heap_remove_at q 0)
   done
 
 (* The near region emptied: recenter the window on the earliest far
    event. Only called with far events pending. *)
 let rebase q =
-  let tmin = q.harr.(0).time in
+  let tmin = q.time.(q.heap.(0)) in
   q.cur <- tmin;
   q.limit <- tmin + wheel_size;
   drain_far q
@@ -201,29 +220,27 @@ let rebase q =
    the new time. O(wheel_size + n log n), but never hit by [Sim]. *)
 let reshuffle q ~time =
   for i = 0 to wheel_size - 1 do
-    let e = ref q.slots_head.(i) in
-    if !e != q.nil then begin
-      q.slots_head.(i) <- q.nil;
-      q.slots_tail.(i) <- q.nil;
-      let continue = ref true in
-      while !continue do
-        let n = (!e).next in
-        (!e).next <- !e;
-        heap_push q !e;
-        if n == !e then continue := false else e := n
-      done
-    end
+    let id = ref q.head.(i) in
+    while !id <> nil do
+      let n = q.next.(!id) in
+      heap_push q !id;
+      id := n
+    done;
+    q.head.(i) <- nil;
+    q.tail.(i) <- nil
   done;
   q.near_count <- 0;
   q.cur <- time;
   q.limit <- time + wheel_size;
   drain_far q
 
-(* Advance [cur] to the next occupied slot. Requires near_count > 0;
-   terminates within [wheel_size] steps because every near entry lives
-   at a slot in [cur, limit). *)
+(* Bring the earliest cycle to [cur]: rebase onto the far heap if the
+   near region is empty, then step [cur] to the next occupied slot.
+   Requires count > 0; terminates within [wheel_size] steps because
+   every near entry lives at a slot in [cur, limit). *)
 let advance q =
-  while q.slots_head.(q.cur land wheel_mask) == q.nil do
+  if q.near_count = 0 then rebase q;
+  while q.head.(q.cur land wheel_mask) = nil do
     q.cur <- q.cur + 1
   done
 
@@ -233,15 +250,15 @@ let add q ~time payload =
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   q.count <- q.count + 1;
+  let id = alloc q ~time ~seq payload in
   match q.kind with
-  | Heap -> heap_push q (alloc q ~time ~seq payload)
+  | Heap -> heap_push q id
   | Wheel ->
-    if time >= q.limit then heap_push q (alloc q ~time ~seq payload)
-    else if time >= q.limit - wheel_size then
-      wheel_append q (alloc q ~time ~seq payload)
+    if time >= q.limit then heap_push q id
+    else if time >= q.limit - wheel_size then wheel_append q id
     else begin
       reshuffle q ~time;
-      wheel_append q (alloc q ~time ~seq payload)
+      wheel_append q id
     end
 
 let no_event = min_int
@@ -253,9 +270,8 @@ let next_time q =
   if q.count = 0 then no_event
   else
     match q.kind with
-    | Heap -> q.harr.(0).time
+    | Heap -> q.time.(q.heap.(0))
     | Wheel ->
-      if q.near_count = 0 then rebase q;
       advance q;
       q.cur
 
@@ -265,28 +281,16 @@ let pop_payload q =
   if q.count = 0 then invalid_arg "Event_queue.pop_payload: empty queue";
   q.count <- q.count - 1;
   match q.kind with
-  | Heap ->
-    let e = heap_pop q in
-    let payload = e.payload in
-    recycle q e;
-    payload
+  | Heap -> release q (heap_remove_at q 0)
   | Wheel ->
-    if q.near_count = 0 then rebase q;
     advance q;
     let i = q.cur land wheel_mask in
-    let e = q.slots_head.(i) in
-    if e.next == e then begin
-      q.slots_head.(i) <- q.nil;
-      q.slots_tail.(i) <- q.nil
-    end
-    else begin
-      q.slots_head.(i) <- e.next;
-      e.next <- e
-    end;
+    let id = q.head.(i) in
+    let n = q.next.(id) in
+    q.head.(i) <- n;
+    if n = nil then q.tail.(i) <- nil;
     q.near_count <- q.near_count - 1;
-    let payload = e.payload in
-    recycle q e;
-    payload
+    release q id
 
 (* --- schedule exploration hooks -------------------------------------- *)
 
@@ -298,41 +302,26 @@ let runnable q =
   else
     match q.kind with
     | Heap ->
-      let tmin = q.harr.(0).time in
+      let tmin = q.time.(q.heap.(0)) in
       let n = ref 0 in
       for i = 0 to q.hsize - 1 do
-        if q.harr.(i).time = tmin then incr n
+        if q.time.(q.heap.(i)) = tmin then incr n
       done;
       !n
     | Wheel ->
-      (* After rebase/advance the slot at [cur] holds exactly the
-         events of the earliest cycle, in FIFO (= seq) order; far-heap
-         entries all have time >= limit > cur. *)
-      if q.near_count = 0 then rebase q;
+      (* After [advance] the slot at [cur] chains exactly the events of
+         the earliest cycle, in FIFO (= seq) order; far-heap entries
+         all have time >= limit > cur. *)
       advance q;
       let n = ref 0 in
-      let e = ref q.slots_head.(q.cur land wheel_mask) in
-      let continue = ref (!e != q.nil) in
-      while !continue do
+      let id = ref q.head.(q.cur land wheel_mask) in
+      while !id <> nil do
         incr n;
-        if (!e).next == !e then continue := false else e := (!e).next
+        id := q.next.(!id)
       done;
       !n
 
-(* Remove the entry at arbitrary heap index [i]: swap with the last
-   slot, then restore the heap property in whichever direction the
-   replacement violates it. *)
-let heap_remove_at q i =
-  let e = q.harr.(i) in
-  q.hsize <- q.hsize - 1;
-  if i < q.hsize then begin
-    q.harr.(i) <- q.harr.(q.hsize);
-    q.harr.(q.hsize) <- q.nil;
-    sift_down q i;
-    sift_up q i
-  end
-  else q.harr.(i) <- q.nil;
-  e
+let out_of_range () = invalid_arg "Event_queue.pop_payload_nth: index out of range"
 
 let pop_payload_nth q k =
   if q.count = 0 then invalid_arg "Event_queue.pop_payload_nth: empty queue";
@@ -341,64 +330,46 @@ let pop_payload_nth q k =
   else
     match q.kind with
     | Heap ->
-      (* Select the entry with the (k+1)-smallest seq among the
+      (* Select the heap index of the (k+1)-smallest seq among the
          min-time entries by repeated selection — O(k*n), fine for the
          tiny models the explorer drives. *)
-      let tmin = q.harr.(0).time in
+      let tmin = q.time.(q.heap.(0)) in
       let last = ref (-1) in
       let pick = ref (-1) in
       for _ = 0 to k do
         let best = ref (-1) in
         for i = 0 to q.hsize - 1 do
-          let e = q.harr.(i) in
+          let id = q.heap.(i) in
           if
-            e.time = tmin && e.seq > !last
-            && (!best = -1 || e.seq < q.harr.(!best).seq)
+            q.time.(id) = tmin
+            && q.seq.(id) > !last
+            && (!best = -1 || q.seq.(id) < q.seq.(q.heap.(!best)))
           then best := i
         done;
-        if !best = -1 then
-          invalid_arg "Event_queue.pop_payload_nth: index out of range";
-        last := q.harr.(!best).seq;
+        if !best = -1 then out_of_range ();
+        last := q.seq.(q.heap.(!best));
         pick := !best
       done;
       q.count <- q.count - 1;
-      let e = heap_remove_at q !pick in
-      let payload = e.payload in
-      recycle q e;
-      payload
+      release q (heap_remove_at q !pick)
     | Wheel ->
-      if q.near_count = 0 then rebase q;
       advance q;
       let i = q.cur land wheel_mask in
-      (* Walk to the k-th node of the cycle's FIFO chain and unlink
-         it, patching head/tail as needed. *)
-      let prev = ref q.nil in
-      let e = ref q.slots_head.(i) in
-      (try
-         for _ = 1 to k do
-           if (!e).next == !e then raise Exit;
-           prev := !e;
-           e := (!e).next
-         done
-       with Exit ->
-         invalid_arg "Event_queue.pop_payload_nth: index out of range");
-      let node = !e in
-      if !prev == q.nil then
-        if node.next == node then begin
-          q.slots_head.(i) <- q.nil;
-          q.slots_tail.(i) <- q.nil
-        end
-        else q.slots_head.(i) <- node.next
-      else if node.next == node then begin
-        (!prev).next <- !prev;
-        q.slots_tail.(i) <- !prev
-      end
-      else (!prev).next <- node.next;
+      (* Walk to the k-th id of the cycle's FIFO chain and unlink it,
+         patching head/tail as needed. *)
+      let prev = ref nil in
+      let id = ref q.head.(i) in
+      for _ = 1 to k do
+        if q.next.(!id) = nil then out_of_range ();
+        prev := !id;
+        id := q.next.(!id)
+      done;
+      let n = q.next.(!id) in
+      if !prev = nil then q.head.(i) <- n else q.next.(!prev) <- n;
+      if n = nil then q.tail.(i) <- !prev;
       q.near_count <- q.near_count - 1;
       q.count <- q.count - 1;
-      let payload = node.payload in
-      recycle q node;
-      payload
+      release q !id
 
 let pop q =
   let time = next_time q in
@@ -408,27 +379,21 @@ let peek_time q =
   let time = next_time q in
   if time = no_event then None else Some time
 
+(* Drop every pending event: free every id (lowest first, as a fresh
+   store hands them out) and clear every payload slot. *)
 let clear q =
-  (match q.kind with
-  | Heap -> ()
-  | Wheel ->
-    for i = 0 to wheel_size - 1 do
-      let e = ref q.slots_head.(i) in
-      if !e != q.nil then begin
-        q.slots_head.(i) <- q.nil;
-        q.slots_tail.(i) <- q.nil;
-        let continue = ref true in
-        while !continue do
-          let n = (!e).next in
-          recycle q !e;
-          if n == !e then continue := false else e := n
-        done
-      end
-    done;
+  let cap = Array.length q.time in
+  Array.fill q.payload 0 cap (absent ());
+  for id = 0 to cap - 1 do
+    q.next.(id) <- (if id = cap - 1 then nil else id + 1)
+  done;
+  q.free <- (if cap = 0 then nil else 0);
+  q.hsize <- 0;
+  if q.kind = Wheel then begin
+    Array.fill q.head 0 wheel_size nil;
+    Array.fill q.tail 0 wheel_size nil;
     q.near_count <- 0;
     q.cur <- 0;
-    q.limit <- wheel_size);
-  while q.hsize > 0 do
-    recycle q (heap_pop q)
-  done;
+    q.limit <- wheel_size
+  end;
   q.count <- 0

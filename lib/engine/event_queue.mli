@@ -8,11 +8,17 @@
     - [Wheel] (the default): a calendar-queue / timing-wheel hybrid. A
       near wheel of power-of-two buckets (one cycle per bucket) serves
       the common case — events scheduled within ~1k cycles of the clock
-      — in O(1) with zero steady-state allocation (entries are recycled
-      through a freelist); events beyond the horizon overflow into a
-      small min-heap and are drained back as the window advances.
-    - [Heap]: the classic array-backed binary min-heap, kept as the
-      simple reference implementation for differential testing. *)
+      — in O(1); events beyond the horizon overflow into a small
+      min-heap and are drained back as the window advances.
+    - [Heap]: the classic binary min-heap, kept as the simple reference
+      implementation for differential testing.
+
+    Both keep their events in one flat store: an event is an int id,
+    its time, sequence number and chain link sit in [int array]s and
+    its payload in an ['a array], and the wheel's buckets and the heap
+    hold ids. Ids are recycled, so steady-state scheduling allocates
+    nothing, and the only write-barrier stores are the payload's: one
+    when an event is added, one (an immediate) when it is popped. *)
 
 type backend = Heap | Wheel
 

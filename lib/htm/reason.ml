@@ -38,7 +38,7 @@ let label = function
   | Fault -> "fault"
   | Validation -> "valid"
 
-let classify_conflict ~aggressor_mode ~line ~lock_line =
+let classify_conflict ~aggressor_mode ~(line : Lk_coherence.Types.line) ~lock_line =
   match (aggressor_mode : Lk_coherence.Types.mode) with
   | Lk_coherence.Types.Lock_tx -> Conflict_lock
   | Lk_coherence.Types.Htm_tx -> Conflict_htm

@@ -369,7 +369,7 @@ let requester_beats_holder ~requester:(rc, (rp : Types.party))
     ~holder:(hc, (hp : Types.party)) =
   if rp.Types.priority <> hp.Types.priority then
     rp.Types.priority > hp.Types.priority
-  else rc < hc
+  else (rc : int) < hc
 
 (* --- Wake-up machinery ----------------------------------------------- *)
 
@@ -1199,7 +1199,7 @@ let sw_commit t core ~k =
         let ok =
           Sw_path.version_of word = version
           && ((not (Sw_path.locked word))
-             || Sw_path.owner t.sw slot = Some core)
+             || Sw_path.owner_id t.sw slot = core)
         in
         if not ok then begin
           if !valid && !culprit < 0 then begin

@@ -16,7 +16,9 @@ let validate r =
     Error (Printf.sprintf "phase must be in [0, %d] (got %d)" max_phase r.phase)
   else Ok ()
 
-let equal (a : t) (b : t) = a = b
+let equal a b =
+  a.arrival = b.arrival && a.core = b.core && a.reads = b.reads
+  && a.writes = b.writes && a.phase = b.phase
 
 let to_line r =
   Printf.sprintf "%d %d %d %d %d" r.arrival r.core r.reads r.writes r.phase

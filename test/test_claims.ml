@@ -13,7 +13,13 @@
      and raises its commit rate against RWI.
    - Fig 10: at 2 threads, HTMLock leaves LockillerTM-RWIL and
      LockillerTM with no mutex aborts on any workload (a structural
-     zero, not a value). *)
+     zero, not a value).
+   - Fig 11: at 2 threads on labyrinth, switchingMode gives LockillerTM
+     a nonzero switchLock share, a higher commit rate than RWIL and a
+     lower aborted share.
+   - Fig 13: under both the small and the large cache, at every thread
+     count, LockillerTM beats Baseline and Baseline beats CGL (geomean
+     speedup over CGL across the suite). *)
 
 module Experiments = Lk_sim.Experiments
 module Config = Lk_sim.Config
@@ -71,18 +77,17 @@ let test_extreme () =
           max avg)
     [ ("Baseline", Sysconf.baseline); ("LosaTM-SAFU", Sysconf.losa_safu) ]
 
+(* The share of a result's execution time in one breakdown category. *)
+let share (r : Runner.result) cat =
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 r.Runner.breakdown in
+  float_of_int (List.assoc cat r.Runner.breakdown) /. float_of_int total
+
 let test_htmlock_genome () =
   let genome = Option.get (Suite.find "genome") in
   let run sysconf =
     Experiments.result (Lazy.force ctx) ~sysconf ~workload:genome ~threads:32 ()
   in
-  let waitlock_share (r : Runner.result) =
-    let total =
-      List.fold_left (fun acc (_, n) -> acc + n) 0 r.Runner.breakdown
-    in
-    float_of_int (List.assoc Accounting.Wait_lock r.Runner.breakdown)
-    /. float_of_int total
-  in
+  let waitlock_share r = share r Accounting.Wait_lock in
   let rwi = run Sysconf.lockiller_rwi and rwil = run Sysconf.lockiller_rwil in
   above_one "genome waitlock share, RWI over RWIL"
     (waitlock_share rwi /. waitlock_share rwil);
@@ -108,6 +113,45 @@ let test_no_mutex_aborts () =
         Suite.all)
     [ Sysconf.lockiller_rwil; Sysconf.lockiller ]
 
+let test_switching_labyrinth () =
+  let labyrinth = Option.get (Suite.find "labyrinth") in
+  let run sysconf =
+    Experiments.result (Lazy.force ctx) ~sysconf ~workload:labyrinth ~threads:2
+      ()
+  in
+  let rwil = run Sysconf.lockiller_rwil and lk = run Sysconf.lockiller in
+  if not (share lk Accounting.Switch_lock > 0.0) then
+    Alcotest.fail "labyrinth: LockillerTM spends no time in switchLock";
+  above_one "labyrinth commit rate, LockillerTM over RWIL"
+    (lk.Runner.commit_rate /. rwil.Runner.commit_rate);
+  above_one "labyrinth aborted share, RWIL over LockillerTM"
+    (share rwil Accounting.Aborted /. share lk Accounting.Aborted)
+
+let test_cache_sensitivity () =
+  let ctx = Lazy.force ctx in
+  let vs_cgl cache sysconf threads =
+    Metrics.geomean
+      (List.map
+         (fun w ->
+           Experiments.speedup_vs_cgl ctx ~cache ~sysconf ~workload:w ~threads
+             ())
+         Suite.all)
+  in
+  List.iter
+    (fun cache ->
+      List.iter
+        (fun threads ->
+          let what =
+            Printf.sprintf "%s cache, %d threads"
+              (Config.cache_profile_name cache) threads
+          in
+          let lk = vs_cgl cache Sysconf.lockiller threads
+          and base = vs_cgl cache Sysconf.baseline threads in
+          above_one ("LockillerTM over Baseline, " ^ what) (lk /. base);
+          above_one ("Baseline over CGL, " ^ what) base)
+        (Experiments.thread_counts ctx))
+    [ Config.Small; Config.Large ]
+
 let () =
   Alcotest.run "claims"
     [
@@ -120,5 +164,8 @@ let () =
             test_htmlock_genome;
           Alcotest.test_case "no mutex aborts under HTMLock" `Quick
             test_no_mutex_aborts;
+          Alcotest.test_case "switchingMode on labyrinth" `Quick
+            test_switching_labyrinth;
+          Alcotest.test_case "cache sensitivity" `Quick test_cache_sensitivity;
         ] );
     ]

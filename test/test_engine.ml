@@ -253,6 +253,119 @@ let test_eq_backend_differential () =
   in
   List.iter run_ops [ 1; 42; 1337 ]
 
+(* Model-based property of the whole queue API: random sequences of
+   adds (near the clock, past the wheel's horizon, and below its
+   window), peeks and pops, [pop_payload_nth], [runnable] and [clear]
+   run on both backends and on a sorted-list model. The adds outnumber
+   the pops, and every sequence opens with 40 adds, so the pending set
+   outgrows the store's first allocation and the store has to grow
+   mid-sequence. *)
+type eq_op =
+  | Add of int  (* delta from the clock, below 0 for below the window *)
+  | Pop
+  | Pop_nth of int
+  | Runnable
+  | Clear
+
+(* Weights out of 231: a clear every ~230 ops, and ~60% adds. *)
+let eq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (100, map (fun d -> Add d) (0 -- 300));
+        (30, map (fun d -> Add d) (1024 -- 8192));
+        (10, map (fun d -> Add (-d)) (1 -- 3000));
+        (60, return Pop);
+        (20, map (fun k -> Pop_nth k) (0 -- 4));
+        (10, return Runnable);
+        (1, return Clear);
+      ])
+
+let eq_op_print = function
+  | Add d -> "add " ^ string_of_int d
+  | Pop -> "pop"
+  | Pop_nth k -> "nth " ^ string_of_int k
+  | Runnable -> "runnable"
+  | Clear -> "clear"
+
+let prop_eq_model =
+  QCheck.Test.make ~name:"wheel and heap match a sorted-list model" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list eq_op_print)
+       QCheck.Gen.(
+         map2 ( @ )
+           (list_repeat 40 (map (fun d -> Add d) (0 -- 300)))
+           (list_size (100 -- 600) eq_op_gen)))
+    (fun ops ->
+      let qw = Event_queue.create ~backend:Event_queue.Wheel () in
+      let qh = Event_queue.create ~backend:Event_queue.Heap () in
+      (* The model: pending (time, seq) pairs sorted; payload = seq. *)
+      let model = ref [] and seq = ref 0 and clock = ref 0 in
+      let add time =
+        List.iter (fun q -> Event_queue.add q ~time !seq) [ qw; qh ];
+        (* Every seq so far is smaller, so it goes after its time's
+           group. *)
+        model :=
+          List.filter (fun (t, _) -> t <= time) !model
+          @ ((time, !seq) :: List.filter (fun (t, _) -> t > time) !model);
+        incr seq
+      in
+      let front () =
+        match !model with
+        | [] -> []
+        | (t0, _) :: _ -> List.filter (fun (t, _) -> t = t0) !model
+      in
+      let agree what a b c =
+        if a <> c || b <> c then
+          QCheck.Test.fail_reportf "%s: wheel %d heap %d model %d" what a b c
+      in
+      let pop_each f expected = agree "payload" (f qw) (f qh) expected in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add d -> add (Int.max 0 (!clock + d))
+          | Pop -> (
+            let expect =
+              match !model with [] -> Event_queue.no_event | (t, _) :: _ -> t
+            in
+            agree "next_time" (Event_queue.next_time qw)
+              (Event_queue.next_time qh) expect;
+            match !model with
+            | [] -> ()
+            | (t, s) :: rest ->
+              pop_each Event_queue.pop_payload s;
+              model := rest;
+              clock := t)
+          | Pop_nth k -> (
+            let group = front () in
+            if k < List.length group then begin
+              let t, s = List.nth group k in
+              pop_each (fun q -> Event_queue.pop_payload_nth q k) s;
+              model := List.filter (fun (_, s') -> s' <> s) !model;
+              clock := t
+            end
+            else if group <> [] then
+              List.iter
+                (fun q ->
+                  match Event_queue.pop_payload_nth q k with
+                  | _ -> QCheck.Test.fail_reportf "nth %d out of range popped" k
+                  | exception Invalid_argument _ -> ())
+                [ qw; qh ])
+          | Runnable ->
+            agree "runnable" (Event_queue.runnable qw) (Event_queue.runnable qh)
+              (List.length (front ()))
+          | Clear ->
+            Event_queue.clear qw;
+            Event_queue.clear qh;
+            model := [];
+            clock := 0);
+          agree "length" (Event_queue.length qw) (Event_queue.length qh)
+            (List.length !model))
+        ops;
+      (* Drain the rest in order. *)
+      List.iter (fun (_, s) -> pop_each Event_queue.pop_payload s) !model;
+      Event_queue.is_empty qw && Event_queue.is_empty qh)
+
 (* Regression test for the space leak where [pop] left the popped entry
    reachable through the heap array's vacated slot: attach finalisers
    to every payload, pop them all, and require the GC to collect every
@@ -833,6 +946,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_eq_stable;
           Alcotest.test_case "wheel vs heap differential" `Quick
             test_eq_backend_differential;
+          QCheck_alcotest.to_alcotest prop_eq_model;
           Alcotest.test_case "pop releases payloads (wheel)" `Quick
             (test_eq_pop_releases_payloads Event_queue.Wheel);
           Alcotest.test_case "pop releases payloads (heap)" `Quick

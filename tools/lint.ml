@@ -6,14 +6,19 @@
    [Hashtbl] or a [Printf] that sneaks into them costs real time (and,
    for [compare] on abstract types, correctness risk). dune cannot
    express "this library must not use these Stdlib identifiers", so
-   this is a small lexical checker:
+   this is a small checker:
 
-     - poly-compare: bare [compare] / [max] / [min] (use [Int.compare],
-       [Int.max], [Int.min] — monomorphic and inlined), and comparison
-       operators used as function values: [(=)], [(<>)], [(<)], [(>)],
-       [(<=)], [(>=)] (passing them forces the polymorphic path even on
-       ints). Infix uses of [=] on immediates compile fine and are not
-       (and cannot lexically be) flagged.
+     - poly-compare (typed): read from each scanned file's typed tree
+       ([.cmt]), so it runs on a built tree ([dune build @tools/lint]).
+       [Stdlib.compare] / [min] / [max] at any type (use [Int.compare],
+       [Int.max], [Int.min] — monomorphic and inlined), and the six
+       comparison operators, infix or as function values, wherever
+       the operand type is one the compiler cannot specialise: a type
+       variable, an option, a tuple, a record, a list. [int], [char],
+       [bool], constant-only variants, [float], [string], [bytes] and
+       the boxed ints pass, and so does [=]/[<>] against a constant
+       constructor ([x <> None] is a pointer test). A scanned file with
+       no typed tree, or a stale one, is a finding.
      - hashtbl: any use of [Hashtbl] (use [Lk_engine.Int_table] for
        int keys; generic hashing allocates and calls through [compare]).
      - printf: any use of [Printf] (hot code reports through [Stats] /
@@ -24,8 +29,9 @@
        three rules above, it covers every library, not only the hot
        ones.
 
-   Comments and string literals are stripped before matching, so
-   prose mentioning the forbidden identifiers is fine. Suppression:
+   The hashtbl, printf and dead-export rules are lexical: comments and
+   string literals are stripped before matching, so prose mentioning
+   the forbidden identifiers is fine. Suppression, for every rule:
    append [lint-ok] in a comment on the offending line, or grant a
    file-wide waiver for one of the three hot-path rules with a
    [lint: allow <rule>] pragma comment (the pragma must state why). A
@@ -160,14 +166,6 @@ let is_ident_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-(* Previous non-blank character before position i, or ' '. *)
-let prev_nonblank code i =
-  let j = ref (i - 1) in
-  while !j >= 0 && (code.[!j] = ' ' || code.[!j] = '\t') do
-    decr j
-  done;
-  if !j >= 0 then code.[!j] else ' '
-
 let line_of_offset code i =
   let l = ref 1 in
   for j = 0 to i - 1 do
@@ -208,17 +206,9 @@ let check_file file =
     if (not (List.mem line suppressed)) && not (List.mem rule allowed) then
       findings := { file; line; rule; message } :: !findings
   in
-  let n = String.length code in
   Array.iter
     (fun (i, tok) ->
-      let qualified = prev_nonblank code i = '.' in
       match tok with
-      | "compare" | "max" | "min" when not qualified ->
-        report i "poly-compare"
-          (Printf.sprintf
-             "bare [%s] is the polymorphic Stdlib one; use [Int.%s] (or a \
-              monomorphic equivalent)"
-             tok tok)
       | "Hashtbl" ->
         report i "hashtbl"
           "generic [Hashtbl] on a hot path; use [Lk_engine.Int_table] for \
@@ -229,37 +219,155 @@ let check_file file =
            [Format] on cold paths"
       | _ -> ())
     (idents code);
-  (* Comparison operators as function values: ( = ), (<>), ... *)
-  let ops = [ "<>"; "<="; ">="; "="; "<"; ">" ] in
-  let i = ref 0 in
-  while !i < n do
-    if code.[!i] = '(' then begin
-      let j = ref (!i + 1) in
-      while !j < n && (code.[!j] = ' ' || code.[!j] = '\t') do
-        incr j
-      done;
-      List.iter
-        (fun op ->
-          let lo = String.length op in
-          if !j + lo < n && String.sub code !j lo = op then begin
-            let k = ref (!j + lo) in
-            while !k < n && (code.[!k] = ' ' || code.[!k] = '\t') do
-              incr k
-            done;
-            if !k < n && code.[!k] = ')' then begin
-              report !i "poly-compare"
-                (Printf.sprintf
-                   "[(%s)] as a function value is the polymorphic compare; \
-                    wrap a monomorphic comparison instead"
-                   op);
-              i := !k
-            end
-          end)
-        ops
-    end;
-    incr i
-  done;
   List.rev !findings
+
+(* --- poly-compare (typed) ------------------------------------------------
+
+   Reads the typed tree ([.cmt]) of each scanned [.ml] and looks at every
+   reference to [Stdlib.compare]/[min]/[max] (flagged at any type) and to
+   the six comparison operators (flagged where the compiler cannot
+   specialise them). [ocamlopt] turns [a = b] into an integer, float,
+   string or boxed-int comparison only when the operand type is
+   immediate ([int], [char], [bool], constant-only variants) or one of
+   those base types; at a type variable, an option, a tuple, a record
+   or a list it calls the polymorphic [caml_equal]/[compare_val]
+   through [caml_c_call]. The typed tree sees what no lexical scan can:
+   [x = y] whose operands were inferred ['a], and [(=)] passed as a
+   function value. The operand type is judged in the environment of
+   the expression, rebuilt from the [.cmt]'s summary, so an abstract
+   type whose manifest is [int] passes like [int]. *)
+
+let specialisable env ty =
+  Typeopt.maybe_pointer_type env ty = Lambda.Immediate
+  || List.exists (Typeopt.is_base_type env ty)
+       Predef.
+         [ path_float; path_string; path_bytes; path_int32; path_int64;
+           path_nativeint ]
+
+let type_to_string ty = Format.asprintf "%a" Printtyp.type_expr ty
+
+(* The poly-compare findings of one implementation's typed tree, as
+   (line, message). *)
+let typed_sites (cmt : Cmt_format.cmt_infos) ~root structure =
+  Load_path.init ~auto_include:Load_path.no_auto_include
+    (List.map
+       (fun d -> if Filename.is_relative d then Filename.concat root d else d)
+       cmt.cmt_loadpath
+    @ [ Config.standard_library ]);
+  Envaux.reset_cache ();
+  let sites = ref [] in
+  let flag (e : Typedtree.expression) message =
+    sites := (e.exp_loc.loc_start.pos_lnum, message) :: !sites
+  in
+  let check (e : Typedtree.expression) path =
+    match Path.name path with
+    | "Stdlib.compare" | "Stdlib.min" | "Stdlib.max" ->
+      let f = Path.last path in
+      flag e
+        (Printf.sprintf
+           "bare [%s] is the polymorphic Stdlib one; use [Int.%s] (or a \
+            monomorphic equivalent)"
+           f f)
+    | "Stdlib.=" | "Stdlib.<>" | "Stdlib.<" | "Stdlib.>" | "Stdlib.<="
+    | "Stdlib.>=" -> (
+      let op = Path.last path in
+      let env =
+        (* Without the environment an abstract type reads as a
+           pointer: the rule errs towards flagging. *)
+        try Envaux.env_of_only_summary e.exp_env
+        with Envaux.Error _ -> Env.empty
+      in
+      match Typeopt.is_function_type env e.exp_type with
+      | Some (arg, _) when not (specialisable env arg) ->
+        flag e
+          (Printf.sprintf
+             "[%s] at type [%s] is the polymorphic compare (a C call per \
+              use); annotate the operands with a base type or use a \
+              monomorphic comparison"
+             op (type_to_string arg))
+      | _ -> ())
+    | _ -> ()
+  in
+  (* [x = None], [l <> []]: an equality against a constant constructor
+     compiles to a pointer test whatever the type, as in [Translcore]. *)
+  let constant_arg (_, arg) =
+    match arg with
+    | Some { Typedtree.exp_desc = Texp_construct (_, cstr, _); _ } -> (
+      match cstr.cstr_tag with Cstr_constant _ -> true | _ -> false)
+    | Some { exp_desc = Texp_variant (_, None); _ } -> true
+    | _ -> false
+  in
+  let iter =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun sub e ->
+          match e.exp_desc with
+          | Texp_apply ({ exp_desc = Texp_ident (path, _, _); _ }, args)
+            when List.mem (Path.name path) [ "Stdlib.="; "Stdlib.<>" ]
+                 && List.exists constant_arg args ->
+            List.iter (function _, Some a -> sub.expr sub a | _ -> ()) args
+          | Texp_ident (path, _, _) -> check e path
+          | _ -> Tast_iterator.default_iterator.expr sub e);
+    }
+  in
+  iter.structure iter structure;
+  List.rev !sites
+
+(* Every [.cmt] under [dir]: dune keeps them in [.<lib>.objs/byte/], a
+   plain [ocamlc -bin-annot] next to the source. *)
+let cmt_files dir =
+  let cmts d =
+    if Sys.file_exists d && Sys.is_directory d then
+      Sys.readdir d |> Array.to_list |> List.sort String.compare
+      |> List.filter (fun f -> Filename.check_suffix f ".cmt")
+      |> List.map (Filename.concat d)
+    else []
+  in
+  let objs =
+    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    |> List.filter (fun f -> Filename.check_suffix f ".objs")
+  in
+  cmts dir
+  @ List.concat_map (fun o -> cmts (Filename.concat (Filename.concat dir o) "byte")) objs
+
+(* The typed poly-compare findings of the scanned [files] of [dir]
+   (paths under [root]). A scanned file without a typed tree, or with
+   one older than its source, is itself a finding: the rule must not
+   pass by reading nothing. *)
+let typed_findings ~root dir files =
+  let trees =
+    List.filter_map
+      (fun cmt_file ->
+        let cmt = Cmt_format.read_cmt cmt_file in
+        match (cmt.cmt_sourcefile, cmt.cmt_annots) with
+        | Some src, Implementation str ->
+          Some (Filename.concat root src, (cmt, str))
+        | _ -> None)
+      (cmt_files dir)
+  in
+  List.concat_map
+    (fun file ->
+      let finding line message =
+        { file; line; rule = "poly-compare"; message }
+      in
+      match List.assoc_opt file trees with
+      | None ->
+        [
+          finding 1
+            "no typed tree (.cmt) for this file; run the lint on a built \
+             tree (dune build @tools/lint)";
+        ]
+      | Some (cmt, _) when cmt.cmt_source_digest <> Some (Digest.file file) ->
+        [ finding 1 "the typed tree (.cmt) is older than the source; rebuild it" ]
+      | Some (cmt, str) ->
+        let _, suppressed, allowed = strip (read_file file) in
+        if List.mem "poly-compare" allowed then []
+        else
+          typed_sites cmt ~root str
+          |> List.filter (fun (line, _) -> not (List.mem line suppressed))
+          |> List.map (fun (line, message) -> finding line message))
+    files
 
 (* --- dead-export ---------------------------------------------------------
 
@@ -398,19 +506,21 @@ let () =
   let root =
     if Array.length Sys.argv > 1 then Sys.argv.(1) else Filename.current_dir_name
   in
-  let files =
-    List.concat_map
+  let scanned =
+    List.map
       (fun dir ->
         let abs = Filename.concat root dir in
         if not (Sys.file_exists abs) then begin
           Printf.eprintf "lint: missing directory %s\n" abs;
           exit 2
         end;
-        Sys.readdir abs |> Array.to_list |> List.sort String.compare
-        |> List.filter (fun f -> Filename.check_suffix f ".ml")
-        |> List.map (Filename.concat abs))
+        ( abs,
+          Sys.readdir abs |> Array.to_list |> List.sort String.compare
+          |> List.filter (fun f -> Filename.check_suffix f ".ml")
+          |> List.map (Filename.concat abs) ))
       scanned_dirs
   in
+  let files = List.concat_map snd scanned in
   let sources dir =
     let abs = Filename.concat root dir in
     if Sys.file_exists abs then ocaml_files abs else []
@@ -418,8 +528,13 @@ let () =
   let interfaces =
     List.filter (fun f -> Filename.check_suffix f ".mli") (sources "lib")
   in
+  let by_position a b =
+    match String.compare a.file b.file with 0 -> Int.compare a.line b.line | c -> c
+  in
   let findings =
-    List.concat_map check_file files
+    List.stable_sort by_position
+      (List.concat_map check_file files
+      @ List.concat_map (fun (dir, fs) -> typed_findings ~root dir fs) scanned)
     @ dead_exports ~interfaces ~sources:(List.concat_map sources reference_dirs)
   in
   List.iter
