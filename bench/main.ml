@@ -18,7 +18,7 @@ module Runner = Lockiller.Sim.Runner
 module Perf = Lockiller.Sim.Perf
 module Json = Lockiller.Sim.Json
 
-(* --- Perf microbenchmark: schedule/pop throughput, wheel vs heap -------- *)
+(* --- Perf microbenchmark: schedule/pop throughput ------------------------ *)
 
 (* Deterministic delay stream (no global RNG) matching the simulator's
    profile: mostly short latencies (L1 hits, NoC hops — 1..256 cycles),
@@ -34,8 +34,8 @@ let lcg_next st =
    stays constant and the probe sees pure schedule/pop steady state.
    Uses the allocation-free next_time/pop_payload pair like the kernel
    does. *)
-let queue_micro ~backend ~ops =
-  let q = Event_queue.create ~backend () in
+let queue_micro ~ops =
+  let q = Event_queue.create () in
   let resident = 8192 in
   let st = ref 0x3779B97F4A7C15 in
   for i = 0 to resident - 1 do
@@ -56,8 +56,8 @@ let queue_micro ~backend ~ops =
    each one schedules a fresh closure (5 words: its chain and the
    step), so the sample pays the queue's write barrier on a young
    payload, not the cheap path of re-storing one long-lived value. *)
-let sim_micro ~backend ~ops =
-  let sim = Sim.create ~backend () in
+let sim_micro ~ops =
+  let sim = Sim.create () in
   let st = ref 0x51AFE2149F123BCD in
   let remaining = ref ops in
   let rec tick chain () =
@@ -274,15 +274,13 @@ let run_perf_micro () =
   (* 1M ops: minor-words/event carries a fixed setup-sized overhead
      that only amortises out at this operating point, the baseline's. *)
   let ops = 1_000_000 in
-  let measure micro backend =
+  let measure micro =
     (* First run warms code and minor heap; report the second. *)
-    ignore (micro ~backend ~ops);
-    micro ~backend ~ops
+    ignore (micro ~ops);
+    micro ~ops
   in
-  let qw = measure queue_micro Event_queue.Wheel in
-  let qh = measure queue_micro Event_queue.Heap in
-  let sw = measure sim_micro Event_queue.Wheel in
-  let sh = measure sim_micro Event_queue.Heap in
+  let q = measure queue_micro in
+  let s = measure sim_micro in
   let tr = trace_micro ~ops in
   let m32 = machine_micro ~cores:32 in
   let m256 = machine_micro ~cores:256 in
@@ -306,21 +304,13 @@ let run_perf_micro () =
     let h = Perf.events_per_sec h in
     if h <= 0.0 then 0.0 else Perf.events_per_sec w /. h
   in
-  let section w h =
-    Json.Obj
-      [
-        ("wheel", Perf.json_of_sample w);
-        ("heap", Perf.json_of_sample h);
-        ("wheel_speedup", Json.Float (speedup w h));
-      ]
-  in
   let j =
     Json.Obj
       [
         ("schema", Json.Int 1);
         ("ops", Json.Int ops);
-        ("queue", section qw qh);
-        ("sim", section sw sh);
+        ("queue", Json.Obj [ ("wheel", Perf.json_of_sample q) ]);
+        ("sim", Json.Obj [ ("wheel", Perf.json_of_sample s) ]);
         ("trace", Json.Obj [ ("read", Perf.json_of_sample tr) ]);
         ( "mesh",
           Json.Obj

@@ -4,10 +4,12 @@
    Usage: perfcheck.exe [CURRENT] [BASELINE]
    (defaults: BENCH_micro.json bench/baseline.json)
 
-   The baseline is walked recursively; only metric leaves are compared,
-   with a tolerance band per metric family so the gate trips on real
-   regressions (wrong data structure, reintroduced boxing), not
-   machine noise:
+   The baseline is walked recursively. Every member it holds, section
+   or leaf, must be present in the current results: a missing one fails
+   the gate, so a dropped microbenchmark cannot pass unnoticed. Only
+   metric leaves are compared, with a tolerance band per metric family
+   so the gate trips on real regressions (wrong data structure,
+   reintroduced boxing), not machine noise:
 
    - higher-is-better ("events_per_sec", "messages_per_sec",
      "*speedup"): wall-clock
@@ -38,7 +40,14 @@ module Json = Lockiller.Sim.Json
 let tolerance = 2.0
 let wall_tolerance = 3.0
 
-let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
+(* Flush the report first, so the verdict reads after it. *)
+let die fmt =
+  Printf.ksprintf
+    (fun s ->
+      flush stdout;
+      prerr_endline s;
+      exit 1)
+    fmt
 
 let load path =
   let ic = try open_in path with Sys_error e -> die "perfcheck: %s" e in
@@ -93,8 +102,7 @@ let rec walk path key baseline current =
         let sub = if path = "" then k else path ^ "." ^ k in
         match Json.member k current with
         | Ok cv -> walk sub k bv cv
-        | Error _ ->
-          if metric k then die "perfcheck: current results lack %s" sub)
+        | Error _ -> die "perfcheck: current results lack %s" sub)
       members
   | (Json.Int _ | Json.Float _), _ when metric key -> (
     match (Json.to_float baseline, Json.to_float current) with

@@ -1,17 +1,11 @@
-(* Pending-event set with two interchangeable backends.
-
-   [Heap] is the classic binary min-heap the simulator started with,
-   kept as the differential-testing reference: entries are compared by
-   time first and by a monotonically increasing sequence number second,
-   which yields stable FIFO behaviour for same-cycle events.
-
-   [Wheel] is a calendar-queue / timing-wheel hybrid tuned for the
-   discrete-event hot loop, where almost every event lands within a few
-   hundred cycles of the clock: a "near" wheel of [wheel_size]
-   power-of-two buckets (one simulated cycle per bucket) absorbs those
-   in O(1), and a small overflow min-heap holds the far future. Both
-   backends pop in exactly the same (time, seq) order, so a simulation
-   is bit-identical under either.
+(* The pending-event set: a calendar-queue / timing-wheel hybrid tuned
+   for the discrete-event hot loop, where almost every event lands
+   within a few hundred cycles of the clock. A "near" wheel of
+   [wheel_size] power-of-two buckets (one simulated cycle per bucket)
+   absorbs those in O(1), and a small overflow min-heap holds the far
+   future. Entries pop in (time, seq) order: a monotonically increasing
+   sequence number breaks same-cycle ties, which yields stable FIFO
+   behaviour for same-cycle events.
 
    Storage (the point of the layout): an entry is an int id into a
    flat store of parallel arrays — [time], [seq] and [next] are [int
@@ -23,8 +17,6 @@
    reachable). Ids are recycled through a freelist chained in [next];
    the store grows only when every id is in use, so steady-state
    schedule/pop cycles allocate nothing. *)
-
-type backend = Heap | Wheel
 
 (* Placeholder written into free payload slots so the GC can reclaim
    popped payloads. The immediate 0 is a valid word of any type from
@@ -44,7 +36,6 @@ let wheel_size = 1 lsl wheel_bits
 let wheel_mask = wheel_size - 1
 
 type 'a t = {
-  kind : backend;
   mutable next_seq : int;  (* insertion counter: the same-time tie-break *)
   mutable count : int;  (* total live entries, both regions *)
   (* The entry store, indexed by id. [next] chains a wheel slot's FIFO
@@ -54,13 +45,13 @@ type 'a t = {
   mutable next : int array;
   mutable payload : 'a array;
   mutable free : int;
-  (* Heap backend, and the wheel's far-overflow region: ids ordered by
-     (time, seq) in [heap.(0 .. hsize - 1)]. *)
+  (* The far-overflow region: ids ordered by (time, seq) in
+     [heap.(0 .. hsize - 1)]. *)
   mutable heap : int array;
   mutable hsize : int;
-  (* Wheel backend only. The near window is [limit - wheel_size, limit);
-     slot [t land wheel_mask] chains exactly the events of cycle [t] in
-     FIFO order. [cur] is the next candidate cycle: every near entry has
+  (* The near window is [limit - wheel_size, limit); slot
+     [t land wheel_mask] chains exactly the events of cycle [t] in FIFO
+     order. [cur] is the next candidate cycle: every near entry has
      time >= cur (adds below cur pull it back). *)
   head : int array;
   tail : int array;
@@ -69,10 +60,8 @@ type 'a t = {
   mutable limit : int;
 }
 
-let create ?(backend = Wheel) () =
-  let wheel = backend = Wheel in
+let create () =
   {
-    kind = backend;
     next_seq = 0;
     count = 0;
     time = [||];
@@ -82,15 +71,13 @@ let create ?(backend = Wheel) () =
     free = nil;
     heap = [||];
     hsize = 0;
-    head = (if wheel then Array.make wheel_size nil else [||]);
-    tail = (if wheel then Array.make wheel_size nil else [||]);
+    head = Array.make wheel_size nil;
+    tail = Array.make wheel_size nil;
     near_count = 0;
     cur = 0;
     limit = wheel_size;
   }
 
-let backend q = q.kind
-let is_empty q = q.count = 0
 let length q = q.count
 
 (* --- entry store ----------------------------------------------------- *)
@@ -131,7 +118,7 @@ let release q id =
   q.free <- id;
   payload
 
-(* --- binary heap on ids ---------------------------------------------- *)
+(* --- far heap: a binary min-heap on ids ------------------------------- *)
 
 let lt q a b =
   let ta = q.time.(a) and tb = q.time.(b) in
@@ -171,15 +158,14 @@ let heap_push q id =
   q.hsize <- q.hsize + 1;
   sift_up q (q.hsize - 1)
 
-(* Remove the id at heap index [i]: move the last id into the hole,
-   then restore the heap property in whichever direction it breaks. *)
-let heap_remove_at q i =
-  let id = q.heap.(i) in
+(* Remove the earliest id: move the last id to the root and sift it
+   down. *)
+let heap_pop q =
+  let id = q.heap.(0) in
   q.hsize <- q.hsize - 1;
-  if i < q.hsize then begin
-    q.heap.(i) <- q.heap.(q.hsize);
-    sift_down q i;
-    sift_up q i
+  if q.hsize > 0 then begin
+    q.heap.(0) <- q.heap.(q.hsize);
+    sift_down q 0
   end;
   id
 
@@ -203,7 +189,7 @@ let wheel_append q id =
    back into the wheel, in (time, seq) order. *)
 let drain_far q =
   while q.hsize > 0 && q.time.(q.heap.(0)) < q.limit do
-    wheel_append q (heap_remove_at q 0)
+    wheel_append q (heap_pop q)
   done
 
 (* The near region emptied: recenter the window on the earliest far
@@ -251,133 +237,80 @@ let add q ~time payload =
   q.next_seq <- seq + 1;
   q.count <- q.count + 1;
   let id = alloc q ~time ~seq payload in
-  match q.kind with
-  | Heap -> heap_push q id
-  | Wheel ->
-    if time >= q.limit then heap_push q id
-    else if time >= q.limit - wheel_size then wheel_append q id
-    else begin
-      reshuffle q ~time;
-      wheel_append q id
-    end
+  if time >= q.limit then heap_push q id
+  else if time >= q.limit - wheel_size then wheel_append q id
+  else begin
+    reshuffle q ~time;
+    wheel_append q id
+  end
 
 let no_event = min_int
 
-(* Allocation-free peek: unlike [peek_time] there is no [option] box.
-   For the wheel this also rebases/advances, so a following
-   [pop_payload] finds the earliest event at [q.cur]. *)
+(* Peek without an [option] box. This also rebases/advances, so a
+   following [pop_payload] finds the earliest event at [q.cur]. *)
 let next_time q =
   if q.count = 0 then no_event
-  else
-    match q.kind with
-    | Heap -> q.time.(q.heap.(0))
-    | Wheel ->
-      advance q;
-      q.cur
+  else begin
+    advance q;
+    q.cur
+  end
 
-(* Allocation-free pop: the payload is returned bare (no tuple, no
-   [Some] — those cost 5 minor words per event in the kernel loop). *)
+(* Pop without a tuple or [Some] box: the payload is returned bare. *)
 let pop_payload q =
   if q.count = 0 then invalid_arg "Event_queue.pop_payload: empty queue";
   q.count <- q.count - 1;
-  match q.kind with
-  | Heap -> release q (heap_remove_at q 0)
-  | Wheel ->
-    advance q;
-    let i = q.cur land wheel_mask in
-    let id = q.head.(i) in
-    let n = q.next.(id) in
-    q.head.(i) <- n;
-    if n = nil then q.tail.(i) <- nil;
-    q.near_count <- q.near_count - 1;
-    release q id
+  advance q;
+  let i = q.cur land wheel_mask in
+  let id = q.head.(i) in
+  let n = q.next.(id) in
+  q.head.(i) <- n;
+  if n = nil then q.tail.(i) <- nil;
+  q.near_count <- q.near_count - 1;
+  release q id
 
 (* --- schedule exploration hooks -------------------------------------- *)
 
 (* Size of the "runnable set": the group of pending events sharing the
-   earliest time. Only the explorer/fuzzer in lib/check calls this, so
-   the O(n) heap scan is acceptable — checking runs use tiny models. *)
+   earliest time. After [advance] the slot at [cur] chains exactly the
+   events of the earliest cycle, in FIFO (= seq) order; far-heap
+   entries all have time >= limit > cur. *)
 let runnable q =
   if q.count = 0 then 0
-  else
-    match q.kind with
-    | Heap ->
-      let tmin = q.time.(q.heap.(0)) in
-      let n = ref 0 in
-      for i = 0 to q.hsize - 1 do
-        if q.time.(q.heap.(i)) = tmin then incr n
-      done;
-      !n
-    | Wheel ->
-      (* After [advance] the slot at [cur] chains exactly the events of
-         the earliest cycle, in FIFO (= seq) order; far-heap entries
-         all have time >= limit > cur. *)
-      advance q;
-      let n = ref 0 in
-      let id = ref q.head.(q.cur land wheel_mask) in
-      while !id <> nil do
-        incr n;
-        id := q.next.(!id)
-      done;
-      !n
-
-let out_of_range () = invalid_arg "Event_queue.pop_payload_nth: index out of range"
+  else begin
+    advance q;
+    let n = ref 0 in
+    let id = ref q.head.(q.cur land wheel_mask) in
+    while !id <> nil do
+      incr n;
+      id := q.next.(!id)
+    done;
+    !n
+  end
 
 let pop_payload_nth q k =
   if q.count = 0 then invalid_arg "Event_queue.pop_payload_nth: empty queue";
   if k < 0 then invalid_arg "Event_queue.pop_payload_nth: negative index";
   if k = 0 then pop_payload q
-  else
-    match q.kind with
-    | Heap ->
-      (* Select the heap index of the (k+1)-smallest seq among the
-         min-time entries by repeated selection — O(k*n), fine for the
-         tiny models the explorer drives. *)
-      let tmin = q.time.(q.heap.(0)) in
-      let last = ref (-1) in
-      let pick = ref (-1) in
-      for _ = 0 to k do
-        let best = ref (-1) in
-        for i = 0 to q.hsize - 1 do
-          let id = q.heap.(i) in
-          if
-            q.time.(id) = tmin
-            && q.seq.(id) > !last
-            && (!best = -1 || q.seq.(id) < q.seq.(q.heap.(!best)))
-          then best := i
-        done;
-        if !best = -1 then out_of_range ();
-        last := q.seq.(q.heap.(!best));
-        pick := !best
-      done;
-      q.count <- q.count - 1;
-      release q (heap_remove_at q !pick)
-    | Wheel ->
-      advance q;
-      let i = q.cur land wheel_mask in
-      (* Walk to the k-th id of the cycle's FIFO chain and unlink it,
-         patching head/tail as needed. *)
-      let prev = ref nil in
-      let id = ref q.head.(i) in
-      for _ = 1 to k do
-        if q.next.(!id) = nil then out_of_range ();
-        prev := !id;
-        id := q.next.(!id)
-      done;
-      let n = q.next.(!id) in
-      if !prev = nil then q.head.(i) <- n else q.next.(!prev) <- n;
-      if n = nil then q.tail.(i) <- !prev;
-      q.near_count <- q.near_count - 1;
-      q.count <- q.count - 1;
-      release q !id
-
-let pop q =
-  let time = next_time q in
-  if time = no_event then None else Some (time, pop_payload q)
-
-let peek_time q =
-  let time = next_time q in
-  if time = no_event then None else Some time
+  else begin
+    advance q;
+    let i = q.cur land wheel_mask in
+    (* Walk to the k-th id of the cycle's FIFO chain and unlink it,
+       patching head/tail as needed. *)
+    let prev = ref nil in
+    let id = ref q.head.(i) in
+    for _ = 1 to k do
+      if q.next.(!id) = nil then
+        invalid_arg "Event_queue.pop_payload_nth: index out of range";
+      prev := !id;
+      id := q.next.(!id)
+    done;
+    let n = q.next.(!id) in
+    if !prev = nil then q.head.(i) <- n else q.next.(!prev) <- n;
+    if n = nil then q.tail.(i) <- !prev;
+    q.near_count <- q.near_count - 1;
+    q.count <- q.count - 1;
+    release q !id
+  end
 
 (* Drop every pending event: free every id (lowest first, as a fresh
    store hands them out) and clear every payload slot. *)
@@ -389,11 +322,9 @@ let clear q =
   done;
   q.free <- (if cap = 0 then nil else 0);
   q.hsize <- 0;
-  if q.kind = Wheel then begin
-    Array.fill q.head 0 wheel_size nil;
-    Array.fill q.tail 0 wheel_size nil;
-    q.near_count <- 0;
-    q.cur <- 0;
-    q.limit <- wheel_size
-  end;
+  Array.fill q.head 0 wheel_size nil;
+  Array.fill q.tail 0 wheel_size nil;
+  q.near_count <- 0;
+  q.cur <- 0;
+  q.limit <- wheel_size;
   q.count <- 0

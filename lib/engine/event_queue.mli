@@ -1,35 +1,24 @@
 (** Pending-event set of the discrete-event kernel.
 
-    Two interchangeable backends pop events in exactly the same
-    (time, insertion) order — the sequence number assigned at insertion
-    breaks same-cycle ties, so every simulation run is fully
-    deterministic under either:
+    Events pop in (time, insertion) order — the sequence number assigned
+    at insertion breaks same-cycle ties, so every simulation run is
+    fully deterministic. The set is a calendar-queue / timing-wheel
+    hybrid: a near wheel of power-of-two buckets (one cycle per bucket)
+    serves the common case — events scheduled within ~1k cycles of the
+    clock — in O(1); events beyond the horizon overflow into a small
+    min-heap and are drained back as the window advances.
 
-    - [Wheel] (the default): a calendar-queue / timing-wheel hybrid. A
-      near wheel of power-of-two buckets (one cycle per bucket) serves
-      the common case — events scheduled within ~1k cycles of the clock
-      — in O(1); events beyond the horizon overflow into a small
-      min-heap and are drained back as the window advances.
-    - [Heap]: the classic binary min-heap, kept as the simple reference
-      implementation for differential testing.
-
-    Both keep their events in one flat store: an event is an int id,
-    its time, sequence number and chain link sit in [int array]s and
-    its payload in an ['a array], and the wheel's buckets and the heap
-    hold ids. Ids are recycled, so steady-state scheduling allocates
-    nothing, and the only write-barrier stores are the payload's: one
-    when an event is added, one (an immediate) when it is popped. *)
-
-type backend = Heap | Wheel
+    Events live in one flat store: an event is an int id, its time,
+    sequence number and chain link sit in [int array]s and its payload
+    in an ['a array], and the wheel's buckets and the far heap hold ids.
+    Ids are recycled, so steady-state scheduling allocates nothing, and
+    the only write-barrier stores are the payload's: one when an event
+    is added, one (an immediate) when it is popped. Nothing popped is
+    kept live by the queue. *)
 
 type 'a t
 
-val create : ?backend:backend -> unit -> 'a t
-(** Defaults to [Wheel]. *)
-
-val backend : 'a t -> backend
-
-val is_empty : 'a t -> bool
+val create : unit -> 'a t
 
 val length : 'a t -> int
 
@@ -38,20 +27,6 @@ val add : 'a t -> time:int -> 'a -> unit
     of previously popped events (the kernel enforces monotonicity, not
     the queue); times far in the past of the current window are legal
     but leave the wheel's fast path. *)
-
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the earliest event, insertion order breaking
-    ties. The queue drops every internal reference to the popped
-    payload — nothing popped is kept live by the queue. *)
-
-val peek_time : 'a t -> int option
-(** Time of the earliest pending event, if any. *)
-
-(** {2 Allocation-free hot path}
-
-    [pop] boxes every event in a tuple and an option — 5 minor words
-    per event, which dominates steady-state kernel allocation. The
-    kernel uses the unboxed pair below instead. *)
 
 val no_event : int
 (** Sentinel returned by {!next_time} on an empty queue ([min_int],
@@ -62,9 +37,9 @@ val next_time : 'a t -> int
     Never allocates. *)
 
 val pop_payload : 'a t -> 'a
-(** Remove the earliest event (same order as {!pop}) and return its
-    payload bare; read its time with {!next_time} first. Never
-    allocates. Raises [Invalid_argument] on an empty queue. *)
+(** Remove the earliest event, insertion order breaking ties, and
+    return its payload bare; read its time with {!next_time} first.
+    Never allocates. Raises [Invalid_argument] on an empty queue. *)
 
 (** {2 Schedule exploration}
 

@@ -19,9 +19,9 @@
     Chrome/Perfetto [trace.json].
 
     Event streams are deterministic: two runs of the same configuration
-    — across event-queue backends and any [--jobs] value — produce
-    byte-identical {!dump} output, which makes the ledger a
-    differential-testing axis in its own right. *)
+    — under any [--jobs] value — produce byte-identical {!dump} output,
+    which makes the ledger a differential-testing axis in its own
+    right. *)
 
 (** What happened. The [arg] recorded with each kind is:
 

@@ -2,29 +2,38 @@
    rejection-inversion method of Hörmann and Derflinger, which needs no
    precomputed table and is exact for any skew s >= 0. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable int64] field
+   would box every new state, and with [mix64] and [bits64] inlined a
+   draw then allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix64 z =
+let copy = Bytes.copy
+
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 state;
+  mix64 state
 
 let split t =
   let seed = bits64 t in
   let gamma = Int64.logor (mix64 (Int64.add seed golden_gamma)) 1L in
   (* Fold the derived gamma into the seed so sibling splits differ even
      when the raw outputs collide in their low bits. *)
-  { state = Int64.logxor seed (Int64.shift_left gamma 1) }
+  of_state (Int64.logxor seed (Int64.shift_left gamma 1))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

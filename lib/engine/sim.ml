@@ -14,9 +14,9 @@ type t = {
 
 exception Stalled of string
 
-let create ?backend () =
+let create () =
   {
-    queue = Event_queue.create ?backend ();
+    queue = Event_queue.create ();
     clock = 0;
     events = 0;
     quiescent_hooks = [];
@@ -60,14 +60,6 @@ let fire t time =
   in
   f ();
   match t.observer with None -> () | Some g -> g ()
-
-let step t =
-  let time = Event_queue.next_time t.queue in
-  if time = Event_queue.no_event then false
-  else begin
-    fire t time;
-    true
-  end
 
 let run ?limit t =
   let beyond time = match limit with None -> false | Some l -> time > l in

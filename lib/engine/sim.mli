@@ -8,17 +8,14 @@
 
 type t
 
-val create : ?backend:Event_queue.backend -> unit -> t
-(** [backend] selects the pending-event set implementation (default
-    {!Event_queue.Wheel}); both backends produce bit-identical runs —
-    the heap is retained for differential testing. *)
+val create : unit -> t
 
 val now : t -> int
 (** Current simulated cycle. *)
 
 val events : t -> int
-(** Events fired so far ({!step} count) — the numerator of the
-    events/sec throughput metric ({!Lk_sim.Perf} in the sim library). *)
+(** Events fired so far — the numerator of the events/sec throughput
+    metric ({!Lk_sim.Perf} in the sim library). *)
 
 val schedule : t -> delay:int -> (unit -> unit) -> unit
 (** [schedule sim ~delay f] runs [f] at [now sim + delay]. [delay] must
@@ -44,10 +41,6 @@ val run : ?limit:int -> t -> unit
 (** Drain the event queue. [limit] bounds the final simulated cycle;
     events beyond it are discarded and [run] returns with the clock set
     to [limit]. Without a limit, runs until quiescent. *)
-
-val step : t -> bool
-(** Fire the single earliest event. Returns false when the queue is
-    empty. Useful for tests that need cycle-level control. *)
 
 (** {1 Schedule exploration}
 

@@ -118,8 +118,8 @@ let table1 t =
       Printf.sprintf "%d cycle / 1 flit per cycle" t.link_latency );
   ]
 
-let build ?backend t =
-  let sim = Lk_engine.Sim.create ?backend () in
+let build t =
+  let sim = Lk_engine.Sim.create () in
   let topo =
     match t.topology with
     | Lk_mesh.Topology.Mesh ->

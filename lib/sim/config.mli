@@ -70,10 +70,5 @@ val fingerprint : t -> string
 val table1 : t -> (string * string) list
 (** The (component, value) rows of Table I for this machine. *)
 
-val build :
-  ?backend:Lk_engine.Event_queue.backend ->
-  t ->
-  Lk_engine.Sim.t * Lk_mesh.Network.t * Lk_coherence.Protocol.t
-(** Instantiate the simulator, network and protocol. [backend] selects
-    the event-queue implementation (default wheel); results are
-    bit-identical for either, so it is not part of {!fingerprint}. *)
+val build : t -> Lk_engine.Sim.t * Lk_mesh.Network.t * Lk_coherence.Protocol.t
+(** Instantiate the simulator, network and protocol. *)

@@ -88,7 +88,6 @@ type options = {
   on_runtime : Runtime.t -> unit;
   placement : placement;
   cycle_limit : int;
-  queue_backend : Lk_engine.Event_queue.backend;
   check : bool;
   telemetry : telemetry_request option;
 }
@@ -101,7 +100,6 @@ let default_options =
     on_runtime = (fun _ -> ());
     placement = Compact;
     cycle_limit = 1 lsl 30;
-    queue_backend = Lk_engine.Event_queue.Wheel;
     check = false;
     telemetry = None;
   }
@@ -276,8 +274,8 @@ let check_conservation ~caller ~label ~store tally =
    run each hot record and each incremented address must hold exactly
    its count. *)
 let execute ~options ~sysconf ~threads (source : Workload_source.t) =
-  let { seed; scale; machine; on_runtime; placement; cycle_limit;
-        queue_backend; check; telemetry } =
+  let { seed; scale; machine; on_runtime; placement; cycle_limit; check;
+        telemetry } =
     options
   in
   validate_source source;
@@ -300,7 +298,7 @@ let execute ~options ~sysconf ~threads (source : Workload_source.t) =
   if threads <= 0 || threads > machine.Config.cores then
     invalid_arg "Runner.run: thread count out of range";
   let core_of = place ~placement ~cores:machine.Config.cores ~threads in
-  let sim, net, protocol = Config.build ~backend:queue_backend machine in
+  let sim, net, protocol = Config.build machine in
   let store = Store.create ~cores:machine.Config.cores in
   let runtime =
     Runtime.create ~protocol ~store ~sysconf ~lock_addr:Workload.lock_addr ()

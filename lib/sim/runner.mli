@@ -132,17 +132,12 @@ type options = {
           bypass the {!Cache}. *)
   placement : placement;  (** Thread-to-tile binding, see {!placement}. *)
   cycle_limit : int;  (** Runaway guard; exceeding it is a [Failure]. *)
-  queue_backend : Lk_engine.Event_queue.backend;
-      (** Pending-event set implementation (default wheel). Both
-          backends produce bit-identical results — the heap is the
-          differential-testing reference — so, like [on_runtime], this
-          field is excluded from cache keys. *)
   check : bool;
       (** Attach the invariant sanitizer ({!Lk_check.Sanitizer}): the
           event-level invariant predicates run at every ledger emission
           and the end-of-run checks after the last thread finishes; any
           violation fails the run with a diagnostic. Does not change
-          simulated behaviour, so — like [queue_backend] — it is
+          simulated behaviour, so — like [on_runtime] — it is
           excluded from cache keys (a warm-cache hit skips the run and
           therefore the checks; use the cache-bypassing paths to force
           a checked execution). Default false: no sink is installed and

@@ -158,8 +158,8 @@ let attach ?(interval = 1024) ?(capacity = 4096) rt =
       backlog_probe = (fun () -> 0);
     }
   in
-  (* One closure, allocated here once; the wheel backend recycles the
-     queue entry, so steady-state re-arming allocates nothing. *)
+  (* One closure, allocated here once; the event queue recycles its
+     entry, so steady-state re-arming allocates nothing. *)
   let rec tick () =
     sample_now t;
     if Sim.pending sim > 0 then Sim.schedule sim ~delay:t.interval tick

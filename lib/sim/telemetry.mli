@@ -26,8 +26,8 @@
     Exports ({!to_json} / {!to_csv} / {!write}) also carry summaries
     of the runtime's always-on latency histograms (tx latency,
     abort-to-retry gap, lock dwell) with p50/p90/p95/p99. Exports are
-    deterministic: byte-identical across event-queue backends and
-    worker counts. *)
+    deterministic: byte-identical across repeated runs and worker
+    counts. *)
 
 type t
 

@@ -155,7 +155,7 @@ let perfetto_json ?telemetry l =
   let events = ref [] in
   let push e = events := e :: !events in
   (* One fresh id per attributed abort edge, sequential in ledger
-     order — deterministic across backends. *)
+     order, so deterministic. *)
   let flow_seq = ref 0 in
   let push_kill_flow ~time ~aggressor ~victim =
     if aggressor >= 0 && aggressor <> victim then begin

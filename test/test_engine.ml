@@ -127,37 +127,45 @@ let test_rng_shuffle_permutation () =
 
 (* --- Event_queue ----------------------------------------------------- *)
 
+(* The earliest (time, payload), or [None] when the queue is empty. *)
+let pop q =
+  let time = Event_queue.next_time q in
+  if time = Event_queue.no_event then None
+  else Some (time, Event_queue.pop_payload q)
+
 let test_eq_empty () =
   let q = Event_queue.create () in
-  check_bool "fresh empty" true (Event_queue.is_empty q);
-  check_bool "pop none" true (Event_queue.pop q = None);
-  check_bool "peek none" true (Event_queue.peek_time q = None)
+  check_int "fresh empty" 0 (Event_queue.length q);
+  check_int "no next time" Event_queue.no_event (Event_queue.next_time q);
+  match Event_queue.pop_payload q with
+  | () -> Alcotest.fail "popped from an empty queue"
+  | exception Invalid_argument _ -> ()
 
 let test_eq_order () =
   let q = Event_queue.create () in
   Event_queue.add q ~time:5 "c";
   Event_queue.add q ~time:1 "a";
   Event_queue.add q ~time:3 "b";
-  check_bool "peek earliest" true (Event_queue.peek_time q = Some 1);
-  check_bool "a" true (Event_queue.pop q = Some (1, "a"));
-  check_bool "b" true (Event_queue.pop q = Some (3, "b"));
-  check_bool "c" true (Event_queue.pop q = Some (5, "c"));
-  check_bool "drained" true (Event_queue.pop q = None)
+  check_int "peek earliest" 1 (Event_queue.next_time q);
+  check_bool "a" true (pop q = Some (1, "a"));
+  check_bool "b" true (pop q = Some (3, "b"));
+  check_bool "c" true (pop q = Some (5, "c"));
+  check_bool "drained" true (pop q = None)
 
 let test_eq_fifo_ties () =
   let q = Event_queue.create () in
   List.iter (fun s -> Event_queue.add q ~time:7 s) [ "x"; "y"; "z" ];
-  check_bool "x" true (Event_queue.pop q = Some (7, "x"));
-  check_bool "y" true (Event_queue.pop q = Some (7, "y"));
-  check_bool "z" true (Event_queue.pop q = Some (7, "z"))
+  check_bool "x" true (pop q = Some (7, "x"));
+  check_bool "y" true (pop q = Some (7, "y"));
+  check_bool "z" true (pop q = Some (7, "z"))
 
 let test_eq_interleaved () =
   let q = Event_queue.create () in
   Event_queue.add q ~time:10 1;
-  check_bool "pop 10" true (Event_queue.pop q = Some (10, 1));
+  check_bool "pop 10" true (pop q = Some (10, 1));
   Event_queue.add q ~time:4 2;
   Event_queue.add q ~time:20 3;
-  check_bool "pop 4" true (Event_queue.pop q = Some (4, 2));
+  check_bool "pop 4" true (pop q = Some (4, 2));
   check_int "length" 1 (Event_queue.length q)
 
 let prop_eq_sorted =
@@ -168,7 +176,7 @@ let prop_eq_sorted =
       let q = Event_queue.create () in
       List.iter (fun t -> Event_queue.add q ~time:t t) times;
       let rec drain last acc =
-        match Event_queue.pop q with
+        match pop q with
         | None -> List.rev acc
         | Some (t, v) ->
           if t < last then failwith "order violation"
@@ -184,7 +192,7 @@ let prop_eq_stable =
       let q = Event_queue.create () in
       List.iteri (fun i t -> Event_queue.add q ~time:t (t, i)) times;
       let rec drain acc =
-        match Event_queue.pop q with
+        match pop q with
         | None -> List.rev acc
         | Some (_, v) -> drain (v :: acc)
       in
@@ -200,72 +208,78 @@ let prop_eq_stable =
         popped;
       !ok)
 
-(* Differential test of the two backends: the heap is the reference
-   implementation, the wheel must pop the exact same (time, payload)
-   sequence through ~10k random schedule/pop/clear interleavings,
-   including adds below the wheel's current window (reachable only
-   through the raw queue API) and far beyond its horizon. *)
-let test_eq_backend_differential () =
-  let run_ops seed =
-    let rng = Rng.create seed in
-    let qw = Event_queue.create ~backend:Event_queue.Wheel () in
-    let qh = Event_queue.create ~backend:Event_queue.Heap () in
-    let clock = ref 0 in
-    let next_id = ref 0 in
-    for op = 1 to 10_000 do
-      let r = Rng.int rng 100 in
-      if r < 55 then begin
-        let time =
-          if r < 35 then !clock + Rng.int rng 300 (* near window *)
-          else if r < 48 then !clock + Rng.int rng 8192 (* far heap *)
-          else if !clock = 0 then 0
-          else Rng.int rng !clock (* below the window: reshuffle *)
-        in
-        let id = !next_id in
-        incr next_id;
-        Event_queue.add qw ~time id;
-        Event_queue.add qh ~time id
-      end
-      else if r < 97 then begin
-        let a = Event_queue.pop qw and b = Event_queue.pop qh in
-        if a <> b then
-          Alcotest.failf "seed %d op %d: wheel and heap popped differently"
-            seed op;
-        match a with Some (t, _) -> clock := t | None -> ()
-      end
-      else begin
-        Event_queue.clear qw;
-        Event_queue.clear qh;
-        clock := 0
-      end;
-      check_int "lengths agree" (Event_queue.length qh)
-        (Event_queue.length qw);
-      if Event_queue.peek_time qw <> Event_queue.peek_time qh then
-        Alcotest.failf "seed %d op %d: peek_time disagrees" seed op
-    done;
-    (* Drain whatever is left and compare the full tail. *)
-    let rec drain () =
-      let a = Event_queue.pop qw and b = Event_queue.pop qh in
-      if a <> b then Alcotest.failf "seed %d drain: tail mismatch" seed;
-      if a <> None then drain ()
-    in
-    drain ()
-  in
-  List.iter run_ops [ 1; 42; 1337 ]
-
-(* Model-based property of the whole queue API: random sequences of
-   adds (near the clock, past the wheel's horizon, and below its
-   window), peeks and pops, [pop_payload_nth], [runnable] and [clear]
-   run on both backends and on a sorted-list model. The adds outnumber
-   the pops, and every sequence opens with 40 adds, so the pending set
-   outgrows the store's first allocation and the store has to grow
-   mid-sequence. *)
+(* Model-based check of the whole queue API: sequences of adds (near
+   the clock, past the wheel's horizon, and below its window), peeks
+   and pops, [pop_payload_nth], [runnable] and [clear] run on the queue
+   and on a sorted-list model. *)
 type eq_op =
   | Add of int  (* delta from the clock, below 0 for below the window *)
   | Pop
   | Pop_nth of int
   | Runnable
   | Clear
+
+(* Run [ops] on a fresh queue and on the model, failing at the first
+   disagreement in a [next_time], a popped payload, [runnable] or the
+   length; then drain both. The clock is the time of the last pop. *)
+let check_against_model ops =
+  let q = Event_queue.create () in
+  (* The model: pending (time, seq) pairs sorted; payload = seq. *)
+  let model = ref [] and seq = ref 0 and clock = ref 0 in
+  let add time =
+    Event_queue.add q ~time !seq;
+    (* Every seq so far is smaller, so it goes after its time's group. *)
+    model :=
+      List.filter (fun (t, _) -> t <= time) !model
+      @ ((time, !seq) :: List.filter (fun (t, _) -> t > time) !model);
+    incr seq
+  in
+  let front () =
+    match !model with
+    | [] -> []
+    | (t0, _) :: _ -> List.filter (fun (t, _) -> t = t0) !model
+  in
+  let agree what got expected =
+    if got <> expected then
+      Printf.ksprintf failwith "%s: queue %d model %d" what got expected
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Add d -> add (Int.max 0 (!clock + d))
+      | Pop -> (
+        let expect =
+          match !model with [] -> Event_queue.no_event | (t, _) :: _ -> t
+        in
+        agree "next_time" (Event_queue.next_time q) expect;
+        match !model with
+        | [] -> ()
+        | (t, s) :: rest ->
+          agree "payload" (Event_queue.pop_payload q) s;
+          model := rest;
+          clock := t)
+      | Pop_nth k -> (
+        let group = front () in
+        if k < List.length group then begin
+          let t, s = List.nth group k in
+          agree "payload" (Event_queue.pop_payload_nth q k) s;
+          model := List.filter (fun (_, s') -> s' <> s) !model;
+          clock := t
+        end
+        else if group <> [] then
+          match Event_queue.pop_payload_nth q k with
+          | _ -> Printf.ksprintf failwith "nth %d out of range popped" k
+          | exception Invalid_argument _ -> ())
+      | Runnable ->
+        agree "runnable" (Event_queue.runnable q) (List.length (front ()))
+      | Clear ->
+        Event_queue.clear q;
+        model := [];
+        clock := 0);
+      agree "length" (Event_queue.length q) (List.length !model))
+    ops;
+  List.iter (fun (_, s) -> agree "payload" (Event_queue.pop_payload q) s) !model;
+  agree "drained" (Event_queue.length q) 0
 
 (* Weights out of 231: a clear every ~230 ops, and ~60% adds. *)
 let eq_op_gen =
@@ -288,8 +302,11 @@ let eq_op_print = function
   | Runnable -> "runnable"
   | Clear -> "clear"
 
+(* The adds outnumber the pops, and every sequence opens with 40 adds,
+   so the pending set outgrows the store's first allocation and the
+   store has to grow mid-sequence. *)
 let prop_eq_model =
-  QCheck.Test.make ~name:"wheel and heap match a sorted-list model" ~count:200
+  QCheck.Test.make ~name:"wheel matches a sorted-list model" ~count:200
     (QCheck.make
        ~print:QCheck.Print.(list eq_op_print)
        QCheck.Gen.(
@@ -297,81 +314,32 @@ let prop_eq_model =
            (list_repeat 40 (map (fun d -> Add d) (0 -- 300)))
            (list_size (100 -- 600) eq_op_gen)))
     (fun ops ->
-      let qw = Event_queue.create ~backend:Event_queue.Wheel () in
-      let qh = Event_queue.create ~backend:Event_queue.Heap () in
-      (* The model: pending (time, seq) pairs sorted; payload = seq. *)
-      let model = ref [] and seq = ref 0 and clock = ref 0 in
-      let add time =
-        List.iter (fun q -> Event_queue.add q ~time !seq) [ qw; qh ];
-        (* Every seq so far is smaller, so it goes after its time's
-           group. *)
-        model :=
-          List.filter (fun (t, _) -> t <= time) !model
-          @ ((time, !seq) :: List.filter (fun (t, _) -> t > time) !model);
-        incr seq
-      in
-      let front () =
-        match !model with
-        | [] -> []
-        | (t0, _) :: _ -> List.filter (fun (t, _) -> t = t0) !model
-      in
-      let agree what a b c =
-        if a <> c || b <> c then
-          QCheck.Test.fail_reportf "%s: wheel %d heap %d model %d" what a b c
-      in
-      let pop_each f expected = agree "payload" (f qw) (f qh) expected in
-      List.iter
-        (fun op ->
-          (match op with
-          | Add d -> add (Int.max 0 (!clock + d))
-          | Pop -> (
-            let expect =
-              match !model with [] -> Event_queue.no_event | (t, _) :: _ -> t
-            in
-            agree "next_time" (Event_queue.next_time qw)
-              (Event_queue.next_time qh) expect;
-            match !model with
-            | [] -> ()
-            | (t, s) :: rest ->
-              pop_each Event_queue.pop_payload s;
-              model := rest;
-              clock := t)
-          | Pop_nth k -> (
-            let group = front () in
-            if k < List.length group then begin
-              let t, s = List.nth group k in
-              pop_each (fun q -> Event_queue.pop_payload_nth q k) s;
-              model := List.filter (fun (_, s') -> s' <> s) !model;
-              clock := t
-            end
-            else if group <> [] then
-              List.iter
-                (fun q ->
-                  match Event_queue.pop_payload_nth q k with
-                  | _ -> QCheck.Test.fail_reportf "nth %d out of range popped" k
-                  | exception Invalid_argument _ -> ())
-                [ qw; qh ])
-          | Runnable ->
-            agree "runnable" (Event_queue.runnable qw) (Event_queue.runnable qh)
-              (List.length (front ()))
-          | Clear ->
-            Event_queue.clear qw;
-            Event_queue.clear qh;
-            model := [];
-            clock := 0);
-          agree "length" (Event_queue.length qw) (Event_queue.length qh)
-            (List.length !model))
-        ops;
-      (* Drain the rest in order. *)
-      List.iter (fun (_, s) -> pop_each Event_queue.pop_payload s) !model;
-      Event_queue.is_empty qw && Event_queue.is_empty qh)
+      check_against_model ops;
+      true)
 
-(* Regression test for the space leak where [pop] left the popped entry
-   reachable through the heap array's vacated slot: attach finalisers
-   to every payload, pop them all, and require the GC to collect every
-   one while the queue itself is still live and non-empty. *)
-let test_eq_pop_releases_payloads backend () =
-  let q = Event_queue.create ~backend () in
+(* Three long seeded sequences (10k ops each) with a clear every ~33
+   ops and more far-future and below-window adds than the generator
+   draws: many short epochs, each rebasing and reshuffling the wheel. *)
+let test_eq_seeded_sequences () =
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      check_against_model
+        (List.init 10_000 (fun _ ->
+             let r = Rng.int rng 100 in
+             if r < 35 then Add (Rng.int rng 300)
+             else if r < 48 then Add (Rng.int rng 8192)
+             else if r < 55 then Add (-1 - Rng.int rng 8192)
+             else if r < 97 then Pop
+             else Clear)))
+    [ 1; 42; 1337 ]
+
+(* Regression test for the space leak where a pop left the popped
+   entry reachable through a vacated slot: attach finalisers to every
+   payload, pop them all, and require the GC to collect every one while
+   the queue itself is still live and non-empty. *)
+let test_eq_pop_releases_payloads () =
+  let q = Event_queue.create () in
   let collected = ref 0 in
   let n = 64 in
   for i = 0 to n - 1 do
@@ -380,7 +348,7 @@ let test_eq_pop_releases_payloads backend () =
     Event_queue.add q ~time:i payload
   done;
   for _ = 1 to n do
-    ignore (Event_queue.pop q)
+    ignore (Event_queue.pop_payload q)
   done;
   (* Keep the queue alive and non-empty across the collection so the
      test observes the queue dropping the payloads, not the queue
@@ -555,16 +523,6 @@ let test_sim_hook_loop_with_progress_ok () =
   Sim.schedule sim ~delay:1 (fun () -> ());
   Sim.run sim;
   check_int "hooks all ran" 2000 !n
-
-let test_sim_step () =
-  let sim = Sim.create () in
-  let n = ref 0 in
-  Sim.schedule sim ~delay:1 (fun () -> incr n);
-  Sim.schedule sim ~delay:2 (fun () -> incr n);
-  check_bool "step 1" true (Sim.step sim);
-  check_int "one fired" 1 !n;
-  check_bool "step 2" true (Sim.step sim);
-  check_bool "drained" false (Sim.step sim)
 
 let test_sim_chooser_picks_runnable () =
   (* Two same-cycle events form the runnable set: index 0 keeps
@@ -944,13 +902,11 @@ let () =
           Alcotest.test_case "interleaved add/pop" `Quick test_eq_interleaved;
           QCheck_alcotest.to_alcotest prop_eq_sorted;
           QCheck_alcotest.to_alcotest prop_eq_stable;
-          Alcotest.test_case "wheel vs heap differential" `Quick
-            test_eq_backend_differential;
           QCheck_alcotest.to_alcotest prop_eq_model;
+          Alcotest.test_case "seeded sequences match the model" `Quick
+            test_eq_seeded_sequences;
           Alcotest.test_case "pop releases payloads (wheel)" `Quick
-            (test_eq_pop_releases_payloads Event_queue.Wheel);
-          Alcotest.test_case "pop releases payloads (heap)" `Quick
-            (test_eq_pop_releases_payloads Event_queue.Heap);
+            test_eq_pop_releases_payloads;
         ] );
       ( "int-table",
         [
@@ -977,7 +933,6 @@ let () =
             test_sim_stalled_hook_loop;
           Alcotest.test_case "hook with progress ok" `Quick
             test_sim_hook_loop_with_progress_ok;
-          Alcotest.test_case "single step" `Quick test_sim_step;
           Alcotest.test_case "chooser picks within the runnable set" `Quick
             test_sim_chooser_picks_runnable;
         ] );

@@ -146,34 +146,30 @@ let stress_lockiller =
           r.Runner.cycles > 0)
         [ Sysconf.lockiller_rwl; Sysconf.lockiller_rwil; Sysconf.lockiller ])
 
-(* Backend differential: a random scenario simulated under the wheel
-   event queue and under the reference heap must produce byte-for-byte
-   identical result JSON — every cycle count, abort reason and network
-   statistic. This is the whole-stack guarantee behind sharing one
-   result cache across backends. *)
-let backend_differential =
-  QCheck.Test.make
-    ~name:"wheel and heap event queues give byte-identical results" ~count:10
+(* Repeat-run determinism: a random scenario simulated twice in one
+   process must produce byte-for-byte identical result JSON — every
+   cycle count, abort reason and network statistic. No state may leak
+   from one run into the next; this is the whole-stack guarantee behind
+   the result cache. *)
+let repeat_run_determinism =
+  QCheck.Test.make ~name:"a repeat run is byte-identical" ~count:10
     (QCheck.make ~print:scenario_print scenario_gen)
     (fun (profile, sysconf, cores, seed, _tiny_l1) ->
       match Workload.validate profile with
       | Error _ -> QCheck.assume_fail ()
       | Ok () ->
-        let run backend =
+        let run () =
           let options =
             {
               Runner.default_options with
               Runner.seed;
               machine = Config.machine ~cores ();
-              queue_backend = backend;
             }
           in
           Runner.result_to_json
             (Runner.run ~options ~sysconf ~workload:profile ~threads:cores ())
         in
-        String.equal
-          (run Lk_engine.Event_queue.Wheel)
-          (run Lk_engine.Event_queue.Heap))
+        String.equal (run ()) (run ()))
 
 (* Retry budgets of zero and one push every transaction through the
    fallback machinery immediately — a corner the normal suite rarely
@@ -227,7 +223,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest fuzz;
           QCheck_alcotest.to_alcotest stress_lockiller;
-          QCheck_alcotest.to_alcotest backend_differential;
+          QCheck_alcotest.to_alcotest repeat_run_determinism;
           QCheck_alcotest.to_alcotest tiny_retry_budgets;
         ] );
     ]

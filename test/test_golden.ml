@@ -7,8 +7,9 @@
 
    The grid covers every system on a contended (intruder), a faulting
    (yada) and a barrier-phased (kmeans) workload, odd and large machine
-   shapes, the heap queue backend, one open-loop replay of a generated
-   bursty trace and one hand-written program. Each experiment's JSON
+   shapes, a run with the invariant sanitizer attached (which must not
+   move a result: its digest is intruder/LockillerTM's), one open-loop
+   replay of a generated bursty trace and one hand-written program. Each experiment's JSON
    document (as [experiment ID --format json] prints it, without the
    trailing newline) is pinned at 4 cores, 2 threads and scale 0.05.
 
@@ -46,24 +47,17 @@ let digest r = Digest.to_hex (Digest.string (Runner.result_to_json r))
 let sysconf name = Option.get (Sysconf.find name)
 let workload name = Option.get (Suite.find name)
 
-let options ?(queue_backend = Lk_engine.Event_queue.Wheel) ?(scale = 1.0)
-    ?(on_runtime = ignore) machine =
-  {
-    Runner.default_options with
-    Runner.machine;
-    scale;
-    queue_backend;
-    on_runtime;
-  }
+let options ?(scale = 1.0) ?(on_runtime = ignore) ?(check = false) machine =
+  { Runner.default_options with Runner.machine; scale; on_runtime; check }
 
 let four = Config.machine ~cores:4 ()
 let paper = Config.machine ~cores:32 ()
 
-let run ?queue_backend ?scale ?on_runtime ?(machine = four) ?(threads = 4)
-    system wl () =
+let run ?scale ?on_runtime ?check ?(machine = four) ?(threads = 4) system wl
+    () =
   digest
     (Runner.run
-       ~options:(options ?queue_backend ?scale ?on_runtime machine)
+       ~options:(options ?scale ?on_runtime ?check machine)
        ~sysconf:(sysconf system) ~workload:(workload wl) ~threads ())
 
 (* A bursty Gen trace, replayed open-loop on 4 cores. *)
@@ -167,9 +161,7 @@ let grid =
         run
           ~machine:(Config.machine ~cores:256 ~dir_shards:16 ())
           ~threads:256 ~scale:0.05 "LockillerTM" "ssca2" );
-      ( "heap queue backend",
-        run ~queue_backend:Lk_engine.Event_queue.Heap "LockillerTM" "intruder"
-      );
+      ("sanitizer attached", run ~check:true "LockillerTM" "intruder");
       ("replay of a bursty trace", fun () -> replay ());
       ("hand-written program", program);
     ]
@@ -398,7 +390,7 @@ let golden =
     ("16 cores", "e194f0541cd09d5ac1d35d3ae23abfda");
     ("100 cores", "8c200256cfffd397d30470b6e3154e32");
     ("256 cores, sharded directory", "b12f62b3ecea2973c85247dbd1c6978b");
-    ("heap queue backend", "0aeb4214c9f384b0d2dccef2335cd2a2");
+    ("sanitizer attached", "0aeb4214c9f384b0d2dccef2335cd2a2");
     ("replay of a bursty trace", "6038210ad615db0a1f3717bd842f4496");
     ("hand-written program", "7a6fd41a52d7589e12836064bd0878df");
     ("experiment table1", "b1fdb7f6f962a578a9a0ff463d0a65f4");

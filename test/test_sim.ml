@@ -683,8 +683,7 @@ module Profile = Lk_sim.Profile
    at the default scale is contended enough to produce aborts, rejects
    and parks while staying fast. *)
 let run_with_ledger ?(sysconf = Sysconf.lockiller) ?(workload = "intruder")
-    ?(scale = 0.2) ?(threads = 4)
-    ?(queue_backend = Lk_engine.Event_queue.Wheel) () =
+    ?(scale = 0.2) ?(threads = 4) () =
   let w = Option.get (Suite.find workload) in
   let ledger = ref None in
   let r =
@@ -694,7 +693,6 @@ let run_with_ledger ?(sysconf = Sysconf.lockiller) ?(workload = "intruder")
           Runner.default_options with
           scale;
           machine = Config.machine ~cores:4 ();
-          queue_backend;
           on_runtime =
             (fun rt ->
               ledger := Some (Runtime.enable_ledger ~capacity:(1 lsl 18) rt));
@@ -785,16 +783,6 @@ let test_trace_labels () =
   check Alcotest.string "stl end" "hlend stl" (label Ledger.Hl_end 1);
   check Alcotest.string "first attempt" "xbegin" (label Ledger.Tx_begin 0);
   check Alcotest.string "retry" "xbegin retry 2" (label Ledger.Tx_begin 2)
-
-let test_ledger_backend_differential () =
-  (* The ledger is a total order over observable events, so it is a
-     stronger differential axis than aggregate results: both event
-     queue backends must produce byte-identical streams. *)
-  let dump l = Format.asprintf "%a" Ledger.dump l in
-  let _, wheel = run_with_ledger ~queue_backend:Lk_engine.Event_queue.Wheel ()
-  and _, heap = run_with_ledger ~queue_backend:Lk_engine.Event_queue.Heap () in
-  check_bool "non-trivial stream" true (Ledger.length wheel > 100);
-  check Alcotest.string "byte-identical dumps" (dump wheel) (dump heap)
 
 let test_ledger_jobs_differential () =
   (* Each pool job builds its own simulator and ledger, so the event
@@ -1013,8 +1001,8 @@ module Timeseries = Lk_engine.Timeseries
 
 (* One sampled run: intruder is contended enough at this scale that the
    phase strips show transactional, lock and parked states. *)
-let run_with_telemetry ?(queue_backend = Lk_engine.Event_queue.Wheel)
-    ?(sysconf = Sysconf.lockiller) ?(threads = 4) ?(interval = 256) () =
+let run_with_telemetry ?(sysconf = Sysconf.lockiller) ?(threads = 4)
+    ?(interval = 256) () =
   let w = Option.get (Suite.find "intruder") in
   let tele = ref None in
   let r =
@@ -1024,7 +1012,6 @@ let run_with_telemetry ?(queue_backend = Lk_engine.Event_queue.Wheel)
           Runner.default_options with
           scale = 0.2;
           machine = Config.machine ~cores:4 ();
-          queue_backend;
           telemetry =
             Some (Runner.telemetry_request ~interval (fun t -> tele := Some t));
         }
@@ -1084,17 +1071,6 @@ let test_telemetry_does_not_change_results () =
   in
   let sampled, _ = run_with_telemetry () in
   check_bool "identical results" true (plain = sampled)
-
-let test_telemetry_backend_differential () =
-  let _, wheel =
-    run_with_telemetry ~queue_backend:Lk_engine.Event_queue.Wheel ()
-  and _, heap =
-    run_with_telemetry ~queue_backend:Lk_engine.Event_queue.Heap ()
-  in
-  check Alcotest.string "byte-identical JSON" (Telemetry.to_json wheel)
-    (Telemetry.to_json heap);
-  check Alcotest.string "byte-identical CSV" (Telemetry.to_csv wheel)
-    (Telemetry.to_csv heap)
 
 let test_telemetry_jobs_differential () =
   let grid =
@@ -1165,12 +1141,9 @@ let test_telemetry_latency_percentiles_in_result () =
 
 (* --- Hybrid-TM comparators ---------------------------------------------- *)
 
-let hybrid_run ?(sysconf = Sysconf.sw_tl2)
-    ?(queue_backend = Lk_engine.Event_queue.Wheel) workload_name =
+let hybrid_run ?(sysconf = Sysconf.sw_tl2) workload_name =
   let workload = Option.get (Suite.find workload_name) in
-  Runner.run
-    ~options:{ quick_options with queue_backend }
-    ~sysconf ~workload ~threads:4 ()
+  Runner.run ~options:quick_options ~sysconf ~workload ~threads:4 ()
 
 let test_hybrid_sw_tl2_all_software () =
   (* With max_retries = 0 every section goes straight to the TL2
@@ -1219,14 +1192,10 @@ let test_hybrid_validation_abort_in_ledger () =
     (Profile.clock_advances b)
 
 let test_hybrid_nohw_determinism () =
-  (* The software path must stay byte-identical across event-queue
-     backends, like every other mechanism. *)
-  let dump ?queue_backend () =
-    Json.to_string
-      (Runner.json_of_result (hybrid_run ?queue_backend "intruder"))
-  in
-  check Alcotest.string "heap backend byte-identical" (dump ())
-    (dump ~queue_backend:Lk_engine.Event_queue.Heap ())
+  (* The software path keeps no state across runs: a repeat run in the
+     same process is byte-identical, like every other mechanism. *)
+  let dump () = Json.to_string (Runner.json_of_result (hybrid_run "intruder")) in
+  check Alcotest.string "repeat run byte-identical" (dump ()) (dump ())
 
 (* --- Pool ------------------------------------------------------------------ *)
 
@@ -1483,8 +1452,6 @@ let () =
         [
           Alcotest.test_case "breakdown matches stats" `Quick
             test_ledger_breakdown_matches_stats;
-          Alcotest.test_case "wheel vs heap streams" `Quick
-            test_ledger_backend_differential;
           Alcotest.test_case "jobs:4 = jobs:1 streams" `Quick
             test_ledger_jobs_differential;
           Alcotest.test_case "perfetto well-formed" `Quick
@@ -1518,8 +1485,6 @@ let () =
             test_telemetry_samples_the_run;
           Alcotest.test_case "results unchanged" `Quick
             test_telemetry_does_not_change_results;
-          Alcotest.test_case "wheel vs heap exports" `Quick
-            test_telemetry_backend_differential;
           Alcotest.test_case "jobs:4 = jobs:1 exports" `Quick
             test_telemetry_jobs_differential;
           Alcotest.test_case "sample no alloc" `Quick

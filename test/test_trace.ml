@@ -1,6 +1,6 @@
 (* Tests of the trace layer (lib/trace) and the open-loop replay path:
    record/stream round-trips, malformed-input rejection, generator
-   determinism, replay determinism across event-queue backends, the
+   determinism, repeatable replay, the
    bounded-memory streaming guarantee, schema versioning and the
    Workload_spec scaling semantics. *)
 
@@ -219,7 +219,7 @@ let replay_options = { Runner.default_options with Runner.machine = quick_machin
 let lockiller = Option.get (Sysconf.find "LockillerTM")
 let vacation = Option.get (Suite.find "vacation")
 
-let replay_trace ?(options = replay_options) records ~threads =
+let replay_trace records ~threads =
   let remaining = ref records in
   let next () =
     match !remaining with
@@ -228,7 +228,7 @@ let replay_trace ?(options = replay_options) records ~threads =
       remaining := rest;
       Ok (Some x)
   in
-  Runner.replay ~options ~sysconf:lockiller
+  Runner.replay ~options:replay_options ~sysconf:lockiller
     ~open_loop:{ Workload_source.trace_name = "test"; next; body = vacation }
     ~threads ()
 
@@ -248,23 +248,12 @@ let test_replay_basic () =
      + result.Runner.lock_commits
     = List.length records)
 
-let test_replay_deterministic_backends () =
+let test_replay_repeatable () =
   let records = gen_records () in
-  let wheel = replay_trace records ~threads:4 in
-  let heap =
-    replay_trace records ~threads:4
-      ~options:
-        {
-          replay_options with
-          Runner.queue_backend = Lk_engine.Event_queue.Heap;
-        }
-  in
-  check_string "wheel = heap"
-    (Json.to_string (Runner.json_of_result wheel))
-    (Json.to_string (Runner.json_of_result heap));
+  let first = replay_trace records ~threads:4 in
   let again = replay_trace records ~threads:4 in
   check_string "repeatable"
-    (Json.to_string (Runner.json_of_result wheel))
+    (Json.to_string (Runner.json_of_result first))
     (Json.to_string (Runner.json_of_result again))
 
 let test_replay_respects_affinity () =
@@ -569,8 +558,7 @@ let () =
       ( "replay",
         [
           Alcotest.test_case "basic" `Quick test_replay_basic;
-          Alcotest.test_case "backends agree" `Quick
-            test_replay_deterministic_backends;
+          Alcotest.test_case "repeatable" `Quick test_replay_repeatable;
           Alcotest.test_case "affinity" `Quick test_replay_respects_affinity;
           Alcotest.test_case "bad stream" `Quick
             test_replay_rejects_bad_stream;
