@@ -14,9 +14,16 @@
    - Fig 10: at 2 threads, HTMLock leaves LockillerTM-RWIL and
      LockillerTM with no mutex aborts on any workload (a structural
      zero, not a value).
+   - Fig 10: at 2 threads on labyrinth, switchingMode leaves
+     LockillerTM a smaller share of capacity ('of') aborts than RWIL.
    - Fig 11: at 2 threads on labyrinth, switchingMode gives LockillerTM
      a nonzero switchLock share, a higher commit rate than RWIL and a
      lower aborted share.
+   - Fig 12: Baseline has the lowest geomean speedup over CGL at every
+     thread count, and at 16 and 32 threads every HTMLock system (RWL,
+     RWIL, LockillerTM) beats every system without HTMLock. No finer
+     order is asserted: near-ties such as RWIL and LockillerTM at 32
+     threads are not a claim of the paper.
    - Fig 13: under both the small and the large cache, at every thread
      count, LockillerTM beats Baseline and Baseline beats CGL (geomean
      speedup over CGL across the suite). *)
@@ -127,6 +134,71 @@ let test_switching_labyrinth () =
   above_one "labyrinth aborted share, RWIL over LockillerTM"
     (share rwil Accounting.Aborted /. share lk Accounting.Aborted)
 
+let test_capacity_share_labyrinth () =
+  let labyrinth = Option.get (Suite.find "labyrinth") in
+  let of_share sysconf =
+    Runner.abort_fraction
+      (Experiments.result (Lazy.force ctx) ~sysconf ~workload:labyrinth
+         ~threads:2 ())
+      Reason.Capacity
+  in
+  let rwil = of_share Sysconf.lockiller_rwil
+  and lk = of_share Sysconf.lockiller in
+  if not (lk < rwil) then
+    Alcotest.failf
+      "labyrinth 'of' share: LockillerTM %.3f is not below RWIL %.3f" lk rwil
+
+(* Geomean speedup over CGL across the suite, typical cache. *)
+let mean_vs_cgl sysconf threads =
+  Metrics.geomean
+    (List.map
+       (fun w ->
+         Experiments.speedup_vs_cgl (Lazy.force ctx) ~sysconf ~workload:w
+           ~threads ())
+       Suite.all)
+
+let test_average_speedups () =
+  let systems =
+    Sysconf.
+      [
+        baseline;
+        losa_safu;
+        lockiller_rai;
+        lockiller_rri;
+        lockiller_rwi;
+        lockiller_rwl;
+        lockiller_rwil;
+        lockiller;
+      ]
+  in
+  List.iter
+    (fun threads ->
+      let base = mean_vs_cgl Sysconf.baseline threads in
+      List.iter
+        (fun (s : Sysconf.t) ->
+          if s.Sysconf.name <> Sysconf.baseline.Sysconf.name then
+            above_one
+              (Printf.sprintf "%s over Baseline, %d threads" s.Sysconf.name
+                 threads)
+              (mean_vs_cgl s threads /. base))
+        systems;
+      if threads >= 16 then begin
+        let with_lock, without =
+          List.partition (fun (s : Sysconf.t) -> s.Sysconf.htmlock) systems
+        in
+        List.iter
+          (fun (l : Sysconf.t) ->
+            List.iter
+              (fun (o : Sysconf.t) ->
+                above_one
+                  (Printf.sprintf "%s over %s, %d threads" l.Sysconf.name
+                     o.Sysconf.name threads)
+                  (mean_vs_cgl l threads /. mean_vs_cgl o threads))
+              without)
+          with_lock
+      end)
+    (Experiments.thread_counts (Lazy.force ctx))
+
 let test_cache_sensitivity () =
   let ctx = Lazy.force ctx in
   let vs_cgl cache sysconf threads =
@@ -166,6 +238,10 @@ let () =
             test_no_mutex_aborts;
           Alcotest.test_case "switchingMode on labyrinth" `Quick
             test_switching_labyrinth;
+          Alcotest.test_case "switchingMode cuts labyrinth's 'of' share"
+            `Quick test_capacity_share_labyrinth;
+          Alcotest.test_case "average speedups over CGL" `Quick
+            test_average_speedups;
           Alcotest.test_case "cache sensitivity" `Quick test_cache_sensitivity;
         ] );
     ]
