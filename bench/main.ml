@@ -52,25 +52,45 @@ let queue_micro ~ops =
   Perf.stop probe ~events:ops ~cycles:!clock
 
 (* The same steady state through the kernel: 1024 self-rescheduling
-   event chains until ~[ops] events have fired. Like a model event,
-   each one schedules a fresh closure (5 words: its chain and the
-   step), so the sample pays the queue's write barrier on a young
-   payload, not the cheap path of re-storing one long-lived value. *)
+   event chains until ~[ops] events have fired, each posting one
+   registered handler on its chain number, as the model's hot sites
+   do. The minor words of the run are read apart from the timing, so
+   a kernel that allocates nothing per event reads exactly 0. *)
 let sim_micro ~ops =
   let sim = Sim.create () in
-  let st = ref 0x51AFE2149F123BCD in
-  let remaining = ref ops in
-  let rec tick chain () =
-    if !remaining > 0 then begin
-      decr remaining;
-      Sim.schedule sim ~delay:(lcg_next st) (fun () -> tick chain ())
-    end
+  let st = ref 0 and remaining = ref 0 in
+  let tick = ref Sim.unset in
+  tick :=
+    Sim.handler sim ~name:"tick" (fun chain ->
+        if !remaining > 0 then begin
+          decr remaining;
+          Sim.post sim ~delay:(lcg_next st) !tick chain
+        end);
+  (* Run the same chains twice: the first run grows the queue's store
+     and far heap to what the second needs. *)
+  let chains () =
+    st := 0x51AFE2149F123BCD;
+    remaining := ops;
+    for chain = 1 to 1024 do
+      Sim.post sim ~delay:(lcg_next st) !tick chain
+    done
   in
-  for chain = 1 to 1024 do
-    Sim.schedule sim ~delay:(lcg_next st) (tick chain)
-  done;
-  let (), s = Perf.observe sim (fun () -> Sim.run sim) in
-  s
+  chains ();
+  Sim.run sim;
+  chains ();
+  let e0 = Sim.events sim and c0 = Sim.now sim in
+  let m0 = Gc.minor_words () in
+  let m1 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let w1 = Gc.minor_words () in
+  {
+    Perf.wall_seconds = Unix.gettimeofday () -. t0;
+    minor_words = w1 -. w0 -. (m1 -. m0);
+    events = Sim.events sim - e0;
+    cycles = Sim.now sim - c0;
+  }
 
 (* Trace ingestion: streaming read throughput over a generated binary
    trace. Written once to a temp file, then measured over a full
