@@ -23,17 +23,18 @@ type eviction_directive =
          e.g. a successful switchingMode round-trip to the LLC. *)
 
 type t = {
-  context : core:Types.core_id -> epoch:int -> Types.party option;
-      (* Requester context at decision time. [None] means the request
-         is stale: the issuing transaction aborted after issue and the
-         protocol must drop the request without side effects. *)
+  context : core:Types.core_id -> epoch:int -> Types.party;
+      (* Requester context at decision time. [Types.no_party] means
+         the request is stale: the issuing transaction aborted after
+         issue and the protocol must drop the request without side
+         effects. *)
   party_of : Types.core_id -> Types.party;
       (* Live execution mode/priority of a core (used for holders). *)
   resolve :
-    requester:Types.core_id * Types.party ->
-    holder:Types.core_id * Types.party ->
-    line:Types.line ->
-    write:bool ->
+    requester:Types.core_id ->
+    requester_party:Types.party ->
+    holder:Types.core_id ->
+    holder_party:Types.party ->
     verdict;
       (* Conflict arbitration (Fig 4). Must never return [Abort_holder]
          for a [Lock_tx] holder — lock transactions are irrevocable. *)
@@ -65,10 +66,9 @@ type t = {
       (* HTMLock overflow-signature filter at the LLC. [None] = no
          opinion (normal flow); [Some Reject_requester] = NACK the
          request. Never returns [Some Abort_holder]. *)
-  on_reject :
-    requester:Types.core_id -> by:Types.core_id option -> line:Types.line -> unit;
-      (* A reject reply is on its way to [requester]; used to populate
-         wake-up tables. *)
+  on_reject : requester:Types.core_id -> by:Types.outcome -> unit;
+      (* A reject reply ([by], an outcome) is on its way to
+         [requester]; used to populate wake-up tables. *)
   tx_age : Types.core_id -> int;
       (* Cycles since the core's current transactional attempt began
          (xbegin / swbegin / HTMLock entry), 0 when it is not in one.
@@ -81,14 +81,16 @@ type t = {
    CGL system and for protocol unit tests. *)
 let plain =
   {
-    context = (fun ~core:_ ~epoch:_ -> Some Types.non_tx_party);
+    context = (fun ~core:_ ~epoch:_ -> Types.non_tx_party);
     party_of = (fun _ -> Types.non_tx_party);
-    resolve = (fun ~requester:_ ~holder:_ ~line:_ ~write:_ -> Abort_holder);
+    resolve =
+      (fun ~requester:_ ~requester_party:_ ~holder:_ ~holder_party:_ ->
+        Abort_holder);
     abort = (fun ~victim:_ ~aggressor:(_ : Types.core_id) ~aggressor_mode:_ ~line:_ -> ());
     on_tx_eviction = (fun ~core:_ ~view:_ -> Abort_tx 0);
     llc_check =
       (fun ~requester:_ ~requester_mode:_ ~line:_ ~write:_
            ~would_be_exclusive:_ -> None);
-    on_reject = (fun ~requester:_ ~by:_ ~line:_ -> ());
+    on_reject = (fun ~requester:_ ~by:_ -> ());
     tx_age = (fun _ -> 0);
   }
