@@ -2,35 +2,34 @@
 
     A drop-in for the hot-path uses of [Hashtbl] keyed on cache lines
     and addresses: one-multiply Fibonacci hashing (no polymorphic hash),
-    linear probing over a flat array pair (no bucket cells), allocation
-    only on growth. Iteration order is unspecified — callers that need
-    determinism must sort, exactly as with [Hashtbl].
+    linear probing over a flat pair of int arrays (no bucket cells, no
+    write barrier), allocation only on growth. Iteration order is
+    unspecified but deterministic: it depends only on the sequence of
+    operations. [remove] leaves no tombstone (backward-shift
+    deletion). *)
 
-    [dummy] fills empty and vacated value slots so the table never
-    keeps a removed value reachable. *)
+type t
 
-type 'a t
+val create : ?capacity:int -> unit -> t
+(** [capacity] is rounded up to a power of two (minimum 4). *)
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [capacity] is rounded up to a power of two (minimum 16). *)
+val length : t -> int
+val is_empty : t -> bool
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val mem : t -> int -> bool
+val find_opt : t -> int -> int option
 
-val mem : 'a t -> int -> bool
-val find_opt : 'a t -> int -> 'a option
+val find : t -> int -> default:int -> int
+(** Allocation-free lookup. *)
 
-val find : 'a t -> int -> default:'a -> 'a
-(** Allocation-free lookup for immediate-typed values. *)
-
-val replace : 'a t -> int -> 'a -> unit
+val replace : t -> int -> int -> unit
 (** Insert or overwrite. Raises [Invalid_argument] on a negative key. *)
 
-val remove : 'a t -> int -> unit
+val remove : t -> int -> unit
 (** No-op when absent. *)
 
-val iter : 'a t -> (int -> 'a -> unit) -> unit
-val fold : 'a t -> init:'b -> f:(int -> 'a -> 'b -> 'b) -> 'b
+val iter : t -> (int -> int -> unit) -> unit
+val fold : t -> init:'b -> f:(int -> int -> 'b -> 'b) -> 'b
 
-val reset : 'a t -> unit
+val reset : t -> unit
 (** Drop every binding, keeping the current capacity. *)

@@ -20,7 +20,7 @@ type violation = { culprit : record; at : op; expected : int }
 type log = { mutable ops : int array; mutable len : int }
 
 type t = {
-  model : int Int_table.t;  (* The serial execution's store. *)
+  model : Int_table.t;  (* The serial execution's store. *)
   logs : log array;  (* Indexed by core. *)
   counts : int array;  (* Committed sections per kind. *)
   mutable next_seq : int;
@@ -36,7 +36,7 @@ let kind_index = function
   | Plain_section -> 4
 
 let create ?(initial = []) ~cores () =
-  let model = Int_table.create ~dummy:0 () in
+  let model = Int_table.create () in
   List.iter (fun (a, v) -> Int_table.replace model a v) initial;
   {
     model;

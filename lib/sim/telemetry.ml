@@ -136,6 +136,9 @@ let attach ?(interval = 1024) ?(capacity = 4096) rt =
   let proto = Runtime.protocol rt in
   let sim = Protocol.sim proto in
   let net = Protocol.network proto in
+  (* The link gauges read per-link flits, which the network counts
+     only from here on. *)
+  Network.charge_links net;
   let cores = (Protocol.config proto).Protocol.cores in
   let core_channels = List.init cores (fun c -> Printf.sprintf "core%d" c) in
   let link_channels =
@@ -158,8 +161,9 @@ let attach ?(interval = 1024) ?(capacity = 4096) rt =
       backlog_probe = (fun () -> 0);
     }
   in
-  (* One closure, allocated here once; the event queue recycles its
-     entry, so steady-state re-arming allocates nothing. *)
+  (* One closure, allocated here once; re-arming it reuses a slot of
+     the kernel's closure table, so steady-state sampling allocates
+     nothing. *)
   let rec tick () =
     sample_now t;
     if Sim.pending sim > 0 then Sim.schedule sim ~delay:t.interval tick
