@@ -225,10 +225,12 @@ let link_totals t diff out =
     out.(l) <- (if p < 0 then diff.(l) else out.(p) + diff.(l))
   done
 
+let route_hops t ~src ~dst = legs Count t ~src ~dst [||] 0
+
 let hops t ~src ~dst =
   check_tile t src "hops";
   check_tile t dst "hops";
-  legs Count t ~src ~dst [||] 0
+  route_hops t ~src ~dst
 
 (* The tiles at the two ends of link index [l]. *)
 let link_ends t l =

@@ -55,6 +55,9 @@ val route : t -> src:int -> dst:int -> link list
 val hops : t -> src:int -> dst:int -> int
 (** Number of links on the route. Pure arithmetic. *)
 
+val route_hops : t -> src:int -> dst:int -> int
+(** {!hops} for tiles the caller has already range-checked. *)
+
 val links : t -> link list
 (** Every directed link of the topology. *)
 
