@@ -56,7 +56,52 @@ val dir_of : t -> Types.line -> dir
 (** Directory state of a resident line. Raises if absent. *)
 
 val set_dir : t -> Types.line -> dir -> unit
+(** [dir_of] and [set_dir] convert; the protocol works on the entry
+    below. *)
+
 val set_dirty : t -> Types.line -> bool -> unit
+
+(** {1 The directory entry, one core at a time}
+
+    A resident line's entry is one int: its owner, or its sharers as a
+    bitset on a machine of at most 62 cores (a [Coreset] held by index
+    on a wider one), so the operations below allocate nothing on the
+    narrow machines. Each raises if the line is not resident. *)
+
+val owner : t -> Types.line -> Types.core_id
+(** The core that owns the line, or -1. *)
+
+val unshared : t -> Types.line -> bool
+(** Neither owned nor shared. *)
+
+val set_owner : t -> Types.line -> Types.core_id -> unit
+
+val clear : t -> Types.line -> unit
+(** Neither owned nor shared from now on. *)
+
+val is_sharer : t -> Types.line -> Types.core_id -> bool
+
+val add_sharer : t -> Types.line -> Types.core_id -> unit
+(** Requires an unowned line. *)
+
+val remove_core : t -> Types.line -> Types.core_id -> unit
+(** The core no longer holds a copy: an owner leaves the line unshared,
+    a sharer leaves the set. *)
+
+type members
+(** A copy of a line's sharers, which later changes to the entry leave
+    as they were. *)
+
+val members : unit -> members
+
+val snapshot : t -> Types.line -> members -> unit
+(** Copy the sharers of the line (none when it is owned) into the
+    members. *)
+
+val next : t -> members -> Types.core_id -> Types.core_id
+(** [next t m c] is the least member at or above [c], or -1. *)
+
+val count : t -> members -> int
 
 val resident : t -> Types.line -> bool
 val occupancy : t -> int

@@ -27,6 +27,7 @@ let make ~count ~tiles ~hash =
   { count; tiles; hash; mask }
 
 let count t = t.count
+let tiles t = t.tiles
 let hash t = t.hash
 
 (* Fibonacci-style multiplicative mix (constant < 2^62, result masked

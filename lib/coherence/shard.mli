@@ -17,6 +17,10 @@ val make : count:int -> tiles:int -> hash:hash -> t
 (** Requires [1 <= count <= tiles]. *)
 
 val count : t -> int
+
+val tiles : t -> int
+(** The tiles (= cores) the plan was made for. *)
+
 val hash : t -> hash
 
 val of_line : t -> Types.line -> int
