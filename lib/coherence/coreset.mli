@@ -27,3 +27,7 @@ val next : t -> Types.core_id -> Types.core_id
     be non-negative), or [-1]: an allocation-free ascending walk. *)
 
 val of_list : Types.core_id list -> t
+
+val of_bits : int -> t
+(** The set whose members are the bits set in a non-negative word (ids
+    0 to 61). *)
