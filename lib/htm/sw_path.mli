@@ -72,9 +72,12 @@ val reset : t -> int -> unit
 
 val note_read : t -> core:int -> slot:int -> version:int -> unit
 (** Record a read of [slot] at [version] (the first observation wins;
-    commit-time validation exact-matches it). *)
+    commit-time validation exact-matches it). A repeat costs O(1): a
+    per-core bitset over the slots, cleared through the set by
+    {!reset}. *)
 
 val note_write : t -> core:int -> slot:int -> unit
+(** Record a write of [slot], once, in O(1) like {!note_read}. *)
 
 val writes : t -> core:int -> int
 
