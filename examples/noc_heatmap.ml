@@ -24,7 +24,10 @@ let () =
         {
           Runner.default_options with
           on_runtime =
-            (fun rt -> net := Some (Protocol.network (Runtime.protocol rt)));
+            (fun rt ->
+              let n = Protocol.network (Runtime.protocol rt) in
+              Network.charge_links n;
+              net := Some n);
         }
       ~sysconf:Sysconf.lockiller ~workload ~threads:32 ()
   in
