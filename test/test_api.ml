@@ -5,6 +5,7 @@
    low-level contracts one call at a time. *)
 
 module Sim = Lk_engine.Sim
+module Types = Lk_coherence.Types
 module Topology = Lk_mesh.Topology
 module Network = Lk_mesh.Network
 module Protocol = Lk_coherence.Protocol
@@ -50,6 +51,17 @@ let drive sim k =
   k ();
   Sim.run sim
 
+(* One core-level op whose completion runs [k]: a one-shot sink gets
+   [Some] of the value read ([Runtime.op_value]), or [None] when the
+   surrounding transaction died. *)
+let op rt core what ~addr ~value k =
+  Runtime.attach rt core (fun code ->
+      Runtime.detach rt core;
+      k
+        (if code = Runtime.op_done then Some (Runtime.op_value rt core)
+         else None));
+  Runtime.op rt core what ~addr ~value
+
 (* --- transactions ------------------------------------------------------ *)
 
 let test_xbegin_xend_roundtrip () =
@@ -60,7 +72,7 @@ let test_xbegin_xend_roundtrip () =
         | `Busy -> Alcotest.fail "xbegin busy on idle machine"
         | `Started ->
           check_bool "mode htm" true (Runtime.ttest rt 0 = Txstate.Htm);
-          Runtime.write rt 0 ~addr ~value:7 ~k:(fun _ ->
+          op rt 0 Types.Write ~addr ~value:7 (fun _ ->
               (* speculative: not yet visible *)
               check_int "buffered" 0 (Store.committed store addr);
               Runtime.xend rt 0 ~k:(fun () ->
@@ -76,11 +88,11 @@ let test_fetch_add_returns_old_value () =
   let seen = ref (-1) in
   drive sim (fun () ->
       Runtime.xbegin rt 0 ~k:(fun _ ->
-          Runtime.fetch_add rt 0 ~addr ~delta:1 ~k:(function
-            | Runtime.Ok v ->
+          op rt 0 Types.Rmw ~addr ~value:1 (function
+            | Some v ->
               seen := v;
               Runtime.xend rt 0 ~k:(fun () -> ())
-            | Runtime.Tx_aborted -> Alcotest.fail "aborted")));
+            | None -> Alcotest.fail "aborted")));
   check_int "old value" 41 !seen;
   check_int "incremented" 42 (Store.committed store addr)
 
@@ -110,7 +122,7 @@ let test_hl_mode_roundtrip () =
       Runtime.lock_acquire rt 0 ~k:(fun () ->
           Runtime.hlbegin rt 0 ~k:(fun () ->
               check_bool "tl mode" true (Runtime.ttest rt 0 = Txstate.Tl);
-              Runtime.write rt 0 ~addr ~value:9 ~k:(fun _ ->
+              op rt 0 Types.Write ~addr ~value:9 (fun _ ->
                   (* lock transactions write through *)
                   check_int "visible immediately" 9
                     (Store.committed store addr);
