@@ -57,7 +57,7 @@ let run_bank sysconf =
         Core.spawn ~runtime ~core ~accounting ~on_done:(fun () -> ()) ())
   in
   Array.iteri
-    (fun core cpu -> Core.drive cpu (Program.cursor (teller_program core)))
+    (fun core cpu -> Core.drive cpu (Program.stream (Program.cursor (teller_program core))))
     cpus;
   Sim.run sim;
   let total =

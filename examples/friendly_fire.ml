@@ -63,7 +63,7 @@ let run sysconf =
         Core.spawn ~runtime ~core ~accounting ~on_done:(fun () -> ()) ())
   in
   Array.iteri
-    (fun core cpu -> Core.drive cpu (Program.cursor program.(core)))
+    (fun core cpu -> Core.drive cpu (Program.stream (Program.cursor program.(core))))
     cpus;
   Sim.run sim;
   let stats c = Runtime.core_stats runtime c in

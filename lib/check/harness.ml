@@ -184,7 +184,7 @@ let run ?(check_states = true) ?(cycle_limit = default_cycle_limit)
           ())
   in
   Array.iteri
-    (fun i thread -> Core.drive cores.(i) (Lk_cpu.Program.cursor thread))
+    (fun i thread -> Core.drive cores.(i) Lk_cpu.Program.(stream (cursor thread)))
     scenario.Scenario.program;
   let check_expected () =
     List.find_map

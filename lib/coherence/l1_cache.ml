@@ -185,37 +185,45 @@ let touch t line =
 (* Whether slot [i] was used before slot [best] (or [best] is none). *)
 let older t i best = best < 0 || used t i < used t best
 
-(* The victim is the first least-recently-used non-transactional way,
-   else the first least-recently-used transactional one: its slot, or
-   -1 when a way is free. An unfilled cache has every way free. *)
-let victim_slot t line =
+(* The slot an absent [line] goes to: the first free way of its set,
+   else [lnot] the victim's slot — the first least-recently-used
+   non-transactional way, else the first least-recently-used
+   transactional one. An unfilled cache has every way free. *)
+let room t line =
   let lo = set_of t line * t.nways in
-  let free = ref (t.span < t.nways) in
+  let free = ref (if t.span = 0 then lo else -1) in
   let best_non_tx = ref (-1) in
   let best_tx = ref (-1) in
   for i = lo to lo + t.span - 1 do
-    if tag t i = -1 then free := true
+    if tag t i = -1 then begin
+      if !free < 0 then free := i
+    end
     else if flags t i land tx_bits <> 0 then begin
       if older t i !best_tx then best_tx := i
     end
     else if older t i !best_non_tx then best_non_tx := i
   done;
-  if !free then -1 else if !best_non_tx >= 0 then !best_non_tx else !best_tx
+  if !free >= 0 then !free
+  else lnot (if !best_non_tx >= 0 then !best_non_tx else !best_tx)
+
+let line_at t i = (tag t i * t.nsets) + (i / t.nways)
 
 let victim t line =
-  let v = victim_slot t line in
-  if v < 0 then -1 else (tag t v * t.nsets) + (v / t.nways)
+  let r = room t line in
+  if r >= 0 then -1 else line_at t (lnot r)
+
+let insert_at t i line state =
+  if t.span = 0 then allocate t;
+  t.slots.(2 * i) <- tag_of t line;
+  set_flags t i (state_flags state);
+  bump t i
 
 let insert t line state =
   if find_slot t line >= 0 then
     invalid_arg "L1_cache.insert: line already resident";
-  if t.span = 0 then allocate t;
-  let lo = set_of t line * t.nways in
-  let i = scan t.slots (-1) lo (lo + t.nways) in
+  let i = room t line in
   if i < 0 then invalid_arg "L1_cache.insert: set is full";
-  t.slots.(2 * i) <- tag_of t line;
-  set_flags t i (state_flags state);
-  bump t i
+  insert_at t i line state
 
 let slot_exn t line name =
   let i = find_slot t line in

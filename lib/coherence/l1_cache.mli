@@ -80,9 +80,22 @@ val mark_tx_at : t -> int -> Types.line -> write:bool -> unit
 val touch : t -> Types.line -> unit
 (** Mark the line most-recently used. No-op when absent. *)
 
+val room : t -> Types.line -> int
+(** For an absent [line]: the slot installing it takes, when its set
+    has a free way (the first one), else [lnot] the slot of the line it
+    must evict first. One search of the set; allocates nothing. *)
+
+val line_at : t -> int -> Types.line
+(** The line a slot holds. *)
+
+val insert_at : t -> int -> Types.line -> state -> unit
+(** [insert_at t slot line state] installs the absent [line] in the free
+    [slot] that {!room} returned, most-recently used and with no tx
+    bits. *)
+
 val victim : t -> Types.line -> Types.line
 (** For an absent [line]: the line allocating it must evict first, or
-    -1 when a way is free. Allocates nothing. *)
+    -1 when a way is free. *)
 
 val insert : t -> Types.line -> state -> unit
 (** Install an absent line; requires a free way (evict first). Raises

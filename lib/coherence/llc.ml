@@ -12,8 +12,8 @@ type room = Present | Free | Evict of view
    a line, then 1, 2, 4, ... doubling up to [nways]. A directory entry
    is one int: [-2 - o] when core [o] owns the line, else its sharers —
    on a machine of at most [narrow_cores] cores a bitset of core ids,
-   on a wider one an index into [wide], whose slot 0 is the empty set.
-   [slots.(s)] holds
+   on a wider one the index of a row in [wide], where index 0 is the
+   empty set. [slots.(s)] holds
    [2 * cap] immediates: way [w]'s tag at [w] ([-1] encodes an invalid
    slot; the tag is the full line number) and at [cap + w] its LRU
    stamp shifted left by one, with the dirty flag (holds data newer
@@ -37,12 +37,16 @@ type t = {
   nways : int;
   slots : int array array;
   dirs : int array array;
-  (* More than [narrow_cores] cores: the sharer sets, by index, and the
-     free indices, chained through [wide_free] from [wide_free.(0)]
-     (0 ends the chain); [[||]] until a line is first shared. *)
+  (* More than [narrow_cores] cores: every sharer set is a row of
+     [row] words in one flat pool, core [c] at bit [c mod narrow_cores]
+     of word [c / narrow_cores], updated in place. Row 0 is the empty
+     set and is never written; a free row is all zeros but for its
+     first word, which links the next free row from [wide_free] (0
+     ends the chain). [[||]] until a line is first shared. *)
   is_wide : bool;
-  mutable wide : Coreset.t array;
-  mutable wide_free : int array;
+  row : int;  (* words per sharer set: 1 on a narrow machine *)
+  mutable wide : int array;
+  mutable wide_free : int;
   mutable count : int;  (* resident lines *)
   mutable tick : int;
   (* The last line located: its set and its way, or -1 when absent.
@@ -76,8 +80,9 @@ let create ~plan ~bank_size_bytes ~ways =
     slots = Array.make (banks * nsets) [||];
     dirs = Array.make (banks * nsets) [||];
     is_wide = Shard.tiles plan > narrow_cores;
+    row = (Shard.tiles plan + narrow_cores - 1) / narrow_cores;
     wide = [||];
-    wide_free = [||];
+    wide_free = 0;
     count = 0;
     tick = 0;
     memo_line = -1;
@@ -126,55 +131,79 @@ let locate t line =
 
 (* --- directory entries ------------------------------------------------- *)
 
-(* The sharers of a wide non-owner entry [e]. *)
-let wide_set t e = if e = no_sharers then Coreset.empty else t.wide.(e)
+(* Core [c]'s word within a sharer set, or a raise when the directory
+   has no bit for [c]. *)
+let word_of t c =
+  if c < 0 || c >= t.row * narrow_cores then
+    invalid_arg "Llc: core id out of range";
+  c / narrow_cores
+
+let[@inline] bit c = 1 lsl (c mod narrow_cores)
 
 (* The sharers of a non-owner entry [e]. *)
 let set_of_entry t e =
-  if t.is_wide then wide_set t e else Coreset.of_bits e
+  if not t.is_wide then Coreset.of_bits e
+  else begin
+    let set = ref Coreset.empty in
+    for k = 0 to if e > 0 then t.row - 1 else -1 do
+      let w = ref t.wide.((e * t.row) + k) in
+      while !w <> 0 do
+        let c = (k * narrow_cores) + Lk_engine.Bits.lowest_bit !w in
+        set := Coreset.add c !set;
+        w := !w land (!w - 1)
+      done
+    done;
+    !set
+  end
 
 let dir_of_entry t e =
   if e <= -2 then Owner (-2 - e) else Sharers (set_of_entry t e)
 
-(* A wide entry for the set [set] (index 0 when it is empty). When
-   every index is taken the table doubles, chaining the new ones. *)
-let wide_entry t set =
-  if Coreset.is_empty set then no_sharers
-  else begin
-    let n = Array.length t.wide in
-    if n = 0 || t.wide_free.(0) = 0 then begin
-      let m = Int.max 2 (2 * n) in
-      t.wide <- Array.append t.wide (Array.make (m - n) Coreset.empty);
-      t.wide_free <-
-        Array.append t.wide_free
-          (Array.init (m - n) (fun k ->
-               if n + k + 1 < m then n + k + 1 else 0));
-      t.wide_free.(0) <- Int.max 1 n
-    end;
-    let i = t.wide_free.(0) in
-    t.wide_free.(0) <- t.wide_free.(i);
-    t.wide.(i) <- set;
-    i
-  end
+(* A fresh, empty row of the pool. When no row is free the pool
+   doubles, chaining the new rows. *)
+let wide_row t =
+  if t.wide_free = 0 then begin
+    let n = Array.length t.wide / t.row in
+    let m = Int.max 2 (2 * n) in
+    let pool = Array.make (m * t.row) 0 in
+    Array.blit t.wide 0 pool 0 (n * t.row);
+    for r = Int.max 1 n to m - 2 do
+      pool.(r * t.row) <- r + 1
+    done;
+    t.wide <- pool;
+    t.wide_free <- Int.max 1 n
+  end;
+  let r = t.wide_free in
+  t.wide_free <- t.wide.(r * t.row);
+  t.wide.(r * t.row) <- 0;
+  r
 
-(* Drop entry [e]'s hold on its wide index, if any. *)
+(* Drop entry [e]'s hold on its row, if any. *)
 let release t e =
   if t.is_wide && e > 0 then begin
-    t.wide.(e) <- Coreset.empty;
-    t.wide_free.(e) <- t.wide_free.(0);
-    t.wide_free.(0) <- e
+    let base = e * t.row in
+    for k = base + 1 to base + t.row - 1 do
+      t.wide.(k) <- 0
+    done;
+    t.wide.(base) <- t.wide_free;
+    t.wide_free <- e
   end
 
 let entry_of_dir t = function
   | Owner o -> owner_entry o
   | Sharers set ->
-    if t.is_wide then wide_entry t set
-    else
-      List.fold_left
-        (fun e c ->
-          if c >= narrow_cores then invalid_arg "Llc: core id out of range";
-          e lor (1 lsl c))
-        0 (Coreset.elements set)
+    Coreset.iter (fun c -> ignore (word_of t c)) set;
+    if Coreset.is_empty set then no_sharers
+    else if t.is_wide then begin
+      let r = wide_row t in
+      Coreset.iter
+        (fun c ->
+          let k = (r * t.row) + word_of t c in
+          t.wide.(k) <- t.wide.(k) lor bit c)
+        set;
+      r
+    end
+    else List.fold_left (fun e c -> e lor (1 lsl c)) 0 (Coreset.elements set)
 
 let view_of t s w =
   let slots = t.slots.(s) in
@@ -316,21 +345,30 @@ let clear t line = put t line "clear" no_sharers
 let is_sharer t line c =
   let e = entry t line in
   if e <= -2 then false
-  else if t.is_wide then Coreset.mem c (wide_set t e)
+  else if t.is_wide then
+    e > 0 && t.wide.((e * t.row) + word_of t c) land bit c <> 0
   else e land (1 lsl c) <> 0
 
 let add_sharer t line c =
   let e = entry t line in
   if e <= -2 then invalid_arg "Llc.add_sharer: line is owned";
+  let w = word_of t c in
   if t.is_wide then begin
-    let set = Coreset.add c (wide_set t e) in
-    if e > 0 then t.wide.(e) <- set
-    else put t line "add_sharer" (wide_entry t set)
+    let e =
+      if e <> no_sharers then e
+      else begin
+        let r = wide_row t in
+        put t line "add_sharer" r;
+        r
+      end
+    in
+    let k = (e * t.row) + w in
+    t.wide.(k) <- t.wide.(k) lor bit c
   end
-  else begin
-    if c >= narrow_cores then invalid_arg "Llc: core id out of range";
-    put t line "add_sharer" (e lor (1 lsl c))
-  end
+  else put t line "add_sharer" (e lor (1 lsl c))
+
+(* Whether words [k, stop) of the pool are all zero. *)
+let rec zeros pool k stop = k >= stop || (pool.(k) = 0 && zeros pool (k + 1) stop)
 
 let remove_core t line c =
   let e = entry t line in
@@ -338,33 +376,47 @@ let remove_core t line c =
     if e = owner_entry c then put t line "remove_core" no_sharers
   end
   else if t.is_wide then begin
-    if Coreset.mem c (wide_set t e) then begin
-      let set = Coreset.remove c t.wide.(e) in
-      if Coreset.is_empty set then put t line "remove_core" no_sharers
-      else t.wide.(e) <- set
+    let k = (e * t.row) + word_of t c in
+    if e > 0 && t.wide.(k) land bit c <> 0 then begin
+      t.wide.(k) <- t.wide.(k) lxor bit c;
+      if zeros t.wide (e * t.row) ((e + 1) * t.row) then
+        put t line "remove_core" no_sharers
     end
   end
   else put t line "remove_core" (e land lnot (1 lsl c))
 
-type members = { mutable bits : int; mutable set : Coreset.t }
+(* One word per [narrow_cores] cores, as a row. *)
+type members = int array
 
-let members () = { bits = 0; set = Coreset.empty }
+let members t = Array.make t.row 0
 
 let snapshot t line m =
   let e = entry t line in
-  let e = if e <= -2 then 0 else e in
-  if t.is_wide then m.set <- wide_set t e else m.bits <- e
+  if not t.is_wide then m.(0) <- (if e <= -2 then 0 else e)
+  else
+    for k = 0 to t.row - 1 do
+      m.(k) <- (if e > 0 then t.wide.((e * t.row) + k) else 0)
+    done
 
-let next t m c =
-  if t.is_wide then Coreset.next m.set c
-  else if c >= narrow_cores then -1
-  else begin
-    let rest = m.bits lsr c in
-    if rest = 0 then -1 else c + Lk_engine.Bits.lowest_bit rest
-  end
+(* The least member in word [w] of [m] or above. *)
+let rec next_from (m : members) w =
+  if w >= Array.length m then -1
+  else if m.(w) = 0 then next_from m (w + 1)
+  else (w * narrow_cores) + Lk_engine.Bits.lowest_bit m.(w)
 
-let count t m =
-  if t.is_wide then Coreset.cardinal m.set else Lk_engine.Bits.popcount m.bits
+let next (m : members) c =
+  let w = c / narrow_cores in
+  if w >= Array.length m then -1
+  else
+    let rest = m.(w) lsr (c - (w * narrow_cores)) in
+    if rest = 0 then next_from m (w + 1) else c + Lk_engine.Bits.lowest_bit rest
+
+let count (m : members) =
+  let n = ref 0 in
+  for w = 0 to Array.length m - 1 do
+    n := !n + Lk_engine.Bits.popcount m.(w)
+  done;
+  !n
 
 let set_dirty t line dirty =
   let w = way_exn t line "set_dirty" in

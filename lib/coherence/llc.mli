@@ -63,10 +63,12 @@ val set_dirty : t -> Types.line -> bool -> unit
 
 (** {1 The directory entry, one core at a time}
 
-    A resident line's entry is one int: its owner, or its sharers as a
-    bitset on a machine of at most 62 cores (a [Coreset] held by index
-    on a wider one), so the operations below allocate nothing on the
-    narrow machines. Each raises if the line is not resident. *)
+    A resident line's entry is one int: its owner, or its sharers — a
+    bitset on a machine of at most 62 cores, and on a wider one the
+    index of a row of 62-bit words in one flat pool, updated in place.
+    So the operations below allocate nothing: a [Coreset] is built
+    only at the {!dir_of}, {!set_dir} and view boundary. Each raises if
+    the line is not resident. *)
 
 val owner : t -> Types.line -> Types.core_id
 (** The core that owns the line, or -1. *)
@@ -92,16 +94,17 @@ type members
 (** A copy of a line's sharers, which later changes to the entry leave
     as they were. *)
 
-val members : unit -> members
+val members : t -> members
+(** A buffer as wide as the LLC's sharer sets. *)
 
 val snapshot : t -> Types.line -> members -> unit
 (** Copy the sharers of the line (none when it is owned) into the
     members. *)
 
-val next : t -> members -> Types.core_id -> Types.core_id
-(** [next t m c] is the least member at or above [c], or -1. *)
+val next : members -> Types.core_id -> Types.core_id
+(** [next m c] is the least member at or above [c], or -1. *)
 
-val count : t -> members -> int
+val count : members -> int
 
 val resident : t -> Types.line -> bool
 val occupancy : t -> int

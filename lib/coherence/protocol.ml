@@ -64,6 +64,7 @@ type t = {
   mutable h_grant : Sim.handler;  (* arg: core *)
   mutable h_release : Sim.handler;  (* arg: line *)
   mutable decided : Types.outcome;  (* the last decision's outcome *)
+  mutable room : int;  (* the L1 slot [install] fills *)
   (* A write decision's scratch: the sharers it started from, and its
      slowest invalidation round trip so far. *)
   members : Llc.members;
@@ -143,6 +144,17 @@ let make ~sim ~network cfg =
   let shards = if cfg.dir_shards = 0 then cfg.cores else cfg.dir_shards in
   let plan = Shard.make ~count:shards ~tiles:cfg.cores ~hash:cfg.dir_hash in
   let stats = Stats.group "protocol" in
+  let llc =
+    (* Shard counts that do not divide the LLC size round each bank
+       down to whole sets (at least one), undershooting [llc_size] by
+       less than one set per bank; divisor counts — every historical
+       configuration — are unchanged. *)
+    let set_bytes = cfg.llc_ways * Addr.line_size in
+    let bank_size_bytes =
+      Int.max set_bytes (cfg.llc_size / shards / set_bytes * set_bytes)
+    in
+    Llc.create ~plan ~bank_size_bytes ~ways:cfg.llc_ways
+  in
   {
     sim;
     net = network;
@@ -151,16 +163,7 @@ let make ~sim ~network cfg =
       Array.init cfg.cores (fun _ ->
           L1_cache.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways);
     plan;
-    llc =
-      (* Shard counts that do not divide the LLC size round each bank
-         down to whole sets (at least one), undershooting [llc_size]
-         by less than one set per bank; divisor counts — every
-         historical configuration — are unchanged. *)
-      (let set_bytes = cfg.llc_ways * Addr.line_size in
-       let bank_size_bytes =
-         Int.max set_bytes (cfg.llc_size / shards / set_bytes * set_bytes)
-       in
-       Llc.create ~plan ~bank_size_bytes ~ways:cfg.llc_ways);
+    llc;
     client = Client.plain;
     reply = (fun _ _ -> ());
     rq = [||];
@@ -177,7 +180,8 @@ let make ~sim ~network cfg =
     h_grant = Sim.unset;
     h_release = Sim.unset;
     decided = Types.granted;
-    members = Llc.members ();
+    room = -1;
+    members = Llc.members llc;
     inv_rtt = 0;
     marks = Bytes.make cfg.cores '\000';
     ledger = None;
@@ -331,24 +335,29 @@ let ensure_llc_resident t line =
     Llc.insert t.llc line;
     !extra
 
-(* Make room in the requester's L1 for its absent [line]. Returns extra
-   latency. *)
-let make_room t ~core ~line =
-  let l1 = t.l1s.(core) in
-  let rec go extra guard =
-    if guard > 2 * t.cfg.l1_ways then
-      failwith "Protocol.make_room: cannot free a way";
-    let v = L1_cache.victim l1 line in
-    if v < 0 then extra
-    else go (flush_l1_copy t ~core ~line:v ~extra) (guard + 1)
-  in
-  go 0 0
+(* Make room in the requester's L1 for its absent [line], evicting
+   until its set has a free way, and leave that way's slot in [t.room].
+   Returns [extra] plus the latency the evictions add. *)
+let rec make_room t l1 ~core ~line extra guard =
+  if guard > 2 * t.cfg.l1_ways then
+    failwith "Protocol.make_room: cannot free a way";
+  let r = L1_cache.room l1 line in
+  if r >= 0 then begin
+    t.room <- r;
+    extra
+  end
+  else
+    make_room t l1 ~core ~line
+      (flush_l1_copy t ~core ~line:(L1_cache.line_at l1 (lnot r)) ~extra)
+      (guard + 1)
 
 (* Install a granted line in the requester's L1 (or upgrade in place).
    Returns extra latency from evictions. The requester's transaction
    may have died while the request was in flight (or may die right here
    if its own victim line is transactional): we re-check the context
-   and skip tx marking for stale requests. *)
+   and skip tx marking for stale requests. One search of the set finds
+   the line, and one more its way when it is absent; the slot then
+   serves every later step. *)
 let install t id ~state =
   let core = rq_core t id and line = rq_line t id in
   let l1 = t.l1s.(core) in
@@ -357,17 +366,18 @@ let install t id ~state =
     if i >= 0 then begin
       L1_cache.set_state_at l1 i state;
       L1_cache.touch_at l1 i;
+      t.room <- i;
       0
     end
     else begin
-      let extra = make_room t ~core ~line in
-      L1_cache.insert l1 line state;
+      let extra = make_room t l1 ~core ~line 0 0 in
+      L1_cache.insert_at l1 t.room line state;
       extra
     end
   in
   let party = t.client.Client.context ~core ~epoch:(rq_epoch t id) in
   if party <> Types.no_party && Types.in_tx party then
-    L1_cache.mark_tx l1 line ~write:(rq_write t id);
+    L1_cache.mark_tx_at l1 t.room line ~write:(rq_write t id);
   extra
 
 (* Refuse request [id] on behalf of [by] (a core, or
@@ -403,7 +413,7 @@ let winner = '\003'
 (* The least core at or above [c] of the sharers snapshot
    [t.members] marked [mark], or -1. *)
 let rec next_marked t mark c =
-  let c = Llc.next t.llc t.members c in
+  let c = Llc.next t.members c in
   if c < 0 || Bytes.get t.marks c = mark then c else next_marked t mark (c + 1)
 
 (* An invalidation round trip to [c], folded into [t.inv_rtt], the
@@ -497,11 +507,14 @@ let rec dispatch t id party ~home ~extra ~depth =
     end
   end
   else if not write then begin
-    Llc.snapshot t.llc line t.members;
-    let n = Llc.count t.llc t.members in
+    (* Alone: no sharer, or the requester only. *)
     let alone =
       t.cfg.exclusive_state
-      && (n = 0 || (n = 1 && Llc.is_sharer t.llc line core))
+      && begin
+        Llc.snapshot t.llc line t.members;
+        let first = Llc.next t.members 0 in
+        first < 0 || (first = core && Llc.next t.members (core + 1) < 0)
+      end
     in
     let state = if alone then L1_cache.E else L1_cache.S in
     (* An Exclusive grant makes the requester the owner in the
@@ -519,7 +532,7 @@ let rec dispatch t id party ~home ~extra ~depth =
        ascending core order; the lowest winner names the reject. *)
     Llc.snapshot t.llc line t.members;
     let first_winner = ref (-1) in
-    let c = ref (Llc.next t.llc t.members 0) in
+    let c = ref (Llc.next t.members 0) in
     while !c >= 0 do
       let other = !c in
       let mark =
@@ -541,7 +554,7 @@ let rec dispatch t id party ~home ~extra ~depth =
         end
       in
       Bytes.set t.marks other mark;
-      c := Llc.next t.llc t.members (other + 1)
+      c := Llc.next t.members (other + 1)
     done;
     (* Losers abort even when the request is ultimately rejected: each
        sharer arbitrates locally (Fig 4). *)
@@ -558,7 +571,7 @@ let rec dispatch t id party ~home ~extra ~depth =
        core. *)
     let broadcast =
       match t.cfg.dir_pointers with
-      | Some k -> Llc.count t.llc t.members > k
+      | Some k -> Llc.count t.members > k
       | None -> false
     in
     t.inv_rtt <- 0;

@@ -6,12 +6,12 @@ module Runtime = Lk_lockiller.Runtime
 module Types = Lk_coherence.Types
 
 (* A transaction waiting in the core's service queue. The body is a
-   thunk, not an op list: under open-loop backlog the queue can grow
-   long, and a thunk (a closure over a few ints and an RNG) keeps the
+   drawing function, not an op list: under open-loop backlog the queue
+   can grow long, and a closure over a few ints and an RNG keeps the
    queued footprint O(1) per entry no matter how large the transaction
-   it will synthesise. *)
+   it will draw into the core's body. *)
 type pending = {
-  gen : unit -> Program.transaction;
+  gen : Program.Body.t -> unit;
   notify : started:int -> unit;  (** fired at completion; [started] is
                                      the cycle service began. *)
 }
@@ -30,10 +30,12 @@ type t = {
   mutable sealed : bool;  (** no further [submit]s will arrive *)
   (* The in-order core runs one step at a time, so each step keeps its
      state here and resumes through the runtime's per-core event sink
-     ({!on_event}): the body's remaining ops, the epoch it watches (-1:
-     none) and its continuation; the lock-free wait; a compute burst
-     or a retry pause, with the category it is charged to. *)
-  mutable ops : Program.op list;
+     ({!on_event}): the transaction's body, drawn into a buffer the
+     core reuses, and the index of its next op, the epoch it watches
+     (-1: none) and its continuation; the lock-free wait; a compute
+     burst or a retry pause, with the category it is charged to. *)
+  body : Program.Body.t;
+  mutable pc : int;
   mutable epoch : int;
   mutable body_k : [ `Done | `Aborted ] -> unit;
   mutable polling : bool;
@@ -84,12 +86,12 @@ let compute t n cat k =
     delay t n cat k
   end
 
-(* Execute a critical-section body. [epoch] is the transaction epoch to
-   watch for asynchronous aborts ([None] for irrevocable / plain
+(* Execute the critical-section body. [epoch] is the transaction epoch
+   to watch for asynchronous aborts ([None] for irrevocable / plain
    execution, which cannot abort). Completion reports [`Done] or
    [`Aborted]. *)
-let rec exec_ops t ~epoch ops k =
-  t.ops <- ops;
+let rec exec_ops t ~epoch k =
+  t.pc <- 0;
   t.epoch <- (match epoch with Some e -> e | None -> -1);
   t.body_k <- k;
   go t
@@ -103,26 +105,25 @@ and finish_body t outcome =
   k outcome
 
 and go t =
-  match t.ops with
-  | [] -> finish_body t `Done
-  | op :: rest -> (
-    t.ops <- rest;
+  let b = t.body and i = t.pc in
+  if i = Program.Body.length b then finish_body t `Done
+  else begin
+    t.pc <- i + 1;
     if dead t then finish_body t `Aborted
     else
-      match (op : Program.op) with
-      | Program.Compute n ->
-        Runtime.add_insts t.rt t.core n;
-        Runtime.post t.rt ~delay:(Int.max n 0) t.core resume_code
-      | Program.Read addr -> Runtime.op t.rt t.core Types.Read ~addr ~value:0
-      | Program.Write (addr, value) ->
-        Runtime.op t.rt t.core Types.Write ~addr ~value
-      | Program.Incr addr -> Runtime.op t.rt t.core Types.Rmw ~addr ~value:1
-      | Program.Add (addr, delta) ->
-        Runtime.op t.rt t.core Types.Rmw ~addr ~value:delta
-      | Program.Fault ->
+      let a = Program.Body.operand b i and value = Program.Body.value b i in
+      match Program.Body.kind b i with
+      | Compute ->
+        Runtime.add_insts t.rt t.core a;
+        Runtime.post t.rt ~delay:(Int.max a 0) t.core resume_code
+      | Read -> Runtime.op t.rt t.core Types.Read ~addr:a ~value
+      | Write -> Runtime.op t.rt t.core Types.Write ~addr:a ~value
+      | Incr | Add -> Runtime.op t.rt t.core Types.Rmw ~addr:a ~value
+      | Fault ->
         Runtime.fault t.rt t.core ~k:(function
           | `Died -> finish_body t `Aborted
-          | `Survived cost -> Runtime.post t.rt ~delay:cost t.core resume_code))
+          | `Survived cost -> Runtime.post t.rt ~delay:cost t.core resume_code)
+  end
 
 and resume t = if dead t then finish_body t `Aborted else go t
 
@@ -192,13 +193,13 @@ let retry_after_abort ?(at_least = 0) t ~t0 k =
 (* A plain (non-speculative) critical section under the fallback lock:
    CGL's only path, and the fallback of the systems without HTMLock,
    which count it as a lock commit. *)
-let plain_section t (tx : Program.transaction) ~lock_commit k =
+let plain_section t ~lock_commit k =
   let w0 = now t in
   Runtime.lock_acquire t.rt t.core ~k:(fun () ->
       account t Accounting.Wait_lock (now t - w0);
       let b0 = now t in
       Runtime.plain_section_begin t.rt t.core;
-      exec_ops t ~epoch:None tx.Program.ops (fun _ ->
+      exec_ops t ~epoch:None (fun _ ->
           Runtime.plain_section_end t.rt t.core;
           Runtime.lock_release t.rt t.core ~k:(fun () ->
               if lock_commit then Runtime.note_lock_commit t.rt t.core;
@@ -208,7 +209,7 @@ let plain_section t (tx : Program.transaction) ~lock_commit k =
 (* The fallback path: acquire the lock, then run either as an HTMLock
    lock transaction (TL) or as a plain non-speculative critical
    section. *)
-let fallback t (tx : Program.transaction) k =
+let fallback t k =
   if (Runtime.sysconf t.rt).Sysconf.htmlock then begin
     let w0 = now t in
     Runtime.lock_acquire t.rt t.core ~k:(fun () ->
@@ -217,23 +218,23 @@ let fallback t (tx : Program.transaction) k =
         Runtime.hlbegin t.rt t.core ~k:(fun () ->
             account t Accounting.Wait_lock (now t - a0);
             let b0 = now t in
-            exec_ops t ~epoch:None tx.Program.ops (fun _ ->
+            exec_ops t ~epoch:None (fun _ ->
                 Runtime.hlend t.rt t.core ~k:(fun () ->
                     Runtime.lock_release t.rt t.core ~k:(fun () ->
                         account t Accounting.Lock (now t - b0);
                         k ())))))
   end
-  else plain_section t tx ~lock_commit:true k
+  else plain_section t ~lock_commit:true k
 
 (* One critical section under the HTM systems: try speculatively up to
    max_retries times, then fall back — to the lock ([Cgl_lock]) or to
    the TL2-style software path ([Tl2]). *)
-let rec attempt t (tx : Program.transaction) k =
+let rec attempt t k =
   let sysconf = Runtime.sysconf t.rt in
   let ctx = Runtime.ctx t.rt t.core in
   let tl2 = sysconf.Sysconf.fallback = Policy.Tl2 in
   if ctx.Txstate.attempt >= sysconf.Sysconf.retry.Policy.max_retries then
-    if tl2 then software t tx k else fallback t tx k
+    if tl2 then software t k else fallback t k
   else begin
     let t0 = now t in
     Runtime.xbegin t.rt t.core ~k:(function
@@ -244,18 +245,18 @@ let rec attempt t (tx : Program.transaction) k =
            fallback, wait for the lock before retrying; under [Tl2]
            there is no lock to wait for — back off and retry. *)
         retry_after_abort t ~t0 (fun () ->
-            if tl2 then attempt t tx k
-            else wait_lock_free t (fun () -> attempt t tx k))
+            if tl2 then attempt t k
+            else wait_lock_free t (fun () -> attempt t k))
       | `Started ->
         let epoch = ctx.Txstate.epoch in
-        exec_ops t ~epoch:(Some epoch) tx.Program.ops (function
+        exec_ops t ~epoch:(Some epoch) (function
           | `Aborted ->
             (* retry_strategy(xstatus): a fault cannot succeed on retry
                — go straight to the fallback path. A capacity overflow
                gets one more attempt (associativity pressure can be
                timing-dependent) and then falls back too. *)
             let max_retries = sysconf.Sysconf.retry.Policy.max_retries in
-            retry_after_abort t ~t0 (fun () -> attempt t tx k)
+            retry_after_abort t ~t0 (fun () -> attempt t k)
               ~at_least:
                 (match ctx.Txstate.pending_abort with
                 | Some Lk_htm.Reason.Fault -> max_retries
@@ -273,7 +274,7 @@ let rec attempt t (tx : Program.transaction) k =
               Runtime.xend t.rt t.core ~k:(fun () ->
                   if ctx.Txstate.epoch <> epoch then
                     (* killed during the commit window *)
-                    retry_after_abort t ~t0 (fun () -> attempt t tx k)
+                    retry_after_abort t ~t0 (fun () -> attempt t k)
                   else begin
                     account t Accounting.Htm (now t - t0);
                     k ()
@@ -289,13 +290,13 @@ let rec attempt t (tx : Program.transaction) k =
    and failed validation — each such abort backs off and retries the
    software path (never the hardware one: a transaction that fell
    through to software stays there, the classic HyTM discipline). *)
-and software t (tx : Program.transaction) k =
+and software t k =
   let ctx = Runtime.ctx t.rt t.core in
   let t0 = now t in
-  let retry_sw () = retry_after_abort t ~t0 (fun () -> software t tx k) in
+  let retry_sw () = retry_after_abort t ~t0 (fun () -> software t k) in
   Runtime.swbegin t.rt t.core ~k:(fun () ->
       let epoch = ctx.Txstate.epoch in
-      exec_ops t ~epoch:(Some epoch) tx.Program.ops (function
+      exec_ops t ~epoch:(Some epoch) (function
         | `Aborted -> retry_sw ()
         | `Done ->
           Runtime.sw_commit t.rt t.core ~k:(function
@@ -304,7 +305,7 @@ and software t (tx : Program.transaction) k =
               account t Accounting.Sw (now t - t0);
               k ())))
 
-let critical t (tx : Program.transaction) k =
+let critical t k =
   let sysconf = Runtime.sysconf t.rt in
   let ctx = Runtime.ctx t.rt t.core in
   let done_ () =
@@ -312,11 +313,11 @@ let critical t (tx : Program.transaction) k =
     k ()
   in
   match sysconf.Sysconf.kind with
-  | Sysconf.Cgl -> plain_section t tx ~lock_commit:false done_
-  | Sysconf.Htm -> attempt t tx done_
+  | Sysconf.Cgl -> plain_section t ~lock_commit:false done_
+  | Sysconf.Htm -> attempt t done_
 
-(* The service loop: pop the next pending transaction, synthesise its
-   body, run it through the pre-compute / critical section /
+(* The service loop: pop the next pending transaction, draw its body,
+   run it through the pre-compute / critical section /
    post-compute pipeline, report completion, repeat until the queue
    drains. The core finishes when drained *and* sealed. *)
 let rec pump t =
@@ -333,10 +334,11 @@ let rec pump t =
     t.busy <- true;
     let p = Queue.pop t.q in
     let started = now t in
-    let tx = p.gen () in
-    compute t tx.Program.pre_compute Accounting.Non_tran (fun () ->
-        critical t tx (fun () ->
-            compute t tx.Program.post_compute Accounting.Non_tran (fun () ->
+    p.gen t.body;
+    compute t (Program.Body.pre_compute t.body) Accounting.Non_tran (fun () ->
+        critical t (fun () ->
+            compute t (Program.Body.post_compute t.body) Accounting.Non_tran
+              (fun () ->
                 t.completed_txs <- t.completed_txs + 1;
                 p.notify ~started;
                 pump t)))
@@ -357,7 +359,8 @@ let spawn ~runtime ~core ~accounting ~on_done () =
       q = Queue.create ();
       busy = false;
       sealed = false;
-      ops = [];
+      body = Program.Body.create ();
+      pc = 0;
       epoch = -1;
       body_k = no_body;
       polling = false;
@@ -392,21 +395,21 @@ let seal t =
    After every [every]-th transaction but the last, park at the
    barrier first; the wait is non-tran time ("non-tran and
    barrier"). *)
-let drive ?barrier t { Program.length; next } =
+let drive ?barrier t { Program.count; draw } =
   (match barrier with
   | Some (_, k) when k <= 0 ->
     invalid_arg "Core.drive: barrier interval must be positive"
   | Some _ | None -> ());
   let issued = ref 0 in
   let rec issue () =
-    if !issued = length then seal t
+    if !issued = count then seal t
     else begin
       incr issued;
-      submit t ~gen:next ~notify
+      submit t ~gen:draw ~notify
     end
   and notify ~started:_ =
     match barrier with
-    | Some (b, every) when !issued mod every = 0 && !issued < length ->
+    | Some (b, every) when !issued mod every = 0 && !issued < count ->
       let t0 = now t in
       Barrier.wait b ~sim:t.sim ~k:(fun () ->
           account t Accounting.Non_tran (now t - t0);

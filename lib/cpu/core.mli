@@ -13,9 +13,10 @@ type t
 (** One core and its service queue. Transactions are {!submit}ted —
     by a trace replayer as they arrive (open loop), or by {!drive} one
     at a time as the previous one completes (closed loop) — and served
-    in FIFO order. A queued entry holds a body {e thunk}, not an op
-    list, so a deep backlog costs O(1) memory per waiting transaction
-    and a closed-loop thread is drawn one transaction at a time. *)
+    in FIFO order. A queued entry holds a function that draws its body,
+    not an op list, so a deep backlog costs O(1) memory per waiting
+    transaction and a closed-loop thread is drawn one transaction at a
+    time, into a buffer the core reuses. *)
 
 val spawn :
   runtime:Lk_lockiller.Runtime.t ->
@@ -29,18 +30,18 @@ val spawn :
     core has been {!seal}ed and its queue has drained. *)
 
 val submit :
-  t -> gen:(unit -> Program.transaction) -> notify:(started:int -> unit) -> unit
-(** Enqueue a transaction. [gen] is forced only when service begins;
-    [notify ~started] fires at completion with the cycle service began
-    (so the caller can split queueing delay from sojourn time). Invalid
-    after {!seal}. *)
+  t -> gen:(Program.Body.t -> unit) -> notify:(started:int -> unit) -> unit
+(** Enqueue a transaction. [gen] draws its body into the core's own
+    buffer when service begins; [notify ~started] fires at completion
+    with the cycle service began (so the caller can split queueing
+    delay from sojourn time). Invalid after {!seal}. *)
 
 val seal : t -> unit
 (** Declare the stream exhausted; the core finishes when its queue
     drains (immediately if already empty). *)
 
-val drive : ?barrier:Barrier.t * int -> t -> Program.cursor -> unit
-(** Run [cursor] as a closed-loop thread: submit its first transaction
+val drive : ?barrier:Barrier.t * int -> t -> Program.stream -> unit
+(** Run a stream as a closed-loop thread: submit its first transaction
     now and each next one from the completion of the previous, then
     {!seal} after the last. [barrier = (b, k)] makes the thread
     synchronise on [b] after every [k] completed transactions

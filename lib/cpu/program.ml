@@ -1,7 +1,5 @@
 (* lint: allow printf — parse and validation errors are built with
-   [Printf.sprintf] while a program is read, before any simulation.
-   lint: allow hashtbl — [touched_addresses] dedups addresses once per
-   program at setup; the per-event path never reaches it. *)
+   [Printf.sprintf] while a program is read, before any simulation. *)
 
 type op =
   | Compute of int
@@ -31,6 +29,96 @@ let cursor thread =
         txs.(i));
   }
 
+module Body = struct
+  type kind = Compute | Read | Write | Incr | Add | Fault
+
+  (* Slot [i] is [code.(3i)], its kind's index in declaration order,
+     then its operand (a compute's cycles or an address) at [3i + 1]
+     and its value at [3i + 2]. *)
+  type t = {
+    mutable pre_compute : int;
+    mutable post_compute : int;
+    mutable length : int;
+    mutable code : int array;
+  }
+
+  let kinds = [| Compute; Read; Write; Incr; Add; Fault |]
+  let create () = { pre_compute = 0; post_compute = 0; length = 0; code = [||] }
+  let length b = b.length
+  let pre_compute b = b.pre_compute
+  let post_compute b = b.post_compute
+  let kind b i = kinds.(b.code.(3 * i))
+  let operand b i = b.code.((3 * i) + 1)
+  let value b i = b.code.((3 * i) + 2)
+
+  (* Room for slot [i], doubling the buffer. *)
+  let fit b i =
+    if (3 * i) + 3 > Array.length b.code then begin
+      let code = Array.make (Int.max 96 (6 * (i + 1))) 0 in
+      Array.blit b.code 0 code 0 (Array.length b.code);
+      b.code <- code
+    end
+
+  let set b i kind operand value =
+    fit b i;
+    b.code.(3 * i) <-
+      (match kind with
+      | Compute -> 0 | Read -> 1 | Write -> 2 | Incr -> 3 | Add -> 4 | Fault -> 5);
+    b.code.((3 * i) + 1) <- operand;
+    b.code.((3 * i) + 2) <- value
+
+  let move b ~src ~dst =
+    fit b dst;
+    Array.blit b.code (3 * src) b.code (3 * dst) 3
+
+  let swap b i j =
+    for k = 0 to 2 do
+      let x = b.code.((3 * i) + k) in
+      b.code.((3 * i) + k) <- b.code.((3 * j) + k);
+      b.code.((3 * j) + k) <- x
+    done
+
+  let finish b ~length ~pre_compute ~post_compute =
+    b.length <- length;
+    b.pre_compute <- pre_compute;
+    b.post_compute <- post_compute
+end
+
+let pack tx b =
+  List.iteri
+    (fun i -> function
+      | Compute n -> Body.set b i Body.Compute n 0
+      | Read a -> Body.set b i Body.Read a 0
+      | Write (a, v) -> Body.set b i Body.Write a v
+      | Incr a -> Body.set b i Body.Incr a 1
+      | Add (a, d) -> Body.set b i Body.Add a d
+      | Fault -> Body.set b i Body.Fault 0 0)
+    tx.ops;
+  Body.finish b ~length:(List.length tx.ops) ~pre_compute:tx.pre_compute
+    ~post_compute:tx.post_compute
+
+let unpack b =
+  let op i =
+    let a = Body.operand b i and v = Body.value b i in
+    match Body.kind b i with
+    | Body.Compute -> Compute a
+    | Body.Read -> Read a
+    | Body.Write -> Write (a, v)
+    | Body.Incr -> Incr a
+    | Body.Add -> Add (a, v)
+    | Body.Fault -> Fault
+  in
+  {
+    pre_compute = Body.pre_compute b;
+    ops = List.init (Body.length b) op;
+    post_compute = Body.post_compute b;
+  }
+
+type stream = { count : int; draw : Body.t -> unit }
+
+let stream (c : cursor) =
+  { count = c.length; draw = (fun b -> pack (c.next ()) b) }
+
 let op_insts = function
   | Compute n -> n
   | Read _ | Write _ | Incr _ | Add _ | Fault -> 1
@@ -40,43 +128,41 @@ let op_count ops = List.fold_left (fun acc op -> acc + op_insts op) 0 ops
 let transactions t =
   Array.fold_left (fun acc thread -> acc + List.length thread) 0 t
 
-let touched_addresses t =
-  let tbl = Hashtbl.create 256 in
-  Array.iter
-    (fun thread ->
-      List.iter
-        (fun tx ->
-          List.iter
-            (function
-              | Compute _ | Fault -> ()
-              | Read a | Write (a, _) | Incr a | Add (a, _) ->
-                Hashtbl.replace tbl a ())
-            tx.ops)
-        thread)
-    t;
-  Hashtbl.fold (fun a () acc -> a :: acc) tbl [] |> List.sort Int.compare
+let address = function
+  | Read a | Write (a, _) | Incr a | Add (a, _) -> Some a
+  | Compute _ | Fault -> None
 
+let bodies t = List.concat_map (List.map (fun tx -> tx.ops)) (Array.to_list t)
+
+let touched_addresses t =
+  List.sort_uniq Int.compare
+    (List.concat_map (List.filter_map address) (bodies t))
+
+(* The first problem, in thread, transaction and body order. *)
 let validate t =
-  let problem = ref None in
-  let note msg = if !problem = None then problem := Some msg in
-  Array.iteri
-    (fun i thread ->
-      List.iter
-        (fun tx ->
-          if tx.pre_compute < 0 || tx.post_compute < 0 then
-            note (Printf.sprintf "thread %d: negative compute" i);
-          List.iter
-            (function
-              | Compute n when n < 0 ->
-                note (Printf.sprintf "thread %d: negative compute op" i)
-              | Read a | Write (a, _) | Incr a | Add (a, _) ->
-                if a < 0 then
-                  note (Printf.sprintf "thread %d: negative address" i)
-              | Compute _ | Fault -> ())
-            tx.ops)
-        thread)
-    t;
-  match !problem with None -> Ok () | Some msg -> Error msg
+  let problem tx =
+    if tx.pre_compute < 0 || tx.post_compute < 0 then Some "negative compute"
+    else
+      List.find_map
+        (function
+          | Compute n when n < 0 -> Some "negative compute op"
+          | op ->
+            if Option.value (address op) ~default:0 < 0 then
+              Some "negative address"
+            else None)
+        tx.ops
+  in
+  let problems =
+    Array.mapi
+      (fun i thread ->
+        List.find_map
+          (fun tx -> Option.map (Printf.sprintf "thread %d: %s" i) (problem tx))
+          thread)
+      t
+  in
+  match Array.find_map Fun.id problems with
+  | None -> Ok ()
+  | Some msg -> Error msg
 
 let op_to_text = function
   | Compute n -> Printf.sprintf "compute %d" n
@@ -93,119 +179,97 @@ let to_text t =
       Buffer.add_string buf "thread\n";
       List.iter
         (fun tx ->
-          Buffer.add_string buf
-            (Printf.sprintf "  tx pre=%d post=%d\n" tx.pre_compute
-               tx.post_compute);
-          List.iter
-            (fun op ->
-              Buffer.add_string buf "    ";
-              Buffer.add_string buf (op_to_text op);
-              Buffer.add_char buf '\n')
-            tx.ops)
+          Printf.bprintf buf "  tx pre=%d post=%d\n" tx.pre_compute
+            tx.post_compute;
+          List.iter (fun op -> Printf.bprintf buf "    %s\n" (op_to_text op)) tx.ops)
         thread)
     t;
   Buffer.contents buf
 
-(* Line-oriented parser with explicit state: which thread and which
-   transaction we are appending to. Both are built in reverse and
-   flipped at the end. *)
+(* [key=<int>] *)
+let key_value key tok =
+  let n = String.length key + 1 in
+  if String.length tok > n && String.sub tok 0 n = key ^ "=" then
+    Option.to_result
+      ~none:(Printf.sprintf "bad %s value %S" key tok)
+      (int_of_string_opt (String.sub tok n (String.length tok - n)))
+  else Error (Printf.sprintf "expected %s=<int>, got %S" key tok)
+
+let op_of_tokens tokens =
+  let int = int_of_string_opt in
+  match tokens with
+  | [ "compute"; n ] -> Option.map (fun n -> Compute n) (int n)
+  | [ "read"; a ] -> Option.map (fun a -> Read a) (int a)
+  | [ "write"; a; v ] -> (
+    match (int a, int v) with Some a, Some v -> Some (Write (a, v)) | _ -> None)
+  | [ "incr"; a ] -> Option.map (fun a -> Incr a) (int a)
+  | [ "add"; a; d ] -> (
+    match (int a, int d) with Some a, Some d -> Some (Add (a, d)) | _ -> None)
+  | [ "fault" ] -> Some Fault
+  | _ -> None
+
+(* Line-oriented parser. The finished threads, the current thread's
+   transactions and the current body are built in reverse. *)
 let of_text text =
-  let error line msg = Error (Printf.sprintf "line %d: %s" line msg) in
-  let int_of_token tok =
-    try Some (int_of_string tok) with Failure _ -> None
+  let threads = ref [] and txs = ref [] and ops = ref [] in
+  let started = ref false in
+  let close_tx () =
+    (match !txs with
+    | tx :: rest -> txs := { tx with ops = List.rev !ops } :: rest
+    | [] -> ());
+    ops := []
   in
-  let parse_kv line key tok =
-    let prefix = key ^ "=" in
-    let pl = String.length prefix in
-    if String.length tok > pl && String.sub tok 0 pl = prefix then
-      match int_of_token (String.sub tok pl (String.length tok - pl)) with
-      | Some v -> Ok v
-      | None -> error line (Printf.sprintf "bad %s value %S" key tok)
-    else error line (Printf.sprintf "expected %s=<int>, got %S" key tok)
+  let close_thread () =
+    close_tx ();
+    threads := List.rev !txs :: !threads;
+    txs := []
   in
-  let lines = String.split_on_char '\n' text in
-  (* threads_rev : finished threads; txs_rev : current thread's
-     transactions; ops_rev : current transaction's body. *)
-  let rec go lineno lines ~started threads_rev txs_rev ops_rev =
-    let close_tx txs_rev =
-      match txs_rev with
-      | [] -> []
-      | tx :: rest -> { tx with ops = List.rev ops_rev } :: rest
-    in
-    match lines with
-    | [] -> begin
-      if not started && txs_rev = [] then
-        Error "empty program: no 'thread' sections"
-      else
-        let final_thread = List.rev (close_tx txs_rev) in
-        Ok (Array.of_list (List.rev (final_thread :: threads_rev)))
-    end
-    | raw :: rest -> begin
-      let line =
+  let line tokens =
+    match (tokens, !txs) with
+    | [], _ -> Ok ()
+    | [ "thread" ], _ ->
+      if !started then close_thread ();
+      started := true;
+      Ok ()
+    | [ "tx"; pre; post ], _ -> (
+      match (key_value "pre" pre, key_value "post" post) with
+      | Ok pre_compute, Ok post_compute ->
+        close_tx ();
+        started := true;
+        txs := { pre_compute; ops = []; post_compute } :: !txs;
+        Ok ()
+      | (Error _ as e), _ | _, (Error _ as e) -> e)
+    | "tx" :: _, _ -> Error "expected: tx pre=<int> post=<int>"
+    | _, [] -> Error "operation outside a transaction"
+    | _, _ :: _ -> (
+      match op_of_tokens tokens with
+      | Some op ->
+        ops := op :: !ops;
+        Ok ()
+      | None ->
+        Error
+          (Printf.sprintf "unknown operation %S" (String.concat " " tokens)))
+  in
+  let rec go lineno = function
+    | [] when not !started -> Error "empty program: no 'thread' sections"
+    | [] ->
+      close_thread ();
+      let program = Array.of_list (List.rev !threads) in
+      Result.map_error
+        (fun msg -> "invalid program: " ^ msg)
+        (Result.map (fun () -> program) (validate program))
+    | raw :: rest -> (
+      let raw =
         match String.index_opt raw '#' with
         | Some i -> String.sub raw 0 i
         | None -> raw
       in
       let tokens =
-        String.split_on_char ' ' (String.trim line)
+        String.split_on_char ' ' (String.trim raw)
         |> List.filter (fun s -> s <> "")
       in
-      match tokens with
-      | [] -> go (lineno + 1) rest ~started threads_rev txs_rev ops_rev
-      | "thread" :: [] ->
-        if not started then go (lineno + 1) rest ~started:true threads_rev [] []
-        else
-          let finished = List.rev (close_tx txs_rev) in
-          go (lineno + 1) rest ~started:true (finished :: threads_rev) [] []
-      | "tx" :: args -> begin
-        match args with
-        | [ pre_tok; post_tok ] -> begin
-          match (parse_kv lineno "pre" pre_tok, parse_kv lineno "post" post_tok)
-          with
-          | Ok pre, Ok post ->
-            let txs_rev = close_tx txs_rev in
-            go (lineno + 1) rest ~started:true threads_rev
-              ({ pre_compute = pre; ops = []; post_compute = post } :: txs_rev)
-              []
-          | (Error _ as e), _ | _, (Error _ as e) -> e
-        end
-        | _ -> error lineno "expected: tx pre=<int> post=<int>"
-      end
-      | op_tokens -> begin
-        if txs_rev = [] then error lineno "operation outside a transaction"
-        else
-          let parsed =
-            match op_tokens with
-            | [ "compute"; n ] ->
-              Option.map (fun n -> Compute n) (int_of_token n)
-            | [ "read"; a ] -> Option.map (fun a -> Read a) (int_of_token a)
-            | [ "write"; a; v ] -> begin
-              match (int_of_token a, int_of_token v) with
-              | Some a, Some v -> Some (Write (a, v))
-              | _ -> None
-            end
-            | [ "incr"; a ] -> Option.map (fun a -> Incr a) (int_of_token a)
-            | [ "add"; a; d ] -> begin
-              match (int_of_token a, int_of_token d) with
-              | Some a, Some d -> Some (Add (a, d))
-              | _ -> None
-            end
-            | [ "fault" ] -> Some Fault
-            | _ -> None
-          in
-          match parsed with
-          | Some op ->
-            go (lineno + 1) rest ~started threads_rev txs_rev (op :: ops_rev)
-          | None ->
-            error lineno
-              (Printf.sprintf "unknown operation %S"
-                 (String.concat " " op_tokens))
-      end
-    end
+      match line tokens with
+      | Ok () -> go (lineno + 1) rest
+      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
-  match go 1 lines ~started:false [] [] [] with
-  | Error _ as e -> e
-  | Ok program -> (
-    match validate program with
-    | Ok () -> Ok program
-    | Error msg -> Error ("invalid program: " ^ msg))
+  go 1 (String.split_on_char '\n' text)

@@ -42,6 +42,63 @@ val cursor : thread -> cursor
 (** Replays a materialised thread (hand-written programs, check
     scenarios, tests). *)
 
+(** {1 Flat bodies}
+
+    The cores run a transaction from a reusable int buffer rather than
+    an [op list], so drawing a body allocates nothing once the buffer
+    has grown to fit it. A body is a sequence of slots, each an
+    operation's kind and its operands, with the pre- and post-compute
+    in a header. {!pack} and {!unpack} convert. *)
+
+module Body : sig
+  type t
+
+  type kind = Compute | Read | Write | Incr | Add | Fault
+  (** The {!op} a slot holds. *)
+
+  val create : unit -> t
+  (** An empty body. *)
+
+  val length : t -> int
+  (** Slots in use. *)
+
+  val pre_compute : t -> int
+  val post_compute : t -> int
+  val kind : t -> int -> kind
+
+  val operand : t -> int -> int
+  (** A [Compute]'s cycles, else the address ([Fault]: 0). *)
+
+  val value : t -> int -> int
+  (** A [Write]'s value, an [Add]'s delta, an [Incr]'s 1, else 0. *)
+
+  (** {2 Drawing a body} *)
+
+  val set : t -> int -> kind -> int -> int -> unit
+  (** [set b i kind operand value] writes slot [i], growing the buffer
+      to hold it. *)
+
+  val move : t -> src:int -> dst:int -> unit
+  (** Copy a slot. *)
+
+  val swap : t -> int -> int -> unit
+
+  val finish : t -> length:int -> pre_compute:int -> post_compute:int -> unit
+  (** The body is slots [0, length) and this header. *)
+end
+
+val pack : transaction -> Body.t -> unit
+(** Draw the transaction into the body. *)
+
+val unpack : Body.t -> transaction
+
+type stream = { count : int; draw : Body.t -> unit }
+(** A thread drawn flat: [count] transactions, the [i]-th drawn into a
+    body by the [i]-th call of [draw]. {!Core.drive} runs one. *)
+
+val stream : cursor -> stream
+(** The cursor's transactions, each packed as it is drawn. *)
+
 val op_count : op list -> int
 (** Number of instructions a body executes (computes count their cycle
     count, memory operations one each). *)

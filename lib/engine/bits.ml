@@ -13,10 +13,11 @@ let[@inline] lowest32 w =
 let[@inline] lowest_bit w =
   if w land 0xFFFFFFFF <> 0 then lowest32 w else 32 + lowest32 (w lsr 32)
 
+(* SWAR: bit counts of pairs, nibbles, then bytes, summed into the top
+   byte by one multiply. The masks are the 64-bit ones cut to 63 bits,
+   which a non-negative word never reaches. *)
 let popcount w =
-  let n = ref 0 and w = ref w in
-  while !w <> 0 do
-    w := !w land (!w - 1);
-    incr n
-  done;
-  !n
+  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (w * 0x0101_0101_0101_0101) lsr 56

@@ -132,14 +132,43 @@ let remove t key =
     t.size <- t.size - 1
   end
 
-let iter t f =
-  Array.iteri (fun i k -> if k >= 0 then f k t.vals.(i)) t.keys
-
+(* Bindings in slot order, by index: the walk stops at the last live
+   binding (or the end, should [f] remove some). *)
 let fold t ~init ~f =
-  let acc = ref init in
-  Array.iteri (fun i k -> if k >= 0 then acc := f k t.vals.(i) !acc) t.keys;
+  let keys = t.keys and vals = t.vals in
+  let n = Array.length keys in
+  let acc = ref init and left = ref t.size and i = ref 0 in
+  while !left > 0 && !i < n do
+    let k = keys.(!i) in
+    if k >= 0 then begin
+      decr left;
+      acc := f k vals.(!i) !acc
+    end;
+    incr i
+  done;
   !acc
 
+let iter t f =
+  let keys = t.keys and vals = t.vals in
+  let n = Array.length keys in
+  let left = ref t.size and i = ref 0 in
+  while !left > 0 && !i < n do
+    let k = keys.(!i) in
+    if k >= 0 then begin
+      decr left;
+      f k vals.(!i)
+    end;
+    incr i
+  done
+
+(* Free the live slots only, stopping at the last one. *)
 let reset t =
-  Array.fill t.keys 0 (Array.length t.keys) empty;
-  t.size <- 0
+  let keys = t.keys in
+  let i = ref 0 in
+  while t.size > 0 do
+    if keys.(!i) >= 0 then begin
+      keys.(!i) <- empty;
+      t.size <- t.size - 1
+    end;
+    incr i
+  done

@@ -29,7 +29,11 @@ val remove : t -> int -> unit
 (** No-op when absent. *)
 
 val iter : t -> (int -> int -> unit) -> unit
+(** Every binding, in slot order. *)
+
 val fold : t -> init:'b -> f:(int -> int -> 'b -> 'b) -> 'b
+(** Every binding, in {!iter}'s order. *)
 
 val reset : t -> unit
-(** Drop every binding, keeping the current capacity. *)
+(** Drop every binding, keeping the current capacity. The walk stops at
+    the last binding, so an empty table costs nothing. *)

@@ -42,10 +42,16 @@ let write t ~core ~speculative addr v =
   if speculative then Int_table.replace t.buffers.(core) addr v
   else Int_table.replace t.mem addr v
 
+(* Publish one buffered write; the committed table rides as [fold]'s
+   accumulator, so a commit allocates no closure. *)
+let publish addr v mem =
+  Int_table.replace mem addr v;
+  mem
+
 let commit t ~core =
   let buf = t.buffers.(core) in
   let n = Int_table.length buf in
-  Int_table.iter buf (fun addr v -> Int_table.replace t.mem addr v);
+  ignore (Int_table.fold buf ~init:t.mem ~f:publish);
   Int_table.reset buf;
   (match t.ledger with
   | None -> ()

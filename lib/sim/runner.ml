@@ -130,10 +130,10 @@ let validate_source = function
 
 (* Open-loop feeder: admits each trace record at its arrival cycle on
    one of [cpus] ([core mod threads] with affinity, round-robin
-   without), synthesising its body only when service begins. Returns
-   the statistics, read after the run; a bad record fails the run
-   there, under [label]. *)
-let feed_open_loop ~sim ~cpus ~draw ~tele ~seed ~label
+   without), synthesising its body only when service begins and then
+   passing it to [drawn]. Returns the statistics, read after the run;
+   a bad record fails the run there, under [label]. *)
+let feed_open_loop ~sim ~cpus ~drawn ~tele ~seed ~label
     (ol : Workload_source.open_loop) =
   let threads = Array.length cpus in
   let body = ol.Workload_source.body in
@@ -167,10 +167,10 @@ let feed_open_loop ~sim ~cpus ~draw ~tele ~seed ~label
     let arrival = r.arrival and phase = r.phase in
     let reads = r.reads and writes = r.writes in
     Core.submit cpus.(slot)
-      ~gen:(fun () ->
-        draw
-          (Workload.synthesize body rngs.(slot) ~threads ~thread:slot ~reads
-             ~writes))
+      ~gen:(fun b ->
+        Workload.synthesize body rngs.(slot) ~threads ~thread:slot ~reads
+          ~writes b;
+        drawn b)
       ~notify:(fun ~started ->
         decr inflight;
         incr completed;
@@ -280,18 +280,21 @@ let execute ~options ~sysconf ~threads (source : Workload_source.t) =
   in
   validate_source source;
   let label = sysconf.Sysconf.name ^ "/" ^ Workload_source.name source in
-  (* Closed-loop threads draw from cursors (replay has none); [conserve]
+  (* Closed-loop threads draw from streams (replay has none); [conserve]
      is the profile whose increments are tallied, [caller] the entry
      point a conservation violation is reported under. *)
-  let cursors, barrier_every, conserve, caller =
+  let streams, barrier_every, conserve, caller =
     match source with
     | Workload_source.Workload p ->
-      ( Workload.cursors p ~threads ~seed ~scale,
+      ( Workload.streams p ~threads ~seed ~scale,
         p.Workload.barrier_every,
         Some p,
         "Runner.run" )
     | Workload_source.Program { program; _ } ->
-      (Array.map Program.cursor program, None, None, "Runner.run")
+      ( Array.map (fun th -> Program.stream (Program.cursor th)) program,
+        None,
+        None,
+        "Runner.run" )
     | Workload_source.Replay ol ->
       ([||], None, Some ol.Workload_source.body, "Runner.replay")
   in
@@ -325,12 +328,12 @@ let execute ~options ~sysconf ~threads (source : Workload_source.t) =
           ())
   in
   let tally = Option.map Workload.tally conserve in
-  let draw = match tally with None -> Fun.id | Some t -> Workload.count t in
+  let drawn = match tally with None -> ignore | Some t -> Workload.count t in
   let open_loop_stats =
     match source with
     | Workload_source.Replay ol ->
       Some
-        (feed_open_loop ~sim ~cpus ~draw ~tele:(Option.map snd tele) ~seed
+        (feed_open_loop ~sim ~cpus ~drawn ~tele:(Option.map snd tele) ~seed
            ~label ol)
     | Workload_source.Workload _ | Workload_source.Program _ ->
       let barrier =
@@ -339,10 +342,10 @@ let execute ~options ~sysconf ~threads (source : Workload_source.t) =
           barrier_every
       in
       Array.iteri
-        (fun i (c : Program.cursor) ->
+        (fun i (s : Program.stream) ->
           Core.drive ?barrier cpus.(i)
-            { c with Program.next = (fun () -> draw (c.Program.next ())) })
-        cursors;
+            { s with Program.draw = (fun b -> s.Program.draw b; drawn b) })
+        streams;
       None
   in
   let (), perf_sample =

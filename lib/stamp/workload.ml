@@ -62,33 +62,35 @@ let pick_private p rng ~threads ~thread =
   if p.private_lines = 0 then pick_shared p rng
   else private_base p ~threads ~thread + Rng.int rng p.private_lines
 
-(* One transaction body: a shuffled interleaving of reads and writes,
-   with local compute between operations and an optional fault. Hot
-   writes are conservation-checkable increments; private writes carry
-   an arbitrary token. *)
-let sized_tx p rng ~threads ~thread ~n_reads ~n_writes =
-  let mk_read () =
-    let line =
-      if Rng.chance rng p.hot_fraction && p.hot_lines > 0 then pick_hot p rng
-      else pick_shared p rng
-    in
-    Program.Read (addr_of_line line)
-  in
-  let mk_write () =
-    if Rng.chance rng p.hot_fraction && p.hot_lines > 0 then
-      Program.Incr (addr_of_line (pick_hot p rng))
-    else
-      Program.Write
-        (addr_of_line (pick_private p rng ~threads ~thread), Rng.int rng 1024)
-  in
-  let ops = Array.init (n_reads + n_writes) (fun i ->
-      if i < n_reads then mk_read () else mk_write ())
-  in
-  Rng.shuffle rng ops;
+let hot p rng = Rng.chance rng p.hot_fraction && p.hot_lines > 0
+
+(* One transaction body, drawn into [b]: a shuffled interleaving of
+   reads and writes, with local compute between operations and an
+   optional fault. Hot writes are conservation-checkable increments;
+   private writes carry an arbitrary token. *)
+let sized_tx p rng ~threads ~thread ~n_reads ~n_writes b =
+  let n = n_reads + n_writes in
+  for i = 0 to n - 1 do
+    if i < n_reads then begin
+      let line = if hot p rng then pick_hot p rng else pick_shared p rng in
+      Program.Body.set b i Read (addr_of_line line) 0
+    end
+    else if hot p rng then
+      Program.Body.set b i Incr (addr_of_line (pick_hot p rng)) 1
+    else begin
+      let token = Rng.int rng 1024 in
+      let line = pick_private p rng ~threads ~thread in
+      Program.Body.set b i Write (addr_of_line line) token
+    end
+  done;
+  (* [Rng.shuffle]'s swaps, on the slots. *)
+  for i = n - 1 downto 1 do
+    Program.Body.swap b i (Rng.int rng (i + 1))
+  done;
   (* The fault, if any, goes before element [fault_at] of the body with
      its [Compute]s interleaved. *)
   let per_op = if p.compute_per_op > 0 then 2 else 1 in
-  let len = per_op * Array.length ops in
+  let len = per_op * n in
   let fault_at =
     if Rng.chance rng p.fault_prob then begin
       (* Inject the fault late in the body (the last quarter): faults in
@@ -99,36 +101,34 @@ let sized_tx p rng ~threads ~thread ~n_reads ~n_writes =
     end
     else -1
   in
-  (* One pass, back to front. With interleave, even positions hold the
-     compute before op [pos / 2] and odd ones the op. *)
-  let compute = Program.Compute p.compute_per_op in
-  let body = ref (if fault_at = len then [ Program.Fault ] else []) in
-  for pos = len - 1 downto 0 do
-    let elt =
-      if per_op = 1 then ops.(pos)
-      else if pos land 1 = 0 then compute
-      else ops.(pos / 2)
-    in
-    body := elt :: !body;
-    if pos = fault_at then body := Program.Fault :: !body
-  done;
   (* Draw order is part of the output: [post_compute] before
      [pre_compute]. *)
   let post_compute = uniform_in rng p.post_compute in
   let pre_compute = uniform_in rng p.pre_compute in
-  { Program.pre_compute; ops = !body; post_compute }
+  (* Spread the ops in place, back to front. With interleave, even
+     positions hold the compute before op [pos / 2] and odd ones the
+     op; past the fault, each element moves one slot up. *)
+  for pos = len - 1 downto 0 do
+    let dst = if fault_at >= 0 && pos >= fault_at then pos + 1 else pos in
+    if per_op = 2 && pos land 1 = 0 then
+      Program.Body.set b dst Compute p.compute_per_op 0
+    else Program.Body.move b ~src:(pos / per_op) ~dst
+  done;
+  if fault_at >= 0 then Program.Body.set b fault_at Fault 0 0;
+  Program.Body.finish b ~length:(if fault_at >= 0 then len + 1 else len)
+    ~pre_compute ~post_compute
 
 (* Closed-loop body: footprint sizes drawn from the profile's ranges. *)
-let gen_tx p rng ~threads ~thread =
+let gen_tx p rng ~threads ~thread b =
   let n_reads = uniform_in rng p.reads_per_tx in
   let n_writes = uniform_in rng p.writes_per_tx in
-  sized_tx p rng ~threads ~thread ~n_reads ~n_writes
+  sized_tx p rng ~threads ~thread ~n_reads ~n_writes b
 
 (* Open-loop body: footprint sizes dictated by a trace record. *)
-let synthesize p rng ~threads ~thread ~reads ~writes =
+let synthesize p rng ~threads ~thread ~reads ~writes b =
   if reads < 0 || writes < 0 then
     invalid_arg "Workload.synthesize: negative footprint";
-  sized_tx p rng ~threads ~thread ~n_reads:reads ~n_writes:writes
+  sized_tx p rng ~threads ~thread ~n_reads:reads ~n_writes:writes b
 
 (* One RNG per thread, split from a root seeded by (seed, profile name)
    in thread order. A thread's transactions draw only from its own
@@ -138,20 +138,31 @@ let thread_rngs p ~threads ~seed =
   let root = Rng.create (seed + (1299721 * Hashtbl.hash p.name)) in
   Array.init threads (fun _ -> Rng.split root)
 
-let cursors p ~threads ~seed ~scale =
+(* Each thread's transaction count, once [caller]'s arguments hold. *)
+let thread_length caller p ~threads ~scale =
   (match validate p with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Workload.cursors: " ^ msg));
-  if threads <= 0 then invalid_arg "Workload.cursors: threads must be positive";
+  | Error msg -> invalid_arg (caller ^ ": " ^ msg));
+  if threads <= 0 then invalid_arg (caller ^ ": threads must be positive");
   if not (Float.is_finite scale && scale > 0.0) then
     invalid_arg
-      (Printf.sprintf "Workload.cursors: scale must be finite and positive (got %g)"
+      (Printf.sprintf "%s: scale must be finite and positive (got %g)" caller
          scale);
-  let length = max 1 (int_of_float (float_of_int p.txs_per_thread *. scale)) in
+  max 1 (int_of_float (float_of_int p.txs_per_thread *. scale))
+
+let streams p ~threads ~seed ~scale =
+  let count = thread_length "Workload.streams" p ~threads ~scale in
   Array.mapi
-    (fun thread rng ->
-      { Program.length; next = (fun () -> gen_tx p rng ~threads ~thread) })
+    (fun thread rng -> { Program.count; draw = gen_tx p rng ~threads ~thread })
     (thread_rngs p ~threads ~seed)
+
+let cursors p ~threads ~seed ~scale =
+  let length = thread_length "Workload.cursors" p ~threads ~scale in
+  Array.map
+    (fun (s : Program.stream) ->
+      let b = Program.Body.create () in
+      { Program.length; next = (fun () -> s.draw b; Program.unpack b) })
+    (streams p ~threads ~seed ~scale)
 
 let generate p ~threads ~seed ~scale =
   Array.map
@@ -162,26 +173,22 @@ let generate p ~threads ~seed ~scale =
 let hot_addresses p =
   List.init p.hot_lines (fun i -> addr_of_line (hot_line i))
 
-type tally = (int, int) Hashtbl.t
+(* Per hot record, the [Incr]s drawn: a body increments no other
+   address. *)
+type tally = int array
 
-let tally p =
-  let t = Hashtbl.create 64 in
-  List.iter (fun a -> Hashtbl.replace t a 0) (hot_addresses p);
-  t
+let tally p = Array.make p.hot_lines 0
 
-let count t (tx : Program.transaction) =
-  List.iter
-    (function
-      | Program.Incr a ->
-        Hashtbl.replace t a (1 + Option.value ~default:0 (Hashtbl.find_opt t a))
-      | Program.Add _ | Program.Read _ | Program.Write _ | Program.Compute _
-      | Program.Fault ->
-        ())
-    tx.Program.ops;
-  tx
+let count t b =
+  for i = 0 to Program.Body.length b - 1 do
+    match Program.Body.kind b i with
+    | Incr ->
+      let k = Addr.line_of_byte (Program.Body.operand b i) - hot_base in
+      t.(k) <- t.(k) + 1
+    | Compute | Read | Write | Add | Fault -> ()
+  done
 
-let expected t =
-  Hashtbl.fold (fun a n acc -> (a, n) :: acc) t [] |> List.sort compare
+let expected t = List.init (Array.length t) (fun i -> (addr_of_line (hot_line i), t.(i)))
 
 let pp ppf p =
   Format.fprintf ppf

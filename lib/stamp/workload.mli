@@ -44,17 +44,27 @@ val lock_addr : int
 
 val validate : profile -> (unit, string) result
 
+val streams :
+  profile ->
+  threads:int ->
+  seed:int ->
+  scale:float ->
+  Lk_cpu.Program.stream array
+(** One flat stream per thread, each drawing that thread's transactions
+    on demand into the caller's body, so memory is O(threads) however
+    long the run and a draw allocates nothing. Deterministic: same
+    (profile, threads, seed, scale) gives the same transactions.
+    [scale] multiplies [txs_per_thread] (min 1), which is every
+    stream's [count]. Threads must be positive. *)
+
 val cursors :
   profile ->
   threads:int ->
   seed:int ->
   scale:float ->
   Lk_cpu.Program.cursor array
-(** One cursor per thread, each drawing that thread's transactions on
-    demand, so memory is O(threads) however long the run. Deterministic:
-    same (profile, threads, seed, scale) gives the same transactions.
-    [scale] multiplies [txs_per_thread] (min 1), which is every
-    cursor's [length]. Threads must be positive. *)
+(** {!streams}, each body unpacked into a transaction as it is
+    drawn. *)
 
 val generate :
   profile -> threads:int -> seed:int -> scale:float -> Lk_cpu.Program.t
@@ -62,7 +72,7 @@ val generate :
 
 val thread_rngs :
   profile -> threads:int -> seed:int -> Lk_engine.Rng.t array
-(** The per-thread streams {!cursors} draw from: split in thread order
+(** The per-thread streams {!streams} draw from: split in thread order
     from one root seeded by [seed] and the profile's name. Open-loop
     replay synthesises each slot's bodies from the same streams. *)
 
@@ -73,12 +83,13 @@ val synthesize :
   thread:int ->
   reads:int ->
   writes:int ->
-  Lk_cpu.Program.transaction
-(** One transaction body with an externally dictated footprint — the
-    access pattern (hot/shared/private mix, compute interleave, fault
-    injection, pre/post compute) follows [profile], but the read and
-    write counts come from the caller (a trace record) instead of the
-    profile's per-tx ranges. Used by open-loop replay to synthesise
+  Lk_cpu.Program.Body.t ->
+  unit
+(** Draw one transaction body with an externally dictated footprint —
+    the access pattern (hot/shared/private mix, compute interleave,
+    fault injection, pre/post compute) follows [profile], but the read
+    and write counts come from the caller (a trace record) instead of
+    the profile's per-tx ranges. Used by open-loop replay to synthesise
     bodies lazily at service time. *)
 
 val hot_addresses : profile -> int list
@@ -87,14 +98,15 @@ val hot_addresses : profile -> int list
     checks). *)
 
 type tally
-(** Per-address count of the [Incr]s in the bodies drawn so far. *)
+(** Per hot record, the count of the [Incr]s in the bodies drawn so
+    far. *)
 
 val tally : profile -> tally
 (** An empty tally holding every hot record at 0. *)
 
-val count : tally -> Lk_cpu.Program.transaction -> Lk_cpu.Program.transaction
-(** Add a body's [Incr]s to the tally; returns the body, so a draw can
-    be counted in passing. *)
+val count : tally -> Lk_cpu.Program.Body.t -> unit
+(** Add a drawn body's [Incr]s, which all target hot records, to the
+    tally. *)
 
 val expected : tally -> (int * int) list
 (** [(addr, increments)] pairs sorted by address: what the committed

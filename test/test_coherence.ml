@@ -1244,7 +1244,7 @@ let llc_entry_trace ~tiles ~seed =
     Llc.create ~plan:(Shard.make ~count:4 ~tiles ~hash:Shard.Mod)
       ~bank_size_bytes:(4 * 64 * 4) ~ways:4
   in
-  let m = Llc.members () and b = Buffer.create 65536 in
+  let m = Llc.members c and b = Buffer.create 65536 in
   for line = 0 to 15 do
     Llc.insert c line
   done;
@@ -1258,11 +1258,11 @@ let llc_entry_trace ~tiles ~seed =
     | _ -> Llc.remove_core c line core);
     Llc.snapshot c line m;
     Printf.bprintf b "%d:%d:%b:%b:%d:" line (Llc.owner c line)
-      (Llc.is_sharer c line core) (Llc.unshared c line) (Llc.count c m);
-    let k = ref (Llc.next c m 0) in
+      (Llc.is_sharer c line core) (Llc.unshared c line) (Llc.count m);
+    let k = ref (Llc.next m 0) in
     while !k >= 0 do
       Printf.bprintf b "%d," !k;
-      k := Llc.next c m (!k + 1)
+      k := Llc.next m (!k + 1)
     done;
     add_llc_view b (Option.get (Llc.lookup c line))
   done;

@@ -312,7 +312,7 @@ let run_with_oracle sysconf program =
         Core.spawn ~runtime ~core ~accounting:acct ~on_done:(fun () -> ()) ())
   in
   Array.iteri
-    (fun core cpu -> Core.drive cpu (Program.cursor program.(core)))
+    (fun core cpu -> Core.drive cpu (Program.stream (Program.cursor program.(core))))
     cpus;
   Sim.run sim;
   oracle

@@ -86,7 +86,7 @@ let run_program ?(cores = 4) ?(l1_sets = 16) ?(ledger = false) ~sysconf
           ~on_done:(fun () -> incr done_count) ())
   in
   Array.iteri
-    (fun core cpu -> Core.drive cpu (Program.cursor program.(core)))
+    (fun core cpu -> Core.drive cpu (Program.stream (Program.cursor program.(core))))
     cpus;
   Sim.run sim;
   Array.iteri
@@ -514,7 +514,7 @@ let test_llc_eviction_capacity_abort () =
         Core.spawn ~runtime ~core ~accounting:acct ~on_done:(fun () -> ()) ())
   in
   Array.iteri
-    (fun core cpu -> Core.drive cpu (Program.cursor program.(core)))
+    (fun core cpu -> Core.drive cpu (Program.stream (Program.cursor program.(core))))
     cpus;
   Sim.run sim;
   Protocol.check_invariants protocol;
@@ -728,7 +728,7 @@ let test_barrier_phases_synchronise_threads () =
   in
   Array.iteri
     (fun core cpu ->
-      Core.drive ~barrier:(b, 2) cpu (Program.cursor program.(core)))
+      Core.drive ~barrier:(b, 2) cpu (Program.stream (Program.cursor program.(core))))
     cpus;
   Sim.run sim;
   check_int "counter adds up with barriers" 24 (Store.committed store (data 0));

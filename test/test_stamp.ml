@@ -248,15 +248,33 @@ let test_cursor_state_is_per_thread () =
   check_int "scale 16 = scale 1" (words 1.0) (words 16.0);
   check_bool "O(threads)" true (words 1.0 < 128 * 64)
 
+(* [streams] as cursors: every draw goes through one shared body, which
+   [drawn] sees before it is unpacked. *)
+let flat_cursors (streams : Program.stream array) ~drawn =
+  let b = Program.Body.create () in
+  Array.map
+    (fun (s : Program.stream) ->
+      {
+        Program.length = s.Program.count;
+        next =
+          (fun () ->
+            s.Program.draw b;
+            drawn b;
+            Program.unpack b);
+      })
+    streams
+
 let test_expected_increments_match_program () =
   List.iter
     (fun p ->
       let program = gen p in
-      (* tallied at draw time, as the runner does *)
+      (* tallied from the flat bodies at draw time, as the runner does *)
       let tally = Workload.tally p in
       ignore
-        (draw_interleaved (Workload.cursors p ~threads:4 ~seed:1 ~scale:1.0)
-           ~f:(Workload.count tally));
+        (draw_interleaved
+           (flat_cursors (Workload.streams p ~threads:4 ~seed:1 ~scale:1.0)
+              ~drawn:(Workload.count tally))
+           ~f:Fun.id);
       let expected = Workload.expected tally in
       (* recount from the program *)
       let counts = Hashtbl.create 64 in
@@ -283,6 +301,130 @@ let test_expected_increments_match_program () =
         (List.map fst expected
         = List.sort_uniq compare (Workload.hot_addresses p)))
     Suite.all
+
+(* The op-list generator the flat bodies replaced, kept as a reference
+   model of the draw order: every RNG draw, in order, and the body each
+   transaction gets. *)
+let reference_generate (p : Workload.profile) ~threads ~seed ~scale =
+  let addr line = Addr.byte_of_line line in
+  let hot_base = 16 in
+  let shared_base = hot_base + p.hot_lines in
+  let uniform_in rng (lo, hi) =
+    if hi <= lo then lo else lo + Rng.int rng (hi - lo + 1)
+  in
+  let hot rng = Rng.chance rng p.hot_fraction && p.hot_lines > 0 in
+  let pick_hot rng = hot_base + Rng.zipf rng ~n:p.hot_lines ~s:p.zipf_skew in
+  let pick_shared rng = shared_base + Rng.int rng p.shared_lines in
+  let tx rng thread =
+    let n_reads = uniform_in rng p.reads_per_tx in
+    let n_writes = uniform_in rng p.writes_per_tx in
+    let ops =
+      Array.init (n_reads + n_writes) (fun i ->
+          if i < n_reads then
+            let line = if hot rng then pick_hot rng else pick_shared rng in
+            Program.Read (addr line)
+          else if hot rng then Program.Incr (addr (pick_hot rng))
+          else
+            let token = Rng.int rng 1024 in
+            let line =
+              if p.private_lines = 0 then pick_shared rng
+              else
+                shared_base + p.shared_lines
+                + (thread * (p.private_lines + 1))
+                + Rng.int rng p.private_lines
+            in
+            Program.Write (addr line, token))
+    in
+    Rng.shuffle rng ops;
+    let body =
+      List.concat_map
+        (fun op ->
+          if p.compute_per_op > 0 then [ Program.Compute p.compute_per_op; op ]
+          else [ op ])
+        (Array.to_list ops)
+    in
+    let len = List.length body in
+    let fault_at =
+      if Rng.chance rng p.fault_prob then
+        let lo = 3 * len / 4 in
+        lo + Rng.int rng (len - lo + 1)
+      else -1
+    in
+    let post_compute = uniform_in rng p.post_compute in
+    let pre_compute = uniform_in rng p.pre_compute in
+    let ops =
+      List.filteri (fun i _ -> i < fault_at) body
+      @ (if fault_at >= 0 then [ Program.Fault ] else [])
+      @ List.filteri (fun i _ -> fault_at < 0 || i >= fault_at) body
+    in
+    { Program.pre_compute; ops; post_compute }
+  in
+  let length = max 1 (int_of_float (float_of_int p.txs_per_thread *. scale)) in
+  Array.mapi
+    (fun thread rng -> List.init length (fun _ -> tx rng thread))
+    (Workload.thread_rngs p ~threads ~seed)
+
+(* Every profile at seeds 1 and 2: the flat bodies, drawn interleaved
+   as a run draws them, unpack to the reference model's op lists, and
+   so does [generate]; the tally read from the flat bodies is the
+   recount of the reference bodies' increments. *)
+let test_flat_bodies_pin_draw_order () =
+  List.iter
+    (fun (p, seed) ->
+      let threads = 3 and scale = 0.5 in
+      let label = Printf.sprintf "%s, seed %d" p.Workload.name seed in
+      let reference = reference_generate p ~threads ~seed ~scale in
+      let tally = Workload.tally p in
+      let flat =
+        draw_interleaved
+          (flat_cursors (Workload.streams p ~threads ~seed ~scale)
+             ~drawn:(Workload.count tally))
+          ~f:Fun.id
+      in
+      check_bool (label ^ ": flat bodies") true (flat = reference);
+      check_bool (label ^ ": generate") true
+        (Workload.generate p ~threads ~seed ~scale = reference);
+      let recount = Hashtbl.create 64 in
+      Array.iter
+        (List.iter (fun tx ->
+             List.iter
+               (function
+                 | Program.Incr a ->
+                   Hashtbl.replace recount a
+                     (1 + Option.value ~default:0 (Hashtbl.find_opt recount a))
+                 | _ -> ())
+               tx.Program.ops))
+        reference;
+      List.iter
+        (fun (a, n) ->
+          check_int
+            (Printf.sprintf "%s: increments at %#x" label a)
+            (Option.value ~default:0 (Hashtbl.find_opt recount a))
+            n)
+        (Workload.expected tally);
+      check_int (label ^ ": every increment tallied")
+        (Hashtbl.fold (fun _ n acc -> acc + n) recount 0)
+        (List.fold_left (fun acc (_, n) -> acc + n) 0 (Workload.expected tally)))
+    (List.concat_map
+       (fun p -> [ (p, 1); (p, 2) ])
+       (Suite.all @ Suite.extras))
+
+(* A body packed, then unpacked, is the transaction it was; a flat
+   body reused for a shorter one keeps none of the longer's slots. *)
+let test_pack_roundtrip () =
+  let tx ops = { Program.pre_compute = 3; ops; post_compute = 4 } in
+  let long =
+    tx
+      Program.
+        [ Compute 5; Read 64; Write (128, -7); Incr 192; Add (256, -3); Fault ]
+  in
+  let short = tx [ Program.Incr 64 ] in
+  let b = Program.Body.create () in
+  List.iter
+    (fun t ->
+      Program.pack t b;
+      check_bool "roundtrip" true (Program.unpack b = t))
+    [ long; short; long; tx [] ]
 
 let test_hot_addresses_cover_increment_targets () =
   List.iter
@@ -496,6 +638,9 @@ let () =
             test_cursors_match_generate;
           Alcotest.test_case "cursor state per thread" `Quick
             test_cursor_state_is_per_thread;
+          Alcotest.test_case "flat bodies pin the draw order" `Quick
+            test_flat_bodies_pin_draw_order;
+          Alcotest.test_case "pack roundtrip" `Quick test_pack_roundtrip;
         ] );
       ( "conservation",
         [
