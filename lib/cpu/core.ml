@@ -87,12 +87,12 @@ let compute t n cat k =
   end
 
 (* Execute the critical-section body. [epoch] is the transaction epoch
-   to watch for asynchronous aborts ([None] for irrevocable / plain
+   to watch for asynchronous aborts (-1 for irrevocable / plain
    execution, which cannot abort). Completion reports [`Done] or
    [`Aborted]. *)
 let rec exec_ops t ~epoch k =
   t.pc <- 0;
-  t.epoch <- (match epoch with Some e -> e | None -> -1);
+  t.epoch <- epoch;
   t.body_k <- k;
   go t
 
@@ -199,7 +199,7 @@ let plain_section t ~lock_commit k =
       account t Accounting.Wait_lock (now t - w0);
       let b0 = now t in
       Runtime.plain_section_begin t.rt t.core;
-      exec_ops t ~epoch:None (fun _ ->
+      exec_ops t ~epoch:(-1) (fun _ ->
           Runtime.plain_section_end t.rt t.core;
           Runtime.lock_release t.rt t.core ~k:(fun () ->
               if lock_commit then Runtime.note_lock_commit t.rt t.core;
@@ -218,7 +218,7 @@ let fallback t k =
         Runtime.hlbegin t.rt t.core ~k:(fun () ->
             account t Accounting.Wait_lock (now t - a0);
             let b0 = now t in
-            exec_ops t ~epoch:None (fun _ ->
+            exec_ops t ~epoch:(-1) (fun _ ->
                 Runtime.hlend t.rt t.core ~k:(fun () ->
                     Runtime.lock_release t.rt t.core ~k:(fun () ->
                         account t Accounting.Lock (now t - b0);
@@ -249,7 +249,7 @@ let rec attempt t k =
             else wait_lock_free t (fun () -> attempt t k))
       | `Started ->
         let epoch = ctx.Txstate.epoch in
-        exec_ops t ~epoch:(Some epoch) (function
+        exec_ops t ~epoch (function
           | `Aborted ->
             (* retry_strategy(xstatus): a fault cannot succeed on retry
                — go straight to the fallback path. A capacity overflow
@@ -296,7 +296,7 @@ and software t k =
   let retry_sw () = retry_after_abort t ~t0 (fun () -> software t k) in
   Runtime.swbegin t.rt t.core ~k:(fun () ->
       let epoch = ctx.Txstate.epoch in
-      exec_ops t ~epoch:(Some epoch) (function
+      exec_ops t ~epoch (function
         | `Aborted -> retry_sw ()
         | `Done ->
           Runtime.sw_commit t.rt t.core ~k:(function

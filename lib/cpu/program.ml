@@ -132,11 +132,10 @@ let address = function
   | Read a | Write (a, _) | Incr a | Add (a, _) -> Some a
   | Compute _ | Fault -> None
 
-let bodies t = List.concat_map (List.map (fun tx -> tx.ops)) (Array.to_list t)
-
 let touched_addresses t =
-  List.sort_uniq Int.compare
-    (List.concat_map (List.filter_map address) (bodies t))
+  Array.to_list t
+  |> List.concat_map (List.concat_map (fun tx -> List.filter_map address tx.ops))
+  |> List.sort_uniq Int.compare
 
 (* The first problem, in thread, transaction and body order. *)
 let validate t =
@@ -146,23 +145,19 @@ let validate t =
       List.find_map
         (function
           | Compute n when n < 0 -> Some "negative compute op"
-          | op ->
-            if Option.value (address op) ~default:0 < 0 then
-              Some "negative address"
-            else None)
+          | op when Option.value (address op) ~default:0 < 0 ->
+            Some "negative address"
+          | _ -> None)
         tx.ops
   in
-  let problems =
-    Array.mapi
-      (fun i thread ->
-        List.find_map
-          (fun tx -> Option.map (Printf.sprintf "thread %d: %s" i) (problem tx))
-          thread)
-      t
+  let problems i thread =
+    List.filter_map
+      (fun tx -> Option.map (Printf.sprintf "thread %d: %s" i) (problem tx))
+      thread
   in
-  match Array.find_map Fun.id problems with
-  | None -> Ok ()
-  | Some msg -> Error msg
+  match List.concat (List.mapi problems (Array.to_list t)) with
+  | [] -> Ok ()
+  | msg :: _ -> Error msg
 
 let op_to_text = function
   | Compute n -> Printf.sprintf "compute %d" n
@@ -186,27 +181,31 @@ let to_text t =
     t;
   Buffer.contents buf
 
-(* [key=<int>] *)
+exception Bad_line of string
+
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_line msg)) fmt
+
+(* The [<int>] of a [key=<int>] token. *)
 let key_value key tok =
   let n = String.length key + 1 in
-  if String.length tok > n && String.sub tok 0 n = key ^ "=" then
-    Option.to_result
-      ~none:(Printf.sprintf "bad %s value %S" key tok)
-      (int_of_string_opt (String.sub tok n (String.length tok - n)))
-  else Error (Printf.sprintf "expected %s=<int>, got %S" key tok)
+  if String.length tok <= n || String.sub tok 0 n <> key ^ "=" then
+    bad "expected %s=<int>, got %S" key tok;
+  match int_of_string_opt (String.sub tok n (String.length tok - n)) with
+  | Some v -> v
+  | None -> bad "bad %s value %S" key tok
 
 let op_of_tokens tokens =
-  let int = int_of_string_opt in
-  match tokens with
-  | [ "compute"; n ] -> Option.map (fun n -> Compute n) (int n)
-  | [ "read"; a ] -> Option.map (fun a -> Read a) (int a)
-  | [ "write"; a; v ] -> (
-    match (int a, int v) with Some a, Some v -> Some (Write (a, v)) | _ -> None)
-  | [ "incr"; a ] -> Option.map (fun a -> Incr a) (int a)
-  | [ "add"; a; d ] -> (
-    match (int a, int d) with Some a, Some d -> Some (Add (a, d)) | _ -> None)
-  | [ "fault" ] -> Some Fault
-  | _ -> None
+  let int tok = match int_of_string_opt tok with Some v -> v | None -> raise Exit in
+  try
+    match tokens with
+    | [ "compute"; n ] -> Compute (int n)
+    | [ "read"; a ] -> Read (int a)
+    | [ "write"; a; v ] -> Write (int a, int v)
+    | [ "incr"; a ] -> Incr (int a)
+    | [ "add"; a; d ] -> Add (int a, int d)
+    | [ "fault" ] -> Fault
+    | _ -> raise Exit
+  with Exit -> bad "unknown operation %S" (String.concat " " tokens)
 
 (* Line-oriented parser. The finished threads, the current thread's
    transactions and the current body are built in reverse. *)
@@ -224,52 +223,39 @@ let of_text text =
     threads := List.rev !txs :: !threads;
     txs := []
   in
-  let line tokens =
+  let line raw =
+    let raw =
+      match String.index_opt raw '#' with Some i -> String.sub raw 0 i | None -> raw
+    in
+    let tokens =
+      String.split_on_char ' ' (String.trim raw) |> List.filter (fun s -> s <> "")
+    in
     match (tokens, !txs) with
-    | [], _ -> Ok ()
+    | [], _ -> ()
     | [ "thread" ], _ ->
       if !started then close_thread ();
+      started := true
+    | [ "tx"; pre; post ], _ ->
+      let pre_compute = key_value "pre" pre in
+      let post_compute = key_value "post" post in
+      close_tx ();
       started := true;
-      Ok ()
-    | [ "tx"; pre; post ], _ -> (
-      match (key_value "pre" pre, key_value "post" post) with
-      | Ok pre_compute, Ok post_compute ->
-        close_tx ();
-        started := true;
-        txs := { pre_compute; ops = []; post_compute } :: !txs;
-        Ok ()
-      | (Error _ as e), _ | _, (Error _ as e) -> e)
-    | "tx" :: _, _ -> Error "expected: tx pre=<int> post=<int>"
-    | _, [] -> Error "operation outside a transaction"
-    | _, _ :: _ -> (
-      match op_of_tokens tokens with
-      | Some op ->
-        ops := op :: !ops;
-        Ok ()
-      | None ->
-        Error
-          (Printf.sprintf "unknown operation %S" (String.concat " " tokens)))
+      txs := { pre_compute; ops = []; post_compute } :: !txs
+    | "tx" :: _, _ -> bad "expected: tx pre=<int> post=<int>"
+    | _, [] -> bad "operation outside a transaction"
+    | _, _ :: _ -> ops := op_of_tokens tokens :: !ops
   in
-  let rec go lineno = function
-    | [] when not !started -> Error "empty program: no 'thread' sections"
-    | [] ->
-      close_thread ();
-      let program = Array.of_list (List.rev !threads) in
-      Result.map_error
-        (fun msg -> "invalid program: " ^ msg)
-        (Result.map (fun () -> program) (validate program))
-    | raw :: rest -> (
-      let raw =
-        match String.index_opt raw '#' with
-        | Some i -> String.sub raw 0 i
-        | None -> raw
-      in
-      let tokens =
-        String.split_on_char ' ' (String.trim raw)
-        |> List.filter (fun s -> s <> "")
-      in
-      match line tokens with
-      | Ok () -> go (lineno + 1) rest
-      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-  in
-  go 1 (String.split_on_char '\n' text)
+  match
+    List.iteri
+      (fun i raw ->
+        try line raw with Bad_line msg -> bad "line %d: %s" (i + 1) msg)
+      (String.split_on_char '\n' text)
+  with
+  | exception Bad_line msg -> Error msg
+  | () when not !started -> Error "empty program: no 'thread' sections"
+  | () ->
+    close_thread ();
+    let program = Array.of_list (List.rev !threads) in
+    Result.map_error
+      (fun msg -> "invalid program: " ^ msg)
+      (Result.map (fun () -> program) (validate program))

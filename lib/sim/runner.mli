@@ -163,7 +163,7 @@ val default_options : options
 
     Every entry point below is one call to the same execution path,
     which dispatches on the {!Workload_source.t}: it builds the machine
-    from [options], feeds the cores (closed-loop cursors or the
+    from [options], feeds the cores (closed-loop streams or the
     open-loop feeder), runs, checks and collects the {!result}. They
     differ only in the source they wrap and the input checks named
     after them. *)
@@ -187,8 +187,9 @@ val run :
   unit ->
   result
 (** Closed-loop run: each thread draws its next transaction from
-    {!Lk_stamp.Workload.cursors} when the previous one completes, so
-    the workload costs O(threads) memory, not O(transactions).
+    {!Lk_stamp.Workload.streams} into its core's body when the previous
+    one completes, so the workload costs O(threads) memory, not
+    O(transactions).
     [?options] defaults to {!default_options}; build variations with
     record update ([{ Runner.default_options with seed = 7 }]).
 

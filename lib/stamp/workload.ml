@@ -138,37 +138,28 @@ let thread_rngs p ~threads ~seed =
   let root = Rng.create (seed + (1299721 * Hashtbl.hash p.name)) in
   Array.init threads (fun _ -> Rng.split root)
 
-(* Each thread's transaction count, once [caller]'s arguments hold. *)
-let thread_length caller p ~threads ~scale =
+let streams p ~threads ~seed ~scale =
   (match validate p with
   | Ok () -> ()
-  | Error msg -> invalid_arg (caller ^ ": " ^ msg));
-  if threads <= 0 then invalid_arg (caller ^ ": threads must be positive");
+  | Error msg -> invalid_arg ("Workload.streams: " ^ msg));
+  if threads <= 0 then invalid_arg "Workload.streams: threads must be positive";
   if not (Float.is_finite scale && scale > 0.0) then
     invalid_arg
-      (Printf.sprintf "%s: scale must be finite and positive (got %g)" caller
+      (Printf.sprintf "Workload.streams: scale must be finite and positive (got %g)"
          scale);
-  max 1 (int_of_float (float_of_int p.txs_per_thread *. scale))
-
-let streams p ~threads ~seed ~scale =
-  let count = thread_length "Workload.streams" p ~threads ~scale in
+  let count = max 1 (int_of_float (float_of_int p.txs_per_thread *. scale)) in
   Array.mapi
     (fun thread rng -> { Program.count; draw = gen_tx p rng ~threads ~thread })
     (thread_rngs p ~threads ~seed)
 
-let cursors p ~threads ~seed ~scale =
-  let length = thread_length "Workload.cursors" p ~threads ~scale in
+let generate p ~threads ~seed ~scale =
+  let b = Program.Body.create () in
   Array.map
     (fun (s : Program.stream) ->
-      let b = Program.Body.create () in
-      { Program.length; next = (fun () -> s.draw b; Program.unpack b) })
+      List.init s.count (fun _ ->
+          s.draw b;
+          Program.unpack b))
     (streams p ~threads ~seed ~scale)
-
-let generate p ~threads ~seed ~scale =
-  Array.map
-    (fun (c : Program.cursor) ->
-      List.init c.Program.length (fun _ -> c.Program.next ()))
-    (cursors p ~threads ~seed ~scale)
 
 let hot_addresses p =
   List.init p.hot_lines (fun i -> addr_of_line (hot_line i))

@@ -57,18 +57,9 @@ val streams :
     [scale] multiplies [txs_per_thread] (min 1), which is every
     stream's [count]. Threads must be positive. *)
 
-val cursors :
-  profile ->
-  threads:int ->
-  seed:int ->
-  scale:float ->
-  Lk_cpu.Program.cursor array
-(** {!streams}, each body unpacked into a transaction as it is
-    drawn. *)
-
 val generate :
   profile -> threads:int -> seed:int -> scale:float -> Lk_cpu.Program.t
-(** {!cursors}, drained into lists. *)
+(** {!streams}, drained thread by thread and unpacked into lists. *)
 
 val thread_rngs :
   profile -> threads:int -> seed:int -> Lk_engine.Rng.t array

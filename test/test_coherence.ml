@@ -1277,6 +1277,74 @@ let test_llc_wide_entries () =
         (llc_entry_trace ~tiles:64 ~seed))
     [ 1; 2 ]
 
+(* Every word of a wide row: on a 256-tile LLC (five 62-bit words a
+   sharer set), random owner, sharer, clear and evict steps over core
+   ids 0-255 and 8 lines, each checked against a [bool array] model of
+   the line's sharers and an int model of its owner: the owner,
+   [is_sharer] for every core, [unshared], [count], and the [next] walk
+   from every core, then the view at the boundary. *)
+let test_llc_wide_rows_model () =
+  let tiles = 256 and lines = 8 in
+  let c =
+    Llc.create ~plan:(Shard.make ~count:4 ~tiles ~hash:Shard.Mod)
+      ~bank_size_bytes:(4 * 64 * 4) ~ways:4
+  in
+  let owner = Array.make lines (-1) in
+  let sharers = Array.init lines (fun _ -> Array.make tiles false) in
+  let m = Llc.members c in
+  let rng = Rng.create 7 in
+  for line = 0 to lines - 1 do
+    Llc.insert c line
+  done;
+  for step = 1 to 4000 do
+    let line = Rng.int rng lines and core = Rng.int rng tiles in
+    (match Rng.int rng 8 with
+    | 0 ->
+      Llc.set_owner c line core;
+      owner.(line) <- core;
+      Array.fill sharers.(line) 0 tiles false
+    | 1 ->
+      Llc.clear c line;
+      owner.(line) <- -1;
+      Array.fill sharers.(line) 0 tiles false
+    | 2 ->
+      ignore (Llc.evict c line);
+      Llc.insert c line;
+      owner.(line) <- -1;
+      Array.fill sharers.(line) 0 tiles false
+    | 3 | 4 | 5 ->
+      if owner.(line) < 0 then begin
+        Llc.add_sharer c line core;
+        sharers.(line).(core) <- true
+      end
+    | _ ->
+      Llc.remove_core c line core;
+      if owner.(line) = core then owner.(line) <- -1;
+      sharers.(line).(core) <- false);
+    let label what = Printf.sprintf "step %d, line %d: %s" step line what in
+    let model = sharers.(line) in
+    check_int (label "owner") owner.(line) (Llc.owner c line);
+    for k = 0 to tiles - 1 do
+      if Llc.is_sharer c line k <> model.(k) then
+        Alcotest.failf "%s" (label (Printf.sprintf "is_sharer %d" k))
+    done;
+    let members = List.filter (fun k -> model.(k)) (List.init tiles Fun.id) in
+    check_bool (label "unshared") (owner.(line) < 0 && members = [])
+      (Llc.unshared c line);
+    Llc.snapshot c line m;
+    check_int (label "count") (List.length members) (Llc.count m);
+    let want = Array.make (tiles + 1) (-1) in
+    for k = tiles - 1 downto 0 do
+      want.(k) <- (if model.(k) then k else want.(k + 1));
+      if Llc.next m k <> want.(k) then
+        Alcotest.failf "%s" (label (Printf.sprintf "next %d" k))
+    done;
+    match (Option.get (Llc.lookup c line)).Llc.dir with
+    | Llc.Owner o -> check_int (label "view owner") owner.(line) o
+    | Llc.Sharers set ->
+      check_bool (label "view sharers") true (Coreset.elements set = members)
+  done
+
 let test_l1_fresh_golden_trace () =
   check Alcotest.string "fresh" "cc47c526efba3ffc029d9930df3cc7ae"
     (l1_fresh_trace_digest ())
@@ -1341,6 +1409,8 @@ let () =
             test_llc_sparse_golden_trace;
           Alcotest.test_case "wide entries read as narrow" `Quick
             test_llc_wide_entries;
+          Alcotest.test_case "wide rows match a model" `Quick
+            test_llc_wide_rows_model;
         ] );
       ( "protocol-mesi",
         [

@@ -115,6 +115,34 @@ let test_rng_zipf_n1 () =
   let r = Rng.create 31 in
   check_int "single element" 0 (Rng.zipf r ~n:1 ~s:2.0)
 
+(* [Bits.popcount] and [Bits.lowest_bit] against bit-by-bit loops, on
+   the edges and on random non-negative words of every width. *)
+let test_bits_against_loops () =
+  let slow_count w =
+    let n = ref 0 in
+    for b = 0 to 61 do
+      if w land (1 lsl b) <> 0 then incr n
+    done;
+    !n
+  in
+  let slow_lowest w =
+    let rec go b = if w land (1 lsl b) <> 0 then b else go (b + 1) in
+    go 0
+  in
+  let r = Rng.create 11 in
+  let words =
+    [ 0; 1; max_int; max_int lsr 1; 1 lsl 61; (1 lsl 61) - 1; 0x1555_5555_5555_5555 ]
+    @ List.init 2000 (fun i -> Rng.int r max_int lsr (i mod 63))
+  in
+  List.iter
+    (fun w ->
+      Alcotest.(check int) (Printf.sprintf "popcount %#x" w) (slow_count w)
+        (Lk_engine.Bits.popcount w);
+      if w <> 0 then
+        Alcotest.(check int) (Printf.sprintf "lowest_bit %#x" w)
+          (slow_lowest w) (Lk_engine.Bits.lowest_bit w))
+    words
+
 let test_rng_shuffle_permutation () =
   let r = Rng.create 37 in
   let a = Array.init 100 (fun i -> i) in
@@ -921,6 +949,7 @@ let test_ts_commit_no_alloc () =
 let () =
   Alcotest.run "engine"
     [
+      ("bits", [ Alcotest.test_case "against loops" `Quick test_bits_against_loops ]);
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

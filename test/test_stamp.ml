@@ -101,7 +101,7 @@ let test_generation_scale () =
       Alcotest.check_raises label
         (Invalid_argument
            (Printf.sprintf
-              "Workload.cursors: scale must be finite and positive (got %g)"
+              "Workload.streams: scale must be finite and positive (got %g)"
               scale))
         (fun () -> ignore (gen ~scale p)))
     [ ("nan", Float.nan); ("inf", Float.infinity); ("zero", 0.0) ]
@@ -217,37 +217,6 @@ let draw_interleaved (cursors : Program.cursor array) ~f =
   done;
   Array.map List.rev drawn
 
-let test_cursors_match_generate () =
-  List.iter
-    (fun (name, threads, seed) ->
-      let p = Option.get (Suite.find name) in
-      let drawn =
-        draw_interleaved (Workload.cursors p ~threads ~seed ~scale:0.5)
-          ~f:Fun.id
-      in
-      check_bool
-        (Printf.sprintf "%s, %d threads, seed %d" name threads seed)
-        true
-        (drawn = Workload.generate p ~threads ~seed ~scale:0.5))
-    (List.concat_map
-       (fun name ->
-         List.concat_map
-           (fun threads ->
-             List.map (fun seed -> (name, threads, seed)) [ 1; 2; 7 ])
-           [ 1; 3; 32 ])
-       [ "genome"; "kmeans"; "yada" ])
-
-let test_cursor_state_is_per_thread () =
-  (* A cursor holds its thread's RNG, not its transactions: the drawn
-     program's size must not show in the cursors' reachable words. *)
-  let p = Option.get (Suite.find "ssca2") in
-  let words scale =
-    Obj.reachable_words
-      (Obj.repr (Workload.cursors p ~threads:128 ~seed:1 ~scale))
-  in
-  check_int "scale 16 = scale 1" (words 1.0) (words 16.0);
-  check_bool "O(threads)" true (words 1.0 < 128 * 64)
-
 (* [streams] as cursors: every draw goes through one shared body, which
    [drawn] sees before it is unpacked. *)
 let flat_cursors (streams : Program.stream array) ~drawn =
@@ -263,6 +232,39 @@ let flat_cursors (streams : Program.stream array) ~drawn =
             Program.unpack b);
       })
     streams
+
+let test_cursors_match_generate () =
+  List.iter
+    (fun (name, threads, seed) ->
+      let p = Option.get (Suite.find name) in
+      let drawn =
+        draw_interleaved
+          (flat_cursors (Workload.streams p ~threads ~seed ~scale:0.5)
+             ~drawn:ignore)
+          ~f:Fun.id
+      in
+      check_bool
+        (Printf.sprintf "%s, %d threads, seed %d" name threads seed)
+        true
+        (drawn = Workload.generate p ~threads ~seed ~scale:0.5))
+    (List.concat_map
+       (fun name ->
+         List.concat_map
+           (fun threads ->
+             List.map (fun seed -> (name, threads, seed)) [ 1; 2; 7 ])
+           [ 1; 3; 32 ])
+       [ "genome"; "kmeans"; "yada" ])
+
+let test_cursor_state_is_per_thread () =
+  (* A stream holds its thread's RNG, not its transactions: the drawn
+     program's size must not show in the streams' reachable words. *)
+  let p = Option.get (Suite.find "ssca2") in
+  let words scale =
+    Obj.reachable_words
+      (Obj.repr (Workload.streams p ~threads:128 ~seed:1 ~scale))
+  in
+  check_int "scale 16 = scale 1" (words 1.0) (words 16.0);
+  check_bool "O(threads)" true (words 1.0 < 128 * 64)
 
 let test_expected_increments_match_program () =
   List.iter
