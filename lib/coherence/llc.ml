@@ -37,16 +37,15 @@ type t = {
   nways : int;
   slots : int array array;
   dirs : int array array;
-  (* More than [narrow_cores] cores: every sharer set is a row of
-     [row] words in one flat pool, core [c] at bit [c mod narrow_cores]
-     of word [c / narrow_cores], updated in place. Row 0 is the empty
-     set and is never written; a free row is all zeros but for its
-     first word, which links the next free row from [wide_free] (0
-     ends the chain). [[||]] until a line is first shared. *)
-  is_wide : bool;
+  (* More than [narrow_cores] cores ([row > 1]): every sharer set is a
+     row of [row] words in one flat pool, core [c] at bit
+     [c mod narrow_cores] of word [c / narrow_cores], updated in place.
+     Row 0 stands for the empty set and is never read as one: its first
+     word heads the chain of free rows, each all zeros but for its first
+     word, which links the next (0 ends the chain). [[||]] until a line
+     is first shared. *)
   row : int;  (* words per sharer set: 1 on a narrow machine *)
   mutable wide : int array;
-  mutable wide_free : int;
   mutable count : int;  (* resident lines *)
   mutable tick : int;
   (* The last line located: its set and its way, or -1 when absent.
@@ -79,10 +78,8 @@ let create ~plan ~bank_size_bytes ~ways =
     nways = ways;
     slots = Array.make (banks * nsets) [||];
     dirs = Array.make (banks * nsets) [||];
-    is_wide = Shard.tiles plan > narrow_cores;
     row = (Shard.tiles plan + narrow_cores - 1) / narrow_cores;
     wide = [||];
-    wide_free = 0;
     count = 0;
     tick = 0;
     memo_line = -1;
@@ -142,7 +139,7 @@ let[@inline] bit c = 1 lsl (c mod narrow_cores)
 
 (* The sharers of a non-owner entry [e]. *)
 let set_of_entry t e =
-  if not t.is_wide then Coreset.of_bits e
+  if t.row = 1 then Coreset.of_bits e
   else begin
     let set = ref Coreset.empty in
     for k = 0 to if e > 0 then t.row - 1 else -1 do
@@ -162,7 +159,7 @@ let dir_of_entry t e =
 (* A fresh, empty row of the pool. When no row is free the pool
    doubles, chaining the new rows. *)
 let wide_row t =
-  if t.wide_free = 0 then begin
+  if Array.length t.wide = 0 || t.wide.(0) = 0 then begin
     let n = Array.length t.wide / t.row in
     let m = Int.max 2 (2 * n) in
     let pool = Array.make (m * t.row) 0 in
@@ -170,23 +167,23 @@ let wide_row t =
     for r = Int.max 1 n to m - 2 do
       pool.(r * t.row) <- r + 1
     done;
-    t.wide <- pool;
-    t.wide_free <- Int.max 1 n
+    pool.(0) <- Int.max 1 n;
+    t.wide <- pool
   end;
-  let r = t.wide_free in
-  t.wide_free <- t.wide.(r * t.row);
+  let r = t.wide.(0) in
+  t.wide.(0) <- t.wide.(r * t.row);
   t.wide.(r * t.row) <- 0;
   r
 
 (* Drop entry [e]'s hold on its row, if any. *)
 let release t e =
-  if t.is_wide && e > 0 then begin
+  if t.row > 1 && e > 0 then begin
     let base = e * t.row in
     for k = base + 1 to base + t.row - 1 do
       t.wide.(k) <- 0
     done;
-    t.wide.(base) <- t.wide_free;
-    t.wide_free <- e
+    t.wide.(base) <- t.wide.(0);
+    t.wide.(0) <- e
   end
 
 let entry_of_dir t = function
@@ -194,7 +191,7 @@ let entry_of_dir t = function
   | Sharers set ->
     Coreset.iter (fun c -> ignore (word_of t c)) set;
     if Coreset.is_empty set then no_sharers
-    else if t.is_wide then begin
+    else if t.row > 1 then begin
       let r = wide_row t in
       Coreset.iter
         (fun c ->
@@ -345,7 +342,7 @@ let clear t line = put t line "clear" no_sharers
 let is_sharer t line c =
   let e = entry t line in
   if e <= -2 then false
-  else if t.is_wide then
+  else if t.row > 1 then
     e > 0 && t.wide.((e * t.row) + word_of t c) land bit c <> 0
   else e land (1 lsl c) <> 0
 
@@ -353,7 +350,7 @@ let add_sharer t line c =
   let e = entry t line in
   if e <= -2 then invalid_arg "Llc.add_sharer: line is owned";
   let w = word_of t c in
-  if t.is_wide then begin
+  if t.row > 1 then begin
     let e =
       if e <> no_sharers then e
       else begin
@@ -375,7 +372,7 @@ let remove_core t line c =
   if e <= -2 then begin
     if e = owner_entry c then put t line "remove_core" no_sharers
   end
-  else if t.is_wide then begin
+  else if t.row > 1 then begin
     let k = (e * t.row) + word_of t c in
     if e > 0 && t.wide.(k) land bit c <> 0 then begin
       t.wide.(k) <- t.wide.(k) lxor bit c;
@@ -385,36 +382,38 @@ let remove_core t line c =
   end
   else put t line "remove_core" (e land lnot (1 lsl c))
 
-(* One word per [narrow_cores] cores, as a row. *)
-type members = int array
+(* A row of words, sized at the first snapshot. *)
+type members = { mutable words : int array }
 
-let members t = Array.make t.row 0
+let members () = { words = [||] }
 
 let snapshot t line m =
   let e = entry t line in
-  if not t.is_wide then m.(0) <- (if e <= -2 then 0 else e)
+  if Array.length m.words <> t.row then m.words <- Array.make t.row 0;
+  if t.row = 1 then m.words.(0) <- (if e <= -2 then 0 else e)
   else
     for k = 0 to t.row - 1 do
-      m.(k) <- (if e > 0 then t.wide.((e * t.row) + k) else 0)
+      m.words.(k) <- (if e > 0 then t.wide.((e * t.row) + k) else 0)
     done
 
 (* The least member in word [w] of [m] or above. *)
-let rec next_from (m : members) w =
-  if w >= Array.length m then -1
-  else if m.(w) = 0 then next_from m (w + 1)
-  else (w * narrow_cores) + Lk_engine.Bits.lowest_bit m.(w)
+let rec next_from words w =
+  if w >= Array.length words then -1
+  else if words.(w) = 0 then next_from words (w + 1)
+  else (w * narrow_cores) + Lk_engine.Bits.lowest_bit words.(w)
 
-let next (m : members) c =
+let next m c =
   let w = c / narrow_cores in
-  if w >= Array.length m then -1
+  if w >= Array.length m.words then -1
   else
-    let rest = m.(w) lsr (c - (w * narrow_cores)) in
-    if rest = 0 then next_from m (w + 1) else c + Lk_engine.Bits.lowest_bit rest
+    let rest = m.words.(w) lsr (c - (w * narrow_cores)) in
+    if rest = 0 then next_from m.words (w + 1)
+    else c + Lk_engine.Bits.lowest_bit rest
 
-let count (m : members) =
+let count m =
   let n = ref 0 in
-  for w = 0 to Array.length m - 1 do
-    n := !n + Lk_engine.Bits.popcount m.(w)
+  for w = 0 to Array.length m.words - 1 do
+    n := !n + Lk_engine.Bits.popcount m.words.(w)
   done;
   !n
 

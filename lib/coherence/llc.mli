@@ -94,8 +94,8 @@ type members
 (** A copy of a line's sharers, which later changes to the entry leave
     as they were. *)
 
-val members : t -> members
-(** A buffer as wide as the LLC's sharer sets. *)
+val members : unit -> members
+(** A buffer, sized to the sharer sets of the first LLC it snapshots. *)
 
 val snapshot : t -> Types.line -> members -> unit
 (** Copy the sharers of the line (none when it is owned) into the

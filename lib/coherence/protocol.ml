@@ -64,7 +64,6 @@ type t = {
   mutable h_grant : Sim.handler;  (* arg: core *)
   mutable h_release : Sim.handler;  (* arg: line *)
   mutable decided : Types.outcome;  (* the last decision's outcome *)
-  mutable room : int;  (* the L1 slot [install] fills *)
   (* A write decision's scratch: the sharers it started from, and its
      slowest invalidation round trip so far. *)
   members : Llc.members;
@@ -180,8 +179,7 @@ let make ~sim ~network cfg =
     h_grant = Sim.unset;
     h_release = Sim.unset;
     decided = Types.granted;
-    room = -1;
-    members = Llc.members llc;
+    members = Llc.members ();
     inv_rtt = 0;
     marks = Bytes.make cfg.cores '\000';
     ledger = None;
@@ -335,50 +333,39 @@ let ensure_llc_resident t line =
     Llc.insert t.llc line;
     !extra
 
-(* Make room in the requester's L1 for its absent [line], evicting
-   until its set has a free way, and leave that way's slot in [t.room].
-   Returns [extra] plus the latency the evictions add. *)
-let rec make_room t l1 ~core ~line extra guard =
-  if guard > 2 * t.cfg.l1_ways then
-    failwith "Protocol.make_room: cannot free a way";
-  let r = L1_cache.room l1 line in
-  if r >= 0 then begin
-    t.room <- r;
-    extra
-  end
-  else
-    make_room t l1 ~core ~line
-      (flush_l1_copy t ~core ~line:(L1_cache.line_at l1 (lnot r)) ~extra)
-      (guard + 1)
-
 (* Install a granted line in the requester's L1 (or upgrade in place).
    Returns extra latency from evictions. The requester's transaction
    may have died while the request was in flight (or may die right here
    if its own victim line is transactional): we re-check the context
    and skip tx marking for stale requests. One search of the set finds
-   the line, and one more its way when it is absent; the slot then
-   serves every later step. *)
+   the line; when it is absent, each further search finds a free way or
+   the victim to evict first. The slot then serves every later step. *)
 let install t id ~state =
   let core = rq_core t id and line = rq_line t id in
   let l1 = t.l1s.(core) in
-  let i = L1_cache.probe l1 line in
-  let extra =
-    if i >= 0 then begin
-      L1_cache.set_state_at l1 i state;
-      L1_cache.touch_at l1 i;
-      t.room <- i;
-      0
-    end
-    else begin
-      let extra = make_room t l1 ~core ~line 0 0 in
-      L1_cache.insert_at l1 t.room line state;
-      extra
-    end
-  in
+  let slot = ref (L1_cache.probe l1 line) and extra = ref 0 in
+  if !slot >= 0 then begin
+    L1_cache.set_state_at l1 !slot state;
+    L1_cache.touch_at l1 !slot
+  end
+  else begin
+    let evicted = ref 0 in
+    slot := L1_cache.room l1 line;
+    while !slot < 0 do
+      if !evicted > 2 * t.cfg.l1_ways then
+        failwith "Protocol.install: cannot free a way";
+      incr evicted;
+      extra :=
+        flush_l1_copy t ~core ~line:(L1_cache.line_at l1 (lnot !slot))
+          ~extra:!extra;
+      slot := L1_cache.room l1 line
+    done;
+    L1_cache.insert_at l1 !slot line state
+  end;
   let party = t.client.Client.context ~core ~epoch:(rq_epoch t id) in
   if party <> Types.no_party && Types.in_tx party then
-    L1_cache.mark_tx_at l1 t.room line ~write:(rq_write t id);
-  extra
+    L1_cache.mark_tx_at l1 !slot line ~write:(rq_write t id);
+  !extra
 
 (* Refuse request [id] on behalf of [by] (a core, or
    [Types.rejected_by_signatures]), counting it on [counter]. *)

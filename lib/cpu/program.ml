@@ -32,9 +32,9 @@ let cursor thread =
 module Body = struct
   type kind = Compute | Read | Write | Incr | Add | Fault
 
-  (* Slot [i] is [code.(3i)], its kind's index in declaration order,
-     then its operand (a compute's cycles or an address) at [3i + 1]
-     and its value at [3i + 2]. *)
+  (* Slot [i] is two ints: at [2i] its operand (a compute's cycles or an
+     address) shifted left over its kind's index in declaration order,
+     at [2i + 1] its value. *)
   type t = {
     mutable pre_compute : int;
     mutable post_compute : int;
@@ -47,35 +47,37 @@ module Body = struct
   let length b = b.length
   let pre_compute b = b.pre_compute
   let post_compute b = b.post_compute
-  let kind b i = kinds.(b.code.(3 * i))
-  let operand b i = b.code.((3 * i) + 1)
-  let value b i = b.code.((3 * i) + 2)
+  let kind b i = kinds.(b.code.(2 * i) land 7)
+  let operand b i = b.code.(2 * i) asr 3
+  let value b i = b.code.((2 * i) + 1)
 
-  (* Room for slot [i], doubling the buffer. *)
-  let fit b i =
-    if (3 * i) + 3 > Array.length b.code then begin
-      let code = Array.make (Int.max 96 (6 * (i + 1))) 0 in
+  let reserve b n =
+    if 2 * n > Array.length b.code then begin
+      let code = Array.make (Int.max 64 (2 * n)) 0 in
       Array.blit b.code 0 code 0 (Array.length b.code);
       b.code <- code
     end
 
+  (* Room for slot [i], doubling what it needs. *)
+  let fit b i = if (2 * i) + 2 > Array.length b.code then reserve b (2 * (i + 1))
+
   let set b i kind operand value =
     fit b i;
-    b.code.(3 * i) <-
-      (match kind with
-      | Compute -> 0 | Read -> 1 | Write -> 2 | Incr -> 3 | Add -> 4 | Fault -> 5);
-    b.code.((3 * i) + 1) <- operand;
-    b.code.((3 * i) + 2) <- value
+    b.code.(2 * i) <-
+      (operand lsl 3)
+      lor (match kind with
+          | Compute -> 0 | Read -> 1 | Write -> 2 | Incr -> 3 | Add -> 4 | Fault -> 5);
+    b.code.((2 * i) + 1) <- value
 
   let move b ~src ~dst =
     fit b dst;
-    Array.blit b.code (3 * src) b.code (3 * dst) 3
+    Array.blit b.code (2 * src) b.code (2 * dst) 2
 
   let swap b i j =
-    for k = 0 to 2 do
-      let x = b.code.((3 * i) + k) in
-      b.code.((3 * i) + k) <- b.code.((3 * j) + k);
-      b.code.((3 * j) + k) <- x
+    for k = 0 to 1 do
+      let x = b.code.((2 * i) + k) in
+      b.code.((2 * i) + k) <- b.code.((2 * j) + k);
+      b.code.((2 * j) + k) <- x
     done
 
   let finish b ~length ~pre_compute ~post_compute =
@@ -85,6 +87,8 @@ module Body = struct
 end
 
 let pack tx b =
+  let length = List.length tx.ops in
+  Body.reserve b length;
   List.iteri
     (fun i -> function
       | Compute n -> Body.set b i Body.Compute n 0
@@ -94,7 +98,7 @@ let pack tx b =
       | Add (a, d) -> Body.set b i Body.Add a d
       | Fault -> Body.set b i Body.Fault 0 0)
     tx.ops;
-  Body.finish b ~length:(List.length tx.ops) ~pre_compute:tx.pre_compute
+  Body.finish b ~length ~pre_compute:tx.pre_compute
     ~post_compute:tx.post_compute
 
 let unpack b =

@@ -74,6 +74,11 @@ module Body : sig
 
   (** {2 Drawing a body} *)
 
+  val reserve : t -> int -> unit
+  (** [reserve b n] makes room for slots [0, n), no more: a body of known
+      size then grows the buffer at most once, to fit. (Past the room,
+      {!set} doubles what it needs.) *)
+
   val set : t -> int -> kind -> int -> int -> unit
   (** [set b i kind operand value] writes slot [i], growing the buffer
       to hold it. *)

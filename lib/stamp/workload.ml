@@ -70,6 +70,9 @@ let hot p rng = Rng.chance rng p.hot_fraction && p.hot_lines > 0
    private writes carry an arbitrary token. *)
 let sized_tx p rng ~threads ~thread ~n_reads ~n_writes b =
   let n = n_reads + n_writes in
+  let per_op = if p.compute_per_op > 0 then 2 else 1 in
+  let len = per_op * n in
+  Program.Body.reserve b (len + 1);
   for i = 0 to n - 1 do
     if i < n_reads then begin
       let line = if hot p rng then pick_hot p rng else pick_shared p rng in
@@ -89,8 +92,6 @@ let sized_tx p rng ~threads ~thread ~n_reads ~n_writes b =
   done;
   (* The fault, if any, goes before element [fault_at] of the body with
      its [Compute]s interleaved. *)
-  let per_op = if p.compute_per_op > 0 then 2 else 1 in
-  let len = per_op * n in
   let fault_at =
     if Rng.chance rng p.fault_prob then begin
       (* Inject the fault late in the body (the last quarter): faults in

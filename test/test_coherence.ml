@@ -1244,7 +1244,7 @@ let llc_entry_trace ~tiles ~seed =
     Llc.create ~plan:(Shard.make ~count:4 ~tiles ~hash:Shard.Mod)
       ~bank_size_bytes:(4 * 64 * 4) ~ways:4
   in
-  let m = Llc.members c and b = Buffer.create 65536 in
+  let m = Llc.members () and b = Buffer.create 65536 in
   for line = 0 to 15 do
     Llc.insert c line
   done;
@@ -1291,7 +1291,7 @@ let test_llc_wide_rows_model () =
   in
   let owner = Array.make lines (-1) in
   let sharers = Array.init lines (fun _ -> Array.make tiles false) in
-  let m = Llc.members c in
+  let m = Llc.members () in
   let rng = Rng.create 7 in
   for line = 0 to lines - 1 do
     Llc.insert c line
