@@ -208,10 +208,6 @@ let room t line =
 
 let line_at t i = (tag t i * t.nsets) + (i / t.nways)
 
-let victim t line =
-  let r = room t line in
-  if r >= 0 then -1 else line_at t (lnot r)
-
 let insert_at t i line state =
   if t.span = 0 then allocate t;
   t.slots.(2 * i) <- tag_of t line;

@@ -93,10 +93,6 @@ val insert_at : t -> int -> Types.line -> state -> unit
     [slot] that {!room} returned, most-recently used and with no tx
     bits. *)
 
-val victim : t -> Types.line -> Types.line
-(** For an absent [line]: the line allocating it must evict first, or
-    -1 when a way is free. *)
-
 val insert : t -> Types.line -> state -> unit
 (** Install an absent line; requires a free way (evict first). Raises
     [Invalid_argument] if the line is present or the set is full. The

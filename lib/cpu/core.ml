@@ -106,24 +106,22 @@ and finish_body t outcome =
 
 and go t =
   let b = t.body and i = t.pc in
+  t.pc <- i + 1;
   if i = Program.Body.length b then finish_body t `Done
-  else begin
-    t.pc <- i + 1;
-    if dead t then finish_body t `Aborted
-    else
-      let a = Program.Body.operand b i and value = Program.Body.value b i in
-      match Program.Body.kind b i with
-      | Compute ->
-        Runtime.add_insts t.rt t.core a;
-        Runtime.post t.rt ~delay:(Int.max a 0) t.core resume_code
-      | Read -> Runtime.op t.rt t.core Types.Read ~addr:a ~value
-      | Write -> Runtime.op t.rt t.core Types.Write ~addr:a ~value
-      | Incr | Add -> Runtime.op t.rt t.core Types.Rmw ~addr:a ~value
-      | Fault ->
-        Runtime.fault t.rt t.core ~k:(function
-          | `Died -> finish_body t `Aborted
-          | `Survived cost -> Runtime.post t.rt ~delay:cost t.core resume_code)
-  end
+  else if dead t then finish_body t `Aborted
+  else
+    let a = Program.Body.operand b i and value = Program.Body.value b i in
+    match Program.Body.kind b i with
+    | Compute ->
+      Runtime.add_insts t.rt t.core a;
+      Runtime.post t.rt ~delay:(Int.max a 0) t.core resume_code
+    | Read -> Runtime.op t.rt t.core Types.Read ~addr:a ~value
+    | Write -> Runtime.op t.rt t.core Types.Write ~addr:a ~value
+    | Incr | Add -> Runtime.op t.rt t.core Types.Rmw ~addr:a ~value
+    | Fault ->
+      Runtime.fault t.rt t.core ~k:(function
+        | `Died -> finish_body t `Aborted
+        | `Survived cost -> Runtime.post t.rt ~delay:cost t.core resume_code)
 
 and resume t = if dead t then finish_body t `Aborted else go t
 

@@ -118,9 +118,9 @@ let small_l1 () = L1.create ~size_bytes:(4 * 64 * 2) ~ways:2
 let l1_room c line =
   if L1.resident c line then `Present
   else
-    match L1.victim c line with
-    | -1 -> `Free
-    | v -> `Evict (Option.get (L1.lookup c v))
+    let r = L1.room c line in
+    if r >= 0 then `Free
+    else `Evict (Option.get (L1.lookup c (L1.line_at c (lnot r))))
 
 let test_l1_geometry () =
   let c = small_l1 () in
