@@ -142,14 +142,15 @@ let set_of_entry t e =
   if t.row = 1 then Coreset.of_bits e
   else begin
     let set = ref Coreset.empty in
-    for k = 0 to if e > 0 then t.row - 1 else -1 do
-      let w = ref t.wide.((e * t.row) + k) in
-      while !w <> 0 do
-        let c = (k * narrow_cores) + Lk_engine.Bits.lowest_bit !w in
-        set := Coreset.add c !set;
-        w := !w land (!w - 1)
-      done
-    done;
+    if e > 0 then
+      for k = 0 to t.row - 1 do
+        let w = ref t.wide.((e * t.row) + k) in
+        while !w <> 0 do
+          let c = (k * narrow_cores) + Lk_engine.Bits.lowest_bit !w in
+          set := Coreset.add c !set;
+          w := !w land (!w - 1)
+        done
+      done;
     !set
   end
 

@@ -143,17 +143,6 @@ let make ~sim ~network cfg =
   let shards = if cfg.dir_shards = 0 then cfg.cores else cfg.dir_shards in
   let plan = Shard.make ~count:shards ~tiles:cfg.cores ~hash:cfg.dir_hash in
   let stats = Stats.group "protocol" in
-  let llc =
-    (* Shard counts that do not divide the LLC size round each bank
-       down to whole sets (at least one), undershooting [llc_size] by
-       less than one set per bank; divisor counts — every historical
-       configuration — are unchanged. *)
-    let set_bytes = cfg.llc_ways * Addr.line_size in
-    let bank_size_bytes =
-      Int.max set_bytes (cfg.llc_size / shards / set_bytes * set_bytes)
-    in
-    Llc.create ~plan ~bank_size_bytes ~ways:cfg.llc_ways
-  in
   {
     sim;
     net = network;
@@ -162,7 +151,16 @@ let make ~sim ~network cfg =
       Array.init cfg.cores (fun _ ->
           L1_cache.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways);
     plan;
-    llc;
+    llc =
+      (* Shard counts that do not divide the LLC size round each bank
+         down to whole sets (at least one), undershooting [llc_size]
+         by less than one set per bank; divisor counts — every
+         historical configuration — are unchanged. *)
+      (let set_bytes = cfg.llc_ways * Addr.line_size in
+       let bank_size_bytes =
+         Int.max set_bytes (cfg.llc_size / shards / set_bytes * set_bytes)
+       in
+       Llc.create ~plan ~bank_size_bytes ~ways:cfg.llc_ways);
     client = Client.plain;
     reply = (fun _ _ -> ());
     rq = [||];
