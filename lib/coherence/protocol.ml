@@ -772,12 +772,11 @@ let check_invariants t =
     (fun c l1c ->
       L1_cache.iter l1c (fun lv ->
           let line = lv.L1_cache.line in
-          match Llc.lookup t.llc line with
-          | None -> fail "line %d: resident in L1 %d but not in LLC" line c
-          | Some { Llc.dir = Llc.Owner o; _ } ->
-            if o <> c then
-              fail "line %d: owned by %d but also resident at %d" line o c
-          | Some { Llc.dir = Llc.Sharers sharers; _ } ->
-            if not (Coreset.mem c sharers) then
-              fail "line %d: resident at %d but not in directory" line c))
+          if not (Llc.resident t.llc line) then
+            fail "line %d: resident in L1 %d but not in LLC" line c;
+          let o = Llc.owner t.llc line in
+          if o >= 0 && o <> c then
+            fail "line %d: owned by %d but also resident at %d" line o c
+          else if o < 0 && not (Llc.is_sharer t.llc line c) then
+            fail "line %d: resident at %d but not in directory" line c))
     t.l1s
