@@ -62,6 +62,8 @@ module Body = struct
   let fit b i = if (2 * i) + 2 > Array.length b.code then reserve b (2 * (i + 1))
 
   let set b i kind operand value =
+    if operand asr 59 <> operand asr 62 then
+      invalid_arg "Program.Body.set: operand out of range";
     fit b i;
     b.code.(2 * i) <-
       (operand lsl 3)

@@ -81,7 +81,8 @@ module Body : sig
 
   val set : t -> int -> kind -> int -> int -> unit
   (** [set b i kind operand value] writes slot [i], growing the buffer
-      to hold it. *)
+      to hold it. Raises [Invalid_argument] unless
+      [-2{^59} <= operand < 2{^59}]. *)
 
   val move : t -> src:int -> dst:int -> unit
   (** Copy a slot. *)

@@ -422,11 +422,17 @@ let test_pack_roundtrip () =
   in
   let short = tx [ Program.Incr 64 ] in
   let b = Program.Body.create () in
+  let edges =
+    tx Program.[ Read ((1 lsl 59) - 1); Add (0, min_int); Compute (-(1 lsl 59)) ]
+  in
   List.iter
     (fun t ->
       Program.pack t b;
       check_bool "roundtrip" true (Program.unpack b = t))
-    [ long; short; long; tx [] ]
+    [ long; short; long; tx []; edges ];
+  Alcotest.check_raises "operand too wide"
+    (Invalid_argument "Program.Body.set: operand out of range") (fun () ->
+      Program.pack (tx [ Program.Read (1 lsl 59) ]) b)
 
 let test_hot_addresses_cover_increment_targets () =
   List.iter
