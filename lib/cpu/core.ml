@@ -11,7 +11,7 @@ module Types = Lk_coherence.Types
    queued footprint O(1) per entry no matter how large the transaction
    it will draw into the core's body. *)
 type pending = {
-  gen : Program.Body.t -> unit;
+  gen : Body.t -> unit;
   notify : started:int -> unit;  (** fired at completion; [started] is
                                      the cycle service began. *)
 }
@@ -34,7 +34,7 @@ type t = {
      core reuses, and the index of its next op, the epoch it watches
      (-1: none) and its continuation; the lock-free wait; a compute
      burst or a retry pause, with the category it is charged to. *)
-  body : Program.Body.t;
+  body : Body.t;
   mutable pc : int;
   mutable epoch : int;
   mutable body_k : [ `Done | `Aborted ] -> unit;
@@ -107,11 +107,11 @@ and finish_body t outcome =
 and go t =
   let b = t.body and i = t.pc in
   t.pc <- i + 1;
-  if i = Program.Body.length b then finish_body t `Done
+  if i = Body.length b then finish_body t `Done
   else if dead t then finish_body t `Aborted
   else
-    let a = Program.Body.operand b i and value = Program.Body.value b i in
-    match Program.Body.kind b i with
+    let a = Body.operand b i and value = Body.value b i in
+    match Body.kind b i with
     | Compute ->
       Runtime.add_insts t.rt t.core a;
       Runtime.post t.rt ~delay:(Int.max a 0) t.core resume_code
@@ -333,9 +333,9 @@ let rec pump t =
     let p = Queue.pop t.q in
     let started = now t in
     p.gen t.body;
-    compute t (Program.Body.pre_compute t.body) Accounting.Non_tran (fun () ->
+    compute t (Body.pre_compute t.body) Accounting.Non_tran (fun () ->
         critical t (fun () ->
-            compute t (Program.Body.post_compute t.body) Accounting.Non_tran
+            compute t (Body.post_compute t.body) Accounting.Non_tran
               (fun () ->
                 t.completed_txs <- t.completed_txs + 1;
                 p.notify ~started;
@@ -357,7 +357,7 @@ let spawn ~runtime ~core ~accounting ~on_done () =
       q = Queue.create ();
       busy = false;
       sealed = false;
-      body = Program.Body.create ();
+      body = Body.create ();
       pc = 0;
       epoch = -1;
       body_k = no_body;

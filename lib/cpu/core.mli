@@ -30,7 +30,7 @@ val spawn :
     core has been {!seal}ed and its queue has drained. *)
 
 val submit :
-  t -> gen:(Program.Body.t -> unit) -> notify:(started:int -> unit) -> unit
+  t -> gen:(Body.t -> unit) -> notify:(started:int -> unit) -> unit
 (** Enqueue a transaction. [gen] draws its body into the core's own
     buffer when service begins; [notify ~started] fires at completion
     with the cycle service began (so the caller can split queueing

@@ -33,10 +33,9 @@ type t = thread array
 (** One thread per participating core, indexed by core id. *)
 
 type cursor = { length : int; next : unit -> transaction }
-(** A thread drawn on demand: [length] transactions, the [i]-th
-    returned by the [i]-th call of [next] (call it at most [length]
-    times). Closed-loop cores pull their transactions through a cursor
-    ({!Core.drive}), so a generated thread never exists as a whole. *)
+(** A thread drawn on demand as op lists: [length] transactions, the
+    [i]-th returned by the [i]-th call of [next] (call it at most
+    [length] times). A core runs one through {!stream}. *)
 
 val cursor : thread -> cursor
 (** Replays a materialised thread (hand-written programs, check
@@ -44,54 +43,9 @@ val cursor : thread -> cursor
 
 (** {1 Flat bodies}
 
-    The cores run a transaction from a reusable int buffer rather than
-    an [op list], so drawing a body allocates nothing once the buffer
-    has grown to fit it. A body is a sequence of slots, each an
-    operation's kind and its operands, with the pre- and post-compute
-    in a header. {!pack} and {!unpack} convert. *)
-
-module Body : sig
-  type t
-
-  type kind = Compute | Read | Write | Incr | Add | Fault
-  (** The {!op} a slot holds. *)
-
-  val create : unit -> t
-  (** An empty body. *)
-
-  val length : t -> int
-  (** Slots in use. *)
-
-  val pre_compute : t -> int
-  val post_compute : t -> int
-  val kind : t -> int -> kind
-
-  val operand : t -> int -> int
-  (** A [Compute]'s cycles, else the address ([Fault]: 0). *)
-
-  val value : t -> int -> int
-  (** A [Write]'s value, an [Add]'s delta, an [Incr]'s 1, else 0. *)
-
-  (** {2 Drawing a body} *)
-
-  val reserve : t -> int -> unit
-  (** [reserve b n] makes room for slots [0, n), no more: a body of known
-      size then grows the buffer at most once, to fit. (Past the room,
-      {!set} doubles what it needs.) *)
-
-  val set : t -> int -> kind -> int -> int -> unit
-  (** [set b i kind operand value] writes slot [i], growing the buffer
-      to hold it. Raises [Invalid_argument] unless
-      [-2{^59} <= operand < 2{^59}]. *)
-
-  val move : t -> src:int -> dst:int -> unit
-  (** Copy a slot. *)
-
-  val swap : t -> int -> int -> unit
-
-  val finish : t -> length:int -> pre_compute:int -> post_compute:int -> unit
-  (** The body is slots [0, length) and this header. *)
-end
+    The cores run a transaction from a {!Body.t}, a reusable int
+    buffer, rather than from an [op list]. {!pack} and {!unpack}
+    convert. *)
 
 val pack : transaction -> Body.t -> unit
 (** Draw the transaction into the body. *)
@@ -100,7 +54,9 @@ val unpack : Body.t -> transaction
 
 type stream = { count : int; draw : Body.t -> unit }
 (** A thread drawn flat: [count] transactions, the [i]-th drawn into a
-    body by the [i]-th call of [draw]. {!Core.drive} runs one. *)
+    body by the [i]-th call of [draw]. Closed-loop cores pull their
+    transactions through a stream ({!Core.drive}), so a generated
+    thread never exists as a whole. *)
 
 val stream : cursor -> stream
 (** The cursor's transactions, each packed as it is drawn. *)

@@ -1,6 +1,7 @@
 module Rng = Lk_engine.Rng
 module Addr = Lk_coherence.Addr
 module Program = Lk_cpu.Program
+module Body = Lk_cpu.Body
 
 type profile = {
   name : string;
@@ -72,23 +73,23 @@ let sized_tx p rng ~threads ~thread ~n_reads ~n_writes b =
   let n = n_reads + n_writes in
   let per_op = if p.compute_per_op > 0 then 2 else 1 in
   let len = per_op * n in
-  Program.Body.reserve b (len + 1);
+  Body.reserve b (len + 1);
   for i = 0 to n - 1 do
     if i < n_reads then begin
       let line = if hot p rng then pick_hot p rng else pick_shared p rng in
-      Program.Body.set b i Read (addr_of_line line) 0
+      Body.set b i Read (addr_of_line line) 0
     end
     else if hot p rng then
-      Program.Body.set b i Incr (addr_of_line (pick_hot p rng)) 1
+      Body.set b i Incr (addr_of_line (pick_hot p rng)) 1
     else begin
       let token = Rng.int rng 1024 in
       let line = pick_private p rng ~threads ~thread in
-      Program.Body.set b i Write (addr_of_line line) token
+      Body.set b i Write (addr_of_line line) token
     end
   done;
   (* [Rng.shuffle]'s swaps, on the slots. *)
   for i = n - 1 downto 1 do
-    Program.Body.swap b i (Rng.int rng (i + 1))
+    Body.swap b i (Rng.int rng (i + 1))
   done;
   (* The fault, if any, goes before element [fault_at] of the body with
      its [Compute]s interleaved. *)
@@ -112,11 +113,11 @@ let sized_tx p rng ~threads ~thread ~n_reads ~n_writes b =
   for pos = len - 1 downto 0 do
     let dst = if fault_at >= 0 && pos >= fault_at then pos + 1 else pos in
     if per_op = 2 && pos land 1 = 0 then
-      Program.Body.set b dst Compute p.compute_per_op 0
-    else Program.Body.move b ~src:(pos / per_op) ~dst
+      Body.set b dst Compute p.compute_per_op 0
+    else Body.move b ~src:(pos / per_op) ~dst
   done;
-  if fault_at >= 0 then Program.Body.set b fault_at Fault 0 0;
-  Program.Body.finish b ~length:(if fault_at >= 0 then len + 1 else len)
+  if fault_at >= 0 then Body.set b fault_at Fault 0 0;
+  Body.finish b ~length:(if fault_at >= 0 then len + 1 else len)
     ~pre_compute ~post_compute
 
 (* Closed-loop body: footprint sizes drawn from the profile's ranges. *)
@@ -154,7 +155,7 @@ let streams p ~threads ~seed ~scale =
     (thread_rngs p ~threads ~seed)
 
 let generate p ~threads ~seed ~scale =
-  let b = Program.Body.create () in
+  let b = Body.create () in
   Array.map
     (fun (s : Program.stream) ->
       List.init s.count (fun _ ->
@@ -172,10 +173,10 @@ type tally = int array
 let tally p = Array.make p.hot_lines 0
 
 let count t b =
-  for i = 0 to Program.Body.length b - 1 do
-    match Program.Body.kind b i with
+  for i = 0 to Body.length b - 1 do
+    match Body.kind b i with
     | Incr ->
-      let k = Addr.line_of_byte (Program.Body.operand b i) - hot_base in
+      let k = Addr.line_of_byte (Body.operand b i) - hot_base in
       t.(k) <- t.(k) + 1
     | Compute | Read | Write | Add | Fault -> ()
   done

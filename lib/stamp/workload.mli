@@ -74,7 +74,7 @@ val synthesize :
   thread:int ->
   reads:int ->
   writes:int ->
-  Lk_cpu.Program.Body.t ->
+  Lk_cpu.Body.t ->
   unit
 (** Draw one transaction body with an externally dictated footprint —
     the access pattern (hot/shared/private mix, compute interleave,
@@ -95,7 +95,7 @@ type tally
 val tally : profile -> tally
 (** An empty tally holding every hot record at 0. *)
 
-val count : tally -> Lk_cpu.Program.Body.t -> unit
+val count : tally -> Lk_cpu.Body.t -> unit
 (** Add a drawn body's [Incr]s, which all target hot records, to the
     tally. *)
 

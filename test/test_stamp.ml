@@ -6,6 +6,7 @@
 module Rng = Lk_engine.Rng
 module Addr = Lk_coherence.Addr
 module Program = Lk_cpu.Program
+module Body = Lk_cpu.Body
 module Workload = Lk_stamp.Workload
 module Suite = Lk_stamp.Suite
 
@@ -220,7 +221,7 @@ let draw_interleaved (cursors : Program.cursor array) ~f =
 (* [streams] as cursors: every draw goes through one shared body, which
    [drawn] sees before it is unpacked. *)
 let flat_cursors (streams : Program.stream array) ~drawn =
-  let b = Program.Body.create () in
+  let b = Body.create () in
   Array.map
     (fun (s : Program.stream) ->
       {
@@ -421,7 +422,7 @@ let test_pack_roundtrip () =
         [ Compute 5; Read 64; Write (128, -7); Incr 192; Add (256, -3); Fault ]
   in
   let short = tx [ Program.Incr 64 ] in
-  let b = Program.Body.create () in
+  let b = Body.create () in
   let edges =
     tx Program.[ Read ((1 lsl 59) - 1); Add (0, min_int); Compute (-(1 lsl 59)) ]
   in
@@ -431,7 +432,7 @@ let test_pack_roundtrip () =
       check_bool "roundtrip" true (Program.unpack b = t))
     [ long; short; long; tx []; edges ];
   Alcotest.check_raises "operand too wide"
-    (Invalid_argument "Program.Body.set: operand out of range") (fun () ->
+    (Invalid_argument "Body.set: operand out of range") (fun () ->
       Program.pack (tx [ Program.Read (1 lsl 59) ]) b)
 
 let test_hot_addresses_cover_increment_targets () =
