@@ -63,9 +63,9 @@ val generate :
 
 val thread_rngs :
   profile -> threads:int -> seed:int -> Lk_engine.Rng.t array
-(** The per-thread streams {!streams} draw from: split in thread order
+(** The per-thread RNGs {!streams} draw from: split in thread order
     from one root seeded by [seed] and the profile's name. Open-loop
-    replay synthesises each slot's bodies from the same streams. *)
+    replay synthesises each slot's bodies from the same RNGs. *)
 
 val synthesize :
   profile ->
